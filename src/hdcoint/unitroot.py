@@ -1,9 +1,20 @@
 """Augmented Dickey-Fuller and GLS-detrended unit-root statistics.
 
-Everything routes through one batched regression kernel so that a
-bootstrap engine can evaluate hundreds of replications with a handful of
-stacked linear-algebra calls.  The scalar entry points are thin wrappers
-over batches of size one.
+Every Dickey-Fuller regression is read off one Gram matrix.  For each
+chunk of :data:`_CHUNK` (128) replications, :func:`_grams` builds the
+series-major design ``X`` with rows ``[1, t, y_{t-1}, dy_{t-1}, ...,
+dy_{t-p}, dy_t]`` and forms ``M = X X'`` once.  A regression is the
+sub-Gram ``S`` of ``[other regressors, level, response]``; with ``L``
+the Cholesky factor of ``S`` and ``k`` regressors, the level has
+coefficient ``L[k, k-1] / L[k-1, k-1]`` and t-statistic
+``L[k, k-1] sqrt(n - k) / L[k, k]`` (:func:`_level_fit`).  The ADF mean
+and trend regressions select rows of ``M``; the DF-GLS regressions are
+``A' M A``, where ``A`` (:func:`_gls_map`) subtracts the GLS
+deterministics per replication: ``b1`` from every difference and
+``(b0 - b1) + b1 t`` from the level, which sits one period behind the
+trend column.  Chunking bounds the design at ``128 (p + 4) n`` values.
+A singular sub-Gram falls back to the pseudo-inverse.  The scalar entry
+points are thin wrappers over batches of size one.
 
 Lag selection uses a modified AIC with a variance-rescaling step that
 standardizes increments by a rolling-window volatility estimate before
@@ -67,8 +78,81 @@ def _trim_leading_nan(y: np.ndarray) -> np.ndarray:
     return y[:, first:]
 
 
-def _adf_tstat_batch(y: np.ndarray, det: int, lags: int) -> np.ndarray:
-    """t-statistic on the lagged level in ADF regressions, batched.
+#: replications per Gram chunk; bounds the (chunk, lags + 4, n) design
+_CHUNK = 128
+
+
+def _effective_sample(T: int, det: int, lags: int) -> int:
+    """Rows of the ADF regression, checked against its regressor count."""
+    if lags < 0:
+        raise ParameterError("lags must be non-negative")
+    n = T - lags - 1
+    if n < lags + det + 3:
+        raise DataError(
+            f"series too short for an ADF regression with {lags} lags: "
+            f"effective sample {n}, need at least {lags + det + 3}")
+    return n
+
+
+def _rows(det: int, lags: int) -> np.ndarray:
+    """Gram rows of an ADF regression: deterministics, lags, level, response."""
+    return np.array([0, 1][:det] + list(range(3, 3 + lags)) + [2, 3 + lags])
+
+
+def _grams(y: np.ndarray, lags: int):
+    """Augmented Gram matrices of the DF design, by replication chunk.
+
+    Yields ``(lo, hi, M)`` with ``M = X X'`` of shape ``(hi - lo, m, m)``
+    for the series-major design ``X`` whose ``m = lags + 4`` rows are
+    ``[1, t, y_{t-1}, dy_{t-1}, ..., dy_{t-lags}, dy_t]`` over the
+    ``n = T - lags - 1`` usable periods, ``t`` counted from 1.
+    """
+    B, T = y.shape
+    s = lags + 1                       # first usable level index
+    dy = np.diff(y, axis=1)
+    for lo in range(0, B, _CHUNK):
+        hi = min(lo + _CHUNK, B)
+        X = np.empty((hi - lo, lags + 4, T - s))
+        X[:, 0] = 1.0
+        X[:, 1] = np.arange(s + 1.0, T + 1.0)
+        X[:, 2] = y[lo:hi, s - 1:T - 1]
+        for j in range(1, lags + 1):
+            X[:, 2 + j] = dy[lo:hi, s - 1 - j:T - 1 - j]
+        X[:, 3 + lags] = dy[lo:hi, s - 1:]
+        yield lo, hi, X @ X.transpose(0, 2, 1)
+
+
+def _level_fit(S: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Coefficient and t-statistic of the level from an augmented Gram.
+
+    ``S`` has shape ``(B, k + 1, k + 1)`` and is the Gram matrix of
+    ``[other regressors, level, response]`` over ``n`` rows.  With
+    ``L`` its Cholesky factor, ``L[k, k]`` is the residual norm and
+    ``beta = L[k, k-1] / L[k-1, k-1]``, ``t = L[k, k-1] sqrt(n - k) / L[k, k]``.
+    A singular ``S`` falls back to the pseudo-inverse of the regressor block.
+    """
+    k = S.shape[-1] - 1
+    dof = n - k
+    if dof < 1:
+        raise DataError("no degrees of freedom left in the ADF regression")
+    try:
+        L = np.linalg.cholesky(S)
+        beta = L[:, k, k - 1] / L[:, k - 1, k - 1]
+        denom = (L[:, k, k] / L[:, k - 1, k - 1]) ** 2 / dof
+    except np.linalg.LinAlgError:
+        Gpinv = np.linalg.pinv(S[:, :k, :k])
+        coef = np.einsum("bij,bj->bi", Gpinv, S[:, :k, k])
+        rss = S[:, k, k] - np.einsum("bi,bi->b", coef, S[:, :k, k])
+        beta = coef[:, k - 1]
+        denom = rss / dof * Gpinv[:, k - 1, k - 1]
+    if np.any(denom <= 0) or not np.all(np.isfinite(denom)):
+        raise NumericalError("singular ADF regression (zero residual variance)")
+    return beta, beta / np.sqrt(denom)
+
+
+def _adf_fit_batch(y: np.ndarray, det: int,
+                   lags: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Level coefficient and t-statistic of ADF regressions, batched.
 
     Parameters
     ----------
@@ -80,74 +164,22 @@ def _adf_tstat_batch(y: np.ndarray, det: int, lags: int) -> np.ndarray:
     lags : int
         Number of lagged differences augmenting the regression.
     """
-    B, T = y.shape
-    if lags < 0:
-        raise ParameterError("lags must be non-negative")
-    s = lags + 1                       # first usable level index
-    n = T - s
-    if n < lags + det + 3:
-        raise DataError(
-            f"series too short for an ADF regression with {lags} lags: "
-            f"effective sample {n}, need at least {lags + det + 3}")
-    dy = y[:, 1:] - y[:, :-1]
-    k = det + 1 + lags
-    X = np.empty((B, n, k))
-    if det >= 1:
-        X[:, :, 0] = 1.0
-    if det == 2:
-        X[:, :, 1] = np.arange(s + 1.0, T + 1.0)[None, :]
-    X[:, :, det] = y[:, s - 1:T - 1]
-    for j in range(1, lags + 1):
-        X[:, :, det + j] = dy[:, s - 1 - j:T - 1 - j]
-    Y = dy[:, s - 1:]
-    G = np.einsum("bti,btj->bij", X, X, optimize=True)
-    c = np.einsum("bti,bt->bi", X, Y, optimize=True)
-    try:
-        beta = np.linalg.solve(G, c[..., None])[..., 0]
-        Ginv_diag = np.linalg.inv(G)[:, det, det]
-    except np.linalg.LinAlgError:
-        Gpinv = np.linalg.pinv(G)
-        beta = np.einsum("bij,bj->bi", Gpinv, c)
-        Ginv_diag = Gpinv[:, det, det]
-    resid = Y - np.einsum("btk,bk->bt", X, beta, optimize=True)
-    dof = n - k
-    if dof < 1:
-        raise DataError("no degrees of freedom left in the ADF regression")
-    sigma2 = np.einsum("bt,bt->b", resid, resid) / dof
-    denom = sigma2 * Ginv_diag
-    if np.any(denom <= 0) or not np.all(np.isfinite(denom)):
-        raise NumericalError("singular ADF regression (zero residual variance)")
-    return beta[:, det] / np.sqrt(denom)
+    n = _effective_sample(y.shape[1], det, lags)
+    rows = _rows(det, lags)
+    beta, tstat = np.empty(y.shape[0]), np.empty(y.shape[0])
+    for lo, hi, M in _grams(y, lags):
+        beta[lo:hi], tstat[lo:hi] = _level_fit(M[:, rows[:, None], rows], n)
+    return beta, tstat
 
 
-def _adf_level_coef_batch(y: np.ndarray, det: int, lags: int) -> np.ndarray:
-    """Coefficient on the lagged level (used for AR-root estimates)."""
-    B, T = y.shape
-    s = lags + 1
-    n = T - s
-    dy = y[:, 1:] - y[:, :-1]
-    k = det + 1 + lags
-    X = np.empty((B, n, k))
-    if det >= 1:
-        X[:, :, 0] = 1.0
-    if det == 2:
-        X[:, :, 1] = np.arange(s + 1.0, T + 1.0)[None, :]
-    X[:, :, det] = y[:, s - 1:T - 1]
-    for j in range(1, lags + 1):
-        X[:, :, det + j] = dy[:, s - 1 - j:T - 1 - j]
-    Y = dy[:, s - 1:]
-    G = np.einsum("bti,btj->bij", X, X, optimize=True)
-    c = np.einsum("bti,bt->bi", X, Y, optimize=True)
-    try:
-        beta = np.linalg.solve(G, c[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        beta = np.einsum("bij,bj->bi", np.linalg.pinv(G), c)
-    return beta[:, det]
+def _adf_tstat_batch(y: np.ndarray, det: int, lags: int) -> np.ndarray:
+    """t-statistic on the lagged level in ADF regressions, batched."""
+    return _adf_fit_batch(y, det, lags)[1]
 
 
-def _gls_detrend_batch(y: np.ndarray, spec: DeterministicSpec,
-                       cbar: Optional[float] = None) -> np.ndarray:
-    """Local-to-unity GLS demeaning/detrending of a batch of series."""
+def _gls_coef_batch(y: np.ndarray, spec: DeterministicSpec,
+                    cbar: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """Local-to-unity GLS coefficients ``(B, d)`` and deterministics ``(T, d)``."""
     if spec not in _GLS_CBAR:
         raise ParameterError("GLS detrending requires spec 'mean' or 'trend'")
     B, T = y.shape
@@ -157,18 +189,46 @@ def _gls_detrend_batch(y: np.ndarray, spec: DeterministicSpec,
     rho = 1.0 + cbar / T
     t = np.arange(1.0, T + 1.0)
     Z = np.ones((T, 1)) if spec is DeterministicSpec.MEAN else np.column_stack([np.ones(T), t])
-    yq = np.empty_like(y)
-    yq[:, 0] = y[:, 0]
-    yq[:, 1:] = y[:, 1:] - rho * y[:, :-1]
     Zq = np.empty_like(Z)
     Zq[0] = Z[0]
     Zq[1:] = Z[1:] - rho * Z[:-1]
+    # yq @ Zq for the quasi-differenced yq, without forming yq
+    W = Zq.copy()
+    W[:-1] -= rho * Zq[1:]
     G = Zq.T @ Zq
     try:
-        beta = np.linalg.solve(G, (yq @ Zq).T).T
+        beta = np.linalg.solve(G, (y @ W).T).T
     except np.linalg.LinAlgError:
-        beta = (np.linalg.pinv(G) @ (yq @ Zq).T).T
+        beta = (np.linalg.pinv(G) @ (y @ W).T).T
+    return beta, Z
+
+
+def _gls_detrend_batch(y: np.ndarray, spec: DeterministicSpec,
+                       cbar: Optional[float] = None) -> np.ndarray:
+    """Local-to-unity GLS demeaning/detrending of a batch of series."""
+    beta, Z = _gls_coef_batch(y, spec, cbar)
     return y - beta @ Z.T
+
+
+def _gls_map(beta: np.ndarray, lags: int) -> np.ndarray:
+    """Map ``A`` with ``A' M A`` the DF-GLS Gram, per replication.
+
+    Takes the rows ``[1, t, level, lags, response]`` of the
+    :func:`_grams` design to ``[lags, level, response]`` of the
+    GLS-detrended series.  With coefficients ``(b0, b1)`` on ``(1, t)``
+    each difference drops by ``b1``; the level lags the trend column by
+    one period, so it drops by ``(b0 - b1) + b1 t``.
+    """
+    A = np.zeros((beta.shape[0], lags + 4, lags + 2))
+    A[:, _rows(0, lags), np.arange(lags + 2)] = 1.0
+    if beta.shape[1] == 1:
+        A[:, 0, lags] = -beta[:, 0]
+    else:
+        b0, b1 = beta[:, 0], beta[:, 1]
+        A[:, 0, :] = -b1[:, None]
+        A[:, 0, lags] = b1 - b0
+        A[:, 1, lags] = -b1
+    return A
 
 
 def adf_stat(series, spec: Union[str, DeterministicSpec] = DeterministicSpec.TREND,
@@ -201,7 +261,7 @@ def adf_rho(series, lags: int = 0,
     det = {DeterministicSpec.NONE: 0, DeterministicSpec.MEAN: 1,
            DeterministicSpec.TREND: 2}[spec]
     y = _trim_leading_nan(_as_batch(series))
-    return float(1.0 + _adf_level_coef_batch(y, det, lags)[0])
+    return float(1.0 + _adf_fit_batch(y, det, lags)[0][0])
 
 
 def default_max_lags(T: int) -> int:
@@ -349,11 +409,28 @@ def four_stats(series_or_batch, lags: int) -> np.ndarray:
     """All four component statistics, batched.
 
     Returns shape ``(B, 4)`` with columns ordered as :data:`VARIANTS`.
+    Each chunk of :data:`_CHUNK` (128) replications builds one Gram
+    matrix ``M`` (:func:`_grams`).  The ADF mean and trend regressions
+    are sub-Grams of ``M``, the mean one nested in the trend one; the
+    DF-GLS regressions are ``A' M A`` with the per-replication
+    :func:`_gls_map`, whose level column carries the one-period trend
+    offset ``-(b0 - b1) - b1 t``.  Each t-statistic is
+    ``L[k, k-1] sqrt(n - k) / L[k, k]`` from the Cholesky factor ``L``
+    (:func:`_level_fit`).  The series are first shifted to start at
+    zero, which leaves all four statistics unchanged and keeps the
+    constant from dominating the level in the Gram.
     """
     y = _trim_leading_nan(_as_batch(series_or_batch))
+    y = y - y[:, :1]
+    n = _effective_sample(y.shape[1], 2, lags)
+    gls_mean = _gls_coef_batch(y, DeterministicSpec.MEAN)[0]
+    gls_trend = _gls_coef_batch(y, DeterministicSpec.TREND)[0]
+    mean_rows, trend_rows = _rows(1, lags), _rows(2, lags)
     out = np.empty((y.shape[0], 4))
-    out[:, 0] = _adf_tstat_batch(y, 1, lags)
-    out[:, 1] = _adf_tstat_batch(y, 2, lags)
-    out[:, 2] = _adf_tstat_batch(_gls_detrend_batch(y, DeterministicSpec.MEAN), 0, lags)
-    out[:, 3] = _adf_tstat_batch(_gls_detrend_batch(y, DeterministicSpec.TREND), 0, lags)
+    for lo, hi, M in _grams(y, lags):
+        out[lo:hi, 0] = _level_fit(M[:, mean_rows[:, None], mean_rows], n)[1]
+        out[lo:hi, 1] = _level_fit(M[:, trend_rows[:, None], trend_rows], n)[1]
+        for col, beta in ((2, gls_mean), (3, gls_trend)):
+            A = _gls_map(beta[lo:hi], lags)
+            out[lo:hi, col] = _level_fit(A.transpose(0, 2, 1) @ M @ A, n)[1]
     return out

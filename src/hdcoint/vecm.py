@@ -376,6 +376,9 @@ def _group_lasso_single(X: np.ndarray, y: np.ndarray, kappa: float
 
     upper = np.linalg.norm(ch / d)
     lower = upper * 1e-14
+    if gap(lower) <= 0.0:
+        # 2||X'y|| exceeds kappa only by rounding: the root lies below lower
+        return np.zeros(X.shape[1])
     s_star = brentq(gap, lower, upper, xtol=1e-14, rtol=1e-15)
     return V @ (ch / (d + kappa / (2.0 * s_star)))
 

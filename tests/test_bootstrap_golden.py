@@ -1,0 +1,58 @@
+"""Golden pin of the union-statistic bootstrap on a small ragged panel.
+
+``tests/golden/bootstrap_union.json`` holds the component statistics,
+lag choices, component critical values and union statistics of
+:func:`bootstrap_union_distribution` on :func:`golden_panel` with 199
+replications.  It is asserted to 1e-10, so a change to the unit-root
+kernels that moves any of them shows here.  Regenerate it only for a
+deliberate change of the statistics, with
+``PYTHONPATH=src python tests/test_bootstrap_golden.py``.
+"""
+
+import json
+import os
+
+import numpy as np
+
+from hdcoint import AwbConfig, bootstrap_union_distribution, from_values
+from hdcoint.dgp import simulate_mixed_orders
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
+                      "bootstrap_union.json")
+TOL = 1e-10
+
+
+def golden_panel():
+    """Two I(0), two I(1) and one I(2) series, T=200, three late starts."""
+    panel, _ = simulate_mixed_orders(2, 2, 1, 200, seed=7)
+    vals = panel.values.copy()
+    for j, start in ((0, 9), (2, 23), (4, 41)):
+        vals[:start, j] = np.nan
+    return from_values(vals, names=panel.names)
+
+
+def summary() -> dict:
+    boot = bootstrap_union_distribution(
+        golden_panel(), AwbConfig(reps=199, seed=3))
+    return {
+        "stats": boot.stats.tolist(),
+        "lags": boot.lags.tolist(),
+        "critvals": [cv.as_array().tolist() for cv in boot.critvals],
+        "ur": boot.ur.tolist(),
+    }
+
+
+def test_bootstrap_union_matches_golden():
+    with open(GOLDEN) as fh:
+        want = json.load(fh)
+    got = summary()
+    assert got["lags"] == want["lags"]
+    for key in ("stats", "critvals", "ur"):
+        np.testing.assert_allclose(got[key], want[key], rtol=0, atol=TOL,
+                                   err_msg=key)
+
+
+if __name__ == "__main__":
+    with open(GOLDEN, "w") as fh:
+        json.dump(summary(), fh, indent=1)
+        fh.write("\n")

@@ -9,7 +9,7 @@ import pytest
 
 from hdcoint import (CriticalValueSet, ParameterError, adf_stat, dfgls_stat,
                      four_stats, select_lags, union_stat)
-from hdcoint.unitroot import default_max_lags
+from hdcoint.unitroot import _CHUNK, adf_rho, default_max_lags
 
 
 def oracle_adf(y, det, lags):
@@ -82,6 +82,75 @@ class TestOracleEquivalence:
                   dfgls_stat(y, "mean", lags=2),
                   dfgls_stat(y, "trend", lags=2)]
         assert np.allclose(got, expect, atol=1e-12)
+
+
+def lstsq_level_fit(z, det, lags):
+    """Level coefficient and t-statistic of one ADF regression by lstsq/QR."""
+    dz = np.diff(z)
+    rows = np.arange(lags, dz.shape[0])
+    cols = [z[rows]] + [dz[rows - j] for j in range(1, lags + 1)]
+    cols += [np.ones(rows.shape[0]), rows + 2.0][:det]
+    X = np.column_stack(cols)
+    beta, *_ = np.linalg.lstsq(X, dz[rows], rcond=None)
+    resid = dz[rows] - X @ beta
+    s2 = resid @ resid / (X.shape[0] - X.shape[1])
+    r_inv = np.linalg.inv(np.linalg.qr(X, mode="r"))
+    return beta[0], beta[0] / np.sqrt(s2 * (r_inv[0] @ r_inv[0]))
+
+
+def lstsq_four(y, lags):
+    """The four union components, each regression solved by lstsq."""
+    T = y.shape[0]
+    out = [lstsq_level_fit(y, 1, lags)[1], lstsq_level_fit(y, 2, lags)[1]]
+    for cbar, Z in ((-7.0, np.ones((T, 1))),
+                    (-13.5, np.column_stack([np.ones(T), np.arange(1.0, T + 1)]))):
+        rho = 1.0 + cbar / T
+        ya = np.concatenate([y[:1], y[1:] - rho * y[:-1]])
+        Za = np.concatenate([Z[:1], Z[1:] - rho * Z[:-1]])
+        psi, *_ = np.linalg.lstsq(Za, ya, rcond=None)
+        out.append(lstsq_level_fit(y - Z @ psi, 0, lags)[1])
+    return np.array(out)
+
+
+class TestGramKernel:
+    """The shared-Gram kernel against per-series lstsq regressions."""
+
+    T = 200
+
+    def _batch(self, rng, order):
+        # one more than a chunk, so the last chunk holds a single series
+        e = rng.standard_normal((_CHUNK + 1, self.T))
+        return np.cumsum(e, axis=1) if order == 1 else np.cumsum(
+            np.cumsum(e, axis=1), axis=1)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_four_stats_match_lstsq(self, rng, order):
+        y = self._batch(rng, order)
+        for lags in (0, 1, default_max_lags(self.T)):
+            got = four_stats(y, lags)
+            want = np.array([lstsq_four(row, lags) for row in y])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10,
+                                       err_msg=f"lags={lags}")
+
+    def test_adf_rho_and_no_deterministics(self, rng):
+        for _ in range(10):
+            y = rng.standard_normal(self.T).cumsum()
+            for lags in (0, 1, default_max_lags(self.T)):
+                b_none, t_none = lstsq_level_fit(y, 0, lags)
+                assert abs(adf_stat(y, "none", lags=lags) - t_none) < 1e-10
+                assert abs(adf_rho(y, lags, "none") - (1.0 + b_none)) < 1e-10
+                b_trend = lstsq_level_fit(y, 2, lags)[0]
+                assert abs(adf_rho(y, lags) - (1.0 + b_trend)) < 1e-10
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_four_stats_invariant_to_scale_and_shift(self, rng, scale):
+        y = self._batch(rng, 1)[:20]
+        for lags in (0, 3):
+            base = four_stats(y, lags)
+            np.testing.assert_allclose(four_stats(scale * y, lags), base,
+                                       rtol=0, atol=1e-9)
+            np.testing.assert_allclose(four_stats(scale * (y + 250.0), lags),
+                                       base, rtol=0, atol=1e-9)
 
 
 class TestStatisticBehavior:

@@ -11,6 +11,7 @@ from hdcoint import (DataError, NumericalError, ParameterError, VecmParams,
                      johansen_ml, pml_vecm, qr_vecm, random_vecm_params,
                      select_lag_bic, select_rank_ic, simulate_vecm,
                      vecm_iterated_forecast)
+from hdcoint.vecm import _group_lasso_single
 from tests.conftest import subspace_angle_deg
 
 
@@ -135,6 +136,17 @@ class TestQrVecm:
         z = rng.standard_normal((10, 4)).cumsum(axis=0)
         with pytest.raises((ParameterError, DataError)):
             qr_vecm(z, p=2)
+
+    def test_penalty_at_the_zero_threshold_gives_zero_column(self, rng):
+        # kappa one ulp under 2||X'y||: the zero condition just fails, and
+        # the secular root lies below the search bracket
+        for _ in range(5):
+            X = rng.standard_normal((40, 3))
+            y = rng.standard_normal(40)
+            kappa = np.nextafter(2.0 * np.linalg.norm(X.T @ y), 0.0)
+            beta = _group_lasso_single(X, y, kappa)
+            assert np.all(np.isfinite(beta))
+            assert np.linalg.norm(beta) < 1e-10
 
 
 class TestPml:

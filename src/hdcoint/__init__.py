@@ -12,12 +12,12 @@ from .errors import (ConvergenceError, DataError, NumericalError,
                      ParameterError, ToolkitError)
 from .factors import (FactorModel, count_factors, extract_factors_diff,
                       extract_factors_levels, fecm_forecast, ndfm_forecast,
-                      pca_factors)
+                      pca_factors, var_bic_forecast)
 from .harness import (ForecastReport, HarnessConfig, McsResult, ar_benchmark,
                       mcs, register_method, run_rolling)
 from .panel import (DeterministicSpec, Panel, apply_transform, difference,
-                    from_values, implied_orders, integrate, levels_transform,
-                    ols_detrend, validate_codes)
+                    from_values, implied_orders, integrate, ols_detrend,
+                    validate_codes)
 from .singleeq import (PenaltyConfig, SingleEqDesign, SingleEqFit,
                        factor_augment, kkt_residual, padl_fit, sgl_solve,
                        specs_fit, tscv_tune)
@@ -36,7 +36,7 @@ __all__ = [
     "ConvergenceError",
     # panel
     "Panel", "DeterministicSpec", "from_values", "difference", "integrate",
-    "apply_transform", "levels_transform", "implied_orders", "validate_codes",
+    "apply_transform", "implied_orders", "validate_codes",
     "ols_detrend",
     # unit roots and bootstrap
     "adf_stat", "dfgls_stat", "select_lags", "four_stats", "union_stat",
@@ -55,6 +55,7 @@ __all__ = [
     # factors
     "FactorModel", "extract_factors_diff", "extract_factors_levels",
     "pca_factors", "count_factors", "ndfm_forecast", "fecm_forecast",
+    "var_bic_forecast",
     # single-equation selectors
     "PenaltyConfig", "SingleEqDesign", "SingleEqFit", "sgl_solve",
     "kkt_residual", "specs_fit", "padl_fit", "factor_augment", "tscv_tune",

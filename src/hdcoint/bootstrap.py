@@ -9,7 +9,8 @@ then the joint distribution of the union statistics, so no nested
 bootstrap is run.
 
 Replication ``b`` is a pure function of ``(seed, b)``: each replication
-draws from its own named substream.
+draws from its own named substream.  :func:`awb_draw` and the
+replication multipliers run the same unit-variance AR(1) recursion.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ._numeric import ar1_recursion
 from .errors import NumericalError, ParameterError
 from .panel import DeterministicSpec, Panel, ols_detrend
 from .rng import as_generator, substream
@@ -91,27 +93,22 @@ def awb_draw(T: int, gamma: float, seed_or_rng=0) -> np.ndarray:
         raise ParameterError("T must be positive")
     if not 0.0 <= gamma < 1.0:
         raise ParameterError(f"gamma must lie in [0, 1), got {gamma}")
-    rng = as_generator(seed_or_rng)
-    e = rng.standard_normal(T)
-    out = np.empty(T)
-    out[0] = e[0]
-    scale = np.sqrt(1.0 - gamma * gamma)
-    for t in range(1, T):
-        out[t] = gamma * out[t - 1] + scale * e[t]
-    return out
+    return _unit_ar1(as_generator(seed_or_rng).standard_normal(T), gamma)
+
+
+def _unit_ar1(e: np.ndarray, gamma: float) -> np.ndarray:
+    """Unit-variance AR(1) paths along axis 0 from standard-normal draws."""
+    v = np.sqrt(1.0 - gamma * gamma) * e
+    v[0] = e[0]
+    return ar1_recursion(v, gamma)
 
 
 def _multiplier_matrix(B: int, T: int, gamma: float, seed: int) -> np.ndarray:
     """Stack of replication multipliers; row ``b`` uses substream (seed, b)."""
-    e = np.empty((B, T))
+    e = np.empty((T, B))
     for b in range(B):
-        e[b] = substream(seed, "awb", b).standard_normal(T)
-    out = np.empty((B, T))
-    out[:, 0] = e[:, 0]
-    scale = np.sqrt(1.0 - gamma * gamma)
-    for t in range(1, T):
-        out[:, t] = gamma * out[:, t - 1] + scale * e[:, t]
-    return out
+        e[:, b] = substream(seed, "awb", b).standard_normal(T)
+    return np.ascontiguousarray(_unit_ar1(e, gamma).T)
 
 
 def residual_panel(panel: Panel, rho_mode: str = "estimated",
@@ -191,14 +188,6 @@ class UnionBootstrap:
     seed: int
     x: float = -1.0
     boot_stats: Optional[np.ndarray] = None
-
-    @property
-    def n_series(self) -> int:
-        return self.ur.shape[0]
-
-    @property
-    def reps(self) -> int:
-        return self.boot_ur.shape[0]
 
     def union_critical_values(self, alpha: Optional[float] = None) -> np.ndarray:
         """Per-series critical values of the union statistic itself.

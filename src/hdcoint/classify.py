@@ -12,7 +12,6 @@ I(0)/I(1) decision to orders up to I(2); a fixed-lag trend-ADF baseline
 from __future__ import annotations
 
 import json
-import zlib
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -21,6 +20,7 @@ import numpy as np
 from .bootstrap import AwbConfig, bootstrap_union_distribution, left_tail_quantile
 from .errors import ParameterError
 from .panel import DeterministicSpec, Panel, difference
+from .rng import derive_seed
 from .unitroot import adf_stat
 
 __all__ = [
@@ -391,11 +391,6 @@ class IntegrationReport:
                    rounds=())
 
 
-def _derived_seed(seed: int, label: str) -> int:
-    """Deterministic per-round reseeding so testing rounds use fresh draws."""
-    return ((int(seed) + 1) * 1000003 + zlib.crc32(label.encode())) % (2 ** 63)
-
-
 def _round_once(panel: Panel, method: str, cfg: ClassifyConfig, label: str,
                 hypothesis: str) -> Tuple[np.ndarray, RoundRecord]:
     """Run one testing round on ``panel``; returns the rejection mask."""
@@ -415,10 +410,8 @@ def _round_once(panel: Panel, method: str, cfg: ClassifyConfig, label: str,
                           tuple(n for n, m in zip(names, mask) if m))
         return mask, rec
 
-    awb = replace(cfg.awb, seed=_derived_seed(cfg.awb.seed, label))
+    awb = replace(cfg.awb, seed=derive_seed(cfg.awb.seed, label))
     boot = bootstrap_union_distribution(panel, awb, x=-1.0)
-    if boot.x != -1.0:
-        raise ParameterError("classification requires the x=-1 union scaling")
     detail: Optional[List[dict]] = None
     if method == "iadf":
         crit = boot.union_critical_values(cfg.alpha)

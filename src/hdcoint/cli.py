@@ -15,7 +15,6 @@ import json
 import os
 import re
 import sys
-import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,19 +24,14 @@ from .classify import BsqtConfig, ClassifyConfig, METHODS as CLASSIFY_METHODS, \
     pantula_classify
 from .dgp import random_vecm_params, simulate_mixed_orders, simulate_vecm
 from .errors import DataError, NumericalError, ParameterError
-from .harness import (HarnessConfig, METHOD_NAMES, SINGLE_EQUATION_METHODS,
-                      mcs, run_rolling)
+from .harness import HarnessConfig, SINGLE_EQUATION_METHODS, mcs, run_rolling
 from .panel import Panel, implied_orders
+from .rng import derive_seed
 
 __all__ = ["main", "ingest_csv"]
 
 _MONTH_RE = re.compile(r"^\d{4}-(0[1-9]|1[0-2])$")
 _DATE_RE = re.compile(r"^\d{4}-(0[1-9]|1[0-2])-(0[1-9]|[12]\d|3[01])$")
-
-
-def _child_seed(seed: int, label: str) -> int:
-    """Named substream seed derived from the master seed."""
-    return ((int(seed) + 1) * 1_000_003 + zlib.crc32(label.encode())) % 2**63
 
 
 def _apply_threads(n: Optional[int]) -> None:
@@ -246,40 +240,22 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
+#: flags only ``simulate`` accepts
+_SIMULATE_ONLY = ("dgp", "n0", "n1", "n2", "n_series", "rank", "t_obs")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hdcoint", description=__doc__)
     sub = parser.add_subparsers(dest="command")
     for name in _COMMANDS:
         p = sub.add_parser(name, add_help=True)
-        S = argparse.SUPPRESS
-        p.add_argument("--input", default=S)
-        p.add_argument("--codes", default=S)
-        p.add_argument("--output", default=S)
-        p.add_argument("--config", default=S)
-        p.add_argument("--seed", type=int, default=S)
-        p.add_argument("--threads", type=int, default=S)
-        p.add_argument("--alpha", type=float, default=S)
-        p.add_argument("--boot-reps", type=int, dest="boot_reps", default=S)
-        p.add_argument("--gamma", type=float, default=S)
-        p.add_argument("--window", type=int, default=S)
-        p.add_argument("--horizons", type=_horizons, default=S)
-        p.add_argument("--methods", type=_method_list, default=S)
-        p.add_argument("--strategy", type=int, default=S)
-        p.add_argument("--quantile-step", type=float, dest="quantile_step",
-                       default=S)
-        p.add_argument("--factors", type=int, default=S)
-        p.add_argument("--max-lags", type=int, dest="max_lags", default=S)
-        p.add_argument("--targets", type=_name_list, default=S)
-        p.add_argument("--benchmark", default=S)
-        if name == "simulate":
-            p.add_argument("--dgp", choices=("mixed", "vecm"), default=S)
-            p.add_argument("--n0", type=int, default=S)
-            p.add_argument("--n1", type=int, default=S)
-            p.add_argument("--n2", type=int, default=S)
-            p.add_argument("--n-series", type=int, dest="n_series",
-                           default=S)
-            p.add_argument("--rank", type=int, default=S)
-            p.add_argument("--t-obs", type=int, dest="t_obs", default=S)
+        for key, convert in _CONVERTERS.items():
+            if key in _SIMULATE_ONLY and name != "simulate":
+                continue
+            choices = ("mixed", "vecm") if key == "dgp" else None
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           type=convert, choices=choices,
+                           default=argparse.SUPPRESS)
     return parser
 
 
@@ -352,7 +328,7 @@ def _require(cfg: Dict[str, object], key: str) -> object:
 
 def cmd_simulate(cfg: Dict[str, object]) -> None:
     out = str(_require(cfg, "output"))
-    seed = _child_seed(int(cfg.get("seed", 0)), "simulate")
+    seed = derive_seed(int(cfg.get("seed", 0)), "simulate")
     if cfg["dgp"] == "mixed":
         panel, _ = simulate_mixed_orders(int(cfg["n0"]), int(cfg["n1"]),
                                          int(cfg["n2"]), int(cfg["t_obs"]),
@@ -381,7 +357,7 @@ def cmd_classify(cfg: Dict[str, object]) -> None:
         raise ParameterError("--quantile-step must lie in (0, 1)")
     awb = AwbConfig(gamma=float(cfg["gamma"]), reps=int(cfg["boot_reps"]),
                     alpha=float(cfg["alpha"]),
-                    seed=_child_seed(int(cfg["seed"]), "classify"),
+                    seed=derive_seed(int(cfg["seed"]), "classify"),
                     max_lags=cfg.get("max_lags"))
     ccfg = ClassifyConfig(alpha=float(cfg["alpha"]), awb=awb,
                           bsqt=BsqtConfig(
@@ -414,7 +390,7 @@ def _harness_config(cfg: Dict[str, object], horizons: Tuple[int, ...],
         targets=cfg.get("targets"), methods=methods, benchmark=benchmark,
         orders=orders, mcs_level=float(cfg["alpha"]),
         gamma=float(cfg["gamma"]), boot_reps=int(cfg["boot_reps"]),
-        seed=_child_seed(int(cfg["seed"]), "forecast"),
+        seed=derive_seed(int(cfg["seed"]), "forecast"),
         factors=int(cfg["factors"]), **kwargs)
 
 
@@ -471,7 +447,7 @@ def cmd_mcs(cfg: Dict[str, object]) -> None:
         raise DataError("loss file contains non-numeric entries") from None
     result = mcs(losses, alpha=float(cfg["alpha"]),
                  gamma=float(cfg["gamma"]), reps=int(cfg["boot_reps"]),
-                 seed=_child_seed(int(cfg["seed"]), "mcs"), names=names)
+                 seed=derive_seed(int(cfg["seed"]), "mcs"), names=names)
     payload = {
         "alpha": result.alpha,
         "members": list(result.members),

@@ -7,13 +7,14 @@ reproduces the panel bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DataError, NumericalError, ParameterError
-from .panel import Panel, from_values
+from ._numeric import ar1_recursion
+from .errors import NumericalError, ParameterError
+from .panel import from_values
 from .rng import as_generator, substream
 
 __all__ = [
@@ -308,18 +309,10 @@ def _component_paths(orders, ar, scales, T, burn_in, rng) -> np.ndarray:
     """Columns of AR(1)/random-walk paths with per-column scale."""
     m = len(orders)
     eps = rng.standard_normal((burn_in + T, m)) * np.asarray(scales)[None, :]
+    walk = np.asarray(orders) == 1
     out = np.empty((T, m))
-    for j, flag in enumerate(orders):
-        if flag == 1:
-            out[:, j] = np.cumsum(eps[burn_in:, j])
-        else:
-            x = 0.0
-            rho = ar[j]
-            col = eps[:, j]
-            for t in range(burn_in + T):
-                x = rho * x + col[t]
-                if t >= burn_in:
-                    out[t - burn_in, j] = x
+    out[:, walk] = np.cumsum(eps[burn_in:, walk], axis=0)
+    out[:, ~walk] = ar1_recursion(eps[:, ~walk], np.asarray(ar)[~walk])[burn_in:]
     return out
 
 
@@ -394,17 +387,8 @@ def simulate_mixed_orders(n0: int, n1: int, n2: int, T: int, seed=0,
     rng = as_generator(seed)
     burn = 100
     eps = rng.standard_normal((burn + T, n)) * scale
-    vals = np.empty((T, n))
     orders = np.array([0] * n0 + [1] * n1 + [2] * n2)
-    for j in range(n):
-        if orders[j] == 0:
-            x = 0.0
-            for t in range(burn + T):
-                x = ar * x + eps[t, j]
-                if t >= burn:
-                    vals[t - burn, j] = x
-        elif orders[j] == 1:
-            vals[:, j] = np.cumsum(eps[burn:, j])
-        else:
-            vals[:, j] = np.cumsum(np.cumsum(eps[burn:, j]))
+    vals = np.cumsum(eps[burn:], axis=0)
+    vals[:, orders == 2] = np.cumsum(vals[:, orders == 2], axis=0)
+    vals[:, orders == 0] = ar1_recursion(eps[:, orders == 0], ar)[burn:]
     return from_values(vals, start=start), orders

@@ -17,8 +17,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DataError, NumericalError, ParameterError
-from .panel import DeterministicSpec, Panel
-from .vecm import (_as_values, johansen_ml, select_lag_bic, select_rank_ic,
+from .panel import DeterministicSpec, Panel, as_values
+from .vecm import (johansen_ml, select_lag_bic, select_rank_ic,
                    vecm_iterated_forecast)
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "count_factors",
     "ndfm_forecast",
     "fecm_forecast",
+    "var_bic_forecast",
 ]
 
 COUNT_MODES = ("diff_ic", "levels_ipc")
@@ -104,10 +105,6 @@ class FactorModel:
             raise ParameterError(
                 f"unknown normalization '{self.normalization}'")
 
-    @property
-    def n_factors(self) -> int:
-        return self.loadings.shape[1]
-
     def common_component(self) -> np.ndarray:
         """Fitted common part Λf' as a (T, N) matrix."""
         return self.factors @ self.loadings.T
@@ -121,7 +118,7 @@ def extract_factors_diff(data, k: int) -> FactorModel:
     factor paths are the cross-sectional averages f_t = (1/N) Λ' z_t of
     the detrended levels.
     """
-    z = _as_values(data)
+    z = as_values(data)
     T, N = z.shape
     if not 0 <= k <= min(N, T - 2):
         raise ParameterError(
@@ -146,7 +143,7 @@ def extract_factors_levels(data, r_ns: int, r_s: int = 0) -> FactorModel:
     loadings follow by least squares.  The data enters as given; any
     detrending is the caller's choice.
     """
-    z = _as_values(data)
+    z = as_values(data)
     T, N = z.shape
     r = r_ns + r_s
     if r_ns < 0 or r_s < 0 or r > min(N, T):
@@ -167,7 +164,7 @@ def pca_factors(data, k: int, demean: bool = True) -> FactorModel:
     Same normalization as the differences route; used by the
     factor-augmented forecasters on transformed data.
     """
-    x = _as_values(data)
+    x = as_values(data)
     T, N = x.shape
     if not 0 <= k <= min(N, T - 1):
         raise ParameterError(f"factor count {k} outside [0, {min(N, T - 1)}]")
@@ -197,7 +194,7 @@ def count_factors(data, mode: str = "diff_ic", kmax: int = 8) -> int:
     rate multiplier T/(4 log log T) directly to the data, which consistently
     counts stochastic-trend factors without differencing.
     """
-    z = _as_values(data)
+    z = as_values(data)
     T, N = z.shape
     if kmax < 0 or 2 * kmax > min(N, T):
         raise ParameterError(f"kmax {kmax} outside [0, min(N, T)/2]")
@@ -226,34 +223,47 @@ def count_factors(data, mode: str = "diff_ic", kmax: int = 8) -> int:
     return int(np.argmin(crit))
 
 
-def _ar_forecast(u: np.ndarray, h: int, max_order: int = 3) -> np.ndarray:
-    """Point forecasts 1..h from a BIC-selected AR(q), q in 0..max_order."""
-    T = u.shape[0]
-    qmax = max_order
-    while qmax > 0 and T - qmax < qmax + 3:
-        qmax -= 1
-    n = T - qmax
-    y = u[qmax:]
-    best = (np.inf, 0, np.array([y.mean()]))
-    for q in range(qmax + 1):
-        X = np.ones((n, q + 1))
-        for j in range(q):
-            X[:, j + 1] = u[qmax - 1 - j:T - 1 - j]
-        beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-        resid = y - X @ beta
-        sigma2 = max(float(resid @ resid) / n, 1e-300)
-        bic = n * np.log(sigma2) + np.log(n) * (q + 1)
+def var_bic_forecast(x, h: int, p_max: int, p_min: int) -> np.ndarray:
+    """Point forecasts 1..h from a VAR(p) with intercept, p chosen by BIC.
+
+    ``x`` is a (T, k) array or a single series; an AR is the k = 1 case
+    and a 1-D input gives a 1-D path.  The lag runs over
+    ``p_min..p_max`` on a common sample; ``p_max`` is capped so that each
+    equation keeps ``k + 1`` residual degrees of freedom.  The criterion
+    is ``n log det(Sigma + 1e-12 I) + log(n) k (k p + 1)``, and a
+    residual covariance that is still singular ends the search at that lag.
+    """
+    v = np.asarray(x, dtype=float)
+    z = v.reshape(v.shape[0], -1)
+    T, k = z.shape
+    p_max = max(p_min, min(p_max, (T - k - 2) // (k + 1)))
+    n = T - p_max
+    if n < k + 2:
+        raise DataError("window too short for the autoregression")
+    lagged = np.hstack([np.ones((n, 1))] +
+                       [z[p_max - j:T - j] for j in range(1, p_max + 1)])
+    best = (np.inf, p_min, None)
+    for p in range(p_min, p_max + 1):
+        X = lagged[:, :1 + k * p]
+        beta, *_ = np.linalg.lstsq(X, z[p_max:], rcond=None)
+        E = z[p_max:] - X @ beta
+        sign, logdet = np.linalg.slogdet(E.T @ E / n + 1e-12 * np.eye(k))
+        bic = n * logdet + np.log(n) * k * (k * p + 1) if sign > 0 else -np.inf
         if bic < best[0]:
-            best = (bic, q, beta)
-    _, q, beta = best
-    path = np.empty(h)
-    state = list(u[T - q:][::-1]) if q else []
+            best = (bic, p, beta)
+        if sign <= 0:
+            break
+    _, p, beta = best
+    if beta is None:
+        raise DataError("autoregression could not be fitted")
+    hist = [z[-j] for j in range(1, p + 1)]
+    path = np.empty((h, k))
     for s in range(h):
-        val = beta[0] + sum(beta[j + 1] * state[j] for j in range(q))
-        path[s] = val
-        if q:
-            state = [val] + state[:-1]
-    return path
+        row = beta[0] + sum(hist[j - 1] @ beta[1 + (j - 1) * k: 1 + j * k]
+                            for j in range(1, p + 1))
+        path[s] = row
+        hist = [row] + hist[:-1]
+    return path if v.ndim > 1 else path[:, 0]
 
 
 def _factor_path(factors: np.ndarray, h: int, rank: Optional[int],
@@ -290,7 +300,7 @@ def ndfm_forecast(data, k: Optional[int] = None, rank: Optional[int] = None,
     ``h=0`` returns the fitted value at the last observation as a (1, N)
     row; ``h≥1`` returns the (h, N) forecast path.
     """
-    z = _as_values(data)
+    z = as_values(data)
     T, N = z.shape
     if h < 0:
         raise ParameterError("forecast horizon must be nonnegative")
@@ -310,7 +320,7 @@ def ndfm_forecast(data, k: Optional[int] = None, rank: Optional[int] = None,
         upath = np.zeros((h, N))
         if idio_ar:
             for j in range(N):
-                upath[:, j] = _ar_forecast(uhat[:, j], h)
+                upath[:, j] = var_bic_forecast(uhat[:, j], h, p_max=3, p_min=0)
     det = np.outer(np.ones_like(steps), coef[0]) + np.outer(steps, coef[1])
     return det + fpath @ fm.loadings.T + upath
 
@@ -318,7 +328,7 @@ def ndfm_forecast(data, k: Optional[int] = None, rank: Optional[int] = None,
 def _resolve_targets(data, targets) -> np.ndarray:
     if targets is None:
         n = data.n_series if isinstance(data, Panel) else \
-            _as_values(data).shape[1]
+            as_values(data).shape[1]
         return np.arange(n)
     idx = []
     for key in targets:
@@ -347,7 +357,7 @@ def fecm_forecast(data, targets: Optional[Sequence[Union[int, str]]] = None,
     and lag come from the information criteria when not given.  With
     ``r_ns = r_s = 0`` this is a plain VECM on the targets.
     """
-    z = _as_values(data)
+    z = as_values(data)
     idx = _resolve_targets(data, targets)
     spec = DeterministicSpec.parse(det)
     blocks = [z[:, idx]]

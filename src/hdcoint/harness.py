@@ -12,19 +12,19 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .bootstrap import _multiplier_matrix
 from .errors import DataError, ParameterError, ToolkitError
-from .factors import (_ar_forecast, extract_factors_diff, fecm_forecast,
-                      ndfm_forecast, pca_factors)
-from .panel import Panel
+from .factors import (extract_factors_diff, fecm_forecast, ndfm_forecast,
+                      pca_factors, var_bic_forecast)
+from .panel import Panel, as_values, from_values
 from .singleeq import factor_augment, padl_fit, specs_fit
-from .vecm import (_as_values, johansen_ml, pml_vecm, qr_vecm,
-                   select_lag_bic, select_rank_ic, vecm_iterated_forecast)
+from .vecm import (johansen_ml, pml_vecm, qr_vecm, select_lag_bic,
+                   select_rank_ic, vecm_iterated_forecast)
 
 __all__ = [
     "HarnessConfig",
@@ -34,7 +34,6 @@ __all__ = [
     "mcs",
     "ar_benchmark",
     "register_method",
-    "METHOD_NAMES",
     "SINGLE_EQUATION_METHODS",
 ]
 
@@ -112,7 +111,7 @@ def ar_benchmark(series, order: int = 1, p_max: int = 3, h: int = 1) -> float:
     x = np.diff(v, n=int(order)) if order else v
     if x.shape[0] < 8:
         raise DataError("series too short for the autoregressive benchmark")
-    path = _ar_forecast(x, steps, max_order=p_max)
+    path = var_bic_forecast(x, steps, p_max, p_min=0)
     return float(invert_differences(v, path, int(order))[-1])
 
 
@@ -185,42 +184,6 @@ def _max_h(ctx: _Window) -> int:
     return max(max(ctx.horizons), 1)
 
 
-def _var_fit_forecast(x: np.ndarray, h: int, p_max: int) -> np.ndarray:
-    """BIC-lagged VAR with intercept; iterated point forecasts 1..h."""
-    T, k = x.shape
-    p_max = max(1, min(p_max, (T - k - 2) // max(k, 1), T - 2))
-    best = (np.inf, 1, None)
-    n = T - p_max
-    if n < k + 2:
-        raise DataError("window too short for the autoregression")
-    for p in range(1, p_max + 1):
-        rows = np.arange(p_max, T)
-        X = np.hstack([np.ones((n, 1))] +
-                      [x[rows - j] for j in range(1, p + 1)])
-        beta, *_ = np.linalg.lstsq(X, x[rows], rcond=None)
-        E = x[rows] - X @ beta
-        sigma = E.T @ E / n
-        sign, logdet = np.linalg.slogdet(sigma + 1e-12 * np.eye(k))
-        bic = n * logdet + np.log(n) * k * (k * p + 1)
-        if sign <= 0:
-            bic = -np.inf
-        if bic < best[0]:
-            best = (bic, p, beta)
-        if sign <= 0:
-            break
-    _, p, beta = best
-    if beta is None:
-        raise DataError("autoregression could not be fitted")
-    hist = [x[-j] for j in range(1, p + 1)]
-    path = np.empty((h, k))
-    for s in range(h):
-        row = beta[0] + sum(hist[j - 1] @ beta[1 + (j - 1) * k: 1 + j * k]
-                            for j in range(1, p + 1))
-        path[s] = row
-        hist = [row] + hist[:-1]
-    return path
-
-
 def _stationary_system(ctx: _Window, augment: bool) -> Dict[Tuple[int, int], float]:
     """Shared VAR / factor-augmented VAR lane on transformed residuals."""
     sub = ctx.resid[:, ctx.targets]
@@ -232,7 +195,7 @@ def _stationary_system(ctx: _Window, augment: bool) -> Dict[Tuple[int, int], flo
         sd[sd <= 0] = 1.0
         fac = pca_factors(full / sd, ctx.cfg.factors).factors
         x = np.hstack([x[-rows:], fac[-rows:]])
-    path = _var_fit_forecast(x, _max_h(ctx), ctx.cfg.p_max)
+    path = var_bic_forecast(x, _max_h(ctx), ctx.cfg.p_max, p_min=1)
     out = {}
     for pos, ti in enumerate(ctx.targets):
         d = int(ctx.orders[ti])
@@ -386,8 +349,6 @@ _REGISTRY: Dict[str, Callable] = {
     "padl": _method_padl,
     "fapadl": _method_fapadl,
 }
-
-METHOD_NAMES = tuple(_REGISTRY)
 
 
 def register_method(name: str, fn: Callable) -> None:
@@ -570,12 +531,11 @@ def run_rolling(data, cfg: HarnessConfig) -> ForecastReport:
     loss matrices are aligned across horizons.  Method failures inside a
     window are recorded as diagnostics and missing losses, never raised.
     """
-    z = _as_values(data)
+    z = as_values(data)
     T, N = z.shape
     if isinstance(data, Panel):
         names = data.names
     else:
-        from .panel import from_values
         names = from_values(z).names
     if cfg.targets is None:
         targets = np.arange(N)

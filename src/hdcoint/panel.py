@@ -21,10 +21,10 @@ __all__ = [
     "Panel",
     "monthly_dates",
     "from_values",
+    "as_values",
     "difference",
     "integrate",
     "apply_transform",
-    "levels_transform",
     "implied_orders",
     "validate_codes",
     "ols_detrend",
@@ -148,10 +148,6 @@ class Panel:
         except ValueError:
             raise ParameterError(f"no series named '{name}' in panel") from None
 
-    def column(self, key: Union[int, str]) -> np.ndarray:
-        j = key if isinstance(key, (int, np.integer)) else self.index(key)
-        return self.values[:, j]
-
     # -- structural helpers ----------------------------------------------
     def with_values(self, values: np.ndarray, names: Optional[Sequence[str]] = None,
                     dates: Optional[np.ndarray] = None) -> "Panel":
@@ -165,18 +161,6 @@ class Panel:
         if not idx:
             raise ParameterError("cannot select an empty set of series")
         return Panel(self.values[:, idx], tuple(self.names[i] for i in idx), self.dates)
-
-    def rows(self, start: int, stop: int) -> "Panel":
-        if not 0 <= start < stop <= self.n_obs:
-            raise ParameterError(f"invalid row slice [{start}, {stop})")
-        return Panel(self.values[start:stop], self.names, self.dates[start:stop])
-
-    def trimmed(self) -> "Panel":
-        """Largest balanced block: drop rows before the latest series start."""
-        lead = max(self.leads)
-        if lead == 0:
-            return self
-        return self.rows(lead, self.n_obs)
 
 
 def from_values(values: np.ndarray, names: Optional[Sequence[str]] = None,
@@ -192,6 +176,20 @@ def from_values(values: np.ndarray, names: Optional[Sequence[str]] = None,
     if dates is None:
         dates = monthly_dates(start, T)
     return Panel(vals, tuple(names), dates)
+
+
+def as_values(data) -> np.ndarray:
+    """Accept a balanced Panel or a (T, N) float array."""
+    if isinstance(data, Panel):
+        if not data.balanced:
+            raise DataError("estimation requires a balanced window")
+        return data.values
+    z = np.asarray(data, dtype=float)
+    if z.ndim != 2:
+        raise ParameterError("data must be a (T, N) array or Panel")
+    if not np.all(np.isfinite(z)):
+        raise DataError("estimation window contains missing values")
+    return z
 
 
 # -- differencing -------------------------------------------------------
@@ -298,19 +296,6 @@ def apply_transform(panel: Panel, codes: Sequence[int]) -> Panel:
             x[1:] = x[1:] - x[:-1]
             x[0] = np.nan
         out[:, j] = x
-    return panel.with_values(out)
-
-
-def levels_transform(panel: Panel, codes: Sequence[int]) -> Panel:
-    """Apply only the level stage of each code (log or percent change).
-
-    The result is the series whose order of integration the code's
-    differencing stage implies; see :func:`implied_orders`.
-    """
-    arr = validate_codes(codes, panel)
-    out = np.empty_like(panel.values)
-    for j, code in enumerate(arr):
-        out[:, j] = _level_part(panel.values[:, j], code, panel.names[j])
     return panel.with_values(out)
 
 

@@ -4,7 +4,8 @@ Every stochastic routine in the package draws from a named substream so
 that results are reproducible run-to-run and independent of evaluation
 order.  Substreams are derived with ``numpy.random.SeedSequence`` spawn
 keys; string keys are hashed with CRC32, which is stable across
-platforms and processes.
+platforms and processes.  :func:`derive_seed` turns a master seed and a
+label into the integer seed of one command or classification round.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import zlib
 
 import numpy as np
 
-__all__ = ["substream", "as_generator"]
+__all__ = ["substream", "as_generator", "derive_seed"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -35,6 +36,11 @@ def substream(seed: int, *keys) -> np.random.Generator:
         spawn_key=tuple(_key_to_int(k) for k in keys),
     )
     return np.random.default_rng(ss)
+
+
+def derive_seed(seed: int, label: str) -> int:
+    """Integer seed named by ``label`` and derived from the master seed."""
+    return ((int(seed) + 1) * 1_000_003 + zlib.crc32(label.encode())) % 2**63
 
 
 def as_generator(seed_or_rng) -> np.random.Generator:

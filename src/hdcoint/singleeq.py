@@ -12,15 +12,15 @@ cross-validation for the penalty levels.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._numeric import soft_threshold
 from .errors import ConvergenceError, DataError, ParameterError
 from .factors import extract_factors_diff
-from .panel import Panel, from_values
-from .vecm import _as_values
+from .panel import Panel, as_values, from_values
 
 __all__ = [
     "PenaltyConfig",
@@ -101,10 +101,6 @@ class SingleEqDesign:
         return self.response.shape[0]
 
 
-def _soft(x: np.ndarray, thr: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.maximum(np.abs(x) - thr, 0.0)
-
-
 def _initial_estimates(X: np.ndarray, y: np.ndarray, tag: str
                        ) -> Tuple[np.ndarray, str]:
     """OLS when overdetermined, trace-scaled ridge otherwise."""
@@ -170,7 +166,7 @@ def _kkt_raw(Z, W, y, delta, pi, lam_g, lam_d, lam_p, wd, wp
         gy = 2.0 * (Z.T @ y)
         scale = max(scale, np.max(np.abs(gy[mask_d]), initial=0.0))
         if not delta.any():
-            slack = np.linalg.norm(_soft(g[mask_d], lam_d * wd[mask_d]))
+            slack = np.linalg.norm(soft_threshold(g[mask_d], lam_d * wd[mask_d]))
             viol = max(viol, max(0.0, slack - lam_g))
         else:
             nrm = np.linalg.norm(delta)
@@ -302,20 +298,20 @@ def sgl_solve(design: SingleEqDesign, cfg: PenaltyConfig
         for j in active_p:
             old = pi[j]
             rho = W[:, j] @ e + col_sq[j] * old
-            new = _soft(rho, cfg.lam_w * wp[j] / 2.0) / col_sq[j]
+            new = soft_threshold(rho, cfg.lam_w * wp[j] / 2.0) / col_sq[j]
             if new != old:
                 e -= W[:, j] * (new - old)
                 pi[j] = new
         if Za.shape[1]:
             r = e + Z @ delta
             da = delta[mask_d]
-            slack = _soft(2.0 * (Za.T @ r), cfg.lam_levels * wda)
+            slack = soft_threshold(2.0 * (Za.T @ r), cfg.lam_levels * wda)
             if np.linalg.norm(slack) <= cfg.lam_group:
                 da = np.zeros_like(da)
             else:
                 for _ in range(3):
                     v = da + (2.0 / lip) * (Za.T @ (r - Za @ da))
-                    st = _soft(v, cfg.lam_levels * wda / lip)
+                    st = soft_threshold(v, cfg.lam_levels * wda / lip)
                     nrm = np.linalg.norm(st)
                     if nrm <= cfg.lam_group / lip:
                         da = np.zeros_like(da)
@@ -354,7 +350,7 @@ def _resolve_series(data, target) -> Tuple[np.ndarray, Tuple[str, ...], int]:
         if isinstance(target, str):
             raise ParameterError("named target needs a Panel input")
         names, ti = None, int(target)
-    z = _as_values(data)
+    z = as_values(data)
     if names is None:
         names = from_values(z).names
     if not 0 <= ti < z.shape[1]:
@@ -586,7 +582,6 @@ def _tune_triple(design: SingleEqDesign, grids, cfg: PenaltyConfig,
             np.hstack([Z - Z.mean(0) if Z.size else Z,
                        W - W.mean(0)]), yc, cfg.initializer)
         nz = Z.shape[1]
-        wd = _adaptive_weights(init[:nz], cfg.k_levels)
         wp = _adaptive_weights(init[nz:], cfg.k_w)
         fin = np.isfinite(wp)
         top_w = np.max(np.abs(2.0 * (W - W.mean(0)).T[fin] @ yc)
@@ -700,7 +695,7 @@ def factor_augment(data, targets, k: int) -> Panel:
     Downstream estimators treat the factor columns as ordinary series;
     labels are made unique against the target names.
     """
-    z = _as_values(data)
+    z = as_values(data)
     if isinstance(data, Panel):
         names = data.names
         idx = [data.index(t) if isinstance(t, str) else int(t)

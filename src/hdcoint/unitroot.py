@@ -13,8 +13,10 @@ and trend regressions select rows of ``M``; the DF-GLS regressions are
 deterministics per replication: ``b1`` from every difference and
 ``(b0 - b1) + b1 t`` from the level, which sits one period behind the
 trend column.  Chunking bounds the design at ``128 (p + 4) n`` values.
-A singular sub-Gram falls back to the pseudo-inverse.  The scalar entry
-points are thin wrappers over batches of size one.
+A singular sub-Gram falls back to the pseudo-inverse, and a residual
+norm below :data:`_EXACT_FIT` of the response norm is an exact fit,
+reported as zero residual variance.  The scalar entry points are thin
+wrappers over batches of size one.
 
 Lag selection uses a modified AIC with a variance-rescaling step that
 standardizes increments by a rolling-window volatility estimate before
@@ -41,7 +43,6 @@ from .panel import DeterministicSpec
 
 __all__ = [
     "VARIANTS",
-    "UnitRootStat",
     "CriticalValueSet",
     "adf_stat",
     "dfgls_stat",
@@ -80,6 +81,11 @@ def _trim_leading_nan(y: np.ndarray) -> np.ndarray:
 
 #: replications per Gram chunk; bounds the (chunk, lags + 4, n) design
 _CHUNK = 128
+
+#: relative residual norm below which a DF regression is an exact fit.
+#: Read off a Gram, the exact fit of a pure linear trend leaves rounding
+#: noise of up to ~6e-5, which would give huge arbitrary t-statistics.
+_EXACT_FIT = 1e-4
 
 
 def _effective_sample(T: int, det: int, lags: int) -> int:
@@ -130,6 +136,8 @@ def _level_fit(S: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
     ``L`` its Cholesky factor, ``L[k, k]`` is the residual norm and
     ``beta = L[k, k-1] / L[k-1, k-1]``, ``t = L[k, k-1] sqrt(n - k) / L[k, k]``.
     A singular ``S`` falls back to the pseudo-inverse of the regressor block.
+    A residual norm below :data:`_EXACT_FIT` times the response norm
+    ``sqrt(S[k, k])`` counts as zero residual variance.
     """
     k = S.shape[-1] - 1
     dof = n - k
@@ -138,6 +146,7 @@ def _level_fit(S: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
     try:
         L = np.linalg.cholesky(S)
         beta = L[:, k, k - 1] / L[:, k - 1, k - 1]
+        rss = L[:, k, k] ** 2
         denom = (L[:, k, k] / L[:, k - 1, k - 1]) ** 2 / dof
     except np.linalg.LinAlgError:
         Gpinv = np.linalg.pinv(S[:, :k, :k])
@@ -145,7 +154,8 @@ def _level_fit(S: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
         rss = S[:, k, k] - np.einsum("bi,bi->b", coef, S[:, :k, k])
         beta = coef[:, k - 1]
         denom = rss / dof * Gpinv[:, k - 1, k - 1]
-    if np.any(denom <= 0) or not np.all(np.isfinite(denom)):
+    if (np.any(rss <= _EXACT_FIT ** 2 * S[:, k, k]) or np.any(denom <= 0)
+            or not np.all(np.isfinite(denom))):
         raise NumericalError("singular ADF regression (zero residual variance)")
     return beta, beta / np.sqrt(denom)
 
@@ -371,22 +381,6 @@ class CriticalValueSet:
                          self.dfgls_mean, self.dfgls_trend])
 
 
-@dataclass(frozen=True)
-class UnitRootStat:
-    """The four component statistics for one series plus the union value."""
-
-    name: str
-    stats: np.ndarray              # aligned with VARIANTS
-    lag: int
-    union: Optional[float] = None
-
-    def __post_init__(self):
-        arr = np.asarray(self.stats, dtype=float)
-        if arr.shape != (4,):
-            raise ParameterError("stats must contain the four component tests")
-        object.__setattr__(self, "stats", arr)
-
-
 def union_stat(stats, critvals: CriticalValueSet, x: float = -1.0) -> float:
     """Scale-and-minimize union of the four tests.
 
@@ -396,7 +390,7 @@ def union_stat(stats, critvals: CriticalValueSet, x: float = -1.0) -> float:
     """
     if x >= 0:
         raise ParameterError("scaling constant x must be negative")
-    s = stats.stats if isinstance(stats, UnitRootStat) else np.asarray(stats, dtype=float)
+    s = np.asarray(stats, dtype=float)
     if s.shape != (4,):
         raise ParameterError("expected the four component statistics")
     c = critvals.as_array()

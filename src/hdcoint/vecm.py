@@ -18,8 +18,9 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import brentq
 
+from ._numeric import soft_threshold
 from .errors import ConvergenceError, DataError, NumericalError, ParameterError
-from .panel import DeterministicSpec, Panel
+from .panel import DeterministicSpec, as_values
 
 __all__ = [
     "VecmModel",
@@ -30,20 +31,6 @@ __all__ = [
     "pml_vecm",
     "vecm_iterated_forecast",
 ]
-
-
-def _as_values(data) -> np.ndarray:
-    """Accept a balanced Panel or a (T, N) float array."""
-    if isinstance(data, Panel):
-        if not data.balanced:
-            raise DataError("estimation requires a balanced window")
-        return data.values
-    z = np.asarray(data, dtype=float)
-    if z.ndim != 2:
-        raise ParameterError("data must be a (T, N) array or Panel")
-    if not np.all(np.isfinite(z)):
-        raise DataError("estimation window contains missing values")
-    return z
 
 
 def _ec_design(z: np.ndarray, p: int, det: DeterministicSpec
@@ -213,7 +200,7 @@ def johansen_ml(data, r: int, p: int = 1,
     restricts a linear trend to the error-correction term.
     """
     det = DeterministicSpec.parse(det)
-    z = _as_values(data)
+    z = as_values(data)
     T, N = z.shape
     if not 0 <= r <= N:
         raise ParameterError(f"rank must lie in 0..{N}")
@@ -260,7 +247,7 @@ def select_rank_ic(data, p: int = 1, rmax: Optional[int] = None,
     ties go to the smaller rank.
     """
     det = DeterministicSpec.parse(det)
-    z = _as_values(data)
+    z = as_values(data)
     N = z.shape[1]
     rmax = N if rmax is None else int(rmax)
     if not 0 <= rmax <= N:
@@ -288,7 +275,7 @@ def select_lag_bic(data, p_max: int = 3,
     the smaller order.
     """
     det = DeterministicSpec.parse(det)
-    z = _as_values(data)
+    z = as_values(data)
     T, N = z.shape
     if p_max < 0:
         raise ParameterError("p_max must be non-negative")
@@ -493,7 +480,7 @@ def qr_vecm(data, p: int = 1, lambda_grid: Optional[Sequence[float]] = None,
     (ties take the larger penalty); the short-run block is re-estimated
     by OLS.  Assumes de-meaned/de-trended input.
     """
-    z = _as_values(data)
+    z = as_values(data)
     T, N = z.shape
     if N * (p + 1) >= T:
         raise DataError(
@@ -538,10 +525,6 @@ def qr_vecm(data, p: int = 1, lambda_grid: Optional[Sequence[float]] = None,
 # -- penalized maximum likelihood ---------------------------------------------
 
 
-def _soft(x, thr):
-    return np.sign(x) * np.maximum(np.abs(x) - thr, 0.0)
-
-
 def _pml_objective(E: np.ndarray, omega: np.ndarray, B: np.ndarray,
                    phi_mat: np.ndarray, lam: Tuple[float, float, float],
                    n: int) -> float:
@@ -571,7 +554,7 @@ def _omega_prox_step(omega: np.ndarray, S: np.ndarray, lam3: float,
         return float(np.sum(S * om) - logdet + lam3 * off)
 
     def prox(om, t):
-        out = _soft(om, t * lam3)
+        out = soft_threshold(om, t * lam3)
         np.fill_diagonal(out, np.diag(om))
         return (out + out.T) / 2
 
@@ -637,7 +620,7 @@ def pml_vecm(data, r: int, p: int = 1,
     objective must be non-increasing across cycles; an increase signals
     a subproblem fault and raises ConvergenceError.
     """
-    z = _as_values(data)
+    z = as_values(data)
     T, N = z.shape
     if not 0 <= r <= N:
         raise ParameterError(f"rank must lie in 0..{N}")
@@ -682,7 +665,7 @@ def pml_vecm(data, r: int, p: int = 1,
                     if q <= 0:
                         continue
                     c = oa[:, j] @ E @ Z1[i] + b[i, j] * q
-                    new = _soft(c, n * lam[0] / 2.0) / q
+                    new = soft_threshold(c, n * lam[0] / 2.0) / q
                     if new != b[i, j]:
                         E = E - (new - b[i, j]) * np.outer(a[:, j], Z1[i])
                         b[i, j] = new
@@ -695,7 +678,7 @@ def pml_vecm(data, r: int, p: int = 1,
                     if q <= 0:
                         continue
                     c = oi @ E @ DX[k] + phi_mat[i, k] * q
-                    new = _soft(c, n * lam[1] / 2.0) / q
+                    new = soft_threshold(c, n * lam[1] / 2.0) / q
                     if new != phi_mat[i, k]:
                         delta = new - phi_mat[i, k]
                         E[i] = E[i] - delta * DX[k]

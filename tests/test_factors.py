@@ -6,7 +6,8 @@ import pytest
 from hdcoint import (FactorDgpParams, ParameterError, count_factors,
                      extract_factors_diff, extract_factors_levels,
                      fecm_forecast, johansen_ml, ndfm_forecast, pca_factors,
-                     simulate_factor_dgp, vecm_iterated_forecast)
+                     simulate_factor_dgp, var_bic_forecast,
+                     vecm_iterated_forecast)
 from tests.conftest import canonical_correlations, slope_detrend
 
 
@@ -197,3 +198,27 @@ class TestFecm:
         b = fecm_forecast(z, targets=[0], r_ns=1, rank=1, p=1, h=2,
                           det="trend")
         assert np.isfinite(a).all() and np.isfinite(b).all()
+
+
+class TestVarBicForecast:
+    def test_series_is_the_one_column_case(self, rng):
+        x = rng.standard_normal(150).cumsum() * 0.1 + rng.standard_normal(150)
+        for p_min in (0, 1):
+            a = var_bic_forecast(x, 5, 3, p_min)
+            b = var_bic_forecast(x[:, None], 5, 3, p_min)
+            assert a.shape == (5,) and b.shape == (5, 1)
+            assert np.array_equal(a, b[:, 0])
+
+    def test_p_min_is_respected(self, rng):
+        x = rng.standard_normal(200)
+        # white noise: BIC keeps no lag, so the path is the flat mean
+        flat = var_bic_forecast(x, 4, 3, 0)
+        assert np.all(flat == flat[0])
+        assert not np.all(var_bic_forecast(x, 4, 3, 1) == flat[0])
+        # with p_min = p_max the lag is fixed: an OLS AR(2) on rows 2..T-1
+        X = np.column_stack([np.ones(198), x[1:-1], x[:-2]])
+        beta = np.linalg.lstsq(X, x[2:], rcond=None)[0]
+        step1 = beta[0] + beta[1] * x[-1] + beta[2] * x[-2]
+        step2 = beta[0] + beta[1] * step1 + beta[2] * x[-1]
+        np.testing.assert_allclose(var_bic_forecast(x, 2, 2, 2),
+                                   [step1, step2], rtol=0, atol=1e-12)

@@ -7,8 +7,8 @@ normal equations directly, sharing no code with the implementation.
 import numpy as np
 import pytest
 
-from hdcoint import (CriticalValueSet, ParameterError, adf_stat, dfgls_stat,
-                     four_stats, select_lags, union_stat)
+from hdcoint import (CriticalValueSet, NumericalError, ParameterError, adf_stat,
+                     dfgls_stat, four_stats, select_lags, union_stat)
 from hdcoint.unitroot import _CHUNK, adf_rho, default_max_lags
 
 
@@ -155,8 +155,9 @@ class TestGramKernel:
 
 class TestStatisticBehavior:
     def test_pure_trend_strongly_rejects(self):
-        # deterministic trend is "stationary around trend"; residuals vanish
-        assert adf_stat(np.arange(1.0, 41.0), "trend", lags=0) < -1e6
+        # an exact trend leaves no residual variance, a noisy one rejects
+        with pytest.raises(NumericalError):
+            adf_stat(np.arange(1.0, 41.0), "trend", lags=0)
         rng = np.random.default_rng(3)
         y = np.arange(1.0, 201.0) + 0.01 * rng.standard_normal(200)
         assert adf_stat(y, "trend", lags=0) < -10

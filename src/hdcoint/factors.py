@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DataError, NumericalError, ParameterError
-from .panel import DeterministicSpec, Panel, as_values
+from .panel import DeterministicSpec, as_values, resolve_targets
 from .vecm import (johansen_ml, select_lag_bic, select_rank_ic,
                    vecm_iterated_forecast)
 
@@ -325,24 +325,6 @@ def ndfm_forecast(data, k: Optional[int] = None, rank: Optional[int] = None,
     return det + fpath @ fm.loadings.T + upath
 
 
-def _resolve_targets(data, targets) -> np.ndarray:
-    if targets is None:
-        n = data.n_series if isinstance(data, Panel) else \
-            as_values(data).shape[1]
-        return np.arange(n)
-    idx = []
-    for key in targets:
-        if isinstance(key, str):
-            if not isinstance(data, Panel):
-                raise ParameterError("named targets need a Panel input")
-            idx.append(data.index(key))
-        else:
-            idx.append(int(key))
-    if not idx:
-        raise ParameterError("target set must not be empty")
-    return np.asarray(idx)
-
-
 def fecm_forecast(data, targets: Optional[Sequence[Union[int, str]]] = None,
                   r_ns: int = 0, r_s: int = 0, rank: Optional[int] = None,
                   p: Optional[int] = None, h: int = 1,
@@ -357,8 +339,7 @@ def fecm_forecast(data, targets: Optional[Sequence[Union[int, str]]] = None,
     and lag come from the information criteria when not given.  With
     ``r_ns = r_s = 0`` this is a plain VECM on the targets.
     """
-    z = as_values(data)
-    idx = _resolve_targets(data, targets)
+    z, _, idx = resolve_targets(data, targets)
     spec = DeterministicSpec.parse(det)
     blocks = [z[:, idx]]
     if r_ns + r_s > 0:

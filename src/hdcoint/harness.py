@@ -21,7 +21,7 @@ from .bootstrap import _multiplier_matrix
 from .errors import DataError, ParameterError, ToolkitError
 from .factors import (extract_factors_diff, fecm_forecast, ndfm_forecast,
                       pca_factors, var_bic_forecast)
-from .panel import Panel, as_values, from_values
+from .panel import resolve_targets
 from .singleeq import factor_augment, padl_fit, specs_fit
 from .vecm import (johansen_ml, pml_vecm, qr_vecm, select_lag_bic,
                    select_rank_ic, vecm_iterated_forecast)
@@ -531,24 +531,8 @@ def run_rolling(data, cfg: HarnessConfig) -> ForecastReport:
     loss matrices are aligned across horizons.  Method failures inside a
     window are recorded as diagnostics and missing losses, never raised.
     """
-    z = as_values(data)
+    z, names, targets = resolve_targets(data, cfg.targets)
     T, N = z.shape
-    if isinstance(data, Panel):
-        names = data.names
-    else:
-        names = from_values(z).names
-    if cfg.targets is None:
-        targets = np.arange(N)
-    else:
-        try:
-            targets = np.array([
-                names.index(t) if isinstance(t, str) else int(t)
-                for t in cfg.targets])
-        except ValueError:
-            raise ParameterError(
-                f"unknown target among {cfg.targets}") from None
-        if targets.size and (targets.min() < 0 or targets.max() >= N):
-            raise ParameterError("target index out of range")
     unknown = [m for m in cfg.methods if m not in _REGISTRY]
     if unknown:
         raise ParameterError(

@@ -22,6 +22,7 @@ __all__ = [
     "monthly_dates",
     "from_values",
     "as_values",
+    "resolve_targets",
     "difference",
     "integrate",
     "apply_transform",
@@ -163,6 +164,11 @@ class Panel:
         return Panel(self.values[:, idx], tuple(self.names[i] for i in idx), self.dates)
 
 
+def _default_names(n: int) -> Tuple[str, ...]:
+    width = len(str(n))
+    return tuple(f"s{j + 1:0{width}d}" for j in range(n))
+
+
 def from_values(values: np.ndarray, names: Optional[Sequence[str]] = None,
                 dates: Optional[np.ndarray] = None, start: str = "2000-01") -> Panel:
     """Build a panel, synthesizing default names and monthly dates."""
@@ -171,8 +177,7 @@ def from_values(values: np.ndarray, names: Optional[Sequence[str]] = None,
         vals = vals.T
     T, N = vals.shape
     if names is None:
-        width = len(str(N))
-        names = tuple(f"s{j + 1:0{width}d}" for j in range(N))
+        names = _default_names(N)
     if dates is None:
         dates = monthly_dates(start, T)
     return Panel(vals, tuple(names), dates)
@@ -190,6 +195,34 @@ def as_values(data) -> np.ndarray:
     if not np.all(np.isfinite(z)):
         raise DataError("estimation window contains missing values")
     return z
+
+
+def resolve_targets(data, targets=None
+                    ) -> Tuple[np.ndarray, Tuple[str, ...], np.ndarray]:
+    """Values, series names and target column indices of ``data``.
+
+    ``targets`` lists series names or column indices; None means every
+    series.  An array's series carry the default names of
+    :func:`from_values`.  Unknown names, indices outside ``[0, N)`` and an
+    empty list raise :class:`ParameterError`.
+    """
+    z = as_values(data)
+    names = data.names if isinstance(data, Panel) else _default_names(z.shape[1])
+    if targets is None:
+        return z, names, np.arange(z.shape[1])
+    idx = []
+    for key in targets:
+        if isinstance(key, str):
+            if key not in names:
+                raise ParameterError(f"no series named '{key}'")
+            idx.append(names.index(key))
+        elif 0 <= int(key) < len(names):
+            idx.append(int(key))
+        else:
+            raise ParameterError(f"target index {key} out of range")
+    if not idx:
+        raise ParameterError("target set must not be empty")
+    return z, names, np.array(idx)
 
 
 # -- differencing -------------------------------------------------------

@@ -3,10 +3,14 @@
 The centerpiece is a sparse-group-lasso solver whose group block carries
 the lagged levels of an error-correction equation: shrinking that block
 to zero removes the long-run relation from the model, while adaptive
-individual penalties prune every remaining coefficient.  On top of it sit
-the error-correction selector (levels retained), its purely differenced
-autoregressive counterpart, factor augmentation, and expanding-window
-cross-validation for the penalty levels.
+individual penalties prune every remaining coefficient.  The solver works
+on the Gram matrix of the design, so its sweeps cost nothing per row.  On
+top of it sit the error-correction selector (levels retained), its purely
+differenced autoregressive counterpart, factor augmentation, and
+expanding-window cross-validation for the penalty levels, in which each
+fold warm-starts a candidate from its solution at the same individual
+penalties (Friedman, Hastie & Tibshirani, 2010); the final fit at the
+chosen penalties starts cold.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 from ._numeric import soft_threshold
 from .errors import ConvergenceError, DataError, ParameterError
 from .factors import extract_factors_diff
-from .panel import Panel, as_values, from_values
+from .panel import Panel, from_values, resolve_targets
 
 __all__ = [
     "PenaltyConfig",
@@ -121,6 +125,25 @@ def _adaptive_weights(init: np.ndarray, exponent: float) -> np.ndarray:
     return out
 
 
+def _weights(X: np.ndarray, y: np.ndarray, nz: int, cfg: PenaltyConfig
+             ) -> Tuple[np.ndarray, str]:
+    """Adaptive weights of [levels, w] from the configured initializer."""
+    init, tag = _initial_estimates(X, y, cfg.initializer)
+    return np.concatenate([_adaptive_weights(init[:nz], cfg.k_levels),
+                           _adaptive_weights(init[nz:], cfg.k_w)]), tag
+
+
+def _l1_penalties(weights: np.ndarray, nz: int, cfg: PenaltyConfig
+                  ) -> np.ndarray:
+    """Per-coordinate L1 strength; +inf marks an excluded coordinate."""
+    lam = np.full(weights.shape, cfg.lam_w)
+    lam[:nz] = cfg.lam_levels
+    pen = np.full(weights.shape, np.inf)
+    fin = np.isfinite(weights)
+    pen[fin] = lam[fin] * weights[fin]
+    return pen
+
+
 def kkt_residual(design: SingleEqDesign, cfg: PenaltyConfig,
                  delta: np.ndarray, pi: np.ndarray,
                  weights_levels: Optional[np.ndarray] = None,
@@ -131,164 +154,148 @@ def kkt_residual(design: SingleEqDesign, cfg: PenaltyConfig,
     max(1, ||2 X'y||_inf); excluded coordinates (infinite weight) never
     violate.  Zero means an exact minimizer.
     """
+    X = np.hstack([design.levels, design.w])
+    y = design.response
+    nz = design.levels.shape[1]
     if weights_levels is None or weights_w is None:
-        init, _ = _initial_estimates(
-            np.hstack([design.levels, design.w]), design.response,
-            cfg.initializer)
-        nz = design.levels.shape[1]
-        weights_levels = _adaptive_weights(init[:nz], cfg.k_levels)
-        weights_w = _adaptive_weights(init[nz:], cfg.k_w)
-    raw, scale = _kkt_raw(design.levels, design.w, design.response, delta,
-                          pi, cfg.lam_group, cfg.lam_levels, cfg.lam_w,
-                          weights_levels, weights_w)
+        weights, _ = _weights(X, y, nz, cfg)
+    else:
+        weights = np.concatenate([weights_levels, weights_w])
+    theta = np.concatenate([delta, pi])
+    raw, scale = _kkt(X.T @ (y - X @ theta), X.T @ y, theta, nz,
+                      cfg.lam_group, _l1_penalties(weights, nz, cfg))
     return raw / scale
 
 
-def _kkt_raw(Z, W, y, delta, pi, lam_g, lam_d, lam_p, wd, wp
-             ) -> Tuple[float, float]:
-    e = y - Z @ delta - W @ pi
-    mask_d, mask_p = np.isfinite(wd), np.isfinite(wp)
+def _kkt(q: np.ndarray, c: np.ndarray, theta: np.ndarray, nz: int,
+         lam_g: float, pen: np.ndarray) -> Tuple[float, float]:
+    """Raw stationarity violation and its scale from q = X'e and c = X'y.
+
+    The first ``nz`` coordinates form the group; ``pen`` holds each
+    coordinate's L1 strength, +inf for excluded ones.
+    """
+    fin = np.isfinite(pen)
+    g = 2.0 * q
+    scale = max(1.0, np.max(np.abs(2.0 * c[fin]), initial=0.0))
     viol = 0.0
-    scale = 1.0
-    if W.shape[1]:
-        g = 2.0 * (W.T @ e)
-        gy = 2.0 * (W.T @ y)
-        scale = max(scale, np.max(np.abs(gy[mask_p]), initial=0.0))
-        nz = (pi != 0) & mask_p
-        zz = (pi == 0) & mask_p
-        if nz.any():
-            viol = max(viol, np.max(np.abs(
-                g[nz] - lam_p * wp[nz] * np.sign(pi[nz]))))
-        if zz.any():
-            viol = max(viol, max(0.0, np.max(np.abs(g[zz]) - lam_p * wp[zz])))
-    if Z.shape[1]:
-        g = 2.0 * (Z.T @ e)
-        gy = 2.0 * (Z.T @ y)
-        scale = max(scale, np.max(np.abs(gy[mask_d]), initial=0.0))
-        if not delta.any():
-            slack = np.linalg.norm(soft_threshold(g[mask_d], lam_d * wd[mask_d]))
-            viol = max(viol, max(0.0, slack - lam_g))
-        else:
-            nrm = np.linalg.norm(delta)
-            grad_grp = lam_g * delta / nrm
-            nz = (delta != 0) & mask_d
-            zz = (delta == 0) & mask_d
-            if nz.any():
-                viol = max(viol, np.max(np.abs(
-                    g[nz] - grad_grp[nz] - lam_d * wd[nz] * np.sign(delta[nz]))))
-            if zz.any():
-                viol = max(viol, max(0.0, np.max(np.abs(g[zz]) - lam_d * wd[zz])))
+    check = fin.copy()
+    delta = theta[:nz]
+    if nz and not delta.any():
+        grp = fin[:nz]
+        slack = np.linalg.norm(soft_threshold(g[:nz][grp], pen[:nz][grp]))
+        viol = max(0.0, slack - lam_g)
+        check[:nz] = False
+    elif nz:
+        g[:nz] -= lam_g * delta / np.linalg.norm(delta)
+    on = check & (theta != 0)
+    off = check & (theta == 0)
+    viol = max(viol, np.max(np.abs(g[on] - pen[on] * np.sign(theta[on])),
+                            initial=0.0),
+               np.max(np.abs(g[off]) - pen[off], initial=0.0))
     return viol, scale
 
 
-def _sgl_objective(Z, W, y, delta, pi, lam_g, lam_d, lam_p, wd, wp) -> float:
-    e = y - Z @ delta - W @ pi
-    val = float(e @ e) + lam_g * np.linalg.norm(delta)
-    nz = delta != 0
-    val += lam_d * float(np.abs(delta[nz]) @ wd[nz])
-    nz = pi != 0
-    val += lam_p * float(np.abs(pi[nz]) @ wp[nz])
-    return val
+def _newton_refine(G: np.ndarray, c: np.ndarray, theta: np.ndarray, nz: int,
+                   lam_g: float, pen: np.ndarray) -> np.ndarray:
+    """Newton refinement on the fixed support within its sign orthant.
 
+    Works on the support's block of G = X'X and c = X'y; the objective is
+    the quadratic form t'Gt - 2c't plus the penalties (||y||^2 dropped).
+    """
+    S = np.flatnonzero(theta)
+    if not S.size:
+        return theta
+    kd = int(np.count_nonzero(S < nz))
+    th = theta[S]
+    signs = np.sign(th)
+    GS = G[np.ix_(S, S)]
+    cS = c[S]
+    lin = pen[S] * signs
+    group = kd and lam_g > 0
 
-def _polish(Z, W, y, delta, pi, lam_g, lam_d, lam_p, wd, wp):
-    """Newton refinement on the fixed support within its sign orthant."""
-    sd = delta != 0
-    sp = pi != 0
-    if not sd.any() and not sp.any():
-        return delta, pi
-    kd = int(sd.sum())
-    X = np.hstack([Z[:, sd], W[:, sp]])
-    theta = np.concatenate([delta[sd], pi[sp]])
-    signs = np.sign(theta)
-    lin = np.concatenate([lam_d * wd[sd] * signs[:kd],
-                          lam_p * wp[sp] * signs[kd:]])
-    G = 2.0 * (X.T @ X)
-    b = 2.0 * (X.T @ y)
+    def value(t):
+        return float(t @ (GS @ t) - 2.0 * (cS @ t) + lin @ t
+                     + lam_g * np.linalg.norm(t[:kd]))
 
-    def split(th):
-        d = delta.copy()
-        p_ = pi.copy()
-        d[sd] = th[:kd]
-        p_[sp] = th[kd:]
-        return d, p_
-
-    def value(th):
-        d, p_ = split(th)
-        return _sgl_objective(Z, W, y, d, p_, lam_g, lam_d, lam_p, wd, wp)
-
-    cur = value(theta)
+    cur = value(th)
     for _ in range(40):
-        grad = G @ theta - b + lin
-        if kd and lam_g > 0:
-            nrm = np.linalg.norm(theta[:kd])
-            if nrm == 0:
-                break
-            grad[:kd] += lam_g * theta[:kd] / nrm
-        if np.max(np.abs(grad)) < 1e-13 * max(1.0, np.max(np.abs(b))):
-            break
-        H = G.copy()
-        if kd and lam_g > 0:
-            d = theta[:kd]
+        grad = 2.0 * (GS @ th - cS) + lin
+        H = 2.0 * GS
+        if group:
+            d = th[:kd]
             nrm = np.linalg.norm(d)
+            grad[:kd] += lam_g * d / nrm
             H[:kd, :kd] += lam_g * (np.eye(kd) / nrm
                                     - np.outer(d, d) / nrm ** 3)
+        if np.max(np.abs(grad)) < 1e-13 * max(1.0, 2.0 * np.max(np.abs(cS))):
+            break
         try:
             step = np.linalg.solve(H, grad)
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(H, grad, rcond=None)
-        t = 1.0
+        # halving from t = 1 first enters the orthant at 2^-k, the largest
+        # power of two below the distance to the nearest sign change
+        toward = step * signs > 0
+        limit = np.min(th[toward] / step[toward], initial=np.inf)
+        k0 = 0 if limit > 1.0 else int(np.floor(-np.log2(limit))) + 1
         improved = False
-        for _ in range(25):
-            cand = theta - t * step
+        for k in range(k0, 25):
+            cand = th - 0.5 ** k * step
             if np.all(np.sign(cand) * signs > 0):
                 v = value(cand)
                 if v <= cur:
-                    theta, cur, improved = cand, v, True
+                    th, cur, improved = cand, v, True
                     break
-            t *= 0.5
         if not improved:
             break
-    return split(theta)
+    out = theta.copy()
+    out[S] = th
+    return out
 
 
-def sgl_solve(design: SingleEqDesign, cfg: PenaltyConfig
+def sgl_solve(design: SingleEqDesign, cfg: PenaltyConfig,
+              start: Optional[Tuple[np.ndarray, np.ndarray]] = None
               ) -> Tuple[np.ndarray, np.ndarray, Dict[str, float]]:
     """Minimize the sparse-group-lasso objective over (delta, pi).
 
     Objective: ||y - Z delta - W pi||^2 + lam_group ||delta||_2
     + lam_levels sum_i w_i |delta_i| + lam_w sum_j w_j |pi_j|, with
-    adaptive weights from the configured initializer.  Block coordinate
+    adaptive weights from the configured initializer.  The solver works
+    in Gram form: G = X'X and c = X'y (X = [Z, W]) are formed once, and
+    q = c - G theta is updated with one column of G per coordinate change,
+    so a sweep costs O(p^2) whatever the row count.  Block coordinate
     descent (coordinate steps on pi, proximal-gradient steps with an exact
     group-zero test on delta) runs until the scale-free stationarity
     violation reported in the diagnostics drops below ``cfg.tol``; a
-    Newton polish on the active set sharpens the finish.
+    Newton polish on the active set sharpens the finish.  ``start`` =
+    (delta, pi) warm-starts the descent (excluded coordinates are forced
+    to zero); by default it starts from zero.
     """
     Z, W, y = design.levels, design.w, design.response
-    n, nz = Z.shape
-    m = W.shape[1]
-    init, tag = _initial_estimates(np.hstack([Z, W]), y, cfg.initializer)
-    wd = _adaptive_weights(init[:nz], cfg.k_levels)
-    wp = _adaptive_weights(init[nz:], cfg.k_w)
-    mask_d, mask_p = np.isfinite(wd), np.isfinite(wp)
-
-    delta = np.zeros(nz)
-    pi = np.zeros(m)
-    e = y.astype(float).copy()
-    col_sq = np.einsum("ij,ij->j", W, W)
-    active_p = np.flatnonzero(mask_p & (col_sq > 0))
-    Za = Z[:, mask_d]
-    wda = wd[mask_d]
-    if Za.shape[1]:
-        lip = 2.0 * float(np.linalg.eigvalsh(Za.T @ Za)[-1])
-        lip = max(lip, 1e-12)
+    nz = Z.shape[1]
+    X = np.hstack([Z, W])
+    weights, tag = _weights(X, y, nz, cfg)
+    pen = _l1_penalties(weights, nz, cfg)
+    fin = np.isfinite(pen)
+    G = X.T @ X
+    c = X.T @ y
+    theta = np.zeros(X.shape[1])
+    if start is not None:
+        theta[:] = np.concatenate(start)
+        theta[~fin] = 0.0
+    col_sq = np.diag(G)
+    active_p = nz + np.flatnonzero(fin[nz:] & (col_sq[nz:] > 0))
+    a = np.flatnonzero(fin[:nz])
+    Gaa = G[np.ix_(a, a)]
+    if a.size:
+        lip = max(2.0 * float(np.linalg.eigvalsh(Gaa)[-1]), 1e-12)
 
     def current_kkt():
-        return _kkt_raw(Z, W, y, delta, pi, cfg.lam_group, cfg.lam_levels,
-                        cfg.lam_w, wd, wp)
+        q = c - G @ theta
+        return q, *_kkt(q, c, theta, nz, cfg.lam_group, pen)
 
     sweeps = 0
-    raw, scale = current_kkt()
+    q, raw, scale = current_kkt()
     while raw / scale > cfg.tol:
         if sweeps >= cfg.max_sweeps:
             raise ConvergenceError(
@@ -296,66 +303,46 @@ def sgl_solve(design: SingleEqDesign, cfg: PenaltyConfig
                 f"KKT residual {raw / scale:.3e}")
         sweeps += 1
         for j in active_p:
-            old = pi[j]
-            rho = W[:, j] @ e + col_sq[j] * old
-            new = soft_threshold(rho, cfg.lam_w * wp[j] / 2.0) / col_sq[j]
+            old = theta[j]
+            new = soft_threshold(q[j] + col_sq[j] * old,
+                                 pen[j] / 2.0) / col_sq[j]
             if new != old:
-                e -= W[:, j] * (new - old)
-                pi[j] = new
-        if Za.shape[1]:
-            r = e + Z @ delta
-            da = delta[mask_d]
-            slack = soft_threshold(2.0 * (Za.T @ r), cfg.lam_levels * wda)
+                q -= G[j] * (new - old)
+                theta[j] = new
+        if a.size:
+            da = theta[a]
+            b = q[a] + Gaa @ da
+            slack = soft_threshold(2.0 * b, pen[a])
             if np.linalg.norm(slack) <= cfg.lam_group:
-                da = np.zeros_like(da)
+                new = np.zeros_like(da)
             else:
+                new = da
                 for _ in range(3):
-                    v = da + (2.0 / lip) * (Za.T @ (r - Za @ da))
-                    st = soft_threshold(v, cfg.lam_levels * wda / lip)
+                    v = new + (2.0 / lip) * (b - Gaa @ new)
+                    st = soft_threshold(v, pen[a] / lip)
                     nrm = np.linalg.norm(st)
                     if nrm <= cfg.lam_group / lip:
-                        da = np.zeros_like(da)
+                        new = np.zeros_like(da)
                         break
-                    da = st * (1.0 - cfg.lam_group / (lip * nrm))
-            delta = np.zeros(nz)
-            delta[mask_d] = da
-            e = r - Z @ delta
+                    new = st * (1.0 - cfg.lam_group / (lip * nrm))
+            theta[a] = new
+        q, raw, scale = current_kkt()
         if sweeps % 5 == 0 or sweeps <= 2:
-            d2, p2 = _polish(Z, W, y, delta, pi, cfg.lam_group,
-                             cfg.lam_levels, cfg.lam_w, wd, wp)
-            raw2, _ = _kkt_raw(Z, W, y, d2, p2, cfg.lam_group,
-                               cfg.lam_levels, cfg.lam_w, wd, wp)
-            raw, _ = current_kkt()
+            polished = _newton_refine(G, c, theta, nz, cfg.lam_group, pen)
+            q2 = c - G @ polished
+            raw2, _ = _kkt(q2, c, polished, nz, cfg.lam_group, pen)
             if raw2 <= raw:
-                delta, pi, raw = d2, p2, raw2
-                e = y - Z @ delta - W @ pi
-        raw, scale = _kkt_raw(Z, W, y, delta, pi, cfg.lam_group,
-                              cfg.lam_levels, cfg.lam_w, wd, wp)
-    objective = _sgl_objective(Z, W, y, delta, pi, cfg.lam_group,
-                               cfg.lam_levels, cfg.lam_w, wd, wp)
+                theta, q, raw = polished, q2, raw2
+    e = y - X @ theta
+    objective = float(e @ e) + cfg.lam_group * np.linalg.norm(theta[:nz]) \
+        + float(np.abs(theta[theta != 0]) @ pen[theta != 0])
     diagnostics = {"kkt": raw / scale, "sweeps": float(sweeps),
                    "objective": objective, "initializer": tag,
                    "scale": scale}
-    return delta, pi, diagnostics
+    return theta[:nz].copy(), theta[nz:].copy(), diagnostics
 
 
 # -- design construction ----------------------------------------------------
-
-
-def _resolve_series(data, target) -> Tuple[np.ndarray, Tuple[str, ...], int]:
-    if isinstance(data, Panel):
-        names = data.names
-        ti = data.index(target) if isinstance(target, str) else int(target)
-    else:
-        if isinstance(target, str):
-            raise ParameterError("named target needs a Panel input")
-        names, ti = None, int(target)
-    z = as_values(data)
-    if names is None:
-        names = from_values(z).names
-    if not 0 <= ti < z.shape[1]:
-        raise ParameterError(f"target index {ti} out of range")
-    return z, tuple(names), ti
 
 
 def _diff_matrix(z: np.ndarray) -> np.ndarray:
@@ -419,7 +406,7 @@ def specs_fit(data, target, p: int = 3, h: int = 1,
     expanding-window cross-validation and the forecast is assembled as
     anchor + fitted value at the final regressor row.
     """
-    z, names, ti = _resolve_series(data, target)
+    z, names, (ti,) = resolve_targets(data, [target])
     cfg = cfg or PenaltyConfig()
     rows = _specs_rows(z.shape[0], p, h)
     parts = _build_specs_parts(z, names, ti, p, h, rows)
@@ -511,7 +498,7 @@ def padl_fit(data, target, orders, p: int = 3, h: int = 1,
     no levels block: this is the sparse selector with the long-run group
     forced to zero.
     """
-    z, names, ti = _resolve_series(data, target)
+    z, names, (ti,) = resolve_targets(data, [target])
     cfg = cfg or PenaltyConfig()
     orders = _orders_array(orders, names)
     parts = _build_padl_parts(z, names, ti, orders, p, h)
@@ -608,11 +595,17 @@ def _tune_triple(design: SingleEqDesign, grids, cfg: PenaltyConfig,
         sub = SingleEqDesign(design.target, y[sl] - my,
                              Z[sl] - mz, W[sl] - mw,
                              design.level_labels, design.w_labels)
+        # warm starts: this fold's solution at the same individual
+        # penalties, else the previous candidate's
+        solved, last = {}, None
 
         def scorer(lam, rows):
+            nonlocal last
             local = replace(cfg, lam_group=lam[0], lam_levels=lam[1],
                             lam_w=lam[2])
-            delta, pi, _ = sgl_solve(sub, local)
+            delta, pi, _ = sgl_solve(sub, local,
+                                     start=solved.get(lam[1:], last))
+            solved[lam[1:]] = last = (delta, pi)
             pred = my + (Z[rows] - mz) @ delta + (W[rows] - mw) @ pi
             return (y[rows] - pred) ** 2
 
@@ -695,16 +688,7 @@ def factor_augment(data, targets, k: int) -> Panel:
     Downstream estimators treat the factor columns as ordinary series;
     labels are made unique against the target names.
     """
-    z = as_values(data)
-    if isinstance(data, Panel):
-        names = data.names
-        idx = [data.index(t) if isinstance(t, str) else int(t)
-               for t in targets]
-    else:
-        names = from_values(z).names
-        idx = [int(t) for t in targets]
-    if not idx:
-        raise ParameterError("target set must not be empty")
+    z, names, idx = resolve_targets(data, targets)
     keep = tuple(names[j] for j in idx)
     fm = extract_factors_diff(z, k)
     labels = []

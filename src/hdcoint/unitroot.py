@@ -15,8 +15,11 @@ deterministics per replication: ``b1`` from every difference and
 trend column.  Chunking bounds the design at ``128 (p + 4) n`` values.
 A singular sub-Gram falls back to the pseudo-inverse, and a residual
 norm below :data:`_EXACT_FIT` of the response norm is an exact fit,
-reported as zero residual variance.  The scalar entry points are thin
-wrappers over batches of size one.
+reported as zero residual variance; so is a GLS-detrended series whose
+norm falls below :data:`_EXACT_FIT` of the input's.  Regressions with
+deterministics shift each series to start at zero first, which leaves
+the statistics unchanged.  The scalar entry points are thin wrappers
+over batches of size one.
 
 Lag selection uses a modified AIC with a variance-rescaling step that
 standardizes increments by a rolling-window volatility estimate before
@@ -175,6 +178,8 @@ def _adf_fit_batch(y: np.ndarray, det: int,
         Number of lagged differences augmenting the regression.
     """
     n = _effective_sample(y.shape[1], det, lags)
+    if det:
+        y = y - y[:, :1]        # shift-invariant; keeps the Gram well scaled
     rows = _rows(det, lags)
     beta, tstat = np.empty(y.shape[0]), np.empty(y.shape[0])
     for lo, hi, M in _grams(y, lags):
@@ -260,7 +265,10 @@ def dfgls_stat(series, spec: Union[str, DeterministicSpec] = DeterministicSpec.T
     """
     spec = DeterministicSpec.parse(spec)
     y = _trim_leading_nan(_as_batch(series))
+    y = y - y[:, :1]
     yd = _gls_detrend_batch(y, spec, cbar)
+    if np.linalg.norm(yd) <= _EXACT_FIT * np.linalg.norm(y):
+        raise NumericalError("GLS detrending leaves only rounding noise")
     return float(_adf_tstat_batch(yd, 0, lags)[0])
 
 

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from hdcoint import (DataError, Panel, ParameterError, apply_transform,
-                     difference, from_values, implied_orders, integrate,
-                     ols_detrend, validate_codes)
-from hdcoint.panel import monthly_dates
+from hdcoint import (DataError, HarnessConfig, Panel, ParameterError,
+                     apply_transform, difference, factor_augment,
+                     fecm_forecast, from_values, implied_orders, integrate,
+                     ols_detrend, run_rolling, validate_codes)
+from hdcoint.panel import monthly_dates, resolve_targets
 
 
 def _panel(values, names=None):
@@ -147,3 +148,37 @@ class TestDetrend:
         t = np.arange(1.0, 61.0)
         assert np.allclose(resid.values.sum(axis=0), 0.0, atol=1e-8)
         assert np.allclose(t @ resid.values, 0.0, atol=1e-6)
+
+
+class TestResolveTargets:
+    def _walk(self, n=4, T=80):
+        rng = np.random.default_rng(5)
+        return from_values(rng.standard_normal((T, n)).cumsum(axis=0),
+                           names=["a", "b", "c", "d"][:n])
+
+    def test_names_indices_and_default(self):
+        p = self._walk()
+        z, names, idx = resolve_targets(p, ["c", 0])
+        assert names == ("a", "b", "c", "d")
+        assert idx.tolist() == [2, 0]
+        assert z is p.values
+        assert resolve_targets(p)[2].tolist() == [0, 1, 2, 3]
+        # an array's series carry the default names
+        assert resolve_targets(p.values, ["s2"])[2].tolist() == [1]
+
+    @pytest.mark.parametrize("targets", [[9], [-1], ["zz"], []])
+    def test_bad_targets_rejected(self, targets):
+        with pytest.raises(ParameterError):
+            resolve_targets(self._walk(), targets)
+
+    @pytest.mark.parametrize("key", [9, -1])
+    def test_estimators_reject_out_of_range(self, key):
+        p = self._walk()
+        with pytest.raises(ParameterError):
+            fecm_forecast(p, targets=[key])
+        with pytest.raises(ParameterError):
+            factor_augment(p, [key], 1)
+        with pytest.raises(ParameterError):
+            run_rolling(p, HarnessConfig(window=60, horizons=(1,),
+                                         methods=("ar",), benchmark="ar",
+                                         targets=(key,)))

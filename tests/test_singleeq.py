@@ -12,7 +12,8 @@ import pytest
 
 from hdcoint import (ParameterError, PenaltyConfig, SingleEqDesign,
                      factor_augment, from_values, kkt_residual, padl_fit,
-                     sgl_solve, specs_fit, tscv_tune)
+                     random_vecm_params, sgl_solve, simulate_vecm, specs_fit,
+                     tscv_tune)
 
 
 def _design(rng, n=80, nz=1, nw=2, beta=None):
@@ -99,6 +100,40 @@ class TestSolver:
             delta, pi, diag = sgl_solve(design, cfg)
             assert diag["kkt"] <= 1e-6
             assert kkt_residual(design, cfg, delta, pi) <= 1e-6
+
+    def test_warm_start_matches_cold_random_suite(self, rng):
+        for _ in range(40):
+            nz = int(rng.integers(1, 4))
+            nw = int(rng.integers(1, 6))
+            design = _design(rng, n=70, nz=nz, nw=nw)
+            first, second = (PenaltyConfig(lam_group=rng.uniform(0, 5),
+                                           lam_levels=rng.uniform(0, 5),
+                                           lam_w=rng.uniform(0, 5))
+                             for _ in range(2))
+            d1, p1, _ = sgl_solve(design, first)
+            d2, p2, _ = sgl_solve(design, second)
+            dw, pw, diag = sgl_solve(design, second, start=(d1, p1))
+            assert diag["kkt"] <= 1e-6
+            assert kkt_residual(design, second, dw, pw) <= 1e-6
+            assert np.max(np.abs(np.concatenate([dw - d2, pw - p2]))) < 1e-7
+
+    def test_start_on_excluded_coordinates_is_ignored(self, rng):
+        # a zero column gets an exactly zero ridge initial estimate, so
+        # infinite weight: the start value there must not leak in
+        design = _design(rng, nz=2, nw=3)
+        Z, W = design.levels.copy(), design.w.copy()
+        Z[:, 1] = 0.0
+        W[:, 0] = 0.0
+        design = SingleEqDesign("y", design.response, Z, W,
+                                design.level_labels, design.w_labels)
+        cfg = PenaltyConfig(lam_group=0.5, lam_levels=0.5, lam_w=0.5,
+                            initializer="ridge")
+        d0, p0, diag0 = sgl_solve(design, cfg)
+        start = (np.array([0.0, 3.0]), np.array([-2.0, 0.0, 0.0]))
+        d1, p1, diag1 = sgl_solve(design, cfg, start=start)
+        assert d0[1] == 0.0 and p0[0] == 0.0
+        assert np.array_equal(d0, d1) and np.array_equal(p0, p1)
+        assert diag0["sweeps"] == diag1["sweeps"]
 
     def test_scaling_contract_at_fitted_values(self, rng):
         # rescaling a w column changes coefficients but, with adaptive
@@ -187,6 +222,32 @@ class TestSpecs:
         for key in ("target", "h", "lambda", "nonzero", "forecast"):
             assert key in doc
         assert isinstance(fit.to_json(), str)
+
+
+class TestPinnedSelection:
+    """Chosen penalties and supports, recorded before the solver moved to
+    Gram form and warm-started cross-validation."""
+
+    def _panel(self):
+        params = random_vecm_params(8, 2, p=1, seed=8,
+                                    adjust_range=(0.4, 0.8), phi_scale=0.5)
+        return simulate_vecm(params, T=150, seed=108)
+
+    def test_specs(self):
+        fit = specs_fit(self._panel(), "s2", p=1, h=1)
+        lam = (fit.lambdas["group"], fit.lambdas["levels"], fit.lambdas["w"])
+        assert lam == pytest.approx(
+            (37.534644202531624, 10.027219406682748, 10.027219406682748),
+            rel=1e-12)
+        assert sorted(fit.nonzero()) == ["d.s1", "d.s6", "d.s7", "s3", "s4"]
+        assert fit.forecast == pytest.approx(1.3312792498590407, rel=1e-6)
+
+    def test_padl(self):
+        fit = padl_fit(self._panel(), "s2", orders=[1] * 8, p=1, h=1)
+        lam = (fit.lambdas["group"], fit.lambdas["levels"], fit.lambdas["w"])
+        assert lam == pytest.approx((0.0, 0.0, 11.31117773229144), rel=1e-12)
+        assert sorted(fit.nonzero()) == ["t.s1", "t.s7"]
+        assert fit.forecast == pytest.approx(1.3986706094839692, rel=1e-6)
 
 
 class TestPadl:

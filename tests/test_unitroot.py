@@ -158,6 +158,11 @@ class TestStatisticBehavior:
         # an exact trend leaves no residual variance, a noisy one rejects
         with pytest.raises(NumericalError):
             adf_stat(np.arange(1.0, 41.0), "trend", lags=0)
+        with pytest.raises(NumericalError):     # offset far above the slope
+            adf_stat(np.arange(1.0, 301.0) * 2.5 + 1e6, "mean", lags=0)
+        for T in (40, 100):     # GLS detrending leaves only rounding noise
+            with pytest.raises(NumericalError):
+                dfgls_stat(np.arange(1.0, T + 1.0), "trend", lags=0)
         rng = np.random.default_rng(3)
         y = np.arange(1.0, 201.0) + 0.01 * rng.standard_normal(200)
         assert adf_stat(y, "trend", lags=0) < -10
@@ -176,6 +181,10 @@ class TestStatisticBehavior:
         t = np.arange(60.0)
         assert abs(adf_stat(y, "trend", lags=1) -
                    adf_stat(y + 3.0 + 0.5 * t, "trend", lags=1)) < 1e-8
+        # a large offset must not swamp the Gram
+        for spec in ("mean", "trend"):
+            assert abs(adf_stat(y, spec, lags=1) -
+                       adf_stat(y + 1e6, spec, lags=1)) < 1e-8
 
     def test_dfgls_constant_invariance(self, rng):
         y = rng.standard_normal(60).cumsum()

@@ -402,7 +402,15 @@ def mcs(losses, alpha: float = 0.10, gamma: float = 0.85, reps: int = 999,
         raise ParameterError("one name per loss column is required")
     if not 0.0 < alpha < 1.0:
         raise ParameterError("alpha must lie strictly inside (0, 1)")
-    xi = _multiplier_matrix(reps, n, gamma, seed)
+    return _eliminate(L, _multiplier_matrix(reps, n, gamma, seed), alpha,
+                      names)
+
+
+def _eliminate(L: np.ndarray, xi: np.ndarray, alpha: float,
+               names: Tuple[str, ...]) -> McsResult:
+    """The elimination rounds of :func:`mcs` on multipliers ``xi``
+    (replications by the rows of ``L``)."""
+    n, K = L.shape
     means = L.mean(axis=0)
     active = list(range(K))
     pvalues: Dict[str, float] = {}
@@ -579,6 +587,7 @@ def run_rolling(data, cfg: HarnessConfig) -> ForecastReport:
     rel = {}
     members = {}
     pvals = {}
+    xi = None
     for ti in targets:
         for h in cfg.horizons:
             key = (names[ti], h)
@@ -587,10 +596,16 @@ def run_rolling(data, cfg: HarnessConfig) -> ForecastReport:
             losses[key] = loss
             rel[key] = _relative_msfe(loss, cfg.methods, cfg.benchmark)
             ok = np.isfinite(loss).all(axis=1)
-            if n_meth >= 2 and ok.sum() >= 30:
-                res = mcs(loss[ok], alpha=cfg.mcs_level, gamma=cfg.gamma,
-                          reps=cfg.boot_reps, seed=cfg.seed,
-                          names=cfg.methods)
+            n_ok = int(ok.sum())
+            if n_meth >= 2 and n_ok >= 30:
+                if xi is None:
+                    # every key shares reps, gamma and seed, and each
+                    # multiplier path is causal, so its first n_ok
+                    # columns equal a fresh draw over n_ok windows
+                    xi = _multiplier_matrix(cfg.boot_reps, n_win, cfg.gamma,
+                                            cfg.seed)
+                res = _eliminate(loss[ok], np.ascontiguousarray(xi[:, :n_ok]),
+                                 cfg.mcs_level, cfg.methods)
                 members[key] = res.members
                 pvals[key] = res.pvalues
             else:

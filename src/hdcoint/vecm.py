@@ -6,6 +6,11 @@ criterion, a pivoted-QR group-lasso estimator that discovers the rank,
 and an elementwise-penalized maximum likelihood estimator for a fixed
 rank.  A common iterated one-step forecaster maps any fitted model to
 level forecasts.
+
+The group-lasso columns of the QR estimator are solved exactly in the
+eigenbasis of their Gram matrix: one vectorised, safeguarded Newton
+solve of the secular equations covers every column and penalty of a
+fit, and cross-validation scores a penalty with one residual matmul.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import brentq
 
 from ._numeric import soft_threshold
 from .errors import ConvergenceError, DataError, NumericalError, ParameterError
@@ -63,17 +67,22 @@ def _ec_design(z: np.ndarray, p: int, det: DeterministicSpec
     return y0, y1, W, T
 
 
-def _partial_out(W: np.ndarray, *blocks: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """Residualize each block on W (no-op for an empty W)."""
+def _partial_out(W: np.ndarray, *blocks: np.ndarray
+                 ) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
+    """Residualize each block on W (no-op for an empty W).
+
+    Returns the least-squares coefficients of W, one column per column
+    of the stacked blocks, and the residual blocks.
+    """
     if W.shape[1] == 0:
-        return blocks
+        return np.zeros((0, sum(b.shape[1] for b in blocks))), blocks
     coef, *_ = np.linalg.lstsq(W, np.column_stack(blocks), rcond=None)
     resid = np.column_stack(blocks) - W @ coef
     out, start = [], 0
     for b in blocks:
         out.append(resid[:, start:start + b.shape[1]])
         start += b.shape[1]
-    return tuple(out)
+    return coef, tuple(out)
 
 
 def _fix_column_signs(V: np.ndarray) -> np.ndarray:
@@ -152,7 +161,7 @@ class VecmModel:
 
 def _johansen_moments(y0: np.ndarray, y1: np.ndarray, W: np.ndarray):
     """Concentrated moment matrices and the whitened eigenproblem."""
-    r0, r1 = _partial_out(W, y0, y1)
+    _, (r0, r1) = _partial_out(W, y0, y1)
     n = r0.shape[0]
     s00 = r0.T @ r0 / n
     s01 = r0.T @ r1 / n
@@ -337,37 +346,113 @@ def vecm_iterated_forecast(model: VecmModel, history: np.ndarray,
 # -- pivoted-QR group lasso ---------------------------------------------------
 
 
-def _group_lasso_single(X: np.ndarray, y: np.ndarray, kappa: float
-                        ) -> np.ndarray:
-    """Exact minimizer of ||y - Xb||^2 + kappa·||b||_2.
+def _group_basis(X: np.ndarray, y: np.ndarray, gram: np.ndarray):
+    """Eigenbasis of min ||y - Xb||^2 + kappa·||b||_2, shared by every kappa.
 
-    The whole coefficient vector forms one group: either the zero
-    condition ||2X'y|| <= kappa holds, or the stationarity equation
-    (X'X + kappa/(2s) I)b = X'y is solved with s = ||b|| found by a
-    scalar root search over the eigenbasis of X'X.
+    ``gram`` is X'X; returns (d, V, V'c, ||c||) with c = X'y.
     """
     c = X.T @ y
-    cnorm = np.linalg.norm(c)
-    if 2.0 * cnorm <= kappa:
-        return np.zeros(X.shape[1])
-    if kappa == 0.0:
-        beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-        return beta
-    d, V = np.linalg.eigh(X.T @ X)
-    ch = V.T @ c
-    if d.min() <= d.max() * 1e-12:
-        return _group_lasso_fista(X, y, kappa)
+    d, V = np.linalg.eigh(gram)
+    return d, V, V.T @ c, np.linalg.norm(c)
 
-    def gap(s):
-        return np.linalg.norm(ch / (d + kappa / (2.0 * s))) - s
 
-    upper = np.linalg.norm(ch / d)
-    lower = upper * 1e-14
-    if gap(lower) <= 0.0:
-        # 2||X'y|| exceeds kappa only by rounding: the root lies below lower
-        return np.zeros(X.shape[1])
-    s_star = brentq(gap, lower, upper, xtol=1e-14, rtol=1e-15)
-    return V @ (ch / (d + kappa / (2.0 * s_star)))
+#: Newton steps allowed per secular equation; convergence takes far fewer
+_SECULAR_MAX_ITER = 100
+
+
+def _secular_roots(d: np.ndarray, ch: np.ndarray, kappa: np.ndarray
+                   ) -> np.ndarray:
+    """Roots mu > 0 of 1/||ch/(d + mu)|| = 2·mu/kappa, one per row.
+
+    A row holds the positive eigenvalues ``d`` and rotated X'y ``ch`` of
+    one group problem (padding has d = 1, ch = 0), with 2||ch|| > kappa.
+    The left side is concave in mu (Moré and Sorensen, 1983), so Newton's
+    method started right of the root decreases monotonically to it; a
+    step that leaves the bracket of sign changes bisects instead.
+    """
+    lo = np.zeros(kappa.shape)
+    hi = d.max(axis=1) * kappa / (2.0 * np.linalg.norm(ch, axis=1) - kappa)
+    mu = hi.copy()
+    todo = np.arange(mu.size)
+    for _ in range(_SECULAR_MAX_ITER):
+        m, k = mu[todo], kappa[todo]
+        shifted = d[todo] + m[:, None]
+        q = ch[todo] / shifted
+        norm = np.sqrt(np.einsum("ij,ij->i", q, q))
+        f = 1.0 / norm - 2.0 * m / k
+        slope = np.einsum("ij,ij->i", q, q / shifted) / norm ** 3 - 2.0 / k
+        step = f / slope
+        lo[todo] = np.where(f >= 0.0, m, lo[todo])
+        hi[todo] = np.where(f < 0.0, m, hi[todo])
+        new = m - step
+        outside = ~((new > lo[todo]) & (new < hi[todo]))
+        tol = 4.0 * np.finfo(float).eps * m
+        done = (np.abs(step) <= tol) | (hi[todo] - lo[todo] <= tol)
+        mu[todo] = np.where(done, m, np.where(
+            outside, 0.5 * (lo[todo] + hi[todo]), new))
+        todo = todo[~done]
+        if todo.size == 0:
+            return mu
+    raise ConvergenceError("group-lasso secular equation did not converge")
+
+
+def _group_lasso(X: np.ndarray, Y: np.ndarray, bases, kappa: np.ndarray
+                 ) -> np.ndarray:
+    """Exact minimizers of ||Y_j - X_j b||^2 + kappa·||b||_2.
+
+    Problem j regresses column j of ``Y`` on the leading columns X_j of
+    ``X`` that ``bases[j]`` (from :func:`_group_basis`) spans; ``kappa``
+    holds one row of penalties per problem.  Returns (penalties, columns
+    of X, problems), zero-padded.  The coefficient vector is one group:
+    either the zero condition 2||X_j'y|| <= kappa holds, or
+    (X_j'X_j + mu I)b = X_j'y with mu = kappa/(2||b||), from one batched
+    secular solve over every problem and penalty.  kappa = 0 is least
+    squares, a rank-deficient Gram goes to proximal gradient, and a root
+    ||b|| below 1e-14 of the least-squares norm, where 2||X_j'y|| exceeds
+    kappa only by rounding, gives zero.
+    """
+    P, m = kappa.shape[0], X.shape[1]
+    D, CH = np.ones((P, m)), np.zeros((P, m))
+    V = np.tile(np.eye(m), (P, 1, 1))
+    cnorm, upper, singular, sizes = (np.empty(P), np.empty(P),
+                                     np.empty(P, bool), [])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j, (d, v, ch, cn) in enumerate(bases):
+            k = d.size
+            D[j, :k], CH[j, :k], V[j, :k, :k] = d, ch, v
+            cnorm[j], upper[j] = cn, np.linalg.norm(ch / d)
+            singular[j] = d.min() <= d.max() * 1e-12
+            sizes.append(k)
+        lower = upper * 1e-14
+        floor_gap = np.linalg.norm(
+            CH[:, None] / (D[:, None] + kappa[..., None]
+                           / (2.0 * lower[:, None, None])), axis=2) \
+            - lower[:, None]
+    nonzero = ~(2.0 * cnorm[:, None] <= kappa)
+    lsq = nonzero & (kappa == 0.0)
+    fista = nonzero & ~lsq & singular[:, None]
+    root = nonzero & ~lsq & ~fista & (floor_gap > 0.0)
+    out = np.zeros((kappa.shape[1], m, P))
+    j, g = np.nonzero(root)
+    if j.size:
+        mu = _secular_roots(D[j], CH[j], kappa[j, g])
+        out[g, :, j] = np.einsum("qik,qk->qi", V[j],
+                                 CH[j] / (D[j] + mu[:, None]))
+    for j, g in zip(*np.nonzero(lsq)):
+        out[g, :sizes[j], j] = np.linalg.lstsq(X[:, :sizes[j]], Y[:, j],
+                                               rcond=None)[0]
+    for j, g in zip(*np.nonzero(fista)):
+        out[g, :sizes[j], j] = _group_lasso_fista(X[:, :sizes[j]], Y[:, j],
+                                                  kappa[j, g])
+    return out
+
+
+def _group_lasso_single(X: np.ndarray, y: np.ndarray, kappa: float
+                        ) -> np.ndarray:
+    """Exact minimizer of ||y - Xb||^2 + kappa·||b||_2: one problem, one
+    penalty of :func:`_group_lasso`."""
+    basis = _group_basis(X, y, X.T @ X)
+    return _group_lasso(X, y[:, None], [basis], np.array([[kappa]]))[0, :, 0]
 
 
 def _group_lasso_fista(X: np.ndarray, y: np.ndarray, kappa: float,
@@ -389,75 +474,98 @@ def _group_lasso_fista(X: np.ndarray, y: np.ndarray, kappa: float,
     raise ConvergenceError("group-lasso proximal iteration did not converge")
 
 
-def _qr_group_fit(X: np.ndarray, targets: np.ndarray, weights: np.ndarray,
-                  lam: float) -> np.ndarray:
-    """Solve the per-column group problems; returns the fitted R matrix.
+@dataclass(frozen=True)
+class _QrStage:
+    """Initializer stage shared by fitting and cross-validation.
 
-    Column j of R has support on rows 0..j and its own response series;
-    zero weights encode an infinite penalty.
+    ``short_run`` holds the coefficients of W in the regressions of
+    [y0, y1] that partial it out; ``bases`` holds one group problem per
+    column of the triangular factor.
     """
-    N = X.shape[1]
-    R = np.zeros((N, N))
-    for j in range(N):
-        if lam > 0 and weights[j] <= 0:
-            continue
-        kappa = lam / weights[j] if lam > 0 else 0.0
-        R[:j + 1, j] = _group_lasso_single(X[:, :j + 1], targets[:, j], kappa)
-    return R
+
+    y0: np.ndarray
+    y1: np.ndarray
+    W: np.ndarray
+    t_last: int
+    short_run: np.ndarray
+    Q: np.ndarray
+    piv: np.ndarray
+    weights: np.ndarray
+    X: np.ndarray
+    targets: np.ndarray
+    bases: list
 
 
-def _qr_stage(z: np.ndarray, p: int):
-    """Initializer stage shared by fitting and cross-validation."""
+def _qr_stage(z: np.ndarray, p: int) -> _QrStage:
+    """Partial out the short run, pivot-QR the OLS long run, and form the
+    column problems of the window ``z``."""
     y0, y1, W, t_last = _ec_design(z, p, DeterministicSpec.NONE)
-    y0c, y1c = _partial_out(W, y0, y1)
+    short_run, (y0c, y1c) = _partial_out(W, y0, y1)
     gram = y1c.T @ y1c
     try:
         pi_ols = np.linalg.solve(gram, y1c.T @ y0c).T
     except np.linalg.LinAlgError:
         raise NumericalError("lagged-level Gram matrix is singular")
     Q, R0, piv = scipy.linalg.qr(pi_ols.T, pivoting=True)
-    weights = np.array([np.linalg.norm(R0[j, j:]) for j in range(z.shape[1])])
+    N = z.shape[1]
+    weights = np.array([np.linalg.norm(R0[j, j:]) for j in range(N)])
     X = y1c @ Q
     targets = y0c[:, piv]
-    return y0, y1, W, t_last, Q, R0, piv, weights, X, targets
+    G = X.T @ X
+    bases = [_group_basis(X[:, :j + 1], targets[:, j], G[:j + 1, :j + 1])
+             for j in range(N)]
+    return _QrStage(y0, y1, W, t_last, short_run, Q, piv, weights, X,
+                    targets, bases)
 
 
-def _qr_assemble(z: np.ndarray, p: int, y0, y1, W, t_last, Q, piv, R,
-                 lam: float) -> VecmModel:
+def _qr_group_path(s: _QrStage, grid: np.ndarray) -> np.ndarray:
+    """Fitted R matrices, one per penalty in ``grid``: (penalties, N, N).
+
+    Column j of R has support on rows 0..j and its own response series;
+    zero weights encode an infinite penalty.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = np.where(grid > 0, grid / s.weights[:, None], 0.0)
+    return _group_lasso(s.X, s.targets, s.bases, kappa)
+
+
+def _qr_long_run(Q: np.ndarray, piv: np.ndarray, R: np.ndarray):
+    """Loadings and cointegrating vectors (A, B) of a fitted R."""
+    nonzero = np.flatnonzero(np.any(R != 0.0, axis=0))
+    a = np.zeros((Q.shape[0], nonzero.size))
+    a[piv[nonzero], np.arange(nonzero.size)] = 1.0
+    return a, Q @ R[:, nonzero]
+
+
+def _qr_assemble(s: _QrStage, p: int, R: np.ndarray, lam: float) -> VecmModel:
     """Rebuild (A, B, Phi) from a fitted R and re-estimate the short run."""
-    N = z.shape[1]
-    nonzero = [j for j in range(N) if np.any(R[:, j] != 0.0)]
-    r = len(nonzero)
-    a = np.zeros((N, r))
-    for k, j in enumerate(nonzero):
-        a[piv[j], k] = 1.0
-    b = Q @ R[:, nonzero] if r else np.zeros((N, 0))
-    pi = a @ b.T
-    resid = y0 - y1 @ pi.T
-    n = y0.shape[0]
-    if W.shape[1]:
-        c, *_ = np.linalg.lstsq(W, resid, rcond=None)
-        resid = resid - W @ c
+    N = s.Q.shape[0]
+    a, b = _qr_long_run(s.Q, s.piv, R)
+    resid = s.y0 - s.y1 @ (a @ b.T).T
+    n = s.y0.shape[0]
+    if s.W.shape[1]:
+        c, *_ = np.linalg.lstsq(s.W, resid, rcond=None)
+        resid = resid - s.W @ c
         phi = tuple(c.T[:, j * N:(j + 1) * N] for j in range(p))
     else:
         phi = ()
     sigma = resid.T @ resid / n
-    return VecmModel(a=a, b=b, phi=phi, mu=np.zeros(N), sigma=sigma, rank=r,
-                     p=p, det=DeterministicSpec.NONE, t_last=t_last,
-                     estimator="qr_group_lasso",
-                     info={"lambda": float(lam), "pivot": [int(v) for v in piv]})
+    return VecmModel(a=a, b=b, phi=phi, mu=np.zeros(N), sigma=sigma,
+                     rank=b.shape[1], p=p, det=DeterministicSpec.NONE,
+                     t_last=s.t_last, estimator="qr_group_lasso",
+                     info={"lambda": float(lam),
+                           "pivot": [int(v) for v in s.piv]})
 
 
-def _one_step_sse(model: VecmModel, z: np.ndarray, start: int, stop: int
-                  ) -> float:
+def _one_step_sse(pi: np.ndarray, phi: np.ndarray, z: np.ndarray,
+                  start: int, stop: int) -> float:
     """Sum of squared one-step difference-forecast errors over rows
-    start..stop-1 (0-based indices into z)."""
-    sse = 0.0
-    for t in range(start, stop):
-        pred = vecm_iterated_forecast(model, z[:t], 1)[0]
-        err = z[t] - pred
-        sse += float(err @ err)
-    return sse
+    start..stop-1 (0-based indices into z) of the model
+    Δz_t = Πz_{t-1} + Σ_j Φ_jΔz_{t-j}, with ``phi`` = [Φ_1 … Φ_p]."""
+    p = phi.shape[1] // z.shape[1]
+    y0, y1, W, _ = _ec_design(z[start - p - 1:stop], p, DeterministicSpec.NONE)
+    resid = y0 - y1 @ pi.T - W @ phi.T
+    return float(np.sum(resid * resid))
 
 
 def default_lambda_grid(scale: float, n_points: int = 10,
@@ -477,8 +585,12 @@ def qr_vecm(data, p: int = 1, lambda_grid: Optional[Sequence[float]] = None,
     lasso shrinks whole columns of the triangular factor to zero; the
     count of surviving columns is the estimated rank.  The penalty level
     is chosen by expanding-window cross-validation on one-step forecasts
-    (ties take the larger penalty); the short-run block is re-estimated
-    by OLS.  Assumes de-meaned/de-trended input.
+    (ties take the larger penalty): each fold forms its Gram eigenbases
+    once, solves the whole grid in one batched secular solve, takes the
+    short run of each penalty from the fold's partial-out coefficients
+    and scores it by the residuals of the held-out rows.  The final
+    short-run block is re-estimated by OLS.  Assumes de-meaned/de-trended
+    input.
     """
     z = as_values(data)
     T, N = z.shape
@@ -487,10 +599,9 @@ def qr_vecm(data, p: int = 1, lambda_grid: Optional[Sequence[float]] = None,
             f"QR estimator needs an OLS initializer, requiring N(p+1) < T; "
             f"got N={N}, p={p}, T={T}")
     stage = _qr_stage(z, p)
-    y0, y1, W, t_last, Q, R0, piv, weights, X, targets = stage
     if lambda_grid is None:
-        zero_at = max(2.0 * np.linalg.norm(X[:, :j + 1].T @ targets[:, j])
-                      * weights[j] for j in range(N))
+        zero_at = max(2.0 * basis[3] * w
+                      for basis, w in zip(stage.bases, stage.weights))
         lambda_grid = default_lambda_grid(zero_at)
     grid = np.sort(np.asarray(list(lambda_grid), dtype=float))
     if grid.size == 0:
@@ -509,17 +620,18 @@ def qr_vecm(data, p: int = 1, lambda_grid: Optional[Sequence[float]] = None,
             if N * (p + 1) >= sub.shape[0]:
                 continue
             s = _qr_stage(sub, p)
-            for g, lam in enumerate(grid):
-                R = _qr_group_fit(s[8], s[9], s[7], lam)
-                m = _qr_assemble(sub, p, s[0], s[1], s[2], s[3], s[4], s[6],
-                                 R, lam)
-                losses[g] += _one_step_sse(m, z, lo, hi)
+            c0, c1 = s.short_run[:, :N], s.short_run[:, N:]
+            for g, R in enumerate(_qr_group_path(s, grid)):
+                a, b = _qr_long_run(s.Q, s.piv, R)
+                pi = a @ b.T
+                # OLS of the partialled short run is linear in the response
+                losses[g] += _one_step_sse(pi, (c0 - c1 @ pi.T).T, z, lo, hi)
         order = np.argsort(losses, kind="stable")
         best = losses[order[0]]
         best_lam = grid[max(g for g in range(grid.size) if losses[g] <= best)]
 
-    R = _qr_group_fit(X, targets, weights, best_lam)
-    return _qr_assemble(z, p, y0, y1, W, t_last, Q, piv, R, best_lam)
+    R = _qr_group_path(stage, np.array([best_lam]))[0]
+    return _qr_assemble(stage, p, R, best_lam)
 
 
 # -- penalized maximum likelihood ---------------------------------------------

@@ -3,7 +3,8 @@
 No module imports a sibling's ``_private`` helper, so each helper has
 one owner; shared kernels live under public names in ``_numeric``.
 Importing the command line must stay cheap: ``scipy.signal`` alone
-adds most of a second to start-up.
+adds most of a second to start-up, and ``scipy.optimize`` about a
+quarter of one.
 """
 
 import ast
@@ -49,10 +50,18 @@ def test_no_private_imports_across_modules():
     assert not unexpected, sorted(unexpected)
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
+def _loaded_after_cli_import(module):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    code = "import sys, hdcoint.cli; print('scipy.signal' in sys.modules)"
+    code = f"import sys, hdcoint.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    assert not _loaded_after_cli_import("scipy.signal")
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    assert not _loaded_after_cli_import("scipy.optimize")

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from hdcoint import DataError, ParameterError, mcs
+from hdcoint import (DataError, HarnessConfig, ParameterError, from_values,
+                     mcs, register_method, run_rolling)
+from hdcoint.bootstrap import _multiplier_matrix
+from hdcoint.harness import _REGISTRY
 
 
 def _losses(rng, n=100, spread=0.0):
@@ -99,3 +102,39 @@ class TestCoverage:
             both += len(out.members) == 2
         # nominal retention 90%; allow wide MC slack at 60 reps
         assert both / reps >= 0.80
+
+
+class TestSharedDraw:
+    def test_prefix_of_a_longer_draw_is_bit_identical(self):
+        longer = _multiplier_matrix(199, 60, 0.85, 3)[:, :32]
+        assert np.array_equal(longer, _multiplier_matrix(199, 32, 0.85, 3))
+
+    def test_rolling_pvalues_equal_direct_calls(self):
+        rng = np.random.default_rng(21)
+        panel = from_values(rng.standard_normal((100, 3)).cumsum(axis=0))
+
+        def gappy(ctx):
+            # a naive forecast that fails on every fifth window for the
+            # first target only, so the keys keep different window counts
+            skip = ctx.window_start % 5 == 0
+            return {(ti, h): np.nan if skip and ti == 0 else ctx.values[-1, ti]
+                    for ti in ctx.targets for h in ctx.horizons}
+
+        cfg = HarnessConfig(window=60, horizons=(1, 3), targets=(0, 2),
+                            methods=("ar", "var", "gappy"), benchmark="ar",
+                            boot_reps=199, seed=4)
+        register_method("gappy", gappy)
+        try:
+            report = run_rolling(panel, cfg)
+        finally:
+            _REGISTRY.pop("gappy", None)
+        rows = set()
+        for key, loss in report.losses.items():
+            ok = np.isfinite(loss).all(axis=1)
+            rows.add(int(ok.sum()))
+            direct = mcs(loss[ok], alpha=cfg.mcs_level, gamma=cfg.gamma,
+                         reps=cfg.boot_reps, seed=cfg.seed, names=cfg.methods)
+            assert report.mcs_pvalues[key] == direct.pvalues
+            assert report.mcs_members[key] == direct.members
+        assert len(report.losses) == 4
+        assert len(rows) == 2 and min(rows) >= 30

@@ -11,7 +11,8 @@ from hdcoint import (DataError, NumericalError, ParameterError, VecmParams,
                      johansen_ml, pml_vecm, qr_vecm, random_vecm_params,
                      select_lag_bic, select_rank_ic, simulate_vecm,
                      vecm_iterated_forecast)
-from hdcoint.vecm import _group_lasso_single
+from hdcoint.vecm import (_group_basis, _group_lasso, _group_lasso_fista,
+                          _group_lasso_single, _one_step_sse)
 from tests.conftest import subspace_angle_deg
 
 
@@ -137,6 +138,44 @@ class TestQrVecm:
         with pytest.raises((ParameterError, DataError)):
             qr_vecm(z, p=2)
 
+    # (N, seed, chosen lambda, rank, pivot, 3-step forecast), recorded
+    # before the cross-validation was batched over the lambda grid
+    PINNED = [
+        (4, 101, 1.207245107241204, 4, [0, 3, 1, 2],
+         [4.055910660419734, 12.363393528515196, -30.635818526066643,
+          3.773323825634949, 4.051962406149397, 12.451198240576462,
+          -30.717450580392867, 3.8252865916871697, 4.118469561232516,
+          12.443881171961646, -30.891744331322037, 3.8794940645247395]),
+        (6, 124, 29.81973120722583, 2, [4, 2, 0, 5, 3, 1],
+         [-12.496929268625331, -7.024389945669054, 9.56140420736985,
+          -6.458510785822347, -9.642028652185958, -11.930382684341657,
+          -12.56129766844654, -6.867982314673662, 9.22744623528983,
+          -6.454160342438799, -9.385460385852525, -11.96817749260702,
+          -12.637521970463135, -6.815784885675208, 8.922512640354768,
+          -6.420886115237649, -9.12115377979428, -12.015154905510162]),
+        (8, 141, 47.32764687275854, 3, [6, 3, 0, 4, 2, 1, 7, 5],
+         [-0.9635082675034142, -10.130423143652797, 23.89298537078727,
+          -2.808713719897913, -5.145702854932331, 17.710472774070922,
+          -6.714250611590239, -8.741164071597483, -0.9262275550681616,
+          -10.083110160868719, 23.88108744637075, -2.851802427127895,
+          -4.9890020155827015, 17.70371082174143, -6.508864322125823,
+          -8.613902031994332, -0.9140080714282359, -10.050161354435858,
+          23.87272489692069, -2.887408604284511, -4.955680014654363,
+          17.680366186255945, -6.372230796667193, -8.632366002598364]),
+    ]
+
+    @pytest.mark.parametrize("n, seed, lam, rank, pivot, forecast", PINNED)
+    def test_pinned_decisions(self, n, seed, lam, rank, pivot, forecast):
+        params = random_vecm_params(n, 2, p=1, seed=seed,
+                                    adjust_range=(0.4, 0.8))
+        z = simulate_vecm(params, 121, seed=seed + 100).values
+        model = qr_vecm(z, p=1)
+        assert model.info["lambda"] == lam
+        assert model.rank == rank
+        assert model.info["pivot"] == pivot
+        fc = vecm_iterated_forecast(model, z, 3).ravel()
+        assert np.allclose(fc, forecast, rtol=0.0, atol=1e-9)
+
     def test_penalty_at_the_zero_threshold_gives_zero_column(self, rng):
         # kappa one ulp under 2||X'y||: the zero condition just fails, and
         # the secular root lies below the search bracket
@@ -147,6 +186,98 @@ class TestQrVecm:
             beta = _group_lasso_single(X, y, kappa)
             assert np.all(np.isfinite(beta))
             assert np.linalg.norm(beta) < 1e-10
+
+
+def _stationarity_gap(X, y, b, kappa):
+    """Distance of 2X'(y - Xb) from kappa·b/||b||, relative to kappa."""
+    grad = 2.0 * X.T @ (y - X @ b)
+    return np.linalg.norm(grad - kappa * b / np.linalg.norm(b)) / kappa
+
+
+class TestGroupLassoStep:
+    def test_stationarity_on_random_designs(self, rng):
+        for _ in range(40):
+            m = int(rng.integers(1, 7))
+            X = rng.standard_normal((int(rng.integers(m + 5, 80)), m)) \
+                * rng.uniform(0.2, 5.0, size=m)
+            y = rng.standard_normal(X.shape[0]) * rng.uniform(0.1, 10.0)
+            top = 2.0 * np.linalg.norm(X.T @ y)
+            for frac in np.concatenate([[1e-3, 1.0 - 1e-6],
+                                        rng.uniform(1e-3, 1.0, size=4)]):
+                kappa = frac * top
+                b = _group_lasso_single(X, y, kappa)
+                assert np.linalg.norm(b) > 0.0
+                assert _stationarity_gap(X, y, b, kappa) <= 1e-10
+
+    def test_zero_exactly_at_and_above_the_threshold(self, rng):
+        for _ in range(10):
+            X = rng.standard_normal((50, 4))
+            y = rng.standard_normal(50)
+            top = 2.0 * np.linalg.norm(X.T @ y)
+            for kappa in (top, np.nextafter(top, np.inf), 2.0 * top):
+                assert np.all(_group_lasso_single(X, y, kappa) == 0.0)
+            assert np.any(_group_lasso_single(X, y, top * (1 - 1e-9)) != 0.0)
+
+    def test_root_below_the_rounding_floor_is_exactly_zero(self, rng):
+        for _ in range(10):
+            X = rng.standard_normal((30, 3))
+            y = rng.standard_normal(30)
+            kappa = np.nextafter(2.0 * np.linalg.norm(X.T @ y), 0.0)
+            assert np.all(_group_lasso_single(X, y, kappa) == 0.0)
+
+    def test_zero_penalty_is_least_squares(self, rng):
+        X = rng.standard_normal((40, 3))
+        y = rng.standard_normal(40)
+        want, *_ = np.linalg.lstsq(X, y, rcond=None)
+        assert np.array_equal(_group_lasso_single(X, y, 0.0), want)
+
+    def test_rank_deficient_design_uses_proximal_gradient(self, rng):
+        base = rng.standard_normal((40, 2))
+        X = np.column_stack([base, base[:, 0]])
+        y = rng.standard_normal(40)
+        kappa = 0.3 * np.linalg.norm(X.T @ y)
+        b = _group_lasso_single(X, y, kappa)
+        assert np.array_equal(b, _group_lasso_fista(X, y, kappa))
+        assert _stationarity_gap(X, y, b, kappa) <= 1e-6
+
+    def test_batch_matches_single_problems(self, rng):
+        # problem j regresses column j on the leading j + 1 columns, as in
+        # the QR estimator; every (problem, penalty) pair is solved at once
+        X = rng.standard_normal((60, 5))
+        Y = rng.standard_normal((60, 5))
+        G = X.T @ X
+        bases = [_group_basis(X[:, :j + 1], Y[:, j], G[:j + 1, :j + 1])
+                 for j in range(5)]
+        tops = np.array([2.0 * b[3] for b in bases])
+        kappa = tops[:, None] * np.array([0.0, 0.01, 0.3, 0.9, 1.0, 2.0])
+        out = _group_lasso(X, Y, bases, kappa)
+        for j in range(5):
+            for g in range(kappa.shape[1]):
+                want = _group_lasso_single(X[:, :j + 1], Y[:, j], kappa[j, g])
+                assert np.allclose(out[g, :j + 1, j], want, rtol=1e-12,
+                                   atol=1e-14)
+                assert np.all(out[g, j + 1:, j] == 0.0)
+
+
+class TestOneStepSse:
+    @staticmethod
+    def _loop(model, z, start, stop):
+        """One iterated forecast per row: the scoring the matmul replaced."""
+        sse = 0.0
+        for t in range(start, stop):
+            err = z[t] - vecm_iterated_forecast(model, z[:t], 1)[0]
+            sse += float(err @ err)
+        return sse
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("r", [0, 2])
+    def test_matches_the_forecast_loop(self, p, r):
+        _, z = _sim(4, 2, 160, 30 + p, p=p)
+        model = johansen_ml(z[:120], r=r, p=p, det="none")
+        phi = np.hstack(model.phi) if p else np.zeros((4, 0))
+        got = _one_step_sse(model.pi, phi, z, 120, 160)
+        want = self._loop(model, z, 120, 160)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestPml:

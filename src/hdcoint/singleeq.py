@@ -2,15 +2,15 @@
 
 The centerpiece is a sparse-group-lasso solver whose group block carries
 the lagged levels of an error-correction equation: shrinking that block
-to zero removes the long-run relation from the model, while adaptive
-individual penalties prune every remaining coefficient.  The solver works
-on the Gram matrix of the design, so its sweeps cost nothing per row.  On
-top of it sit the error-correction selector (levels retained), its purely
-differenced autoregressive counterpart, factor augmentation, and
-expanding-window cross-validation for the penalty levels, in which each
-fold warm-starts a candidate from its solution at the same individual
-penalties (Friedman, Hastie & Tibshirani, 2010); the final fit at the
-chosen penalties starts cold.
+to zero removes the long-run relation, while adaptive individual
+penalties prune every remaining coefficient.  Everything works on the
+Gram matrix of the design, formed once per cross-validation fold.  A
+weighted-lasso homotopy path solves every penalty without a group term,
+and every one whose levels block is zero, exactly; the rest run block
+coordinate descent, warm-started within a fold (Friedman, Hastie &
+Tibshirani, 2010), with an active-set Newton finish.  On top sit the
+error-correction selector (SPECS), its differenced counterpart (PADL),
+factor augmentation and expanding-window cross-validation.
 """
 
 from __future__ import annotations
@@ -112,8 +112,9 @@ def _initial_estimates(X: np.ndarray, y: np.ndarray, tag: str
     if tag == "ols" and n > m:
         beta, *_ = np.linalg.lstsq(X, y, rcond=None)
         return beta, "ols"
-    kappa = 1e-2 * np.trace(X.T @ X) / max(m, 1)
-    beta = np.linalg.solve(X.T @ X + max(kappa, 1e-12) * np.eye(m), X.T @ y)
+    G = X.T @ X
+    kappa = 1e-2 * np.trace(G) / max(m, 1)
+    beta = np.linalg.solve(G + max(kappa, 1e-12) * np.eye(m), X.T @ y)
     return beta, "ridge"
 
 
@@ -125,23 +126,30 @@ def _adaptive_weights(init: np.ndarray, exponent: float) -> np.ndarray:
     return out
 
 
-def _weights(X: np.ndarray, y: np.ndarray, nz: int, cfg: PenaltyConfig
-             ) -> Tuple[np.ndarray, str]:
-    """Adaptive weights of [levels, w] from the configured initializer."""
-    init, tag = _initial_estimates(X, y, cfg.initializer)
-    return np.concatenate([_adaptive_weights(init[:nz], cfg.k_levels),
-                           _adaptive_weights(init[nz:], cfg.k_w)]), tag
+@dataclass(frozen=True)
+class _Gram:
+    """What every penalty level shares on one design: the adaptive weights
+    of [levels, w], their initializer, G = X'X and c = X'y."""
+    weights: np.ndarray
+    tag: str
+    G: np.ndarray
+    c: np.ndarray
+
+
+def _gram(design: SingleEqDesign, cfg: PenaltyConfig) -> _Gram:
+    X, nz = np.hstack([design.levels, design.w]), design.levels.shape[1]
+    init, tag = _initial_estimates(X, design.response, cfg.initializer)
+    weights = np.concatenate([_adaptive_weights(init[:nz], cfg.k_levels),
+                              _adaptive_weights(init[nz:], cfg.k_w)])
+    return _Gram(weights, tag, X.T @ X, X.T @ design.response)
 
 
 def _l1_penalties(weights: np.ndarray, nz: int, cfg: PenaltyConfig
                   ) -> np.ndarray:
     """Per-coordinate L1 strength; +inf marks an excluded coordinate."""
-    lam = np.full(weights.shape, cfg.lam_w)
-    lam[:nz] = cfg.lam_levels
-    pen = np.full(weights.shape, np.inf)
-    fin = np.isfinite(weights)
-    pen[fin] = lam[fin] * weights[fin]
-    return pen
+    lam = np.where(np.arange(weights.size) < nz, cfg.lam_levels, cfg.lam_w)
+    with np.errstate(invalid="ignore"):   # 0 * inf
+        return np.where(np.isfinite(weights), lam * weights, np.inf)
 
 
 def kkt_residual(design: SingleEqDesign, cfg: PenaltyConfig,
@@ -154,11 +162,10 @@ def kkt_residual(design: SingleEqDesign, cfg: PenaltyConfig,
     max(1, ||2 X'y||_inf); excluded coordinates (infinite weight) never
     violate.  Zero means an exact minimizer.
     """
-    X = np.hstack([design.levels, design.w])
-    y = design.response
+    X, y = np.hstack([design.levels, design.w]), design.response
     nz = design.levels.shape[1]
     if weights_levels is None or weights_w is None:
-        weights, _ = _weights(X, y, nz, cfg)
+        weights = _gram(design, cfg).weights
     else:
         weights = np.concatenate([weights_levels, weights_w])
     theta = np.concatenate([delta, pi])
@@ -195,94 +202,145 @@ def _kkt(q: np.ndarray, c: np.ndarray, theta: np.ndarray, nz: int,
     return viol, scale
 
 
-def _newton_refine(G: np.ndarray, c: np.ndarray, theta: np.ndarray, nz: int,
-                   lam_g: float, pen: np.ndarray) -> np.ndarray:
-    """Newton refinement on the fixed support within its sign orthant.
+def _lasso_path(G: np.ndarray, c: np.ndarray, unit: np.ndarray,
+                lams: Sequence[float]) -> Tuple[list, int]:
+    """Minimizers of t'Gt - 2c't + lam sum_j unit_j |t_j| at each lam of
+    the descending ``lams``, by homotopy from t = 0 (Osborne, Presnell &
+    Turlach, 2000; Efron et al., 2004), and the number of events.
 
-    Works on the support's block of G = X'X and c = X'y; the objective is
-    the quadratic form t'Gt - 2c't plus the penalties (||y||^2 dropped).
+    Coordinates with infinite unit penalty or a zero Gram diagonal never
+    enter.  Between events t_S is linear in lam; an event adds the
+    coordinate whose correlation reaches its penalty or drops one whose
+    sign would change.  From a singular G[S, S] (or the event cap) on,
+    the solutions are None.
     """
-    S = np.flatnonzero(theta)
-    if not S.size:
-        return theta
-    kd = int(np.count_nonzero(S < nz))
-    th = theta[S]
-    signs = np.sign(th)
-    GS = G[np.ix_(S, S)]
-    cS = c[S]
-    lin = pen[S] * signs
-    group = kd and lam_g > 0
+    ok = np.isfinite(unit) & (np.diag(G) > 0)
+    S, sg, out, lam, events, added, dropped = [], [], [], np.inf, 0, -1, []
+    while len(out) < len(lams) and events <= 4 * c.size + 20:
+        alpha = beta = np.zeros(0)
+        if S:
+            GS = G[np.ix_(S, S)]
+            try:   # a Cholesky pivot test for singular G[S, S]
+                piv = np.diag(np.linalg.cholesky(GS))
+            except np.linalg.LinAlgError:
+                break
+            if np.min(piv) ** 2 <= 1e-12 * np.max(np.diag(GS)):
+                break
+            alpha, beta = np.linalg.solve(GS, np.column_stack(
+                [c[S], -0.5 * unit[S] * np.array(sg)])).T
+        a, b = c - G[:, S] @ alpha, -(G[:, S] @ beta)   # q = a + lam b
+        idle = ok.copy()
+        idle[S + dropped] = False
+        hit = np.full((2, c.size), -np.inf)   # join where 2q = +-lam unit
+        for row, sigma in zip(hit, (1.0, -1.0)):
+            r = unit - 2.0 * sigma * b
+            np.divide(2.0 * sigma * a, r, out=row, where=idle & (r > 0))
+        side, j = np.unravel_index(np.argmax(hit), hit.shape)
+        zero = np.full(len(S), -np.inf)   # drop where t_j reaches 0
+        np.divide(-alpha, beta, out=zero, where=(beta * np.array(sg) > 0)
+                  & (np.array(S) != added))
+        drop = np.max(zero, initial=-np.inf)
+        nxt = min(max(hit[side, j], drop, 0.0), lam)
+        while len(out) < len(lams) and lams[len(out)] >= nxt:
+            out.append(np.zeros(c.size))
+            out[-1][S] = alpha + lams[len(out) - 1] * beta
+        if hit[side, j] >= drop:
+            S.append(int(j))
+            sg.append(1.0 - 2.0 * side)
+            added, dropped = j, []
+        else:
+            k = int(np.argmax(zero))
+            sg.pop(k)
+            added, dropped = -1, [S.pop(k)]
+        lam, events = nxt, events + 1
+    return out + [None] * (len(lams) - len(out)), events
 
-    def value(t):
-        return float(t @ (GS @ t) - 2.0 * (cS @ t) + lin @ t
-                     + lam_g * np.linalg.norm(t[:kd]))
 
-    cur = value(th)
-    for _ in range(40):
-        grad = 2.0 * (GS @ th - cS) + lin
-        H = 2.0 * GS
-        if group:
-            d = th[:kd]
-            nrm = np.linalg.norm(d)
-            grad[:kd] += lam_g * d / nrm
-            H[:kd, :kd] += lam_g * (np.eye(kd) / nrm
-                                    - np.outer(d, d) / nrm ** 3)
-        if np.max(np.abs(grad)) < 1e-13 * max(1.0, 2.0 * np.max(np.abs(cS))):
-            break
+def _active_set(G: np.ndarray, c: np.ndarray, theta: np.ndarray, nz: int,
+                lam_g: float, pen: np.ndarray, scale: float):
+    """(theta, steps) by active-set Newton steps from a descent iterate.
+
+    Steps on G[S, S] (plus the group-norm Hessian when delta != 0) stop
+    at the first sign change and drop that coordinate; a stationary
+    support takes in its worst KKT violator until none exceeds 1e-9 *
+    ``scale``.  A zero delta stays zero.  None when delta would reach
+    zero, a solve fails or the step cap is hit.
+    """
+    th, on, sgn = theta.copy(), theta != 0, np.sign(theta)
+    group = lam_g > 0 and on[:nz].any()
+    frozen = (np.arange(th.size) < nz) & (lam_g > 0 and not group)
+    for steps in range(1, 2 * th.size + 20):
+        S = np.flatnonzero(on)
+        kd = int(np.count_nonzero(S < nz)) if group else 0
+        t, s, GS = th[S], sgn[S], G[np.ix_(S, S)]
+        grad, H = 2.0 * (GS @ t - c[S]) + pen[S] * s, 2.0 * GS
+        if kd:
+            nrm = np.linalg.norm(t[:kd])
+            if nrm == 0:
+                return None
+            grad[:kd] += lam_g * t[:kd] / nrm
+            H[:kd, :kd] += lam_g / nrm * (np.eye(kd) - np.outer(
+                t[:kd], t[:kd]) / nrm ** 2)
         try:
             step = np.linalg.solve(H, grad)
         except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(H, grad, rcond=None)
-        # halving from t = 1 first enters the orthant at 2^-k, the largest
-        # power of two below the distance to the nearest sign change
-        toward = step * signs > 0
-        limit = np.min(th[toward] / step[toward], initial=np.inf)
-        k0 = 0 if limit > 1.0 else int(np.floor(-np.log2(limit))) + 1
-        improved = False
-        for k in range(k0, 25):
-            cand = th - 0.5 ** k * step
-            if np.all(np.sign(cand) * signs > 0):
-                v = value(cand)
-                if v <= cur:
-                    th, cur, improved = cand, v, True
-                    break
-        if not improved:
-            break
-    out = theta.copy()
-    out[S] = th
-    return out
+            return None
+        flip = (t - step) * s < 0
+        if flip.any():
+            ratio = t[flip] / step[flip]
+            k = S[np.flatnonzero(flip)[np.argmin(ratio)]]
+            th[S] = t - np.min(ratio) * step
+            th[k], on[k], sgn[k] = 0.0, False, 0.0
+            if group and not th[:nz].any():
+                return None
+            continue
+        th[S] = t - step
+        if kd and np.max(np.abs(step)) > 1e-8 * np.max(np.abs(t)):
+            continue
+        q = c - G @ th
+        viol = np.where(on | frozen, -np.inf, np.abs(2.0 * q) - pen)
+        j = int(np.argmax(viol))
+        if viol[j] <= 1e-9 * scale:
+            return th, steps
+        on[j], sgn[j] = True, np.sign(q[j])
+    return None
 
 
 def sgl_solve(design: SingleEqDesign, cfg: PenaltyConfig,
-              start: Optional[Tuple[np.ndarray, np.ndarray]] = None
+              start: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+              gram: Optional[_Gram] = None
               ) -> Tuple[np.ndarray, np.ndarray, Dict[str, float]]:
     """Minimize the sparse-group-lasso objective over (delta, pi).
 
     Objective: ||y - Z delta - W pi||^2 + lam_group ||delta||_2
     + lam_levels sum_i w_i |delta_i| + lam_w sum_j w_j |pi_j|, with
-    adaptive weights from the configured initializer.  The solver works
-    in Gram form: G = X'X and c = X'y (X = [Z, W]) are formed once, and
-    q = c - G theta is updated with one column of G per coordinate change,
-    so a sweep costs O(p^2) whatever the row count.  Block coordinate
-    descent (coordinate steps on pi, proximal-gradient steps with an exact
-    group-zero test on delta) runs until the scale-free stationarity
-    violation reported in the diagnostics drops below ``cfg.tol``; a
-    Newton polish on the active set sharpens the finish.  ``start`` =
-    (delta, pi) warm-starts the descent (excluded coordinates are forced
-    to zero); by default it starts from zero.
+    adaptive weights from the configured initializer, in Gram form on
+    G = X'X and c = X'y (X = [Z, W]); ``gram`` reuses those of this
+    design across penalties.  With lam_group = 0 and one individual
+    penalty the problem is a weighted lasso, solved exactly by its
+    homotopy path.  Otherwise, or when the path meets a singular G[S, S],
+    block coordinate descent runs from ``start`` = (delta, pi) (zero by
+    default; excluded coordinates forced to zero), and after sweeps 1, 2
+    and every fifth an active-set Newton finish tries to complete it.
+    The result has a scale-free stationarity violation below
+    ``cfg.tol``; the diagnostics name the ``solver`` behind it ("path",
+    "active-set" or "cd") and count descent ``sweeps`` and path events
+    plus Newton ``steps``.
     """
-    Z, W, y = design.levels, design.w, design.response
-    nz = Z.shape[1]
-    X = np.hstack([Z, W])
-    weights, tag = _weights(X, y, nz, cfg)
-    pen = _l1_penalties(weights, nz, cfg)
+    y, nz = design.response, design.levels.shape[1]
+    gram = gram if gram is not None else _gram(design, cfg)
+    G, c = gram.G, gram.c
+    pen = _l1_penalties(gram.weights, nz, cfg)
     fin = np.isfinite(pen)
-    G = X.T @ X
-    c = X.T @ y
-    theta = np.zeros(X.shape[1])
+    theta = np.zeros(c.size)
     if start is not None:
         theta[:] = np.concatenate(start)
         theta[~fin] = 0.0
+    solver, steps = "cd", 0
+    if cfg.lam_group == 0 and (nz == 0 or cfg.lam_levels == cfg.lam_w):
+        (path,), steps = _lasso_path(G, c, gram.weights, [cfg.lam_w])
+        if path is not None:
+            theta, solver = path, "path"
     col_sq = np.diag(G)
     active_p = nz + np.flatnonzero(fin[nz:] & (col_sq[nz:] > 0))
     a = np.flatnonzero(fin[:nz])
@@ -302,6 +360,7 @@ def sgl_solve(design: SingleEqDesign, cfg: PenaltyConfig,
                 f"no convergence after {cfg.max_sweeps} sweeps; "
                 f"KKT residual {raw / scale:.3e}")
         sweeps += 1
+        solver = "cd"
         for j in active_p:
             old = theta[j]
             new = soft_threshold(q[j] + col_sq[j] * old,
@@ -328,17 +387,19 @@ def sgl_solve(design: SingleEqDesign, cfg: PenaltyConfig,
             theta[a] = new
         q, raw, scale = current_kkt()
         if sweeps % 5 == 0 or sweeps <= 2:
-            polished = _newton_refine(G, c, theta, nz, cfg.lam_group, pen)
-            q2 = c - G @ polished
-            raw2, _ = _kkt(q2, c, polished, nz, cfg.lam_group, pen)
-            if raw2 <= raw:
-                theta, q, raw = polished, q2, raw2
-    e = y - X @ theta
-    objective = float(e @ e) + cfg.lam_group * np.linalg.norm(theta[:nz]) \
-        + float(np.abs(theta[theta != 0]) @ pen[theta != 0])
+            done = _active_set(G, c, theta, nz, cfg.lam_group, pen, scale)
+            if done is not None:
+                steps += done[1]
+                q2 = c - G @ done[0]
+                raw2, _ = _kkt(q2, c, done[0], nz, cfg.lam_group, pen)
+                if raw2 <= raw:
+                    theta, q, raw, solver = done[0], q2, raw2, "active-set"
+    on = theta != 0
+    objective = float(y @ y - theta @ (c + q) + np.abs(theta[on]) @ pen[on]
+                      + cfg.lam_group * np.linalg.norm(theta[:nz]))
     diagnostics = {"kkt": raw / scale, "sweeps": float(sweeps),
-                   "objective": objective, "initializer": tag,
-                   "scale": scale}
+                   "steps": float(steps), "solver": solver, "scale": scale,
+                   "objective": objective, "initializer": gram.tag}
     return theta[:nz].copy(), theta[nz:].copy(), diagnostics
 
 
@@ -360,39 +421,38 @@ class _DesignParts:
     anchor: float
 
 
+def _fit_rows(T: int, t0: int, p: int, h: int) -> np.ndarray:
+    stop = T - 1 - h if h >= 1 else T - 2
+    if stop - t0 + 1 < 10:
+        raise DataError(f"window of {T} rows is too short for p={p}, h={h}")
+    return np.arange(t0, stop + 1)
+
+
+def _w_block(x: np.ndarray, t_idx: np.ndarray, others, p: int) -> np.ndarray:
+    """Current values of the other series, then p lags of every series."""
+    return np.hstack([x[t_idx][:, others]]
+                     + [x[t_idx - j] for j in range(1, p + 1)])
+
+
 def _build_specs_parts(z: np.ndarray, names: Tuple[str, ...], ti: int,
-                       p: int, h: int, rows: np.ndarray) -> _DesignParts:
+                       p: int, h: int) -> _DesignParts:
     T, N = z.shape
     dz = _diff_matrix(z)
     others = [j for j in range(N) if j != ti]
-
-    def w_block(t_idx):
-        cols = [dz[t_idx][:, others]]
-        cols += [dz[t_idx - j] for j in range(1, p + 1)]
-        return np.hstack(cols)
-
+    rows = _fit_rows(T, p + 1, p, h)
     if h >= 1:
         resp = z[rows + h, ti] - z[rows, ti]
         anchor = z[T - 1, ti]
     else:
         resp = z[rows, ti] - z[rows - 1, ti]
         anchor = z[T - 2, ti]
-    levels = z[rows - 1]
-    w = w_block(rows)
     w_labels = tuple(f"d.{names[j]}" for j in others) + tuple(
         f"d.{names[j]}.l{k}" for k in range(1, p + 1) for j in range(N))
-    design = SingleEqDesign(names[ti], resp, levels, w, names, w_labels)
-    t_e = np.array([T - 1])
-    return _DesignParts(design, z[T - 2], w_block(t_e)[0], float(anchor))
-
-
-def _specs_rows(T: int, p: int, h: int) -> np.ndarray:
-    t0 = p + 1
-    stop = T - 1 - h if h >= 1 else T - 2
-    if stop - t0 + 1 < 10:
-        raise DataError(
-            f"window of {T} rows is too short for p={p}, h={h}")
-    return np.arange(t0, stop + 1)
+    design = SingleEqDesign(names[ti], resp, z[rows - 1],
+                            _w_block(dz, rows, others, p), names, w_labels)
+    return _DesignParts(design, z[T - 2],
+                        _w_block(dz, np.array([T - 1]), others, p)[0],
+                        float(anchor))
 
 
 def specs_fit(data, target, p: int = 3, h: int = 1,
@@ -408,22 +468,15 @@ def specs_fit(data, target, p: int = 3, h: int = 1,
     """
     z, names, (ti,) = resolve_targets(data, [target])
     cfg = cfg or PenaltyConfig()
-    rows = _specs_rows(z.shape[0], p, h)
-    parts = _build_specs_parts(z, names, ti, p, h, rows)
-    lam = _tune_triple(parts.design, lambda_grids, cfg, folds,
-                       group_block=True)
-    return _finish_fit(parts, replace(cfg, lam_group=lam[0],
-                                      lam_levels=lam[1], lam_w=lam[2]),
-                       method="specs", h=h, orders=None)
+    parts = _build_specs_parts(z, names, ti, p, h)
+    return _fit(parts, lambda_grids, cfg, folds, "specs", h, orders=None)
 
 
 def _transform_columns(z: np.ndarray, orders: Sequence[int]) -> np.ndarray:
-    x = np.full_like(z, np.nan)
+    x = z.astype(float)
     for j, d in enumerate(orders):
-        col = z[:, j]
         for _ in range(int(d)):
-            col = np.concatenate([[np.nan], np.diff(col)])
-        x[:, j] = col
+            x[:, j] = _diff_matrix(x[:, j])
     return x
 
 
@@ -445,45 +498,22 @@ def _build_padl_parts(z: np.ndarray, names: Tuple[str, ...], ti: int,
     x = _transform_columns(z, orders)
     d_t = int(orders[ti])
     others = [j for j in range(N) if j != ti]
-    t0 = int(orders.max()) + p
-    t0 = max(t0, d_t + 1)
-    stop = T - 1 - h if h >= 1 else T - 2
-    if stop - t0 + 1 < 10:
-        raise DataError(f"window of {T} rows is too short for p={p}, h={h}")
-    rows = np.arange(t0, stop + 1)
-
-    def w_block(t_idx):
-        cols = [x[t_idx][:, others]]
-        cols += [x[t_idx - j] for j in range(1, p + 1)]
-        return np.hstack(cols)
-
+    rows = _fit_rows(T, max(int(orders.max()) + p, d_t + 1), p, h)
+    e = T - 1 if h >= 1 else T - 2   # last target row the fit may see
+    anchor = (0.0, z[e, ti], 2.0 * z[e, ti] - z[e - 1, ti])[d_t]
+    resp = x[rows, ti]
     if h >= 1:
-        if d_t == 0:
-            resp = z[rows + h, ti]
-            anchor = 0.0
-        elif d_t == 1:
-            resp = z[rows + h, ti] - z[rows, ti]
-            anchor = z[T - 1, ti]
-        else:
-            resp = z[rows + h, ti] - z[rows, ti] - (z[rows, ti]
-                                                    - z[rows - 1, ti])
-            anchor = 2.0 * z[T - 1, ti] - z[T - 2, ti]
-    else:
-        resp = x[rows, ti]
-        if d_t == 0:
-            anchor = 0.0
-        elif d_t == 1:
-            anchor = z[T - 2, ti]
-        else:
-            anchor = 2.0 * z[T - 2, ti] - z[T - 3, ti]
+        resp = z[rows + h, ti] - z[rows, ti] if d_t else z[rows + h, ti]
+        if d_t == 2:
+            resp = resp - (z[rows, ti] - z[rows - 1, ti])
     pre = tuple(f"t.{names[j]}" for j in others)
     lagged = tuple(f"t.{names[j]}.l{k}"
                    for k in range(1, p + 1) for j in range(N))
-    w = w_block(rows)
     design = SingleEqDesign(names[ti], resp, np.empty((rows.shape[0], 0)),
-                            w, (), pre + lagged)
-    t_e = np.array([T - 1])
-    return _DesignParts(design, np.empty(0), w_block(t_e)[0], float(anchor))
+                            _w_block(x, rows, others, p), (), pre + lagged)
+    return _DesignParts(design, np.empty(0),
+                        _w_block(x, np.array([T - 1]), others, p)[0],
+                        float(anchor))
 
 
 def padl_fit(data, target, orders, p: int = 3, h: int = 1,
@@ -502,11 +532,8 @@ def padl_fit(data, target, orders, p: int = 3, h: int = 1,
     cfg = cfg or PenaltyConfig()
     orders = _orders_array(orders, names)
     parts = _build_padl_parts(z, names, ti, orders, p, h)
-    lam = _tune_triple(parts.design, lambda_grid, cfg, folds,
-                       group_block=False)
-    return _finish_fit(parts, replace(cfg, lam_group=0.0, lam_levels=0.0,
-                                      lam_w=lam[2]),
-                       method="padl", h=h, orders=tuple(int(d) for d in orders))
+    return _fit(parts, lambda_grid, cfg, folds, "padl", h,
+                orders=tuple(int(d) for d in orders))
 
 
 # -- tuning ------------------------------------------------------------------
@@ -558,24 +585,61 @@ def _grid_from_scale(top: float, points: int = 4) -> np.ndarray:
     return np.geomspace(top * 1e-3, top, points)
 
 
+def _centered(design: SingleEqDesign, stop: Optional[int] = None):
+    """Rows [0, stop) of the design centred on their means, and the means."""
+    sl = slice(0, stop)
+    Z, W, y = design.levels[sl], design.w[sl], design.response[sl]
+    mz, mw, my = Z.mean(0), W.mean(0), float(y.mean())
+    return (SingleEqDesign(design.target, y - my, Z - mz, W - mw,
+                           design.level_labels, design.w_labels), mz, mw, my)
+
+
+def _path_candidates(gram: _Gram, nz: int, grid, cfg: PenaltyConfig) -> dict:
+    """Grid candidates settled exactly by two weighted-lasso paths.
+
+    One path covers lam_group = 0 with one individual penalty.  A zero
+    levels block leaves a weighted lasso on W whatever lam_group is, so a
+    path on W settles each lam_group > 0 candidate whose group passes the
+    exact zero test.  Every solution must pass the KKT check.
+    """
+    G, c, w = gram.G, gram.c, gram.weights
+    runs = [([l for l in grid if l[0] == 0 and (nz == 0 or l[1] == l[2])], w),
+            ([l for l in grid if l[0] > 0],
+             np.where(np.arange(w.size) < nz, np.inf, w))]
+    out = {}
+    for cands, unit in runs:
+        lams = sorted({l[2] for l in cands}, reverse=True)
+        path = dict(zip(lams, _lasso_path(G, c, unit, lams)[0]))
+        for lam in cands:
+            theta = path[lam[2]]
+            if theta is None:
+                continue
+            pen = _l1_penalties(w, nz, replace(cfg, lam_levels=lam[1],
+                                               lam_w=lam[2]))
+            q, a = c - G @ theta, np.isfinite(pen[:nz])
+            if lam[0] > 0 and np.linalg.norm(soft_threshold(
+                    2.0 * q[:nz][a], pen[:nz][a])) > lam[0]:
+                continue
+            raw, scale = _kkt(q, c, theta, nz, lam[0], pen)
+            if raw / scale <= cfg.tol:
+                out[lam] = (theta[:nz], theta[nz:])
+    return out
+
+
 def _tune_triple(design: SingleEqDesign, grids, cfg: PenaltyConfig,
-                 folds: int, group_block: bool) -> Tuple[float, float, float]:
-    """Pick (lam_group, lam_levels, lam_w) by expanding-window CV."""
+                 folds: int, group_block: bool, full: _Gram
+                 ) -> Tuple[float, float, float]:
+    """Pick (lam_group, lam_levels, lam_w) by expanding-window CV; the
+    default grid scales with ``full``, the whole centred design's Gram."""
     Z, W, y = design.levels, design.w, design.response
-    n = design.n_rows
+    nz = Z.shape[1]
     if grids is None:
-        yc = y - y.mean()
-        init, _ = _initial_estimates(
-            np.hstack([Z - Z.mean(0) if Z.size else Z,
-                       W - W.mean(0)]), yc, cfg.initializer)
-        nz = Z.shape[1]
-        wp = _adaptive_weights(init[nz:], cfg.k_w)
+        wp = full.weights[nz:]
         fin = np.isfinite(wp)
-        top_w = np.max(np.abs(2.0 * (W - W.mean(0)).T[fin] @ yc)
-                       / wp[fin], initial=0.0)
+        top_w = np.max(np.abs(2.0 * full.c[nz:][fin]) / wp[fin], initial=0.0)
         ind = _grid_from_scale(top_w)
         if group_block and nz:
-            top_g = float(np.linalg.norm(2.0 * (Z - Z.mean(0)).T @ yc))
+            top_g = float(np.linalg.norm(2.0 * full.c[:nz]))
             grp = np.concatenate([[0.0], _grid_from_scale(top_g)])
         else:
             grp = np.array([0.0])
@@ -588,42 +652,43 @@ def _tune_triple(design: SingleEqDesign, grids, cfg: PenaltyConfig,
         return grid[0]
 
     def builder(stop):
-        sl = slice(0, stop)
-        mz = Z[sl].mean(0) if Z.size else np.zeros(Z.shape[1])
-        mw = W[sl].mean(0)
-        my = y[sl].mean()
-        sub = SingleEqDesign(design.target, y[sl] - my,
-                             Z[sl] - mz, W[sl] - mw,
-                             design.level_labels, design.w_labels)
+        sub, mz, mw, my = _centered(design, stop)
+        gram = _gram(sub, cfg)
+        exact = _path_candidates(gram, nz, grid, cfg)
         # warm starts: this fold's solution at the same individual
         # penalties, else the previous candidate's
         solved, last = {}, None
 
         def scorer(lam, rows):
             nonlocal last
-            local = replace(cfg, lam_group=lam[0], lam_levels=lam[1],
-                            lam_w=lam[2])
-            delta, pi, _ = sgl_solve(sub, local,
-                                     start=solved.get(lam[1:], last))
+            if lam in exact:
+                delta, pi = exact[lam]
+            else:
+                local = replace(cfg, lam_group=lam[0], lam_levels=lam[1],
+                                lam_w=lam[2])
+                delta, pi, _ = sgl_solve(sub, local, gram=gram,
+                                         start=solved.get(lam[1:], last))
             solved[lam[1:]] = last = (delta, pi)
             pred = my + (Z[rows] - mz) @ delta + (W[rows] - mw) @ pi
             return (y[rows] - pred) ** 2
 
         return scorer
 
-    return tscv_tune(builder, grid, n_rows=n, folds=folds)
+    return tscv_tune(builder, grid, n_rows=design.n_rows, folds=folds)
 
 
-def _finish_fit(parts: _DesignParts, cfg: PenaltyConfig, method: str,
-                h: int, orders) -> "SingleEqFit":
+def _fit(parts: _DesignParts, grids, cfg: PenaltyConfig, folds: int,
+         method: str, h: int, orders) -> "SingleEqFit":
+    """Tune, then fit the centred design; one Gram serves both."""
     design = parts.design
-    Z, W, y = design.levels, design.w, design.response
-    mz = Z.mean(0) if Z.size else np.zeros(Z.shape[1])
-    mw = W.mean(0) if W.size else np.zeros(W.shape[1])
-    my = float(y.mean())
-    centered = SingleEqDesign(design.target, y - my, Z - mz, W - mw,
-                              design.level_labels, design.w_labels)
-    delta, pi, diag = sgl_solve(centered, cfg)
+    centered, mz, mw, my = _centered(design)
+    full = _gram(centered, cfg)
+    g, lv, lw = _tune_triple(design, grids, cfg, folds,
+                             group_block=method == "specs", full=full)
+    if method == "padl":
+        g = lv = 0.0
+    cfg = replace(cfg, lam_group=g, lam_levels=lv, lam_w=lw)
+    delta, pi, diag = sgl_solve(centered, cfg, gram=full)
     intercept = my - float(mz @ delta) - float(mw @ pi)
     fitted = intercept + float(parts.eval_levels @ delta) \
         + float(parts.eval_w @ pi)
@@ -655,14 +720,9 @@ class SingleEqFit:
     orders: Optional[Tuple[int, ...]] = None
 
     def nonzero(self) -> Dict[str, float]:
-        out = {}
-        for lab, val in zip(self.level_labels, self.delta):
-            if val != 0:
-                out[lab] = float(val)
-        for lab, val in zip(self.w_labels, self.pi):
-            if val != 0:
-                out[lab] = float(val)
-        return out
+        pairs = zip(self.level_labels + self.w_labels,
+                    np.concatenate([self.delta, self.pi]))
+        return {lab: float(val) for lab, val in pairs if val != 0}
 
     def to_dict(self) -> dict:
         return {

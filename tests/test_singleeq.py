@@ -6,6 +6,7 @@ stationarity solution, so the global minimizer can be found exhaustively.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hdcoint import (ParameterError, PenaltyConfig, SingleEqDesign,
                      factor_augment, from_values, kkt_residual, padl_fit,
                      random_vecm_params, sgl_solve, simulate_vecm, specs_fit,
                      tscv_tune)
+from hdcoint import singleeq
 
 
 def _design(rng, n=80, nz=1, nw=2, beta=None):
@@ -135,6 +137,18 @@ class TestSolver:
         assert np.array_equal(d0, d1) and np.array_equal(p0, p1)
         assert diag0["sweeps"] == diag1["sweeps"]
 
+    def test_solver_diagnostics(self, rng):
+        design = _design(rng, n=70, nz=2, nw=4)
+        _, _, diag = sgl_solve(design, PenaltyConfig(lam_levels=2.0,
+                                                     lam_w=2.0))
+        assert diag["solver"] == "path" and diag["sweeps"] == 0
+        assert diag["steps"] >= 1
+        _, _, diag = sgl_solve(design, PenaltyConfig(
+            lam_group=3.0, lam_levels=2.0, lam_w=2.0))
+        # the finish ends the descent with an exact solution
+        assert diag["solver"] == "active-set" and diag["kkt"] <= 1e-12
+        assert diag["sweeps"] >= 1
+
     def test_scaling_contract_at_fitted_values(self, rng):
         # rescaling a w column changes coefficients but, with adaptive
         # weights recomputed from the rescaled initializer, not the fit
@@ -150,6 +164,101 @@ class TestSolver:
         fit1 = design.levels @ d1 + design.w @ p1
         fit2 = scaled.levels @ d2 + scaled.w @ p2
         assert np.allclose(fit1, fit2, atol=1e-8)
+
+
+def _grid_path(design, cfg, lams):
+    """Path solutions at ``lams`` and the shared weights and Gram."""
+    gram = singleeq._gram(design, cfg)
+    return singleeq._lasso_path(gram.G, gram.c, gram.weights, lams)[0], gram
+
+
+def _descent(design, cfg, monkeypatch):
+    """Pure block coordinate descent: no path, no active-set finish."""
+    with monkeypatch.context() as m:
+        m.setattr(singleeq, "_lasso_path",
+                  lambda G, c, unit, lams: ([None] * len(lams), 0))
+        m.setattr(singleeq, "_active_set", lambda *args: None)
+        delta, pi, diag = sgl_solve(design, cfg)
+    assert diag["solver"] == "cd"
+    return np.concatenate([delta, pi])
+
+
+def _path_kkt(gram, nz, lam, theta):
+    pen = singleeq._l1_penalties(gram.weights, nz, PenaltyConfig(
+        lam_levels=lam, lam_w=lam))
+    raw, scale = singleeq._kkt(gram.c - gram.G @ theta, gram.c, theta, nz,
+                               0.0, pen)
+    return raw / scale
+
+
+class TestPath:
+    """The weighted-lasso homotopy against enumeration and descent."""
+
+    def _lams(self, design, cfg):
+        gram = singleeq._gram(design, cfg)
+        fin = np.isfinite(gram.weights)
+        top = np.max(np.abs(2.0 * gram.c[fin]) / gram.weights[fin])
+        return list(top * np.array([0.9, 0.3, 0.05, 0.003]))
+
+    def test_matches_brute_force_and_descent(self, rng, monkeypatch):
+        for _ in range(10):
+            beta = rng.normal(size=3) * rng.integers(0, 2, size=3)
+            design = _design(rng, n=60, nz=1, nw=2, beta=beta)
+            lams = self._lams(design, PenaltyConfig())
+            path, gram = _grid_path(design, PenaltyConfig(), lams)
+            for lam, theta in zip(lams, path):
+                cfg = PenaltyConfig(lam_levels=lam, lam_w=lam, tol=1e-13)
+                assert np.max(np.abs(theta - _brute_force(design, cfg))) < 1e-9
+                assert np.max(np.abs(
+                    theta - _descent(design, cfg, monkeypatch))) < 1e-9
+                assert _path_kkt(gram, 1, lam, theta) <= 1e-12
+
+    @pytest.mark.parametrize("n, nz, nw, initializer", [
+        (80, 2, 8, "ols"), (20, 4, 26, "ridge")])
+    def test_matches_descent(self, rng, monkeypatch, n, nz, nw, initializer):
+        design = _design(rng, n=n, nz=nz, nw=nw,
+                         beta=rng.normal(size=nz + nw)
+                         * (rng.uniform(size=nz + nw) < 0.3))
+        base = PenaltyConfig(initializer=initializer)
+        lams = self._lams(design, base)
+        path, gram = _grid_path(design, base, lams)
+        assert gram.tag == initializer
+        for lam, theta in zip(lams, path):
+            cfg = PenaltyConfig(lam_levels=lam, lam_w=lam, tol=1e-13,
+                                initializer=initializer, max_sweeps=200_000)
+            assert np.max(np.abs(theta - _descent(design, cfg, monkeypatch))
+                          ) < 1e-9
+            assert _path_kkt(gram, nz, lam, theta) <= 1e-12
+
+    def test_zero_column_never_enters(self, rng):
+        design = _design(rng, n=50, nz=2, nw=4)
+        W = design.w.copy()
+        W[:, 1] = 0.0
+        design = SingleEqDesign("y", design.response, design.levels, W,
+                                design.level_labels, design.w_labels)
+        lams = self._lams(design, PenaltyConfig()) + [0.0]
+        path, gram = _grid_path(design, PenaltyConfig(), lams)
+        for lam, theta in zip(lams, path):
+            assert theta[3] == 0.0
+            assert _path_kkt(gram, 2, lam, theta) <= 1e-12
+
+    def test_identical_columns_fall_back_without_raising(self, rng):
+        design = _design(rng, n=50, nz=1, nw=4)
+        W = design.w.copy()
+        W[:, 3] = W[:, 2]
+        design = SingleEqDesign("y", design.response, design.levels, W,
+                                design.level_labels, design.w_labels)
+        cfg = PenaltyConfig(initializer="ridge")
+        lams = self._lams(design, cfg) + [0.0]
+        path, gram = _grid_path(design, cfg, lams)
+        assert path[-1] is None   # lam = 0 needs both twins: singular
+        for lam, theta in zip(lams, path):
+            if theta is not None:
+                assert _path_kkt(gram, 1, lam, theta) <= 1e-12
+            local = replace(cfg, lam_levels=lam, lam_w=lam)
+            delta, pi, diag = sgl_solve(design, local)
+            assert diag["kkt"] <= 1e-6
+            assert kkt_residual(design, local, delta, pi) <= 1e-6
 
 
 class TestSpecs:
@@ -222,6 +331,31 @@ class TestSpecs:
         for key in ("target", "h", "lambda", "nonzero", "forecast"):
             assert key in doc
         assert isinstance(fit.to_json(), str)
+
+
+class TestHighDimensional:
+    def test_specs_converges_at_n20(self):
+        # N=20, T=120, p=3: CV folds of up to 103 rows by 99 columns, which
+        # coordinate descent alone could not finish within 10,000 sweeps
+        panel = simulate_vecm(random_vecm_params(20, 4, p=1, seed=2),
+                              T=120, seed=3)
+        fit = specs_fit(panel, "s01", p=3, h=1)
+        assert fit.diagnostics["kkt"] <= 1e-6
+        assert np.isfinite(fit.forecast)
+
+    def test_initializer_runs_once_per_fold(self, monkeypatch):
+        calls = []
+        real = singleeq._initial_estimates
+
+        def counted(X, y, tag):
+            calls.append(X.shape)
+            return real(X, y, tag)
+
+        monkeypatch.setattr(singleeq, "_initial_estimates", counted)
+        params = random_vecm_params(8, 2, p=1, seed=8)
+        specs_fit(simulate_vecm(params, T=121, seed=9), "s2", p=3, h=1)
+        # five folds plus the full sample shared by grid scale and final fit
+        assert len(calls) <= 6
 
 
 class TestPinnedSelection:

@@ -32,6 +32,7 @@ from .unitroot import (CriticalValueSet, _adf_tstat_batch,  # noqa: F401
 __all__ = [
     "AwbConfig",
     "UnionBootstrap",
+    "check_multiplier",
     "awb_draw",
     "residual_panel",
     "bootstrap_union_distribution",
@@ -39,6 +40,15 @@ __all__ = [
 ]
 
 _RHO_MODES = ("estimated", "unity")
+
+
+def check_multiplier(reps: int, gamma: float) -> None:
+    """Reject fewer than 199 multiplier replications or an AR coefficient
+    outside ``[0, 1)``, where the unit-variance recursion is undefined."""
+    if not 0.0 <= gamma < 1.0:
+        raise ParameterError(f"gamma must lie in [0, 1), got {gamma}")
+    if reps < 199:
+        raise ParameterError(f"need at least 199 replications, got {reps}")
 
 
 @dataclass(frozen=True)
@@ -69,10 +79,7 @@ class AwbConfig:
     max_lags: Optional[int] = None
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma < 1.0:
-            raise ParameterError(f"gamma must lie in [0, 1), got {self.gamma}")
-        if self.reps < 199:
-            raise ParameterError(f"need at least 199 replications, got {self.reps}")
+        check_multiplier(self.reps, self.gamma)
         if self.rho_mode not in _RHO_MODES:
             raise ParameterError(f"rho_mode must be one of {_RHO_MODES}")
         if not 0.0 < self.alpha < 1.0:

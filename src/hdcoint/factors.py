@@ -110,6 +110,20 @@ class FactorModel:
         return self.factors @ self.loadings.T
 
 
+def _principal_components(x: np.ndarray, paths: np.ndarray,
+                          k: int) -> FactorModel:
+    """Loadings sqrt(N) times the ``k`` leading eigenvectors of x'x/T, and
+    factor paths (1/N)·paths·Λ, with T the rows of ``paths``."""
+    T, N = paths.shape
+    vals, vecs = np.linalg.eigh(x.T @ x / T)
+    order = np.argsort(vals)[::-1][:k]
+    loadings = np.sqrt(N) * vecs[:, order]
+    factors = paths @ loadings / N
+    _fix_factor_signs(loadings, factors)
+    return FactorModel(loadings, factors, "differences", k, 0,
+                       eigenvalues=vals[order])
+
+
 def extract_factors_diff(data, k: int) -> FactorModel:
     """Loadings from differenced data, factor paths from detrended levels.
 
@@ -124,15 +138,7 @@ def extract_factors_diff(data, k: int) -> FactorModel:
         raise ParameterError(
             f"factor count {k} outside [0, min(N, T-2)] = [0, {min(N, T - 2)}]")
     zt = _slope_detrend(z)
-    dz = np.diff(zt, axis=0)
-    S = dz.T @ dz / T
-    vals, vecs = np.linalg.eigh(S)
-    order = np.argsort(vals)[::-1][:k]
-    loadings = np.sqrt(N) * vecs[:, order]
-    factors = zt @ loadings / N
-    _fix_factor_signs(loadings, factors)
-    return FactorModel(loadings, factors, "differences", k, 0,
-                       eigenvalues=vals[order])
+    return _principal_components(np.diff(zt, axis=0), zt, k)
 
 
 def extract_factors_levels(data, r_ns: int, r_s: int = 0) -> FactorModel:
@@ -169,14 +175,7 @@ def pca_factors(data, k: int, demean: bool = True) -> FactorModel:
     if not 0 <= k <= min(N, T - 1):
         raise ParameterError(f"factor count {k} outside [0, {min(N, T - 1)}]")
     xc = x - x.mean(axis=0) if demean else x
-    S = xc.T @ xc / T
-    vals, vecs = np.linalg.eigh(S)
-    order = np.argsort(vals)[::-1][:k]
-    loadings = np.sqrt(N) * vecs[:, order]
-    factors = xc @ loadings / N
-    _fix_factor_signs(loadings, factors)
-    return FactorModel(loadings, factors, "differences", k, 0,
-                       eigenvalues=vals[order])
+    return _principal_components(xc, xc, k)
 
 
 def _tail_variance(x: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bootstrap import _multiplier_matrix
+from .bootstrap import _multiplier_matrix, check_multiplier
 from .errors import DataError, ParameterError, ToolkitError
 from .factors import (extract_factors_diff, fecm_forecast, ndfm_forecast,
                       pca_factors, var_bic_forecast)
@@ -70,6 +70,7 @@ class HarnessConfig:
                 f"benchmark '{self.benchmark}' missing from methods")
         if not 0 < self.mcs_level < 1:
             raise ParameterError("mcs_level must lie in (0, 1)")
+        check_multiplier(self.boot_reps, self.gamma)
 
 
 def invert_differences(history: np.ndarray, path: np.ndarray,
@@ -402,6 +403,7 @@ def mcs(losses, alpha: float = 0.10, gamma: float = 0.85, reps: int = 999,
         raise ParameterError("one name per loss column is required")
     if not 0.0 < alpha < 1.0:
         raise ParameterError("alpha must lie strictly inside (0, 1)")
+    check_multiplier(reps, gamma)
     return _eliminate(L, _multiplier_matrix(reps, n, gamma, seed), alpha,
                       names)
 

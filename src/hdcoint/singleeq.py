@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._numeric import soft_threshold
+from ._numeric import soft_threshold, tscv_tune
 from .errors import ConvergenceError, DataError, ParameterError
 from .factors import extract_factors_diff
 from .panel import Panel, from_values, resolve_targets
@@ -537,47 +537,6 @@ def padl_fit(data, target, orders, p: int = 3, h: int = 1,
 
 
 # -- tuning ------------------------------------------------------------------
-
-
-def tscv_tune(builder: Callable, grid: Sequence, n_rows: int,
-              folds: int = 5, first: Optional[int] = None):
-    """Expanding-window cross-validation over a penalty grid.
-
-    ``builder(stop)`` must return a scorer ``f(candidate, rows) ->
-    squared errors`` trained on design rows [0, stop).  Validation blocks
-    partition [first, n_rows); every training segment strictly precedes
-    its validation block.  Mean pooled loss decides; ties go to the later
-    grid entry, so grids should ascend in penalty strength.
-    """
-    grid = list(grid)
-    if not grid:
-        raise ParameterError("empty tuning grid")
-    if len(grid) == 1:
-        return grid[0]
-    if folds < 2:
-        raise ParameterError("cross-validation needs at least two folds")
-    if first is None:
-        first = max(10, n_rows // 2)
-    first = min(max(first, 2), n_rows - 1)
-    edges = np.linspace(first, n_rows, folds + 1).astype(int)
-    losses = np.zeros(len(grid))
-    counts = 0
-    for f in range(folds):
-        lo, hi = int(edges[f]), int(edges[f + 1])
-        if hi <= lo:
-            continue
-        scorer = builder(lo)
-        rows = np.arange(lo, hi)
-        counts += rows.shape[0]
-        for g, cand in enumerate(grid):
-            losses[g] += float(np.sum(scorer(cand, rows)))
-    if counts == 0:
-        raise DataError("no validation rows available")
-    best, best_loss = 0, np.inf
-    for g, loss in enumerate(losses):
-        if loss <= best_loss:
-            best, best_loss = g, loss
-    return grid[best]
 
 
 def _grid_from_scale(top: float, points: int = 4) -> np.ndarray:

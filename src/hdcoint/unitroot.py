@@ -24,7 +24,8 @@ over batches of size one.
 Lag selection uses a modified AIC with a variance-rescaling step that
 standardizes increments by a rolling-window volatility estimate before
 the criterion is evaluated, which keeps the choice stable under
-permanent volatility shifts.
+permanent volatility shifts.  It reads the regression of every candidate
+lag off one Gram of the rescaled series, through :func:`_level_fit`.
 
 References
 ----------
@@ -131,8 +132,10 @@ def _grams(y: np.ndarray, lags: int):
         yield lo, hi, X @ X.transpose(0, 2, 1)
 
 
-def _level_fit(S: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Coefficient and t-statistic of the level from an augmented Gram.
+def _level_fit(S: np.ndarray, n: int
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficient, t-statistic and residual sum of squares of the level
+    from an augmented Gram.
 
     ``S`` has shape ``(B, k + 1, k + 1)`` and is the Gram matrix of
     ``[other regressors, level, response]`` over ``n`` rows.  With
@@ -160,7 +163,7 @@ def _level_fit(S: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
     if (np.any(rss <= _EXACT_FIT ** 2 * S[:, k, k]) or np.any(denom <= 0)
             or not np.all(np.isfinite(denom))):
         raise NumericalError("singular ADF regression (zero residual variance)")
-    return beta, beta / np.sqrt(denom)
+    return beta, beta / np.sqrt(denom), rss
 
 
 def _adf_fit_batch(y: np.ndarray, det: int,
@@ -183,7 +186,7 @@ def _adf_fit_batch(y: np.ndarray, det: int,
     rows = _rows(det, lags)
     beta, tstat = np.empty(y.shape[0]), np.empty(y.shape[0])
     for lo, hi, M in _grams(y, lags):
-        beta[lo:hi], tstat[lo:hi] = _level_fit(M[:, rows[:, None], rows], n)
+        beta[lo:hi], tstat[lo:hi] = _level_fit(M[:, rows[:, None], rows], n)[:2]
     return beta, tstat
 
 
@@ -317,7 +320,10 @@ def select_lags(series, spec: Union[str, DeterministicSpec] = DeterministicSpec.
     The series is OLS-detrended per ``spec``, increments are standardized
     by a rolling-window volatility estimate (window about ``sqrt(T)``),
     and the Ng-Perron modified AIC is minimized over ``0..max_lags`` on a
-    common estimation sample.  Ties break toward the smaller lag.
+    common estimation sample.  Every candidate regression (no
+    deterministics) is a sub-Gram of one :func:`_grams` matrix, solved by
+    :func:`_level_fit`, which also rejects the exact fits skipped here.
+    Ties break toward the smaller lag.
     """
     spec = DeterministicSpec.parse(spec)
     y = _trim_leading_nan(_as_batch(series))[0]
@@ -340,23 +346,18 @@ def select_lags(series, spec: Union[str, DeterministicSpec] = DeterministicSpec.
     if not np.any(np.abs(d) > 0) or not np.all(np.isfinite(d)):
         return 0
     z = _variance_rescale(y)
-    dz = np.diff(z)
-    s = max_lags + 1                   # common first usable level index
-    n = T - s
-    lhs = dz[s - 1:]
-    lag_level = z[s - 1:T - 1]
+    n = T - max_lags - 1               # common estimation sample
+    _, _, M = next(_grams(z[None], max_lags))   # one chunk: one series
     best = (np.inf, 0)
     for k in range(max_lags + 1):
-        cols = [lag_level]
-        for j in range(1, k + 1):
-            cols.append(dz[s - 1 - j:T - 1 - j])
-        X = np.column_stack(cols)
-        beta, *_ = np.linalg.lstsq(X, lhs, rcond=None)
-        resid = lhs - X @ beta
-        sigma2 = float(resid @ resid) / n
-        if sigma2 <= 0:
-            continue
-        tau = beta[0] ** 2 * float(lag_level @ lag_level) / sigma2
+        rows = _rows(0, k)
+        rows[-1] = 3 + max_lags        # the response row of the larger Gram
+        try:
+            beta, _, rss = _level_fit(M[:, rows[:, None], rows], n)
+        except NumericalError:
+            continue                   # zero residual variance
+        sigma2 = rss[0] / n
+        tau = beta[0] ** 2 * M[0, 2, 2] / sigma2
         maic = np.log(sigma2) + 2.0 * (tau + k) / n
         if maic < best[0] - 1e-12:
             best = (maic, k)

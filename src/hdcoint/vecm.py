@@ -8,9 +8,12 @@ rank.  A common iterated one-step forecaster maps any fitted model to
 level forecasts.
 
 The group-lasso columns of the QR estimator are solved exactly in the
-eigenbasis of their Gram matrix: one vectorised, safeguarded Newton
-solve of the secular equations covers every column and penalty of a
-fit, and cross-validation scores a penalty with one residual matmul.
+eigenbasis of their Gram matrix, restricted to its range when the Gram
+is rank-deficient, so no proximal-gradient fallback is needed: one
+vectorised, safeguarded Newton solve of the secular equations covers
+every column and penalty of a fit, and cross-validation scores a penalty
+with one residual matmul.  Johansen and QR fits share one short-run OLS
+given the long-run matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.linalg
 
-from ._numeric import soft_threshold
+from ._numeric import soft_threshold, tscv_tune
 from .errors import ConvergenceError, DataError, NumericalError, ParameterError
 from .panel import DeterministicSpec, as_values
 
@@ -83,6 +86,26 @@ def _partial_out(W: np.ndarray, *blocks: np.ndarray
         out.append(resid[:, start:start + b.shape[1]])
         start += b.shape[1]
     return coef, tuple(out)
+
+
+def _short_run(y0: np.ndarray, y1: np.ndarray, W: np.ndarray, pi: np.ndarray,
+               p: int, det: DeterministicSpec
+               ) -> Tuple[np.ndarray, Tuple[np.ndarray, ...], np.ndarray]:
+    """Intercept, short-run matrices and residual covariance given Π.
+
+    Regresses y0 - y1 Π' on W by least squares; ``pi`` has one column
+    per column of ``y1``, a restricted-trend column included.
+    """
+    N = y0.shape[1]
+    resid = y0 - y1 @ pi.T
+    c = np.empty((0, N))
+    if W.shape[1]:
+        c, *_ = np.linalg.lstsq(W, resid, rcond=None)
+        resid = resid - W @ c
+    off = 0 if det is DeterministicSpec.NONE else 1
+    mu = c[0] if off else np.zeros(N)
+    phi = tuple(c[off + j * N: off + (j + 1) * N].T for j in range(p))
+    return mu, phi, resid.T @ resid / y0.shape[0]
 
 
 def _fix_column_signs(V: np.ndarray) -> np.ndarray:
@@ -222,18 +245,7 @@ def johansen_ml(data, r: int, p: int = 1,
     if b_aug.shape[1] < r:
         raise NumericalError("eigenproblem is rank-deficient; reduce r")
     a = s01 @ b_aug
-    pi_aug = a @ b_aug.T
-    resid = y0 - y1 @ pi_aug.T
-    if W.shape[1]:
-        c, *_ = np.linalg.lstsq(W, resid, rcond=None)
-        resid = resid - W @ c
-        c = c.T
-    else:
-        c = np.empty((N, 0))
-    mu = c[:, 0] if det is not DeterministicSpec.NONE else np.zeros(N)
-    off = 1 if det is not DeterministicSpec.NONE else 0
-    phi = tuple(c[:, off + j * N: off + (j + 1) * N] for j in range(p))
-    sigma = resid.T @ resid / n
+    mu, phi, sigma = _short_run(y0, y1, W, a @ b_aug.T, p, det)
     sign, logdet = np.linalg.slogdet(s00)
     if sign <= 0:
         raise NumericalError("residual covariance is not positive definite")
@@ -406,23 +418,26 @@ def _group_lasso(X: np.ndarray, Y: np.ndarray, bases, kappa: np.ndarray
     of X, problems), zero-padded.  The coefficient vector is one group:
     either the zero condition 2||X_j'y|| <= kappa holds, or
     (X_j'X_j + mu I)b = X_j'y with mu = kappa/(2||b||), from one batched
-    secular solve over every problem and penalty.  kappa = 0 is least
-    squares, a rank-deficient Gram goes to proximal gradient, and a root
-    ||b|| below 1e-14 of the least-squares norm, where 2||X_j'y|| exceeds
-    kappa only by rounding, gives zero.
+    secular solve over every problem and penalty.  The solve runs in the
+    range of the Gram, the eigenvectors with d > 1e-12·max(d): X_j'y lies
+    there, and so does the unique minimizer of a rank-deficient problem.
+    kappa = 0 is least squares, and a root ||b|| below 1e-14 of the
+    least-squares norm, where 2||X_j'y|| exceeds kappa only by rounding,
+    gives zero.
     """
     P, m = kappa.shape[0], X.shape[1]
     D, CH = np.ones((P, m)), np.zeros((P, m))
     V = np.tile(np.eye(m), (P, 1, 1))
-    cnorm, upper, singular, sizes = (np.empty(P), np.empty(P),
-                                     np.empty(P, bool), [])
+    cnorm, upper, sizes = np.empty(P), np.empty(P), []
+    for j, (d, v, ch, cn) in enumerate(bases):
+        k = d.size
+        D[j, :k], CH[j, :k], V[j, :k, :k] = d, ch, v
+        null = d <= d.max() * 1e-12
+        if null.any():
+            D[j, :k][null], CH[j, :k][null] = 1.0, 0.0
+        cnorm[j], upper[j] = cn, np.linalg.norm(CH[j, :k] / D[j, :k])
+        sizes.append(k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for j, (d, v, ch, cn) in enumerate(bases):
-            k = d.size
-            D[j, :k], CH[j, :k], V[j, :k, :k] = d, ch, v
-            cnorm[j], upper[j] = cn, np.linalg.norm(ch / d)
-            singular[j] = d.min() <= d.max() * 1e-12
-            sizes.append(k)
         lower = upper * 1e-14
         floor_gap = np.linalg.norm(
             CH[:, None] / (D[:, None] + kappa[..., None]
@@ -430,8 +445,7 @@ def _group_lasso(X: np.ndarray, Y: np.ndarray, bases, kappa: np.ndarray
             - lower[:, None]
     nonzero = ~(2.0 * cnorm[:, None] <= kappa)
     lsq = nonzero & (kappa == 0.0)
-    fista = nonzero & ~lsq & singular[:, None]
-    root = nonzero & ~lsq & ~fista & (floor_gap > 0.0)
+    root = nonzero & ~lsq & (floor_gap > 0.0)
     out = np.zeros((kappa.shape[1], m, P))
     j, g = np.nonzero(root)
     if j.size:
@@ -441,9 +455,6 @@ def _group_lasso(X: np.ndarray, Y: np.ndarray, bases, kappa: np.ndarray
     for j, g in zip(*np.nonzero(lsq)):
         out[g, :sizes[j], j] = np.linalg.lstsq(X[:, :sizes[j]], Y[:, j],
                                                rcond=None)[0]
-    for j, g in zip(*np.nonzero(fista)):
-        out[g, :sizes[j], j] = _group_lasso_fista(X[:, :sizes[j]], Y[:, j],
-                                                  kappa[j, g])
     return out
 
 
@@ -453,25 +464,6 @@ def _group_lasso_single(X: np.ndarray, y: np.ndarray, kappa: float
     penalty of :func:`_group_lasso`."""
     basis = _group_basis(X, y, X.T @ X)
     return _group_lasso(X, y[:, None], [basis], np.array([[kappa]]))[0, :, 0]
-
-
-def _group_lasso_fista(X: np.ndarray, y: np.ndarray, kappa: float,
-                       max_iter: int = 20000) -> np.ndarray:
-    """Accelerated proximal gradient fallback for rank-deficient designs."""
-    L = 2.0 * np.linalg.norm(X, 2) ** 2
-    beta = np.zeros(X.shape[1])
-    zeta, t_acc = beta.copy(), 1.0
-    for _ in range(max_iter):
-        grad = 2.0 * X.T @ (X @ zeta - y)
-        v = zeta - grad / L
-        nv = np.linalg.norm(v)
-        new = np.zeros_like(v) if nv * L <= kappa else (1 - kappa / (L * nv)) * v
-        t_next = (1 + np.sqrt(1 + 4 * t_acc ** 2)) / 2
-        zeta = new + ((t_acc - 1) / t_next) * (new - beta)
-        if np.linalg.norm(new - beta) <= 1e-12 * max(1.0, np.linalg.norm(new)):
-            return new
-        beta, t_acc = new, t_next
-    raise ConvergenceError("group-lasso proximal iteration did not converge")
 
 
 @dataclass(frozen=True)
@@ -539,33 +531,25 @@ def _qr_long_run(Q: np.ndarray, piv: np.ndarray, R: np.ndarray):
 
 def _qr_assemble(s: _QrStage, p: int, R: np.ndarray, lam: float) -> VecmModel:
     """Rebuild (A, B, Phi) from a fitted R and re-estimate the short run."""
-    N = s.Q.shape[0]
     a, b = _qr_long_run(s.Q, s.piv, R)
-    resid = s.y0 - s.y1 @ (a @ b.T).T
-    n = s.y0.shape[0]
-    if s.W.shape[1]:
-        c, *_ = np.linalg.lstsq(s.W, resid, rcond=None)
-        resid = resid - s.W @ c
-        phi = tuple(c.T[:, j * N:(j + 1) * N] for j in range(p))
-    else:
-        phi = ()
-    sigma = resid.T @ resid / n
-    return VecmModel(a=a, b=b, phi=phi, mu=np.zeros(N), sigma=sigma,
+    mu, phi, sigma = _short_run(s.y0, s.y1, s.W, a @ b.T, p,
+                                DeterministicSpec.NONE)
+    return VecmModel(a=a, b=b, phi=phi, mu=mu, sigma=sigma,
                      rank=b.shape[1], p=p, det=DeterministicSpec.NONE,
                      t_last=s.t_last, estimator="qr_group_lasso",
                      info={"lambda": float(lam),
                            "pivot": [int(v) for v in s.piv]})
 
 
-def _one_step_sse(pi: np.ndarray, phi: np.ndarray, z: np.ndarray,
-                  start: int, stop: int) -> float:
-    """Sum of squared one-step difference-forecast errors over rows
-    start..stop-1 (0-based indices into z) of the model
+def _one_step_errors(pi: np.ndarray, phi: np.ndarray, z: np.ndarray,
+                     start: int, stop: int) -> np.ndarray:
+    """Squared one-step difference-forecast errors over rows start..stop-1
+    (0-based indices into z) of the model
     Δz_t = Πz_{t-1} + Σ_j Φ_jΔz_{t-j}, with ``phi`` = [Φ_1 … Φ_p]."""
     p = phi.shape[1] // z.shape[1]
     y0, y1, W, _ = _ec_design(z[start - p - 1:stop], p, DeterministicSpec.NONE)
     resid = y0 - y1 @ pi.T - W @ phi.T
-    return float(np.sum(resid * resid))
+    return resid * resid
 
 
 def default_lambda_grid(scale: float, n_points: int = 10,
@@ -584,13 +568,15 @@ def qr_vecm(data, p: int = 1, lambda_grid: Optional[Sequence[float]] = None,
     matrix is QR-factorized with column pivoting, and an adaptive group
     lasso shrinks whole columns of the triangular factor to zero; the
     count of surviving columns is the estimated rank.  The penalty level
-    is chosen by expanding-window cross-validation on one-step forecasts
-    (ties take the larger penalty): each fold forms its Gram eigenbases
-    once, solves the whole grid in one batched secular solve, takes the
-    short run of each penalty from the fold's partial-out coefficients
-    and scores it by the residuals of the held-out rows.  The final
-    short-run block is re-estimated by OLS.  Assumes de-meaned/de-trended
-    input.
+    is chosen by expanding-window cross-validation (:func:`tscv_tune`) on
+    one-step forecasts, with validation starting at
+    max(N(p+1) + p + 3, T/2) and ties taking the larger penalty; a window
+    too short for any fold takes the largest.  Each fold forms its Gram
+    eigenbases once, solves the whole grid in one batched secular solve,
+    takes the short run of each penalty from the fold's partial-out
+    coefficients and scores it by the residuals of the held-out rows.
+    The final short-run block is re-estimated by OLS.  Assumes
+    de-meaned/de-trended input.
     """
     z = as_values(data)
     T, N = z.shape
@@ -607,29 +593,23 @@ def qr_vecm(data, p: int = 1, lambda_grid: Optional[Sequence[float]] = None,
     if grid.size == 0:
         raise ParameterError("lambda grid is empty")
 
-    best_lam = grid[-1]
-    if grid.size > 1:
-        first = max(N * (p + 1) + p + 3, T // 2)
-        bounds = np.linspace(first, T, cv_folds + 1).astype(int)
-        losses = np.zeros(grid.size)
-        for f in range(cv_folds):
-            lo, hi = bounds[f], bounds[f + 1]
-            if hi <= lo:
-                continue
-            sub = z[:lo]
-            if N * (p + 1) >= sub.shape[0]:
-                continue
-            s = _qr_stage(sub, p)
-            c0, c1 = s.short_run[:, :N], s.short_run[:, N:]
-            for g, R in enumerate(_qr_group_path(s, grid)):
-                a, b = _qr_long_run(s.Q, s.piv, R)
-                pi = a @ b.T
-                # OLS of the partialled short run is linear in the response
-                losses[g] += _one_step_sse(pi, (c0 - c1 @ pi.T).T, z, lo, hi)
-        order = np.argsort(losses, kind="stable")
-        best = losses[order[0]]
-        best_lam = grid[max(g for g in range(grid.size) if losses[g] <= best)]
+    def builder(stop):
+        s = _qr_stage(z[:stop], p)
+        fits = dict(zip(grid, _qr_group_path(s, grid)))
+        c0, c1 = s.short_run[:, :N], s.short_run[:, N:]
 
+        def scorer(lam, rows):
+            a, b = _qr_long_run(s.Q, s.piv, fits[lam])
+            pi = a @ b.T
+            # OLS of the partialled short run is linear in the response
+            return _one_step_errors(pi, (c0 - c1 @ pi.T).T, z, rows[0],
+                                    rows[-1] + 1)
+
+        return scorer
+
+    first = max(N * (p + 1) + p + 3, T // 2)
+    best_lam = grid[-1] if first >= T else tscv_tune(
+        builder, grid, n_rows=T, folds=cv_folds, first=first)
     R = _qr_group_path(stage, np.array([best_lam]))[0]
     return _qr_assemble(stage, p, R, best_lam)
 

@@ -197,6 +197,28 @@ class TestPantula:
         assert sum(rpt.counts().values()) == 2
         assert "method=bsqt" in rpt.summary()
 
+    @pytest.mark.parametrize("method", ["bsqt", "iadf"])
+    def test_permuting_series_permutes_the_report(self, method):
+        rng = np.random.default_rng(17)
+        e = rng.standard_normal((160, 6))
+        z = np.column_stack([e[:, 0], e[:, 1].cumsum(),
+                             e[:, 2].cumsum().cumsum(), e[:, 3],
+                             e[:, 4].cumsum(), e[:, 5].cumsum()])
+        for j, lead in enumerate([0, 12, 0, 30, 5, 47]):
+            z[:lead, j] = np.nan
+        names = [f"s{j}" for j in range(6)]
+        perm = np.array([3, 2, 5, 4, 1, 0])
+        a = pantula_classify(from_values(z, names=names), method=method,
+                             cfg=_cfg(3))
+        b = pantula_classify(
+            from_values(z[:, perm], names=[names[i] for i in perm]),
+            method=method, cfg=_cfg(3))
+        assert np.array_equal(a.orders[perm], b.orders)
+        assert len(a.rounds) == len(b.rounds)
+        for ra, rb in zip(a.rounds, b.rounds):
+            assert ra.statistics == rb.statistics
+            assert set(ra.rejected) == set(rb.rejected)
+
     def test_determinism(self):
         rng = np.random.default_rng(13)
         panel = from_values(rng.standard_normal((150, 3)).cumsum(axis=0))

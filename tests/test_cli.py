@@ -285,6 +285,19 @@ class TestClassifyCommand:
         assert all(d in (0, 1, 2) for d in report.orders)
         assert "method=bsqt" in capsys.readouterr().out
 
+    def test_output_identical_across_threads(self, tmp_path, monkeypatch):
+        # --threads writes these variables; teardown restores them
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        path = _simulate(tmp_path, t_obs=90)
+        for n in ("1", "2"):
+            assert main(["classify", "--input", path, "--output",
+                         str(tmp_path / f"r{n}.json"), "--boot-reps", "199",
+                         "--seed", "4", "--threads", n]) == 0
+        assert (tmp_path / "r1.json").read_bytes() == \
+            (tmp_path / "r2.json").read_bytes()
+
     def test_naive_method_runs(self, tmp_path):
         path = _simulate(tmp_path, t_obs=90)
         out = tmp_path / "report.json"
@@ -353,6 +366,16 @@ class TestForecastCommand:
         assert (tmp_path / "a.csv").read_bytes() == \
             (tmp_path / "b.csv").read_bytes()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--boot-reps", "0"), ("--boot-reps", "-3"), ("--gamma", "1.5")])
+    def test_multiplier_settings_are_usage_errors(self, tmp_path, flag,
+                                                  value):
+        path = _simulate(tmp_path)
+        rc = main(["forecast", "--input", path, "--window", "60",
+                   "--methods", "ar", flag, value,
+                   "--output", str(tmp_path / "fc.json")])
+        assert rc == 1
+
     def test_window_too_small_is_usage_error(self, tmp_path):
         path = _simulate(tmp_path)
         rc = main(["forecast", "--input", path, "--window", "10",
@@ -403,6 +426,15 @@ class TestMcsCommand:
         assert doc["eliminated"] == ["bad"]
         assert doc["pvalues"]["good"] == 1.0
         assert doc["alpha"] == 0.10
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--boot-reps", "0"), ("--boot-reps", "-3"), ("--gamma", "1.5")])
+    def test_multiplier_settings_are_usage_errors(self, tmp_path, rng, flag,
+                                                  value):
+        path = self._loss_file(tmp_path, rng)
+        rc = main(["mcs", "--input", path, flag, value,
+                   "--output", str(tmp_path / "mcs.json")])
+        assert rc == 1
 
     def test_non_numeric_losses(self, tmp_path):
         path = _write_rows(tmp_path / "loss.csv",

@@ -86,6 +86,16 @@ class TestValidation:
         with pytest.raises(ParameterError):
             mcs(rng.standard_normal((60, 2)) ** 2, alpha=0.0, reps=199)
 
+    @pytest.mark.parametrize("reps, gamma", [(0, 0.85), (-3, 0.85),
+                                             (198, 0.85), (199, 1.5),
+                                             (199, -0.1)])
+    def test_multiplier_domain(self, rng, reps, gamma):
+        # the bounds AwbConfig enforces; 0 draws made every p-value 0
+        with pytest.raises(ParameterError):
+            mcs(rng.standard_normal((60, 2)) ** 2, reps=reps, gamma=gamma)
+        with pytest.raises(ParameterError):
+            HarnessConfig(boot_reps=reps, gamma=gamma)
+
 
 class TestCoverage:
     def test_equal_quality_streams_usually_both_retained(self):

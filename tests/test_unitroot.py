@@ -206,6 +206,18 @@ class TestLagSelection:
                  for _ in range(30)]
         assert np.mean(np.array(picks) == 0) > 0.5
 
+    @pytest.mark.parametrize("spec", ["trend", "mean", "none"])
+    def test_degenerate_inputs_give_a_lag(self, spec):
+        # exact fits: every candidate reads the same Gram, whose singular
+        # sub-Grams fall back to the pseudo-inverse instead of raising
+        t = np.arange(1.0, 301.0)
+        noise = 1e-9 * np.random.default_rng(0).standard_normal(300)
+        for y in (t, 2.5 * t + 1e6, np.full(300, 3.0),
+                  np.where(t > 150, 5.0, 1.0), 0.5 * t + noise):
+            lag = select_lags(y, spec)
+            assert isinstance(lag, int)
+            assert 0 <= lag <= default_max_lags(300)
+
     def test_ar_in_differences_prefers_positive(self, rng):
         picks = []
         for _ in range(30):

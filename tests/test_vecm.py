@@ -11,8 +11,8 @@ from hdcoint import (DataError, NumericalError, ParameterError, VecmParams,
                      johansen_ml, pml_vecm, qr_vecm, random_vecm_params,
                      select_lag_bic, select_rank_ic, simulate_vecm,
                      vecm_iterated_forecast)
-from hdcoint.vecm import (_group_basis, _group_lasso, _group_lasso_fista,
-                          _group_lasso_single, _one_step_sse)
+from hdcoint.vecm import (_group_basis, _group_lasso, _group_lasso_single,
+                          _one_step_errors)
 from tests.conftest import subspace_angle_deg
 
 
@@ -176,6 +176,12 @@ class TestQrVecm:
         fc = vecm_iterated_forecast(model, z, 3).ravel()
         assert np.allclose(fc, forecast, rtol=0.0, atol=1e-9)
 
+    def test_window_without_a_fold_takes_the_largest_penalty(self, rng):
+        # T = N(p+1) + p + 3: the first validation row is past the sample
+        z = np.cumsum(rng.standard_normal((12, 4)), axis=0)
+        model = qr_vecm(z, p=1, lambda_grid=[0.0, 0.5, 5.0])
+        assert model.info["lambda"] == 5.0
+
     def test_penalty_at_the_zero_threshold_gives_zero_column(self, rng):
         # kappa one ulp under 2||X'y||: the zero condition just fails, and
         # the secular root lies below the search bracket
@@ -231,14 +237,20 @@ class TestGroupLassoStep:
         want, *_ = np.linalg.lstsq(X, y, rcond=None)
         assert np.array_equal(_group_lasso_single(X, y, 0.0), want)
 
-    def test_rank_deficient_design_uses_proximal_gradient(self, rng):
-        base = rng.standard_normal((40, 2))
-        X = np.column_stack([base, base[:, 0]])
-        y = rng.standard_normal(40)
-        kappa = 0.3 * np.linalg.norm(X.T @ y)
-        b = _group_lasso_single(X, y, kappa)
-        assert np.array_equal(b, _group_lasso_fista(X, y, kappa))
-        assert _stationarity_gap(X, y, b, kappa) <= 1e-6
+    def test_rank_deficient_design_is_solved_in_the_range(self, rng):
+        # duplicated and linearly dependent columns: X'y and the unique
+        # minimizer lie in the row space of X, where the secular solve runs
+        for _ in range(20):
+            base = rng.standard_normal((40, 3))
+            X = np.column_stack([base, base[:, 0],
+                                 base[:, 1] - 2.0 * base[:, 2]])
+            y = rng.standard_normal(40)
+            null = np.linalg.svd(X)[2][3:]
+            top = 2.0 * np.linalg.norm(X.T @ y)
+            for frac in (1e-3, 0.3, 0.9):
+                b = _group_lasso_single(X, y, frac * top)
+                assert _stationarity_gap(X, y, b, frac * top) <= 1e-10
+                assert np.linalg.norm(null @ b) <= 1e-12 * np.linalg.norm(b)
 
     def test_batch_matches_single_problems(self, rng):
         # problem j regresses column j on the leading j + 1 columns, as in
@@ -275,7 +287,7 @@ class TestOneStepSse:
         _, z = _sim(4, 2, 160, 30 + p, p=p)
         model = johansen_ml(z[:120], r=r, p=p, det="none")
         phi = np.hstack(model.phi) if p else np.zeros((4, 0))
-        got = _one_step_sse(model.pi, phi, z, 120, 160)
+        got = float(np.sum(_one_step_errors(model.pi, phi, z, 120, 160)))
         want = self._loop(model, z, 120, 160)
         assert got == pytest.approx(want, rel=1e-12)
 

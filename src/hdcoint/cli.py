@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import re
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -35,19 +34,24 @@ _DATE_RE = re.compile(r"^\d{4}-(0[1-9]|1[0-2])-(0[1-9]|[12]\d|3[01])$")
 
 
 def _apply_threads(n: Optional[int]) -> None:
-    """Best-effort BLAS thread cap; the toolkit itself is single-threaded."""
+    """Cap the BLAS threads of this process; the toolkit itself is
+    single-threaded.
+
+    The cap needs ``threadpoolctl``: numpy has loaded BLAS by now, so
+    thread-count environment variables would change nothing in this
+    process.  Without it the command warns on stderr and runs as is.
+    """
     if n is None:
         return
     if n < 1:
         raise ParameterError("--threads must be a positive integer")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
     try:
         from threadpoolctl import threadpool_limits
-        threadpool_limits(limits=n)
     except ImportError:
-        pass
+        print("warning: --threads needs threadpoolctl, which is not "
+              "installed; BLAS keeps its thread count", file=sys.stderr)
+        return
+    threadpool_limits(limits=n)
 
 
 # -- ingestion ---------------------------------------------------------------

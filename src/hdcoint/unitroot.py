@@ -1,22 +1,25 @@
 """Augmented Dickey-Fuller and GLS-detrended unit-root statistics.
 
-Every Dickey-Fuller regression is read off one Gram matrix.  For each
-chunk of :data:`_CHUNK` (128) replications, :func:`_grams` builds the
-series-major design ``X`` with rows ``[1, t, y_{t-1}, dy_{t-1}, ...,
-dy_{t-p}, dy_t]`` and forms ``M = X X'`` once.  A regression is the
-sub-Gram ``S`` of ``[other regressors, level, response]``; with ``L``
-the Cholesky factor of ``S`` and ``k`` regressors, the level has
-coefficient ``L[k, k-1] / L[k-1, k-1]`` and t-statistic
-``L[k, k-1] sqrt(n - k) / L[k, k]`` (:func:`_level_fit`).  The ADF mean
-and trend regressions select rows of ``M``; the DF-GLS regressions are
-``A' M A``, where ``A`` (:func:`_gls_map`) subtracts the GLS
-deterministics per replication: ``b1`` from every difference and
+Every Dickey-Fuller regression is read off one Gram matrix per series.
+:func:`_grams` builds the series-major design ``X`` with rows ``[1, t,
+y_{t-1}, dy_{t-1}, ..., dy_{t-p}, dy_t]`` in blocks of about
+:data:`_BLOCK_BYTES` (1 MiB, so a block and its Gram stay in L2 cache)
+and writes each block's ``M = X X'`` into one ``(B, p + 4, p + 4)``
+array.  A regression is the sub-Gram ``S`` of ``[other regressors,
+level, response]``; with ``L`` the Cholesky factor of ``S`` and ``k``
+regressors, the level has coefficient ``L[k, k-1] / L[k-1, k-1]`` and
+t-statistic ``L[k, k-1] sqrt(n - k) / L[k, k]`` (:func:`_level_fit`).
+Every caller fits its whole batch at once.  :func:`four_stats` factors
+``M`` once with the lags first and reads the ADF trend, ADF mean and
+DF-GLS mean regressions off that one factor; the DF-GLS trend
+regression is ``A' M A``, where ``A`` (:func:`_gls_map`) subtracts the
+GLS deterministics per replication: ``b1`` from every difference and
 ``(b0 - b1) + b1 t`` from the level, which sits one period behind the
-trend column.  Chunking bounds the design at ``128 (p + 4) n`` values.
-A singular sub-Gram falls back to the pseudo-inverse, and a residual
-norm below :data:`_EXACT_FIT` of the response norm is an exact fit,
-reported as zero residual variance; so is a GLS-detrended series whose
-norm falls below :data:`_EXACT_FIT` of the input's.  Regressions with
+trend column.  A Gram that is not positive definite falls back to the
+pseudo-inverse, one regression at a time, and a residual norm below
+:data:`_EXACT_FIT` of the response norm is an exact fit, reported as
+zero residual variance; so is a GLS-detrended series whose norm falls
+below :data:`_EXACT_FIT` of the input's.  Regressions with
 deterministics shift each series to start at zero first, which leaves
 the statistics unchanged.  The scalar entry points are thin wrappers
 over batches of size one.
@@ -41,6 +44,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, NumericalError, ParameterError
 from .panel import DeterministicSpec
@@ -83,8 +87,8 @@ def _trim_leading_nan(y: np.ndarray) -> np.ndarray:
     return y[:, first:]
 
 
-#: replications per Gram chunk; bounds the (chunk, lags + 4, n) design
-_CHUNK = 128
+#: bytes of DF design per block: a block and its Gram stay in L2 cache
+_BLOCK_BYTES = 1 << 20
 
 #: relative residual norm below which a DF regression is an exact fit.
 #: Read off a Gram, the exact fit of a pure linear trend leaves rounding
@@ -109,27 +113,66 @@ def _rows(det: int, lags: int) -> np.ndarray:
     return np.array([0, 1][:det] + list(range(3, 3 + lags)) + [2, 3 + lags])
 
 
-def _grams(y: np.ndarray, lags: int):
-    """Augmented Gram matrices of the DF design, by replication chunk.
+def _grams(y: np.ndarray, lags: int) -> np.ndarray:
+    """Augmented Gram matrices ``M = X X'`` of the DF design, shape (B, m, m).
 
-    Yields ``(lo, hi, M)`` with ``M = X X'`` of shape ``(hi - lo, m, m)``
-    for the series-major design ``X`` whose ``m = lags + 4`` rows are
+    ``X`` is the series-major design whose ``m = lags + 4`` rows are
     ``[1, t, y_{t-1}, dy_{t-1}, ..., dy_{t-lags}, dy_t]`` over the
-    ``n = T - lags - 1`` usable periods, ``t`` counted from 1.
+    ``n = T - lags - 1`` usable periods, ``t`` counted from 1.  It is
+    built in blocks of about :data:`_BLOCK_BYTES`, one buffer reused, and
+    each block's Gram is written straight into ``M``.
     """
     B, T = y.shape
-    s = lags + 1                       # first usable level index
-    dy = np.diff(y, axis=1)
-    for lo in range(0, B, _CHUNK):
-        hi = min(lo + _CHUNK, B)
-        X = np.empty((hi - lo, lags + 4, T - s))
-        X[:, 0] = 1.0
-        X[:, 1] = np.arange(s + 1.0, T + 1.0)
-        X[:, 2] = y[lo:hi, s - 1:T - 1]
-        for j in range(1, lags + 1):
-            X[:, 2 + j] = dy[lo:hi, s - 1 - j:T - 1 - j]
-        X[:, 3 + lags] = dy[lo:hi, s - 1:]
-        yield lo, hi, X @ X.transpose(0, 2, 1)
+    m, n = lags + 4, T - lags - 1
+    M = np.empty((B, m, m))
+    step = max(1, _BLOCK_BYTES // (8 * m * n))
+    X = np.empty((min(step, B), m, n))
+    X[:, 0] = 1.0
+    X[:, 1] = np.arange(lags + 2.0, T + 1.0)
+    W = sliding_window_view(np.diff(y, axis=1), n, axis=1)  # dy from j
+    for lo in range(0, B, step):
+        hi = min(lo + step, B)
+        Xb = X[:hi - lo]
+        Xb[:, 2] = y[lo:hi, lags:T - 1]
+        Xb[:, 3:3 + lags] = W[lo:hi, :lags][:, ::-1]
+        Xb[:, 3 + lags] = W[lo:hi, lags]
+        np.matmul(Xb, Xb.transpose(0, 2, 1), out=M[lo:hi])
+    return M
+
+
+def _checked(beta: np.ndarray, rss: np.ndarray, denom: np.ndarray,
+             yy: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(beta, t, rss)`` of a level fit whose squared standard error is
+    ``denom``; rejects exact fits of a response whose sum of squares is
+    ``yy``."""
+    if (np.any(rss <= _EXACT_FIT ** 2 * yy) or np.any(denom <= 0)
+            or not np.all(np.isfinite(denom))):
+        raise NumericalError("singular ADF regression (zero residual variance)")
+    return beta, beta / np.sqrt(denom), rss
+
+
+def _factor_fit(L: np.ndarray, yy: np.ndarray, dof: int
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Level fit from the Cholesky factor ``L`` of ``[regressors, level,
+    response]``: ``beta = L[k, k-1] / L[k-1, k-1]``, ``rss = L[k, k]^2``."""
+    k = L.shape[-1] - 1
+    beta = L[:, k, k - 1] / L[:, k - 1, k - 1]
+    rss = L[:, k, k] ** 2
+    denom = (L[:, k, k] / L[:, k - 1, k - 1]) ** 2 / dof
+    return _checked(beta, rss, denom, yy)
+
+
+def _partial_fit(x: np.ndarray, r: np.ndarray, yy: np.ndarray, dof: int
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Level fit from the level row ``x`` and response row ``r`` of a
+    Cholesky factor, given in the columns of every variable the fit does
+    not partial out: ``a = x'x`` is the level's residual sum of squares,
+    ``beta = x'r / a`` and ``rss = r'r - beta x'r``."""
+    a = np.einsum("bi,bi->b", x, x)
+    xr = np.einsum("bi,bi->b", x, r)
+    beta = xr / a
+    rss = np.einsum("bi,bi->b", r, r) - beta * xr
+    return _checked(beta, rss, rss / (a * dof), yy)
 
 
 def _level_fit(S: np.ndarray, n: int
@@ -151,19 +194,13 @@ def _level_fit(S: np.ndarray, n: int
         raise DataError("no degrees of freedom left in the ADF regression")
     try:
         L = np.linalg.cholesky(S)
-        beta = L[:, k, k - 1] / L[:, k - 1, k - 1]
-        rss = L[:, k, k] ** 2
-        denom = (L[:, k, k] / L[:, k - 1, k - 1]) ** 2 / dof
     except np.linalg.LinAlgError:
         Gpinv = np.linalg.pinv(S[:, :k, :k])
         coef = np.einsum("bij,bj->bi", Gpinv, S[:, :k, k])
         rss = S[:, k, k] - np.einsum("bi,bi->b", coef, S[:, :k, k])
-        beta = coef[:, k - 1]
-        denom = rss / dof * Gpinv[:, k - 1, k - 1]
-    if (np.any(rss <= _EXACT_FIT ** 2 * S[:, k, k]) or np.any(denom <= 0)
-            or not np.all(np.isfinite(denom))):
-        raise NumericalError("singular ADF regression (zero residual variance)")
-    return beta, beta / np.sqrt(denom), rss
+        return _checked(coef[:, k - 1], rss,
+                        rss / dof * Gpinv[:, k - 1, k - 1], S[:, k, k])
+    return _factor_fit(L, S[:, k, k], dof)
 
 
 def _adf_fit_batch(y: np.ndarray, det: int,
@@ -184,10 +221,7 @@ def _adf_fit_batch(y: np.ndarray, det: int,
     if det:
         y = y - y[:, :1]        # shift-invariant; keeps the Gram well scaled
     rows = _rows(det, lags)
-    beta, tstat = np.empty(y.shape[0]), np.empty(y.shape[0])
-    for lo, hi, M in _grams(y, lags):
-        beta[lo:hi], tstat[lo:hi] = _level_fit(M[:, rows[:, None], rows], n)[:2]
-    return beta, tstat
+    return _level_fit(_grams(y, lags)[:, rows[:, None], rows], n)[:2]
 
 
 def _adf_tstat_batch(y: np.ndarray, det: int, lags: int) -> np.ndarray:
@@ -247,6 +281,12 @@ def _gls_map(beta: np.ndarray, lags: int) -> np.ndarray:
         A[:, 0, lags] = b1 - b0
         A[:, 1, lags] = -b1
     return A
+
+
+def _gls_tstat(M: np.ndarray, beta: np.ndarray, n: int) -> np.ndarray:
+    """DF-GLS t-statistics from Grams ``M`` and GLS coefficients ``beta``."""
+    A = _gls_map(beta, M.shape[-1] - 4)
+    return _level_fit(A.transpose(0, 2, 1) @ M @ A, n)[1]
 
 
 def adf_stat(series, spec: Union[str, DeterministicSpec] = DeterministicSpec.TREND,
@@ -347,7 +387,7 @@ def select_lags(series, spec: Union[str, DeterministicSpec] = DeterministicSpec.
         return 0
     z = _variance_rescale(y)
     n = T - max_lags - 1               # common estimation sample
-    _, _, M = next(_grams(z[None], max_lags))   # one chunk: one series
+    M = _grams(z[None], max_lags)
     best = (np.inf, 0)
     for k in range(max_lags + 1):
         rows = _rows(0, k)
@@ -412,14 +452,24 @@ def four_stats(series_or_batch, lags: int) -> np.ndarray:
     """All four component statistics, batched.
 
     Returns shape ``(B, 4)`` with columns ordered as :data:`VARIANTS`.
-    Each chunk of :data:`_CHUNK` (128) replications builds one Gram
-    matrix ``M`` (:func:`_grams`).  The ADF mean and trend regressions
-    are sub-Grams of ``M``, the mean one nested in the trend one; the
-    DF-GLS regressions are ``A' M A`` with the per-replication
-    :func:`_gls_map`, whose level column carries the one-period trend
-    offset ``-(b0 - b1) - b1 t``.  Each t-statistic is
-    ``L[k, k-1] sqrt(n - k) / L[k, k]`` from the Cholesky factor ``L``
-    (:func:`_level_fit`).  The series are first shifted to start at
+    One Cholesky factor ``L`` of each Gram ``M`` (:func:`_grams`), its
+    rows ordered ``[lags, 1, t, level, response]``, gives three of them:
+
+    * ADF trend: the whole factor (:func:`_factor_fit`);
+    * ADF mean: the trailing 4 x 4 block ``L4`` of ``L`` is the factor
+      of ``[1, t, level, response]`` with the lags partialled out.  Its
+      level and response rows without the constant's column condition
+      on the constant alone (:func:`_partial_fit`);
+    * DF-GLS mean: GLS demeaning by ``b0`` leaves the differences as
+      they are and maps the level to ``level - b0``, whose row of ``L4``
+      is the level row minus ``b0`` times the constant row.
+
+    DF-GLS trend is ``A' M A`` with the per-replication :func:`_gls_map`,
+    whose level column carries the one-period trend offset
+    ``-(b0 - b1) - b1 t``, fitted by :func:`_level_fit`.  If some
+    replication's ``M`` is not positive definite, the ADF and DF-GLS mean
+    statistics fall back to one :func:`_level_fit` per regression,
+    pseudo-inverse included.  The series are first shifted to start at
     zero, which leaves all four statistics unchanged and keeps the
     constant from dominating the level in the Gram.
     """
@@ -428,12 +478,24 @@ def four_stats(series_or_batch, lags: int) -> np.ndarray:
     n = _effective_sample(y.shape[1], 2, lags)
     gls_mean = _gls_coef_batch(y, DeterministicSpec.MEAN)[0]
     gls_trend = _gls_coef_batch(y, DeterministicSpec.TREND)[0]
-    mean_rows, trend_rows = _rows(1, lags), _rows(2, lags)
+    M = _grams(y, lags)
     out = np.empty((y.shape[0], 4))
-    for lo, hi, M in _grams(y, lags):
-        out[lo:hi, 0] = _level_fit(M[:, mean_rows[:, None], mean_rows], n)[1]
-        out[lo:hi, 1] = _level_fit(M[:, trend_rows[:, None], trend_rows], n)[1]
-        for col, beta in ((2, gls_mean), (3, gls_trend)):
-            A = _gls_map(beta[lo:hi], lags)
-            out[lo:hi, col] = _level_fit(A.transpose(0, 2, 1) @ M @ A, n)[1]
+    order = np.r_[3:3 + lags, 0, 1, 2, 3 + lags]
+    try:
+        L = np.linalg.cholesky(M[:, order[:, None], order])
+    except np.linalg.LinAlgError:
+        for col, det in ((0, 1), (1, 2)):
+            rows = _rows(det, lags)
+            out[:, col] = _level_fit(M[:, rows[:, None], rows], n)[1]
+        out[:, 2] = _gls_tstat(M, gls_mean, n)
+    else:
+        yy = M[:, 3 + lags, 3 + lags]
+        L4 = L[:, lags:, lags:]
+        out[:, 0] = _partial_fit(L4[:, 2, 1:], L4[:, 3, 1:], yy,
+                                 n - lags - 2)[1]
+        out[:, 1] = _factor_fit(L, yy, n - lags - 3)[1]
+        level = L4[:, 2].copy()
+        level[:, 0] -= gls_mean[:, 0] * L4[:, 0, 0]
+        out[:, 2] = _partial_fit(level, L4[:, 3], yy, n - lags - 1)[1]
+    out[:, 3] = _gls_tstat(M, gls_trend, n)
     return out

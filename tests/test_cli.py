@@ -2,6 +2,8 @@
 
 import csv
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -285,11 +287,7 @@ class TestClassifyCommand:
         assert all(d in (0, 1, 2) for d in report.orders)
         assert "method=bsqt" in capsys.readouterr().out
 
-    def test_output_identical_across_threads(self, tmp_path, monkeypatch):
-        # --threads writes these variables; teardown restores them
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
+    def test_output_identical_across_threads(self, tmp_path):
         path = _simulate(tmp_path, t_obs=90)
         for n in ("1", "2"):
             assert main(["classify", "--input", path, "--output",
@@ -297,6 +295,19 @@ class TestClassifyCommand:
                          "--seed", "4", "--threads", n]) == 0
         assert (tmp_path / "r1.json").read_bytes() == \
             (tmp_path / "r2.json").read_bytes()
+
+    def test_threads_leave_the_environment_alone(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # without threadpoolctl the flag warns once and changes nothing
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        path = _simulate(tmp_path, t_obs=60)
+        capsys.readouterr()
+        before = dict(os.environ)
+        assert main(["classify", "--input", path, "--output",
+                     str(tmp_path / "r.json"), "--methods", "naive",
+                     "--threads", "2"]) == 0
+        assert dict(os.environ) == before
+        assert capsys.readouterr().err.count("warning: --threads") == 1
 
     def test_naive_method_runs(self, tmp_path):
         path = _simulate(tmp_path, t_obs=90)

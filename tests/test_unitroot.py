@@ -9,7 +9,8 @@ import pytest
 
 from hdcoint import (CriticalValueSet, NumericalError, ParameterError, adf_stat,
                      dfgls_stat, four_stats, select_lags, union_stat)
-from hdcoint.unitroot import _CHUNK, adf_rho, default_max_lags
+from hdcoint import unitroot
+from hdcoint.unitroot import _BLOCK_BYTES, adf_rho, default_max_lags
 
 
 def oracle_adf(y, det, lags):
@@ -117,20 +118,57 @@ class TestGramKernel:
 
     T = 200
 
-    def _batch(self, rng, order):
-        # one more than a chunk, so the last chunk holds a single series
-        e = rng.standard_normal((_CHUNK + 1, self.T))
+    def _batch(self, rng, order, lags):
+        # one more series than a design block holds: the last block has one
+        B = _BLOCK_BYTES // (8 * (lags + 4) * (self.T - lags - 1)) + 1
+        e = rng.standard_normal((B, self.T))
         return np.cumsum(e, axis=1) if order == 1 else np.cumsum(
             np.cumsum(e, axis=1), axis=1)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_four_stats_match_lstsq(self, rng, order):
-        y = self._batch(rng, order)
         for lags in (0, 1, default_max_lags(self.T)):
+            y = self._batch(rng, order, lags)
             got = four_stats(y, lags)
             want = np.array([lstsq_four(row, lags) for row in y])
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10,
                                        err_msg=f"lags={lags}")
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_rows_do_not_depend_on_the_batch(self, rng, order):
+        for lags in (0, default_max_lags(self.T)):
+            y = self._batch(rng, order, lags)
+            got = four_stats(y, lags)
+            for i, row in enumerate(y):
+                np.testing.assert_allclose(got[i], four_stats(row, lags)[0],
+                                           rtol=0, atol=1e-12,
+                                           err_msg=f"lags={lags}, row {i}")
+
+    def test_singular_gram_falls_back_per_regression(self, rng, monkeypatch):
+        # the last series is zero up to its final two values, so the
+        # second lagged difference is a zero row of its Gram: the shared
+        # factorization fails and each regression takes the pseudo-inverse
+        lags = 2
+        y = self._batch(rng, 1, lags)[:5]
+        zeros = np.zeros(self.T)
+        zeros[-2:] = [1.5, -0.7]
+        calls = []
+        fit = unitroot._level_fit
+
+        def counted(S, n):
+            calls.append(S.shape)
+            return fit(S, n)
+
+        monkeypatch.setattr(unitroot, "_level_fit", counted)
+        got = four_stats(np.vstack([y, zeros]), lags)
+        assert len(calls) == 4                   # one per regression
+        assert np.all(np.isfinite(got[-1]))
+        want = np.array([lstsq_four(row, lags) for row in y])
+        np.testing.assert_allclose(got[:-1], want, rtol=0, atol=1e-10)
+        calls.clear()
+        np.testing.assert_allclose(four_stats(y, lags), got[:-1], rtol=0,
+                                   atol=1e-10)
+        assert len(calls) == 1                   # DF-GLS trend alone
 
     def test_adf_rho_and_no_deterministics(self, rng):
         for _ in range(10):
@@ -144,7 +182,7 @@ class TestGramKernel:
 
     @pytest.mark.parametrize("scale", [1e-6, 1e6])
     def test_four_stats_invariant_to_scale_and_shift(self, rng, scale):
-        y = self._batch(rng, 1)[:20]
+        y = self._batch(rng, 1, 0)[:20]
         for lags in (0, 3):
             base = four_stats(y, lags)
             np.testing.assert_allclose(four_stats(scale * y, lags), base,
@@ -217,6 +255,15 @@ class TestLagSelection:
             lag = select_lags(y, spec)
             assert isinstance(lag, int)
             assert 0 <= lag <= default_max_lags(300)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "MAIC defect: the tau term b0^2 sum(y_{t-1}^2) / sigma^2 is O(T) on "
+        "a stationary series and falls as lags absorb the mean reversion, "
+        "so the criterion picks 9-15 lags (median 12 of 15) here"))
+    def test_white_noise_levels_prefer_few_lags(self):
+        rng = np.random.default_rng(5)
+        picks = [select_lags(rng.standard_normal(300)) for _ in range(20)]
+        assert np.median(picks) <= 2
 
     def test_ar_in_differences_prefers_positive(self, rng):
         picks = []

@@ -7,13 +7,13 @@ and an elementwise-penalized maximum likelihood estimator for a fixed
 rank.  A common iterated one-step forecaster maps any fitted model to
 level forecasts.
 
-The group-lasso columns of the QR estimator are solved exactly in the
-eigenbasis of their Gram matrix, restricted to its range when the Gram
-is rank-deficient, so no proximal-gradient fallback is needed: one
-vectorised, safeguarded Newton solve of the secular equations covers
-every column and penalty of a fit, and cross-validation scores a penalty
-with one residual matmul.  Johansen and QR fits share one short-run OLS
-given the long-run matrix.
+The QR estimator's group-lasso columns are solved exactly in the range
+of their Gram eigenbasis: one vectorised, safeguarded Newton solve of
+the secular equations covers every fold, column and penalty of a fit,
+and each fold scores its whole penalty grid with one stacked residual
+product.  The PML estimator's B and short-run blocks each take one
+soft-threshold coordinate sweep per cycle, on plain floats.  Johansen
+and QR fits share one short-run OLS given the long-run matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.linalg
 
-from ._numeric import soft_threshold, tscv_tune
+from ._numeric import (expanding_folds, last_minimum, soft_threshold,
+                       soft_threshold_sweep)
 from .errors import ConvergenceError, DataError, NumericalError, ParameterError
 from .panel import DeterministicSpec, as_values
 
@@ -408,27 +409,24 @@ def _secular_roots(d: np.ndarray, ch: np.ndarray, kappa: np.ndarray
     raise ConvergenceError("group-lasso secular equation did not converge")
 
 
-def _group_lasso(X: np.ndarray, Y: np.ndarray, bases, kappa: np.ndarray
-                 ) -> np.ndarray:
-    """Exact minimizers of ||Y_j - X_j b||^2 + kappa·||b||_2.
+def _group_lasso(bases, kappa: np.ndarray) -> np.ndarray:
+    """Exact minimizers of ||y_j - X_j b||^2 + kappa·||b||_2.
 
-    Problem j regresses column j of ``Y`` on the leading columns X_j of
-    ``X`` that ``bases[j]`` (from :func:`_group_basis`) spans; ``kappa``
-    holds one row of penalties per problem.  Returns (penalties, columns
-    of X, problems), zero-padded.  The coefficient vector is one group:
-    either the zero condition 2||X_j'y|| <= kappa holds, or
-    (X_j'X_j + mu I)b = X_j'y with mu = kappa/(2||b||), from one batched
-    secular solve over every problem and penalty.  The solve runs in the
-    range of the Gram, the eigenvectors with d > 1e-12·max(d): X_j'y lies
-    there, and so does the unique minimizer of a rank-deficient problem.
-    kappa = 0 is least squares, and a root ||b|| below 1e-14 of the
-    least-squares norm, where 2||X_j'y|| exceeds kappa only by rounding,
-    gives zero.
+    Problem j is given by its Gram eigenbasis ``bases[j]`` (from
+    :func:`_group_basis`), ``kappa`` by one row of penalties per problem;
+    returns (penalties, columns, problems), zero-padded.  Either the zero
+    condition 2||X_j'y|| <= kappa holds, or (X_j'X_j + mu I)b = X_j'y with
+    mu = kappa/(2||b||), from one secular solve over every problem and
+    penalty, of however many fits.  It runs in the range of the Gram (the
+    eigenvectors with d > 1e-12·max(d)), where X_j'y and the unique
+    minimizer lie; kappa = 0 takes mu = 0, the minimum-norm least-squares
+    solution, and a root ||b|| below 1e-14 of that solution's norm, where
+    2||X_j'y|| exceeds kappa only by rounding, gives zero.
     """
-    P, m = kappa.shape[0], X.shape[1]
+    P, m = kappa.shape[0], max(basis[0].size for basis in bases)
     D, CH = np.ones((P, m)), np.zeros((P, m))
     V = np.tile(np.eye(m), (P, 1, 1))
-    cnorm, upper, sizes = np.empty(P), np.empty(P), []
+    cnorm, upper = np.empty(P), np.empty(P)
     for j, (d, v, ch, cn) in enumerate(bases):
         k = d.size
         D[j, :k], CH[j, :k], V[j, :k, :k] = d, ch, v
@@ -436,7 +434,6 @@ def _group_lasso(X: np.ndarray, Y: np.ndarray, bases, kappa: np.ndarray
         if null.any():
             D[j, :k][null], CH[j, :k][null] = 1.0, 0.0
         cnorm[j], upper[j] = cn, np.linalg.norm(CH[j, :k] / D[j, :k])
-        sizes.append(k)
     with np.errstate(divide="ignore", invalid="ignore"):
         lower = upper * 1e-14
         floor_gap = np.linalg.norm(
@@ -446,15 +443,13 @@ def _group_lasso(X: np.ndarray, Y: np.ndarray, bases, kappa: np.ndarray
     nonzero = ~(2.0 * cnorm[:, None] <= kappa)
     lsq = nonzero & (kappa == 0.0)
     root = nonzero & ~lsq & (floor_gap > 0.0)
+    mu = np.zeros(kappa.shape)
+    j = np.nonzero(root)[0]
+    mu[root] = _secular_roots(D[j], CH[j], kappa[root])
     out = np.zeros((kappa.shape[1], m, P))
-    j, g = np.nonzero(root)
-    if j.size:
-        mu = _secular_roots(D[j], CH[j], kappa[j, g])
-        out[g, :, j] = np.einsum("qik,qk->qi", V[j],
-                                 CH[j] / (D[j] + mu[:, None]))
-    for j, g in zip(*np.nonzero(lsq)):
-        out[g, :sizes[j], j] = np.linalg.lstsq(X[:, :sizes[j]], Y[:, j],
-                                               rcond=None)[0]
+    j, g = np.nonzero(root | lsq)
+    out[g, :, j] = np.einsum("qik,qk->qi", V[j],
+                             CH[j] / (D[j] + mu[j, g][:, None]))
     return out
 
 
@@ -463,7 +458,7 @@ def _group_lasso_single(X: np.ndarray, y: np.ndarray, kappa: float
     """Exact minimizer of ||y - Xb||^2 + kappa·||b||_2: one problem, one
     penalty of :func:`_group_lasso`."""
     basis = _group_basis(X, y, X.T @ X)
-    return _group_lasso(X, y[:, None], [basis], np.array([[kappa]]))[0, :, 0]
+    return _group_lasso([basis], np.array([[kappa]]))[0, :, 0]
 
 
 @dataclass(frozen=True)
@@ -483,8 +478,6 @@ class _QrStage:
     Q: np.ndarray
     piv: np.ndarray
     weights: np.ndarray
-    X: np.ndarray
-    targets: np.ndarray
     bases: list
 
 
@@ -506,32 +499,31 @@ def _qr_stage(z: np.ndarray, p: int) -> _QrStage:
     G = X.T @ X
     bases = [_group_basis(X[:, :j + 1], targets[:, j], G[:j + 1, :j + 1])
              for j in range(N)]
-    return _QrStage(y0, y1, W, t_last, short_run, Q, piv, weights, X,
-                    targets, bases)
+    return _QrStage(y0, y1, W, t_last, short_run, Q, piv, weights, bases)
 
 
-def _qr_group_path(s: _QrStage, grid: np.ndarray) -> np.ndarray:
-    """Fitted R matrices, one per penalty in ``grid``: (penalties, N, N).
+def _qr_paths(stages, grid: np.ndarray) -> np.ndarray:
+    """Fitted R matrices of every stage at every penalty in ``grid``,
+    (stages, penalties, N, N), from one :func:`_group_lasso` solve.
 
     Column j of R has support on rows 0..j and its own response series;
     zero weights encode an infinite penalty.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        kappa = np.where(grid > 0, grid / s.weights[:, None], 0.0)
-    return _group_lasso(s.X, s.targets, s.bases, kappa)
-
-
-def _qr_long_run(Q: np.ndarray, piv: np.ndarray, R: np.ndarray):
-    """Loadings and cointegrating vectors (A, B) of a fitted R."""
-    nonzero = np.flatnonzero(np.any(R != 0.0, axis=0))
-    a = np.zeros((Q.shape[0], nonzero.size))
-    a[piv[nonzero], np.arange(nonzero.size)] = 1.0
-    return a, Q @ R[:, nonzero]
+        kappa = np.concatenate([np.where(grid > 0, grid / s.weights[:, None],
+                                         0.0) for s in stages])
+    out = _group_lasso([b for s in stages for b in s.bases], kappa)
+    N = stages[0].weights.size
+    return out.reshape(grid.size, N, len(stages), N).transpose(2, 0, 1, 3)
 
 
 def _qr_assemble(s: _QrStage, p: int, R: np.ndarray, lam: float) -> VecmModel:
-    """Rebuild (A, B, Phi) from a fitted R and re-estimate the short run."""
-    a, b = _qr_long_run(s.Q, s.piv, R)
+    """(A, B) = (unit pivot columns, QR) over the nonzero columns of a
+    fitted R; the short run is re-estimated."""
+    nonzero = np.flatnonzero(np.any(R != 0.0, axis=0))
+    a = np.zeros((s.Q.shape[0], nonzero.size))
+    a[s.piv[nonzero], np.arange(nonzero.size)] = 1.0
+    b = s.Q @ R[:, nonzero]
     mu, phi, sigma = _short_run(s.y0, s.y1, s.W, a @ b.T, p,
                                 DeterministicSpec.NONE)
     return VecmModel(a=a, b=b, phi=phi, mu=mu, sigma=sigma,
@@ -545,10 +537,11 @@ def _one_step_errors(pi: np.ndarray, phi: np.ndarray, z: np.ndarray,
                      start: int, stop: int) -> np.ndarray:
     """Squared one-step difference-forecast errors over rows start..stop-1
     (0-based indices into z) of the model
-    Δz_t = Πz_{t-1} + Σ_j Φ_jΔz_{t-j}, with ``phi`` = [Φ_1 … Φ_p]."""
-    p = phi.shape[1] // z.shape[1]
+    Δz_t = Πz_{t-1} + Σ_j Φ_jΔz_{t-j}, with ``phi`` = [Φ_1 … Φ_p], or of
+    each model in a stack of them."""
+    p = phi.shape[-1] // z.shape[1]
     y0, y1, W, _ = _ec_design(z[start - p - 1:stop], p, DeterministicSpec.NONE)
-    resid = y0 - y1 @ pi.T - W @ phi.T
+    resid = y0 - y1 @ np.swapaxes(pi, -1, -2) - W @ np.swapaxes(phi, -1, -2)
     return resid * resid
 
 
@@ -568,15 +561,17 @@ def qr_vecm(data, p: int = 1, lambda_grid: Optional[Sequence[float]] = None,
     matrix is QR-factorized with column pivoting, and an adaptive group
     lasso shrinks whole columns of the triangular factor to zero; the
     count of surviving columns is the estimated rank.  The penalty level
-    is chosen by expanding-window cross-validation (:func:`tscv_tune`) on
-    one-step forecasts, with validation starting at
+    is chosen by expanding-window cross-validation on one-step forecasts
+    (the folds of :func:`expanding_folds`, the tie rule of
+    :func:`last_minimum`), with validation starting at
     max(N(p+1) + p + 3, T/2) and ties taking the larger penalty; a window
-    too short for any fold takes the largest.  Each fold forms its Gram
-    eigenbases once, solves the whole grid in one batched secular solve,
-    takes the short run of each penalty from the fold's partial-out
-    coefficients and scores it by the residuals of the held-out rows.
-    The final short-run block is re-estimated by OLS.  Assumes
-    de-meaned/de-trended input.
+    too short for any fold takes the largest.  Every fold's stage is
+    built first, and one batched secular solve gives R for every fold,
+    column and penalty, the full sample included.  Each fold then scores
+    the whole grid with one stacked residual product: Π of a penalty is
+    the pivot-permuted (QR)', and its short run is C0 - C1Π' from the
+    fold's partial-out coefficients.  The final short-run block is
+    re-estimated by OLS.  Assumes de-meaned/de-trended input.
     """
     z = as_values(data)
     T, N = z.shape
@@ -592,26 +587,22 @@ def qr_vecm(data, p: int = 1, lambda_grid: Optional[Sequence[float]] = None,
     grid = np.sort(np.asarray(list(lambda_grid), dtype=float))
     if grid.size == 0:
         raise ParameterError("lambda grid is empty")
-
-    def builder(stop):
-        s = _qr_stage(z[:stop], p)
-        fits = dict(zip(grid, _qr_group_path(s, grid)))
-        c0, c1 = s.short_run[:, :N], s.short_run[:, N:]
-
-        def scorer(lam, rows):
-            a, b = _qr_long_run(s.Q, s.piv, fits[lam])
-            pi = a @ b.T
-            # OLS of the partialled short run is linear in the response
-            return _one_step_errors(pi, (c0 - c1 @ pi.T).T, z, rows[0],
-                                    rows[-1] + 1)
-
-        return scorer
-
     first = max(N * (p + 1) + p + 3, T // 2)
-    best_lam = grid[-1] if first >= T else tscv_tune(
-        builder, grid, n_rows=T, folds=cv_folds, first=first)
-    R = _qr_group_path(stage, np.array([best_lam]))[0]
-    return _qr_assemble(stage, p, R, best_lam)
+    blocks = [] if grid.size == 1 or first >= T else \
+        expanding_folds(T, cv_folds, first)
+    stages = [_qr_stage(z[:lo], p) for lo, _ in blocks] + [stage]
+    fits = _qr_paths(stages, grid)
+    losses = np.zeros(grid.size)
+    for s, R, (lo, hi) in zip(stages, fits, blocks):
+        # Π = AB' puts (QR_j)' in row piv[j]; OLS of the partialled short
+        # run is linear in the response, so Φ' = C0 - C1Π'
+        pi = np.zeros_like(R)
+        pi[:, s.piv] = np.swapaxes(s.Q @ R, 1, 2)
+        phi = s.short_run[:, :N] - s.short_run[:, N:] @ np.swapaxes(pi, 1, 2)
+        err = _one_step_errors(pi, np.swapaxes(phi, 1, 2), z, lo, hi)
+        losses += err.reshape(grid.size, -1).sum(axis=1)
+    best = last_minimum(losses) if blocks else grid.size - 1
+    return _qr_assemble(stage, p, fits[-1][best], grid[best])
 
 
 # -- penalized maximum likelihood ---------------------------------------------
@@ -706,11 +697,15 @@ def pml_vecm(data, r: int, p: int = 1,
     """Penalized Gaussian likelihood VECM at a fixed cointegrating rank.
 
     Cycles exact or descent-guaranteed block updates: least squares for
-    A (the precision weighting cancels), elementwise soft-thresholding
-    for B and the short-run block, an exact inverse (or proximal descent
-    when the off-diagonal penalty binds) for the precision matrix.  The
-    objective must be non-increasing across cycles; an increase signals
-    a subproblem fault and raises ConvergenceError.
+    A (the precision weighting cancels), one soft-threshold coordinate
+    sweep each for B and the short-run block (gradients kept by rank-one
+    updates from Z1Z1' and DX DX', the residual rebuilt once per block),
+    an exact inverse (or proximal descent when the off-diagonal penalty
+    binds) for the precision matrix.  The objective must be
+    non-increasing across cycles; an increase signals a subproblem fault
+    and raises ConvergenceError.  ``info["converged"]`` is False when
+    ``max_cycles`` ran out first, as it often does with B penalized: A
+    grows while B shrinks along a scale ridge of the objective.
     """
     z = as_values(data)
     T, N = z.shape
@@ -727,10 +722,9 @@ def pml_vecm(data, r: int, p: int = 1,
     a, b, phi_mat, omega = _pml_init(z, r, p)
 
     E = Yd - a @ (b.T @ Z1) - (phi_mat @ DX if p else 0.0)
-    z_row_ss = np.einsum("it,it->i", Z1, Z1)
-    x_row_ss = np.einsum("it,it->i", DX, DX) if p else np.empty(0)
+    zz, xx = Z1 @ Z1.T, DX @ DX.T
     obj = _pml_objective(E, omega, b, phi_mat, lam, n)
-    history = [obj]
+    history, converged = [obj], False
 
     for _ in range(max_cycles):
         if r:
@@ -746,53 +740,38 @@ def pml_vecm(data, r: int, p: int = 1,
                     <= obj + 1e-12:
                 E = E + (a - a_new) @ M
                 a = a_new
-            # B block: coordinate soft-thresholds
+            # B block: b'[j, i] has curvature (A'ΩA)_jj (Z1Z1')_ii
             oa = omega @ a
-            q_col = np.einsum("ij,ij->j", a, oa)
-            for j in range(r):
-                if q_col[j] <= 0:
-                    continue
-                for i in range(N):
-                    q = q_col[j] * z_row_ss[i]
-                    if q <= 0:
-                        continue
-                    c = oa[:, j] @ E @ Z1[i] + b[i, j] * q
-                    new = soft_threshold(c, n * lam[0] / 2.0) / q
-                    if new != b[i, j]:
-                        E = E - (new - b[i, j]) * np.outer(a[:, j], Z1[i])
-                        b[i, j] = new
+            b_new = soft_threshold_sweep(b.T, oa.T @ E @ Z1.T, oa.T @ a, zz,
+                                         n * lam[0] / 2.0).T
+            E = E - a @ (b_new - b).T @ Z1
+            b = b_new
         if p:
-            # short-run block: coordinate soft-thresholds
-            for i in range(N):
-                oi = omega[i]
-                for k in range(p * N):
-                    q = omega[i, i] * x_row_ss[k]
-                    if q <= 0:
-                        continue
-                    c = oi @ E @ DX[k] + phi_mat[i, k] * q
-                    new = soft_threshold(c, n * lam[1] / 2.0) / q
-                    if new != phi_mat[i, k]:
-                        delta = new - phi_mat[i, k]
-                        E[i] = E[i] - delta * DX[k]
-                        phi_mat[i, k] = new
-        S = E @ E.T / n
+            # short-run block: Φ[i, k] has curvature Ω_ii (DX DX')_kk
+            phi_new = soft_threshold_sweep(phi_mat, omega @ E @ DX.T, omega,
+                                           xx, n * lam[1] / 2.0)
+            E = E - (phi_new - phi_mat) @ DX
+            phi_mat = phi_new
+        S, new_obj = E @ E.T / n, None
         if lam[2] == 0.0:
             try:
                 omega_new = np.linalg.inv(S)
             except np.linalg.LinAlgError:
                 raise NumericalError("residual covariance is singular")
-            if _pml_objective(E, omega_new, b, phi_mat, lam, n) <= obj + 1e-10:
-                omega = omega_new
+            trial = _pml_objective(E, omega_new, b, phi_mat, lam, n)
+            if trial <= obj + 1e-10:
+                omega, new_obj = omega_new, trial
         else:
             omega = _omega_prox_step(omega, S, lam[2])
-
-        new_obj = _pml_objective(E, omega, b, phi_mat, lam, n)
+        if new_obj is None:
+            new_obj = _pml_objective(E, omega, b, phi_mat, lam, n)
         if new_obj > history[-1] + 1e-10:
             raise ConvergenceError(
                 f"objective increased from {history[-1]:.12g} to "
                 f"{new_obj:.12g}; subproblem fault")
         history.append(new_obj)
         if abs(history[-2] - new_obj) < tol * max(1.0, abs(history[-2])):
+            converged = True
             break
 
     sigma = np.linalg.inv(omega)
@@ -805,5 +784,5 @@ def pml_vecm(data, r: int, p: int = 1,
                      p=p, det=DeterministicSpec.NONE, t_last=t_last,
                      estimator="pml", loglik=loglik,
                      info={"lambdas": list(lam), "objective": history[-1],
-                           "cycles": len(history) - 1,
+                           "cycles": len(history) - 1, "converged": converged,
                            "objective_path": history})

@@ -1,7 +1,8 @@
 """Numeric kernels shared by several modules of the package, one
-implementation each: the AR(1) recursion, the soft-threshold and its
-coordinate sweep, and the fold edges and tie rule of the expanding-window
-cross-validation of the SPECS/PADL and QR-VECM penalties.
+implementation each: the AR(1) recursion, the residual factors of every
+lag-by-BIC choice, the soft-threshold and its coordinate sweep, and the
+fold edges and tie rule of the expanding-window cross-validation of the
+SPECS/PADL and QR-VECM penalties.
 """
 
 from __future__ import annotations
@@ -25,6 +26,19 @@ def ar1_recursion(e: np.ndarray, rho) -> np.ndarray:
     for t in range(1, out.shape[0]):
         out[t] = rho * out[t - 1] + e[t]
     return out
+
+
+def nested_residual_factors(X: np.ndarray, Y: np.ndarray,
+                            widths: Sequence[int]) -> np.ndarray:
+    """Upper-triangular F, (..., len(widths), q, q), whose F'F is the
+    residual cross-product of Y (..., n >= q, q) on the first c columns of
+    X (..., n, m), for each c in ``widths``: with R the triangular factor
+    of [X, Y], it is R[c:, m:]' R[c:, m:] (X[:, :c] of full rank)."""
+    m = X.shape[-1]
+    R = np.linalg.qr(np.concatenate([X, Y], axis=-1), mode="r")[..., m:]
+    keep = np.arange(R.shape[-2]) >= np.asarray(widths)[:, None]
+    return np.linalg.qr(np.where(keep[..., None], R[..., None, :, :], 0.0),
+                        mode="r")
 
 
 def soft_threshold(x, thr):

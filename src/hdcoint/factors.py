@@ -6,7 +6,8 @@ factor paths by cross-sectional averaging.  The levels route reads factor
 paths directly off the dominant left singular vectors of the data matrix
 as supplied, with separate normalization rates for stochastic-trend and
 stationary factors.  The two forecasters combine either route with the
-reduced-rank VECM machinery.
+reduced-rank VECM machinery.  :func:`var_bic_forecast` is the one
+AR/VAR-by-BIC routine of the package, for one system or a stack of them.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ._numeric import nested_residual_factors
 from .errors import DataError, NumericalError, ParameterError
 from .panel import DeterministicSpec, as_values, resolve_targets
 from .vecm import (johansen_ml, select_lag_bic, select_rank_ic,
@@ -225,44 +227,45 @@ def count_factors(data, mode: str = "diff_ic", kmax: int = 8) -> int:
 def var_bic_forecast(x, h: int, p_max: int, p_min: int) -> np.ndarray:
     """Point forecasts 1..h from a VAR(p) with intercept, p chosen by BIC.
 
-    ``x`` is a (T, k) array or a single series; an AR is the k = 1 case
-    and a 1-D input gives a 1-D path.  The lag runs over
-    ``p_min..p_max`` on a common sample; ``p_max`` is capped so that each
-    equation keeps ``k + 1`` residual degrees of freedom.  The criterion
-    is ``n log det(Sigma + 1e-12 I) + log(n) k (k p + 1)``, and a
-    residual covariance that is still singular ends the search at that lag.
+    ``x`` is a (T, k) array, a single series (1-D path) or a (B, T, k)
+    stack of systems with a lag each ((B, h, k) paths); an AR is k = 1.
+    The lag runs over ``p_min..p_max`` on a common sample; ``p_max`` is
+    capped so that each equation keeps ``k + 1`` residual degrees of
+    freedom.  The criterion is ``n log det(Sigma + 1e-12 I) + log(n) k (k p
+    + 1)``, and a residual covariance that is still singular ends the
+    search at that lag.  One QR scores every lag
+    (:func:`nested_residual_factors`); least squares fits the chosen one.
     """
     v = np.asarray(x, dtype=float)
-    z = v.reshape(v.shape[0], -1)
-    T, k = z.shape
+    z = v if v.ndim == 3 else v.reshape(1, v.shape[0], -1)
+    B, T, k = z.shape
     p_max = max(p_min, min(p_max, (T - k - 2) // (k + 1)))
     n = T - p_max
     if n < k + 2:
         raise DataError("window too short for the autoregression")
-    lagged = np.hstack([np.ones((n, 1))] +
-                       [z[p_max - j:T - j] for j in range(1, p_max + 1)])
-    best = (np.inf, p_min, None)
-    for p in range(p_min, p_max + 1):
-        X = lagged[:, :1 + k * p]
-        beta, *_ = np.linalg.lstsq(X, z[p_max:], rcond=None)
-        E = z[p_max:] - X @ beta
-        sign, logdet = np.linalg.slogdet(E.T @ E / n + 1e-12 * np.eye(k))
-        bic = n * logdet + np.log(n) * k * (k * p + 1) if sign > 0 else -np.inf
-        if bic < best[0]:
-            best = (bic, p, beta)
-        if sign <= 0:
-            break
-    _, p, beta = best
-    if beta is None:
+    lagged = np.concatenate([np.ones((B, n, 1))] + [
+        z[:, p_max - j:T - j] for j in range(1, p_max + 1)], axis=2)
+    lags = np.arange(p_min, p_max + 1)
+    F = nested_residual_factors(lagged, z[:, p_max:], 1 + k * lags)
+    signs, logdets = np.linalg.slogdet(
+        np.swapaxes(F, -1, -2) @ F / n + 1e-12 * np.eye(k))
+    pen = np.log(n) * k * (k * lags + 1)
+    bic = np.where(signs > 0, n * logdets + pen, -np.inf)
+    # a singular covariance ends the search at its lag, which wins at -inf
+    bic[np.cumsum(signs <= 0, axis=1) > (signs <= 0)] = np.inf
+    if not (bic < np.inf).any(axis=1).all():
         raise DataError("autoregression could not be fitted")
-    hist = [z[-j] for j in range(1, p + 1)]
-    path = np.empty((h, k))
-    for s in range(h):
-        row = beta[0] + sum(hist[j - 1] @ beta[1 + (j - 1) * k: 1 + j * k]
-                            for j in range(1, p + 1))
-        path[s] = row
-        hist = [row] + hist[:-1]
-    return path if v.ndim > 1 else path[:, 0]
+    paths = np.empty((B, h, k))
+    for b, p in enumerate(np.argmin(bic, axis=1) + p_min):
+        beta, *_ = np.linalg.lstsq(lagged[b, :, :1 + k * p], z[b, p_max:],
+                                   rcond=None)
+        hist = [z[b, -j] for j in range(1, p + 1)]
+        for s in range(h):
+            row = beta[0] + sum(hist[j - 1] @ beta[1 + (j - 1) * k: 1 + j * k]
+                                for j in range(1, p + 1))
+            paths[b, s] = row
+            hist = [row] + hist[:-1]
+    return paths if v.ndim == 3 else paths[0].reshape(h, *v.shape[1:])
 
 
 def _factor_path(factors: np.ndarray, h: int, rank: Optional[int],
@@ -294,8 +297,9 @@ def ndfm_forecast(data, k: Optional[int] = None, rank: Optional[int] = None,
     Factors come from the differences route; their joint dynamics are a
     VECM fitted by reduced-rank ML (rank and lag by information criteria
     when not given), iterated one step at a time.  Per-series intercept
-    and trend are re-estimated by OLS holding the loadings fixed, and an
-    optional BIC-selected AR(≤3) carries the idiosyncratic remainder.
+    and trend are re-estimated by OLS holding the loadings fixed, and
+    optional BIC-selected AR(≤3)s, one stack of them, carry the
+    idiosyncratic remainders.
     ``h=0`` returns the fitted value at the last observation as a (1, N)
     row; ``h≥1`` returns the (h, N) forecast path.
     """
@@ -316,10 +320,8 @@ def ndfm_forecast(data, k: Optional[int] = None, rank: Optional[int] = None,
         upath = uhat[-1:] if idio_ar else np.zeros((1, N))
     else:
         fpath = _factor_path(fm.factors, h, rank, p)
-        upath = np.zeros((h, N))
-        if idio_ar:
-            for j in range(N):
-                upath[:, j] = var_bic_forecast(uhat[:, j], h, p_max=3, p_min=0)
+        upath = var_bic_forecast(uhat.T[:, :, None], h, 3, 0)[:, :, 0].T \
+            if idio_ar else np.zeros((h, N))
     det = np.outer(np.ones_like(steps), coef[0]) + np.outer(steps, coef[1])
     return det + fpath @ fm.loadings.T + upath
 
@@ -336,12 +338,16 @@ def fecm_forecast(data, targets: Optional[Sequence[Union[int, str]]] = None,
     unrestricted intercept and a trend restricted to the cointegrating
     space, while already-detrended inputs can pass ``det="none"``.  Rank
     and lag come from the information criteria when not given.  With
-    ``r_ns = r_s = 0`` this is a plain VECM on the targets.
+    ``r_ns = r_s = 0`` this is a plain VECM on the targets.  Factors of a
+    panel of targets only are combinations of them: :class:`DataError`.
     """
     z, _, idx = resolve_targets(data, targets)
     spec = DeterministicSpec.parse(det)
     blocks = [z[:, idx]]
     if r_ns + r_s > 0:
+        if np.unique(idx).size == z.shape[1]:
+            raise DataError("factors of an all-target panel would make "
+                            "the factor-augmented system singular")
         blocks.append(extract_factors_levels(z, r_ns, r_s).factors)
     x = np.hstack(blocks)
     p_x = select_lag_bic(x, p_max=3, det=spec) if p is None else p

@@ -75,11 +75,11 @@ class HarnessConfig:
 
 def invert_differences(history: np.ndarray, path: np.ndarray,
                        d: int) -> np.ndarray:
-    """Integrate forecasts of the d-th difference back to levels."""
+    """Integrate forecasts of the d-th difference back to levels (axis 0)."""
     out = np.asarray(path, dtype=float)
     for k in range(d, 0, -1):
-        base = np.diff(history, n=k - 1) if k > 1 else history
-        out = base[-1] + np.cumsum(out)
+        base = np.diff(history, n=k - 1, axis=0) if k > 1 else history
+        out = base[-1] + np.cumsum(out, axis=0)
     return out
 
 
@@ -98,22 +98,26 @@ def ar_benchmark(series, order: int = 1, p_max: int = 3, h: int = 1) -> float:
     """Level forecast from a BIC-selected autoregression.
 
     The series is differenced down to stationarity per ``order``, an
-    AR(p <= p_max) is fitted, iterated ``h`` steps and integrated back.
-    ``h = 0`` refits without the final observation and nowcasts it from
-    one step behind.
+    AR(p <= p_max) is fitted, iterated ``h`` steps and integrated back
+    (:func:`_ar_levels` on one column).  ``h = 0`` refits without the
+    final observation and nowcasts it from one step behind.
     """
     v = np.asarray(series, dtype=float).ravel()
     if h < 0:
         raise ParameterError("horizon must be nonnegative")
-    if h == 0:
-        v, steps = v[:-1], 1
-    else:
-        steps = h
-    x = np.diff(v, n=int(order)) if order else v
+    v = v[:-1] if h == 0 else v
+    return float(_ar_levels(v[:, None], order, p_max, max(h, 1))[-1, 0])
+
+
+def _ar_levels(v: np.ndarray, order: int, p_max: int,
+               steps: int) -> np.ndarray:
+    """Level paths 1..steps of each column of the (T, B) block ``v``, from
+    BIC-selected AR(p <= p_max)s of the ``order``-th differences, stacked."""
+    x = np.diff(v, n=int(order), axis=0) if order else v
     if x.shape[0] < 8:
         raise DataError("series too short for the autoregressive benchmark")
-    path = var_bic_forecast(x, steps, p_max, p_min=0)
-    return float(invert_differences(v, path, int(order))[-1])
+    path = var_bic_forecast(x.T[:, :, None], steps, p_max, p_min=0)
+    return invert_differences(v, path[:, :, 0].T, int(order))
 
 
 # -- per-window context ------------------------------------------------------
@@ -197,28 +201,28 @@ def _stationary_system(ctx: _Window, augment: bool) -> Dict[Tuple[int, int], flo
         fac = pca_factors(full / sd, ctx.cfg.factors).factors
         x = np.hstack([x[-rows:], fac[-rows:]])
     path = var_bic_forecast(x, _max_h(ctx), ctx.cfg.p_max, p_min=1)
-    out = {}
-    for pos, ti in enumerate(ctx.targets):
-        d = int(ctx.orders[ti])
-        lev = invert_differences(ctx.resid[:, ti], path[:, pos], d)
-        for h in ctx.horizons:
-            if h >= 1:
-                out[(ti, h)] = lev[h - 1] + ctx.deterministic(ti, h)
-    return out
+    return _at_horizons(ctx, [(ti, invert_differences(
+        ctx.resid[:, ti], path[:, pos], int(ctx.orders[ti])))
+        for pos, ti in enumerate(ctx.targets)])
+
+
+def _at_horizons(ctx: _Window, levels) -> Dict[Tuple[int, int], float]:
+    """Level forecasts {(target, h): value} for every h >= 1 from
+    (target, residual-level path) pairs."""
+    return {(ti, h): lev[h - 1] + ctx.deterministic(ti, h)
+            for ti, lev in levels for h in ctx.horizons if h >= 1}
 
 
 def _method_ar(ctx: _Window) -> Dict[Tuple[int, int], float]:
     out = {}
-    for ti in ctx.targets:
-        d = int(ctx.orders[ti])
-        for h in ctx.horizons:
-            if h == 0:
-                panel, det = ctx.now_parts(ti)
-                out[(ti, 0)] = det + ar_benchmark(panel[:, ti], d,
-                                                  ctx.cfg.p_max, 0)
-            else:
-                out[(ti, h)] = ctx.deterministic(ti, h) + ar_benchmark(
-                    ctx.resid[:, ti], d, ctx.cfg.p_max, h)
+    for d in np.unique(ctx.orders[ctx.targets]) if max(ctx.horizons) else ():
+        tis = ctx.targets[ctx.orders[ctx.targets] == d]
+        lev = _ar_levels(ctx.resid[:, tis], d, ctx.cfg.p_max, _max_h(ctx))
+        out.update(_at_horizons(ctx, zip(tis, lev.T)))
+    for ti in ctx.targets if 0 in ctx.horizons else ():
+        panel, det = ctx.now_parts(ti)
+        out[(ti, 0)] = det + ar_benchmark(panel[:, ti], int(ctx.orders[ti]),
+                                          ctx.cfg.p_max, 0)
     return out
 
 
@@ -232,13 +236,8 @@ def _method_favar(ctx: _Window) -> Dict[Tuple[int, int], float]:
 
 def _system_paths(ctx: _Window, path: np.ndarray,
                   positions: Sequence[int]) -> Dict[Tuple[int, int], float]:
-    out = {}
-    for pos, ti in zip(positions, ctx.targets):
-        lev = ctx.coint_invert(ti, path[:, pos])
-        for h in ctx.horizons:
-            if h >= 1:
-                out[(ti, h)] = lev[h - 1] + ctx.deterministic(ti, h)
-    return out
+    return _at_horizons(ctx, [(ti, ctx.coint_invert(ti, path[:, pos]))
+                              for pos, ti in zip(positions, ctx.targets)])
 
 
 def _method_ml(ctx: _Window) -> Dict[Tuple[int, int], float]:

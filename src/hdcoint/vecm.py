@@ -25,7 +25,8 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.linalg
 
-from ._numeric import (expanding_folds, last_minimum, soft_threshold,
+from ._numeric import (expanding_folds, last_minimum,
+                       nested_residual_factors, soft_threshold,
                        soft_threshold_sweep)
 from .errors import ConvergenceError, DataError, NumericalError, ParameterError
 from .panel import DeterministicSpec, as_values
@@ -293,32 +294,32 @@ def select_lag_bic(data, p_max: int = 3,
                    ) -> int:
     """Short-run lag order by multivariate BIC on the unrestricted system.
 
-    Candidates share the common sample implied by ``p_max``; ties go to
-    the smaller order.
+    Candidates share the ``p_max`` design's n rows, and their [y1, W] are
+    its leading columns, so one QR scores them all
+    (:func:`nested_residual_factors`).  A candidate is singular and skipped
+    when a pivot of its residual factor is at most ``n eps`` times the
+    norm of its response column.  Ties go to the smaller order; 0 when
+    every candidate is skipped.
     """
     det = DeterministicSpec.parse(det)
     z = as_values(data)
     T, N = z.shape
     if p_max < 0:
         raise ParameterError("p_max must be non-negative")
-    best_p, best = 0, np.inf
-    for p in range(p_max + 1):
-        y0, y1, W, _ = _ec_design(z, p, det)
-        trim = p_max - p
-        y0, y1, W = y0[trim:], y1[trim:], W[trim:]
-        X = np.column_stack([y1, W])
-        n = y0.shape[0]
-        if n <= X.shape[1] + 1:
-            break
-        coef, *_ = np.linalg.lstsq(X, y0, rcond=None)
-        resid = y0 - X @ coef
-        sign, logdet = np.linalg.slogdet(resid.T @ resid / n)
-        if sign <= 0:
-            continue
-        bic = logdet + np.log(n) * N * X.shape[1] / n
-        if bic < best:
-            best_p, best = p, bic
-    return best_p
+    n = T - p_max - 1
+    base = N + list(DeterministicSpec).index(det)  # none/mean/trend: +0/1/2
+    widths = [base + N * p for p in range(p_max + 1) if n > base + N * p + 1]
+    if not widths:
+        return 0
+    y0, y1, W, _ = _ec_design(z, p_max, det)
+    F = nested_residual_factors(np.column_stack([y1, W])[:, :widths[-1]],
+                                y0, widths)
+    piv = np.abs(np.diagonal(F, axis1=-2, axis2=-1))
+    ok = (piv > n * np.finfo(float).eps * np.linalg.norm(y0, axis=0)).all(1)
+    with np.errstate(divide="ignore"):
+        bic = 2 * np.log(piv).sum(axis=1) - N * np.log(n) \
+            + np.log(n) * N * np.array(widths) / n
+    return int(np.argmin(np.where(ok, bic, np.inf)))
 
 
 # -- iterated forecasting ----------------------------------------------------

@@ -15,6 +15,9 @@ replication multipliers run the same unit-variance AR(1) recursion.
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextlib
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -69,6 +72,9 @@ class AwbConfig:
         must be at least 5 for the quantile to be meaningful.
     max_lags : int, optional
         Cap for the per-series lag choice (default ``12 (T/100)^{1/4}``).
+    workers : int, optional
+        Threads fitting the :func:`four_stats` row blocks; default every
+        CPU the process may run on.  Any count gives the same bits.
     """
 
     gamma: float = 0.85
@@ -77,9 +83,13 @@ class AwbConfig:
     alpha: float = 0.05
     seed: int = 0
     max_lags: Optional[int] = None
+    workers: Optional[int] = None
 
     def __post_init__(self):
         check_multiplier(self.reps, self.gamma)
+        if self.workers is not None and self.workers < 1:
+            raise ParameterError(
+                f"workers must be a positive integer, got {self.workers}")
         if self.rho_mode not in _RHO_MODES:
             raise ParameterError(f"rho_mode must be one of {_RHO_MODES}")
         if not 0.0 < self.alpha < 1.0:
@@ -217,7 +227,8 @@ def bootstrap_union_distribution(panel: Panel, cfg: AwbConfig,
     both the observed and the replicated component statistics by those
     same values to produce union statistics.  Missing leading blocks are
     carried through: each bootstrap path starts at its series' first
-    observation.
+    observation.  With more than one of ``cfg.workers``, the replications
+    are fitted on a thread pool shut down when the round returns or raises.
     """
     if x >= 0:
         raise ParameterError("scaling constant x must be negative")
@@ -235,11 +246,15 @@ def bootstrap_union_distribution(panel: Panel, cfg: AwbConfig,
     xi = _multiplier_matrix(B, T, cfg.gamma, cfg.seed)
 
     boot_stats = np.empty((B, N, 4))
-    for j in range(N):
-        lead = panel.leads[j]
-        u = uhat.values[lead:, j]
-        z = np.cumsum(xi[:, lead:] * u[None, :], axis=1)
-        boot_stats[:, j] = four_stats(z, int(lags[j]))
+    workers = cfg.workers or (len(os.sched_getaffinity(0)) if hasattr(
+        os, "sched_getaffinity") else os.cpu_count() or 1)
+    with (concurrent.futures.ThreadPoolExecutor(workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        for j in range(N):
+            lead = panel.leads[j]
+            u = uhat.values[lead:, j]
+            z = np.cumsum(xi[:, lead:] * u[None, :], axis=1)
+            boot_stats[:, j] = four_stats(z, int(lags[j]), pool)
 
     crit = left_tail_quantile(boot_stats, cfg.alpha)       # (N, 4)
     critvals = []

@@ -3,7 +3,10 @@
 Commands: ``simulate``, ``classify``, ``forecast``, ``nowcast``, ``mcs``.
 Flags may come from an optional ``key=value`` config file; explicit flags
 override file entries.  Every command honors ``--seed`` and identical
-invocations produce identical output files.  Exit codes: 0 success,
+invocations produce identical output files.  ``--threads N`` sizes the
+thread pool that fits ``classify``'s bootstrap replications (default:
+every CPU the process may run on); the output has the same bytes for any
+``N``, and the other commands run on one thread.  Exit codes: 0 success,
 1 usage or configuration, 2 data, 3 numerical failure.
 """
 
@@ -31,27 +34,6 @@ __all__ = ["main", "ingest_csv"]
 
 _MONTH_RE = re.compile(r"^\d{4}-(0[1-9]|1[0-2])$")
 _DATE_RE = re.compile(r"^\d{4}-(0[1-9]|1[0-2])-(0[1-9]|[12]\d|3[01])$")
-
-
-def _apply_threads(n: Optional[int]) -> None:
-    """Cap the BLAS threads of this process; the toolkit itself is
-    single-threaded.
-
-    The cap needs ``threadpoolctl``: numpy has loaded BLAS by now, so
-    thread-count environment variables would change nothing in this
-    process.  Without it the command warns on stderr and runs as is.
-    """
-    if n is None:
-        return
-    if n < 1:
-        raise ParameterError("--threads must be a positive integer")
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        print("warning: --threads needs threadpoolctl, which is not "
-              "installed; BLAS keeps its thread count", file=sys.stderr)
-        return
-    threadpool_limits(limits=n)
 
 
 # -- ingestion ---------------------------------------------------------------
@@ -362,7 +344,7 @@ def cmd_classify(cfg: Dict[str, object]) -> None:
     awb = AwbConfig(gamma=float(cfg["gamma"]), reps=int(cfg["boot_reps"]),
                     alpha=float(cfg["alpha"]),
                     seed=derive_seed(int(cfg["seed"]), "classify"),
-                    max_lags=cfg.get("max_lags"))
+                    max_lags=cfg.get("max_lags"), workers=cfg.get("threads"))
     ccfg = ClassifyConfig(alpha=float(cfg["alpha"]), awb=awb,
                           bsqt=BsqtConfig(
                               quantiles=tuple(np.arange(0.0, 1.0, step)),
@@ -475,7 +457,6 @@ _DISPATCH = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _resolve(argv)
-        _apply_threads(cfg.get("threads"))
         _DISPATCH[str(cfg["command"])](cfg)
         return 0
     except ParameterError as exc:

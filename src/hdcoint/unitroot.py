@@ -9,9 +9,10 @@ array.  A regression is the sub-Gram ``S`` of ``[other regressors,
 level, response]``; with ``L`` the Cholesky factor of ``S`` and ``k``
 regressors, the level has coefficient ``L[k, k-1] / L[k-1, k-1]`` and
 t-statistic ``L[k, k-1] sqrt(n - k) / L[k, k]`` (:func:`_level_fit`).
-Every caller fits its whole batch at once.  :func:`four_stats` factors
-``M`` once with the lags first and reads the ADF trend, ADF mean and
-DF-GLS mean regressions off that one factor; the DF-GLS trend
+Every caller fits its whole batch at once; :func:`four_stats` does so
+in fixed row blocks, on worker threads when given a pool, and per block
+factors ``M`` once with the lags first and reads the ADF trend, ADF mean
+and DF-GLS mean regressions off that one factor; the DF-GLS trend
 regression is ``A' M A``, where ``A`` (:func:`_gls_map`) subtracts the
 GLS deterministics per replication: ``b1`` from every difference and
 ``(b0 - b1) + b1 t`` from the level, which sits one period behind the
@@ -40,6 +41,7 @@ unit root tests with good size and power. Econometrica 69, 1519-1554.
 
 from __future__ import annotations
 
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -89,6 +91,10 @@ def _trim_leading_nan(y: np.ndarray) -> np.ndarray:
 
 #: bytes of DF design per block: a block and its Gram stay in L2 cache
 _BLOCK_BYTES = 1 << 20
+
+#: rows per block of :func:`four_stats`: fixed, so the bits do not depend
+#: on the worker count, and smaller than a 999-replication batch
+_ROW_BLOCK = 256
 
 #: relative residual norm below which a DF regression is an exact fit.
 #: Read off a Gram, the exact fit of a pure linear trend leaves rounding
@@ -448,10 +454,26 @@ def union_stat(stats, critvals: CriticalValueSet, x: float = -1.0) -> float:
     return float(np.min(x / c * s))
 
 
-def four_stats(series_or_batch, lags: int) -> np.ndarray:
+def four_stats(series_or_batch, lags: int,
+               pool: Optional[Executor] = None) -> np.ndarray:
     """All four component statistics, batched.
 
     Returns shape ``(B, 4)`` with columns ordered as :data:`VARIANTS`.
+    Blocks of :data:`_ROW_BLOCK` rows (:func:`_four_stats_block`) run on
+    ``pool``'s threads, or on the calling thread without one; the bits are
+    the same for any number of workers, and so is the error raised.
+    """
+    y = _trim_leading_nan(_as_batch(series_or_batch))
+    n = _effective_sample(y.shape[1], 2, lags)
+    blocks = [y[lo:lo + _ROW_BLOCK] for lo in range(0, y.shape[0], _ROW_BLOCK)]
+    fits = (pool.map if pool is not None else map)(
+        lambda block: _four_stats_block(block, lags, n), blocks)
+    return np.concatenate(list(fits))
+
+
+def _four_stats_block(y: np.ndarray, lags: int, n: int) -> np.ndarray:
+    """The four statistics of one row block, shape ``(B, 4)``.
+
     One Cholesky factor ``L`` of each Gram ``M`` (:func:`_grams`), its
     rows ordered ``[lags, 1, t, level, response]``, gives three of them:
 
@@ -468,14 +490,13 @@ def four_stats(series_or_batch, lags: int) -> np.ndarray:
     whose level column carries the one-period trend offset
     ``-(b0 - b1) - b1 t``, fitted by :func:`_level_fit`.  If some
     replication's ``M`` is not positive definite, the ADF and DF-GLS mean
-    statistics fall back to one :func:`_level_fit` per regression,
-    pseudo-inverse included.  The series are first shifted to start at
-    zero, which leaves all four statistics unchanged and keeps the
-    constant from dominating the level in the Gram.
+    statistics of its block fall back to one :func:`_level_fit` per
+    regression, pseudo-inverse included.  The series are first shifted to
+    start at zero, which leaves all four statistics unchanged and keeps
+    the constant from dominating the level in the Gram.  Runs on worker
+    threads, so it calls no name that the benchmark's tracer wraps.
     """
-    y = _trim_leading_nan(_as_batch(series_or_batch))
     y = y - y[:, :1]
-    n = _effective_sample(y.shape[1], 2, lags)
     gls_mean = _gls_coef_batch(y, DeterministicSpec.MEAN)[0]
     gls_trend = _gls_coef_batch(y, DeterministicSpec.TREND)[0]
     M = _grams(y, lags)

@@ -5,13 +5,16 @@ a direct Monte Carlo of the same statistic is the slowest test here
 (a couple of seconds).
 """
 
+import os
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from hdcoint import (AwbConfig, DataError, ParameterError, awb_draw,
-                     bootstrap_union_distribution, from_values,
-                     left_tail_quantile, residual_panel)
+from hdcoint import (AwbConfig, DataError, NumericalError, ParameterError,
+                     awb_draw, bootstrap, bootstrap_union_distribution,
+                     from_values, left_tail_quantile, residual_panel)
 from hdcoint.panel import ols_detrend
 from hdcoint.unitroot import four_stats, select_lags
 
@@ -133,6 +136,42 @@ class TestUnionBootstrap:
     def test_reps_floor_enforced(self):
         with pytest.raises(ParameterError):
             AwbConfig(reps=99)
+
+    def test_workers_leave_the_bits_alone(self, monkeypatch):
+        # 599 replications are three row blocks of four_stats; the default
+        # count also works where the OS has no CPU affinity call
+        panel = _rw_panel(3, 150, 0)
+        threads = threading.active_count()
+        runs = [bootstrap_union_distribution(
+            panel, AwbConfig(reps=599, seed=9, workers=w)) for w in (1, 2, 3)]
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        runs.append(bootstrap_union_distribution(
+            panel, AwbConfig(reps=599, seed=9)))
+        for out in runs[1:]:
+            assert np.array_equal(out.boot_ur, runs[0].boot_ur)
+            assert np.array_equal(out.ur, runs[0].ur)
+        assert threading.active_count() == threads
+        with pytest.raises(ParameterError):
+            AwbConfig(workers=0)
+
+    def test_failing_round_shuts_its_pool_down(self, monkeypatch):
+        # unit multipliers on constant residuals: every replication is a
+        # pure trend, an exact fit that four_stats rejects
+        panel = _rw_panel(2, 150, 3)
+        monkeypatch.setattr(bootstrap, "_multiplier_matrix",
+                            lambda B, T, gamma, seed: np.ones((B, T)))
+        monkeypatch.setattr(bootstrap, "residual_panel",
+                            lambda panel, *a, **k: panel.with_values(
+                                np.ones_like(panel.values)))
+        threads = threading.active_count()
+        errors = []
+        for w in (1, 2):
+            with pytest.raises(NumericalError) as info:
+                bootstrap_union_distribution(
+                    panel, AwbConfig(reps=599, seed=1, workers=w))
+            errors.append((info.type, str(info.value)))
+            assert threading.active_count() == threads
+        assert errors[0] == errors[1]
 
     def test_degenerate_inputs(self, rng):
         short = from_values(rng.standard_normal((4, 1)).cumsum()[:, None])

@@ -3,10 +3,11 @@
 ``tests/golden/bootstrap_union.json`` holds the component statistics,
 lag choices, component critical values and union statistics of
 :func:`bootstrap_union_distribution` on :func:`golden_panel` with 199
-replications.  It is asserted to 1e-10, so a change to the unit-root
-kernels that moves any of them shows here.  Regenerate it only for a
-deliberate change of the statistics, with
-``PYTHONPATH=src python tests/test_bootstrap_golden.py``.
+replications, and ``bootstrap_union_999.json`` the same with 999, which
+``four_stats`` fits in more than one row block.  Both are asserted to
+1e-10, so a change to the unit-root kernels that moves any of them shows
+here.  Regenerate them only for a deliberate change of the statistics,
+with ``PYTHONPATH=src python tests/test_bootstrap_golden.py``.
 """
 
 import json
@@ -17,8 +18,10 @@ import numpy as np
 from hdcoint import AwbConfig, bootstrap_union_distribution, from_values
 from hdcoint.dgp import simulate_mixed_orders
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
-                      "bootstrap_union.json")
+#: replications -> golden file
+GOLDEN = {reps: os.path.join(os.path.dirname(__file__), "golden", name)
+          for reps, name in ((199, "bootstrap_union.json"),
+                             (999, "bootstrap_union_999.json"))}
 TOL = 1e-10
 
 
@@ -31,9 +34,9 @@ def golden_panel():
     return from_values(vals, names=panel.names)
 
 
-def summary() -> dict:
+def summary(reps: int = 199) -> dict:
     boot = bootstrap_union_distribution(
-        golden_panel(), AwbConfig(reps=199, seed=3))
+        golden_panel(), AwbConfig(reps=reps, seed=3))
     return {
         "stats": boot.stats.tolist(),
         "lags": boot.lags.tolist(),
@@ -42,17 +45,26 @@ def summary() -> dict:
     }
 
 
-def test_bootstrap_union_matches_golden():
-    with open(GOLDEN) as fh:
+def _check(reps):
+    with open(GOLDEN[reps]) as fh:
         want = json.load(fh)
-    got = summary()
+    got = summary(reps)
     assert got["lags"] == want["lags"]
     for key in ("stats", "critvals", "ur"):
         np.testing.assert_allclose(got[key], want[key], rtol=0, atol=TOL,
                                    err_msg=key)
 
 
+def test_bootstrap_union_matches_golden():
+    _check(199)
+
+
+def test_bootstrap_union_matches_golden_999():
+    _check(999)
+
+
 if __name__ == "__main__":
-    with open(GOLDEN, "w") as fh:
-        json.dump(summary(), fh, indent=1)
-        fh.write("\n")
+    for reps, path in GOLDEN.items():
+        with open(path, "w") as fh:
+            json.dump(summary(reps), fh, indent=1)
+            fh.write("\n")

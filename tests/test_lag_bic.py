@@ -120,6 +120,18 @@ def test_var_bic_matches_per_lag_search(monkeypatch):
     assert lags_seen == {0, 1, 2, 3, 4}
 
 
+def test_var_bic_singular_lag_does_not_depend_on_scale(monkeypatch):
+    # two identical columns: every candidate's residual covariance is
+    # singular, so the first lag wins at any scale; a sign test on the
+    # regularized determinant read rounding noise from scale 1e3 up
+    for seed in range(8):
+        w = np.random.default_rng(seed).standard_normal(150).cumsum()
+        for scale in (1e-3, 1.0, 1e3, 1e6):
+            x = np.column_stack([w, w]) * scale
+            _, fitted = _fitted_lags(monkeypatch, x, 2, 3, 1)
+            assert fitted == [1], (seed, scale)
+
+
 def test_stack_equals_single_calls(monkeypatch):
     rng = np.random.default_rng(21)
     for k in (1, 2, 3):

@@ -4,7 +4,8 @@ No module imports a sibling's ``_private`` helper, so each helper has
 one owner; shared kernels live under public names in ``_numeric``.
 Importing the command line must stay cheap: ``scipy.signal`` alone
 adds most of a second to start-up, and ``scipy.optimize`` about a
-quarter of one.
+quarter of one.  It must start no thread either: the bootstrap's worker
+pool lives for one round.
 """
 
 import ast
@@ -50,13 +51,18 @@ def test_no_private_imports_across_modules():
     assert not unexpected, sorted(unexpected)
 
 
-def _loaded_after_cli_import(module):
+def _after_cli_import(expr):
+    """``expr`` printed by a fresh interpreter that imported the CLI."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    code = f"import sys, hdcoint.cli; print({module!r} in sys.modules)"
+    code = f"import sys, threading, hdcoint.cli; print({expr})"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    return out.stdout.strip() == "True"
+    return out.stdout.strip()
+
+
+def _loaded_after_cli_import(module):
+    return _after_cli_import(f"{module!r} in sys.modules") == "True"
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
@@ -65,3 +71,7 @@ def test_cli_import_leaves_scipy_signal_unloaded():
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     assert not _loaded_after_cli_import("scipy.optimize")
+
+
+def test_cli_import_starts_no_thread():
+    assert _after_cli_import("threading.active_count()") == "1"

@@ -4,6 +4,9 @@ The oracles below build each test regression explicitly and solve the
 normal equations directly, sharing no code with the implementation.
 """
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -189,6 +192,63 @@ class TestGramKernel:
                                        rtol=0, atol=1e-9)
             np.testing.assert_allclose(four_stats(scale * (y + 250.0), lags),
                                        base, rtol=0, atol=1e-9)
+
+
+class TestRowBlocks:
+    """``four_stats`` fits fixed row blocks; the bits do not depend on the
+    block split or on the number of worker threads."""
+
+    T = 150
+
+    def _fits(self, y, lags):
+        """Results with no pool and with a two-thread pool."""
+        with ThreadPoolExecutor(2) as pool:
+            return four_stats(y, lags), four_stats(y, lags, pool)
+
+    @pytest.mark.parametrize("B", [1, 255, 256, 257, 999])
+    @pytest.mark.parametrize("lags", [0, 13])
+    def test_blocks_match_one_block(self, rng, monkeypatch, B, lags):
+        y = np.cumsum(rng.standard_normal((B, self.T)), axis=1)
+        with monkeypatch.context() as m:
+            m.setattr(unitroot, "_ROW_BLOCK", B)
+            whole = four_stats(y, lags)
+        for got in self._fits(y, lags):
+            np.testing.assert_array_equal(got, whole)
+
+    def test_a_singular_gram_falls_back_in_its_block_alone(self, rng,
+                                                           monkeypatch):
+        # the zero-but-last-two series makes its Gram singular (see
+        # TestGramKernel); only its block takes the per-regression fallback
+        lags, bad = 2, 300
+        block = slice(256, 512)
+        y = np.cumsum(rng.standard_normal((999, self.T)), axis=1)
+        regular = four_stats(y, lags)
+        y[bad] = 0.0
+        y[bad, -2:] = [1.5, -0.7]
+        with monkeypatch.context() as m:
+            m.setattr(unitroot, "_ROW_BLOCK", 999)
+            whole = four_stats(y, lags)
+        others = np.ones(999, dtype=bool)
+        others[block] = False
+        for got in self._fits(y, lags):
+            np.testing.assert_array_equal(got[block], whole[block])
+            np.testing.assert_array_equal(got[others], regular[others])
+            np.testing.assert_allclose(got[others], whole[others], rtol=0,
+                                       atol=1e-10)
+
+    def test_exact_fit_raises_alike_on_any_pool(self, rng):
+        y = np.cumsum(rng.standard_normal((600, self.T)), axis=1)
+        y[400] = 0.5 * np.arange(self.T)        # constant increments
+        threads = threading.active_count()
+        errors = []
+        for pool in (None, ThreadPoolExecutor(1), ThreadPoolExecutor(2)):
+            with pytest.raises(NumericalError) as info:
+                four_stats(y, 3, pool)
+            errors.append((info.type, str(info.value)))
+            if pool is not None:
+                pool.shutdown()
+        assert errors[1:] == errors[:1] * 2
+        assert threading.active_count() == threads
 
 
 class TestStatisticBehavior:

@@ -186,11 +186,11 @@ class UnionBootstrap:
     ur : ndarray, shape (N,)
         Observed union statistics.
     boot_ur : ndarray, shape (B, N)
-        Union statistics of every replication.
-    x : float
-        Scaling constant of the union statistic.  The scaling makes the
-        statistics comparable across series; the level-``alpha`` decision
-        compares each ``ur[i]`` with :meth:`union_critical_values`.
+        Union statistics of every replication, scaled like ``ur``.  The
+        level-``alpha`` decision compares each ``ur[i]`` with
+        :meth:`union_critical_values`.
+    boot_stats : ndarray, shape (B, N, 4)
+        Component statistics of every replication.
     """
 
     names: Tuple[str, ...]
@@ -203,8 +203,7 @@ class UnionBootstrap:
     gamma: float
     rho_mode: str
     seed: int
-    x: float = -1.0
-    boot_stats: Optional[np.ndarray] = None
+    boot_stats: np.ndarray
 
     def union_critical_values(self, alpha: Optional[float] = None) -> np.ndarray:
         """Per-series critical values of the union statistic itself.
@@ -217,21 +216,21 @@ class UnionBootstrap:
         return left_tail_quantile(self.boot_ur, self.alpha if alpha is None else alpha)
 
 
-def bootstrap_union_distribution(panel: Panel, cfg: AwbConfig,
-                                 store_components: bool = False,
-                                 x: float = -1.0) -> UnionBootstrap:
+def bootstrap_union_distribution(panel: Panel, cfg: AwbConfig
+                                 ) -> UnionBootstrap:
     """Run the two-pass union-statistic bootstrap on a panel.
 
     Pass one computes per-series component critical values as the
     level-``alpha`` quantiles of the replication set; pass two scales
     both the observed and the replicated component statistics by those
-    same values to produce union statistics.  Missing leading blocks are
+    same values to produce union statistics, as
+    :func:`~hdcoint.unitroot.union_stat` does with ``x = -1``.  Another
+    negative ``x`` would rescale ``ur`` and ``boot_ur`` together and
+    change no decision, so it is fixed.  Missing leading blocks are
     carried through: each bootstrap path starts at its series' first
     observation.  With more than one of ``cfg.workers``, the replications
     are fitted on a thread pool shut down when the round returns or raises.
     """
-    if x >= 0:
-        raise ParameterError("scaling constant x must be negative")
     N, T = panel.n_series, panel.n_obs
     B = cfg.reps
 
@@ -265,11 +264,10 @@ def bootstrap_union_distribution(panel: Panel, cfg: AwbConfig,
             raise NumericalError(
                 f"series '{panel.names[j]}': {exc}") from None
 
-    scale = x / crit                                       # (N, 4)
+    scale = -1.0 / crit                                    # (N, 4)
     boot_ur = np.min(boot_stats * scale[None, :, :], axis=2)
     ur = np.min(stats * scale, axis=1)
     return UnionBootstrap(
         names=panel.names, stats=stats, lags=lags, critvals=critvals,
         ur=ur, boot_ur=boot_ur, alpha=cfg.alpha, gamma=cfg.gamma,
-        rho_mode=cfg.rho_mode, seed=cfg.seed, x=x,
-        boot_stats=boot_stats if store_components else None)
+        rho_mode=cfg.rho_mode, seed=cfg.seed, boot_stats=boot_stats)

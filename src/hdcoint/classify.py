@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -75,7 +75,6 @@ class BsqtConfig:
 
     quantiles: Tuple[float, ...] = tuple(np.arange(0.0, 1.0, 0.05))
     alpha: float = 0.05
-    refine: bool = False
 
     def __post_init__(self):
         q = tuple(float(v) for v in self.quantiles)
@@ -110,15 +109,24 @@ class SequentialOutcome:
     steps: List[dict]
 
 
-def _bsqt_pass(ur: np.ndarray, boot_ur: np.ndarray, alpha: float,
-               thresholds: Sequence[int]) -> SequentialOutcome:
-    """Run sequential quantile rounds over the given group boundaries.
+def classify_bsqt(ur: np.ndarray, boot_ur: np.ndarray,
+                  cfg: Optional[BsqtConfig] = None) -> SequentialOutcome:
+    """Sequential quantile test over the ranked union statistics.
 
-    Series ranked below ``thresholds[0]`` count as already classified
-    I(0); bootstrap order statistics condition on the remaining series
-    only.
+    Round ``k`` tests "exactly p_k series are I(0)" against "at least
+    p_{k+1}" by comparing the observed order statistic at position
+    ``p_{k+1}`` with the level-``alpha`` bootstrap quantile of the
+    matching order statistic among the series not yet classified.  The
+    pass stops at the first non-rejection and classifies the ``p_k`` most
+    significant series as I(0); the true count falls outside the reported
+    interval with probability about ``alpha``.
     """
+    cfg = cfg if cfg is not None else BsqtConfig()
+    ur = np.asarray(ur, dtype=float)
     n = ur.shape[0]
+    if boot_ur.ndim != 2 or boot_ur.shape[1] != n:
+        raise ParameterError("boot_ur must have one column per series")
+    thresholds = cfg.thresholds(n)
     order = np.argsort(ur, kind="stable")
     ur_sorted = ur[order]
     steps: List[dict] = []
@@ -131,7 +139,7 @@ def _bsqt_pass(ur: np.ndarray, boot_ur: np.ndarray, alpha: float,
         k_within = p_hi - p_lo
         draws = np.partition(boot_ur[:, remaining], k_within - 1,
                              axis=1)[:, k_within - 1]
-        cutoff = float(left_tail_quantile(draws, alpha))
+        cutoff = float(left_tail_quantile(draws, cfg.alpha))
         rejected = stat < cutoff
         steps.append({
             "null_count": p_lo, "alternative": p_hi,
@@ -146,34 +154,6 @@ def _bsqt_pass(ur: np.ndarray, boot_ur: np.ndarray, alpha: float,
     mask = np.zeros(n, dtype=bool)
     mask[order[:count]] = True
     return SequentialOutcome(mask, count, (p_before, upper), steps)
-
-
-def classify_bsqt(ur: np.ndarray, boot_ur: np.ndarray,
-                  cfg: Optional[BsqtConfig] = None) -> SequentialOutcome:
-    """Sequential quantile test over the ranked union statistics.
-
-    Round ``k`` tests "exactly p_k series are I(0)" against "at least
-    p_{k+1}" by comparing the observed order statistic at position
-    ``p_{k+1}`` with the level-``alpha`` bootstrap quantile of the
-    matching order statistic among the series not yet classified.  The
-    pass stops at the first non-rejection and classifies the ``p_k`` most
-    significant series as I(0); the true count falls outside the reported
-    interval with probability about ``alpha``.  With ``refine`` the
-    bracket is narrowed by a second pass in unit steps.
-    """
-    cfg = cfg if cfg is not None else BsqtConfig()
-    ur = np.asarray(ur, dtype=float)
-    n = ur.shape[0]
-    if boot_ur.ndim != 2 or boot_ur.shape[1] != n:
-        raise ParameterError("boot_ur must have one column per series")
-    out = _bsqt_pass(ur, boot_ur, cfg.alpha, cfg.thresholds(n))
-    if cfg.refine and out.interval[1] - out.interval[0] > 1:
-        lo, hi = out.interval
-        refined = _bsqt_pass(ur, boot_ur, cfg.alpha, list(range(lo, hi + 1)))
-        steps = out.steps + [dict(s, stage="refinement") for s in refined.steps]
-        out = SequentialOutcome(refined.rejected, refined.count,
-                                refined.interval, steps)
-    return out
 
 
 # -- step-down FDR rule ----------------------------------------------------
@@ -411,7 +391,7 @@ def _round_once(panel: Panel, method: str, cfg: ClassifyConfig, label: str,
         return mask, rec
 
     awb = replace(cfg.awb, seed=derive_seed(cfg.awb.seed, label))
-    boot = bootstrap_union_distribution(panel, awb, x=-1.0)
+    boot = bootstrap_union_distribution(panel, awb)
     detail: Optional[List[dict]] = None
     if method == "iadf":
         crit = boot.union_critical_values(cfg.alpha)

@@ -276,7 +276,7 @@ def _method_pml(ctx: _Window) -> Dict[Tuple[int, int], float]:
     sd[sd <= 0] = 1.0
     zs = zb / sd
     r = select_rank_ic(zs, p=1)
-    model = pml_vecm(zs, r, p=1, lambdas=(0.1, 0.1, 0.0))
+    model = pml_vecm(zs, r, p=1, lambdas=(0.1, 0.1))
     path = vecm_iterated_forecast(model, zs, _max_h(ctx)) * sd
     return _system_paths(ctx, path, range(len(ctx.targets)))
 

@@ -51,6 +51,11 @@ class DeterministicSpec(str, Enum):
                 f"{[m.value for m in cls]}"
             ) from None
 
+    @property
+    def n_terms(self) -> int:
+        """Deterministic regressors: 0 (none), 1 (mean) or 2 (trend)."""
+        return {"none": 0, "mean": 1, "trend": 2}[self.value]
+
 
 #: FRED-MD style transform codes: 1 level, 2 first difference, 3 second
 #: difference, 4 log, 5 log first difference, 6 log second difference,

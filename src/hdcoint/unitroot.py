@@ -235,16 +235,15 @@ def _adf_tstat_batch(y: np.ndarray, det: int, lags: int) -> np.ndarray:
     return _adf_fit_batch(y, det, lags)[1]
 
 
-def _gls_coef_batch(y: np.ndarray, spec: DeterministicSpec,
-                    cbar: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
+def _gls_coef_batch(y: np.ndarray, spec: DeterministicSpec
+                    ) -> Tuple[np.ndarray, np.ndarray]:
     """Local-to-unity GLS coefficients ``(B, d)`` and deterministics ``(T, d)``."""
     if spec not in _GLS_CBAR:
         raise ParameterError("GLS detrending requires spec 'mean' or 'trend'")
     B, T = y.shape
     if T < 4:
         raise DataError("series too short for GLS detrending")
-    cbar = _GLS_CBAR[spec] if cbar is None else float(cbar)
-    rho = 1.0 + cbar / T
+    rho = 1.0 + _GLS_CBAR[spec] / T
     t = np.arange(1.0, T + 1.0)
     Z = np.ones((T, 1)) if spec is DeterministicSpec.MEAN else np.column_stack([np.ones(T), t])
     Zq = np.empty_like(Z)
@@ -261,10 +260,9 @@ def _gls_coef_batch(y: np.ndarray, spec: DeterministicSpec,
     return beta, Z
 
 
-def _gls_detrend_batch(y: np.ndarray, spec: DeterministicSpec,
-                       cbar: Optional[float] = None) -> np.ndarray:
+def _gls_detrend_batch(y: np.ndarray, spec: DeterministicSpec) -> np.ndarray:
     """Local-to-unity GLS demeaning/detrending of a batch of series."""
-    beta, Z = _gls_coef_batch(y, spec, cbar)
+    beta, Z = _gls_coef_batch(y, spec)
     return y - beta @ Z.T
 
 
@@ -298,24 +296,23 @@ def _gls_tstat(M: np.ndarray, beta: np.ndarray, n: int) -> np.ndarray:
 def adf_stat(series, spec: Union[str, DeterministicSpec] = DeterministicSpec.TREND,
              lags: int = 0) -> float:
     """ADF t-statistic with deterministics included in the regression."""
-    spec = DeterministicSpec.parse(spec)
-    det = {DeterministicSpec.NONE: 0, DeterministicSpec.MEAN: 1,
-           DeterministicSpec.TREND: 2}[spec]
+    det = DeterministicSpec.parse(spec).n_terms
     y = _trim_leading_nan(_as_batch(series))
     return float(_adf_tstat_batch(y, det, lags)[0])
 
 
 def dfgls_stat(series, spec: Union[str, DeterministicSpec] = DeterministicSpec.TREND,
-               lags: int = 0, cbar: Optional[float] = None) -> float:
+               lags: int = 0) -> float:
     """Dickey-Fuller statistic on GLS-demeaned/detrended data.
 
-    The noncentrality parameter defaults to -7 (demeaning) and -13.5
-    (detrending); the test regression contains no deterministics.
+    The local-to-unity noncentrality is fixed at -7 (demeaning) and -13.5
+    (detrending), the values of Elliott, Rothenberg & Stock (1996); the
+    test regression contains no deterministics.
     """
     spec = DeterministicSpec.parse(spec)
     y = _trim_leading_nan(_as_batch(series))
     y = y - y[:, :1]
-    yd = _gls_detrend_batch(y, spec, cbar)
+    yd = _gls_detrend_batch(y, spec)
     if np.linalg.norm(yd) <= _EXACT_FIT * np.linalg.norm(y):
         raise NumericalError("GLS detrending leaves only rounding noise")
     return float(_adf_tstat_batch(yd, 0, lags)[0])
@@ -324,9 +321,7 @@ def dfgls_stat(series, spec: Union[str, DeterministicSpec] = DeterministicSpec.T
 def adf_rho(series, lags: int = 0,
             spec: Union[str, DeterministicSpec] = DeterministicSpec.TREND) -> float:
     """Largest-autoregressive-root estimate ``1 + b0`` from an ADF regression."""
-    spec = DeterministicSpec.parse(spec)
-    det = {DeterministicSpec.NONE: 0, DeterministicSpec.MEAN: 1,
-           DeterministicSpec.TREND: 2}[spec]
+    det = DeterministicSpec.parse(spec).n_terms
     y = _trim_leading_nan(_as_batch(series))
     return float(1.0 + _adf_fit_batch(y, det, lags)[0][0])
 

@@ -11,9 +11,11 @@ The QR estimator's group-lasso columns are solved exactly in the range
 of their Gram eigenbasis: one vectorised, safeguarded Newton solve of
 the secular equations covers every fold, column and penalty of a fit,
 and each fold scores its whole penalty grid with one stacked residual
-product.  The PML estimator's B and short-run blocks each take one
-soft-threshold coordinate sweep per cycle, on plain floats.  Johansen
-and QR fits share one short-run OLS given the long-run matrix.
+product.  The PML estimator penalizes B and the short-run block, each
+of which takes one soft-threshold coordinate sweep per cycle on plain
+floats; its precision matrix is the exact inverse of the residual
+covariance.  Johansen and QR fits share one short-run OLS given the
+long-run matrix.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from ._numeric import (expanding_folds, last_minimum,
-                       nested_residual_factors, soft_threshold,
-                       soft_threshold_sweep)
+                       nested_residual_factors, soft_threshold_sweep)
 from .errors import ConvergenceError, DataError, NumericalError, ParameterError
 from .panel import DeterministicSpec, as_values
 
@@ -307,7 +308,7 @@ def select_lag_bic(data, p_max: int = 3,
     if p_max < 0:
         raise ParameterError("p_max must be non-negative")
     n = T - p_max - 1
-    base = N + list(DeterministicSpec).index(det)  # none/mean/trend: +0/1/2
+    base = N + det.n_terms
     widths = [base + N * p for p in range(p_max + 1) if n > base + N * p + 1]
     if not widths:
         return 0
@@ -452,14 +453,6 @@ def _group_lasso(bases, kappa: np.ndarray) -> np.ndarray:
     out[g, :, j] = np.einsum("qik,qk->qi", V[j],
                              CH[j] / (D[j] + mu[j, g][:, None]))
     return out
-
-
-def _group_lasso_single(X: np.ndarray, y: np.ndarray, kappa: float
-                        ) -> np.ndarray:
-    """Exact minimizer of ||y - Xb||^2 + kappa·||b||_2: one problem, one
-    penalty of :func:`_group_lasso`."""
-    basis = _group_basis(X, y, X.T @ X)
-    return _group_lasso([basis], np.array([[kappa]]))[0, :, 0]
 
 
 @dataclass(frozen=True)
@@ -610,63 +603,15 @@ def qr_vecm(data, p: int = 1, lambda_grid: Optional[Sequence[float]] = None,
 
 
 def _pml_objective(E: np.ndarray, omega: np.ndarray, B: np.ndarray,
-                   phi_mat: np.ndarray, lam: Tuple[float, float, float],
+                   phi_mat: np.ndarray, lam: Tuple[float, float],
                    n: int) -> float:
     S = E @ E.T / n
     sign, logdet = np.linalg.slogdet(omega)
     if sign <= 0:
         return np.inf
-    off = np.sum(np.abs(omega)) - np.sum(np.abs(np.diag(omega)))
     return float(np.sum(S * omega) - logdet
                  + lam[0] * np.sum(np.abs(B))
-                 + lam[1] * np.sum(np.abs(phi_mat))
-                 + lam[2] * off)
-
-
-def _omega_prox_step(omega: np.ndarray, S: np.ndarray, lam3: float,
-                     n_inner: int = 50) -> np.ndarray:
-    """Backtracked proximal gradient on tr(SΩ) - log|Ω| + λ3·||off(Ω)||_1.
-
-    Every accepted step decreases the objective, preserving the outer
-    monotonicity contract.
-    """
-    def value(om):
-        sign, logdet = np.linalg.slogdet(om)
-        if sign <= 0:
-            return np.inf
-        off = np.sum(np.abs(om)) - np.sum(np.abs(np.diag(om)))
-        return float(np.sum(S * om) - logdet + lam3 * off)
-
-    def prox(om, t):
-        out = soft_threshold(om, t * lam3)
-        np.fill_diagonal(out, np.diag(om))
-        return (out + out.T) / 2
-
-    cur = value(omega)
-    step = 1.0 / max(1.0, np.linalg.norm(S, 2))
-    for _ in range(n_inner):
-        grad = S - np.linalg.inv(omega)
-        accepted = False
-        t = step
-        for _ in range(40):
-            cand = prox(omega - t * grad, t)
-            try:
-                np.linalg.cholesky(cand)
-            except np.linalg.LinAlgError:
-                t /= 2
-                continue
-            if value(cand) <= cur + 1e-14:
-                accepted = True
-                break
-            t /= 2
-        if not accepted:
-            break
-        new_val = value(cand)
-        omega, improved = cand, cur - new_val
-        cur = new_val
-        if improved < 1e-12 * max(1.0, abs(cur)):
-            break
-    return omega
+                 + lam[1] * np.sum(np.abs(phi_mat)))
 
 
 def _pml_init(z: np.ndarray, r: int, p: int):
@@ -693,20 +638,22 @@ def _pml_init(z: np.ndarray, r: int, p: int):
 
 
 def pml_vecm(data, r: int, p: int = 1,
-             lambdas: Tuple[float, float, float] = (0.0, 0.0, 0.0),
+             lambdas: Tuple[float, float] = (0.0, 0.0),
              max_cycles: int = 200, tol: float = 1e-7) -> VecmModel:
     """Penalized Gaussian likelihood VECM at a fixed cointegrating rank.
 
+    ``lambdas`` holds the L1 penalties (λ_B, λ_Φ) on the cointegrating
+    vectors and the short-run block; the precision matrix is unpenalized.
     Cycles exact or descent-guaranteed block updates: least squares for
     A (the precision weighting cancels), one soft-threshold coordinate
     sweep each for B and the short-run block (gradients kept by rank-one
     updates from Z1Z1' and DX DX', the residual rebuilt once per block),
-    an exact inverse (or proximal descent when the off-diagonal penalty
-    binds) for the precision matrix.  The objective must be
-    non-increasing across cycles; an increase signals a subproblem fault
-    and raises ConvergenceError.  ``info["converged"]`` is False when
-    ``max_cycles`` ran out first, as it often does with B penalized: A
-    grows while B shrinks along a scale ridge of the objective.
+    and the exact inverse of the residual covariance for the precision
+    matrix.  The objective must be non-increasing across cycles; an
+    increase signals a subproblem fault and raises ConvergenceError.
+    ``info["converged"]`` is False when ``max_cycles`` ran out first, as
+    it often does with B penalized: A grows while B shrinks along a scale
+    ridge of the objective.
     """
     z = as_values(data)
     T, N = z.shape
@@ -715,8 +662,8 @@ def pml_vecm(data, r: int, p: int = 1,
     if T < N + p + 2:
         raise DataError(f"window of {T} observations is too short for N={N}, p={p}")
     lam = tuple(float(v) for v in lambdas)
-    if len(lam) != 3 or any(v < 0 for v in lam):
-        raise ParameterError("lambdas must be three non-negative numbers")
+    if len(lam) != 2 or any(v < 0 for v in lam):
+        raise ParameterError("lambdas must be two non-negative numbers")
     y0, y1, W, t_last = _ec_design(z, p, DeterministicSpec.NONE)
     n = y0.shape[0]
     Yd, Z1, DX = y0.T, y1.T, W.T
@@ -753,18 +700,14 @@ def pml_vecm(data, r: int, p: int = 1,
                                            xx, n * lam[1] / 2.0)
             E = E - (phi_new - phi_mat) @ DX
             phi_mat = phi_new
-        S, new_obj = E @ E.T / n, None
-        if lam[2] == 0.0:
-            try:
-                omega_new = np.linalg.inv(S)
-            except np.linalg.LinAlgError:
-                raise NumericalError("residual covariance is singular")
-            trial = _pml_objective(E, omega_new, b, phi_mat, lam, n)
-            if trial <= obj + 1e-10:
-                omega, new_obj = omega_new, trial
+        try:
+            omega_new = np.linalg.inv(E @ E.T / n)
+        except np.linalg.LinAlgError:
+            raise NumericalError("residual covariance is singular")
+        new_obj = _pml_objective(E, omega_new, b, phi_mat, lam, n)
+        if new_obj <= obj + 1e-10:
+            omega = omega_new
         else:
-            omega = _omega_prox_step(omega, S, lam[2])
-        if new_obj is None:
             new_obj = _pml_objective(E, omega, b, phi_mat, lam, n)
         if new_obj > history[-1] + 1e-10:
             raise ConvergenceError(
@@ -780,7 +723,7 @@ def pml_vecm(data, r: int, p: int = 1,
     loglik = -0.5 * n * (N * np.log(2 * np.pi)
                          + _pml_objective(E, omega, np.zeros_like(b),
                                           np.zeros_like(phi_mat),
-                                          (0.0, 0.0, 0.0), n))
+                                          (0.0, 0.0), n))
     return VecmModel(a=a, b=b, phi=phi, mu=np.zeros(N), sigma=sigma, rank=r,
                      p=p, det=DeterministicSpec.NONE, t_last=t_last,
                      estimator="pml", loglik=loglik,

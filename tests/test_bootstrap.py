@@ -197,7 +197,7 @@ class TestNullDistribution:
         T = 800
         panel = from_values(rng.standard_normal((T, 1)).cumsum()[:, None])
         cfg = AwbConfig(gamma=0.0, reps=2000, seed=8, rho_mode="unity")
-        out = bootstrap_union_distribution(panel, cfg, store_components=True)
+        out = bootstrap_union_distribution(panel, cfg)
         lag = int(out.lags[0])
         boot_adf = out.boot_stats[:, 0, 0]
 

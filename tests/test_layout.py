@@ -5,7 +5,8 @@ one owner; shared kernels live under public names in ``_numeric``.
 Importing the command line must stay cheap: ``scipy.signal`` alone
 adds most of a second to start-up, and ``scipy.optimize`` about a
 quarter of one.  It must start no thread either: the bootstrap's worker
-pool lives for one round.
+pool lives for one round.  Every golden file is named by some test, so
+none outlives the check that reads it.
 """
 
 import ast
@@ -14,8 +15,8 @@ import os
 import subprocess
 import sys
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 #: (importing module, imported module, name) -> why the import stays
 ALLOWED_PRIVATE = {
@@ -75,3 +76,14 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 
 def test_cli_import_starts_no_thread():
     assert _after_cli_import("threading.active_count()") == "1"
+
+
+def test_every_golden_file_is_named_by_a_test():
+    sources = ""
+    for path in glob.glob(os.path.join(TESTS, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            sources += fh.read()
+    golden = sorted(os.listdir(os.path.join(TESTS, "golden")))
+    assert golden
+    unread = [name for name in golden if name not in sources]
+    assert not unread, unread

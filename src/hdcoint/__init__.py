@@ -16,8 +16,8 @@ from .factors import (FactorModel, count_factors, extract_factors_diff,
 from .harness import (ForecastReport, HarnessConfig, McsResult, ar_benchmark,
                       mcs, register_method, run_rolling)
 from .panel import (DeterministicSpec, Panel, apply_transform, difference,
-                    from_values, implied_orders, integrate, ols_detrend,
-                    validate_codes)
+                    difference_columns, from_values, implied_orders,
+                    invert_differences, ols_detrend, validate_codes)
 from .singleeq import (PenaltyConfig, SingleEqDesign, SingleEqFit,
                        factor_augment, kkt_residual, padl_fit, sgl_solve,
                        specs_fit, tscv_tune)
@@ -35,9 +35,9 @@ __all__ = [
     "ToolkitError", "ParameterError", "DataError", "NumericalError",
     "ConvergenceError",
     # panel
-    "Panel", "DeterministicSpec", "from_values", "difference", "integrate",
-    "apply_transform", "implied_orders", "validate_codes",
-    "ols_detrend",
+    "Panel", "DeterministicSpec", "from_values", "difference",
+    "difference_columns", "invert_differences", "apply_transform",
+    "implied_orders", "validate_codes", "ols_detrend",
     # unit roots and bootstrap
     "adf_stat", "dfgls_stat", "select_lags", "four_stats", "union_stat",
     "CriticalValueSet", "AwbConfig", "awb_draw", "residual_panel",

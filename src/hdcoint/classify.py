@@ -19,7 +19,7 @@ import numpy as np
 
 from .bootstrap import AwbConfig, bootstrap_union_distribution, left_tail_quantile
 from .errors import ParameterError
-from .panel import DeterministicSpec, Panel, difference
+from .panel import DeterministicSpec, Panel, difference, difference_columns
 from .rng import derive_seed
 from .unitroot import adf_stat
 
@@ -454,12 +454,9 @@ def pantula_classify(panel: Panel, method: str = "bsqt", strategy: int = 2,
             raise ParameterError(
                 "strategy one needs an a-priori I(2) list or the explicit "
                 "at-most-I(1) assumption")
-        vals = panel.values.copy()
-        for name in apriori:
-            j = panel.index(name)
-            vals[1:, j] = vals[1:, j] - vals[:-1, j]
-            vals[0, j] = np.nan
-        mask, rec = _round_once(panel.with_values(vals), method, cfg,
+        entered = difference_columns(panel.values,
+                                     [n in apriori for n in names])
+        mask, rec = _round_once(panel.with_values(entered), method, cfg,
                                 "levels", "unit root in entered form")
         rounds.append(rec)
         for j, name in enumerate(names):

@@ -6,8 +6,11 @@ override file entries.  Every command honors ``--seed`` and identical
 invocations produce identical output files.  ``--threads N`` sizes the
 thread pool that fits ``classify``'s bootstrap replications (default:
 every CPU the process may run on); the output has the same bytes for any
-``N``, and the other commands run on one thread.  Exit codes: 0 success,
-1 usage or configuration, 2 data, 3 numerical failure.
+``N``, and the other commands run on one thread.  ``classify --strategy
+1`` needs ``--codes``: series whose code implies order two (3 or 6) are
+entered in first differences, all others are assumed at most I(1).
+Exit codes: 0 success, 1 usage or configuration, 2 data, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .classify import BsqtConfig, ClassifyConfig, METHODS as CLASSIFY_METHODS, \
 from .dgp import random_vecm_params, simulate_mixed_orders, simulate_vecm
 from .errors import DataError, NumericalError, ParameterError
 from .harness import HarnessConfig, SINGLE_EQUATION_METHODS, mcs, run_rolling
-from .panel import Panel, implied_orders
+from .panel import VALID_CODES, Panel, implied_orders
 from .rng import derive_seed
 
 __all__ = ["main", "ingest_csv"]
@@ -90,8 +93,8 @@ def ingest_csv(path: str, codes_path: Optional[str] = None
         except ValueError:
             raise DataError("row 2: transform codes must be integers") \
                 from None
-        if not np.all((codes >= 1) & (codes <= 7)):
-            bad = int(np.flatnonzero((codes < 1) | (codes > 7))[0])
+        if not np.isin(codes, VALID_CODES).all():
+            bad = int(np.flatnonzero(~np.isin(codes, VALID_CODES))[0])
             raise DataError(f"row 2, column '{names[bad]}': transform code "
                             f"{codes[bad]} outside 1..7")
         body = body[1:]
@@ -154,7 +157,7 @@ def _read_codes(path: str, names: Tuple[str, ...]) -> np.ndarray:
         except ValueError:
             raise DataError(f"codes file row {k}: '{row[1].strip()}' is not "
                             "an integer code") from None
-        if not 1 <= code <= 7:
+        if code not in VALID_CODES:
             raise DataError(f"codes file row {k}: code {code} outside 1..7")
         mapping[nm] = code
     missing = [nm for nm in names if nm not in mapping]
@@ -329,8 +332,16 @@ def cmd_simulate(cfg: Dict[str, object]) -> None:
 def cmd_classify(cfg: Dict[str, object]) -> None:
     if cfg.get("horizons") is not None:
         raise ParameterError("'classify' does not accept --horizons")
-    panel, _ = ingest_csv(str(_require(cfg, "input")), cfg.get("codes"))
+    panel, codes = ingest_csv(str(_require(cfg, "input")), cfg.get("codes"))
     out = str(_require(cfg, "output"))
+    strategy = int(cfg["strategy"])
+    apriori_i2: Tuple[str, ...] = ()
+    if strategy == 1:
+        if codes is None:
+            raise ParameterError("'classify --strategy 1' needs --codes: "
+                                 "series coded 3 or 6 are entered as I(2)")
+        apriori_i2 = tuple(n for n, d in zip(panel.names,
+                                             implied_orders(codes)) if d == 2)
     methods = cfg["methods"]
     if len(methods) != 1:
         raise ParameterError("'classify' takes exactly one method")
@@ -348,9 +359,10 @@ def cmd_classify(cfg: Dict[str, object]) -> None:
     ccfg = ClassifyConfig(alpha=float(cfg["alpha"]), awb=awb,
                           bsqt=BsqtConfig(
                               quantiles=tuple(np.arange(0.0, 1.0, step)),
-                              alpha=float(cfg["alpha"])))
-    report = pantula_classify(panel, method=method,
-                              strategy=int(cfg["strategy"]), cfg=ccfg)
+                              alpha=float(cfg["alpha"])),
+                          apriori_i2=apriori_i2, at_most_i1=strategy == 1)
+    report = pantula_classify(panel, method=method, strategy=strategy,
+                              cfg=ccfg)
     with open(out, "w") as fh:
         fh.write(report.to_json())
         fh.write("\n")

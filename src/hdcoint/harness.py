@@ -6,6 +6,8 @@ to levels by adding the window's own deterministic extrapolation, and
 squared level errors feed relative MSFEs against an autoregressive
 benchmark.  Surviving-method sets come from an elimination procedure on
 loss differentials bootstrapped with the autoregressive wild multiplier.
+Lanes difference and integrate only through ``panel``'s one rule and its
+inverse; an integration order outside {0, 1, 2} stops the run up front.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from .bootstrap import _multiplier_matrix, check_multiplier
 from .errors import DataError, ParameterError, ToolkitError
 from .factors import (extract_factors_diff, fecm_forecast, ndfm_forecast,
                       pca_factors, var_bic_forecast)
-from .panel import resolve_targets
+from .panel import (difference_columns, invert_differences, resolve_targets,
+                    validate_orders)
 from .singleeq import factor_augment, padl_fit, specs_fit
 from .vecm import (johansen_ml, pml_vecm, qr_vecm, select_lag_bic,
                    select_rank_ic, vecm_iterated_forecast)
@@ -73,27 +76,6 @@ class HarnessConfig:
         check_multiplier(self.boot_reps, self.gamma)
 
 
-def invert_differences(history: np.ndarray, path: np.ndarray,
-                       d: int) -> np.ndarray:
-    """Integrate forecasts of the d-th difference back to levels (axis 0)."""
-    out = np.asarray(path, dtype=float)
-    for k in range(d, 0, -1):
-        base = np.diff(history, n=k - 1, axis=0) if k > 1 else history
-        out = base[-1] + np.cumsum(out, axis=0)
-    return out
-
-
-def _transform_stationary(resid: np.ndarray, orders: np.ndarray
-                          ) -> np.ndarray:
-    """Difference each column per its order; trim to the common sample."""
-    dmax = int(orders.max(initial=0))
-    cols = []
-    for j, d in enumerate(orders):
-        col = np.diff(resid[:, j], n=int(d))
-        cols.append(col[len(col) - (resid.shape[0] - dmax):])
-    return np.column_stack(cols)
-
-
 def ar_benchmark(series, order: int = 1, p_max: int = 3, h: int = 1) -> float:
     """Level forecast from a BIC-selected autoregression.
 
@@ -113,7 +95,7 @@ def _ar_levels(v: np.ndarray, order: int, p_max: int,
                steps: int) -> np.ndarray:
     """Level paths 1..steps of each column of the (T, B) block ``v``, from
     BIC-selected AR(p <= p_max)s of the ``order``-th differences, stacked."""
-    x = np.diff(v, n=int(order), axis=0) if order else v
+    x = difference_columns(v, [order] * v.shape[1])[order:]
     if x.shape[0] < 8:
         raise DataError("series too short for the autoregressive benchmark")
     path = var_bic_forecast(x.T[:, :, None], steps, p_max, p_min=0)
@@ -174,15 +156,12 @@ class _Window:
         r = self.resid if resid is None else resid
         if (self.orders < 2).all():
             return r
-        return np.column_stack([
-            np.diff(r[:, j]) if d == 2 else r[1:, j]
-            for j, d in enumerate(self.orders)])
+        return difference_columns(r, self.orders == 2)[1:]
 
     def coint_invert(self, ti: int, path: np.ndarray) -> np.ndarray:
         """Map a cointegration-lane forecast path back to residual levels."""
-        if self.orders[ti] == 2:
-            return invert_differences(self.resid[:, ti], path, 1)
-        return np.asarray(path, dtype=float)
+        return invert_differences(self.resid[:, ti], path,
+                                  int(self.orders[ti] == 2))
 
 
 def _max_h(ctx: _Window) -> int:
@@ -191,10 +170,10 @@ def _max_h(ctx: _Window) -> int:
 
 def _stationary_system(ctx: _Window, augment: bool) -> Dict[Tuple[int, int], float]:
     """Shared VAR / factor-augmented VAR lane on transformed residuals."""
-    sub = ctx.resid[:, ctx.targets]
-    x = _transform_stationary(sub, ctx.orders[ctx.targets])
+    orders = ctx.orders[ctx.targets]
+    x = difference_columns(ctx.resid[:, ctx.targets], orders)[orders.max():]
     if augment:
-        full = _transform_stationary(ctx.resid, ctx.orders)
+        full = difference_columns(ctx.resid, ctx.orders)[ctx.orders.max():]
         rows = min(x.shape[0], full.shape[0])
         sd = full.std(axis=0)
         sd[sd <= 0] = 1.0
@@ -546,10 +525,7 @@ def run_rolling(data, cfg: HarnessConfig) -> ForecastReport:
     if unknown:
         raise ParameterError(
             f"unknown methods {unknown}; available: {sorted(_REGISTRY)}")
-    orders = np.ones(N, dtype=int) if cfg.orders is None else \
-        np.asarray(cfg.orders, dtype=int)
-    if orders.shape != (N,):
-        raise ParameterError("orders must give one value per series")
+    orders = validate_orders([1] * N if cfg.orders is None else cfg.orders, N)
     h_max = max(cfg.horizons)
     last_start = T - cfg.window - h_max
     if last_start < 0:

@@ -3,7 +3,9 @@
 A :class:`Panel` holds a ``T x N`` array of monthly observations.  Missing
 values are allowed only as a contiguous leading block per column (ragged
 starts), never in the interior.  All transforms return new panels; values
-arrays are marked read-only so panels can be shared freely.
+arrays are marked read-only so panels can be shared freely.  Integration
+orders are applied by one rule, :func:`difference_columns`, and inverted
+by one, :func:`invert_differences`; every other module uses these two.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ __all__ = [
     "as_values",
     "resolve_targets",
     "difference",
-    "integrate",
+    "difference_columns",
+    "invert_differences",
+    "validate_orders",
     "apply_transform",
     "implied_orders",
     "validate_codes",
@@ -233,61 +237,53 @@ def resolve_targets(data, targets=None
 # -- differencing -------------------------------------------------------
 
 
-def difference(panel: Panel, d: int = 1) -> Panel:
-    """Difference every column ``d`` times; output keeps shape and dates.
+def validate_orders(orders, n_series: int) -> np.ndarray:
+    """Integration orders as an int array: one per series, each 0, 1 or 2."""
+    arr = np.asarray(orders)
+    if arr.shape != (n_series,):
+        raise ParameterError("orders must give one value per series")
+    if not np.isin(arr, (0, 1, 2)).all():
+        raise ParameterError("integration orders must lie in {0, 1, 2}")
+    return arr.astype(int)
 
-    Each pass adds one leading NaN per column.
+
+def difference_columns(x: np.ndarray, orders) -> np.ndarray:
+    """Difference column ``j`` of the (T, N) array ``x`` ``orders[j]`` times.
+
+    Each pass subtracts the row above and sets the first row to NaN, so
+    the output keeps the shape of ``x`` and column ``j`` gains
+    ``orders[j]`` leading NaNs after its own.  The result is a new
+    C-ordered array whatever the layout of ``x``, so the fits downstream
+    see one memory layout (their last bits can depend on it).  This is the
+    package's one differencing rule; :func:`invert_differences` is its
+    inverse.
     """
-    if d not in (0, 1, 2):
-        raise ParameterError(f"differencing order must be 0, 1 or 2, got {d}")
+    out = np.array(x, dtype=float, order="C")
+    orders = validate_orders(orders, out.shape[1])
+    for k in range(1, orders.max(initial=0) + 1):
+        cols = orders >= k
+        out[1:, cols] = out[1:, cols] - out[:-1, cols]
+        out[0, cols] = np.nan
+    return out
+
+
+def invert_differences(history: np.ndarray, path: np.ndarray,
+                       d: int) -> np.ndarray:
+    """Integrate a forecast ``path`` of the d-th difference of ``history``
+    back to levels (axis 0): the inverse of :func:`difference_columns`."""
+    out = np.asarray(path, dtype=float)
+    for k in range(d, 0, -1):
+        base = np.diff(history, n=k - 1, axis=0) if k > 1 else history
+        out = base[-1] + np.cumsum(out, axis=0)
+    return out
+
+
+def difference(panel: Panel, d: int = 1) -> Panel:
+    """Difference every column ``d`` times; output keeps shape and dates."""
+    out = difference_columns(panel.values, [d] * panel.n_series)
     if panel.n_obs <= d:
         raise DataError(f"panel with {panel.n_obs} rows cannot be differenced {d} times")
-    out = panel.values.copy()
-    for _ in range(d):
-        out[1:] = out[1:] - out[:-1]
-        out[0] = np.nan
     return panel.with_values(out)
-
-
-def integrate(panel: Panel, initial_levels, d: int = 1) -> Panel:
-    """Invert :func:`difference` given the first ``d`` levels of each column.
-
-    ``initial_levels`` has shape ``(d, N)`` and supplies the level values at
-    the ``d`` positions immediately before each column's differenced
-    support.  When a column carries fewer than ``d`` leading NaNs the
-    output panel is extended backwards by the missing rows, so pure
-    difference vectors integrate to a series one element longer per order.
-    """
-    if d not in (1, 2):
-        raise ParameterError(f"integration order must be 1 or 2, got {d}")
-    N = panel.n_series
-    init = np.asarray(initial_levels, dtype=float)
-    if init.ndim == 1:
-        init = init.reshape(d, -1) if init.size == d * N else init.reshape(1, -1)
-    if init.shape != (d, N):
-        raise ParameterError(
-            f"initial_levels must have shape ({d}, {N}), got {init.shape}")
-    if not np.all(np.isfinite(init)):
-        raise ParameterError("initial_levels must be finite")
-
-    extra = max(0, d - min(panel.leads))
-    T = panel.n_obs
-    out = np.full((T + extra, N), np.nan)
-    x = panel.values
-    for j in range(N):
-        start = panel.leads[j] + extra - d  # first anchor position
-        out[start:start + d, j] = init[:, j]
-        for t in range(start + d, T + extra):
-            diff = x[t - extra, j]
-            if d == 1:
-                out[t, j] = out[t - 1, j] + diff
-            else:
-                out[t, j] = 2.0 * out[t - 1, j] - out[t - 2, j] + diff
-    if extra:
-        dates = np.concatenate([panel.dates[0] - np.arange(extra, 0, -1), panel.dates])
-    else:
-        dates = panel.dates
-    return Panel(out, panel.names, dates)
 
 
 # -- transform codes ----------------------------------------------------
@@ -327,14 +323,9 @@ def _level_part(x: np.ndarray, code: int, name: str) -> np.ndarray:
 def apply_transform(panel: Panel, codes: Sequence[int]) -> Panel:
     """Apply FRED-MD style transform codes column by column."""
     arr = validate_codes(codes, panel)
-    out = np.empty_like(panel.values)
-    for j, code in enumerate(arr):
-        x = _level_part(panel.values[:, j], code, panel.names[j])
-        for _ in range(_CODE_DIFFS[code]):
-            x[1:] = x[1:] - x[:-1]
-            x[0] = np.nan
-        out[:, j] = x
-    return panel.with_values(out)
+    levels = np.column_stack([_level_part(panel.values[:, j], c, panel.names[j])
+                              for j, c in enumerate(arr)])
+    return panel.with_values(difference_columns(levels, implied_orders(arr)))
 
 
 def implied_orders(codes: Sequence[int]) -> np.ndarray:

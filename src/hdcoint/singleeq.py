@@ -24,7 +24,8 @@ import numpy as np
 from ._numeric import soft_threshold, tscv_tune
 from .errors import ConvergenceError, DataError, ParameterError
 from .factors import extract_factors_diff
-from .panel import Panel, from_values, resolve_targets
+from .panel import (Panel, difference_columns, from_values, resolve_targets,
+                    validate_orders)
 
 __all__ = [
     "PenaltyConfig",
@@ -406,12 +407,6 @@ def sgl_solve(design: SingleEqDesign, cfg: PenaltyConfig,
 # -- design construction ----------------------------------------------------
 
 
-def _diff_matrix(z: np.ndarray) -> np.ndarray:
-    out = np.full_like(z, np.nan)
-    out[1:] = np.diff(z, axis=0)
-    return out
-
-
 @dataclass(frozen=True)
 class _DesignParts:
     """Fit design plus the evaluation row and forecast anchor."""
@@ -437,7 +432,7 @@ def _w_block(x: np.ndarray, t_idx: np.ndarray, others, p: int) -> np.ndarray:
 def _build_specs_parts(z: np.ndarray, names: Tuple[str, ...], ti: int,
                        p: int, h: int) -> _DesignParts:
     T, N = z.shape
-    dz = _diff_matrix(z)
+    dz = difference_columns(z, [1] * N)
     others = [j for j in range(N) if j != ti]
     rows = _fit_rows(T, p + 1, p, h)
     if h >= 1:
@@ -472,30 +467,17 @@ def specs_fit(data, target, p: int = 3, h: int = 1,
     return _fit(parts, lambda_grids, cfg, folds, "specs", h, orders=None)
 
 
-def _transform_columns(z: np.ndarray, orders: Sequence[int]) -> np.ndarray:
-    x = z.astype(float)
-    for j, d in enumerate(orders):
-        for _ in range(int(d)):
-            x[:, j] = _diff_matrix(x[:, j])
-    return x
-
-
 def _orders_array(orders, names: Tuple[str, ...]) -> np.ndarray:
     """Accept an IntegrationReport-like object or a plain sequence."""
     if hasattr(orders, "order_of"):
-        return np.array([int(orders.order_of(n)) for n in names])
-    arr = np.asarray(list(orders), dtype=int)
-    if arr.shape != (len(names),):
-        raise ParameterError("orders must give one value per series")
-    if arr.min() < 0 or arr.max() > 2:
-        raise ParameterError("integration orders must lie in {0, 1, 2}")
-    return arr
+        orders = [orders.order_of(n) for n in names]
+    return validate_orders(list(orders), len(names))
 
 
 def _build_padl_parts(z: np.ndarray, names: Tuple[str, ...], ti: int,
                       orders: np.ndarray, p: int, h: int) -> _DesignParts:
     T, N = z.shape
-    x = _transform_columns(z, orders)
+    x = difference_columns(z, orders)
     d_t = int(orders[ti])
     others = [j for j in range(N) if j != ti]
     rows = _fit_rows(T, max(int(orders.max()) + p, d_t + 1), p, h)

@@ -330,6 +330,34 @@ class TestClassifyCommand:
                    "--output", str(tmp_path / "r.json")])
         assert rc == 1
 
+    def test_strategy_one_enters_code_implied_i2_series(self, tmp_path):
+        path = _simulate(tmp_path, n0=1, n1=1, n2=1, t_obs=120)
+        codes = _write_rows(tmp_path / "codes.csv",
+                            [["s1", "1"], ["s2", "5"], ["s3", "6"]])
+        out = tmp_path / "report.json"
+        rc = main(["classify", "--input", path, "--codes", codes,
+                   "--strategy", "1", "--output", str(out),
+                   "--boot-reps", "199", "--seed", "4"])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["strategy"] == 1
+        assert all([t["hypothesis"] for t in entry["rounds"]]
+                   == ["unit root in entered form"] for entry in doc["series"])
+        report = IntegrationReport.from_json(out.read_text())
+        # s3 (code 6) is tested in first differences: I(1) or I(2);
+        # the others are assumed at most I(1)
+        assert report.order_of("s3") in (1, 2)
+        assert report.order_of("s1") in (0, 1)
+        assert report.order_of("s2") in (0, 1)
+
+    def test_strategy_one_without_codes_is_usage_error(self, tmp_path,
+                                                        capsys):
+        path = _simulate(tmp_path, t_obs=60)
+        rc = main(["classify", "--input", path, "--strategy", "1",
+                   "--output", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert "--codes" in capsys.readouterr().err
+
 
 class TestForecastCommand:
     def test_benchmark_only_rel_msfe_is_one(self, tmp_path):

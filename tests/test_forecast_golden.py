@@ -10,7 +10,14 @@ ar,var,favar,ml,fecm,ndfm,qr_vecm --window 360 --horizons 1,3 --factors 1
 --targets s1,s2`` (38 windows, no failed cell).  pml is left out because
 its ridge initializer is expected to change.
 
-Both must reproduce byte for byte, so any change to the autoregressive,
+``tests/golden/forecast_orders.json`` and ``forecast_orders.csv`` pin the
+lanes on mixed integration orders: ``--codes tests/golden/codes.csv``
+gives s1, s2 and s3 the codes 1, 2 and 3 (orders 0, 1 and 2), with
+``--methods ar,var,favar,ml,fecm,ndfm,qr_vecm,padl --window 380
+--horizons 1,3 --factors 1 --targets s1,s3`` (18 windows, no failed
+cell).  They guard every differencing and integration step of the lanes.
+
+All must reproduce byte for byte, so any change to the autoregressive,
 VAR, factor or VECM forecasters, to their lag choices, the multiplier
 stream or the seed derivation shows here.
 """
@@ -23,6 +30,10 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 LANES = ["--methods", "ar,var,favar,ml,fecm,ndfm,qr_vecm", "--window", "360",
          "--horizons", "1,3", "--factors", "1", "--targets", "s1,s2"]
+
+ORDERS = ["--codes", os.path.join(GOLDEN, "codes.csv"), "--methods",
+          "ar,var,favar,ml,fecm,ndfm,qr_vecm,padl", "--window", "380",
+          "--horizons", "1,3", "--factors", "1", "--targets", "s1,s3"]
 
 
 def _assert_golden(tmp_path, name, extra):
@@ -43,3 +54,7 @@ def test_forecast_matches_golden(tmp_path):
 
 def test_forecast_lanes_match_golden(tmp_path):
     _assert_golden(tmp_path, "forecast_lanes", LANES)
+
+
+def test_forecast_orders_match_golden(tmp_path):
+    _assert_golden(tmp_path, "forecast_orders", ORDERS)

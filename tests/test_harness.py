@@ -8,7 +8,8 @@ import pytest
 from hdcoint import (DataError, HarnessConfig, ParameterError,
                      ar_benchmark, from_values, random_vecm_params,
                      register_method, run_rolling, simulate_vecm)
-from hdcoint.harness import _REGISTRY, invert_differences
+from hdcoint.harness import _REGISTRY
+from hdcoint.panel import invert_differences
 
 
 def _walk_panel(n, T, seed):
@@ -46,6 +47,15 @@ class TestConfigValidation:
     def test_window_longer_than_sample(self):
         with pytest.raises(DataError):
             run_rolling(_walk_panel(3, 50, 0).values, _small_cfg())
+
+    @pytest.mark.parametrize("orders", [(3, 1, 1), (-1, 1, 1), (1, 1)])
+    def test_orders_outside_zero_to_two_rejected_up_front(self, orders):
+        # every lane differences through one rule, so a bad order must
+        # stop the run before any window rather than fail lane by lane
+        with pytest.raises(ParameterError):
+            run_rolling(_walk_panel(3, 80, 0),
+                        _small_cfg(orders=orders,
+                                   methods=("ar", "var", "ml", "padl")))
 
 
 class TestRelativeMsfe:

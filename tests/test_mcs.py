@@ -72,6 +72,11 @@ class TestValidation:
         with pytest.raises(ParameterError):
             mcs(rng.standard_normal((50, 1)) ** 2)
 
+    def test_repeated_names_rejected(self, rng):
+        losses = np.column_stack([_losses(rng), _losses(rng)[:, :1]])
+        with pytest.raises(ParameterError, match="repeat a name"):
+            mcs(losses, reps=199, names=("a", "a", "b"))
+
     def test_needs_thirty_rows(self, rng):
         with pytest.raises(DataError):
             mcs(rng.standard_normal((20, 2)) ** 2, reps=199)

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from hdcoint import (DataError, NumericalError, ParameterError, VecmParams,
-                     johansen_ml, pml_vecm, qr_vecm, random_vecm_params,
-                     select_lag_bic, select_rank_ic, simulate_vecm, tscv_tune,
+                     fecm_forecast, johansen_ml, ndfm_forecast, pml_vecm,
+                     qr_vecm, random_vecm_params, select_lag_bic,
+                     select_rank_ic, simulate_vecm, tscv_tune,
                      vecm_iterated_forecast)
 from hdcoint._numeric import soft_threshold
 from hdcoint.panel import DeterministicSpec
@@ -104,9 +105,49 @@ class TestRankSelection:
             hits += select_rank_ic(z, p=1, det="none") == 0
         assert hits >= 8
 
-    def test_rmax_zero(self, rng):
-        z = rng.standard_normal((200, 3)).cumsum(axis=0)
-        assert select_rank_ic(z, p=1, rmax=0, det="none") == 0
+
+class TestOneSolvePerFit:
+    """``r=None`` fits at the rank criterion's choice, read off the fit's own
+    eigenproblem: the same bits as the two-call form, from one solve."""
+
+    @pytest.mark.parametrize("det", ["none", "mean", "trend"])
+    @pytest.mark.parametrize("seed", [42, 46])
+    def test_johansen_auto_rank_equals_two_calls(self, det, seed):
+        _, z = _sim(4, 2, 160, seed, p=1)
+        r = select_rank_ic(z, p=1, det=det)
+        auto = johansen_ml(z, None, 1, det)
+        assert auto.rank == r
+        assert auto.to_json() == johansen_ml(z, r, 1, det).to_json()
+
+    def test_pml_auto_rank_equals_two_calls(self):
+        _, z = _sim(4, 2, 121, 45, p=1)
+        zs = z / z.std(axis=0)
+        r = select_rank_ic(zs, p=1)
+        auto = pml_vecm(zs, None, p=1, lambdas=(0.1, 0.1))
+        fixed = pml_vecm(zs, r, p=1, lambdas=(0.1, 0.1))
+        assert r >= 1 and auto.rank == r
+        assert auto.to_json() == fixed.to_json()
+        assert auto.info == fixed.info
+
+    def test_one_solve_per_automatic_fit(self, monkeypatch):
+        import hdcoint.vecm as vecm
+        calls = []
+        solve = vecm._johansen_solve
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(vecm, "_johansen_solve", counted)
+        _, z = _sim(4, 2, 160, 45, p=1)
+        fits = [lambda: johansen_ml(z, None, 1, "mean"),
+                lambda: pml_vecm(z, None, p=1, lambdas=(0.1, 0.1)),
+                lambda: fecm_forecast(z, targets=[0, 1], r_ns=1, h=2),
+                lambda: ndfm_forecast(z, k=2, h=2)]
+        for fit in fits:
+            calls.clear()
+            fit()
+            assert len(calls) == 1
 
 
 class TestLagSelection:

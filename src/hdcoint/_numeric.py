@@ -1,8 +1,9 @@
 """Numeric kernels shared by several modules of the package, one
 implementation each: the AR(1) recursion, the residual factors of every
-lag-by-BIC choice, the soft-threshold and its coordinate sweep, and the
-fold edges and tie rule of the expanding-window cross-validation of the
-SPECS/PADL and QR-VECM penalties.
+lag-by-BIC choice, the sign convention of eigen- and singular vectors,
+the zero-safe column scale, the soft-threshold and its coordinate sweep,
+and the fold edges and tie rule of the expanding-window cross-validation
+of the SPECS/PADL and QR-VECM penalties.
 """
 
 from __future__ import annotations
@@ -39,6 +40,22 @@ def nested_residual_factors(X: np.ndarray, Y: np.ndarray,
     keep = np.arange(R.shape[-2]) >= np.asarray(widths)[:, None]
     return np.linalg.qr(np.where(keep[..., None], R[..., None, :, :], 0.0),
                         mode="r")
+
+
+def column_signs(V: np.ndarray) -> np.ndarray:
+    """Sign of each column of V, (k,): -1 where the column's
+    largest-magnitude entry (the first one on ties) is negative, else +1,
+    so a zero column gets +1.  ``V * column_signs(V)`` pins the sign of
+    eigen- and singular vectors, which depends on the solver."""
+    top = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    return np.where(top < 0, -1.0, 1.0)
+
+
+def column_scales(x: np.ndarray) -> np.ndarray:
+    """Standard deviation of each column of x, with 1 for a constant one."""
+    sd = x.std(axis=0)
+    sd[sd <= 0] = 1.0
+    return sd
 
 
 def soft_threshold(x, thr):

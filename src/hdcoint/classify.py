@@ -177,24 +177,6 @@ def _fdr_estimate(null_draws: np.ndarray, c: float, prior: int) -> float:
     return float(np.mean(false / np.maximum(1, prior + false)))
 
 
-def _fdr_cutoff(null_draws: np.ndarray, alpha: float, prior: int) -> float:
-    """Largest bootstrap support point whose estimated FDR stays within alpha."""
-    values = np.unique(null_draws)
-    if values.size == 0 or _fdr_estimate(null_draws, float(values[0]),
-                                         prior) > alpha:
-        return -np.inf
-    lo, hi = 0, values.shape[0] - 1
-    cutoff = float(values[0])
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if _fdr_estimate(null_draws, float(values[mid]), prior) <= alpha:
-            cutoff = float(values[mid])
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return cutoff
-
-
 def classify_bfdr(ur: np.ndarray, boot_ur: np.ndarray,
                   alpha: float = 0.05) -> FdrOutcome:
     """Step-down bootstrap control of the false discovery rate.
@@ -223,7 +205,6 @@ def classify_bfdr(ur: np.ndarray, boot_ur: np.ndarray,
         fdr_at_stat = _fdr_estimate(null_draws, stat, j - 1)
         rejected = fdr_at_stat <= alpha
         steps.append({"step": j, "statistic": stat,
-                      "cutoff": _fdr_cutoff(null_draws, alpha, j - 1),
                       "fdr_estimate": fdr_at_stat, "rejected": bool(rejected)})
         if not rejected:
             break

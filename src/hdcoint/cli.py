@@ -12,7 +12,9 @@ entered in first differences, all others are assumed at most I(1).
 ``--codes`` sets integration orders only (``classify --strategy 1``,
 ``forecast`` and ``nowcast`` read the order each code implies): the log
 and percent-change stages of codes 4-7 are not applied, so those series
-are classified and forecast on their levels as given.
+are classified and forecast on their levels as given.  The panel, the
+codes file and the ``mcs`` loss file are read by one guarded CSV reader,
+and a codes file must list each series once.
 Exit codes: 0 success, 1 usage or configuration, 2 data, 3 numerical
 failure.
 """
@@ -53,6 +55,16 @@ def _parse_date(cell: str, rowno: int) -> np.datetime64:
     raise DataError(f"row {rowno}: '{cell}' is not an ISO-8601 date")
 
 
+def _csv_rows(path: str) -> List[List[str]]:
+    """The non-empty rows of a CSV file (a UTF-8 byte-order mark is
+    dropped); a file that cannot be read is a :class:`DataError`."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            return [r for r in csv.reader(fh) if r]
+    except OSError as exc:
+        raise DataError(f"cannot read '{path}': {exc}") from None
+
+
 def ingest_csv(path: str, codes_path: Optional[str] = None
                ) -> Tuple[Panel, Optional[np.ndarray]]:
     """Read a panel CSV, with transform codes from a row or a side file.
@@ -63,12 +75,7 @@ def ingest_csv(path: str, codes_path: Optional[str] = None
     FRED-style transform codes.  ``codes_path`` names a two-column CSV
     (name, code 1..7) and overrides an embedded code row.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise DataError(f"cannot read '{path}': {exc}") from None
-    rows = [r for r in rows if r]
+    rows = _csv_rows(path)
     if not rows:
         raise DataError(f"'{path}' is empty")
     header = [c.strip() for c in rows[0]]
@@ -144,18 +151,17 @@ def ingest_csv(path: str, codes_path: Optional[str] = None
 
 
 def _read_codes(path: str, names: Tuple[str, ...]) -> np.ndarray:
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [r for r in csv.reader(fh) if r]
-    except OSError as exc:
-        raise DataError(f"cannot read '{path}': {exc}") from None
+    """Codes in ``names`` order from a 'name,code' CSV listing each series
+    once."""
     mapping: Dict[str, int] = {}
-    for k, row in enumerate(rows, start=1):
+    for k, row in enumerate(_csv_rows(path), start=1):
         if len(row) != 2:
             raise DataError(f"codes file row {k}: expected 'name,code'")
         nm = row[0].strip()
         if nm not in names:
             raise DataError(f"codes file row {k}: unknown series '{nm}'")
+        if nm in mapping:
+            raise DataError(f"codes file row {k}: duplicate series '{nm}'")
         try:
             code = int(row[1])
         except ValueError:
@@ -431,11 +437,7 @@ def cmd_nowcast(cfg: Dict[str, object]) -> None:
 def cmd_mcs(cfg: Dict[str, object]) -> None:
     path = str(_require(cfg, "input"))
     out = str(_require(cfg, "output"))
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [r for r in csv.reader(fh) if r]
-    except OSError as exc:
-        raise DataError(f"cannot read '{path}': {exc}") from None
+    rows = _csv_rows(path)
     if len(rows) < 2:
         raise DataError("loss file needs a header row and data rows")
     names = tuple(c.strip() for c in rows[0])

@@ -17,9 +17,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._numeric import nested_residual_factors
+from ._numeric import column_scales, column_signs, nested_residual_factors
 from .errors import DataError, NumericalError, ParameterError
-from .panel import DeterministicSpec, as_values, resolve_targets
+from .panel import DeterministicSpec, as_values, detrend, resolve_targets
 # select_rank_ic is unused here, but the benchmark's tracer still looks
 # it up in this module
 from .vecm import (johansen_ml, select_lag_bic,  # noqa: F401
@@ -46,19 +46,6 @@ def _slope_detrend(z: np.ndarray) -> np.ndarray:
     tc = t - t.mean()
     tau = (tc @ z) / (tc @ tc)
     return z - np.outer(t, tau)
-
-
-def _fix_factor_signs(loadings: np.ndarray, factors: np.ndarray) -> None:
-    """Make the largest-magnitude loading of each factor positive, in place.
-
-    Sign conventions of eigen/singular vectors are solver-dependent; this
-    pins one deterministically without touching rotation-invariant output.
-    """
-    for j in range(loadings.shape[1]):
-        i = int(np.argmax(np.abs(loadings[:, j])))
-        if loadings[i, j] < 0:
-            loadings[:, j] = -loadings[:, j]
-            factors[:, j] = -factors[:, j]
 
 
 @dataclass(frozen=True)
@@ -122,9 +109,9 @@ def _principal_components(x: np.ndarray, paths: np.ndarray,
     vals, vecs = np.linalg.eigh(x.T @ x / T)
     order = np.argsort(vals)[::-1][:k]
     loadings = np.sqrt(N) * vecs[:, order]
-    factors = paths @ loadings / N
-    _fix_factor_signs(loadings, factors)
-    return FactorModel(loadings, factors, "differences", k, 0,
+    signs = column_signs(loadings)
+    return FactorModel(loadings * signs, paths @ loadings / N * signs,
+                       "differences", k, 0,
                        eigenvalues=vals[order])
 
 
@@ -163,8 +150,8 @@ def extract_factors_levels(data, r_ns: int, r_s: int = 0) -> FactorModel:
     factors = np.hstack([T * u[:, :r_ns], np.sqrt(T) * u[:, r_ns:r]])
     coef, *_ = np.linalg.lstsq(factors, z, rcond=None)
     loadings = coef.T.copy()
-    _fix_factor_signs(loadings, factors)
-    return FactorModel(loadings, factors, "levels", r_ns, r_s,
+    signs = column_signs(loadings)
+    return FactorModel(loadings * signs, factors * signs, "levels", r_ns, r_s,
                        eigenvalues=s[:r] ** 2)
 
 
@@ -205,9 +192,7 @@ def count_factors(data, mode: str = "diff_ic", kmax: int = 8) -> int:
         return 0
     if mode == "diff_ic":
         x = np.diff(z, axis=0)
-        sd = x.std(axis=0)
-        sd[sd <= 0] = 1.0
-        x = (x - x.mean(axis=0)) / sd
+        x = (x - x.mean(axis=0)) / column_scales(x)
         Tx = x.shape[0]
         v = _tail_variance(x)[:kmax + 1]
         penalty = (N + Tx) / (N * Tx) * np.log(min(N, Tx))
@@ -317,9 +302,7 @@ def ndfm_forecast(data, k: Optional[int] = None, rank: Optional[int] = None,
         k = count_factors(z, "diff_ic", min(kmax, min(N, T) // 2))
     fm = extract_factors_diff(z, k)
     common = fm.common_component()
-    D = np.column_stack([np.ones(T), np.arange(1.0, T + 1.0)])
-    coef, *_ = np.linalg.lstsq(D, z - common, rcond=None)
-    uhat = z - common - D @ coef
+    uhat, coef = detrend(z - common)
     steps = np.array([float(T)]) if h == 0 else np.arange(T + 1.0, T + h + 1.0)
     if h == 0:
         fpath = fm.factors[-1:]
@@ -351,7 +334,7 @@ def fecm_forecast(data, targets: Optional[Sequence[Union[int, str]]] = None,
     spec = DeterministicSpec.parse(det)
     blocks = [z[:, idx]]
     if r_ns + r_s > 0:
-        if np.unique(idx).size == z.shape[1]:
+        if idx.size == z.shape[1]:
             raise DataError("factors of an all-target panel would make "
                             "the factor-augmented system singular")
         blocks.append(extract_factors_levels(z, r_ns, r_s).factors)

@@ -19,12 +19,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ._numeric import column_scales
 from .bootstrap import _multiplier_matrix, check_multiplier
 from .errors import DataError, ParameterError, ToolkitError
 from .factors import (extract_factors_diff, fecm_forecast, ndfm_forecast,
                       pca_factors, var_bic_forecast)
-from .panel import (difference_columns, invert_differences, resolve_targets,
-                    validate_orders)
+from .panel import (DeterministicSpec, detrend, difference_columns,
+                    invert_differences, resolve_targets, validate_orders)
 from .singleeq import factor_augment, padl_fit, specs_fit
 # select_rank_ic is unused here, but the benchmark's tracer still looks
 # it up in this module
@@ -43,6 +44,8 @@ __all__ = [
 ]
 
 SINGLE_EQUATION_METHODS = ("ar", "padl", "fapadl", "specs", "fa_specs")
+# the lanes that extract factors from the panel
+FACTOR_METHODS = ("favar", "fecm", "ndfm", "fapadl", "fa_specs")
 
 
 @dataclass(frozen=True)
@@ -126,12 +129,7 @@ class _Window:
         self.orders = orders
         self.cfg = cfg
         self.window_start = window_start
-        n = values.shape[0]
-        t = np.arange(1.0, n + 1.0)
-        self._design = np.column_stack([np.ones(n), t])
-        coef, *_ = np.linalg.lstsq(self._design, values, rcond=None)
-        self.trend_coef = coef
-        self.resid = values - self._design @ coef
+        self.resid, self.trend_coef = detrend(values)
         self._now_cache: Dict[int, Tuple[np.ndarray, float]] = {}
 
     @property
@@ -150,9 +148,8 @@ class _Window:
         """
         if ti not in self._now_cache:
             n = self.n_obs
-            coef, *_ = np.linalg.lstsq(self._design[:-1],
-                                       self.values[:-1, ti], rcond=None)
-            col = self.values[:, ti] - self._design @ coef
+            coef = detrend(self.values[:-1, ti])[1]
+            col = self.values[:, ti] - DeterministicSpec.TREND.design(n) @ coef
             panel = self.resid.copy()
             panel[:, ti] = col
             det = float(coef[0] + coef[1] * n)
@@ -183,9 +180,7 @@ def _stationary_system(ctx: _Window, augment: bool) -> Dict[Tuple[int, int], flo
     if augment:
         full = difference_columns(ctx.resid, ctx.orders)[ctx.orders.max():]
         rows = min(x.shape[0], full.shape[0])
-        sd = full.std(axis=0)
-        sd[sd <= 0] = 1.0
-        fac = pca_factors(full / sd, ctx.cfg.factors).factors
+        fac = pca_factors(full / column_scales(full), ctx.cfg.factors).factors
         x = np.hstack([x[-rows:], fac[-rows:]])
     path = var_bic_forecast(x, _max_h(ctx), ctx.cfg.p_max, p_min=1)
     return _at_horizons(ctx, [(ti, invert_differences(
@@ -258,8 +253,7 @@ def _method_qr_vecm(ctx: _Window) -> Dict[Tuple[int, int], float]:
 
 def _method_pml(ctx: _Window) -> Dict[Tuple[int, int], float]:
     zb = ctx.coint_panel()[:, ctx.targets]
-    sd = zb.std(axis=0)
-    sd[sd <= 0] = 1.0
+    sd = column_scales(zb)
     zs = zb / sd
     model = pml_vecm(zs, None, p=1, lambdas=(0.1, 0.1))
     path = vecm_iterated_forecast(model, zs, _max_h(ctx)) * sd
@@ -525,7 +519,9 @@ def run_rolling(data, cfg: HarnessConfig) -> ForecastReport:
 
     Windows are scored only where all horizons can be evaluated, so the
     loss matrices are aligned across horizons.  Method failures inside a
-    window are recorded as diagnostics and missing losses, never raised.
+    window are recorded as diagnostics and missing losses, never raised;
+    a factor count above N (N - 1 with fa_specs or fapadl) raises
+    :class:`ParameterError` before the first window.
     """
     z, names, targets = resolve_targets(data, cfg.targets)
     T, N = z.shape
@@ -534,6 +530,14 @@ def run_rolling(data, cfg: HarnessConfig) -> ForecastReport:
         raise ParameterError(
             f"unknown methods {unknown}; available: {sorted(_REGISTRY)}")
     orders = validate_orders([1] * N if cfg.orders is None else cfg.orders, N)
+    factor_lanes = sorted(set(cfg.methods) & set(FACTOR_METHODS))
+    # N factors span the target itself, which leaves a factor-augmented
+    # single equation collinear (and a nowcast has only N - 1 series)
+    most = N - 1 if set(factor_lanes) & set(SINGLE_EQUATION_METHODS) else N
+    if factor_lanes and cfg.factors > most:
+        raise ParameterError(
+            f"{cfg.factors} factors exceed the {most} that "
+            f"{', '.join(factor_lanes)} can use on {N} series")
     h_max = max(cfg.horizons)
     last_start = T - cfg.window - h_max
     if last_start < 0:

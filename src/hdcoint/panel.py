@@ -6,6 +6,8 @@ starts), never in the interior.  All transforms return new panels; values
 arrays are marked read-only so panels can be shared freely.  Integration
 orders are applied by one rule, :func:`difference_columns`, and inverted
 by one, :func:`invert_differences`; every other module uses these two.
+Likewise every regression on the deterministic terms [1, t] goes through
+:meth:`DeterministicSpec.design` and :func:`detrend`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "apply_transform",
     "implied_orders",
     "validate_codes",
+    "detrend",
     "ols_detrend",
 ]
 
@@ -59,6 +62,12 @@ class DeterministicSpec(str, Enum):
     def n_terms(self) -> int:
         """Deterministic regressors: 0 (none), 1 (mean) or 2 (trend)."""
         return {"none": 0, "mean": 1, "trend": 2}[self.value]
+
+    def design(self, n: int, start: int = 1) -> np.ndarray:
+        """The (n, n_terms) deterministic regressors: the leading
+        ``n_terms`` columns of [1, t] for t = start .. start + n - 1."""
+        t = np.arange(start, start + n, dtype=float)
+        return t[:, None] ** np.arange(self.n_terms)
 
 
 #: FRED-MD style transform codes: 1 level, 2 first difference, 3 second
@@ -212,8 +221,9 @@ def resolve_targets(data, targets=None
 
     ``targets`` lists series names or column indices; None means every
     series.  An array's series carry the default names of
-    :func:`from_values`.  Unknown names, indices outside ``[0, N)`` and an
-    empty list raise :class:`ParameterError`.
+    :func:`from_values`.  Unknown names, indices outside ``[0, N)``, a
+    series listed twice (by name or index) and an empty list raise
+    :class:`ParameterError`.
     """
     z = as_values(data)
     names = data.names if isinstance(data, Panel) else _default_names(z.shape[1])
@@ -231,6 +241,9 @@ def resolve_targets(data, targets=None
             raise ParameterError(f"target index {key} out of range")
     if not idx:
         raise ParameterError("target set must not be empty")
+    for k, i in enumerate(idx):
+        if i in idx[:k]:
+            raise ParameterError(f"target '{names[i]}' is listed twice")
     return z, names, np.array(idx)
 
 
@@ -337,11 +350,24 @@ def implied_orders(codes: Sequence[int]) -> np.ndarray:
 # -- deterministic components -------------------------------------------
 
 
-def ols_detrend(panel: Panel, spec: Union[str, DeterministicSpec] = DeterministicSpec.TREND):
-    """Per-column OLS regression on deterministics; returns residual panel.
+def detrend(y, spec: Union[str, DeterministicSpec] = DeterministicSpec.TREND,
+            start: int = 1) -> Tuple[np.ndarray, np.ndarray]:
+    """OLS residual of ``y`` (rows are periods, 1-D or 2-D) on the
+    deterministics :meth:`DeterministicSpec.design` (n, start), and the
+    coefficients, (n_terms,) or (n_terms, columns).  The package's one
+    regression on [1, t]."""
+    y = np.asarray(y, dtype=float)
+    X = DeterministicSpec.parse(spec).design(y.shape[0], start)
+    beta = np.linalg.lstsq(X, y, rcond=None)[0]
+    return y - X @ beta, beta
 
-    The trend regressor is the 1-based global row index, so coefficients
-    extrapolate as ``mu + tau * (T + h)``.
+
+def ols_detrend(panel: Panel, spec: Union[str, DeterministicSpec] = DeterministicSpec.TREND):
+    """Per-column :func:`detrend` of a panel; returns the residual panel.
+
+    The trend regressor is the 1-based global row index (each column's
+    ``start`` is its lead plus one), so coefficients extrapolate as
+    ``mu + tau * (T + h)``.
 
     Returns
     -------
@@ -354,11 +380,8 @@ def ols_detrend(panel: Panel, spec: Union[str, DeterministicSpec] = Deterministi
     spec = DeterministicSpec.parse(spec)
     N = panel.n_series
     coefs = np.zeros((N, 2))
-    if spec is DeterministicSpec.NONE:
-        return panel.with_values(panel.values.copy()), coefs
     out = np.full_like(panel.values, np.nan)
-    t_all = np.arange(1.0, panel.n_obs + 1.0)
-    min_obs = 3 if spec is DeterministicSpec.TREND else 2
+    min_obs = spec.n_terms + 1
     for j in range(N):
         lead = panel.leads[j]
         y = panel.values[lead:, j]
@@ -366,11 +389,6 @@ def ols_detrend(panel: Panel, spec: Union[str, DeterministicSpec] = Deterministi
             raise DataError(
                 f"series '{panel.names[j]}' has {y.shape[0]} observations; "
                 f"detrending with spec '{spec.value}' needs at least {min_obs}")
-        if spec is DeterministicSpec.TREND:
-            X = np.column_stack([np.ones_like(y), t_all[lead:]])
-        else:
-            X = np.ones((y.shape[0], 1))
-        beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-        out[lead:, j] = y - X @ beta
+        out[lead:, j], beta = detrend(y, spec, lead + 1)
         coefs[j, :beta.shape[0]] = beta
     return panel.with_values(out), coefs

@@ -49,7 +49,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, NumericalError, ParameterError
-from .panel import DeterministicSpec
+from .panel import DeterministicSpec, detrend
 
 __all__ = [
     "VARIANTS",
@@ -133,8 +133,7 @@ def _grams(y: np.ndarray, lags: int) -> np.ndarray:
     M = np.empty((B, m, m))
     step = max(1, _BLOCK_BYTES // (8 * m * n))
     X = np.empty((min(step, B), m, n))
-    X[:, 0] = 1.0
-    X[:, 1] = np.arange(lags + 2.0, T + 1.0)
+    X[:, :2] = DeterministicSpec.TREND.design(n, lags + 2).T
     W = sliding_window_view(np.diff(y, axis=1), n, axis=1)  # dy from j
     for lo in range(0, B, step):
         hi = min(lo + step, B)
@@ -244,8 +243,7 @@ def _gls_coef_batch(y: np.ndarray, spec: DeterministicSpec
     if T < 4:
         raise DataError("series too short for GLS detrending")
     rho = 1.0 + _GLS_CBAR[spec] / T
-    t = np.arange(1.0, T + 1.0)
-    Z = np.ones((T, 1)) if spec is DeterministicSpec.MEAN else np.column_stack([np.ones(T), t])
+    Z = spec.design(T)
     Zq = np.empty_like(Z)
     Zq[0] = Z[0]
     Zq[1:] = Z[1:] - rho * Z[:-1]
@@ -378,11 +376,7 @@ def select_lags(series, spec: Union[str, DeterministicSpec] = DeterministicSpec.
         max_lags -= 1
     if max_lags == 0:
         return 0
-    if spec is not DeterministicSpec.NONE:
-        t = np.arange(1.0, T + 1.0)
-        X = np.ones((T, 1)) if spec is DeterministicSpec.MEAN else np.column_stack([np.ones(T), t])
-        beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-        y = y - X @ beta
+    y = detrend(y, spec)[0]
     d = np.diff(y)
     if not np.any(np.abs(d) > 0) or not np.all(np.isfinite(d)):
         return 0

@@ -32,7 +32,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.linalg
 
-from ._numeric import (expanding_folds, last_minimum,
+from ._numeric import (column_signs, expanding_folds, last_minimum,
                        nested_residual_factors, soft_threshold_sweep)
 from .errors import ConvergenceError, DataError, NumericalError, ParameterError
 from .panel import DeterministicSpec, as_values
@@ -66,14 +66,13 @@ def _ec_design(z: np.ndarray, p: int, det: DeterministicSpec
     dz = np.diff(z, axis=0)
     y0 = dz[p:]
     y1 = z[p:-1]
+    D = det.design(n, p + 2)
     if det is DeterministicSpec.TREND:
-        t = np.arange(p + 2, T + 1, dtype=float)
-        y1 = np.column_stack([y1, t])
-    cols = []
-    if det is not DeterministicSpec.NONE:
-        cols.append(np.ones((n, 1)))
-    for j in range(1, p + 1):
-        cols.append(dz[p - j:-j])
+        y1 = np.column_stack([y1, D[:, 1]])
+    # no constant block at all under 'none': an empty one would make W
+    # C-ordered for a Fortran-ordered z, which moves the PML fit's last bits
+    cols = [D[:, :1]] if det.n_terms else []
+    cols += [dz[p - j:-j] for j in range(1, p + 1)]
     W = np.column_stack(cols) if cols else np.empty((n, 0))
     return y0, y1, W, T
 
@@ -114,16 +113,6 @@ def _short_run(y0: np.ndarray, y1: np.ndarray, W: np.ndarray, pi: np.ndarray,
     mu = c[0] if off else np.zeros(N)
     phi = tuple(c[off + j * N: off + (j + 1) * N].T for j in range(p))
     return mu, phi, resid.T @ resid / y0.shape[0]
-
-
-def _fix_column_signs(V: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude entry of each column positive."""
-    if V.size == 0:
-        return V
-    idx = np.argmax(np.abs(V), axis=0)
-    signs = np.sign(V[idx, np.arange(V.shape[1])])
-    signs[signs == 0] = 1.0
-    return V * signs
 
 
 @dataclass(frozen=True)
@@ -257,7 +246,7 @@ def _johansen_fit(s: _Solve, r: int, p: int,
     """Reduced-rank ML fit of one solve at rank ``r``."""
     n, N = s.y0.shape
     _check_rank(s.t_last, N, p, r)
-    b_aug = _fix_column_signs(s.vecs[:, :r])
+    b_aug = s.vecs[:, :r] * column_signs(s.vecs[:, :r])
     if b_aug.shape[1] < r:
         raise NumericalError("eigenproblem is rank-deficient; reduce r")
     a = s.s01 @ b_aug

@@ -167,9 +167,29 @@ class TestIngest:
         with pytest.raises(DataError, match="lacks entries"):
             ingest_csv(panel_path, partial)
 
+    def test_codes_file_lists_a_series_once(self, tmp_path, capsys):
+        panel_path = _simulate(tmp_path)
+        codes = _write_rows(tmp_path / "c.csv",
+                            [["s1", "2"], ["s2", "1"], ["s1", "5"],
+                             ["s3", "2"]])
+        with pytest.raises(DataError,
+                           match="codes file row 3: duplicate series 's1'"):
+            ingest_csv(panel_path, codes)
+        out = tmp_path / "fc.json"
+        rc = main(["forecast", "--input", panel_path, "--codes", codes,
+                   "--window", "60", "--output", str(out)])
+        assert rc == 2
+        assert "duplicate series 's1'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             ingest_csv(str(tmp_path / "absent.csv"))
+        absent = str(tmp_path / "absent.csv")
+        out = str(tmp_path / "o.json")
+        assert main(["mcs", "--input", absent, "--output", out]) == 2
+        assert main(["forecast", "--input", _simulate(tmp_path), "--codes",
+                     absent, "--output", out]) == 2
 
 
 class TestConfigResolution:
@@ -422,14 +442,16 @@ class TestForecastCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--max-lags", "-1"), ("--factors", "-1"),
-        ("--methods", "ar,var,var")])
+        ("--methods", "ar,var,var"), ("--targets", "s1,s1"),
+        # the simulated panel has 3 series to extract factors from
+        ("--factors", "4"), ("--factors", "9")])
     def test_bad_settings_stop_before_any_window(self, tmp_path, capsys,
                                                  flag, value):
         path = _simulate(tmp_path)
         out = tmp_path / "fc.json"
         rc = main(["forecast", "--input", path, "--window", "60",
-                   "--methods", "ar,var,ml", flag, value,
-                   "--boot-reps", "199", "--output", str(out)])
+                   "--methods", "ar,var,ml,fecm", "--factors", "1",
+                   flag, value, "--boot-reps", "199", "--output", str(out)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()

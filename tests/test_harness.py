@@ -49,6 +49,30 @@ class TestConfigValidation:
                         _small_cfg(methods=("ar", "oracle9"),
                                    benchmark="ar"))
 
+    @pytest.mark.parametrize("methods, horizons, factors", [
+        (("ar", "favar"), (1,), 5), (("ar", "ndfm"), (1,), 9),
+        (("ar", "fecm"), (1,), 5), (("ar", "fa_specs"), (0, 1), 4),
+        (("ar", "fa_specs"), (1,), 4), (("ar", "fapadl"), (0,), 4)])
+    def test_factor_count_above_the_panel_rejected(self, methods, horizons,
+                                                   factors):
+        # 4 series: at most 4 factors, 3 for a factor-augmented single
+        # equation
+        with pytest.raises(ParameterError, match="factors exceed"):
+            run_rolling(_walk_panel(4, 100, 0),
+                        _small_cfg(methods=methods, horizons=horizons,
+                                   factors=factors, targets=(0,)))
+
+    @pytest.mark.parametrize("methods, horizons, factors", [
+        (("ar", "favar", "ndfm"), (1,), 4),
+        (("ar", "fapadl"), (0, 1), 3)])
+    def test_factor_count_at_the_bound_runs(self, methods, horizons,
+                                            factors):
+        report = run_rolling(_walk_panel(4, 62, 0),
+                             _small_cfg(methods=methods, horizons=horizons,
+                                        factors=factors, targets=(0,)))
+        assert not [d for d in report.diagnostics if "outside" in d[4]]
+        assert all(np.isfinite(f).all() for f in report.forecasts.values())
+
     def test_unknown_target(self):
         with pytest.raises(ParameterError):
             run_rolling(_walk_panel(3, 80, 0),

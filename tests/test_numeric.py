@@ -1,11 +1,13 @@
 """Shared numeric kernels: the scalar soft-threshold of the coordinate
-sweep and the fold edges of expanding-window cross-validation."""
+sweep, the fold edges of expanding-window cross-validation, and the
+column sign and scale conventions."""
 
 import numpy as np
 import pytest
 
 from hdcoint import ParameterError
-from hdcoint._numeric import (expanding_folds, last_minimum, soft_threshold,
+from hdcoint._numeric import (column_scales, column_signs, expanding_folds,
+                              last_minimum, soft_threshold,
                               soft_threshold_scalar, soft_threshold_sweep)
 
 
@@ -96,3 +98,29 @@ class TestExpandingFolds:
         assert last_minimum([3.0, 1.0, 2.0, 1.0]) == 3
         assert last_minimum([np.nan, 2.0]) == 1
         assert last_minimum([np.nan, np.nan]) == 0
+
+
+class TestColumnConventions:
+    def test_sign_of_the_largest_entry(self):
+        V = np.array([[0.2, -3.0, 1.0],
+                      [-0.9, 2.0, -4.0],
+                      [0.5, 0.1, 2.0]])
+        assert column_signs(V).tolist() == [-1.0, -1.0, -1.0]
+        assert (column_signs(V * column_signs(V)) == 1.0).all()
+
+    def test_ties_take_the_first_entry(self):
+        V = np.array([[2.0, -2.0],
+                      [-2.0, 2.0]])
+        assert column_signs(V).tolist() == [1.0, -1.0]
+
+    def test_zero_and_empty_columns(self):
+        assert column_signs(np.zeros((3, 2))).tolist() == [1.0, 1.0]
+        assert column_signs(np.array([[0.0], [-0.0]])).tolist() == [1.0]
+        assert column_signs(np.zeros((4, 0))).shape == (0,)
+
+    def test_column_scales_guard_constant_columns(self, rng):
+        x = np.column_stack([rng.standard_normal(30), np.full(30, 4.0),
+                             rng.standard_normal(30) * 3.0])
+        sd = column_scales(x)
+        assert sd[1] == 1.0
+        assert np.array_equal(sd[[0, 2]], x.std(axis=0)[[0, 2]])

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from hdcoint import (DataError, HarnessConfig, Panel, ParameterError,
-                     apply_transform, difference, difference_columns,
+from hdcoint import (DataError, DeterministicSpec, HarnessConfig, Panel,
+                     ParameterError, apply_transform, difference,
+                     difference_columns,
                      factor_augment, fecm_forecast, from_values,
                      implied_orders, invert_differences, ols_detrend,
                      run_rolling, validate_codes)
-from hdcoint.panel import monthly_dates, resolve_targets
+from hdcoint.panel import detrend, monthly_dates, resolve_targets
 
 
 def _panel(values, names=None):
@@ -164,6 +165,59 @@ class TestDetrend:
         assert np.allclose(resid.values.sum(axis=0), 0.0, atol=1e-8)
         assert np.allclose(t @ resid.values, 0.0, atol=1e-6)
 
+    @pytest.mark.parametrize("spec,terms", [("none", 0), ("mean", 1),
+                                            ("trend", 2)])
+    def test_design_shapes(self, spec, terms):
+        for start in (1, 5):
+            D = DeterministicSpec.parse(spec).design(7, start)
+            assert D.shape == (7, terms)
+            assert D.flags["C_CONTIGUOUS"]
+            want = np.column_stack([np.ones(7),
+                                    np.arange(start, start + 7.0)])
+            assert np.array_equal(D, want[:, :terms])
+
+    @pytest.mark.parametrize("spec", ["none", "mean", "trend"])
+    def test_detrend_normal_equation_oracle(self, spec, rng):
+        y = rng.standard_normal((40, 3)).cumsum(axis=0)
+        resid, beta = detrend(y, spec, start=11)
+        D = DeterministicSpec.parse(spec).design(40, 11)
+        want = np.linalg.solve(D.T @ D, D.T @ y)
+        assert beta.shape == (D.shape[1], 3)
+        assert np.allclose(beta, want, atol=1e-9)
+        assert np.allclose(resid, y - D @ want, atol=1e-9)
+        # one column gives the same fit as a vector
+        r1, b1 = detrend(y[:, 1], spec, start=11)
+        assert b1.shape == (D.shape[1],)
+        assert np.allclose(r1, resid[:, 1], atol=1e-12)
+
+    def test_detrend_none_returns_input(self, rng):
+        y = rng.standard_normal(12)
+        resid, beta = detrend(y, "none")
+        assert beta.shape == (0,)
+        assert np.array_equal(resid, y)
+
+    @pytest.mark.parametrize("spec", ["none", "mean", "trend"])
+    def test_ragged_panel_counts_t_by_global_row(self, spec, rng):
+        vals = rng.standard_normal((50, 3)).cumsum(axis=0)
+        vals[:7, 0] = np.nan
+        vals[:19, 2] = np.nan
+        p = _panel(vals)
+        resid, coef = ols_detrend(p, spec)
+        for j, lead in enumerate(p.leads):
+            r, b = detrend(vals[lead:, j], spec, lead + 1)
+            assert np.isnan(resid.values[:lead, j]).all()
+            assert np.array_equal(resid.values[lead:, j], r)
+            assert np.array_equal(coef[j, :b.shape[0]], b)
+            assert not coef[j, b.shape[0]:].any()
+
+    def test_too_short_for_spec(self):
+        vals = np.full((6, 1), np.nan)
+        vals[4:, 0] = [1.0, 2.0]
+        with pytest.raises(DataError, match="needs at least 3"):
+            ols_detrend(_panel(vals), "trend")
+        assert np.allclose(ols_detrend(_panel(vals), "mean")[0].values[4:],
+                           [[-0.5], [0.5]], atol=1e-12)
+
 
 class TestResolveTargets:
     def _walk(self, n=4, T=80):
@@ -185,6 +239,22 @@ class TestResolveTargets:
     def test_bad_targets_rejected(self, targets):
         with pytest.raises(ParameterError):
             resolve_targets(self._walk(), targets)
+
+    @pytest.mark.parametrize("targets,name", [(["b", "b"], "b"),
+                                              ([1, "b"], "b"),
+                                              ([0, 2, 0], "a")])
+    def test_repeated_target_rejected(self, targets, name):
+        p = self._walk()
+        with pytest.raises(ParameterError, match=f"'{name}' is listed twice"):
+            resolve_targets(p, targets)
+        with pytest.raises(ParameterError, match="listed twice"):
+            run_rolling(p, HarnessConfig(window=60, horizons=(1,),
+                                         methods=("ar",), benchmark="ar",
+                                         targets=tuple(targets)))
+        with pytest.raises(ParameterError, match="listed twice"):
+            fecm_forecast(p, targets=targets)
+        with pytest.raises(ParameterError, match="listed twice"):
+            factor_augment(p, targets, 1)
 
     @pytest.mark.parametrize("key", [9, -1])
     def test_estimators_reject_out_of_range(self, key):

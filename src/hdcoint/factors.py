@@ -262,7 +262,7 @@ def var_bic_forecast(x, h: int, p_max: int, p_min: int) -> np.ndarray:
 
 
 def _factor_path(factors: np.ndarray, h: int, rank: Optional[int],
-                 p: Optional[int]) -> np.ndarray:
+                 p: Optional[int], p_max: int) -> np.ndarray:
     """Iterated factor forecasts; falls back to a frozen path only when
     automatic selection hits an infeasible window."""
     k = factors.shape[1]
@@ -270,8 +270,8 @@ def _factor_path(factors: np.ndarray, h: int, rank: Optional[int],
         return np.zeros((h, 0))
     auto = rank is None and p is None
     try:
-        p_f = select_lag_bic(factors, p_max=3, det=DeterministicSpec.MEAN) \
-            if p is None else p
+        p_f = select_lag_bic(factors, p_max=p_max,
+                             det=DeterministicSpec.MEAN) if p is None else p
         model = johansen_ml(factors, rank, p_f, det=DeterministicSpec.MEAN)
         return vecm_iterated_forecast(model, factors, h)
     except (DataError, NumericalError):
@@ -282,15 +282,15 @@ def _factor_path(factors: np.ndarray, h: int, rank: Optional[int],
 
 def ndfm_forecast(data, k: Optional[int] = None, rank: Optional[int] = None,
                   p: Optional[int] = None, h: int = 1, idio_ar: bool = True,
-                  kmax: int = 8) -> np.ndarray:
+                  kmax: int = 8, p_max: int = 3) -> np.ndarray:
     """Level forecasts for every series from the nonstationary factor model.
 
     Factors come from the differences route; their joint dynamics are a
     VECM fitted by reduced-rank ML (rank and lag by information criteria
-    when not given), iterated one step at a time.  Per-series intercept
-    and trend are re-estimated by OLS holding the loadings fixed, and
-    optional BIC-selected AR(≤3)s, one stack of them, carry the
-    idiosyncratic remainders.
+    when not given, the lag at most ``p_max``), iterated one step at a
+    time.  Per-series intercept and trend are re-estimated by OLS holding
+    the loadings fixed, and optional BIC-selected AR(≤ ``p_max``)s, one
+    stack of them, carry the idiosyncratic remainders.
     ``h=0`` returns the fitted value at the last observation as a (1, N)
     row; ``h≥1`` returns the (h, N) forecast path.
     """
@@ -308,8 +308,8 @@ def ndfm_forecast(data, k: Optional[int] = None, rank: Optional[int] = None,
         fpath = fm.factors[-1:]
         upath = uhat[-1:] if idio_ar else np.zeros((1, N))
     else:
-        fpath = _factor_path(fm.factors, h, rank, p)
-        upath = var_bic_forecast(uhat.T[:, :, None], h, 3, 0)[:, :, 0].T \
+        fpath = _factor_path(fm.factors, h, rank, p, p_max)
+        upath = var_bic_forecast(uhat.T[:, :, None], h, p_max, 0)[:, :, 0].T \
             if idio_ar else np.zeros((h, N))
     det = np.outer(np.ones_like(steps), coef[0]) + np.outer(steps, coef[1])
     return det + fpath @ fm.loadings.T + upath
@@ -318,17 +318,18 @@ def ndfm_forecast(data, k: Optional[int] = None, rank: Optional[int] = None,
 def fecm_forecast(data, targets: Optional[Sequence[Union[int, str]]] = None,
                   r_ns: int = 0, r_s: int = 0, rank: Optional[int] = None,
                   p: Optional[int] = None, h: int = 1,
-                  det: Union[str, DeterministicSpec] = DeterministicSpec.TREND
-                  ) -> np.ndarray:
+                  det: Union[str, DeterministicSpec] = DeterministicSpec.TREND,
+                  p_max: int = 3) -> np.ndarray:
     """Level forecasts for the target block from a factor-augmented VECM.
 
     Levels-extracted factors are stacked under the target series and the
     joint system is estimated by reduced-rank ML; by default with an
     unrestricted intercept and a trend restricted to the cointegrating
     space, while already-detrended inputs can pass ``det="none"``.  Rank
-    and lag come from the information criteria when not given.  With
-    ``r_ns = r_s = 0`` this is a plain VECM on the targets.  Factors of a
-    panel of targets only are combinations of them: :class:`DataError`.
+    and lag (at most ``p_max``) come from the information criteria when
+    not given.  With ``r_ns = r_s = 0`` this is a plain VECM on the
+    targets.  Factors of a panel of targets only are combinations of
+    them: :class:`DataError`.
     """
     z, _, idx = resolve_targets(data, targets)
     spec = DeterministicSpec.parse(det)
@@ -339,6 +340,6 @@ def fecm_forecast(data, targets: Optional[Sequence[Union[int, str]]] = None,
                             "the factor-augmented system singular")
         blocks.append(extract_factors_levels(z, r_ns, r_s).factors)
     x = np.hstack(blocks)
-    p_x = select_lag_bic(x, p_max=3, det=spec) if p is None else p
+    p_x = select_lag_bic(x, p_max=p_max, det=spec) if p is None else p
     model = johansen_ml(x, rank, p_x, det=spec)
     return vecm_iterated_forecast(model, x, h)[:, :idx.shape[0]]

@@ -234,13 +234,14 @@ def _method_fecm(ctx: _Window) -> Dict[Tuple[int, int], float]:
     z = ctx.coint_panel()
     path = fecm_forecast(z, targets=list(ctx.targets),
                          r_ns=ctx.cfg.factors, r_s=0, h=_max_h(ctx),
-                         det="none")
+                         det="none", p_max=ctx.cfg.p_max)
     return _system_paths(ctx, path, range(len(ctx.targets)))
 
 
 def _method_ndfm(ctx: _Window) -> Dict[Tuple[int, int], float]:
     z = ctx.coint_panel()
-    path = ndfm_forecast(z, k=ctx.cfg.factors, h=_max_h(ctx))
+    path = ndfm_forecast(z, k=ctx.cfg.factors, h=_max_h(ctx),
+                         p_max=ctx.cfg.p_max)
     return _system_paths(ctx, path, ctx.targets)
 
 

@@ -6,11 +6,18 @@ to zero removes the long-run relation, while adaptive individual
 penalties prune every remaining coefficient.  Everything works on the
 Gram matrix of the design, formed once per cross-validation fold.  A
 weighted-lasso homotopy path solves every penalty without a group term,
-and every one whose levels block is zero, exactly; the rest run block
-coordinate descent, warm-started within a fold (Friedman, Hastie &
-Tibshirani, 2010), with an active-set Newton finish.  On top sit the
-error-correction selector (SPECS), its differenced counterpart (PADL),
-factor augmentation and expanding-window cross-validation.
+and every one whose levels block is zero, exactly; it carries one
+inverse of G[S, S] across its events, bordered on each join and
+refactored on each drop.  The rest run block coordinate descent,
+warm-started within a fold (Friedman, Hastie & Tibshirani, 2010), with
+an active-set Newton finish that builds each support's Hessian once.
+On top sit the error-correction selector (SPECS), its differenced
+counterpart (PADL), factor augmentation and expanding-window
+cross-validation.
+
+The module uses numpy's linear algebra only, never scipy's: scipy's
+LAPACK loads its own OpenBLAS, and its first call adds 0.6-0.9 MB of
+peak RSS to a SPECS/PADL run that otherwise needs no scipy routine.
 """
 
 from __future__ import annotations
@@ -212,47 +219,85 @@ def _lasso_path(G: np.ndarray, c: np.ndarray, unit: np.ndarray,
     Coordinates with infinite unit penalty or a zero Gram diagonal never
     enter.  Between events t_S is linear in lam; an event adds the
     coordinate whose correlation reaches its penalty or drops one whose
-    sign would change.  From a singular G[S, S] (or the event cap) on,
-    the solutions are None.
+    sign would change.  A dropped coordinate may rejoin at the next event
+    with the other sign only: with its old sign it would rejoin where it
+    left.  When no coordinate can join or drop, the path is flat down to
+    lam = 0 and it stops there.
+
+    The inverse M of G[S, S] is carried from event to event, as LARS
+    carries its factor.  A join borders it with the new column g:
+    u = M g and d = G_jj - g'u, the new squared Cholesky pivot.  A drop,
+    which is rare, refactors G[S, S] from scratch, which bounds the
+    drift.  One product of M with [c_S, -unit_S sign_S / 2] gives t_S's
+    intercept and slope in lam.  From a G[S, S] that is not positive
+    definite, or whose smallest squared pivot is at most 1e-12 of its
+    largest diagonal entry (or from the event cap) on, the solutions are
+    None.
     """
-    ok = np.isfinite(unit) & (np.diag(G) > 0)
-    S, sg, out, lam, events, added, dropped = [], [], [], np.inf, 0, -1, []
-    while len(out) < len(lams) and events <= 4 * c.size + 20:
-        alpha = beta = np.zeros(0)
-        if S:
-            GS = G[np.ix_(S, S)]
-            try:   # a Cholesky pivot test for singular G[S, S]
-                piv = np.diag(np.linalg.cholesky(GS))
+    n, diag = c.size, np.diag(G)
+    idle = np.isfinite(unit) & (diag > 0)
+    two_sigma = np.array([[2.0], [-2.0]])
+    # buffers whose first k entries are live: S in entry order, its signs,
+    # the rows G[S], R = [c_S, -unit_S sign_S / 2] and M = inv(G[S, S])
+    S, sg = np.zeros(n, dtype=int), np.zeros(n)
+    GS, R, M = np.zeros((n, n)), np.zeros((n, 2)), np.zeros((n, n))
+    k, pmin, dmax = 0, np.inf, 0.0   # smallest pivot², largest G_jj on S
+    out, lam, events, added, dropped = [], np.inf, 0, -1, None
+    while len(out) < len(lams) and events <= 4 * n + 20:
+        if added >= 0:   # border M with the column that joined
+            g = GS[:k, added]
+            u = M[:k, :k] @ g
+            d = diag[added] - g @ u
+            if not d > 0:
+                break
+            v = u / d
+            M[:k, :k] += u[:, None] * v
+            M[k, :k] = M[:k, k] = -v
+            M[k, k] = 1.0 / d
+            k, pmin, dmax = k + 1, min(pmin, d), max(dmax, diag[added])
+        elif dropped:   # refactor after a drop
+            try:
+                L = np.linalg.cholesky(GS[:k, S[:k]])
             except np.linalg.LinAlgError:
                 break
-            if np.min(piv) ** 2 <= 1e-12 * np.max(np.diag(GS)):
-                break
-            alpha, beta = np.linalg.solve(GS, np.column_stack(
-                [c[S], -0.5 * unit[S] * np.array(sg)])).T
-        a, b = c - G[:, S] @ alpha, -(G[:, S] @ beta)   # q = a + lam b
-        idle = ok.copy()
-        idle[S + dropped] = False
-        hit = np.full((2, c.size), -np.inf)   # join where 2q = +-lam unit
-        for row, sigma in zip(hit, (1.0, -1.0)):
-            r = unit - 2.0 * sigma * b
-            np.divide(2.0 * sigma * a, r, out=row, where=idle & (r > 0))
-        side, j = np.unravel_index(np.argmax(hit), hit.shape)
-        zero = np.full(len(S), -np.inf)   # drop where t_j reaches 0
-        np.divide(-alpha, beta, out=zero, where=(beta * np.array(sg) > 0)
-                  & (np.array(S) != added))
-        drop = np.max(zero, initial=-np.inf)
-        nxt = min(max(hit[side, j], drop, 0.0), lam)
+            Li = np.linalg.inv(L)
+            M[:k, :k] = Li.T @ Li
+            pmin = np.min(np.diag(L) ** 2, initial=np.inf)
+            dmax = np.max(diag[S[:k]], initial=0.0)
+        if pmin <= 1e-12 * dmax:
+            break
+        AB = M[:k, :k] @ R[:k]
+        alpha, beta = AB.T
+        Gab = GS[:k].T @ AB   # q = c - Gab[:, 0] - lam Gab[:, 1]
+        r = unit + two_sigma * Gab[:, 1]
+        hit = np.full((2, n), -np.inf)   # join where 2q = +-lam unit
+        np.divide(two_sigma * (c - Gab[:, 0]), r, out=hit,
+                  where=idle & (r > 0))
+        if dropped:   # it would rejoin where it left, with its old sign
+            hit[dropped] = -np.inf
+        side, j = divmod(int(np.argmax(hit)), n)
+        zero = np.full(k, -np.inf)   # drop where t_j reaches 0
+        np.divide(-alpha, beta, out=zero,
+                  where=(beta * sg[:k] > 0) & (S[:k] != added))
+        join, drop = hit[side, j], zero.max(initial=-np.inf)
+        nxt = min(max(join, drop, 0.0), lam)
         while len(out) < len(lams) and lams[len(out)] >= nxt:
-            out.append(np.zeros(c.size))
-            out[-1][S] = alpha + lams[len(out) - 1] * beta
-        if hit[side, j] >= drop:
-            S.append(int(j))
-            sg.append(1.0 - 2.0 * side)
-            added, dropped = j, []
+            out.append(np.zeros(n))
+            out[-1][S[:k]] = alpha + lams[len(out) - 1] * beta
+        if join == drop == -np.inf:
+            break
+        if join >= drop:
+            S[k], sg[k] = j, 1.0 - 2.0 * side
+            GS[k], R[k] = G[j], (c[j], -0.5 * unit[j] * sg[k])
+            idle[j] = False
+            added, dropped = j, None
         else:
-            k = int(np.argmax(zero))
-            sg.pop(k)
-            added, dropped = -1, [S.pop(k)]
+            i = int(np.argmax(zero))
+            added, dropped = -1, (int(sg[i] < 0), int(S[i]))
+            idle[S[i]] = True
+            for buf in (S, sg, GS, R):
+                buf[i:k - 1] = buf[i + 1:k]
+            k -= 1
         lam, events = nxt, events + 1
     return out + [None] * (len(lams) - len(out)), events
 
@@ -264,24 +309,31 @@ def _active_set(G: np.ndarray, c: np.ndarray, theta: np.ndarray, nz: int,
     Steps on G[S, S] (plus the group-norm Hessian when delta != 0) stop
     at the first sign change and drop that coordinate; a stationary
     support takes in its worst KKT violator until none exceeds 1e-9 *
-    ``scale``.  A zero delta stays zero.  None when delta would reach
-    zero, a solve fails or the step cap is hit.
+    ``scale``.  2 G[S, S], 2 c_S and the sign penalties are built once
+    per support; between the Newton steps on one support only the
+    group-curvature block changes.  A zero delta stays zero.  None when
+    delta would reach zero, a solve fails or the step cap is hit.
     """
     th, on, sgn = theta.copy(), theta != 0, np.sign(theta)
     group = lam_g > 0 and on[:nz].any()
     frozen = (np.arange(th.size) < nz) & (lam_g > 0 and not group)
+    S = None
     for steps in range(1, 2 * th.size + 20):
-        S = np.flatnonzero(on)
-        kd = int(np.count_nonzero(S < nz)) if group else 0
-        t, s, GS = th[S], sgn[S], G[np.ix_(S, S)]
-        grad, H = 2.0 * (GS @ t - c[S]) + pen[S] * s, 2.0 * GS
+        if S is None:   # a new support: what its Newton steps share
+            S = np.flatnonzero(on)
+            kd = int(np.count_nonzero(S < nz)) if group else 0
+            s, H2, c2 = sgn[S], 2.0 * G[np.ix_(S, S)], 2.0 * c[S]
+            ps, eye = pen[S] * s, np.eye(kd)
+        t = th[S]
+        grad, H = H2 @ t - c2 + ps, H2
         if kd:
-            nrm = np.linalg.norm(t[:kd])
+            td = t[:kd]
+            nrm = np.sqrt(td @ td)
             if nrm == 0:
                 return None
-            grad[:kd] += lam_g * t[:kd] / nrm
-            H[:kd, :kd] += lam_g / nrm * (np.eye(kd) - np.outer(
-                t[:kd], t[:kd]) / nrm ** 2)
+            grad[:kd] += lam_g * td / nrm
+            H = H2.copy()
+            H[:kd, :kd] += lam_g / nrm * (eye - td[:, None] * td / nrm ** 2)
         try:
             step = np.linalg.solve(H, grad)
         except np.linalg.LinAlgError:
@@ -291,19 +343,19 @@ def _active_set(G: np.ndarray, c: np.ndarray, theta: np.ndarray, nz: int,
             ratio = t[flip] / step[flip]
             k = S[np.flatnonzero(flip)[np.argmin(ratio)]]
             th[S] = t - np.min(ratio) * step
-            th[k], on[k], sgn[k] = 0.0, False, 0.0
+            th[k], on[k], sgn[k], S = 0.0, False, 0.0, None
             if group and not th[:nz].any():
                 return None
             continue
         th[S] = t - step
-        if kd and np.max(np.abs(step)) > 1e-8 * np.max(np.abs(t)):
+        if kd and np.abs(step).max() > 1e-8 * np.abs(t).max():
             continue
         q = c - G @ th
         viol = np.where(on | frozen, -np.inf, np.abs(2.0 * q) - pen)
         j = int(np.argmax(viol))
         if viol[j] <= 1e-9 * scale:
             return th, steps
-        on[j], sgn[j] = True, np.sign(q[j])
+        on[j], sgn[j], S = True, np.sign(q[j]), None
     return None
 
 

@@ -7,11 +7,14 @@ its residual covariance scored by ``slogdet``.  On well-posed inputs the
 chosen lags must agree and the forecasts must match bit for bit.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
 from hdcoint import (DataError, HarnessConfig, ar_benchmark, fecm_forecast,
                      run_rolling, select_lag_bic, var_bic_forecast)
+from hdcoint import factors
 from hdcoint.harness import _REGISTRY, _Window
 from hdcoint.panel import DeterministicSpec, invert_differences
 from hdcoint.vecm import _ec_design
@@ -240,3 +243,30 @@ def test_fecm_factors_of_an_all_target_panel_raise():
     failed = [d for d in report.diagnostics if d[3] == "fecm"]
     assert len(failed) == len(report.window_starts)
     assert all("singular" in d[4] for d in failed)
+
+
+def test_lag_cap_reaches_the_factor_lanes(monkeypatch):
+    # the fecm lane's lag search, the NDFM factor VECM's and the NDFM
+    # idiosyncratic ARs all take HarnessConfig.p_max
+    seen = set()
+
+    def spy(fn, cap):
+        def wrapped(*args, **kwargs):
+            p_max = cap(*args, **kwargs)
+            seen.add((sys._getframe(1).f_code.co_name, p_max))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(factors, "select_lag_bic", spy(
+        factors.select_lag_bic, lambda z, p_max=3, det=None: p_max))
+    monkeypatch.setattr(factors, "var_bic_forecast", spy(
+        factors.var_bic_forecast, lambda x, h, p_max, p_min: p_max))
+    rng = np.random.default_rng(26)
+    z = rng.standard_normal((62, 4)).cumsum(axis=0)
+    cfg = HarnessConfig(window=60, horizons=(1,), methods=("ar", "fecm",
+                        "ndfm"), targets=(0,), factors=1, boot_reps=199,
+                        p_max=1)
+    report = run_rolling(z, cfg)
+    assert not report.diagnostics
+    assert seen == {("fecm_forecast", 1), ("_factor_path", 1),
+                    ("ndfm_forecast", 1)}

@@ -5,8 +5,11 @@ one owner; shared kernels live under public names in ``_numeric``.
 Importing the command line must stay cheap: ``scipy.signal`` alone
 adds most of a second to start-up, and ``scipy.optimize`` about a
 quarter of one.  It must start no thread either: the bootstrap's worker
-pool lives for one round.  Every golden file is named by some test, so
-none outlives the check that reads it.
+pool lives for one round.  ``singleeq`` imports nothing from scipy: the
+SPECS/PADL lanes then run on numpy's LAPACK alone, where scipy's first
+LAPACK call would load a second OpenBLAS and add 0.6-0.9 MB of peak RSS
+to a run.  Every golden file is named by some test, so none outlives the
+check that reads it.
 """
 
 import ast
@@ -50,6 +53,24 @@ def _private_imports():
 def test_no_private_imports_across_modules():
     unexpected = _private_imports() - set(ALLOWED_PRIVATE)
     assert not unexpected, sorted(unexpected)
+
+
+def _imported_packages(module):
+    """Top-level packages that ``module``'s source imports."""
+    path = os.path.join(SRC, "hdcoint", f"{module}.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_singleeq_imports_nothing_from_scipy():
+    assert "scipy" not in _imported_packages("singleeq")
 
 
 def _after_cli_import(expr):

@@ -213,6 +213,23 @@ class TestPath:
                     theta - _descent(design, cfg, monkeypatch))) < 1e-9
                 assert _path_kkt(gram, 1, lam, theta) <= 1e-12
 
+    def test_drop_and_rejoin_match_brute_force(self):
+        # correlated columns: one coordinate leaves the path and later
+        # rejoins with the other sign
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 3))
+        y = X @ rng.standard_normal(3) + 0.5 * rng.standard_normal(30)
+        design = SingleEqDesign("y", y, X[:, :1], X[:, 1:], ("z0",),
+                                ("w0", "w1"))
+        top = self._lams(design, PenaltyConfig())[0] / 0.9
+        lams = list(top * np.geomspace(0.999, 1e-4, 200))
+        path, gram = _grid_path(design, PenaltyConfig(), lams)
+        support = [set(np.flatnonzero(theta)) for theta in path]
+        assert any(a - b for a, b in zip(support, support[1:]))   # a drop
+        for lam, theta in zip(lams, path):
+            cfg = PenaltyConfig(lam_levels=lam, lam_w=lam)
+            assert np.max(np.abs(theta - _brute_force(design, cfg))) < 1e-9
+
     @pytest.mark.parametrize("n, nz, nw, initializer", [
         (80, 2, 8, "ols"), (20, 4, 26, "ridge")])
     def test_matches_descent(self, rng, monkeypatch, n, nz, nw, initializer):
@@ -259,6 +276,74 @@ class TestPath:
             delta, pi, diag = sgl_solve(design, local)
             assert diag["kkt"] <= 1e-6
             assert kkt_residual(design, local, delta, pi) <= 1e-6
+
+
+class TestCarriedFactor:
+    """The path borders one inverse of G[S, S] from event to event and
+    refactors it on a drop; the Newton finish builds one support's parts
+    once.  Neither may drift from a fresh solve."""
+
+    def test_long_path_equals_a_fresh_solve_on_each_support(self):
+        rng = np.random.default_rng(0)
+        n, m = 160, 64
+        # a common factor makes the columns correlated, so some drop
+        X = rng.standard_normal((n, m)) + 0.8 * rng.standard_normal((n, 1))
+        beta = rng.standard_normal(m) * (rng.uniform(size=m) < 0.5)
+        y = X @ beta + rng.standard_normal(n)
+        G, c = X.T @ X, X.T @ y
+        unit = rng.uniform(0.5, 2.0, m)
+        top = np.max(np.abs(2.0 * c) / unit)
+        lams = list(top * np.geomspace(0.99, 1e-6, 40))
+        path, events = singleeq._lasso_path(G, c, unit, lams)
+        assert events > m   # more events than columns: some dropped
+        for lam, theta in zip(lams, path):
+            S = np.flatnonzero(theta)
+            want = np.linalg.solve(G[np.ix_(S, S)],
+                                   c[S] - 0.5 * lam * unit[S]
+                                   * np.sign(theta[S]))
+            assert np.max(np.abs(theta[S] - want)) \
+                <= 1e-10 * np.max(np.abs(want))
+
+    def test_path_stops_when_no_event_is_left(self, rng):
+        # orthogonal columns: every coordinate joins once and none drops;
+        # at lam = 0 nothing is left to join and the path stops
+        Q, _ = np.linalg.qr(rng.standard_normal((40, 6)))
+        X = Q * np.arange(1.0, 7.0)
+        y = rng.standard_normal(40)
+        G, c = X.T @ X, X.T @ y
+        (theta,), events = singleeq._lasso_path(G, c, np.ones(6), [0.0])
+        assert events == 6
+        ols, *_ = np.linalg.lstsq(X, y, rcond=None)
+        assert np.allclose(theta, ols, rtol=0.0, atol=1e-12)
+
+    def test_active_set_through_a_drop_and_an_add_matches_descent(
+            self, monkeypatch):
+        rng = np.random.default_rng(0)
+        nz, nw = 2, 6
+        X = rng.standard_normal((80, nz + nw))
+        y = X @ np.array([0.8, -0.5, 1.0, 0.0, -0.7, 0.0, 0.4, 0.0]) \
+            + 0.5 * rng.standard_normal(80)
+        design = SingleEqDesign("y", y, X[:, :nz], X[:, nz:], ("z0", "z1"),
+                                tuple(f"w{j}" for j in range(nw)))
+        cfg = PenaltyConfig(lam_group=5.0, lam_levels=2.0, lam_w=2.0,
+                            tol=1e-13, max_sweeps=200_000)
+        want = _descent(design, cfg, monkeypatch)
+        assert want[:nz].all()   # the group is active
+        gram = singleeq._gram(design, cfg)
+        pen = singleeq._l1_penalties(gram.weights, nz, cfg)
+        on = nz + np.flatnonzero(want[nz:])
+        off = nz + np.flatnonzero(want[nz:] == 0)
+        start = want.copy()
+        start[on[0]] = 0.0   # must come back as a KKT violator
+        q = gram.c - gram.G @ want
+        start[off[0]] = -0.05 * np.sign(q[off[0]])   # must flip and drop
+        scale = max(1.0, np.max(np.abs(2.0 * gram.c)))
+        theta, steps = singleeq._active_set(gram.G, gram.c, start, nz,
+                                            cfg.lam_group, pen, scale)
+        # coordinates leave only by a sign flip, enter only as violators
+        assert theta[off[0]] == 0.0 and theta[on[0]] != 0.0
+        assert steps > 2
+        assert np.max(np.abs(theta - want)) < 1e-9
 
 
 class TestSpecs:

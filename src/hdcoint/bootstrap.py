@@ -73,8 +73,9 @@ class AwbConfig:
     max_lags : int, optional
         Cap for the per-series lag choice (default ``12 (T/100)^{1/4}``).
     workers : int, optional
-        Threads fitting the :func:`four_stats` row blocks; default every
-        CPU the process may run on.  Any count gives the same bits.
+        Threads fitting the :func:`four_stats` row blocks of a round;
+        default every CPU the process may run on.  Any count gives the
+        same bits.
     """
 
     gamma: float = 0.85
@@ -126,6 +127,25 @@ def _multiplier_matrix(B: int, T: int, gamma: float, seed: int) -> np.ndarray:
     for b in range(B):
         e[:, b] = substream(seed, "awb", b).standard_normal(T)
     return np.ascontiguousarray(_unit_ar1(e, gamma).T)
+
+
+class _Paths:
+    """Bootstrap level paths of one series, shape ``(B, T - lead)``: row
+    ``b`` is the cumulative sum of ``xi[b, lead:] * u``.  A row slice is
+    built when :func:`four_stats` takes it, inside the task that fits it."""
+
+    def __init__(self, xi: np.ndarray, u: np.ndarray, lead: int):
+        self.xi, self.u = xi[:, lead:], u
+        self.shape = self.xi.shape
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        z = self.xi[rows] * self.u
+        return np.cumsum(z, axis=1, out=z)
+
+
+def _in_series(exc: NumericalError, name: str) -> NumericalError:
+    """``exc`` again, its message prefixed with the series it arose in."""
+    return type(exc)(f"series '{name}': {exc}")
 
 
 def residual_panel(panel: Panel, rho_mode: str = "estimated",
@@ -228,8 +248,18 @@ def bootstrap_union_distribution(panel: Panel, cfg: AwbConfig
     negative ``x`` would rescale ``ur`` and ``boot_ur`` together and
     change no decision, so it is fixed.  Missing leading blocks are
     carried through: each bootstrap path starts at its series' first
-    observation.  With more than one of ``cfg.workers``, the replications
-    are fitted on a thread pool shut down when the round returns or raises.
+    observation.
+
+    The replications of every series are fitted in one
+    :func:`~hdcoint.unitroot.four_stats` call, which queues all their row
+    blocks at once, series after series; each block builds its own rows
+    of the bootstrap paths (multiplier times residual, then the
+    cumulative sum), so no series waits for the one before it and a
+    round holds paths for only the blocks being fitted.  With more than
+    one of ``cfg.workers``, the blocks run on a thread pool shut down
+    when the round returns or raises.  A failed regression raises its
+    error with the name of its series, the first such series in panel
+    order, whatever the number of workers.
     """
     N, T = panel.n_series, panel.n_obs
     B = cfg.reps
@@ -239,21 +269,24 @@ def bootstrap_union_distribution(panel: Panel, cfg: AwbConfig
     for j in range(N):
         col = panel.values[panel.leads[j]:, j]
         lags[j] = select_lags(col, DeterministicSpec.TREND, cfg.max_lags)
-        stats[j] = four_stats(col, int(lags[j]))[0]
+        try:
+            stats[j] = four_stats(col, int(lags[j]))[0]
+        except NumericalError as exc:
+            raise _in_series(exc, panel.names[j]) from None
 
     uhat = residual_panel(panel, cfg.rho_mode, lags=lags)
     xi = _multiplier_matrix(B, T, cfg.gamma, cfg.seed)
+    paths = [_Paths(xi, uhat.values[lead:, j], lead)
+             for j, lead in enumerate(panel.leads)]
 
-    boot_stats = np.empty((B, N, 4))
     workers = cfg.workers or (len(os.sched_getaffinity(0)) if hasattr(
         os, "sched_getaffinity") else os.cpu_count() or 1)
     with (concurrent.futures.ThreadPoolExecutor(workers) if workers > 1
           else contextlib.nullcontext()) as pool:
-        for j in range(N):
-            lead = panel.leads[j]
-            u = uhat.values[lead:, j]
-            z = np.cumsum(xi[:, lead:] * u[None, :], axis=1)
-            boot_stats[:, j] = four_stats(z, int(lags[j]), pool)
+        try:
+            boot_stats = np.stack(four_stats(paths, lags, pool), axis=1)
+        except NumericalError as exc:
+            raise _in_series(exc, panel.names[exc.batch]) from None
 
     crit = left_tail_quantile(boot_stats, cfg.alpha)       # (N, 4)
     critvals = []
@@ -261,8 +294,7 @@ def bootstrap_union_distribution(panel: Panel, cfg: AwbConfig
         try:
             critvals.append(CriticalValueSet(*crit[j], alpha=cfg.alpha))
         except NumericalError as exc:
-            raise NumericalError(
-                f"series '{panel.names[j]}': {exc}") from None
+            raise _in_series(exc, panel.names[j]) from None
 
     scale = -1.0 / crit                                    # (N, 4)
     boot_ur = np.min(boot_stats * scale[None, :, :], axis=2)

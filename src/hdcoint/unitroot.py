@@ -1,29 +1,41 @@
 """Augmented Dickey-Fuller and GLS-detrended unit-root statistics.
 
 Every Dickey-Fuller regression is read off one Gram matrix per series.
-:func:`_grams` builds the series-major design ``X`` with rows ``[1, t,
-y_{t-1}, dy_{t-1}, ..., dy_{t-p}, dy_t]`` in blocks of about
-:data:`_BLOCK_BYTES` (1 MiB, so a block and its Gram stay in L2 cache)
-and writes each block's ``M = X X'`` into one ``(B, p + 4, p + 4)``
-array.  A regression is the sub-Gram ``S`` of ``[other regressors,
-level, response]``; with ``L`` the Cholesky factor of ``S`` and ``k``
+The design ``X`` has rows ``[1, t, y_{t-1}, dy_t, dy_{t-1}, ...,
+dy_{t-p}]``, and :func:`_grams` writes ``M = X X'`` into one ``(B, p + 4,
+p + 4)`` array without forming the lag block as a product.  Only the
+first four rows are multiplied out, one ``4 x (p + 4)`` product per
+replication from a design buffer of :data:`_BLOCK_BYTES` reused across
+the batch.  The lag rows are windows of one difference series, each
+starting a period before the last, so lag row ``i`` of ``M`` is lag row
+``i - 1`` shifted by one column plus the products of the window's first
+and last differences: ``S(i, j) = S(i-1, j-1) + d[p-i] d[p-j] -
+d[p-i+n] d[p-j+n]``, one slice add per row from one outer-product array.
+The lags' sums of squares are summed again without the subtraction, so a
+large difference at the end of the sample cannot cancel them away
+(:func:`_grams` states the accuracy off the diagonal).  The
+outer-product array is symmetric and the first four rows are mirrored,
+so ``M`` is exactly symmetric.
+
+A regression is the sub-Gram ``S`` of ``[other regressors, level,
+response]``; with ``L`` the Cholesky factor of ``S`` and ``k``
 regressors, the level has coefficient ``L[k, k-1] / L[k-1, k-1]`` and
 t-statistic ``L[k, k-1] sqrt(n - k) / L[k, k]`` (:func:`_level_fit`).
-Every caller fits its whole batch at once; :func:`four_stats` does so
-in fixed row blocks, on worker threads when given a pool, and per block
-factors ``M`` once with the lags first and reads the ADF trend, ADF mean
-and DF-GLS mean regressions off that one factor; the DF-GLS trend
-regression is ``A' M A``, where ``A`` (:func:`_gls_map`) subtracts the
-GLS deterministics per replication: ``b1`` from every difference and
-``(b0 - b1) + b1 t`` from the level, which sits one period behind the
-trend column.  A Gram that is not positive definite falls back to the
-pseudo-inverse, one regression at a time, and a residual norm below
-:data:`_EXACT_FIT` of the response norm is an exact fit, reported as
-zero residual variance; so is a GLS-detrended series whose norm falls
-below :data:`_EXACT_FIT` of the input's.  Regressions with
-deterministics shift each series to start at zero first, which leaves
-the statistics unchanged.  The scalar entry points are thin wrappers
-over batches of size one.
+Every caller fits its whole batch at once.  :func:`four_stats` cuts its
+batches into fixed row blocks, queued as one stream on a pool's threads
+when given a pool, and per block factors ``M`` once with the lags first
+and reads the ADF trend, ADF mean and DF-GLS mean regressions off that
+one factor; the DF-GLS trend regression is ``A' M A``, where ``A``
+(:func:`_gls_map`) subtracts the GLS deterministics per replication:
+``b1`` from every difference and ``(b0 - b1) + b1 t`` from the level,
+which sits one period behind the trend column.  A Gram that is not
+positive definite falls back to the pseudo-inverse, one regression at a
+time, and a residual norm below :data:`_EXACT_FIT` of the response norm
+is an exact fit, reported as zero residual variance; so is a
+GLS-detrended series whose norm falls below :data:`_EXACT_FIT` of the
+input's.  Regressions with deterministics shift each series to start at
+zero first, which leaves the statistics unchanged.  The scalar entry
+points are thin wrappers over batches of size one.
 
 Lag selection uses a modified AIC with a variance-rescaling step that
 standardizes increments by a rolling-window volatility estimate before
@@ -43,12 +55,12 @@ from __future__ import annotations
 
 from concurrent.futures import Executor
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError, NumericalError, ParameterError
+from .errors import DataError, NumericalError, ParameterError, ToolkitError
 from .panel import DeterministicSpec, detrend
 
 __all__ = [
@@ -89,8 +101,9 @@ def _trim_leading_nan(y: np.ndarray) -> np.ndarray:
     return y[:, first:]
 
 
-#: bytes of DF design per block: a block and its Gram stay in L2 cache
-_BLOCK_BYTES = 1 << 20
+#: bytes of the DF design buffer of :func:`_grams`: a buffer block and the
+#: differences it is copied from stay in L2 cache
+_BLOCK_BYTES = 1 << 19
 
 #: rows per block of :func:`four_stats`: fixed, so the bits do not depend
 #: on the worker count, and smaller than a 999-replication batch
@@ -116,32 +129,69 @@ def _effective_sample(T: int, det: int, lags: int) -> int:
 
 def _rows(det: int, lags: int) -> np.ndarray:
     """Gram rows of an ADF regression: deterministics, lags, level, response."""
-    return np.array([0, 1][:det] + list(range(3, 3 + lags)) + [2, 3 + lags])
+    return np.array([0, 1][:det] + list(range(4, 4 + lags)) + [2, 3])
 
 
 def _grams(y: np.ndarray, lags: int) -> np.ndarray:
     """Augmented Gram matrices ``M = X X'`` of the DF design, shape (B, m, m).
 
     ``X`` is the series-major design whose ``m = lags + 4`` rows are
-    ``[1, t, y_{t-1}, dy_{t-1}, ..., dy_{t-lags}, dy_t]`` over the
-    ``n = T - lags - 1`` usable periods, ``t`` counted from 1.  It is
-    built in blocks of about :data:`_BLOCK_BYTES`, one buffer reused, and
-    each block's Gram is written straight into ``M``.
+    ``[1, t, y_{t-1}, dy_t, dy_{t-1}, ..., dy_{t-lags}]`` over the
+    ``n = T - lags - 1`` usable periods, ``t`` counted from 1.  Only its
+    first four rows are multiplied out: ``X[:4] X'`` is one small product
+    per replication, formed in blocks of about :data:`_BLOCK_BYTES` with
+    one design buffer reused.  In the block ``S`` of lags ``0..p``
+    (``p = lags``, lag 0 the response), lag ``i`` is the window
+    ``d[p-i : p-i+n]`` of the differences ``d``, one period before lag
+    ``i - 1``, so each row follows from the row above it:
+    ``S(i, j) = S(i-1, j-1) + d[p-i] d[p-j] - d[p-i+n] d[p-j+n]``, one
+    slice add per row from one outer-product array ``E``.  ``E`` is
+    symmetric and the first rows are mirrored, so ``M`` is exactly
+    symmetric.
+
+    A subtracted product leaves its rounding behind, so ``S(i, i+k)`` is
+    only as accurate as the largest ``sqrt(S(s, s) S(s+k, s+k))``,
+    ``s <= i``, on its line up to the response row: a large difference
+    at the end of the sample, which only the upper rows hold, costs the
+    lower rows digits off the diagonal (at most about
+    ``eps J^2 / (n sigma^2)`` relative, for differences of size ``J``
+    among others of size ``sigma``).
+    The diagonal is summed again without subtraction, as the squares
+    over the periods every window covers (``p <= a < n``) plus those at
+    the window's head and tail, so each lag's sum of squares keeps the
+    rounding of a direct product.
     """
     B, T = y.shape
     m, n = lags + 4, T - lags - 1
     M = np.empty((B, m, m))
+    d = np.diff(y, axis=1)
     step = max(1, _BLOCK_BYTES // (8 * m * n))
     X = np.empty((min(step, B), m, n))
     X[:, :2] = DeterministicSpec.TREND.design(n, lags + 2).T
-    W = sliding_window_view(np.diff(y, axis=1), n, axis=1)  # dy from j
+    W = sliding_window_view(d, n, axis=1)       # W[:, k] = d[k:k + n]
     for lo in range(0, B, step):
         hi = min(lo + step, B)
         Xb = X[:hi - lo]
         Xb[:, 2] = y[lo:hi, lags:T - 1]
-        Xb[:, 3:3 + lags] = W[lo:hi, :lags][:, ::-1]
-        Xb[:, 3 + lags] = W[lo:hi, lags]
-        np.matmul(Xb, Xb.transpose(0, 2, 1), out=M[lo:hi])
+        Xb[:, 3:] = W[lo:hi, ::-1]
+        np.matmul(Xb[:, :4], Xb.transpose(0, 2, 1), out=M[lo:hi, :4])
+    del X, Xb                                   # free the buffer first
+    for i in range(4):
+        M[:, i + 1:, i] = M[:, i, i + 1:]
+    if lags:
+        head, tail = d[:, :lags], d[:, n:n + lags]
+        E = head[:, :, None] * head[:, None, :]
+        E -= tail[:, :, None] * tail[:, None, :]
+        S = M[:, 3:, 3:]                        # S[i, j]: lags i and j
+        for i in range(1, lags + 1):
+            np.add(S[:, i - 1, :-1], E[:, lags - i, ::-1], out=S[:, i, 1:])
+        core = d[:, lags:n]
+        diag = np.zeros((B, lags + 1))
+        diag[:, 1:] = np.cumsum(head[:, ::-1] ** 2, axis=1)
+        diag[:, :-1] += np.cumsum(tail ** 2, axis=1)[:, ::-1]
+        diag += np.einsum("bt,bt->b", core, core)[:, None]
+        lag = np.arange(lags + 1)
+        S[:, lag, lag] = diag
     return M
 
 
@@ -247,14 +297,17 @@ def _gls_coef_batch(y: np.ndarray, spec: DeterministicSpec
     Zq = np.empty_like(Z)
     Zq[0] = Z[0]
     Zq[1:] = Z[1:] - rho * Z[:-1]
-    # yq @ Zq for the quasi-differenced yq, without forming yq
+    # yq Zq G^-1 for the quasi-differenced yq, without forming yq: one
+    # product per row, so a row's bits do not depend on the rows batched
+    # with it, as they can in one (B, T) product or a many-column solve
     W = Zq.copy()
     W[:-1] -= rho * Zq[1:]
     G = Zq.T @ Zq
     try:
-        beta = np.linalg.solve(G, (y @ W).T).T
+        G_inv = np.linalg.inv(G)
     except np.linalg.LinAlgError:
-        beta = (np.linalg.pinv(G) @ (y @ W).T).T
+        G_inv = np.linalg.pinv(G)
+    beta = (y[:, None, :] @ (W @ G_inv.T))[:, 0]
     return beta, Z
 
 
@@ -267,7 +320,7 @@ def _gls_detrend_batch(y: np.ndarray, spec: DeterministicSpec) -> np.ndarray:
 def _gls_map(beta: np.ndarray, lags: int) -> np.ndarray:
     """Map ``A`` with ``A' M A`` the DF-GLS Gram, per replication.
 
-    Takes the rows ``[1, t, level, lags, response]`` of the
+    Takes the rows ``[1, t, level, response, lags]`` of the
     :func:`_grams` design to ``[lags, level, response]`` of the
     GLS-detrended series.  With coefficients ``(b0, b1)`` on ``(1, t)``
     each difference drops by ``b1``; the level lags the trend column by
@@ -386,7 +439,6 @@ def select_lags(series, spec: Union[str, DeterministicSpec] = DeterministicSpec.
     best = (np.inf, 0)
     for k in range(max_lags + 1):
         rows = _rows(0, k)
-        rows[-1] = 3 + max_lags        # the response row of the larger Gram
         try:
             beta, _, rss = _level_fit(M[:, rows[:, None], rows], n)
         except NumericalError:
@@ -443,25 +495,78 @@ def union_stat(stats, critvals: CriticalValueSet, x: float = -1.0) -> float:
     return float(np.min(x / c * s))
 
 
-def four_stats(series_or_batch, lags: int,
-               pool: Optional[Executor] = None) -> np.ndarray:
+def four_stats(series_or_batch, lags: Union[int, Sequence[int]],
+               pool: Optional[Executor] = None
+               ) -> Union[np.ndarray, List[np.ndarray]]:
     """All four component statistics, batched.
 
     Returns shape ``(B, 4)`` with columns ordered as :data:`VARIANTS`.
-    Blocks of :data:`_ROW_BLOCK` rows (:func:`_four_stats_block`) run on
-    ``pool``'s threads, or on the calling thread without one; the bits are
-    the same for any number of workers, and so is the error raised.
+    When ``lags`` is a sequence, ``series_or_batch`` is a sequence of as
+    many batches, batch ``j`` fitted with ``lags[j]`` lags, and the
+    result is the list of their ``(B_j, 4)`` arrays.
+
+    A batch is a series, a ``(B, T)`` array, whose shared leading-NaN
+    block is dropped, or any object with a ``shape`` ``(B, T)`` whose row
+    slices ``batch[lo:hi]`` are finite arrays.  Every batch is cut into
+    blocks of :data:`_ROW_BLOCK` rows (:func:`_four_stats_block`), and a
+    block takes its slice itself, so a batch of the last kind builds its
+    rows in the task that fits them and holds at most a block of them at
+    a time.  With a ``pool``, the blocks of every batch are queued at
+    once, in batch order, and the calling thread collects them in that
+    order; without one, each block runs on the calling thread when it is
+    collected.  Every batch is checked before any is fitted.  The bits
+    are the same for any number of workers, and so is the error: the
+    first in batch order, with that batch's position as its ``batch``
+    attribute.  On an error, the blocks not yet started are cancelled.
     """
-    y = _trim_leading_nan(_as_batch(series_or_batch))
-    n = _effective_sample(y.shape[1], 2, lags)
-    blocks = [y[lo:lo + _ROW_BLOCK] for lo in range(0, y.shape[0], _ROW_BLOCK)]
-    fits = (pool.map if pool is not None else map)(
-        lambda block: _four_stats_block(block, lags, n), blocks)
-    return np.concatenate(list(fits))
+    single = np.ndim(lags) == 0
+    batches, lags = ([series_or_batch], [lags]) if single else (
+        series_or_batch, lags)
+    if len(batches) != len(lags):
+        raise ParameterError("need one lag per batch")
+    jobs = []
+    for j, (y, p) in enumerate(zip(batches, lags)):
+        try:
+            if isinstance(y, np.ndarray) or not hasattr(y, "shape"):
+                y = _trim_leading_nan(_as_batch(y))
+            jobs.append((y, int(p), _effective_sample(y.shape[1], 2, int(p))))
+        except ToolkitError as exc:
+            exc.batch = j
+            raise
+    run = pool.submit if pool is not None else _Deferred
+    queued = [[run(_four_stats_block, y, lo, p, n)
+               for lo in range(0, y.shape[0], _ROW_BLOCK)] for y, p, n in jobs]
+    fits = []
+    try:
+        for blocks in queued:
+            fits.append(np.concatenate([f.result() for f in blocks]))
+    except ToolkitError as exc:
+        exc.batch = len(fits)
+        raise
+    finally:
+        for blocks in queued:
+            for f in blocks:
+                f.cancel()
+    return fits[0] if single else fits
 
 
-def _four_stats_block(y: np.ndarray, lags: int, n: int) -> np.ndarray:
-    """The four statistics of one row block, shape ``(B, 4)``.
+class _Deferred:
+    """A block that runs when its result is read: the calling thread's
+    stand-in for a future of :func:`four_stats`."""
+
+    def __init__(self, fn, *args):
+        self.fn, self.args = fn, args
+
+    def result(self):
+        return self.fn(*self.args)
+
+    def cancel(self) -> bool:
+        return False
+
+
+def _four_stats_block(batch, lo: int, lags: int, n: int) -> np.ndarray:
+    """The four statistics of rows ``lo`` to ``lo + _ROW_BLOCK`` of
+    ``batch``, shape ``(B, 4)``.
 
     One Cholesky factor ``L`` of each Gram ``M`` (:func:`_grams`), its
     rows ordered ``[lags, 1, t, level, response]``, gives three of them:
@@ -485,12 +590,14 @@ def _four_stats_block(y: np.ndarray, lags: int, n: int) -> np.ndarray:
     the constant from dominating the level in the Gram.  Runs on worker
     threads, so it calls no name that the benchmark's tracer wraps.
     """
+    y = batch[lo:lo + _ROW_BLOCK]
     y = y - y[:, :1]
     gls_mean = _gls_coef_batch(y, DeterministicSpec.MEAN)[0]
     gls_trend = _gls_coef_batch(y, DeterministicSpec.TREND)[0]
     M = _grams(y, lags)
     out = np.empty((y.shape[0], 4))
-    order = np.r_[3:3 + lags, 0, 1, 2, 3 + lags]
+    out[:, 3] = _gls_tstat(M, gls_trend, n)
+    order = np.r_[4:4 + lags, 0, 1, 2, 3]
     try:
         L = np.linalg.cholesky(M[:, order[:, None], order])
     except np.linalg.LinAlgError:
@@ -499,7 +606,7 @@ def _four_stats_block(y: np.ndarray, lags: int, n: int) -> np.ndarray:
             out[:, col] = _level_fit(M[:, rows[:, None], rows], n)[1]
         out[:, 2] = _gls_tstat(M, gls_mean, n)
     else:
-        yy = M[:, 3 + lags, 3 + lags]
+        yy = M[:, 3, 3]
         L4 = L[:, lags:, lags:]
         out[:, 0] = _partial_fit(L4[:, 2, 1:], L4[:, 3, 1:], yy,
                                  n - lags - 2)[1]
@@ -507,5 +614,4 @@ def _four_stats_block(y: np.ndarray, lags: int, n: int) -> np.ndarray:
         level = L4[:, 2].copy()
         level[:, 0] -= gls_mean[:, 0] * L4[:, 0, 0]
         out[:, 2] = _partial_fit(level, L4[:, 3], yy, n - lags - 1)[1]
-    out[:, 3] = _gls_tstat(M, gls_trend, n)
     return out

@@ -7,6 +7,7 @@ a direct Monte Carlo of the same statistic is the slowest test here
 
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,23 @@ def _rw_panel(n, T, seed):
     return from_values(rng.standard_normal((T, n)).cumsum(axis=0))
 
 
+def _ragged_panel():
+    """Six random walks with AR(j) increments, each with its own start;
+    their lag choices are 0, 2, 3, 4, 5 and 7."""
+    rng = np.random.default_rng(2)
+    T, burn = 300, 50
+    cols = []
+    for j in range(6):
+        dx = rng.standard_normal(T + burn)
+        for t in range(j + 1, T + burn):
+            dx[t] += 0.5 * dx[t - j - 1] if j else 0.0
+        cols.append(np.cumsum(dx)[burn:])
+    vals = np.column_stack(cols)
+    for j, lead in enumerate((0, 31, 7, 58, 15, 44)):
+        vals[:lead, j] = np.nan
+    return from_values(vals, names=[f"s{j}" for j in range(6)])
+
+
 class TestUnionBootstrap:
     def test_same_seed_is_bit_identical(self):
         panel = _rw_panel(3, 150, 0)
@@ -139,39 +157,92 @@ class TestUnionBootstrap:
 
     def test_workers_leave_the_bits_alone(self, monkeypatch):
         # 599 replications are three row blocks of four_stats; the default
-        # count also works where the OS has no CPU affinity call
-        panel = _rw_panel(3, 150, 0)
+        # count also works where the OS has no CPU affinity call.  The
+        # ragged panel's series differ in start and in lag choice
+        ragged = _ragged_panel()
         threads = threading.active_count()
-        runs = [bootstrap_union_distribution(
-            panel, AwbConfig(reps=599, seed=9, workers=w)) for w in (1, 2, 3)]
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        runs.append(bootstrap_union_distribution(
-            panel, AwbConfig(reps=599, seed=9)))
-        for out in runs[1:]:
-            assert np.array_equal(out.boot_ur, runs[0].boot_ur)
-            assert np.array_equal(out.ur, runs[0].ur)
+        for panel in (_rw_panel(3, 150, 0), ragged):
+            runs = [bootstrap_union_distribution(
+                panel, AwbConfig(reps=599, seed=9, workers=w))
+                for w in (None, 1, 2, 3)]
+            with monkeypatch.context() as m:
+                m.delattr(os, "sched_getaffinity", raising=False)
+                runs.append(bootstrap_union_distribution(
+                    panel, AwbConfig(reps=599, seed=9)))
+            for out in runs[1:]:
+                assert out.boot_stats.tobytes() == runs[0].boot_stats.tobytes()
+                assert np.array_equal(out.boot_ur, runs[0].boot_ur)
+                assert np.array_equal(out.ur, runs[0].ur)
+        assert len(set(ragged.leads)) == len(set(runs[0].lags.tolist())) == 6
         assert threading.active_count() == threads
         with pytest.raises(ParameterError):
             AwbConfig(workers=0)
 
     def test_failing_round_shuts_its_pool_down(self, monkeypatch):
-        # unit multipliers on constant residuals: every replication is a
-        # pure trend, an exact fit that four_stats rejects
-        panel = _rw_panel(2, 150, 3)
+        # unit multipliers on constant residuals make every replication a
+        # pure trend, an exact fit that four_stats rejects.  The error names
+        # the first such series in panel order for any number of workers:
+        # the first series when all are constant, s3 when s3 and s5 of the
+        # ragged panel are
+        real = bootstrap.residual_panel
+        constant = []
+
+        def residuals(panel, *args, **kwargs):
+            out = real(panel, *args, **kwargs).values.copy()
+            for j in constant:
+                out[panel.leads[j]:, j] = 0.4
+            return panel.with_values(out)
+
+        monkeypatch.setattr(bootstrap, "residual_panel", residuals)
         monkeypatch.setattr(bootstrap, "_multiplier_matrix",
                             lambda B, T, gamma, seed: np.ones((B, T)))
-        monkeypatch.setattr(bootstrap, "residual_panel",
-                            lambda panel, *a, **k: panel.with_values(
-                                np.ones_like(panel.values)))
         threads = threading.active_count()
-        errors = []
-        for w in (1, 2):
-            with pytest.raises(NumericalError) as info:
+        for panel, cols in ((_rw_panel(2, 150, 3), [0, 1]),
+                            (_ragged_panel(), [3, 5])):
+            constant[:] = cols
+            for w in (None, 1, 2, 3):
+                with pytest.raises(NumericalError) as info:
+                    bootstrap_union_distribution(
+                        panel, AwbConfig(reps=599, seed=1, workers=w))
+                assert str(info.value) == (
+                    f"series '{panel.names[cols[0]]}': singular ADF "
+                    "regression (zero residual variance)")
+                assert threading.active_count() == threads
+
+    def test_a_constant_series_is_named(self):
+        panel = _ragged_panel()
+        vals = panel.values.copy()
+        vals[panel.leads[2]:, 2] = 1.5
+        with pytest.raises(NumericalError, match="^series 's2': singular"):
+            bootstrap_union_distribution(panel.with_values(vals),
+                                         AwbConfig(reps=199, seed=9))
+
+    def test_a_round_holds_a_few_blocks_of_paths(self, monkeypatch):
+        # the paths are built block by block inside the fits, so from the
+        # multipliers on a round's memory peak grows with the workers, each
+        # fitting one block of 256 replications, not with the series: below
+        # one series' (B, T) paths per worker (about 0.85 here).  Building
+        # a series' whole paths before its fits held 2 to 3
+        panel, reps = _ragged_panel(), 999
+        real, start = bootstrap._multiplier_matrix, []
+
+        def multipliers(*args):
+            out = real(*args)
+            tracemalloc.reset_peak()
+            start.append(tracemalloc.get_traced_memory()[0])
+            return out
+
+        monkeypatch.setattr(bootstrap, "_multiplier_matrix", multipliers)
+        for workers in (1, 2):
+            start.clear()
+            tracemalloc.start()
+            try:
                 bootstrap_union_distribution(
-                    panel, AwbConfig(reps=599, seed=1, workers=w))
-            errors.append((info.type, str(info.value)))
-            assert threading.active_count() == threads
-        assert errors[0] == errors[1]
+                    panel, AwbConfig(reps=reps, seed=9, workers=workers))
+                peak = tracemalloc.get_traced_memory()[1] - start[0]
+            finally:
+                tracemalloc.stop()
+            assert peak < workers * reps * panel.n_obs * 8
 
     def test_degenerate_inputs(self, rng):
         short = from_values(rng.standard_normal((4, 1)).cumsum()[:, None])

@@ -307,15 +307,17 @@ class TestClassifyCommand:
         assert "method=bsqt" in capsys.readouterr().out
 
     def test_output_identical_across_threads(self, tmp_path):
-        # 599 replications are three row blocks of four_stats
-        path = _simulate(tmp_path, t_obs=90)
-        for n in ("1", "2", "3"):
-            assert main(["classify", "--input", path, "--output",
-                         str(tmp_path / f"r{n}.json"), "--boot-reps", "599",
-                         "--seed", "4", "--threads", n]) == 0
-        first = (tmp_path / "r1.json").read_bytes()
-        for n in ("2", "3"):
-            assert (tmp_path / f"r{n}.json").read_bytes() == first
+        # 599 replications are three row blocks of four_stats; a simulated
+        # panel and the golden CSV panel
+        golden = os.path.join(os.path.dirname(__file__), "golden", "panel.csv")
+        for k, path in enumerate((_simulate(tmp_path, t_obs=90), golden)):
+            for n in ("1", "2", "3"):
+                assert main(["classify", "--input", path, "--output",
+                             str(tmp_path / f"r{k}_{n}.json"), "--boot-reps",
+                             "599", "--seed", "4", "--threads", n]) == 0
+            first = (tmp_path / f"r{k}_1.json").read_bytes()
+            for n in ("2", "3"):
+                assert (tmp_path / f"r{k}_{n}.json").read_bytes() == first
 
     def test_threads_leave_the_environment_alone(self, tmp_path):
         # --threads sizes the bootstrap's worker pool and nothing else

@@ -116,6 +116,20 @@ def lstsq_four(y, lags):
     return np.array(out)
 
 
+def explicit_gram(y, lags):
+    """X X' of the Dickey-Fuller design, X written out row by row.
+
+    The rows of X are [1, t, y_{t-1}, dy_t, dy_{t-1}, ..., dy_{t-lags}],
+    one column per usable period, with t counted from 1.
+    """
+    dy = np.diff(y, axis=1)
+    rows = np.arange(lags, dy.shape[1])          # the index of y_{t-1}
+    one = np.ones((y.shape[0], rows.size))
+    X = np.stack([one, one * (rows + 2.0), y[:, rows]]
+                 + [dy[:, rows - i] for i in range(lags + 1)], axis=1)
+    return np.einsum("bkn,bln->bkl", X, X)
+
+
 class TestGramKernel:
     """The shared-Gram kernel against per-series lstsq regressions."""
 
@@ -127,6 +141,44 @@ class TestGramKernel:
         e = rng.standard_normal((B, self.T))
         return np.cumsum(e, axis=1) if order == 1 else np.cumsum(
             np.cumsum(e, axis=1), axis=1)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    @pytest.mark.parametrize("jump", [None, "first", "last", "spike"])
+    def test_grams_match_the_explicit_product(self, rng, order, scale, jump):
+        # one row, one design block, and a block and a row.  Entry (i, j)
+        # is held to 1e-13 of sqrt(M_ii M_jj), its largest possible size,
+        # so the small lag block is checked as closely as the trend entries
+        # that dwarf it at scale 1e-6.  Off the diagonal of the lag block
+        # the recursion subtracts the products at the sample's end, so
+        # there the scale is the largest sqrt(M_ii M_jj) on the line up to
+        # the response row.  A first or a last difference 1e6 times the
+        # others (a level shift at either end), or a last level off by as
+        # much (two such differences), must not break these bounds
+        for lags in (0, 1, 4, default_max_lags(self.T)):
+            y = scale * self._batch(rng, order, lags)
+            step = 1e6 * np.std(np.diff(y, axis=1))
+            if jump == "first":
+                y[:, 1:] += step
+            elif jump == "last":
+                y[:, -1] += step
+            elif jump == "spike":
+                y[:, -2] += step
+            for B in (1, y.shape[0] - 1, y.shape[0]):
+                got = unitroot._grams(y[:B], lags)
+                want = explicit_gram(y[:B], lags)
+                assert np.array_equal(got, got.transpose(0, 2, 1))
+                norm = np.sqrt(np.einsum("bii->bi", want))
+                size = norm[:, :, None] * norm[:, None]
+                bound = size.copy()
+                for i in range(4, lags + 4):
+                    np.maximum(bound[:, i, 4:], bound[:, i - 1, 3:-1],
+                               out=bound[:, i, 4:])
+                np.maximum(bound, bound.transpose(0, 2, 1), out=bound)
+                diag = np.arange(lags + 4)
+                bound[:, diag, diag] = size[:, diag, diag]
+                err = np.abs(got - want) / bound
+                assert err.max() <= 1e-13, f"lags={lags}, B={B}"
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_four_stats_match_lstsq(self, rng, order):
@@ -249,6 +301,28 @@ class TestRowBlocks:
                 pool.shutdown()
         assert errors[1:] == errors[:1] * 2
         assert threading.active_count() == threads
+
+
+    def test_a_sequence_of_batches_is_one_call_each(self, rng):
+        # the blocks of all batches are queued at once; each batch's result
+        # and the first failing batch are those of one call per batch
+        lags = [0, 3, 13]
+        ys = [np.cumsum(rng.standard_normal((B, self.T)), axis=1)
+              for B in (300, 1, 257)]
+        want = [four_stats(y, p) for y, p in zip(ys, lags)]
+        bad = [y.copy() for y in ys]
+        for y in bad[1:]:
+            y[0] = 0.5 * np.arange(self.T)      # an exact fit
+        with ThreadPoolExecutor(2) as two:
+            for pool in (None, two):
+                got = four_stats(ys, lags, pool)
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w)
+                with pytest.raises(NumericalError) as info:
+                    four_stats(bad, lags, pool)
+                assert info.value.batch == 1
+                with pytest.raises(ParameterError):
+                    four_stats(ys, lags[:2], pool)
 
 
 class TestStatisticBehavior:

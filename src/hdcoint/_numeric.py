@@ -16,17 +16,16 @@ from .errors import DataError, ParameterError
 
 
 def ar1_recursion(e: np.ndarray, rho) -> np.ndarray:
-    """``x_0 = e_0`` and ``x_t = rho x_{t-1} + e_t`` along the first axis.
+    """``x_0 = e_0`` and ``x_t = rho x_{t-1} + e_t`` along the first axis,
+    written over the float array ``e``, which is returned.
 
     Loops over time and is vectorised across the remaining axes; ``rho``
     is a scalar or broadcasts against one time slice, giving one
     coefficient per column.
     """
-    out = np.empty(np.shape(e))
-    out[0] = e[0]
-    for t in range(1, out.shape[0]):
-        out[t] = rho * out[t - 1] + e[t]
-    return out
+    for t in range(1, e.shape[0]):
+        e[t] = rho * e[t - 1] + e[t]
+    return e
 
 
 def nested_residual_factors(X: np.ndarray, Y: np.ndarray,

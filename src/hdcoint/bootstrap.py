@@ -19,7 +19,7 @@ import concurrent.futures
 import contextlib
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -115,14 +115,16 @@ def awb_draw(T: int, gamma: float, seed_or_rng=0) -> np.ndarray:
 
 
 def _unit_ar1(e: np.ndarray, gamma: float) -> np.ndarray:
-    """Unit-variance AR(1) paths along axis 0 from standard-normal draws."""
-    v = np.sqrt(1.0 - gamma * gamma) * e
-    v[0] = e[0]
-    return ar1_recursion(v, gamma)
+    """Unit-variance AR(1) paths along axis 0, built over the
+    standard-normal draws ``e``."""
+    e[1:] *= np.sqrt(1.0 - gamma * gamma)
+    return ar1_recursion(e, gamma)
 
 
 def _multiplier_matrix(B: int, T: int, gamma: float, seed: int) -> np.ndarray:
-    """Stack of replication multipliers; row ``b`` uses substream (seed, b)."""
+    """Stack of replication multipliers, (B, T); row ``b`` uses substream
+    (seed, b).  The paths are built in one (T, B) array and transposed
+    once, so two such arrays are alive at the peak."""
     e = np.empty((T, B))
     for b in range(B):
         e[:, b] = substream(seed, "awb", b).standard_normal(T)
@@ -149,11 +151,10 @@ def _in_series(exc: NumericalError, name: str) -> NumericalError:
 
 
 def residual_panel(panel: Panel, rho_mode: str = "estimated",
-                   lags: Optional[Sequence[int]] = None,
-                   spec: Union[str, DeterministicSpec] = DeterministicSpec.TREND) -> Panel:
+                   lags: Optional[Sequence[int]] = None) -> Panel:
     """Residual increments feeding the bootstrap DGP.
 
-    Each series is OLS-detrended and filtered as
+    Each series is OLS-detrended on [1, t] and filtered as
     ``u_t = zeta_t - rho * zeta_{t-1}`` with ``rho`` either 1 or an
     AR-root estimate from an ADF regression.  The first available value
     is the detrended observation itself (a zero pre-sample), so the NaN
@@ -161,7 +162,7 @@ def residual_panel(panel: Panel, rho_mode: str = "estimated",
     """
     if rho_mode not in _RHO_MODES:
         raise ParameterError(f"rho_mode must be one of {_RHO_MODES}")
-    detrended, _ = ols_detrend(panel, spec)
+    detrended, _ = ols_detrend(panel, DeterministicSpec.TREND)
     vals = detrended.values
     out = np.full_like(vals, np.nan)
     for j in range(panel.n_series):

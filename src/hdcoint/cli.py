@@ -1,12 +1,15 @@
 """Command-line entry point.
 
 Commands: ``simulate``, ``classify``, ``forecast``, ``nowcast``, ``mcs``.
-Flags may come from an optional ``key=value`` config file; explicit flags
+Each command takes only the flags it reads (``hdcoint COMMAND --help``
+lists them); any other flag, or config-file key, is a usage error that
+names it.  Flags may come from an optional ``key=value`` config file
+(given by ``--config``, which is not itself a file key); explicit flags
 override file entries.  Every command honors ``--seed`` and identical
-invocations produce identical output files.  ``--threads N`` sizes the
-thread pool that fits ``classify``'s bootstrap replications (default:
+invocations produce identical output files.  ``classify --threads N``
+sizes the thread pool that fits the bootstrap replications (default:
 every CPU the process may run on); the output has the same bytes for any
-``N``, and the other commands run on one thread.  ``classify --strategy
+``N``.  ``nowcast`` always runs at horizon 0.  ``classify --strategy
 1`` needs ``--codes``: series whose code implies order two (3 or 6) are
 entered in first differences, all others are assumed at most I(1).
 ``--codes`` sets integration orders only (``classify --strategy 1``,
@@ -219,17 +222,45 @@ def _name_list(text: str) -> Tuple[str, ...]:
     return items
 
 
+def _dgp(text: str) -> str:
+    if text not in ("mixed", "vecm"):
+        raise ParameterError(f"dgp must be 'mixed' or 'vecm', got '{text}'")
+    return text
+
+
+#: how each flag's value is parsed, the same in every command
 _CONVERTERS = {
     "input": str, "codes": str, "output": str, "config": str,
     "seed": int, "threads": int, "alpha": float, "boot_reps": int,
     "gamma": float, "window": int, "horizons": _horizons,
     "methods": _method_list, "strategy": int, "quantile_step": float,
-    "factors": int, "max_lags": int, "dgp": str, "n0": int, "n1": int,
+    "factors": int, "max_lags": int, "dgp": _dgp, "n0": int, "n1": int,
     "n2": int, "n_series": int, "rank": int, "t_obs": int,
     "targets": _name_list, "benchmark": str,
 }
 
-_COMMANDS = ("simulate", "classify", "forecast", "nowcast", "mcs")
+#: the flags each command reads, with their defaults (None: not set)
+_FLAGS: Dict[str, Dict[str, object]] = {
+    "simulate": {"output": None, "config": None, "seed": 0, "dgp": "mixed",
+                 "n0": 3, "n1": 4, "n2": 1, "n_series": 6, "rank": 2,
+                 "t_obs": 200},
+    "classify": {"input": None, "codes": None, "output": None,
+                 "config": None, "seed": 0, "threads": None, "alpha": 0.05,
+                 "boot_reps": 999, "gamma": 0.85, "methods": ("bsqt",),
+                 "strategy": 2, "quantile_step": 0.05, "max_lags": None},
+    "forecast": {"input": None, "codes": None, "output": None,
+                 "config": None, "seed": 0, "alpha": 0.10, "boot_reps": 999,
+                 "gamma": 0.85, "window": 120, "horizons": (1,),
+                 "methods": ("ar", "var"), "factors": 4, "max_lags": None,
+                 "targets": None, "benchmark": "ar"},
+    "nowcast": {"input": None, "codes": None, "output": None,
+                "config": None, "seed": 0, "alpha": 0.10, "boot_reps": 999,
+                "gamma": 0.85, "window": 120, "methods": ("ar",),
+                "factors": 4, "max_lags": None, "targets": None,
+                "benchmark": "ar"},
+    "mcs": {"input": None, "output": None, "config": None, "seed": 0,
+            "alpha": 0.10, "boot_reps": 999, "gamma": 0.85},
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -239,41 +270,21 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-#: flags only ``simulate`` accepts
-_SIMULATE_ONLY = ("dgp", "n0", "n1", "n2", "n_series", "rank", "t_obs")
-
-
 def _build_parser() -> _Parser:
+    """One sub-parser per command, taking that command's flags only."""
     parser = _Parser(prog="hdcoint", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    for name in _COMMANDS:
+    for name, flags in _FLAGS.items():
         p = sub.add_parser(name, add_help=True)
-        for key, convert in _CONVERTERS.items():
-            if key in _SIMULATE_ONLY and name != "simulate":
-                continue
-            choices = ("mixed", "vecm") if key == "dgp" else None
+        for key in flags:
             p.add_argument("--" + key.replace("_", "-"), dest=key,
-                           type=convert, choices=choices,
-                           default=argparse.SUPPRESS)
+                           type=_CONVERTERS[key], default=argparse.SUPPRESS)
     return parser
 
 
-_DEFAULTS = {
-    "simulate": {"seed": 0, "dgp": "mixed", "n0": 3, "n1": 4, "n2": 1,
-                 "n_series": 6, "rank": 2, "t_obs": 200},
-    "classify": {"seed": 0, "alpha": 0.05, "boot_reps": 999, "gamma": 0.85,
-                 "methods": ("bsqt",), "strategy": 2, "quantile_step": 0.05},
-    "forecast": {"seed": 0, "alpha": 0.10, "boot_reps": 999, "gamma": 0.85,
-                 "window": 120, "horizons": (1,), "methods": ("ar", "var"),
-                 "factors": 4, "benchmark": "ar"},
-    "nowcast": {"seed": 0, "alpha": 0.10, "boot_reps": 999, "gamma": 0.85,
-                "window": 120, "methods": ("ar",), "factors": 4,
-                "benchmark": "ar"},
-    "mcs": {"seed": 0, "alpha": 0.10, "boot_reps": 999, "gamma": 0.85},
-}
-
-
-def _read_config_file(path: str) -> Dict[str, object]:
+def _read_config_file(path: str, command: str) -> Dict[str, object]:
+    """The ``key=value`` entries of a config file; a key ``command`` does
+    not take, ``config`` included, is a usage error."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -288,9 +299,9 @@ def _read_config_file(path: str) -> Dict[str, object]:
             raise ParameterError(f"config line {lineno}: expected key=value")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONVERTERS:
-            raise ParameterError(f"config line {lineno}: unknown key "
-                                 f"'{key.replace('_', '-')}'")
+        if key == "config" or key not in _FLAGS[command]:
+            raise ParameterError(f"config line {lineno}: '{command}' takes "
+                                 f"no key '{key.replace('_', '-')}'")
         try:
             out[key] = _CONVERTERS[key](value.strip())
         except (TypeError, ValueError):
@@ -300,18 +311,18 @@ def _read_config_file(path: str) -> Dict[str, object]:
 
 
 def _resolve(argv: Optional[Sequence[str]]) -> Dict[str, object]:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    if ns.command is None:
+    """The command's flags: its defaults, overridden by the config file,
+    overridden by explicit flags."""
+    ns = vars(_build_parser().parse_args(argv))
+    command = ns.pop("command")
+    if command is None:
         raise ParameterError(
-            f"a command is required: {', '.join(_COMMANDS)}")
-    explicit = {k: v for k, v in vars(ns).items() if k != "command"}
-    merged: Dict[str, object] = dict(_DEFAULTS[ns.command])
-    config_path = explicit.pop("config", None)
-    if config_path is not None:
-        merged.update(_read_config_file(str(config_path)))
-    merged.update(explicit)
-    merged["command"] = ns.command
+            f"a command is required: {', '.join(_FLAGS)}")
+    merged = dict(_FLAGS[command])
+    if "config" in ns:
+        merged.update(_read_config_file(str(ns["config"]), command))
+    merged.update(ns)
+    merged["command"] = command
     return merged
 
 
@@ -327,7 +338,7 @@ def _require(cfg: Dict[str, object], key: str) -> object:
 
 def cmd_simulate(cfg: Dict[str, object]) -> None:
     out = str(_require(cfg, "output"))
-    seed = derive_seed(int(cfg.get("seed", 0)), "simulate")
+    seed = derive_seed(int(cfg["seed"]), "simulate")
     if cfg["dgp"] == "mixed":
         panel, _ = simulate_mixed_orders(int(cfg["n0"]), int(cfg["n1"]),
                                          int(cfg["n2"]), int(cfg["t_obs"]),
@@ -340,8 +351,6 @@ def cmd_simulate(cfg: Dict[str, object]) -> None:
 
 
 def cmd_classify(cfg: Dict[str, object]) -> None:
-    if cfg.get("horizons") is not None:
-        raise ParameterError("'classify' does not accept --horizons")
     panel, codes = ingest_csv(str(_require(cfg, "input")), cfg.get("codes"))
     out = str(_require(cfg, "output"))
     strategy = int(cfg["strategy"])
@@ -416,13 +425,10 @@ def _run_harness(cfg: Dict[str, object], horizons: Tuple[int, ...],
 
 
 def cmd_forecast(cfg: Dict[str, object]) -> None:
-    horizons = cfg.get("horizons") or (1,)
-    _run_harness(cfg, tuple(horizons), tuple(cfg["methods"]))
+    _run_harness(cfg, tuple(cfg["horizons"]), tuple(cfg["methods"]))
 
 
 def cmd_nowcast(cfg: Dict[str, object]) -> None:
-    if cfg.get("horizons") not in (None, (0,)):
-        raise ParameterError("'nowcast' always runs at horizon 0")
     methods = tuple(cfg["methods"])
     bad = [m for m in methods if m not in SINGLE_EQUATION_METHODS]
     if bad:

@@ -340,16 +340,17 @@ def simulate_factor_dgp(params: FactorDgpParams, T: int, burn_in: int = 200,
 
 def random_vecm_params(n: int, r: int, p: int = 0, seed=0,
                        adjust_range: Tuple[float, float] = (0.2, 0.5),
-                       phi_scale: float = 0.2,
-                       random_sigma: bool = False,
-                       max_tries: int = 200) -> VecmParams:
+                       phi_scale: float = 0.2) -> VecmParams:
     """Draw admissible VECM parameters with guaranteed I(1) structure.
 
     Cointegrating vectors are a random orthonormal frame; adjustment is
     ``a = -b @ diag(speeds)`` with speeds in ``adjust_range``, which keeps
-    the error-correction directions stationary.  Short-run matrices are
-    rescaled until the characteristic-root conditions hold.
+    the error-correction directions stationary, and the errors have unit
+    covariance.  Short-run matrices start at ``phi_scale`` and shrink by
+    0.7 until the characteristic-root conditions hold, 200 draws at most.
     """
+    if n < 1:
+        raise ParameterError(f"need at least one series, got n={n}")
     if not 0 <= r <= n:
         raise ParameterError(f"rank must be between 0 and {n}")
     rng = substream(seed, "vecm-params", n, r, p)
@@ -357,17 +358,10 @@ def random_vecm_params(n: int, r: int, p: int = 0, seed=0,
     b = q[:, :r]
     speeds = rng.uniform(*adjust_range, size=r)
     a = -b * speeds[None, :]
-    sigma = None
-    if random_sigma:
-        w = rng.standard_normal((n, n))
-        q2, _ = np.linalg.qr(w)
-        sigma = q2 @ np.diag(rng.uniform(0.5, 1.5, size=n)) @ q2.T
-        sigma = 0.5 * (sigma + sigma.T)
     scale = phi_scale
-    for _ in range(max_tries):
+    for _ in range(200):
         phi = tuple(rng.standard_normal((n, n)) * scale / n ** 0.5 for _ in range(p))
-        params = VecmParams(a=a.reshape(n, r), b=b.reshape(n, r), phi=phi,
-                            sigma=sigma)
+        params = VecmParams(a=a.reshape(n, r), b=b.reshape(n, r), phi=phi)
         if check_i1_conditions(params).is_i1:
             return params
         scale *= 0.7
@@ -378,10 +372,16 @@ def simulate_mixed_orders(n0: int, n1: int, n2: int, T: int, seed=0,
                           ar: float = 0.5, scale: float = 1.0,
                           start: str = "2000-01"):
     """Independent series with known orders: ``n0`` AR(1), ``n1`` random
-    walks, ``n2`` double-integrated walks.  Returns ``(panel, orders)``."""
+    walks, ``n2`` double-integrated walks, over ``T >= 2`` periods.
+    Returns ``(panel, orders)``."""
+    for name, count in (("n0", n0), ("n1", n1), ("n2", n2)):
+        if count < 0:
+            raise ParameterError(f"{name} must be nonnegative, got {count}")
     n = n0 + n1 + n2
     if n < 1:
         raise ParameterError("need at least one series")
+    if T < 2:
+        raise ParameterError(f"T must be at least 2, got {T}")
     if not abs(ar) < 1:
         raise ParameterError("AR coefficient must be inside the unit circle")
     rng = as_generator(seed)

@@ -282,13 +282,14 @@ def _factor_path(factors: np.ndarray, h: int, rank: Optional[int],
 
 def ndfm_forecast(data, k: Optional[int] = None, rank: Optional[int] = None,
                   p: Optional[int] = None, h: int = 1, idio_ar: bool = True,
-                  kmax: int = 8, p_max: int = 3) -> np.ndarray:
+                  p_max: int = 3) -> np.ndarray:
     """Level forecasts for every series from the nonstationary factor model.
 
-    Factors come from the differences route; their joint dynamics are a
-    VECM fitted by reduced-rank ML (rank and lag by information criteria
-    when not given, the lag at most ``p_max``), iterated one step at a
-    time.  Per-series intercept and trend are re-estimated by OLS holding
+    Factors come from the differences route, ``k`` of them or, when not
+    given, the :func:`count_factors` choice of at most min(8, N/2, T/2).
+    Their joint dynamics are a VECM fitted by reduced-rank ML (rank and
+    lag by information criteria when not given, the lag at most
+    ``p_max``), iterated one step at a time.  Per-series intercept and trend are re-estimated by OLS holding
     the loadings fixed, and optional BIC-selected AR(≤ ``p_max``)s, one
     stack of them, carry the idiosyncratic remainders.
     ``h=0`` returns the fitted value at the last observation as a (1, N)
@@ -299,7 +300,7 @@ def ndfm_forecast(data, k: Optional[int] = None, rank: Optional[int] = None,
     if h < 0:
         raise ParameterError("forecast horizon must be nonnegative")
     if k is None:
-        k = count_factors(z, "diff_ic", min(kmax, min(N, T) // 2))
+        k = count_factors(z, "diff_ic", min(8, min(N, T) // 2))
     fm = extract_factors_diff(z, k)
     common = fm.common_component()
     uhat, coef = detrend(z - common)

@@ -51,12 +51,12 @@ INITIALIZERS = ("ols", "ridge")
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Penalty levels, adaptive-weight exponents, and initializer choice.
+    """Penalty levels and initializer choice.
 
     ``lam_group`` acts on the lagged-levels block as a whole,
     ``lam_levels`` and ``lam_w`` on individual coefficients of the levels
-    and short-run blocks.  Weights are 1/|initial estimate|^exponent; an
-    exactly zero initial estimate excludes its coefficient permanently.
+    and short-run blocks.  Weights are 1/|initial estimate|; an exactly
+    zero initial estimate excludes its coefficient permanently.
     The "ols" initializer falls back to ridge whenever the design has at
     least as many columns as rows.
     """
@@ -64,8 +64,6 @@ class PenaltyConfig:
     lam_group: float = 0.0
     lam_levels: float = 0.0
     lam_w: float = 0.0
-    k_levels: float = 1.0
-    k_w: float = 1.0
     initializer: str = "ols"
     max_sweeps: int = 10_000
     tol: float = 1e-6
@@ -73,8 +71,6 @@ class PenaltyConfig:
     def __post_init__(self):
         if min(self.lam_group, self.lam_levels, self.lam_w) < 0:
             raise ParameterError("penalty levels must be nonnegative")
-        if min(self.k_levels, self.k_w) < 0:
-            raise ParameterError("weight exponents must be nonnegative")
         if self.initializer not in INITIALIZERS:
             raise ParameterError(
                 f"initializer must be one of {INITIALIZERS}")
@@ -126,14 +122,6 @@ def _initial_estimates(X: np.ndarray, y: np.ndarray, tag: str
     return beta, "ridge"
 
 
-def _adaptive_weights(init: np.ndarray, exponent: float) -> np.ndarray:
-    """1/|init|^k with exact zeros mapped to +inf (permanent exclusion)."""
-    out = np.full(init.shape, np.inf)
-    nz = init != 0
-    out[nz] = 1.0 / np.abs(init[nz]) ** exponent
-    return out
-
-
 @dataclass(frozen=True)
 class _Gram:
     """What every penalty level shares on one design: the adaptive weights
@@ -147,8 +135,10 @@ class _Gram:
 def _gram(design: SingleEqDesign, cfg: PenaltyConfig) -> _Gram:
     X, nz = np.hstack([design.levels, design.w]), design.levels.shape[1]
     init, tag = _initial_estimates(X, design.response, cfg.initializer)
-    weights = np.concatenate([_adaptive_weights(init[:nz], cfg.k_levels),
-                              _adaptive_weights(init[nz:], cfg.k_w)])
+    # 1/|init|, with an exact zero excluded for good (+inf)
+    weights = np.full(init.shape, np.inf)
+    kept = init != 0
+    weights[kept] = 1.0 / np.abs(init[kept])
     return _Gram(weights, tag, X.T @ X, X.T @ design.response)
 
 
@@ -161,21 +151,17 @@ def _l1_penalties(weights: np.ndarray, nz: int, cfg: PenaltyConfig
 
 
 def kkt_residual(design: SingleEqDesign, cfg: PenaltyConfig,
-                 delta: np.ndarray, pi: np.ndarray,
-                 weights_levels: Optional[np.ndarray] = None,
-                 weights_w: Optional[np.ndarray] = None) -> float:
+                 delta: np.ndarray, pi: np.ndarray) -> float:
     """Scale-free stationarity violation of a candidate solution.
 
+    The adaptive weights are those of ``cfg.initializer`` on ``design``.
     The raw violation (in gradient units) is divided by
     max(1, ||2 X'y||_inf); excluded coordinates (infinite weight) never
     violate.  Zero means an exact minimizer.
     """
     X, y = np.hstack([design.levels, design.w]), design.response
     nz = design.levels.shape[1]
-    if weights_levels is None or weights_w is None:
-        weights = _gram(design, cfg).weights
-    else:
-        weights = np.concatenate([weights_levels, weights_w])
+    weights = _gram(design, cfg).weights
     theta = np.concatenate([delta, pi])
     raw, scale = _kkt(X.T @ (y - X @ theta), X.T @ y, theta, nz,
                       cfg.lam_group, _l1_penalties(weights, nz, cfg))
@@ -503,20 +489,20 @@ def _build_specs_parts(z: np.ndarray, names: Tuple[str, ...], ti: int,
 
 
 def specs_fit(data, target, p: int = 3, h: int = 1,
-              lambda_grids=None, cfg: Optional[PenaltyConfig] = None,
-              folds: int = 5) -> "SingleEqFit":
+              lambda_grids=None) -> "SingleEqFit":
     """Error-correction selector with direct h-step (or h=0) forecasting.
 
     The response is y_{t+h} - y_t (at h=0 the one-step difference, so the
     last target value never enters the fit); regressors are all lagged
     levels plus the short-run block.  The penalty triple is tuned by
-    expanding-window cross-validation and the forecast is assembled as
+    five-fold expanding-window cross-validation over ``lambda_grids``
+    (default: a grid scaled to the design), with the default
+    :class:`PenaltyConfig` otherwise, and the forecast is assembled as
     anchor + fitted value at the final regressor row.
     """
     z, names, (ti,) = resolve_targets(data, [target])
-    cfg = cfg or PenaltyConfig()
     parts = _build_specs_parts(z, names, ti, p, h)
-    return _fit(parts, lambda_grids, cfg, folds, "specs", h, orders=None)
+    return _fit(parts, lambda_grids, "specs", h, orders=None)
 
 
 def _orders_array(orders, names: Tuple[str, ...]) -> np.ndarray:
@@ -551,8 +537,7 @@ def _build_padl_parts(z: np.ndarray, names: Tuple[str, ...], ti: int,
 
 
 def padl_fit(data, target, orders, p: int = 3, h: int = 1,
-             lambda_grid=None, cfg: Optional[PenaltyConfig] = None,
-             folds: int = 5) -> "SingleEqFit":
+             lambda_grid=None) -> "SingleEqFit":
     """Adaptive-lasso distributed-lag fit on stationarity-transformed data.
 
     Every series is differenced down to I(0) according to ``orders``;
@@ -560,13 +545,12 @@ def padl_fit(data, target, orders, p: int = 3, h: int = 1,
     h-step difference for I(1), additionally dropping one lagged
     difference for I(2)) and forecasts invert that definition.  There is
     no levels block: this is the sparse selector with the long-run group
-    forced to zero.
+    forced to zero, tuned like :func:`specs_fit` over ``lambda_grid``.
     """
     z, names, (ti,) = resolve_targets(data, [target])
-    cfg = cfg or PenaltyConfig()
     orders = _orders_array(orders, names)
     parts = _build_padl_parts(z, names, ti, orders, p, h)
-    return _fit(parts, lambda_grid, cfg, folds, "padl", h,
+    return _fit(parts, lambda_grid, "padl", h,
                 orders=tuple(int(d) for d in orders))
 
 
@@ -620,7 +604,7 @@ def _path_candidates(gram: _Gram, nz: int, grid, cfg: PenaltyConfig) -> dict:
 
 
 def _tune_triple(design: SingleEqDesign, grids, cfg: PenaltyConfig,
-                 folds: int, group_block: bool, full: _Gram
+                 group_block: bool, full: _Gram
                  ) -> Tuple[float, float, float]:
     """Pick (lam_group, lam_levels, lam_w) by expanding-window CV; the
     default grid scales with ``full``, the whole centred design's Gram."""
@@ -667,16 +651,17 @@ def _tune_triple(design: SingleEqDesign, grids, cfg: PenaltyConfig,
 
         return scorer
 
-    return tscv_tune(builder, grid, n_rows=design.n_rows, folds=folds)
+    return tscv_tune(builder, grid, n_rows=design.n_rows)
 
 
-def _fit(parts: _DesignParts, grids, cfg: PenaltyConfig, folds: int,
-         method: str, h: int, orders) -> "SingleEqFit":
+def _fit(parts: _DesignParts, grids, method: str, h: int, orders
+         ) -> "SingleEqFit":
     """Tune, then fit the centred design; one Gram serves both."""
     design = parts.design
     centered, mz, mw, my = _centered(design)
+    cfg = PenaltyConfig()
     full = _gram(centered, cfg)
-    g, lv, lw = _tune_triple(design, grids, cfg, folds,
+    g, lv, lw = _tune_triple(design, grids, cfg,
                              group_block=method == "specs", full=full)
     if method == "padl":
         g = lv = 0.0

@@ -545,23 +545,24 @@ def _one_step_errors(pi: np.ndarray, phi: np.ndarray, z: np.ndarray,
     return resid * resid
 
 
-def default_lambda_grid(scale: float, n_points: int = 10,
-                        decades: float = 3.0) -> np.ndarray:
-    """Geometric grid from scale down to scale·10^-decades, ascending."""
+def default_lambda_grid(scale: float) -> np.ndarray:
+    """Ten geometric points from scale·10^-3 up to scale."""
     if scale <= 0:
         return np.array([0.0])
-    return np.geomspace(scale * 10.0 ** (-decades), scale, n_points)
+    return np.geomspace(scale * 10.0 ** -3, scale, 10)
 
 
-def qr_vecm(data, p: int = 1, lambda_grid: Optional[Sequence[float]] = None,
-            cv_folds: int = 5) -> VecmModel:
+def qr_vecm(data, p: int = 1, lambda_grid: Optional[Sequence[float]] = None
+            ) -> VecmModel:
     """Rank-adaptive VECM via pivoted QR of the long-run OLS estimate.
 
     The short-run block is partialled out, the unrestricted long-run
     matrix is QR-factorized with column pivoting, and an adaptive group
     lasso shrinks whole columns of the triangular factor to zero; the
     count of surviving columns is the estimated rank.  The penalty level
-    is chosen by expanding-window cross-validation on one-step forecasts
+    is chosen from ``lambda_grid`` (default: :func:`default_lambda_grid`
+    up to the smallest penalty that zeroes every column) by five-fold
+    expanding-window cross-validation on one-step forecasts
     (the folds of :func:`expanding_folds`, the tie rule of
     :func:`last_minimum`), with validation starting at
     max(N(p+1) + p + 3, T/2) and ties taking the larger penalty; a window
@@ -589,7 +590,7 @@ def qr_vecm(data, p: int = 1, lambda_grid: Optional[Sequence[float]] = None,
         raise ParameterError("lambda grid is empty")
     first = max(N * (p + 1) + p + 3, T // 2)
     blocks = [] if grid.size == 1 or first >= T else \
-        expanding_folds(T, cv_folds, first)
+        expanding_folds(T, 5, first)
     stages = [_qr_stage(z[:lo], p) for lo, _ in blocks] + [stage]
     fits = _qr_paths(stages, grid)
     losses = np.zeros(grid.size)
@@ -647,7 +648,7 @@ def _pml_init(z: np.ndarray, r: int, p: int, solve: Optional[_Solve] = None):
 
 def pml_vecm(data, r: Optional[int], p: int = 1,
              lambdas: Tuple[float, float] = (0.0, 0.0),
-             max_cycles: int = 200, tol: float = 1e-7) -> VecmModel:
+             max_cycles: int = 200) -> VecmModel:
     """Penalized Gaussian likelihood VECM at a fixed cointegrating rank.
 
     ``r=None`` fixes the :func:`select_rank_ic` rank, read off the
@@ -662,6 +663,8 @@ def pml_vecm(data, r: Optional[int], p: int = 1,
     and the exact inverse of the residual covariance for the precision
     matrix.  The objective must be non-increasing across cycles; an
     increase signals a subproblem fault and raises ConvergenceError.
+    The fit has converged once a cycle changes the objective by less than
+    1e-7 of its size (at least 1).
     ``info["converged"]`` is False when ``max_cycles`` ran out first, as
     it often does with B penalized: A grows while B shrinks along a scale
     ridge of the objective.
@@ -729,7 +732,7 @@ def pml_vecm(data, r: Optional[int], p: int = 1,
                 f"objective increased from {history[-1]:.12g} to "
                 f"{new_obj:.12g}; subproblem fault")
         history.append(new_obj)
-        if abs(history[-2] - new_obj) < tol * max(1.0, abs(history[-2])):
+        if abs(history[-2] - new_obj) < 1e-7 * max(1.0, abs(history[-2])):
             converged = True
             break
 

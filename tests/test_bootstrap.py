@@ -42,6 +42,20 @@ class TestMultiplier:
     def test_seed_reproducibility(self):
         assert np.array_equal(awb_draw(500, 0.85, 42), awb_draw(500, 0.85, 42))
 
+    @pytest.mark.parametrize("B, T, gamma", [(999, 300, 0.85),
+                                              (199, 150, 0.5), (599, 301, 0.0)])
+    def test_multiplier_matrix_holds_two_arrays(self, B, T, gamma):
+        # the (T, B) draws become the paths in place; the (B, T) result is
+        # the one copy, so the peak is two arrays of B * T floats
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            bootstrap._multiplier_matrix(B, T, gamma, 3)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * B * T * 8
+
 
 class TestResidualPanel:
     def test_unity_rho_on_pure_trend(self):

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from hdcoint import DataError, IntegrationReport
+from hdcoint import DataError, IntegrationReport, cli
 from hdcoint.cli import ingest_csv, main
 
 
@@ -238,6 +238,140 @@ class TestConfigResolution:
         assert rc == 1
 
 
+#: the flags each command takes, with their defaults (None: not set)
+ROWS = {
+    "simulate": {"output": None, "config": None, "seed": 0, "dgp": "mixed",
+                 "n0": 3, "n1": 4, "n2": 1, "n_series": 6, "rank": 2,
+                 "t_obs": 200},
+    "classify": {"input": None, "codes": None, "output": None,
+                 "config": None, "seed": 0, "threads": None, "alpha": 0.05,
+                 "boot_reps": 999, "gamma": 0.85, "methods": ("bsqt",),
+                 "strategy": 2, "quantile_step": 0.05, "max_lags": None},
+    "forecast": {"input": None, "codes": None, "output": None,
+                 "config": None, "seed": 0, "alpha": 0.10, "boot_reps": 999,
+                 "gamma": 0.85, "window": 120, "horizons": (1,),
+                 "methods": ("ar", "var"), "factors": 4, "max_lags": None,
+                 "targets": None, "benchmark": "ar"},
+    "nowcast": {"input": None, "codes": None, "output": None,
+                "config": None, "seed": 0, "alpha": 0.10, "boot_reps": 999,
+                "gamma": 0.85, "window": 120, "methods": ("ar",),
+                "factors": 4, "max_lags": None, "targets": None,
+                "benchmark": "ar"},
+    "mcs": {"input": None, "output": None, "config": None, "seed": 0,
+            "alpha": 0.10, "boot_reps": 999, "gamma": 0.85},
+}
+
+#: every flag but --config, as typed and as resolved
+VALUES = {
+    "input": ("in.csv", "in.csv"), "codes": ("c.csv", "c.csv"),
+    "output": ("o.json", "o.json"), "seed": ("7", 7), "threads": ("2", 2),
+    "alpha": ("0.2", 0.2), "boot_reps": ("299", 299), "gamma": ("0.5", 0.5),
+    "window": ("60", 60), "horizons": ("3,1,3", (3, 1)),
+    "methods": ("AR, Var", ("ar", "var")), "strategy": ("1", 1),
+    "quantile_step": ("0.1", 0.1), "factors": ("2", 2),
+    "max_lags": ("4", 4), "dgp": ("vecm", "vecm"), "n0": ("2", 2),
+    "n1": ("5", 5), "n2": ("0", 0), "n_series": ("8", 8),
+    "rank": ("3", 3), "t_obs": ("50", 50),
+    "targets": ("s1, s2", ("s1", "s2")), "benchmark": ("var", "var"),
+}
+
+KEPT = [(c, f) for c, row in ROWS.items() for f in row if f != "config"]
+OTHERS = [(c, f) for c, row in ROWS.items() for f in VALUES if f not in row]
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+class TestFlagTable:
+    def test_each_command_takes_its_row(self):
+        assert sum(len(row) for row in ROWS.values()) == 59
+        assert len(OTHERS) == 66
+        for command, row in ROWS.items():
+            resolved = cli._resolve([command])
+            assert resolved.pop("command") == command
+            assert resolved == row
+
+    @pytest.mark.parametrize("command, key", KEPT)
+    def test_a_flag_resolves_alike_from_argv_and_file(self, tmp_path,
+                                                     command, key):
+        text, value = VALUES[key]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{_flag(key)[2:]}={text}\n")
+        for argv in ([_flag(key), text], ["--config", str(cfg)]):
+            resolved = cli._resolve([command] + argv)
+            assert resolved[key] == value
+            assert {k: v for k, v in resolved.items()
+                    if k not in (key, "config", "command")} == \
+                {k: v for k, v in ROWS[command].items()
+                 if k not in (key, "config")}
+
+    @pytest.mark.parametrize("command, key", OTHERS)
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(
+            self, tmp_path, capsys, command, key):
+        out = tmp_path / "o.json"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{_flag(key)[2:]}={VALUES[key][0]}\n")
+        assert main([command, "--output", str(out), _flag(key),
+                     VALUES[key][0]]) == 1
+        assert _flag(key) in capsys.readouterr().err
+        assert main([command, "--output", str(out),
+                     "--config", str(cfg)]) == 1
+        assert f"takes no key '{_flag(key)[2:]}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ROWS)
+    def test_config_is_not_a_file_key(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"config={cfg}\n")
+        assert main([command, "--output", str(tmp_path / "o.json"),
+                     "--config", str(cfg)]) == 1
+        assert "takes no key 'config'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", cli._FLAGS)
+    def test_every_flag_in_a_row_is_read(self, tmp_path, monkeypatch, rng,
+                                         command):
+        # run the command with all its flags set and record the keys it
+        # reads; --config is read by _resolve itself
+        read = set()
+
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                read.add(key)
+                return super().get(key, default)
+
+        resolve = cli._resolve
+        monkeypatch.setattr(cli, "_resolve",
+                            lambda argv: Recording(resolve(argv)))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# no entries\n")
+        panel = _simulate(tmp_path, n0=1, n1=1, n2=1, t_obs=90)
+        codes = _write_rows(tmp_path / "codes.csv",
+                            [["s1", "1"], ["s2", "5"], ["s3", "6"]])
+        losses = _write_rows(tmp_path / "loss.csv", [["a", "b"]] + [
+            [repr(float(v)) for v in rng.standard_normal(2) ** 2]
+            for _ in range(40)])
+        values = {
+            "input": losses if command == "mcs" else panel, "codes": codes,
+            "output": str(tmp_path / "o.json"), "config": str(cfg),
+            "seed": "3", "threads": "1", "alpha": "0.1", "boot_reps": "199",
+            "gamma": "0.85", "window": "60", "horizons": "1",
+            "methods": "bsqt" if command == "classify" else "ar",
+            "strategy": "1", "quantile_step": "0.1", "factors": "1",
+            "max_lags": "2", "n0": "1", "n1": "1", "n2": "1",
+            "n_series": "3", "rank": "1", "t_obs": "40", "targets": "s1",
+            "benchmark": "ar"}
+        row = [k for k in cli._FLAGS[command] if k != "dgp"]
+        argv = [command] + [a for k in row for a in (_flag(k), values[k])]
+        for dgp in (("mixed", "vecm") if command == "simulate" else (None,)):
+            assert main(argv + (["--dgp", dgp] if dgp else [])) == 0
+        assert set(cli._FLAGS[command]) - {"config"} <= read
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self, tmp_path, capsys):
         rc = main(["simulate"])
@@ -292,6 +426,20 @@ class TestSimulate:
         assert rc == 0
         panel, _ = ingest_csv(str(out))
         assert panel.n_series == 4 and panel.n_obs == 60
+
+    @pytest.mark.parametrize("args, message", [
+        (["--n0", "-1"], "n0 must be nonnegative, got -1"),
+        (["--n1", "-2", "--n0", "3"], "n1 must be nonnegative, got -2"),
+        (["--t-obs", "1"], "T must be at least 2, got 1"),
+        (["--dgp", "vecm", "--n-series", "-2"], "at least one series, got n=-2"),
+        (["--dgp", "mixd"], "'mixd'")])
+    def test_bad_sizes_are_usage_errors(self, tmp_path, capsys, args,
+                                        message):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--output", str(out)] + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
 
 
 class TestClassifyCommand:

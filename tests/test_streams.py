@@ -51,5 +51,8 @@ def test_ar1_recursion_matches_scalar_loop():
         for t in range(40):
             x = rho[j] * x + e[t, j]
             want[t, j] = x
-    assert np.array_equal(ar1_recursion(e, rho), want)
-    assert np.array_equal(ar1_recursion(e[:, 2], 1.0), np.cumsum(e[:, 2]))
+    walk = np.cumsum(e[:, 2])
+    assert np.array_equal(ar1_recursion(e[:, 2].copy(), 1.0), walk)
+    # the paths are written over the draws
+    out = ar1_recursion(e, rho)
+    assert out is e and np.array_equal(e, want)

@@ -251,13 +251,14 @@ _FLAGS: Dict[str, Dict[str, object]] = {
     "forecast": {"input": None, "codes": None, "output": None,
                  "config": None, "seed": 0, "alpha": 0.10, "boot_reps": 999,
                  "gamma": 0.85, "window": 120, "horizons": (1,),
-                 "methods": ("ar", "var"), "factors": 4, "max_lags": None,
-                 "targets": None, "benchmark": "ar"},
+                 "methods": HarnessConfig.methods, "factors": 4,
+                 "max_lags": None, "targets": None,
+                 "benchmark": HarnessConfig.benchmark},
     "nowcast": {"input": None, "codes": None, "output": None,
                 "config": None, "seed": 0, "alpha": 0.10, "boot_reps": 999,
-                "gamma": 0.85, "window": 120, "methods": ("ar",),
-                "factors": 4, "max_lags": None, "targets": None,
-                "benchmark": "ar"},
+                "gamma": 0.85, "window": 120, "factors": 4, "max_lags": None,
+                "targets": None, "methods": (HarnessConfig.benchmark,),
+                "benchmark": HarnessConfig.benchmark},
     "mcs": {"input": None, "output": None, "config": None, "seed": 0,
             "alpha": 0.10, "boot_reps": 999, "gamma": 0.85},
 }
@@ -430,13 +431,12 @@ def cmd_forecast(cfg: Dict[str, object]) -> None:
 
 def cmd_nowcast(cfg: Dict[str, object]) -> None:
     methods = tuple(cfg["methods"])
-    bad = [m for m in methods if m not in SINGLE_EQUATION_METHODS]
+    bad = sorted(set(methods + (str(cfg["benchmark"]),))
+                 - set(SINGLE_EQUATION_METHODS))
     if bad:
         raise ParameterError(
             f"nowcasting is restricted to single-equation methods "
             f"{SINGLE_EQUATION_METHODS}; got {bad}")
-    if str(cfg["benchmark"]) not in SINGLE_EQUATION_METHODS:
-        raise ParameterError("nowcast benchmark must be single-equation")
     _run_harness(cfg, (0,), methods)
 
 

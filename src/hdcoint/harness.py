@@ -6,8 +6,11 @@ to levels by adding the window's own deterministic extrapolation, and
 squared level errors feed relative MSFEs against an autoregressive
 benchmark.  Surviving-method sets come from an elimination procedure on
 loss differentials bootstrapped with the autoregressive wild multiplier.
-Lanes difference and integrate only through ``panel``'s one rule and its
-inverse; an integration order outside {0, 1, 2} stops the run up front.
+Each forecasting method is one :class:`Lane` record of one table: its
+body, whether it also nowcasts and whether it extracts factors; the run's
+checks read the records.  Lanes difference and integrate only through
+``panel``'s one rule and its inverse; an integration order outside
+{0, 1, 2} stops the run up front.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -42,49 +46,6 @@ __all__ = [
     "register_method",
     "SINGLE_EQUATION_METHODS",
 ]
-
-SINGLE_EQUATION_METHODS = ("ar", "padl", "fapadl", "specs", "fa_specs")
-# the lanes that extract factors from the panel
-FACTOR_METHODS = ("favar", "fecm", "ndfm", "fapadl", "fa_specs")
-
-
-@dataclass(frozen=True)
-class HarnessConfig:
-    """Evaluation design: window, horizons, targets, methods, seeds."""
-
-    window: int = 120
-    horizons: Tuple[int, ...] = (1,)
-    targets: Optional[Tuple[Union[int, str], ...]] = None
-    methods: Tuple[str, ...] = ("ar", "var")
-    benchmark: str = "ar"
-    orders: Optional[Tuple[int, ...]] = None
-    mcs_level: float = 0.10
-    gamma: float = 0.85
-    boot_reps: int = 999
-    seed: int = 0
-    factors: int = 4
-    p_max: int = 3
-
-    def __post_init__(self):
-        if self.window < 60:
-            raise ParameterError("evaluation window must hold at least 60 "
-                                 "observations")
-        if not self.horizons:
-            raise ParameterError("at least one horizon is required")
-        if any(h < 0 or h > 24 for h in self.horizons):
-            raise ParameterError("horizons must lie in 0..24")
-        if len(set(self.methods)) < len(self.methods):
-            raise ParameterError(f"methods {self.methods} repeat a name")
-        if self.benchmark not in self.methods:
-            raise ParameterError(
-                f"benchmark '{self.benchmark}' missing from methods")
-        if self.p_max < 0:
-            raise ParameterError("p_max must be non-negative")
-        if self.factors < 0:
-            raise ParameterError("factor count must be non-negative")
-        if not 0 < self.mcs_level < 1:
-            raise ParameterError("mcs_level must lie in (0, 1)")
-        check_multiplier(self.boot_reps, self.gamma)
 
 
 def ar_benchmark(series, order: int = 1, p_max: int = 3, h: int = 1) -> float:
@@ -119,11 +80,10 @@ def _ar_levels(v: np.ndarray, order: int, p_max: int,
 class _Window:
     """One isolated window: detrended residuals plus forecast bookkeeping."""
 
-    def __init__(self, values: np.ndarray, names: Tuple[str, ...],
-                 targets: np.ndarray, horizons: Tuple[int, ...],
-                 orders: np.ndarray, cfg: HarnessConfig, window_start: int):
+    def __init__(self, values: np.ndarray, targets: np.ndarray,
+                 horizons: Tuple[int, ...], orders: np.ndarray,
+                 cfg: HarnessConfig, window_start: int):
         self.values = values
-        self.names = names
         self.targets = targets
         self.horizons = tuple(horizons)
         self.orders = orders
@@ -173,6 +133,31 @@ def _max_h(ctx: _Window) -> int:
     return max(max(ctx.horizons), 1)
 
 
+def _at_horizons(ctx: _Window, levels) -> Dict[Tuple[int, int], float]:
+    """Level forecasts {(target, h): value} for every h >= 1 from
+    (target, residual-level path) pairs."""
+    return {(ti, h): lev[h - 1] + ctx.deterministic(ti, h)
+            for ti, lev in levels for h in ctx.horizons if h >= 1}
+
+
+# -- lanes -------------------------------------------------------------------
+# A lane body looks its estimators up by module-global name when it runs, so
+# a wrapper installed on that name sees every call.
+
+
+def _ar(ctx: _Window) -> Dict[Tuple[int, int], float]:
+    out = {}
+    for d in np.unique(ctx.orders[ctx.targets]) if max(ctx.horizons) else ():
+        tis = ctx.targets[ctx.orders[ctx.targets] == d]
+        lev = _ar_levels(ctx.resid[:, tis], d, ctx.cfg.p_max, _max_h(ctx))
+        out.update(_at_horizons(ctx, zip(tis, lev.T)))
+    for ti in ctx.targets if 0 in ctx.horizons else ():
+        panel, det = ctx.now_parts(ti)
+        out[(ti, 0)] = det + ar_benchmark(panel[:, ti], int(ctx.orders[ti]),
+                                          ctx.cfg.p_max, 0)
+    return out
+
+
 def _stationary_system(ctx: _Window, augment: bool) -> Dict[Tuple[int, int], float]:
     """Shared VAR / factor-augmented VAR lane on transformed residuals."""
     orders = ctx.orders[ctx.targets]
@@ -188,90 +173,56 @@ def _stationary_system(ctx: _Window, augment: bool) -> Dict[Tuple[int, int], flo
         for pos, ti in enumerate(ctx.targets)])
 
 
-def _at_horizons(ctx: _Window, levels) -> Dict[Tuple[int, int], float]:
-    """Level forecasts {(target, h): value} for every h >= 1 from
-    (target, residual-level path) pairs."""
-    return {(ti, h): lev[h - 1] + ctx.deterministic(ti, h)
-            for ti, lev in levels for h in ctx.horizons if h >= 1}
-
-
-def _method_ar(ctx: _Window) -> Dict[Tuple[int, int], float]:
-    out = {}
-    for d in np.unique(ctx.orders[ctx.targets]) if max(ctx.horizons) else ():
-        tis = ctx.targets[ctx.orders[ctx.targets] == d]
-        lev = _ar_levels(ctx.resid[:, tis], d, ctx.cfg.p_max, _max_h(ctx))
-        out.update(_at_horizons(ctx, zip(tis, lev.T)))
-    for ti in ctx.targets if 0 in ctx.horizons else ():
-        panel, det = ctx.now_parts(ti)
-        out[(ti, 0)] = det + ar_benchmark(panel[:, ti], int(ctx.orders[ti]),
-                                          ctx.cfg.p_max, 0)
-    return out
-
-
-def _method_var(ctx: _Window) -> Dict[Tuple[int, int], float]:
-    return _stationary_system(ctx, augment=False)
-
-
-def _method_favar(ctx: _Window) -> Dict[Tuple[int, int], float]:
-    return _stationary_system(ctx, augment=True)
-
-
-def _system_paths(ctx: _Window, path: np.ndarray,
-                  positions: Sequence[int]) -> Dict[Tuple[int, int], float]:
-    return _at_horizons(ctx, [(ti, ctx.coint_invert(ti, path[:, pos]))
-                              for pos, ti in zip(positions, ctx.targets)])
-
-
-def _method_ml(ctx: _Window) -> Dict[Tuple[int, int], float]:
-    zb = ctx.coint_panel()[:, ctx.targets]
-    p = select_lag_bic(zb, p_max=ctx.cfg.p_max)
-    model = johansen_ml(zb, None, p)
-    path = vecm_iterated_forecast(model, zb, _max_h(ctx))
-    return _system_paths(ctx, path, range(len(ctx.targets)))
-
-
-def _method_fecm(ctx: _Window) -> Dict[Tuple[int, int], float]:
+def _cointegrated(ctx: _Window, path: Callable, block: bool = True
+                  ) -> Dict[Tuple[int, int], float]:
+    """The cointegration lanes' one body: ``path(ctx, z)`` forecasts the
+    targets ``_max_h`` steps from the cointegration panel ``z`` (its
+    targets' block when ``block``), mapped back to residual levels."""
     z = ctx.coint_panel()
-    path = fecm_forecast(z, targets=list(ctx.targets),
-                         r_ns=ctx.cfg.factors, r_s=0, h=_max_h(ctx),
-                         det="none", p_max=ctx.cfg.p_max)
-    return _system_paths(ctx, path, range(len(ctx.targets)))
+    fc = path(ctx, z[:, ctx.targets] if block else z)
+    return _at_horizons(ctx, [(ti, ctx.coint_invert(ti, fc[:, k]))
+                              for k, ti in enumerate(ctx.targets)])
 
 
-def _method_ndfm(ctx: _Window) -> Dict[Tuple[int, int], float]:
-    z = ctx.coint_panel()
-    path = ndfm_forecast(z, k=ctx.cfg.factors, h=_max_h(ctx),
-                         p_max=ctx.cfg.p_max)
-    return _system_paths(ctx, path, ctx.targets)
+def _ml_path(ctx: _Window, zb: np.ndarray) -> np.ndarray:
+    model = johansen_ml(zb, None, select_lag_bic(zb, p_max=ctx.cfg.p_max))
+    return vecm_iterated_forecast(model, zb, _max_h(ctx))
 
 
-def _method_qr_vecm(ctx: _Window) -> Dict[Tuple[int, int], float]:
-    zb = ctx.coint_panel()[:, ctx.targets]
-    model = qr_vecm(zb, p=1)
-    path = vecm_iterated_forecast(model, zb, _max_h(ctx))
-    return _system_paths(ctx, path, range(len(ctx.targets)))
+def _qr_vecm_path(ctx: _Window, zb: np.ndarray) -> np.ndarray:
+    return vecm_iterated_forecast(qr_vecm(zb, p=1), zb, _max_h(ctx))
 
 
-def _method_pml(ctx: _Window) -> Dict[Tuple[int, int], float]:
-    zb = ctx.coint_panel()[:, ctx.targets]
+def _pml_path(ctx: _Window, zb: np.ndarray) -> np.ndarray:
     sd = column_scales(zb)
     zs = zb / sd
     model = pml_vecm(zs, None, p=1, lambdas=(0.1, 0.1))
-    path = vecm_iterated_forecast(model, zs, _max_h(ctx)) * sd
-    return _system_paths(ctx, path, range(len(ctx.targets)))
+    return vecm_iterated_forecast(model, zs, _max_h(ctx)) * sd
 
 
-def _single_eq(ctx: _Window, kind: str, augment: bool
+def _fecm_path(ctx: _Window, z: np.ndarray) -> np.ndarray:
+    return fecm_forecast(z, targets=list(ctx.targets), r_ns=ctx.cfg.factors,
+                         r_s=0, h=_max_h(ctx), det="none",
+                         p_max=ctx.cfg.p_max)
+
+
+def _ndfm_path(ctx: _Window, z: np.ndarray) -> np.ndarray:
+    return ndfm_forecast(z, k=ctx.cfg.factors, h=_max_h(ctx),
+                         p_max=ctx.cfg.p_max)[:, ctx.targets]
+
+
+def _single_eq(ctx: _Window, specs: bool, augment: bool = False
                ) -> Dict[Tuple[int, int], float]:
+    """SPECS (``specs``) or PADL per target and horizon, on the window or,
+    when ``augment``, on the target and ``cfg.factors`` factors."""
     out = {}
-    p = ctx.cfg.p_max
     for ti in ctx.targets:
         d = int(ctx.orders[ti])
-        if kind == "specs" and d > 1:
+        if specs and d > 1:
             raise DataError("the selector models at most I(1) targets")
         for h in ctx.horizons:
-            resid = ctx.now_parts(ti)[0] if h == 0 else ctx.resid
-            det = ctx.now_parts(ti)[1] if h == 0 else ctx.deterministic(ti, h)
+            resid, det = ctx.now_parts(ti) if h == 0 else (
+                ctx.resid, ctx.deterministic(ti, h))
             if augment:
                 if h == 0:
                     # the nowcast value must stay hidden, so the factor
@@ -288,56 +239,101 @@ def _single_eq(ctx: _Window, kind: str, augment: bool
             else:
                 z, pos = resid, int(ti)
                 orders = ctx.orders
-            if kind == "specs":
+            if specs:
                 zc = ctx.coint_panel(z) if (orders > 1).any() else z
-                fit = specs_fit(zc, pos, p=p, h=h)
-                val = fit.forecast
+                fit = specs_fit(zc, pos, p=ctx.cfg.p_max, h=h)
             else:
-                fit = padl_fit(z, pos, orders, p=p, h=h)
-                val = fit.forecast
-            out[(ti, h)] = val + det
+                fit = padl_fit(z, pos, orders, p=ctx.cfg.p_max, h=h)
+            out[(ti, h)] = fit.forecast + det
     return out
 
 
-def _method_specs(ctx):
-    return _single_eq(ctx, "specs", augment=False)
+@dataclass(frozen=True)
+class Lane:
+    """One forecasting method: ``forecast(window)`` gives {(target index,
+    horizon): level forecast}; ``nowcasts``: a single equation that also
+    fits h = 0; ``factors``: it extracts ``cfg.factors`` factors, from the
+    N - 1 other series when it also nowcasts."""
+
+    forecast: Callable[[_Window], Dict[Tuple[int, int], float]]
+    nowcasts: bool = False
+    factors: bool = False
 
 
-def _method_fa_specs(ctx):
-    return _single_eq(ctx, "specs", augment=True)
-
-
-def _method_padl(ctx):
-    return _single_eq(ctx, "padl", augment=False)
-
-
-def _method_fapadl(ctx):
-    return _single_eq(ctx, "padl", augment=True)
-
-
-_REGISTRY: Dict[str, Callable] = {
-    "ar": _method_ar,
-    "var": _method_var,
-    "favar": _method_favar,
-    "ml": _method_ml,
-    "fecm": _method_fecm,
-    "ndfm": _method_ndfm,
-    "qr_vecm": _method_qr_vecm,
-    "pml": _method_pml,
-    "specs": _method_specs,
-    "fa_specs": _method_fa_specs,
-    "padl": _method_padl,
-    "fapadl": _method_fapadl,
+_LANES: Dict[str, Lane] = {
+    "ar": Lane(_ar, nowcasts=True),
+    "var": Lane(partial(_stationary_system, augment=False)),
+    "favar": Lane(partial(_stationary_system, augment=True), factors=True),
+    "ml": Lane(partial(_cointegrated, path=_ml_path)),
+    "qr_vecm": Lane(partial(_cointegrated, path=_qr_vecm_path)),
+    "pml": Lane(partial(_cointegrated, path=_pml_path)),
+    "fecm": Lane(partial(_cointegrated, path=_fecm_path, block=False),
+                 factors=True),
+    "ndfm": Lane(partial(_cointegrated, path=_ndfm_path, block=False),
+                 factors=True),
+    "specs": Lane(partial(_single_eq, specs=True), nowcasts=True),
+    "fa_specs": Lane(partial(_single_eq, specs=True, augment=True),
+                     nowcasts=True, factors=True),
+    "padl": Lane(partial(_single_eq, specs=False), nowcasts=True),
+    "fapadl": Lane(partial(_single_eq, specs=False, augment=True),
+                   nowcasts=True, factors=True),
 }
+
+SINGLE_EQUATION_METHODS = tuple(m for m in _LANES if _LANES[m].nowcasts)
+
+# run_rolling dispatches through this copy: the benchmark's tracer wraps it
+_REGISTRY = {m: lane.forecast for m, lane in _LANES.items()}
 
 
 def register_method(name: str, fn: Callable) -> None:
-    """Add or replace a forecasting method in the harness registry.
+    """Add or replace a forecasting method in the harness's lane table.
 
     ``fn(window)`` receives the isolated window context and returns a
-    mapping {(target index, horizon): level forecast}.
+    mapping {(target index, horizon): level forecast}.  Its record
+    ``Lane(fn)`` neither nowcasts nor extracts factors.
     """
+    _LANES[name] = Lane(fn)
     _REGISTRY[name] = fn
+
+
+@dataclass(frozen=True)
+class HarnessConfig:
+    """Evaluation design: window, horizons, targets, methods, seeds."""
+
+    window: int = 120
+    horizons: Tuple[int, ...] = (1,)
+    targets: Optional[Tuple[Union[int, str], ...]] = None
+    #: the table's first two lanes: the autoregressive benchmark and a VAR
+    methods: Tuple[str, ...] = tuple(_LANES)[:2]
+    benchmark: str = methods[0]
+    orders: Optional[Tuple[int, ...]] = None
+    mcs_level: float = 0.10
+    gamma: float = 0.85
+    boot_reps: int = 999
+    seed: int = 0
+    factors: int = 4
+    p_max: int = 3
+
+    def __post_init__(self):
+        if self.window < 60:
+            raise ParameterError("evaluation window must hold at least 60 "
+                                 "observations")
+        if not self.horizons:
+            raise ParameterError("at least one horizon is required")
+        if any(h < 0 or h > 24 for h in self.horizons):
+            raise ParameterError("horizons must lie in 0..24")
+        if len(set(self.methods)) < len(self.methods):
+            raise ParameterError(f"methods {self.methods} repeat a name")
+        if self.benchmark not in self.methods:
+            raise ParameterError(
+                f"benchmark '{self.benchmark}' missing from methods")
+        if self.p_max < 0:
+            raise ParameterError("p_max must be non-negative")
+        if self.factors < 0:
+            raise ParameterError("factor count must be non-negative")
+        if not 0 < self.mcs_level < 1:
+            raise ParameterError("the MCS level --alpha must lie in (0, 1)")
+        check_multiplier(self.boot_reps, self.gamma)
 
 
 # -- model confidence sets ---------------------------------------------------
@@ -521,20 +517,20 @@ def run_rolling(data, cfg: HarnessConfig) -> ForecastReport:
     Windows are scored only where all horizons can be evaluated, so the
     loss matrices are aligned across horizons.  Method failures inside a
     window are recorded as diagnostics and missing losses, never raised;
-    a factor count above N (N - 1 with fa_specs or fapadl) raises
-    :class:`ParameterError` before the first window.
+    a factor count above N (N - 1 with a factor-augmented single
+    equation) raises :class:`ParameterError` before the first window.
     """
     z, names, targets = resolve_targets(data, cfg.targets)
     T, N = z.shape
-    unknown = [m for m in cfg.methods if m not in _REGISTRY]
+    unknown = [m for m in cfg.methods if m not in _LANES]
     if unknown:
         raise ParameterError(
-            f"unknown methods {unknown}; available: {sorted(_REGISTRY)}")
+            f"unknown methods {unknown}; available: {sorted(_LANES)}")
     orders = validate_orders([1] * N if cfg.orders is None else cfg.orders, N)
-    factor_lanes = sorted(set(cfg.methods) & set(FACTOR_METHODS))
+    factor_lanes = sorted(m for m in cfg.methods if _LANES[m].factors)
     # N factors span the target itself, which leaves a factor-augmented
     # single equation collinear (and a nowcast has only N - 1 series)
-    most = N - 1 if set(factor_lanes) & set(SINGLE_EQUATION_METHODS) else N
+    most = N - 1 if any(_LANES[m].nowcasts for m in factor_lanes) else N
     if factor_lanes and cfg.factors > most:
         raise ParameterError(
             f"{cfg.factors} factors exceed the {most} that "
@@ -553,10 +549,11 @@ def run_rolling(data, cfg: HarnessConfig) -> ForecastReport:
     diagnostics: List[Tuple[int, str, int, str, str]] = []
 
     for w, s in enumerate(starts):
-        ctx = _Window(z[s:s + cfg.window].copy(), names, targets,
-                      cfg.horizons, orders, cfg, s)
+        ctx = _Window(z[s:s + cfg.window].copy(), targets, cfg.horizons,
+                      orders, cfg, s)
         for m, meth in enumerate(cfg.methods):
-            if 0 in cfg.horizons and meth not in SINGLE_EQUATION_METHODS:
+            nowcasts = _LANES[meth].nowcasts
+            if 0 in cfg.horizons and not nowcasts:
                 if w == 0:
                     diagnostics.append((s, "*", 0, meth,
                                         "h=0 needs a single-equation method"))
@@ -569,7 +566,7 @@ def run_rolling(data, cfg: HarnessConfig) -> ForecastReport:
                 continue
             for ti in targets:
                 for h in cfg.horizons:
-                    val = fc.get((int(ti), h))
+                    val = fc.get((int(ti), h)) if h or nowcasts else None
                     if val is not None and np.isfinite(val):
                         forecasts[(names[ti], h)][w, m] = val
 

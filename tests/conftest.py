@@ -34,3 +34,16 @@ def slope_detrend(x: np.ndarray) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def register_lane(monkeypatch):
+    """``register_method`` for one test: the lane leaves both of the
+    harness's tables when the test ends."""
+    from hdcoint import harness
+
+    def register(name, fn):
+        monkeypatch.setitem(harness._LANES, name, None)
+        monkeypatch.setitem(harness._REGISTRY, name, None)
+        harness.register_method(name, fn)
+    return register

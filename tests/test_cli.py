@@ -584,6 +584,13 @@ class TestForecastCommand:
                    "--output", str(tmp_path / "fc.json")])
         assert rc == 1
 
+    def test_alpha_out_of_range_names_the_flag(self, tmp_path, capsys):
+        path = _simulate(tmp_path)
+        rc = main(["forecast", "--input", path, "--alpha", "1.5",
+                   "--output", str(tmp_path / "fc.json")])
+        assert rc == 1
+        assert "--alpha" in capsys.readouterr().err
+
     def test_window_too_small_is_usage_error(self, tmp_path):
         path = _simulate(tmp_path)
         rc = main(["forecast", "--input", path, "--window", "10",
@@ -615,6 +622,13 @@ class TestNowcastCommand:
         assert rc == 1
         assert "single-equation" in capsys.readouterr().err
 
+    def test_system_benchmark_rejected(self, tmp_path, capsys):
+        path = _simulate(tmp_path)
+        rc = main(["nowcast", "--input", path, "--benchmark", "var",
+                   "--output", str(tmp_path / "nc.json")])
+        assert rc == 1
+        assert "single-equation" in capsys.readouterr().err
+
     def test_horizon_zero_report(self, tmp_path):
         path = _simulate(tmp_path)
         out = tmp_path / "nc.json"
@@ -623,6 +637,13 @@ class TestNowcastCommand:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert {cell["horizon"] for cell in doc["results"]} == {0}
+
+    def test_alpha_out_of_range_names_the_flag(self, tmp_path, capsys):
+        path = _simulate(tmp_path)
+        rc = main(["nowcast", "--input", path, "--alpha", "0",
+                   "--output", str(tmp_path / "nc.json")])
+        assert rc == 1
+        assert "--alpha" in capsys.readouterr().err
 
     def test_explicit_nonzero_horizon_rejected(self, tmp_path):
         path = _simulate(tmp_path)

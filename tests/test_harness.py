@@ -7,8 +7,8 @@ import pytest
 
 from hdcoint import (DataError, HarnessConfig, ParameterError,
                      ar_benchmark, from_values, random_vecm_params,
-                     register_method, run_rolling, simulate_vecm)
-from hdcoint.harness import _REGISTRY
+                     run_rolling, simulate_vecm)
+from hdcoint.harness import _LANES, _REGISTRY, Lane
 from hdcoint.panel import invert_differences
 
 
@@ -98,16 +98,9 @@ class TestRelativeMsfe:
         for t in report.targets:
             assert report.rel_msfe[(t, 1)]["ar"] == 1.0
 
-    def test_perfect_foresight_dominates(self):
-        def clairvoyant(ctx):
-            out = {}
-            for ti in ctx.targets:
-                for h in ctx.horizons:
-                    out[(ti, h)] = ctx.future_truth(ti, h)
-            return out
-
-        # the hook exposes window bounds; resolve the truth from the
-        # full panel stored on the context for testing only
+    def test_perfect_foresight_dominates(self, register_lane):
+        # the context exposes the window bounds; the truth comes from the
+        # full panel
         panel = _walk_panel(2, 120, 2)
 
         def oracle(ctx):
@@ -115,26 +108,20 @@ class TestRelativeMsfe:
                                           - 1 + h, ti]
                     for ti in ctx.targets for h in ctx.horizons}
 
-        register_method("oracle", oracle)
-        try:
-            report = run_rolling(panel, _small_cfg(
-                methods=("ar", "oracle"), benchmark="ar"))
-        finally:
-            _REGISTRY.pop("oracle", None)
+        register_lane("oracle", oracle)
+        report = run_rolling(panel, _small_cfg(
+            methods=("ar", "oracle"), benchmark="ar"))
         for t in report.targets:
             assert report.rel_msfe[(t, 1)]["oracle"] == 0.0
             assert report.mcs_members[(t, 1)] == ("oracle",)
 
-    def test_failing_method_reports_diagnostics(self):
+    def test_failing_method_reports_diagnostics(self, register_lane):
         def broken(ctx):
             raise DataError("window rejected on purpose")
 
-        register_method("broken", broken)
-        try:
-            report = run_rolling(_walk_panel(2, 100, 3), _small_cfg(
-                methods=("ar", "broken"), benchmark="ar"))
-        finally:
-            _REGISTRY.pop("broken", None)
+        register_lane("broken", broken)
+        report = run_rolling(_walk_panel(2, 100, 3), _small_cfg(
+            methods=("ar", "broken"), benchmark="ar"))
         assert any("window rejected" in d[-1] for d in report.diagnostics)
         for t in report.targets:
             assert report.rel_msfe[(t, 1)]["broken"] is None
@@ -181,6 +168,24 @@ class TestNowcastLane:
         # the loss row differs because the truth moved
         assert not np.array_equal(a.losses[("s1", 0)][-1],
                                   b.losses[("s1", 0)][-1])
+
+    def test_registered_lane_skips_h0_with_diagnostic(self, register_lane):
+        # the last value in the window is the horizon-0 truth itself, so
+        # a score there would be a perfect nowcast the lane cannot make
+        def last_value(ctx):
+            return {(ti, h): ctx.values[-1, ti]
+                    for ti in ctx.targets for h in ctx.horizons}
+
+        register_lane("last", last_value)
+        assert _LANES["last"] == Lane(last_value)
+        assert _REGISTRY["last"] is last_value
+        report = run_rolling(_walk_panel(2, 100, 8), _small_cfg(
+            horizons=(0, 1), methods=("ar", "last"), benchmark="ar"))
+        assert [d for d in report.diagnostics if d[3] == "last"] == [
+            (0, "*", 0, "last", "h=0 needs a single-equation method")]
+        for t in report.targets:
+            assert report.rel_msfe[(t, 0)]["last"] is None
+            assert report.rel_msfe[(t, 1)]["last"] is not None
 
     def test_system_method_skips_h0_with_diagnostic(self):
         report = run_rolling(_walk_panel(2, 100, 8), _small_cfg(

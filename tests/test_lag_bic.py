@@ -212,8 +212,7 @@ def test_grouped_ar_lane_equals_single_benchmarks():
     orders = np.array([0, 0, 1, 2, 1, 1])
     cfg = HarnessConfig(window=80, horizons=(0, 1, 3), methods=("ar",))
     targets = np.array([0, 1, 2, 3, 4])
-    ctx = _Window(values, tuple("abcdef"), targets, cfg.horizons, orders,
-                  cfg, 0)
+    ctx = _Window(values, targets, cfg.horizons, orders, cfg, 0)
     got = _REGISTRY["ar"](ctx)
     assert len(got) == 15
     for ti in targets:

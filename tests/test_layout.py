@@ -9,7 +9,9 @@ pool lives for one round.  ``singleeq`` imports nothing from scipy: the
 SPECS/PADL lanes then run on numpy's LAPACK alone, where scipy's first
 LAPACK call would load a second OpenBLAS and add 0.6-0.9 MB of peak RSS
 to a run.  Every golden file is named by some test, so none outlives the
-check that reads it.
+check that reads it.  Each forecasting lane is one record of the
+harness's lane table: a built-in lane's name is written there and nowhere
+else in the harness or the command line.
 """
 
 import ast
@@ -108,3 +110,34 @@ def test_every_golden_file_is_named_by_a_test():
     assert golden
     unread = [name for name in golden if name not in sources]
     assert not unread, unread
+
+
+BUILT_IN_LANES = {"ar", "var", "favar", "ml", "qr_vecm", "pml", "fecm",
+                  "ndfm", "specs", "fa_specs", "padl", "fapadl"}
+
+
+def _lane_literals(module):
+    """(line, name, inside the ``_LANES`` table) for every string constant
+    of ``module`` that is a built-in lane's name."""
+    path = os.path.join(SRC, "hdcoint", f"{module}.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    table = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AnnAssign) and \
+                getattr(node.target, "id", None) == "_LANES":
+            table = {id(key) for key in node.value.keys}
+    return [(node.lineno, node.value, id(node) in table)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in BUILT_IN_LANES]
+
+
+def test_each_lane_is_named_once_in_its_record():
+    found = _lane_literals("harness")
+    assert sorted(name for _, name, keyed in found if keyed) == \
+        sorted(BUILT_IN_LANES)
+    assert [(line, name) for line, name, keyed in found if not keyed] == []
+
+
+def test_the_command_line_names_no_lane():
+    assert _lane_literals("cli") == []

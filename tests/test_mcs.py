@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from hdcoint import (DataError, HarnessConfig, ParameterError, from_values,
-                     mcs, register_method, run_rolling)
+                     mcs, run_rolling)
 from hdcoint.bootstrap import _multiplier_matrix
-from hdcoint.harness import _REGISTRY
 
 
 def _losses(rng, n=100, spread=0.0):
@@ -124,7 +123,7 @@ class TestSharedDraw:
         longer = _multiplier_matrix(199, 60, 0.85, 3)[:, :32]
         assert np.array_equal(longer, _multiplier_matrix(199, 32, 0.85, 3))
 
-    def test_rolling_pvalues_equal_direct_calls(self):
+    def test_rolling_pvalues_equal_direct_calls(self, register_lane):
         rng = np.random.default_rng(21)
         panel = from_values(rng.standard_normal((100, 3)).cumsum(axis=0))
 
@@ -138,11 +137,8 @@ class TestSharedDraw:
         cfg = HarnessConfig(window=60, horizons=(1, 3), targets=(0, 2),
                             methods=("ar", "var", "gappy"), benchmark="ar",
                             boot_reps=199, seed=4)
-        register_method("gappy", gappy)
-        try:
-            report = run_rolling(panel, cfg)
-        finally:
-            _REGISTRY.pop("gappy", None)
+        register_lane("gappy", gappy)
+        report = run_rolling(panel, cfg)
         rows = set()
         for key, loss in report.losses.items():
             ok = np.isfinite(loss).all(axis=1)

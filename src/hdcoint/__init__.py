@@ -19,8 +19,8 @@ from .panel import (DeterministicSpec, Panel, apply_transform, difference,
                     difference_columns, from_values, implied_orders,
                     invert_differences, ols_detrend, validate_codes)
 from .singleeq import (PenaltyConfig, SingleEqDesign, SingleEqFit,
-                       factor_augment, kkt_residual, padl_fit, sgl_solve,
-                       specs_fit, tscv_tune)
+                       kkt_residual, padl_fit, sgl_solve, specs_fit,
+                       tscv_tune)
 from .unitroot import (CriticalValueSet, adf_stat, dfgls_stat, four_stats,
                        select_lags, union_stat)
 from .vecm import (VecmModel, default_lambda_grid, johansen_ml, pml_vecm,
@@ -58,7 +58,7 @@ __all__ = [
     "var_bic_forecast",
     # single-equation selectors
     "PenaltyConfig", "SingleEqDesign", "SingleEqFit", "sgl_solve",
-    "kkt_residual", "specs_fit", "padl_fit", "factor_augment", "tscv_tune",
+    "kkt_residual", "specs_fit", "padl_fit", "tscv_tune",
     # evaluation
     "HarnessConfig", "ForecastReport", "McsResult", "run_rolling", "mcs",
     "ar_benchmark", "register_method",

@@ -2,8 +2,9 @@
 implementation each: the AR(1) recursion, the residual factors of every
 lag-by-BIC choice, the sign convention of eigen- and singular vectors,
 the zero-safe column scale, the soft-threshold and its coordinate sweep,
-and the fold edges and tie rule of the expanding-window cross-validation
-of the SPECS/PADL and QR-VECM penalties.
+the fold edges and tie rule of the expanding-window cross-validation
+of the SPECS/PADL and QR-VECM penalties, and the rule that every penalty
+level is finite and non-negative.
 """
 
 from __future__ import annotations
@@ -98,6 +99,15 @@ def soft_threshold_sweep(x, grad, M, K, thr: float) -> np.ndarray:
                 m_us = M[u][s]
                 grad[u] = [gi - m_us * a for gi, a in zip(grad[u], dk)]
     return np.array(x)
+
+
+def penalty_levels(values, what: str) -> np.ndarray:
+    """``values`` as floats, each of which must be finite and >= 0."""
+    arr = np.asarray(values, dtype=float)
+    if not (np.isfinite(arr).all() and (arr >= 0).all()):
+        raise ParameterError(
+            f"{what} must be finite and non-negative, got {values!r}")
+    return arr
 
 
 def tscv_tune(builder: Callable, grid: Sequence, n_rows: int,

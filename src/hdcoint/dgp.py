@@ -103,15 +103,19 @@ class VecmParams:
         return len(self.phi)
 
 
+#: a companion eigenvalue within this distance of one is a unit root, and
+#: the others must lie this far inside the unit circle
+_UNIT_ROOT_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class I1Diagnostics:
     """Root diagnostics of the VECM characteristic polynomial."""
 
     moduli: np.ndarray            # companion eigenvalue moduli, descending
-    n_unit_roots: int             # roots with |lambda - 1| < tol
+    n_unit_roots: int             # roots with |lambda - 1| < 1e-6
     expected_unit_roots: int      # N - r
     max_other_modulus: float      # largest modulus among the remaining roots
-    tol: float
     is_i1: bool
 
 
@@ -138,44 +142,33 @@ def _companion(params: VecmParams) -> np.ndarray:
     return comp
 
 
-def check_i1_conditions(params: VecmParams, tol: float = 1e-6) -> I1Diagnostics:
+def check_i1_conditions(params: VecmParams) -> I1Diagnostics:
     """Verify that the parameters generate an I(1) system with N - r trends.
 
     The characteristic polynomial must have exactly ``N - r`` unit roots
     with all remaining roots outside the unit circle; equivalently the
     companion matrix has ``N - r`` eigenvalues at one and the rest
-    strictly inside the unit circle.
+    strictly inside the unit circle, both to a tolerance of 1e-6.
     """
     comp = _companion(params)
     eig = np.linalg.eigvals(comp)
-    unit = np.abs(eig - 1.0) < tol
+    unit = np.abs(eig - 1.0) < _UNIT_ROOT_TOL
     others = np.abs(eig[~unit])
     max_other = float(others.max()) if others.size else 0.0
     moduli = np.sort(np.abs(eig))[::-1]
     n_unit = int(unit.sum())
     expected = params.n - params.r
-    ok = n_unit == expected and max_other < 1.0 - tol
-    return I1Diagnostics(moduli, n_unit, expected, max_other, tol, ok)
-
-
-def _validated(params: VecmParams, check: bool) -> None:
-    if not check:
-        return
-    diag = check_i1_conditions(params)
-    if not diag.is_i1:
-        raise ParameterError(
-            f"VECM parameters violate the I(1) conditions: found "
-            f"{diag.n_unit_roots} unit roots (expected {diag.expected_unit_roots}), "
-            f"largest non-unit companion modulus {diag.max_other_modulus:.6f}")
+    ok = n_unit == expected and max_other < 1.0 - _UNIT_ROOT_TOL
+    return I1Diagnostics(moduli, n_unit, expected, max_other, ok)
 
 
 def simulate_vecm(params: VecmParams, T: int, burn_in: int = 200, seed=0,
                   variance_break: Optional[Tuple[int, float]] = None,
                   initial_state: Optional[np.ndarray] = None,
                   initial_offset: Optional[np.ndarray] = None,
-                  check: bool = True, start: str = "2000-01",
                   return_innovations: bool = False):
-    """Simulate ``T`` observations from a VECM process.
+    """Simulate ``T`` observations from a VECM process whose parameters
+    pass :func:`check_i1_conditions`, with monthly dates from 2000-01.
 
     Parameters
     ----------
@@ -195,7 +188,12 @@ def simulate_vecm(params: VecmParams, T: int, burn_in: int = 200, seed=0,
         raise ParameterError("T must be at least 2")
     if burn_in < 0:
         raise ParameterError("burn_in must be non-negative")
-    _validated(params, check)
+    diag = check_i1_conditions(params)
+    if not diag.is_i1:
+        raise ParameterError(
+            f"VECM parameters violate the I(1) conditions: found "
+            f"{diag.n_unit_roots} unit roots (expected {diag.expected_unit_roots}), "
+            f"largest non-unit companion modulus {diag.max_other_modulus:.6f}")
     n, r, p = params.n, params.r, params.p
     rng = as_generator(seed)
     total = burn_in + T
@@ -232,7 +230,7 @@ def simulate_vecm(params: VecmParams, T: int, burn_in: int = 200, seed=0,
             sample[t - burn_in] = z
     trend = np.arange(1.0, T + 1.0)[:, None]
     obs = sample + params.mu[None, :] + params.tau[None, :] * trend
-    panel = from_values(obs, start=start)
+    panel = from_values(obs)
     if return_innovations:
         return panel, eps[burn_in:]
     return panel
@@ -240,7 +238,7 @@ def simulate_vecm(params: VecmParams, T: int, burn_in: int = 200, seed=0,
 
 @dataclass(frozen=True)
 class FactorDgpParams:
-    """Approximate factor model ``z = mu + tau * t + f @ lam' + u``.
+    """Approximate factor model ``z = f @ lam' + u``.
 
     ``factor_orders`` and ``idio_orders`` flag each factor / idiosyncratic
     component as I(0) or I(1).  I(1) components are random walks started
@@ -255,8 +253,6 @@ class FactorDgpParams:
     idio_ar: Optional[np.ndarray] = None  # AR(1) coefficients for I(0) idio
     factor_ar: Optional[np.ndarray] = None
     idio_scale: Optional[np.ndarray] = None
-    mu: Optional[np.ndarray] = None
-    tau: Optional[np.ndarray] = None
 
     def __post_init__(self):
         lam = np.atleast_2d(np.asarray(self.lam, dtype=float))
@@ -285,16 +281,12 @@ class FactorDgpParams:
         idio_scale = vec(self.idio_scale, 1.0, n, "idio_scale")
         if np.any(idio_scale < 0):
             raise ParameterError("idio_scale must be non-negative")
-        mu = vec(self.mu, 0.0, n, "mu")
-        tau = vec(self.tau, 0.0, n, "tau")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "factor_orders", fo)
         object.__setattr__(self, "idio_orders", io)
         object.__setattr__(self, "idio_ar", idio_ar)
         object.__setattr__(self, "factor_ar", factor_ar)
         object.__setattr__(self, "idio_scale", idio_scale)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "tau", tau)
 
     @property
     def n(self) -> int:
@@ -317,8 +309,9 @@ def _component_paths(orders, ar, scales, T, burn_in, rng) -> np.ndarray:
 
 
 def simulate_factor_dgp(params: FactorDgpParams, T: int, burn_in: int = 200,
-                        seed=0, start: str = "2000-01"):
-    """Simulate a factor panel; returns ``(panel, factors, idiosyncratic)``.
+                        seed=0):
+    """Simulate a factor panel, with monthly dates from 2000-01; returns
+    ``(panel, factors, idiosyncratic)``.
 
     A series is I(0) only when both its idiosyncratic component and its
     loaded factor combination are I(0).
@@ -330,9 +323,7 @@ def simulate_factor_dgp(params: FactorDgpParams, T: int, burn_in: int = 200,
                          np.ones(params.k), T, burn_in, rng)
     u = _component_paths(params.idio_orders, params.idio_ar,
                          params.idio_scale, T, burn_in, rng)
-    trend = np.arange(1.0, T + 1.0)[:, None]
-    obs = params.mu[None, :] + params.tau[None, :] * trend + f @ params.lam.T + u
-    return from_values(obs, start=start), f, u
+    return from_values(f @ params.lam.T + u), f, u
 
 
 # -- canned generators used by the CLI and the test battery ---------------
@@ -369,11 +360,10 @@ def random_vecm_params(n: int, r: int, p: int = 0, seed=0,
 
 
 def simulate_mixed_orders(n0: int, n1: int, n2: int, T: int, seed=0,
-                          ar: float = 0.5, scale: float = 1.0,
-                          start: str = "2000-01"):
+                          ar: float = 0.5, scale: float = 1.0):
     """Independent series with known orders: ``n0`` AR(1), ``n1`` random
-    walks, ``n2`` double-integrated walks, over ``T >= 2`` periods.
-    Returns ``(panel, orders)``."""
+    walks, ``n2`` double-integrated walks, over ``T >= 2`` periods from
+    2000-01.  Returns ``(panel, orders)``."""
     for name, count in (("n0", n0), ("n1", n1), ("n2", n2)):
         if count < 0:
             raise ParameterError(f"{name} must be nonnegative, got {count}")
@@ -391,4 +381,4 @@ def simulate_mixed_orders(n0: int, n1: int, n2: int, T: int, seed=0,
     vals = np.cumsum(eps[burn:], axis=0)
     vals[:, orders == 2] = np.cumsum(vals[:, orders == 2], axis=0)
     vals[:, orders == 0] = ar1_recursion(eps[:, orders == 0], ar)[burn:]
-    return from_values(vals, start=start), orders
+    return from_values(vals), orders

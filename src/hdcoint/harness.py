@@ -30,7 +30,7 @@ from .factors import (extract_factors_diff, fecm_forecast, ndfm_forecast,
                       pca_factors, var_bic_forecast)
 from .panel import (DeterministicSpec, detrend, difference_columns,
                     invert_differences, resolve_targets, validate_orders)
-from .singleeq import factor_augment, padl_fit, specs_fit
+from .singleeq import padl_fit, specs_fit
 # select_rank_ic is unused here, but the benchmark's tracer still looks
 # it up in this module
 from .vecm import (johansen_ml, pml_vecm, qr_vecm,  # noqa: F401
@@ -224,24 +224,18 @@ def _single_eq(ctx: _Window, specs: bool, augment: bool = False
             resid, det = ctx.now_parts(ti) if h == 0 else (
                 ctx.resid, ctx.deterministic(ti, h))
             if augment:
-                if h == 0:
-                    # the nowcast value must stay hidden, so the factor
-                    # space comes from the other series only
-                    others = np.delete(resid, int(ti), axis=1)
-                    fac = extract_factors_diff(others, ctx.cfg.factors).factors
-                    z = np.column_stack([resid[:, int(ti)], fac])
-                else:
-                    z = factor_augment(resid, [int(ti)],
-                                       ctx.cfg.factors).values
-                pos = 0
+                # a nowcast value must stay hidden, so at h = 0 the factor
+                # space comes from the other series only
+                src = np.delete(resid, int(ti), axis=1) if h == 0 else resid
+                fac = extract_factors_diff(src, ctx.cfg.factors).factors
+                z, pos = np.column_stack([resid[:, int(ti)], fac]), 0
                 orders = np.concatenate([[d], np.ones(ctx.cfg.factors,
                                                       dtype=int)])
             else:
-                z, pos = resid, int(ti)
-                orders = ctx.orders
-            if specs:
-                zc = ctx.coint_panel(z) if (orders > 1).any() else z
-                fit = specs_fit(zc, pos, p=ctx.cfg.p_max, h=h)
+                z, pos, orders = resid, int(ti), ctx.orders
+            if specs:   # factors and an I(0)/I(1) target stay in levels
+                fit = specs_fit(z if augment else ctx.coint_panel(z), pos,
+                                p=ctx.cfg.p_max, h=h)
             else:
                 fit = padl_fit(z, pos, orders, p=ctx.cfg.p_max, h=h)
             out[(ti, h)] = fit.forecast + det

@@ -168,12 +168,9 @@ class Panel:
             raise ParameterError(f"no series named '{name}' in panel") from None
 
     # -- structural helpers ----------------------------------------------
-    def with_values(self, values: np.ndarray, names: Optional[Sequence[str]] = None,
-                    dates: Optional[np.ndarray] = None) -> "Panel":
-        """New panel reusing this panel's metadata unless overridden."""
-        return Panel(values,
-                     tuple(names) if names is not None else self.names,
-                     dates if dates is not None else self.dates)
+    def with_values(self, values: np.ndarray) -> "Panel":
+        """New panel of ``values`` with this panel's names and dates."""
+        return Panel(values, self.names, self.dates)
 
     def select(self, keys: Sequence[Union[int, str]]) -> "Panel":
         idx = [k if isinstance(k, (int, np.integer)) else self.index(k) for k in keys]

@@ -11,9 +11,12 @@ inverse of G[S, S] across its events, bordered on each join and
 refactored on each drop.  The rest run block coordinate descent,
 warm-started within a fold (Friedman, Hastie & Tibshirani, 2010), with
 an active-set Newton finish that builds each support's Hessian once.
-On top sit the error-correction selector (SPECS), its differenced
-counterpart (PADL), factor augmentation and expanding-window
-cross-validation.
+On top sit the error-correction selector (SPECS) and its differenced
+counterpart (PADL), tuned by expanding-window cross-validation.  One
+builder makes both designs: SPECS is PADL with every order 1 plus the
+lagged-levels block.  One rule reads both grids: an entry is a scalar
+lam_w, meaning (0, 0, lam_w), or a finite, non-negative triple
+(lam_group, lam_levels, lam_w), whose first two are 0 for PADL.
 
 The module uses numpy's linear algebra only, never scipy's: scipy's
 LAPACK loads its own OpenBLAS, and its first call adds 0.6-0.9 MB of
@@ -28,11 +31,9 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._numeric import soft_threshold, tscv_tune
+from ._numeric import penalty_levels, soft_threshold, tscv_tune
 from .errors import ConvergenceError, DataError, ParameterError
-from .factors import extract_factors_diff
-from .panel import (Panel, difference_columns, from_values, resolve_targets,
-                    validate_orders)
+from .panel import difference_columns, resolve_targets, validate_orders
 
 __all__ = [
     "PenaltyConfig",
@@ -42,38 +43,31 @@ __all__ = [
     "kkt_residual",
     "specs_fit",
     "padl_fit",
-    "factor_augment",
     "tscv_tune",
 ]
-
-INITIALIZERS = ("ols", "ridge")
 
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Penalty levels and initializer choice.
+    """Penalty levels and solver limits.
 
     ``lam_group`` acts on the lagged-levels block as a whole,
     ``lam_levels`` and ``lam_w`` on individual coefficients of the levels
-    and short-run blocks.  Weights are 1/|initial estimate|; an exactly
-    zero initial estimate excludes its coefficient permanently.
-    The "ols" initializer falls back to ridge whenever the design has at
-    least as many columns as rows.
+    and short-run blocks; each must be finite and non-negative.  Weights
+    are 1/|initial estimate|, OLS when the design has more rows than
+    columns and ridge otherwise; an exactly zero initial estimate
+    excludes its coefficient permanently.
     """
 
     lam_group: float = 0.0
     lam_levels: float = 0.0
     lam_w: float = 0.0
-    initializer: str = "ols"
     max_sweeps: int = 10_000
     tol: float = 1e-6
 
     def __post_init__(self):
-        if min(self.lam_group, self.lam_levels, self.lam_w) < 0:
-            raise ParameterError("penalty levels must be nonnegative")
-        if self.initializer not in INITIALIZERS:
-            raise ParameterError(
-                f"initializer must be one of {INITIALIZERS}")
+        penalty_levels((self.lam_group, self.lam_levels, self.lam_w),
+                       "penalty levels")
 
 
 @dataclass(frozen=True)
@@ -109,11 +103,11 @@ class SingleEqDesign:
         return self.response.shape[0]
 
 
-def _initial_estimates(X: np.ndarray, y: np.ndarray, tag: str
+def _initial_estimates(X: np.ndarray, y: np.ndarray
                        ) -> Tuple[np.ndarray, str]:
-    """OLS when overdetermined, trace-scaled ridge otherwise."""
+    """OLS when overdetermined, trace-scaled ridge otherwise, and which."""
     n, m = X.shape
-    if tag == "ols" and n > m:
+    if n > m:
         beta, *_ = np.linalg.lstsq(X, y, rcond=None)
         return beta, "ols"
     G = X.T @ X
@@ -125,16 +119,16 @@ def _initial_estimates(X: np.ndarray, y: np.ndarray, tag: str
 @dataclass(frozen=True)
 class _Gram:
     """What every penalty level shares on one design: the adaptive weights
-    of [levels, w], their initializer, G = X'X and c = X'y."""
+    of [levels, w], their start ("ols" or "ridge"), G = X'X and c = X'y."""
     weights: np.ndarray
     tag: str
     G: np.ndarray
     c: np.ndarray
 
 
-def _gram(design: SingleEqDesign, cfg: PenaltyConfig) -> _Gram:
-    X, nz = np.hstack([design.levels, design.w]), design.levels.shape[1]
-    init, tag = _initial_estimates(X, design.response, cfg.initializer)
+def _gram(design: SingleEqDesign) -> _Gram:
+    X = np.hstack([design.levels, design.w])
+    init, tag = _initial_estimates(X, design.response)
     # 1/|init|, with an exact zero excluded for good (+inf)
     weights = np.full(init.shape, np.inf)
     kept = init != 0
@@ -154,14 +148,14 @@ def kkt_residual(design: SingleEqDesign, cfg: PenaltyConfig,
                  delta: np.ndarray, pi: np.ndarray) -> float:
     """Scale-free stationarity violation of a candidate solution.
 
-    The adaptive weights are those of ``cfg.initializer`` on ``design``.
+    The adaptive weights are those of :class:`PenaltyConfig` on ``design``.
     The raw violation (in gradient units) is divided by
     max(1, ||2 X'y||_inf); excluded coordinates (infinite weight) never
     violate.  Zero means an exact minimizer.
     """
     X, y = np.hstack([design.levels, design.w]), design.response
     nz = design.levels.shape[1]
-    weights = _gram(design, cfg).weights
+    weights = _gram(design).weights
     theta = np.concatenate([delta, pi])
     raw, scale = _kkt(X.T @ (y - X @ theta), X.T @ y, theta, nz,
                       cfg.lam_group, _l1_penalties(weights, nz, cfg))
@@ -353,7 +347,7 @@ def sgl_solve(design: SingleEqDesign, cfg: PenaltyConfig,
 
     Objective: ||y - Z delta - W pi||^2 + lam_group ||delta||_2
     + lam_levels sum_i w_i |delta_i| + lam_w sum_j w_j |pi_j|, with
-    adaptive weights from the configured initializer, in Gram form on
+    adaptive weights from the initial estimate, in Gram form on
     G = X'X and c = X'y (X = [Z, W]); ``gram`` reuses those of this
     design across penalties.  With lam_group = 0 and one individual
     penalty the problem is a weighted lasso, solved exactly by its
@@ -367,7 +361,7 @@ def sgl_solve(design: SingleEqDesign, cfg: PenaltyConfig,
     plus Newton ``steps``.
     """
     y, nz = design.response, design.levels.shape[1]
-    gram = gram if gram is not None else _gram(design, cfg)
+    gram = gram if gram is not None else _gram(design)
     G, c = gram.G, gram.c
     pen = _l1_penalties(gram.weights, nz, cfg)
     fin = np.isfinite(pen)
@@ -454,86 +448,60 @@ class _DesignParts:
     anchor: float
 
 
-def _fit_rows(T: int, t0: int, p: int, h: int) -> np.ndarray:
-    stop = T - 1 - h if h >= 1 else T - 2
-    if stop - t0 + 1 < 10:
-        raise DataError(f"window of {T} rows is too short for p={p}, h={h}")
-    return np.arange(t0, stop + 1)
-
-
 def _w_block(x: np.ndarray, t_idx: np.ndarray, others, p: int) -> np.ndarray:
     """Current values of the other series, then p lags of every series."""
     return np.hstack([x[t_idx][:, others]]
                      + [x[t_idx - j] for j in range(1, p + 1)])
 
 
-def _build_specs_parts(z: np.ndarray, names: Tuple[str, ...], ti: int,
-                       p: int, h: int) -> _DesignParts:
-    T, N = z.shape
-    dz = difference_columns(z, [1] * N)
-    others = [j for j in range(N) if j != ti]
-    rows = _fit_rows(T, p + 1, p, h)
-    if h >= 1:
-        resp = z[rows + h, ti] - z[rows, ti]
-        anchor = z[T - 1, ti]
-    else:
-        resp = z[rows, ti] - z[rows - 1, ti]
-        anchor = z[T - 2, ti]
-    w_labels = tuple(f"d.{names[j]}" for j in others) + tuple(
-        f"d.{names[j]}.l{k}" for k in range(1, p + 1) for j in range(N))
-    design = SingleEqDesign(names[ti], resp, z[rows - 1],
-                            _w_block(dz, rows, others, p), names, w_labels)
-    return _DesignParts(design, z[T - 2],
-                        _w_block(dz, np.array([T - 1]), others, p)[0],
-                        float(anchor))
-
-
-def specs_fit(data, target, p: int = 3, h: int = 1,
-              lambda_grids=None) -> "SingleEqFit":
-    """Error-correction selector with direct h-step (or h=0) forecasting.
-
-    The response is y_{t+h} - y_t (at h=0 the one-step difference, so the
-    last target value never enters the fit); regressors are all lagged
-    levels plus the short-run block.  The penalty triple is tuned by
-    five-fold expanding-window cross-validation over ``lambda_grids``
-    (default: a grid scaled to the design), with the default
-    :class:`PenaltyConfig` otherwise, and the forecast is assembled as
-    anchor + fitted value at the final regressor row.
-    """
-    z, names, (ti,) = resolve_targets(data, [target])
-    parts = _build_specs_parts(z, names, ti, p, h)
-    return _fit(parts, lambda_grids, "specs", h, orders=None)
-
-
-def _orders_array(orders, names: Tuple[str, ...]) -> np.ndarray:
-    """Accept an IntegrationReport-like object or a plain sequence."""
-    if hasattr(orders, "order_of"):
-        orders = [orders.order_of(n) for n in names]
-    return validate_orders(list(orders), len(names))
-
-
-def _build_padl_parts(z: np.ndarray, names: Tuple[str, ...], ti: int,
-                      orders: np.ndarray, p: int, h: int) -> _DesignParts:
+def _design_parts(z: np.ndarray, names: Tuple[str, ...], ti: int,
+                  orders: np.ndarray, p: int, h: int, first: int,
+                  levels: bool) -> _DesignParts:
+    """Target ``ti``'s design from row ``first`` on, each series
+    differenced ``orders`` times; ``levels`` adds every lagged level as
+    the group block and labels then read ``d.``, else ``t.``."""
+    if p < 0 or h < 0:
+        raise ParameterError(f"p and h must be non-negative, got {p}, {h}")
     T, N = z.shape
     x = difference_columns(z, orders)
     d_t = int(orders[ti])
     others = [j for j in range(N) if j != ti]
-    rows = _fit_rows(T, max(int(orders.max()) + p, d_t + 1), p, h)
     e = T - 1 if h >= 1 else T - 2   # last target row the fit may see
+    rows = np.arange(first, e - h + 1)
+    if rows.size < 10:
+        raise DataError(f"window of {T} rows is too short for p={p}, h={h}")
     anchor = (0.0, z[e, ti], 2.0 * z[e, ti] - z[e - 1, ti])[d_t]
     resp = x[rows, ti]
     if h >= 1:
         resp = z[rows + h, ti] - z[rows, ti] if d_t else z[rows + h, ti]
         if d_t == 2:
             resp = resp - (z[rows, ti] - z[rows - 1, ti])
-    pre = tuple(f"t.{names[j]}" for j in others)
-    lagged = tuple(f"t.{names[j]}.l{k}"
-                   for k in range(1, p + 1) for j in range(N))
-    design = SingleEqDesign(names[ti], resp, np.empty((rows.shape[0], 0)),
-                            _w_block(x, rows, others, p), (), pre + lagged)
-    return _DesignParts(design, np.empty(0),
+    k, tag = (N, "d") if levels else (0, "t")
+    w_labels = tuple(f"{tag}.{names[j]}" for j in others) + tuple(
+        f"{tag}.{names[j]}.l{i}" for i in range(1, p + 1) for j in range(N))
+    design = SingleEqDesign(names[ti], resp, z[rows - 1, :k],
+                            _w_block(x, rows, others, p), names[:k], w_labels)
+    return _DesignParts(design, z[T - 2, :k],
                         _w_block(x, np.array([T - 1]), others, p)[0],
                         float(anchor))
+
+
+def specs_fit(data, target, p: int = 3, h: int = 1,
+              lambda_grid=None) -> "SingleEqFit":
+    """Error-correction selector with direct h-step (or h=0) forecasting.
+
+    The design is :func:`padl_fit`'s with every order 1, from row p + 1,
+    plus all lagged levels as the group block: the response is
+    y_{t+h} - y_t (at h=0 the one-step difference, so the last target
+    value never enters the fit).  The penalty triple is tuned by
+    five-fold expanding-window cross-validation over ``lambda_grid``
+    (scalars lam_w or triples; default: a grid scaled to the design),
+    and the forecast is the anchor plus the fit at the final row.
+    """
+    z, names, (ti,) = resolve_targets(data, [target])
+    ones = np.ones(len(names), dtype=int)
+    parts = _design_parts(z, names, ti, ones, p, h, p + 1, levels=True)
+    return _fit(parts, lambda_grid, "specs", h)
 
 
 def padl_fit(data, target, orders, p: int = 3, h: int = 1,
@@ -543,23 +511,55 @@ def padl_fit(data, target, orders, p: int = 3, h: int = 1,
     Every series is differenced down to I(0) according to ``orders``;
     the response depends on the target's own order (level for I(0),
     h-step difference for I(1), additionally dropping one lagged
-    difference for I(2)) and forecasts invert that definition.  There is
-    no levels block: this is the sparse selector with the long-run group
-    forced to zero, tuned like :func:`specs_fit` over ``lambda_grid``.
+    difference for I(2)) and forecasts invert that definition.  The fit
+    starts at row max(max(orders) + p, d + 1) for a target of order d.
+    There is no levels block, so ``lambda_grid`` entries are scalars
+    lam_w or triples (0, 0, lam_w), tuned like :func:`specs_fit`'s.
     """
     z, names, (ti,) = resolve_targets(data, [target])
-    orders = _orders_array(orders, names)
-    parts = _build_padl_parts(z, names, ti, orders, p, h)
-    return _fit(parts, lambda_grid, "padl", h,
-                orders=tuple(int(d) for d in orders))
+    orders = validate_orders(orders, len(names))
+    first = max(int(orders.max()) + p, int(orders[ti]) + 1)
+    parts = _design_parts(z, names, ti, orders, p, h, first, levels=False)
+    return _fit(parts, lambda_grid, "padl", h, tuple(orders.tolist()))
 
 
 # -- tuning ------------------------------------------------------------------
 
 
-def _grid_from_scale(top: float, points: int = 4) -> np.ndarray:
+def _grid_from_scale(top: float) -> np.ndarray:
     top = max(top, 1e-12)
-    return np.geomspace(top * 1e-3, top, points)
+    return np.geomspace(top * 1e-3, top, 4)
+
+
+def _triple(lam, nz: int) -> Tuple[float, float, float]:
+    """A grid entry as (lam_group, lam_levels, lam_w); ``nz``: levels."""
+    try:
+        vals = ((0.0, 0.0, float(lam)) if np.ndim(lam) == 0
+                else tuple(float(v) for v in lam))
+    except (TypeError, ValueError):
+        vals = ()
+    if len(vals) != 3 or not (nz or vals[0] == vals[1] == 0):
+        raise ParameterError(
+            "a grid entry is lam_w or (lam_group, lam_levels, lam_w), with "
+            f"no group or levels term without a levels block; got {lam!r}")
+    penalty_levels(vals, "penalty grid levels")
+    return vals
+
+
+def _grid(grid, nz: int, full: _Gram) -> list:
+    """``grid`` as triples; by default four lam_w (= lam_levels, if any)
+    times lam_group 0 and, with levels, four more, scaled to ``full``."""
+    if grid is not None:
+        return [_triple(lam, nz) for lam in grid]
+    wp = full.weights[nz:]
+    fin = np.isfinite(wp)
+    top_w = np.max(np.abs(2.0 * full.c[nz:][fin]) / wp[fin], initial=0.0)
+    grp = np.array([0.0])
+    if nz:
+        top_g = float(np.linalg.norm(2.0 * full.c[:nz]))
+        grp = np.concatenate([grp, _grid_from_scale(top_g)])
+    return [(float(g), float(i) if nz else 0.0, float(i))
+            for g in grp for i in _grid_from_scale(top_w)]
 
 
 def _centered(design: SingleEqDesign, stop: Optional[int] = None):
@@ -603,35 +603,15 @@ def _path_candidates(gram: _Gram, nz: int, grid, cfg: PenaltyConfig) -> dict:
     return out
 
 
-def _tune_triple(design: SingleEqDesign, grids, cfg: PenaltyConfig,
-                 group_block: bool, full: _Gram
+def _tune_triple(design: SingleEqDesign, grid: list, cfg: PenaltyConfig
                  ) -> Tuple[float, float, float]:
-    """Pick (lam_group, lam_levels, lam_w) by expanding-window CV; the
-    default grid scales with ``full``, the whole centred design's Gram."""
+    """The triple of ``grid`` that expanding-window CV picks."""
     Z, W, y = design.levels, design.w, design.response
-    nz = Z.shape[1]
-    if grids is None:
-        wp = full.weights[nz:]
-        fin = np.isfinite(wp)
-        top_w = np.max(np.abs(2.0 * full.c[nz:][fin]) / wp[fin], initial=0.0)
-        ind = _grid_from_scale(top_w)
-        if group_block and nz:
-            top_g = float(np.linalg.norm(2.0 * full.c[:nz]))
-            grp = np.concatenate([[0.0], _grid_from_scale(top_g)])
-        else:
-            grp = np.array([0.0])
-        grid = [(float(g), float(i), float(i)) for g in grp for i in ind]
-    else:
-        grid = [tuple(float(v) for v in lam) if np.ndim(lam) else
-                (0.0, 0.0, float(lam)) for lam in grids]
-        grid = [(g if len(g) == 3 else (0.0, 0.0) + g) for g in grid]
-    if len(grid) == 1:
-        return grid[0]
 
     def builder(stop):
         sub, mz, mw, my = _centered(design, stop)
-        gram = _gram(sub, cfg)
-        exact = _path_candidates(gram, nz, grid, cfg)
+        gram = _gram(sub)
+        exact = _path_candidates(gram, Z.shape[1], grid, cfg)
         # warm starts: this fold's solution at the same individual
         # penalties, else the previous candidate's
         solved, last = {}, None
@@ -654,18 +634,14 @@ def _tune_triple(design: SingleEqDesign, grids, cfg: PenaltyConfig,
     return tscv_tune(builder, grid, n_rows=design.n_rows)
 
 
-def _fit(parts: _DesignParts, grids, method: str, h: int, orders
-         ) -> "SingleEqFit":
+def _fit(parts: _DesignParts, grid, method: str, h: int,
+         orders: Optional[Tuple[int, ...]] = None) -> "SingleEqFit":
     """Tune, then fit the centred design; one Gram serves both."""
     design = parts.design
     centered, mz, mw, my = _centered(design)
-    cfg = PenaltyConfig()
-    full = _gram(centered, cfg)
-    g, lv, lw = _tune_triple(design, grids, cfg,
-                             group_block=method == "specs", full=full)
-    if method == "padl":
-        g = lv = 0.0
-    cfg = replace(cfg, lam_group=g, lam_levels=lv, lam_w=lw)
+    full = _gram(centered)
+    grid = _grid(grid, design.levels.shape[1], full)
+    cfg = PenaltyConfig(*_tune_triple(design, grid, PenaltyConfig()))
     delta, pi, diag = sgl_solve(centered, cfg, gram=full)
     intercept = my - float(mz @ delta) - float(mw @ pi)
     fitted = intercept + float(parts.eval_levels @ delta) \
@@ -719,22 +695,3 @@ class SingleEqFit:
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
 
-
-def factor_augment(data, targets, k: int) -> Panel:
-    """Panel of target columns plus k difference-extracted factor paths.
-
-    Downstream estimators treat the factor columns as ordinary series;
-    labels are made unique against the target names.
-    """
-    z, names, idx = resolve_targets(data, targets)
-    keep = tuple(names[j] for j in idx)
-    fm = extract_factors_diff(z, k)
-    labels = []
-    for i in range(k):
-        lab = f"factor{i + 1}"
-        while lab in keep or lab in labels:
-            lab += "_"
-        labels.append(lab)
-    values = np.hstack([z[:, idx], fm.factors])
-    dates = data.dates if isinstance(data, Panel) else None
-    return from_values(values, keep + tuple(labels), dates=dates)

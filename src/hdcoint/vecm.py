@@ -33,7 +33,8 @@ import numpy as np
 import scipy.linalg
 
 from ._numeric import (column_signs, expanding_folds, last_minimum,
-                       nested_residual_factors, soft_threshold_sweep)
+                       nested_residual_factors, penalty_levels,
+                       soft_threshold_sweep)
 from .errors import ConvergenceError, DataError, NumericalError, ParameterError
 from .panel import DeterministicSpec, as_values
 
@@ -585,7 +586,7 @@ def qr_vecm(data, p: int = 1, lambda_grid: Optional[Sequence[float]] = None
         zero_at = max(2.0 * basis[3] * w
                       for basis, w in zip(stage.bases, stage.weights))
         lambda_grid = default_lambda_grid(zero_at)
-    grid = np.sort(np.asarray(list(lambda_grid), dtype=float))
+    grid = np.sort(penalty_levels(list(lambda_grid), "lambda grid"))
     if grid.size == 0:
         raise ParameterError("lambda grid is empty")
     first = max(N * (p + 1) + p + 3, T // 2)
@@ -679,8 +680,8 @@ def pml_vecm(data, r: Optional[int], p: int = 1,
         raise ParameterError(f"rank must lie in 0..{N}")
     if T < N + p + 2:
         raise DataError(f"window of {T} observations is too short for N={N}, p={p}")
-    lam = tuple(float(v) for v in lambdas)
-    if len(lam) != 2 or any(v < 0 for v in lam):
+    lam = tuple(penalty_levels(lambdas, "lambdas").ravel().tolist())
+    if len(lam) != 2:
         raise ParameterError("lambdas must be two non-negative numbers")
     y0, y1, W, t_last = _ec_design(z, p, DeterministicSpec.NONE)
     n = y0.shape[0]

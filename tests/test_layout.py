@@ -11,11 +11,14 @@ LAPACK call would load a second OpenBLAS and add 0.6-0.9 MB of peak RSS
 to a run.  Every golden file is named by some test, so none outlives the
 check that reads it.  Each forecasting lane is one record of the
 harness's lane table: a built-in lane's name is written there and nowhere
-else in the harness or the command line.
+else in the harness or the command line.  Every name a module's
+``__all__`` lists, the package's included, exists, so a name deleted from
+a module but not from an export list fails here, not at a user's import.
 """
 
 import ast
 import glob
+import importlib
 import os
 import subprocess
 import sys
@@ -141,3 +144,16 @@ def test_each_lane_is_named_once_in_its_record():
 
 def test_the_command_line_names_no_lane():
     assert _lane_literals("cli") == []
+
+
+def test_every_exported_name_resolves():
+    modules = ["hdcoint"] + [
+        "hdcoint." + os.path.splitext(os.path.basename(path))[0]
+        for path in sorted(glob.glob(os.path.join(SRC, "hdcoint", "*.py")))
+        if not path.endswith("__init__.py")]
+    missing = []
+    for name in modules:
+        module = importlib.import_module(name)
+        missing += [f"{name}.{attr}" for attr in getattr(module, "__all__", ())
+                    if not hasattr(module, attr)]
+    assert not missing, missing

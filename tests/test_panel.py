@@ -5,10 +5,9 @@ import pytest
 
 from hdcoint import (DataError, DeterministicSpec, HarnessConfig, Panel,
                      ParameterError, apply_transform, difference,
-                     difference_columns,
-                     factor_augment, fecm_forecast, from_values,
+                     difference_columns, fecm_forecast, from_values,
                      implied_orders, invert_differences, ols_detrend,
-                     run_rolling, validate_codes)
+                     padl_fit, run_rolling, specs_fit, validate_codes)
 from hdcoint.panel import detrend, monthly_dates, resolve_targets
 
 
@@ -253,8 +252,6 @@ class TestResolveTargets:
                                          targets=tuple(targets)))
         with pytest.raises(ParameterError, match="listed twice"):
             fecm_forecast(p, targets=targets)
-        with pytest.raises(ParameterError, match="listed twice"):
-            factor_augment(p, targets, 1)
 
     @pytest.mark.parametrize("key", [9, -1])
     def test_estimators_reject_out_of_range(self, key):
@@ -262,7 +259,9 @@ class TestResolveTargets:
         with pytest.raises(ParameterError):
             fecm_forecast(p, targets=[key])
         with pytest.raises(ParameterError):
-            factor_augment(p, [key], 1)
+            specs_fit(p, key)
+        with pytest.raises(ParameterError):
+            padl_fit(p, key, [1] * p.n_series)
         with pytest.raises(ParameterError):
             run_rolling(p, HarnessConfig(window=60, horizons=(1,),
                                          methods=("ar",), benchmark="ar",

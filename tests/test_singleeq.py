@@ -6,15 +6,13 @@ stationarity solution, so the global minimizer can be found exhaustively.
 """
 
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hdcoint import (ParameterError, PenaltyConfig, SingleEqDesign,
-                     factor_augment, from_values, kkt_residual, padl_fit,
-                     random_vecm_params, sgl_solve, simulate_vecm, specs_fit,
-                     tscv_tune)
+                     from_values, kkt_residual, padl_fit, random_vecm_params,
+                     sgl_solve, simulate_vecm, specs_fit, tscv_tune)
 from hdcoint import singleeq
 
 
@@ -120,17 +118,18 @@ class TestSolver:
             assert np.max(np.abs(np.concatenate([dw - d2, pw - p2]))) < 1e-7
 
     def test_start_on_excluded_coordinates_is_ignored(self, rng):
-        # a zero column gets an exactly zero ridge initial estimate, so
-        # infinite weight: the start value there must not leak in
-        design = _design(rng, nz=2, nw=3)
+        # five rows for five columns take the ridge start, where a zero
+        # column gets an exactly zero estimate, so infinite weight: the
+        # start value there must not leak in
+        design = _design(rng, n=5, nz=2, nw=3)
         Z, W = design.levels.copy(), design.w.copy()
         Z[:, 1] = 0.0
         W[:, 0] = 0.0
         design = SingleEqDesign("y", design.response, Z, W,
                                 design.level_labels, design.w_labels)
-        cfg = PenaltyConfig(lam_group=0.5, lam_levels=0.5, lam_w=0.5,
-                            initializer="ridge")
+        cfg = PenaltyConfig(lam_group=0.5, lam_levels=0.5, lam_w=0.5)
         d0, p0, diag0 = sgl_solve(design, cfg)
+        assert diag0["initializer"] == "ridge"
         start = (np.array([0.0, 3.0]), np.array([-2.0, 0.0, 0.0]))
         d1, p1, diag1 = sgl_solve(design, cfg, start=start)
         assert d0[1] == 0.0 and p0[0] == 0.0
@@ -166,9 +165,9 @@ class TestSolver:
         assert np.allclose(fit1, fit2, atol=1e-8)
 
 
-def _grid_path(design, cfg, lams):
+def _grid_path(design, lams):
     """Path solutions at ``lams`` and the shared weights and Gram."""
-    gram = singleeq._gram(design, cfg)
+    gram = singleeq._gram(design)
     return singleeq._lasso_path(gram.G, gram.c, gram.weights, lams)[0], gram
 
 
@@ -194,8 +193,8 @@ def _path_kkt(gram, nz, lam, theta):
 class TestPath:
     """The weighted-lasso homotopy against enumeration and descent."""
 
-    def _lams(self, design, cfg):
-        gram = singleeq._gram(design, cfg)
+    def _lams(self, design):
+        gram = singleeq._gram(design)
         fin = np.isfinite(gram.weights)
         top = np.max(np.abs(2.0 * gram.c[fin]) / gram.weights[fin])
         return list(top * np.array([0.9, 0.3, 0.05, 0.003]))
@@ -204,8 +203,8 @@ class TestPath:
         for _ in range(10):
             beta = rng.normal(size=3) * rng.integers(0, 2, size=3)
             design = _design(rng, n=60, nz=1, nw=2, beta=beta)
-            lams = self._lams(design, PenaltyConfig())
-            path, gram = _grid_path(design, PenaltyConfig(), lams)
+            lams = self._lams(design)
+            path, gram = _grid_path(design, lams)
             for lam, theta in zip(lams, path):
                 cfg = PenaltyConfig(lam_levels=lam, lam_w=lam, tol=1e-13)
                 assert np.max(np.abs(theta - _brute_force(design, cfg))) < 1e-9
@@ -221,9 +220,9 @@ class TestPath:
         y = X @ rng.standard_normal(3) + 0.5 * rng.standard_normal(30)
         design = SingleEqDesign("y", y, X[:, :1], X[:, 1:], ("z0",),
                                 ("w0", "w1"))
-        top = self._lams(design, PenaltyConfig())[0] / 0.9
+        top = self._lams(design)[0] / 0.9
         lams = list(top * np.geomspace(0.999, 1e-4, 200))
-        path, gram = _grid_path(design, PenaltyConfig(), lams)
+        path, gram = _grid_path(design, lams)
         support = [set(np.flatnonzero(theta)) for theta in path]
         assert any(a - b for a, b in zip(support, support[1:]))   # a drop
         for lam, theta in zip(lams, path):
@@ -233,16 +232,16 @@ class TestPath:
     @pytest.mark.parametrize("n, nz, nw, initializer", [
         (80, 2, 8, "ols"), (20, 4, 26, "ridge")])
     def test_matches_descent(self, rng, monkeypatch, n, nz, nw, initializer):
+        # more rows than columns start from OLS, else from ridge
         design = _design(rng, n=n, nz=nz, nw=nw,
                          beta=rng.normal(size=nz + nw)
                          * (rng.uniform(size=nz + nw) < 0.3))
-        base = PenaltyConfig(initializer=initializer)
-        lams = self._lams(design, base)
-        path, gram = _grid_path(design, base, lams)
+        lams = self._lams(design)
+        path, gram = _grid_path(design, lams)
         assert gram.tag == initializer
         for lam, theta in zip(lams, path):
             cfg = PenaltyConfig(lam_levels=lam, lam_w=lam, tol=1e-13,
-                                initializer=initializer, max_sweeps=200_000)
+                                max_sweeps=200_000)
             assert np.max(np.abs(theta - _descent(design, cfg, monkeypatch))
                           ) < 1e-9
             assert _path_kkt(gram, nz, lam, theta) <= 1e-12
@@ -253,8 +252,8 @@ class TestPath:
         W[:, 1] = 0.0
         design = SingleEqDesign("y", design.response, design.levels, W,
                                 design.level_labels, design.w_labels)
-        lams = self._lams(design, PenaltyConfig()) + [0.0]
-        path, gram = _grid_path(design, PenaltyConfig(), lams)
+        lams = self._lams(design) + [0.0]
+        path, gram = _grid_path(design, lams)
         for lam, theta in zip(lams, path):
             assert theta[3] == 0.0
             assert _path_kkt(gram, 2, lam, theta) <= 1e-12
@@ -265,14 +264,13 @@ class TestPath:
         W[:, 3] = W[:, 2]
         design = SingleEqDesign("y", design.response, design.levels, W,
                                 design.level_labels, design.w_labels)
-        cfg = PenaltyConfig(initializer="ridge")
-        lams = self._lams(design, cfg) + [0.0]
-        path, gram = _grid_path(design, cfg, lams)
+        lams = self._lams(design) + [0.0]
+        path, gram = _grid_path(design, lams)
         assert path[-1] is None   # lam = 0 needs both twins: singular
         for lam, theta in zip(lams, path):
             if theta is not None:
                 assert _path_kkt(gram, 1, lam, theta) <= 1e-12
-            local = replace(cfg, lam_levels=lam, lam_w=lam)
+            local = PenaltyConfig(lam_levels=lam, lam_w=lam)
             delta, pi, diag = sgl_solve(design, local)
             assert diag["kkt"] <= 1e-6
             assert kkt_residual(design, local, delta, pi) <= 1e-6
@@ -329,7 +327,7 @@ class TestCarriedFactor:
                             tol=1e-13, max_sweeps=200_000)
         want = _descent(design, cfg, monkeypatch)
         assert want[:nz].all()   # the group is active
-        gram = singleeq._gram(design, cfg)
+        gram = singleeq._gram(design)
         pen = singleeq._l1_penalties(gram.weights, nz, cfg)
         on = nz + np.flatnonzero(want[nz:])
         off = nz + np.flatnonzero(want[nz:] == 0)
@@ -409,6 +407,15 @@ class TestSpecs:
         with pytest.raises(Exception):
             specs_fit(panel, "y", p=3, h=6)
 
+    @pytest.mark.parametrize("p, h", [(-1, 1), (1, -1)])
+    def test_negative_lag_or_horizon_rejected(self, p, h):
+        # h = -1 would fit on the last target value, p = -1 would index row -1
+        panel = self._coint_panel(80, 1, 7)
+        with pytest.raises(ParameterError):
+            specs_fit(panel, "y", p=p, h=h)
+        with pytest.raises(ParameterError):
+            padl_fit(panel, "y", [1, 1, 1], p=p, h=h)
+
     def test_serialization_keys(self):
         panel = self._coint_panel(150, 2, 6)
         fit = specs_fit(panel, "y", p=1, h=1)
@@ -432,9 +439,9 @@ class TestHighDimensional:
         calls = []
         real = singleeq._initial_estimates
 
-        def counted(X, y, tag):
+        def counted(X, y):
             calls.append(X.shape)
-            return real(X, y, tag)
+            return real(X, y)
 
         monkeypatch.setattr(singleeq, "_initial_estimates", counted)
         params = random_vecm_params(8, 2, p=1, seed=8)
@@ -508,7 +515,7 @@ class TestPadl:
         z = rng.standard_normal((160, 4)).cumsum(axis=0)
         panel = from_values(z, names=["t", "u", "v", "w"])
         lam = 25.0
-        a = specs_fit(panel, "t", p=2, h=1, lambda_grids=[(1e9, 0.0, lam)])
+        a = specs_fit(panel, "t", p=2, h=1, lambda_grid=[(1e9, 0.0, lam)])
         b = padl_fit(panel, "t", orders=[1, 1, 1, 1], p=2, h=1,
                      lambda_grid=[lam])
         assert np.all(a.delta == 0.0)
@@ -523,6 +530,52 @@ class TestPadl:
         f2 = padl_fit(from_values(values, names=["a", "b", "c"]), "c",
                       orders=[0, 1, 2], p=1, h=1)
         assert f1.forecast == f2.forecast
+
+
+class TestGridRule:
+    """A grid entry is a scalar lam_w or a triple of finite, non-negative
+    levels; PADL, which has no levels block, takes no group or levels
+    term."""
+
+    def _panel(self):
+        z = np.random.default_rng(7).standard_normal((90, 3)).cumsum(axis=0)
+        return from_values(z, names=["t", "u", "v"])
+
+    @pytest.mark.parametrize("entry", [(5.0, 0.3), (1.0, 1.0, 1.0, 1.0),
+                                       np.nan, (0.0, np.nan, 1.0), -1.0,
+                                       (np.inf, 0.0, 1.0), [[1.0]]])
+    def test_bad_entries_raise(self, entry):
+        for fit in (lambda g: specs_fit(self._panel(), "t", p=1,
+                                        lambda_grid=g),
+                    lambda g: padl_fit(self._panel(), "t", [1, 1, 1], p=1,
+                                       lambda_grid=g)):
+            with pytest.raises(ParameterError):
+                fit([1.0, entry])
+
+    @pytest.mark.parametrize("entry", [(1.0, 0.0, 2.0), (0.0, 1.0, 2.0)])
+    def test_padl_takes_no_group_or_levels_term(self, entry):
+        with pytest.raises(ParameterError, match="levels block"):
+            padl_fit(self._panel(), "t", [1, 1, 1], p=1, lambda_grid=[entry])
+
+    def test_a_scalar_is_a_zero_padded_triple(self):
+        a = padl_fit(self._panel(), "t", [1, 1, 1], p=1,
+                     lambda_grid=[0.5, 50.0])
+        b = padl_fit(self._panel(), "t", [1, 1, 1], p=1,
+                     lambda_grid=[(0.0, 0.0, 0.5), (0.0, 0.0, 50.0)])
+        assert a.lambdas == b.lambdas
+        assert a.forecast == b.forecast
+        assert a.lambdas["group"] == a.lambdas["levels"] == 0.0
+
+    def test_padl_default_grid_reports_no_group_or_levels(self):
+        fit = padl_fit(self._panel(), "t", [1, 1, 1], p=1)
+        assert fit.lambdas["group"] == fit.lambdas["levels"] == 0.0
+        assert fit.lambdas["w"] > 0.0
+
+    @pytest.mark.parametrize("field", ["lam_group", "lam_levels", "lam_w"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_penalty_config_rejects(self, field, value):
+        with pytest.raises(ParameterError, match="finite and non-negative"):
+            PenaltyConfig(**{field: value})
 
 
 class TestTscv:
@@ -581,18 +634,3 @@ class TestTscv:
         for stop, lo, hi in seen:
             assert stop <= lo <= hi
 
-
-class TestFactorAugment:
-    def test_k_zero_returns_targets_only(self, rng):
-        z = rng.standard_normal((100, 5)).cumsum(axis=0)
-        panel = from_values(z, names=["a", "b", "c", "d", "e"])
-        out = factor_augment(panel, ["b", "d"], k=0)
-        assert out.names == ("b", "d")
-        assert np.array_equal(out.values, z[:, [1, 3]])
-
-    def test_labels_unique_and_factors_appended(self, rng):
-        z = rng.standard_normal((120, 6)).cumsum(axis=0)
-        panel = from_values(z)
-        out = factor_augment(panel, ["s1"], k=2)
-        assert len(set(out.names)) == 3
-        assert out.values.shape == (120, 3)

@@ -189,6 +189,12 @@ class TestQrVecm:
         with pytest.raises((ParameterError, DataError)):
             qr_vecm(z, p=2)
 
+    @pytest.mark.parametrize("grid", [[-5.0], [np.nan, 1.0], [1.0, np.inf]])
+    def test_penalties_must_be_finite_and_non_negative(self, grid):
+        _, z = _sim(3, 1, 120, 14)
+        with pytest.raises(ParameterError, match="finite and non-negative"):
+            qr_vecm(z, p=1, lambda_grid=grid)
+
     # (N, seed, chosen lambda, rank, pivot, 3-step forecast), recorded
     # before the cross-validation was batched over the lambda grid
     PINNED = [
@@ -431,7 +437,8 @@ class TestPml:
             assert np.all(np.diff(path) <= 1e-10)
 
     @pytest.mark.parametrize("lambdas", [(0.1,), (0.1, 0.1, 0.0),
-                                         (0.1, -0.1)])
+                                         (0.1, -0.1), (np.nan, 0.1),
+                                         (0.1, np.inf)])
     def test_lambdas_must_be_a_non_negative_pair(self, lambdas):
         _, z = _sim(3, 1, 100, 15)
         with pytest.raises(ParameterError):

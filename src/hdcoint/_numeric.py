@@ -1,10 +1,11 @@
 """Numeric kernels shared by several modules of the package, one
 implementation each: the AR(1) recursion, the residual factors of every
-lag-by-BIC choice, the sign convention of eigen- and singular vectors,
-the zero-safe column scale, the soft-threshold and its coordinate sweep,
-the fold edges and tie rule of the expanding-window cross-validation
-of the SPECS/PADL and QR-VECM penalties, and the rule that every penalty
-level is finite and non-negative.
+lag-by-BIC choice, the rule that reads a triangular factor's pivot as
+singular, the sign convention of eigen- and singular vectors, the
+zero-safe column scale, the soft-threshold and its coordinate sweep, the
+fold edges and tie rule of the expanding-window cross-validation of the
+SPECS/PADL and QR-VECM penalties, and the rule that every penalty level
+is finite and non-negative.
 """
 
 from __future__ import annotations
@@ -40,6 +41,16 @@ def nested_residual_factors(X: np.ndarray, Y: np.ndarray,
     keep = np.arange(R.shape[-2]) >= np.asarray(widths)[:, None]
     return np.linalg.qr(np.where(keep[..., None], R[..., None, :, :], 0.0),
                         mode="r")
+
+
+def singular_pivots(F: np.ndarray, norms, n: int) -> np.ndarray:
+    """Where a pivot of the triangular factor F (..., rows, q) is at most
+    ``n eps`` times ``norms``, its column's norm in the n-row data F
+    factors (broadcast against the pivots), whatever their scale; a
+    missing (rows < q) or NaN pivot is singular too."""
+    piv = np.zeros(F.shape[:-2] + F.shape[-1:])
+    piv[..., :min(F.shape[-2:])] = np.abs(np.diagonal(F, axis1=-2, axis2=-1))
+    return ~(piv > n * np.finfo(float).eps * norms)
 
 
 def column_signs(V: np.ndarray) -> np.ndarray:

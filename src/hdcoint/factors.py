@@ -17,7 +17,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._numeric import column_scales, column_signs, nested_residual_factors
+from ._numeric import (column_scales, column_signs, nested_residual_factors,
+                       singular_pivots)
 from .errors import DataError, NumericalError, ParameterError
 from .panel import DeterministicSpec, as_values, detrend, resolve_targets
 # select_rank_ic is unused here, but the benchmark's tracer still looks
@@ -220,11 +221,10 @@ def var_bic_forecast(x, h: int, p_max: int, p_min: int) -> np.ndarray:
     capped so that each equation keeps ``k + 1`` residual degrees of
     freedom.  The criterion is ``n log det(Sigma + 1e-12 I) + log(n) k (k p
     + 1)``.  A singular residual covariance ends the search at its lag:
-    a pivot of its residual factor is at most ``n eps`` times the norm of
-    its response column (as in :func:`select_lag_bic`, whatever the data's
-    scale), or ``Sigma + 1e-12 I`` is not positive definite.  One QR
-    scores every lag (:func:`nested_residual_factors`); least squares fits
-    the chosen one.
+    a pivot of its residual factor is singular by :func:`singular_pivots`
+    (as in :func:`select_lag_bic`), or ``Sigma + 1e-12 I`` is not positive
+    definite.  One QR scores every lag (:func:`nested_residual_factors`);
+    least squares fits the chosen one.
     """
     v = np.asarray(x, dtype=float)
     z = v if v.ndim == 3 else v.reshape(1, v.shape[0], -1)
@@ -237,11 +237,10 @@ def var_bic_forecast(x, h: int, p_max: int, p_min: int) -> np.ndarray:
         z[:, p_max - j:T - j] for j in range(1, p_max + 1)], axis=2)
     lags = np.arange(p_min, p_max + 1)
     F = nested_residual_factors(lagged, z[:, p_max:], 1 + k * lags)
-    piv = np.abs(np.diagonal(F, axis1=-2, axis2=-1))
-    tol = n * np.finfo(float).eps * np.linalg.norm(z[:, p_max:], axis=1)
     signs, logdets = np.linalg.slogdet(
         np.swapaxes(F, -1, -2) @ F / n + 1e-12 * np.eye(k))
-    singular = (piv <= tol[:, None]).any(axis=2) | (signs <= 0)
+    norms = np.linalg.norm(z[:, p_max:], axis=1)[:, None]
+    singular = singular_pivots(F, norms, n).any(axis=2) | (signs <= 0)
     pen = np.log(n) * k * (k * lags + 1)
     bic = np.where(singular, -np.inf, n * logdets + pen)
     # a singular covariance ends the search at its lag, which wins at -inf

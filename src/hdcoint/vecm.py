@@ -10,6 +10,9 @@ level forecasts.
 The rank criterion, the Johansen fit and the PML estimator's Johansen
 start read one solve of the reduced-rank eigenproblem; with ``r=None``
 a fit takes the criterion's rank off the eigenvalues it already has.
+The solve is one triangular factor: a QR of [W, y1, y0], a QR of its
+residual block and one SVD give the squared canonical correlations, and
+a pivot of at most n eps times its column's norm makes a window singular.
 
 The QR estimator's group-lasso columns are solved exactly in the range
 of their Gram eigenbasis: one vectorised, safeguarded Newton solve of
@@ -34,7 +37,7 @@ import scipy.linalg
 
 from ._numeric import (column_signs, expanding_folds, last_minimum,
                        nested_residual_factors, penalty_levels,
-                       soft_threshold_sweep)
+                       singular_pivots, soft_threshold_sweep)
 from .errors import ConvergenceError, DataError, NumericalError, ParameterError
 from .panel import DeterministicSpec, as_values
 
@@ -180,49 +183,40 @@ class VecmModel:
 # -- reduced-rank maximum likelihood ----------------------------------------
 
 
-#: one window's error-correction blocks, concentrated moments and
-#: eigenproblem (eigenvalues descending), read by every rank of the window
-_Solve = namedtuple("_Solve", "y0 y1 W t_last lam vecs s00 s01")
+#: one window's error-correction blocks, eigenproblem (λ descending,
+#: β'S11β = I), log det S00 and S01, read by every rank of the window
+_Solve = namedtuple("_Solve", "y0 y1 W t_last lam vecs logdet s01")
 
 
 def _johansen_solve(z: np.ndarray, p: int, det: DeterministicSpec) -> _Solve:
-    """Concentrated moment matrices and the whitened eigenproblem."""
+    """One window's reduced-rank eigenproblem from one triangular factor.
+
+    A QR of [W, y1, y0] (k, m and N columns) gives R22 = R[k:k+m, k:k+m]
+    and the residual block A = R[k:, k+m:]: S11 = R22'R22/n, S01 =
+    A[:m]'R22/n and S00 = A'A/n, none of them squared out of the data.
+    With A = Qa Ta and Qa[:m] = U diag(σ) V', λ = σ² (squared canonical
+    correlations; Björck & Golub 1973, Doornik & O'Brien 2002), zero-padded
+    to m and clipped at 1 - 1e-12; the vectors are √n R22⁻¹U.  A pivot of
+    Ta, then of R22, that :func:`singular_pivots` reads as singular
+    against its column of y0 (of y1) raises :class:`NumericalError`.
+    """
     y0, y1, W, t_last = _ec_design(z, p, det)
-    _, (r0, r1) = _partial_out(W, y0, y1)
-    n = r0.shape[0]
-    s00 = r0.T @ r0 / n
-    s01 = r0.T @ r1 / n
-    s11 = r1.T @ r1 / n
-    try:
-        c00 = np.linalg.cholesky(s00)
-    except np.linalg.LinAlgError:
+    (n, N), k, m = y0.shape, W.shape[1], y1.shape[1]
+    R = np.linalg.qr(np.hstack([W, y1, y0]), mode="r")
+    r22, (qa, ta) = R[k:k + m, k:k + m], np.linalg.qr(R[k:, k + m:])
+    if singular_pivots(ta, np.linalg.norm(y0, axis=0), n).any():
         raise NumericalError(
             "residual moment matrix is singular; reduce the lag order or rank")
-    # columns of K solve S00 K = S01, so S10 S00^-1 S01 = K' S01
-    k = scipy.linalg.cho_solve((c00, True), s01)
-    cross = s01.T @ k
-    try:
-        c11 = np.linalg.cholesky(s11)
-        m = scipy.linalg.solve_triangular(c11, cross, lower=True)
-        m = scipy.linalg.solve_triangular(c11, m.T, lower=True).T
-        m = (m + m.T) / 2
-        lam, w = np.linalg.eigh(m)
-        vecs = scipy.linalg.solve_triangular(c11.T, w, lower=False)
-    except np.linalg.LinAlgError:
-        # pseudo-whitening over the numerically non-degenerate subspace
-        d, u = np.linalg.eigh((s11 + s11.T) / 2)
-        keep = d > d.max() * 1e-12
-        if not keep.any():
-            raise NumericalError(
-                "lagged-level moment matrix is singular; reduce p or rank")
-        root = u[:, keep] / np.sqrt(d[keep])
-        m = root.T @ cross @ root
-        m = (m + m.T) / 2
-        lam, w = np.linalg.eigh(m)
-        vecs = root @ w
-    order = np.argsort(lam)[::-1]
-    lam = np.clip(lam[order], 0.0, 1.0 - 1e-12)
-    return _Solve(y0, y1, W, t_last, lam, vecs[:, order], s00, s01)
+    if singular_pivots(r22, np.linalg.norm(y1, axis=0), n).any():
+        raise NumericalError(
+            "lagged-level moment matrix is singular; reduce p or rank")
+    u, sigma, _ = np.linalg.svd(qa[:m])
+    lam = np.zeros(m)
+    lam[:N] = np.clip(sigma * sigma, 0.0, 1.0 - 1e-12)
+    vecs = np.sqrt(n) * scipy.linalg.solve_triangular(r22, u)
+    logdet = 2 * np.log(np.abs(np.diagonal(ta))).sum() - N * np.log(n)
+    return _Solve(y0, y1, W, t_last, lam, vecs, logdet,
+                  R[k:k + m, k + m:].T @ r22 / n)
 
 
 def _ic_rank(s: _Solve) -> int:
@@ -248,14 +242,9 @@ def _johansen_fit(s: _Solve, r: int, p: int,
     n, N = s.y0.shape
     _check_rank(s.t_last, N, p, r)
     b_aug = s.vecs[:, :r] * column_signs(s.vecs[:, :r])
-    if b_aug.shape[1] < r:
-        raise NumericalError("eigenproblem is rank-deficient; reduce r")
     a = s.s01 @ b_aug
     mu, phi, sigma = _short_run(s.y0, s.y1, s.W, a @ b_aug.T, p, det)
-    sign, logdet = np.linalg.slogdet(s.s00)
-    if sign <= 0:
-        raise NumericalError("residual covariance is not positive definite")
-    loglik = -0.5 * n * (N * (1 + np.log(2 * np.pi)) + logdet
+    loglik = -0.5 * n * (N * (1 + np.log(2 * np.pi)) + s.logdet
                          + float(np.sum(np.log(1 - s.lam[:r]))))
     b = b_aug[:N]
     b_trend = b_aug[N] if det is DeterministicSpec.TREND else None
@@ -305,9 +294,9 @@ def select_lag_bic(data, p_max: int = 3,
     Candidates share the ``p_max`` design's n rows, and their [y1, W] are
     its leading columns, so one QR scores them all
     (:func:`nested_residual_factors`).  A candidate is singular and skipped
-    when a pivot of its residual factor is at most ``n eps`` times the
-    norm of its response column.  Ties go to the smaller order; 0 when
-    every candidate is skipped.
+    when a pivot of its residual factor is singular by
+    :func:`singular_pivots`.  Ties go to the smaller order; 0 when every
+    candidate is skipped.
     """
     det = DeterministicSpec.parse(det)
     z = as_values(data)
@@ -322,12 +311,12 @@ def select_lag_bic(data, p_max: int = 3,
     y0, y1, W, _ = _ec_design(z, p_max, det)
     F = nested_residual_factors(np.column_stack([y1, W])[:, :widths[-1]],
                                 y0, widths)
-    piv = np.abs(np.diagonal(F, axis1=-2, axis2=-1))
-    ok = (piv > n * np.finfo(float).eps * np.linalg.norm(y0, axis=0)).all(1)
+    piv = np.abs(np.diagonal(F, axis1=1, axis2=2))
+    singular = singular_pivots(F, np.linalg.norm(y0, axis=0), n).any(axis=1)
     with np.errstate(divide="ignore"):
         bic = 2 * np.log(piv).sum(axis=1) - N * np.log(n) \
             + np.log(n) * N * np.array(widths) / n
-    return int(np.argmin(np.where(ok, bic, np.inf)))
+    return int(np.argmin(np.where(singular, np.inf, bic)))
 
 
 # -- iterated forecasting ----------------------------------------------------

@@ -272,3 +272,23 @@ class TestReportOutput:
         assert json.loads(jpath.read_text()) == doc
         header = cpath.read_text().splitlines()[0]
         assert header.split(",")[:3] == ["target", "horizon", "method"]
+
+
+class TestCollinearPanels:
+    """A window whose series are exactly collinear is one reported outcome
+    for the system lanes: the Johansen solve's singular-system error."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("extra", ["duplicate", "combination"])
+    def test_ml_and_pml_report_the_singular_system(self, extra):
+        params = random_vecm_params(8, 2, p=1, seed=0)
+        z = simulate_vecm(params, 140, seed=1).values
+        col = z[:, 0] if extra == "duplicate" else z[:, 0] + 2 * z[:, 1]
+        cfg = HarnessConfig(window=114, horizons=(1, 3),
+                            methods=("ar", "ml", "pml", "fecm", "ndfm"),
+                            benchmark="ar", boot_reps=199, seed=0)
+        report = run_rolling(np.column_stack([z, col]), cfg)
+        system = [d for d in report.diagnostics if d[3] in ("ml", "pml")]
+        assert len(system) == 2 * len(report.window_starts)
+        assert {d[4] for d in system} == {
+            "residual moment matrix is singular; reduce the lag order or rank"}

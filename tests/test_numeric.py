@@ -1,13 +1,13 @@
 """Shared numeric kernels: the scalar soft-threshold of the coordinate
-sweep, the fold edges of expanding-window cross-validation, and the
-column sign and scale conventions."""
+sweep, the fold edges of expanding-window cross-validation, the
+singular-pivot rule, and the column sign and scale conventions."""
 
 import numpy as np
 import pytest
 
 from hdcoint import ParameterError
 from hdcoint._numeric import (column_scales, column_signs, expanding_folds,
-                              last_minimum, soft_threshold,
+                              last_minimum, singular_pivots, soft_threshold,
                               soft_threshold_scalar, soft_threshold_sweep)
 
 
@@ -124,3 +124,35 @@ class TestColumnConventions:
         sd = column_scales(x)
         assert sd[1] == 1.0
         assert np.array_equal(sd[[0, 2]], x.std(axis=0)[[0, 2]])
+
+
+class TestSingularPivots:
+    def test_threshold_is_n_eps_times_the_column_norm(self):
+        n, norms = 50, np.array([2.0, 3.0])
+        tol = n * np.finfo(float).eps * norms
+        F = np.diag(tol)
+        assert singular_pivots(F, norms, n).all()
+        F = np.diag(np.nextafter(tol, np.inf))
+        assert not singular_pivots(F, norms, n).any()
+
+    def test_exact_collinearity_is_singular_at_any_scale(self, rng):
+        X = rng.standard_normal((80, 3))
+        X = np.column_stack([X, X[:, 0] - 2.0 * X[:, 2], np.zeros(80)])
+        for scale in [1e-8, 1.0, 1e8]:
+            Xs = X * scale
+            F = np.linalg.qr(Xs, mode="r")
+            got = singular_pivots(F, np.linalg.norm(Xs, axis=0), 80)
+            assert got.tolist() == [False, False, False, True, True]
+
+    def test_missing_and_nan_pivots_are_singular(self):
+        F = np.triu(np.ones((2, 4)))
+        assert singular_pivots(F, np.ones(4), 10).tolist() == \
+            [False, False, True, True]
+        F = np.diag([1.0, np.nan])
+        assert singular_pivots(F, np.ones(2), 10).tolist() == [False, True]
+
+    def test_a_stack_of_factors_reads_one_norm_row_each(self):
+        F = np.stack([np.eye(2), np.diag([1.0, 0.0])])
+        norms = np.array([[1.0, 1.0], [1.0, 0.0]])
+        assert singular_pivots(F, norms, 10).tolist() == \
+            [[False, False], [False, True]]

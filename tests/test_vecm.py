@@ -15,9 +15,10 @@ from hdcoint import (DataError, NumericalError, ParameterError, VecmParams,
 from hdcoint._numeric import soft_threshold
 from hdcoint.panel import DeterministicSpec
 from hdcoint.vecm import (_ec_design, _group_basis, _group_lasso,
-                          _one_step_errors, _pml_init, _pml_objective,
-                          _qr_assemble, _qr_stage, default_lambda_grid)
-from tests.conftest import subspace_angle_deg
+                          _johansen_solve, _one_step_errors, _pml_init,
+                          _pml_objective, _qr_assemble, _qr_stage,
+                          default_lambda_grid)
+from tests.conftest import canonical_correlations, subspace_angle_deg
 
 
 def _group_lasso_single(X, y, kappa):
@@ -148,6 +149,79 @@ class TestOneSolvePerFit:
             calls.clear()
             fit()
             assert len(calls) == 1
+
+
+def _residuals_on_w(z, p, det):
+    """(r0, r1): y0 and y1 residualised on W by least squares."""
+    y0, y1, W, _ = _ec_design(z, p, DeterministicSpec.parse(det))
+    coef, *_ = np.linalg.lstsq(W, np.hstack([y0, y1]), rcond=None)
+    r = np.hstack([y0, y1]) - W @ coef
+    return r[:, :y0.shape[1]], r[:, y0.shape[1]:]
+
+
+class TestJohansenFactor:
+    """The eigenproblem read off one QR of [W, y1, y0] against the squared
+    canonical correlations of the residuals, computed apart from it."""
+
+    @pytest.mark.parametrize("N, T, ones", [(12, 240, 0), (24, 120, 0),
+                                            (40, 120, 3)])
+    def test_eigenvalues_are_squared_canonical_correlations(self, N, T, ones):
+        params = random_vecm_params(N, 2, p=1, seed=3)
+        z = simulate_vecm(params, T, seed=4).values
+        r0, r1 = _residuals_on_w(z, 1, "mean")
+        want = np.minimum(canonical_correlations(r0, r1) ** 2, 1.0 - 1e-12)
+        s = _johansen_solve(z, 1, DeterministicSpec.MEAN)
+        assert np.abs(s.lam - want).max() <= 1e-12
+        # k = N + 1 columns of W leave n - k = T - N - 3 residual dimensions
+        # for the two N-column blocks: 2N - (n - k) correlations are 1
+        assert ones == max(0, 3 * N + 3 - T)
+        assert np.sum(s.lam == 1.0 - 1e-12) == ones
+
+    @pytest.mark.parametrize("det", ["none", "mean", "trend"])
+    def test_vectors_solve_the_eigenproblem_with_unit_s11(self, det):
+        _, z = _sim(4, 2, 200, 11, p=1)
+        r0, r1 = _residuals_on_w(z, 1, det)
+        n = r0.shape[0]
+        s00, s01, s11 = r0.T @ r0 / n, r0.T @ r1 / n, r1.T @ r1 / n
+        s = _johansen_solve(z, 1, DeterministicSpec.parse(det))
+        assert s.lam.size == s.vecs.shape[1] == r1.shape[1]
+        assert np.allclose(s.vecs.T @ s11 @ s.vecs, np.eye(r1.shape[1]),
+                           atol=1e-10)
+        lhs = s01.T @ np.linalg.solve(s00, s01) @ s.vecs
+        assert np.allclose(lhs, s11 @ s.vecs * s.lam, atol=1e-10)
+        assert np.allclose(s.s01, s01, rtol=1e-12, atol=1e-14)
+        assert np.isclose(s.logdet, np.linalg.slogdet(s00)[1], rtol=1e-12)
+
+
+def _degenerate_windows():
+    """Exactly singular windows: (name, panel, lags that make it singular)."""
+    z = simulate_vecm(random_vecm_params(5, 2, p=1, seed=7), 150,
+                      seed=8).values
+    return [("duplicated", np.column_stack([z, z[:, 2]]), (0, 1, 2)),
+            ("combination", np.column_stack([z, z[:, 0] + 2 * z[:, 1]]),
+             (0, 1, 2)),
+            ("zero", np.column_stack([z, np.zeros(150)]), (0, 1, 2)),
+            ("constant", np.column_stack([z, np.full(150, 3.7)]), (0, 1, 2)),
+            ("lagged copy", np.column_stack([z[1:], z[:-1, 3]]), (1, 2))]
+
+
+class TestDegenerateWindows:
+    """An exactly singular window raises one typed error, whatever the
+    rounding: the pivot rule reads the factor, where a Cholesky of the
+    moment matrices succeeded or failed by chance."""
+
+    @pytest.mark.parametrize("det", ["none", "mean", "trend"])
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_singular_window_raises(self, det, p):
+        for name, z, lags in _degenerate_windows():
+            if p not in lags:
+                continue
+            with pytest.raises(NumericalError, match="(residual|lagged-level)"
+                               " moment matrix is singular"):
+                johansen_ml(z, None, p, det)
+        # the panel without its degenerate column fits
+        z = _degenerate_windows()[0][1][:, :5]
+        assert np.isfinite(johansen_ml(z, None, p, det).loglik)
 
 
 class TestLagSelection:

@@ -382,33 +382,40 @@ def mcs(losses, alpha: float = 0.10, gamma: float = 0.85, reps: int = 999,
 def _eliminate(L: np.ndarray, xi: np.ndarray, alpha: float,
                names: Tuple[str, ...]) -> McsResult:
     """The elimination rounds of :func:`mcs` on multipliers ``xi``
-    (replications by the rows of ``L``)."""
+    (replications by the rows of ``L``).
+
+    A pair's differential, bootstrap and t-statistics do not depend on
+    which other methods are still active, so they are formed once for
+    all K(K-1)/2 pairs, and each round takes its maxima over the pairs
+    whose two methods are both active.
+    """
     n, K = L.shape
     means = L.mean(axis=0)
-    active = list(range(K))
+    first, second = np.triu_indices(K, 1)
+    D = L[:, first] - L[:, second]
+    dbar = D.mean(axis=0)
+    boot = xi @ (D - dbar) / n
+    se = boot.std(axis=0, ddof=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_obs = np.where(se > 0, np.abs(dbar) / se,
+                         np.where(dbar == 0, 0.0, np.inf))
+        t_boot = np.abs(np.where(se > 0, boot / se, 0.0))
+    active = np.ones(K, dtype=bool)
     pvalues: Dict[str, float] = {}
     eliminated: List[str] = []
     running = 0.0
-    while len(active) > 1:
-        pairs = [(i, j) for a, i in enumerate(active)
-                 for j in active[a + 1:]]
-        D = np.column_stack([L[:, i] - L[:, j] for i, j in pairs])
-        dbar = D.mean(axis=0)
-        boot = xi @ (D - dbar) / n
-        se = boot.std(axis=0, ddof=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_obs = np.where(se > 0, np.abs(dbar) / se,
-                             np.where(dbar == 0, 0.0, np.inf))
-            t_boot = np.abs(np.where(se > 0, boot / se, 0.0))
-        T_obs = float(np.max(t_obs))
-        T_boot = t_boot.max(axis=1)
+    while active.sum() > 1:
+        live = active[first] & active[second]
+        T_obs = float(np.max(t_obs[live]))
+        T_boot = t_boot[:, live].max(axis=1)
         p_round = 1.0 if T_obs == 0 else float(np.mean(T_boot >= T_obs))
         running = max(running, p_round)
-        worst = active[int(np.argmax(means[active]))]
+        left = np.flatnonzero(active)
+        worst = int(left[np.argmax(means[left])])
         pvalues[names[worst]] = running
         eliminated.append(names[worst])
-        active.remove(worst)
-    pvalues[names[active[0]]] = 1.0
+        active[worst] = False
+    pvalues[names[int(np.flatnonzero(active)[0])]] = 1.0
     members = tuple(nm for nm in names if pvalues[nm] >= alpha)
     return McsResult(names, pvalues, members, tuple(eliminated), alpha)
 

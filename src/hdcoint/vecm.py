@@ -14,15 +14,23 @@ The solve is one triangular factor: a QR of [W, y1, y0], a QR of its
 residual block and one SVD give the squared canonical correlations, and
 a pivot of at most n eps times its column's norm makes a window singular.
 
-The QR estimator's group-lasso columns are solved exactly in the range
-of their Gram eigenbasis: one vectorised, safeguarded Newton solve of
-the secular equations covers every fold, column and penalty of a fit,
-and each fold scores its whole penalty grid with one stacked residual
-product.  The PML estimator penalizes B and the short-run block, each
-of which takes one soft-threshold coordinate sweep per cycle on plain
-floats; its precision matrix is the exact inverse of the residual
-covariance.  Johansen and QR fits share one short-run OLS given the
-long-run matrix.
+The QR estimator builds its design once per window.  Each
+cross-validation fold trains on a row prefix of it, and the triangular
+factor of that prefix gives the fold's OLS long run, short-run
+coefficients and column Grams, with the same singularity rule and
+messages as the Johansen solve.  After one QR per prefix and one pivoted
+QR per stage, the stages are stacked: one solve, one product, one
+``eigh`` per column size, and one vectorised, safeguarded Newton solve
+of the secular equations for every stage, column and penalty, whose
+group-lasso columns are solved exactly in the range of their Gram
+eigenbasis.  Each fold scores its whole penalty grid with one stacked
+residual product on its slice of the design.  The final short run and
+residual covariance given Π are read off the full sample's factor;
+Johansen fits take theirs from one least-squares step
+(:func:`_short_run`).  The PML estimator penalizes B and the short-run
+block, each of which takes one soft-threshold coordinate sweep per
+cycle on plain floats; its precision matrix is the exact inverse of the
+residual covariance.
 """
 
 from __future__ import annotations
@@ -79,24 +87,6 @@ def _ec_design(z: np.ndarray, p: int, det: DeterministicSpec
     cols += [dz[p - j:-j] for j in range(1, p + 1)]
     W = np.column_stack(cols) if cols else np.empty((n, 0))
     return y0, y1, W, T
-
-
-def _partial_out(W: np.ndarray, *blocks: np.ndarray
-                 ) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
-    """Residualize each block on W (no-op for an empty W).
-
-    Returns the least-squares coefficients of W, one column per column
-    of the stacked blocks, and the residual blocks.
-    """
-    if W.shape[1] == 0:
-        return np.zeros((0, sum(b.shape[1] for b in blocks))), blocks
-    coef, *_ = np.linalg.lstsq(W, np.column_stack(blocks), rcond=None)
-    resid = np.column_stack(blocks) - W @ coef
-    out, start = [], 0
-    for b in blocks:
-        out.append(resid[:, start:start + b.shape[1]])
-        start += b.shape[1]
-    return coef, tuple(out)
 
 
 def _short_run(y0: np.ndarray, y1: np.ndarray, W: np.ndarray, pi: np.ndarray,
@@ -188,6 +178,22 @@ class VecmModel:
 _Solve = namedtuple("_Solve", "y0 y1 W t_last lam vecs logdet s01")
 
 
+def _check_factor(ta: np.ndarray, lead: np.ndarray, norms: np.ndarray,
+                  n) -> None:
+    """Raise :class:`NumericalError` when a window (or any of a stack) is
+    singular: a pivot of ``ta``, the factor of y0's residual on W, or of
+    ``lead``, the factor of [W, y1], that :func:`singular_pivots` reads as
+    singular against ``norms``, the column norms of [W, y1, y0] in the
+    window's n rows."""
+    q = lead.shape[-1]
+    if singular_pivots(ta, norms[..., q:], n).any():
+        raise NumericalError(
+            "residual moment matrix is singular; reduce the lag order or rank")
+    if singular_pivots(lead, norms[..., :q], n).any():
+        raise NumericalError(
+            "lagged-level moment matrix is singular; reduce p or rank")
+
+
 def _johansen_solve(z: np.ndarray, p: int, det: DeterministicSpec) -> _Solve:
     """One window's reduced-rank eigenproblem from one triangular factor.
 
@@ -196,20 +202,15 @@ def _johansen_solve(z: np.ndarray, p: int, det: DeterministicSpec) -> _Solve:
     A[:m]'R22/n and S00 = A'A/n, none of them squared out of the data.
     With A = Qa Ta and Qa[:m] = U diag(σ) V', λ = σ² (squared canonical
     correlations; Björck & Golub 1973, Doornik & O'Brien 2002), zero-padded
-    to m and clipped at 1 - 1e-12; the vectors are √n R22⁻¹U.  A pivot of
-    Ta, then of R22, that :func:`singular_pivots` reads as singular
-    against its column of y0 (of y1) raises :class:`NumericalError`.
+    to m and clipped at 1 - 1e-12; the vectors are √n R22⁻¹U.  A singular
+    Ta, then a singular R[:k+m, :k+m], raises (:func:`_check_factor`).
     """
     y0, y1, W, t_last = _ec_design(z, p, det)
     (n, N), k, m = y0.shape, W.shape[1], y1.shape[1]
-    R = np.linalg.qr(np.hstack([W, y1, y0]), mode="r")
+    design = np.hstack([W, y1, y0])
+    R = np.linalg.qr(design, mode="r")
     r22, (qa, ta) = R[k:k + m, k:k + m], np.linalg.qr(R[k:, k + m:])
-    if singular_pivots(ta, np.linalg.norm(y0, axis=0), n).any():
-        raise NumericalError(
-            "residual moment matrix is singular; reduce the lag order or rank")
-    if singular_pivots(r22, np.linalg.norm(y1, axis=0), n).any():
-        raise NumericalError(
-            "lagged-level moment matrix is singular; reduce p or rank")
+    _check_factor(ta, R[:k + m, :k + m], np.linalg.norm(design, axis=0), n)
     u, sigma, _ = np.linalg.svd(qa[:m])
     lam = np.zeros(m)
     lam[:N] = np.clip(sigma * sigma, 0.0, 1.0 - 1e-12)
@@ -357,14 +358,33 @@ def vecm_iterated_forecast(model: VecmModel, history: np.ndarray,
 # -- pivoted-QR group lasso ---------------------------------------------------
 
 
-def _group_basis(X: np.ndarray, y: np.ndarray, gram: np.ndarray):
-    """Eigenbasis of min ||y - Xb||^2 + kappa·||b||_2, shared by every kappa.
+#: group problems j = 0..m-1, stacked on the leading axes: each row holds
+#: problem j's Gram eigenvalues ``d`` and rotated X'y ``ch`` in its first
+#: j + 1 entries, its eigenvectors ``V`` in its leading (j+1)-square block
+#: (padding: d = 1, ch = 0, V = I), and ``cnorm`` = ||X'y||
+_Bases = namedtuple("_Bases", "d V ch cnorm")
 
-    ``gram`` is X'X; returns (d, V, V'c, ||c||) with c = X'y.
+
+def _group_bases(G: np.ndarray, C: np.ndarray) -> _Bases:
+    """Eigenbases of min ||y_j - X[:, :j+1] b||^2 + kappa·||b||_2 for
+    j = 0..m-1, shared by every kappa, from G = X'X and C = X'[y_0 … y_m-1]
+    (..., m, m): one ``eigh`` per problem size for the whole stack.
+
+    An eigenvalue at most 1e-12 of its problem's largest is null and
+    padded like the unused entries, so each problem is solved in the
+    range of its Gram, where X'y and the unique minimizer lie.
     """
-    c = X.T @ y
-    d, V = np.linalg.eigh(gram)
-    return d, V, V.T @ c, np.linalg.norm(c)
+    m = G.shape[-1]
+    d, ch = np.ones(G.shape), np.zeros(G.shape)
+    V = np.zeros(G.shape + (m,)) + np.eye(m)
+    for j in range(m):
+        dj, vj = np.linalg.eigh(G[..., :j + 1, :j + 1])
+        chj = (np.swapaxes(vj, -1, -2) @ C[..., :j + 1, j:j + 1])[..., 0]
+        null = dj <= dj.max(axis=-1, keepdims=True) * 1e-12
+        d[..., j, :j + 1] = np.where(null, 1.0, dj)
+        ch[..., j, :j + 1] = np.where(null, 0.0, chj)
+        V[..., j, :j + 1, :j + 1] = vj
+    return _Bases(d, V, ch, np.linalg.norm(np.triu(C), axis=-2))
 
 
 #: Newton steps allowed per secular equation; convergence takes far fewer
@@ -407,31 +427,24 @@ def _secular_roots(d: np.ndarray, ch: np.ndarray, kappa: np.ndarray
     raise ConvergenceError("group-lasso secular equation did not converge")
 
 
-def _group_lasso(bases, kappa: np.ndarray) -> np.ndarray:
+def _group_lasso(bases: _Bases, kappa: np.ndarray) -> np.ndarray:
     """Exact minimizers of ||y_j - X_j b||^2 + kappa·||b||_2.
 
-    Problem j is given by its Gram eigenbasis ``bases[j]`` (from
-    :func:`_group_basis`), ``kappa`` by one row of penalties per problem;
-    returns (penalties, columns, problems), zero-padded.  Either the zero
-    condition 2||X_j'y|| <= kappa holds, or (X_j'X_j + mu I)b = X_j'y with
-    mu = kappa/(2||b||), from one secular solve over every problem and
-    penalty, of however many fits.  It runs in the range of the Gram (the
-    eigenvectors with d > 1e-12·max(d)), where X_j'y and the unique
-    minimizer lie; kappa = 0 takes mu = 0, the minimum-norm least-squares
-    solution, and a root ||b|| below 1e-14 of that solution's norm, where
-    2||X_j'y|| exceeds kappa only by rounding, gives zero.
+    The problems are those of ``bases`` (from :func:`_group_bases`), in
+    the order of their flattened leading axes, ``kappa`` holds one row of
+    penalties per problem; returns (penalties, columns, problems),
+    zero-padded.  Either the zero condition 2||X_j'y|| <= kappa holds, or
+    (X_j'X_j + mu I)b = X_j'y with mu = kappa/(2||b||), from one secular
+    solve over every problem and penalty, of however many fits, in the
+    range of the Gram.  kappa = 0 takes mu = 0, the minimum-norm
+    least-squares solution, and a root ||b|| below 1e-14 of that
+    solution's norm, where 2||X_j'y|| exceeds kappa only by rounding,
+    gives zero.
     """
-    P, m = kappa.shape[0], max(basis[0].size for basis in bases)
-    D, CH = np.ones((P, m)), np.zeros((P, m))
-    V = np.tile(np.eye(m), (P, 1, 1))
-    cnorm, upper = np.empty(P), np.empty(P)
-    for j, (d, v, ch, cn) in enumerate(bases):
-        k = d.size
-        D[j, :k], CH[j, :k], V[j, :k, :k] = d, ch, v
-        null = d <= d.max() * 1e-12
-        if null.any():
-            D[j, :k][null], CH[j, :k][null] = 1.0, 0.0
-        cnorm[j], upper[j] = cn, np.linalg.norm(CH[j, :k] / D[j, :k])
+    P, m = kappa.shape[0], bases.d.shape[-1]
+    D, CH = bases.d.reshape(P, m), bases.ch.reshape(P, m)
+    V, cnorm = bases.V.reshape(P, m, m), bases.cnorm.reshape(P)
+    upper = np.linalg.norm(CH / D, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         lower = upper * 1e-14
         floor_gap = np.linalg.norm(
@@ -452,85 +465,112 @@ def _group_lasso(bases, kappa: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _QrStage:
-    """Initializer stage shared by fitting and cross-validation.
+class _QrStages:
+    """The initializer stages of one window, shared by fitting and
+    cross-validation and stacked on a leading axis.
 
-    ``short_run`` holds the coefficients of W in the regressions of
-    [y0, y1] that partial it out; ``bases`` holds one group problem per
-    column of the triangular factor.
+    Stage s fits the first ``rows[s]`` rows of the window's design
+    [W, y1, y0] (k, N and N columns).  ``R`` is the triangular factor of
+    those rows, with zero rows under a prefix shorter than its width;
+    ``short_run`` = R11⁻¹[R13, R12] holds the coefficients of W in the
+    regressions of [y0, y1] on it; ``Q``, ``piv`` and ``weights`` come from
+    the pivoted QR of the OLS long run; ``bases`` holds one group problem
+    per column of its triangular factor.
     """
 
-    y0: np.ndarray
-    y1: np.ndarray
-    W: np.ndarray
-    t_last: int
+    rows: np.ndarray
+    k: int
+    R: np.ndarray
     short_run: np.ndarray
     Q: np.ndarray
     piv: np.ndarray
     weights: np.ndarray
-    bases: list
+    bases: _Bases
 
 
-def _qr_stage(z: np.ndarray, p: int) -> _QrStage:
-    """Partial out the short run, pivot-QR the OLS long run, and form the
-    column problems of the window ``z``."""
-    y0, y1, W, t_last = _ec_design(z, p, DeterministicSpec.NONE)
-    short_run, (y0c, y1c) = _partial_out(W, y0, y1)
-    gram = y1c.T @ y1c
-    try:
-        pi_ols = np.linalg.solve(gram, y1c.T @ y0c).T
-    except np.linalg.LinAlgError:
-        raise NumericalError("lagged-level Gram matrix is singular")
-    Q, R0, piv = scipy.linalg.qr(pi_ols.T, pivoting=True)
-    N = z.shape[1]
-    weights = np.array([np.linalg.norm(R0[j, j:]) for j in range(N)])
-    X = y1c @ Q
-    targets = y0c[:, piv]
-    G = X.T @ X
-    bases = [_group_basis(X[:, :j + 1], targets[:, j], G[:j + 1, :j + 1])
-             for j in range(N)]
-    return _QrStage(y0, y1, W, t_last, short_run, Q, piv, weights, bases)
+def _qr_stages(design: np.ndarray, k: int, rows: Sequence[int]
+               ) -> _QrStages:
+    """The stages of the row prefixes ``rows`` of ``design`` = [W, y1, y0],
+    read off one triangular factor per prefix.
+
+    With R = [[R11, R12, R13], [0, R22, R23], [0, 0, R33]], the OLS long
+    run is Π' = R22⁻¹R23 and the short run R11⁻¹[R13, R12], from one solve
+    for every stage.  Π' = QR0 with column pivoting; column problem j
+    regresses column piv[j] of y0's residual on W on the first j + 1
+    columns of (y1's residual on W)·Q, so with M = R22·Q their Gram is M'M
+    and their cross-products are M'R23[:, piv], from one product.  A
+    singular prefix raises (:func:`_check_factor`).
+    """
+    S, K = len(rows), design.shape[1]
+    N = (K - k) // 2
+    R = np.zeros((S, K, K))
+    for s, n in enumerate(rows):
+        f = np.linalg.qr(design[:n], mode="r")
+        R[s, :f.shape[0]] = f
+    _check_factor(np.linalg.qr(R[:, k:, k + N:], mode="r"),
+                  R[:, :k + N, :k + N], np.linalg.norm(R, axis=1),
+                  np.asarray(rows)[:, None])
+    # diag(R11, R22)⁻¹ [[R13, R12], [R23, 0]] = [[short run], [Π', 0]]
+    lhs, rhs = np.zeros((S, k + N, k + N)), np.zeros((S, k + N, 2 * N))
+    lhs[:, :k, :k], lhs[:, k:, k:] = R[:, :k, :k], R[:, k:k + N, k:k + N]
+    rhs[:, :, :N], rhs[:, :k, N:] = R[:, :k + N, k + N:], R[:, :k, k:k + N]
+    coef = np.linalg.solve(lhs, rhs)
+    Q, R0 = np.empty((S, N, N)), np.empty((S, N, N))
+    piv = np.empty((S, N), int)
+    for s in range(S):
+        Q[s], R0[s], piv[s] = scipy.linalg.qr(coef[s, k:, :N], pivoting=True)
+    M = R[:, k:k + N, k:k + N] @ Q
+    targets = np.take_along_axis(R[:, k:k + N, k + N:], piv[:, None], axis=2)
+    MtB = np.swapaxes(M, 1, 2) @ np.concatenate([M, targets], axis=2)
+    return _QrStages(np.asarray(rows), k, R, coef[:, :k], Q, piv,
+                     np.linalg.norm(R0, axis=2),
+                     _group_bases(MtB[..., :N], MtB[..., N:]))
 
 
-def _qr_paths(stages, grid: np.ndarray) -> np.ndarray:
+def _qr_paths(stages: _QrStages, grid: np.ndarray) -> np.ndarray:
     """Fitted R matrices of every stage at every penalty in ``grid``,
     (stages, penalties, N, N), from one :func:`_group_lasso` solve.
 
     Column j of R has support on rows 0..j and its own response series;
     zero weights encode an infinite penalty.
     """
+    S, N = stages.weights.shape
     with np.errstate(divide="ignore", invalid="ignore"):
-        kappa = np.concatenate([np.where(grid > 0, grid / s.weights[:, None],
-                                         0.0) for s in stages])
-    out = _group_lasso([b for s in stages for b in s.bases], kappa)
-    N = stages[0].weights.size
-    return out.reshape(grid.size, N, len(stages), N).transpose(2, 0, 1, 3)
+        kappa = np.where(grid > 0, grid / stages.weights[..., None], 0.0)
+    out = _group_lasso(stages.bases, kappa.reshape(S * N, grid.size))
+    return out.reshape(grid.size, N, S, N).transpose(2, 0, 1, 3)
 
 
-def _qr_assemble(s: _QrStage, p: int, R: np.ndarray, lam: float) -> VecmModel:
+def _qr_assemble(stages: _QrStages, p: int, R: np.ndarray, lam: float,
+                 t_last: int) -> VecmModel:
     """(A, B) = (unit pivot columns, QR) over the nonzero columns of a
-    fitted R; the short run is re-estimated."""
+    fitted R of the last stage, the full sample; the short run is the OLS
+    given Π and Σ the covariance of its residuals, both read off the
+    stage's factor."""
+    Q, piv, F, k = stages.Q[-1], stages.piv[-1], stages.R[-1], stages.k
+    N = Q.shape[0]
     nonzero = np.flatnonzero(np.any(R != 0.0, axis=0))
-    a = np.zeros((s.Q.shape[0], nonzero.size))
-    a[s.piv[nonzero], np.arange(nonzero.size)] = 1.0
-    b = s.Q @ R[:, nonzero]
-    mu, phi, sigma = _short_run(s.y0, s.y1, s.W, a @ b.T, p,
-                                DeterministicSpec.NONE)
-    return VecmModel(a=a, b=b, phi=phi, mu=mu, sigma=sigma,
+    a = np.zeros((N, nonzero.size))
+    a[piv[nonzero], np.arange(nonzero.size)] = 1.0
+    b = Q @ R[:, nonzero]
+    pi_t = b @ a.T
+    c = stages.short_run[-1, :, :N] - stages.short_run[-1, :, N:] @ pi_t
+    resid = F[k:, k + N:] - F[k:, k:k + N] @ pi_t
+    return VecmModel(a=a, b=b, phi=tuple(c[j * N:(j + 1) * N].T
+                                         for j in range(p)),
+                     mu=np.zeros(N), sigma=resid.T @ resid / stages.rows[-1],
                      rank=b.shape[1], p=p, det=DeterministicSpec.NONE,
-                     t_last=s.t_last, estimator="qr_group_lasso",
+                     t_last=t_last, estimator="qr_group_lasso",
                      info={"lambda": float(lam),
-                           "pivot": [int(v) for v in s.piv]})
+                           "pivot": [int(v) for v in piv]})
 
 
-def _one_step_errors(pi: np.ndarray, phi: np.ndarray, z: np.ndarray,
-                     start: int, stop: int) -> np.ndarray:
-    """Squared one-step difference-forecast errors over rows start..stop-1
-    (0-based indices into z) of the model
+def _one_step_errors(pi: np.ndarray, phi: np.ndarray, y0: np.ndarray,
+                     y1: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Squared one-step difference-forecast errors on the rows (y0, y1, W)
+    of an error-correction design (``det`` 'none') of the model
     Δz_t = Πz_{t-1} + Σ_j Φ_jΔz_{t-j}, with ``phi`` = [Φ_1 … Φ_p], or of
     each model in a stack of them."""
-    p = phi.shape[-1] // z.shape[1]
-    y0, y1, W, _ = _ec_design(z[start - p - 1:stop], p, DeterministicSpec.NONE)
     resid = y0 - y1 @ np.swapaxes(pi, -1, -2) - W @ np.swapaxes(phi, -1, -2)
     return resid * resid
 
@@ -546,23 +586,28 @@ def qr_vecm(data, p: int = 1, lambda_grid: Optional[Sequence[float]] = None
             ) -> VecmModel:
     """Rank-adaptive VECM via pivoted QR of the long-run OLS estimate.
 
-    The short-run block is partialled out, the unrestricted long-run
-    matrix is QR-factorized with column pivoting, and an adaptive group
-    lasso shrinks whole columns of the triangular factor to zero; the
-    count of surviving columns is the estimated rank.  The penalty level
-    is chosen from ``lambda_grid`` (default: :func:`default_lambda_grid`
-    up to the smallest penalty that zeroes every column) by five-fold
-    expanding-window cross-validation on one-step forecasts
-    (the folds of :func:`expanding_folds`, the tie rule of
-    :func:`last_minimum`), with validation starting at
+    The long-run OLS matrix, read off the triangular factor of the
+    error-correction design [W, y1, y0], is QR-factorized with column
+    pivoting, and an adaptive group lasso on the residuals of the
+    short-run block shrinks whole columns of the triangular factor to
+    zero; the count of surviving columns is the estimated rank.  The
+    penalty level is chosen from ``lambda_grid`` (default:
+    :func:`default_lambda_grid` up to the smallest penalty that zeroes
+    every column) by five-fold expanding-window cross-validation on
+    one-step forecasts (the folds of :func:`expanding_folds`, the tie rule
+    of :func:`last_minimum`), with validation starting at
     max(N(p+1) + p + 3, T/2) and ties taking the larger penalty; a window
-    too short for any fold takes the largest.  Every fold's stage is
-    built first, and one batched secular solve gives R for every fold,
-    column and penalty, the full sample included.  Each fold then scores
-    the whole grid with one stacked residual product: Π of a penalty is
-    the pivot-permuted (QR)', and its short run is C0 - C1Π' from the
-    fold's partial-out coefficients.  The final short-run block is
-    re-estimated by OLS.  Assumes de-meaned/de-trended input.
+    too short for any fold takes the largest.  The design is built once:
+    each fold trains on a row prefix of it and validates on a row slice.
+    Every fold's stage and the full sample's are built together
+    (:func:`_qr_stages`), and one batched secular solve gives R for every
+    stage, column and penalty.  Each fold then scores the whole grid with
+    one stacked residual product: Π of a penalty is the pivot-permuted
+    (QR)', and its short run is C0 - C1Π' from the fold's short-run
+    coefficients.  The final short run and residual covariance are the
+    OLS given Π, read off the full sample's factor.  A singular window or
+    fold raises :class:`NumericalError` with :func:`johansen_ml`'s
+    messages.  Assumes de-meaned/de-trended input.
     """
     z = as_values(data)
     T, N = z.shape
@@ -570,30 +615,37 @@ def qr_vecm(data, p: int = 1, lambda_grid: Optional[Sequence[float]] = None
         raise DataError(
             f"QR estimator needs an OLS initializer, requiring N(p+1) < T; "
             f"got N={N}, p={p}, T={T}")
-    stage = _qr_stage(z, p)
-    if lambda_grid is None:
-        zero_at = max(2.0 * basis[3] * w
-                      for basis, w in zip(stage.bases, stage.weights))
-        lambda_grid = default_lambda_grid(zero_at)
-    grid = np.sort(penalty_levels(list(lambda_grid), "lambda grid"))
-    if grid.size == 0:
-        raise ParameterError("lambda grid is empty")
+    grid = None
+    if lambda_grid is not None:
+        grid = np.sort(penalty_levels(list(lambda_grid), "lambda grid"))
+        if grid.size == 0:
+            raise ParameterError("lambda grid is empty")
+    y0, y1, W, t_last = _ec_design(z, p, DeterministicSpec.NONE)
     first = max(N * (p + 1) + p + 3, T // 2)
-    blocks = [] if grid.size == 1 or first >= T else \
-        expanding_folds(T, 5, first)
-    stages = [_qr_stage(z[:lo], p) for lo, _ in blocks] + [stage]
+    blocks = [] if first >= T or (grid is not None and grid.size == 1) \
+        else expanding_folds(T, 5, first)
+    # fold (lo, hi) trains on the design rows of z[:lo] and validates on
+    # those of z[lo - p - 1:hi]
+    stages = _qr_stages(np.hstack([W, y1, y0]), W.shape[1],
+                        [lo - p - 1 for lo, _ in blocks] + [y0.shape[0]])
+    if grid is None:
+        grid = default_lambda_grid(float(np.max(
+            2.0 * stages.bases.cnorm[-1] * stages.weights[-1])))
     fits = _qr_paths(stages, grid)
     losses = np.zeros(grid.size)
-    for s, R, (lo, hi) in zip(stages, fits, blocks):
-        # Π = AB' puts (QR_j)' in row piv[j]; OLS of the partialled short
-        # run is linear in the response, so Φ' = C0 - C1Π'
-        pi = np.zeros_like(R)
-        pi[:, s.piv] = np.swapaxes(s.Q @ R, 1, 2)
-        phi = s.short_run[:, :N] - s.short_run[:, N:] @ np.swapaxes(pi, 1, 2)
-        err = _one_step_errors(pi, np.swapaxes(phi, 1, 2), z, lo, hi)
+    for s, (lo, hi) in enumerate(blocks):
+        # Π = AB' puts (QR_j)' in row piv[j]; OLS of the short run is
+        # linear in the response, so Φ' = C0 - C1Π'
+        pi = np.zeros_like(fits[s])
+        pi[:, stages.piv[s]] = np.swapaxes(stages.Q[s] @ fits[s], 1, 2)
+        c = stages.short_run[s]
+        phi = c[:, :N] - c[:, N:] @ np.swapaxes(pi, 1, 2)
+        rows = slice(lo - p - 1, hi - p - 1)
+        err = _one_step_errors(pi, np.swapaxes(phi, 1, 2), y0[rows],
+                               y1[rows], W[rows])
         losses += err.reshape(grid.size, -1).sum(axis=1)
     best = last_minimum(losses) if blocks else grid.size - 1
-    return _qr_assemble(stage, p, fits[-1][best], grid[best])
+    return _qr_assemble(stages, p, fits[-1][best], grid[best], t_last)
 
 
 # -- penalized maximum likelihood ---------------------------------------------

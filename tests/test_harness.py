@@ -292,3 +292,20 @@ class TestCollinearPanels:
         assert len(system) == 2 * len(report.window_starts)
         assert {d[4] for d in system} == {
             "residual moment matrix is singular; reduce the lag order or rank"}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("extra", ["duplicate", "combination"])
+    def test_qr_vecm_reports_the_singular_system(self, extra):
+        # its stages are read off the same factor as the Johansen solve, so
+        # it meets the collinear series with the same diagnostic
+        params = random_vecm_params(8, 2, p=1, seed=0)
+        z = simulate_vecm(params, 140, seed=1).values
+        col = z[:, 0] if extra == "duplicate" else z[:, 0] + 2 * z[:, 1]
+        cfg = HarnessConfig(window=114, horizons=(1, 3),
+                            methods=("ar", "qr_vecm"), benchmark="ar",
+                            boot_reps=199, seed=0)
+        report = run_rolling(np.column_stack([z, col]), cfg)
+        qr = [d for d in report.diagnostics if d[3] == "qr_vecm"]
+        assert [d[0] for d in qr] == list(report.window_starts)
+        assert {d[4] for d in qr} == {
+            "residual moment matrix is singular; reduce the lag order or rank"}

@@ -6,6 +6,7 @@ import pytest
 from hdcoint import (DataError, HarnessConfig, ParameterError, from_values,
                      mcs, run_rolling)
 from hdcoint.bootstrap import _multiplier_matrix
+from hdcoint.harness import _eliminate
 
 
 def _losses(rng, n=100, spread=0.0):
@@ -149,3 +150,60 @@ class TestSharedDraw:
             assert report.mcs_members[key] == direct.members
         assert len(report.losses) == 4
         assert len(rows) == 2 and min(rows) >= 30
+
+
+def _eliminate_by_round(L, xi, alpha, names):
+    """The elimination one bootstrap product per round replaced: each
+    round forms the differentials of its active pairs afresh."""
+    n, K = L.shape
+    means = L.mean(axis=0)
+    active = list(range(K))
+    pvalues, eliminated, running = {}, [], 0.0
+    while len(active) > 1:
+        pairs = [(i, j) for a, i in enumerate(active)
+                 for j in active[a + 1:]]
+        D = np.column_stack([L[:, i] - L[:, j] for i, j in pairs])
+        dbar = D.mean(axis=0)
+        boot = xi @ (D - dbar) / n
+        se = boot.std(axis=0, ddof=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_obs = np.where(se > 0, np.abs(dbar) / se,
+                             np.where(dbar == 0, 0.0, np.inf))
+            t_boot = np.abs(np.where(se > 0, boot / se, 0.0))
+        T_obs = float(np.max(t_obs))
+        p_round = 1.0 if T_obs == 0 else float(
+            np.mean(t_boot.max(axis=1) >= T_obs))
+        running = max(running, p_round)
+        worst = active[int(np.argmax(means[active]))]
+        pvalues[names[worst]] = running
+        eliminated.append(names[worst])
+        active.remove(worst)
+    pvalues[names[active[0]]] = 1.0
+    members = tuple(nm for nm in names if pvalues[nm] >= alpha)
+    return pvalues, members, tuple(eliminated)
+
+
+class TestOneBootstrapPerKey:
+    """All pairs bootstrapped once give the round-by-round p-values,
+    members and elimination order, ties and degenerate pairs included."""
+
+    def test_matches_the_round_by_round_elimination(self):
+        rng = np.random.default_rng(31)
+        for case in range(120):
+            n, K = int(rng.integers(30, 70)), int(rng.integers(2, 9))
+            base = rng.standard_normal(n) ** 2
+            L = base[:, None] + rng.standard_normal((n, K)) \
+                * rng.uniform(0.05, 1.0, size=K) + rng.uniform(0, 0.5, size=K)
+            if case % 3 == 0 and K > 2:
+                L[:, 1] = L[:, 0]              # a duplicated column
+            if case % 4 == 1 and K > 2:
+                L[:, 2] = L[:, 0] + 0.25       # a zero-variance pair
+            if case % 5 == 2:
+                L = np.round(L, 1)             # tied means and losses
+            xi = _multiplier_matrix(199, n, 0.85, case)
+            names = tuple(f"m{i}" for i in range(K))
+            alpha = float(rng.uniform(0.05, 0.5))
+            got = _eliminate(L, xi, alpha, names)
+            want = _eliminate_by_round(L, xi, alpha, names)
+            assert (got.pvalues, got.members, got.eliminated) == want
+            assert list(got.pvalues) == list(want[0])

@@ -14,18 +14,21 @@ from hdcoint import (DataError, NumericalError, ParameterError, VecmParams,
                      vecm_iterated_forecast)
 from hdcoint._numeric import soft_threshold
 from hdcoint.panel import DeterministicSpec
-from hdcoint.vecm import (_ec_design, _group_basis, _group_lasso,
+from hdcoint.vecm import (_Bases, _ec_design, _group_bases, _group_lasso,
                           _johansen_solve, _one_step_errors, _pml_init,
-                          _pml_objective, _qr_assemble, _qr_stage,
+                          _pml_objective, _qr_assemble, _qr_stages,
                           default_lambda_grid)
 from tests.conftest import canonical_correlations, subspace_angle_deg
 
 
 def _group_lasso_single(X, y, kappa):
     """Exact minimizer of ||y - Xb||^2 + kappa·||b||_2: one problem, one
-    penalty of :func:`_group_lasso`."""
-    basis = _group_basis(X, y, X.T @ X)
-    return _group_lasso([basis], np.array([[kappa]]))[0, :, 0]
+    penalty of :func:`_group_lasso`, the last of the nested problems whose
+    last target is y."""
+    C = np.zeros((X.shape[1],) * 2)
+    C[:, -1] = X.T @ y
+    last = _Bases(*(a[-1:] for a in _group_bases(X.T @ X, C)))
+    return _group_lasso(last, np.array([[kappa]]))[0, :, 0]
 
 
 def _sim(n, r, T, seed, p=0):
@@ -197,12 +200,16 @@ def _degenerate_windows():
     """Exactly singular windows: (name, panel, lags that make it singular)."""
     z = simulate_vecm(random_vecm_params(5, 2, p=1, seed=7), 150,
                       seed=8).values
+    # constant but for its last value: a zero column of lagged differences
+    # in W, while y0 and y1 stay of full rank under 'none'
+    jump = np.where(np.arange(150) < 149, 3.7, 5.0)
     return [("duplicated", np.column_stack([z, z[:, 2]]), (0, 1, 2)),
             ("combination", np.column_stack([z, z[:, 0] + 2 * z[:, 1]]),
              (0, 1, 2)),
             ("zero", np.column_stack([z, np.zeros(150)]), (0, 1, 2)),
             ("constant", np.column_stack([z, np.full(150, 3.7)]), (0, 1, 2)),
-            ("lagged copy", np.column_stack([z[1:], z[:-1, 3]]), (1, 2))]
+            ("lagged copy", np.column_stack([z[1:], z[:-1, 3]]), (1, 2)),
+            ("last-step jump", np.column_stack([z, jump]), (1, 2))]
 
 
 class TestDegenerateWindows:
@@ -222,6 +229,20 @@ class TestDegenerateWindows:
         # the panel without its degenerate column fits
         z = _degenerate_windows()[0][1][:, :5]
         assert np.isfinite(johansen_ml(z, None, p, det).loglik)
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_qr_vecm_singular_window_raises(self, p):
+        # the QR estimator reads its stages off the same factor, so a
+        # singular window raises the same error at every stage it meets
+        for name, z, lags in _degenerate_windows():
+            if p not in lags:
+                continue
+            with pytest.raises(NumericalError, match="(residual|lagged-level)"
+                               " moment matrix is singular"):
+                qr_vecm(z, p=p)
+        z = _degenerate_windows()[0][1][:, :5]
+        model = qr_vecm(z, p=p)
+        assert np.isfinite(model.sigma).all() and np.isfinite(model.b).all()
 
 
 class TestLagSelection:
@@ -270,21 +291,23 @@ class TestQrVecm:
             qr_vecm(z, p=1, lambda_grid=grid)
 
     # (N, seed, chosen lambda, rank, pivot, 3-step forecast), recorded
-    # before the cross-validation was batched over the lambda grid
+    # before the cross-validation was batched over the lambda grid; the
+    # lambdas re-pinned (within 6e-14) when the stages came to be read off
+    # the triangular factor of the design
     PINNED = [
-        (4, 101, 1.207245107241204, 4, [0, 3, 1, 2],
+        (4, 101, 1.2072451072412127, 4, [0, 3, 1, 2],
          [4.055910660419734, 12.363393528515196, -30.635818526066643,
           3.773323825634949, 4.051962406149397, 12.451198240576462,
           -30.717450580392867, 3.8252865916871697, 4.118469561232516,
           12.443881171961646, -30.891744331322037, 3.8794940645247395]),
-        (6, 124, 29.81973120722583, 2, [4, 2, 0, 5, 3, 1],
+        (6, 124, 29.819731207225782, 2, [4, 2, 0, 5, 3, 1],
          [-12.496929268625331, -7.024389945669054, 9.56140420736985,
           -6.458510785822347, -9.642028652185958, -11.930382684341657,
           -12.56129766844654, -6.867982314673662, 9.22744623528983,
           -6.454160342438799, -9.385460385852525, -11.96817749260702,
           -12.637521970463135, -6.815784885675208, 8.922512640354768,
           -6.420886115237649, -9.12115377979428, -12.015154905510162]),
-        (8, 141, 47.32764687275854, 3, [6, 3, 0, 4, 2, 1, 7, 5],
+        (8, 141, 47.327646872755714, 3, [6, 3, 0, 4, 2, 1, 7, 5],
          [-0.9635082675034142, -10.130423143652797, 23.89298537078727,
           -2.808713719897913, -5.145702854932331, 17.710472774070922,
           -6.714250611590239, -8.741164071597483, -0.9262275550681616,
@@ -326,39 +349,43 @@ class TestQrVecm:
 
 
 def _qr_vecm_per_penalty(z, p, cv_folds=5):
-    """The cross-validation the batched one replaced: one group-lasso solve
-    per fold, then one Π, short run and error-correction design per fold
-    and penalty, scored through ``tscv_tune``."""
+    """The cross-validation the batched one replaced: one stage and one
+    group-lasso solve per fold, each from its own prefix of the design,
+    then one Π, short run and residual product per fold and penalty,
+    scored through ``tscv_tune``."""
     T, N = z.shape
-    stage = _qr_stage(z, p)
-    grid = default_lambda_grid(max(2.0 * basis[3] * w for basis, w
-                                   in zip(stage.bases, stage.weights)))
+    y0, y1, W, _ = _ec_design(z, p, DeterministicSpec.NONE)
+    design, k = np.hstack([W, y1, y0]), W.shape[1]
+    stage = _qr_stages(design, k, [T - p - 1])
+    grid = default_lambda_grid(float(np.max(2.0 * stage.bases.cnorm
+                                            * stage.weights)))
 
     def path(s, lams):
         with np.errstate(divide="ignore", invalid="ignore"):
-            kappa = np.where(lams > 0, lams / s.weights[:, None], 0.0)
+            kappa = np.where(lams > 0, lams / s.weights[0][:, None], 0.0)
         return _group_lasso(s.bases, kappa)
 
     def builder(stop):
-        s = _qr_stage(z[:stop], p)
+        s = _qr_stages(design, k, [stop - p - 1])
         fits = dict(zip(grid, path(s, grid)))
-        c0, c1 = s.short_run[:, :N], s.short_run[:, N:]
+        c0, c1 = s.short_run[0][:, :N], s.short_run[0][:, N:]
 
         def scorer(lam, rows):
             R = fits[lam]
             nonzero = np.flatnonzero(np.any(R != 0.0, axis=0))
             a = np.zeros((N, nonzero.size))
-            a[s.piv[nonzero], np.arange(nonzero.size)] = 1.0
-            pi = a @ (s.Q @ R[:, nonzero]).T
-            return _one_step_errors(pi, (c0 - c1 @ pi.T).T, z, rows[0],
-                                    rows[-1] + 1)
+            a[s.piv[0][nonzero], np.arange(nonzero.size)] = 1.0
+            pi = a @ (s.Q[0] @ R[:, nonzero]).T
+            block = slice(rows[0] - p - 1, rows[-1] - p)
+            return _one_step_errors(pi, (c0 - c1 @ pi.T).T, y0[block],
+                                    y1[block], W[block])
 
         return scorer
 
     first = max(N * (p + 1) + p + 3, T // 2)
     lam = grid[-1] if first >= T else tscv_tune(builder, grid, n_rows=T,
                                                 folds=cv_folds, first=first)
-    return _qr_assemble(stage, p, path(stage, np.array([lam]))[0], lam)
+    return _qr_assemble(stage, p, path(stage, np.array([lam]))[0], lam, T)
 
 
 class TestQrVecmOracle:
@@ -456,10 +483,8 @@ class TestGroupLassoStep:
         # the QR estimator; every (problem, penalty) pair is solved at once
         X = rng.standard_normal((60, 5))
         Y = rng.standard_normal((60, 5))
-        G = X.T @ X
-        bases = [_group_basis(X[:, :j + 1], Y[:, j], G[:j + 1, :j + 1])
-                 for j in range(5)]
-        tops = np.array([2.0 * b[3] for b in bases])
+        bases = _group_bases(X.T @ X, X.T @ Y)
+        tops = 2.0 * bases.cnorm
         kappa = tops[:, None] * np.array([0.0, 0.01, 0.3, 0.9, 1.0, 2.0])
         out = _group_lasso(bases, kappa)
         for j in range(5):
@@ -486,7 +511,9 @@ class TestOneStepSse:
         _, z = _sim(4, 2, 160, 30 + p, p=p)
         model = johansen_ml(z[:120], r=r, p=p, det="none")
         phi = np.hstack(model.phi) if p else np.zeros((4, 0))
-        got = float(np.sum(_one_step_errors(model.pi, phi, z, 120, 160)))
+        y0, y1, W, _ = _ec_design(z[120 - p - 1:160], p,
+                                  DeterministicSpec.NONE)
+        got = float(np.sum(_one_step_errors(model.pi, phi, y0, y1, W)))
         want = self._loop(model, z, 120, 160)
         assert got == pytest.approx(want, rel=1e-12)
 

@@ -293,29 +293,36 @@ class TestQrVecm:
     # (N, seed, chosen lambda, rank, pivot, 3-step forecast), recorded
     # before the cross-validation was batched over the lambda grid; the
     # lambdas re-pinned (within 6e-14) when the stages came to be read off
-    # the triangular factor of the design
+    # the triangular factor of the design. Each case keeps the id it was
+    # first recorded under, so a re-pinned lambda does not rename it.
     PINNED = [
-        (4, 101, 1.2072451072412127, 4, [0, 3, 1, 2],
-         [4.055910660419734, 12.363393528515196, -30.635818526066643,
-          3.773323825634949, 4.051962406149397, 12.451198240576462,
-          -30.717450580392867, 3.8252865916871697, 4.118469561232516,
-          12.443881171961646, -30.891744331322037, 3.8794940645247395]),
-        (6, 124, 29.819731207225782, 2, [4, 2, 0, 5, 3, 1],
-         [-12.496929268625331, -7.024389945669054, 9.56140420736985,
-          -6.458510785822347, -9.642028652185958, -11.930382684341657,
-          -12.56129766844654, -6.867982314673662, 9.22744623528983,
-          -6.454160342438799, -9.385460385852525, -11.96817749260702,
-          -12.637521970463135, -6.815784885675208, 8.922512640354768,
-          -6.420886115237649, -9.12115377979428, -12.015154905510162]),
-        (8, 141, 47.327646872755714, 3, [6, 3, 0, 4, 2, 1, 7, 5],
-         [-0.9635082675034142, -10.130423143652797, 23.89298537078727,
-          -2.808713719897913, -5.145702854932331, 17.710472774070922,
-          -6.714250611590239, -8.741164071597483, -0.9262275550681616,
-          -10.083110160868719, 23.88108744637075, -2.851802427127895,
-          -4.9890020155827015, 17.70371082174143, -6.508864322125823,
-          -8.613902031994332, -0.9140080714282359, -10.050161354435858,
-          23.87272489692069, -2.887408604284511, -4.955680014654363,
-          17.680366186255945, -6.372230796667193, -8.632366002598364]),
+        pytest.param(
+            4, 101, 1.2072451072412127, 4, [0, 3, 1, 2],
+            [4.055910660419734, 12.363393528515196, -30.635818526066643,
+             3.773323825634949, 4.051962406149397, 12.451198240576462,
+             -30.717450580392867, 3.8252865916871697, 4.118469561232516,
+             12.443881171961646, -30.891744331322037, 3.8794940645247395],
+            id="4-101-1.207245107241204-4-pivot0-forecast0"),
+        pytest.param(
+            6, 124, 29.819731207225782, 2, [4, 2, 0, 5, 3, 1],
+            [-12.496929268625331, -7.024389945669054, 9.56140420736985,
+             -6.458510785822347, -9.642028652185958, -11.930382684341657,
+             -12.56129766844654, -6.867982314673662, 9.22744623528983,
+             -6.454160342438799, -9.385460385852525, -11.96817749260702,
+             -12.637521970463135, -6.815784885675208, 8.922512640354768,
+             -6.420886115237649, -9.12115377979428, -12.015154905510162],
+            id="6-124-29.81973120722583-2-pivot1-forecast1"),
+        pytest.param(
+            8, 141, 47.327646872755714, 3, [6, 3, 0, 4, 2, 1, 7, 5],
+            [-0.9635082675034142, -10.130423143652797, 23.89298537078727,
+             -2.808713719897913, -5.145702854932331, 17.710472774070922,
+             -6.714250611590239, -8.741164071597483, -0.9262275550681616,
+             -10.083110160868719, 23.88108744637075, -2.851802427127895,
+             -4.9890020155827015, 17.70371082174143, -6.508864322125823,
+             -8.613902031994332, -0.9140080714282359, -10.050161354435858,
+             23.87272489692069, -2.887408604284511, -4.955680014654363,
+             17.680366186255945, -6.372230796667193, -8.632366002598364],
+            id="8-141-47.32764687275854-3-pivot2-forecast2"),
     ]
 
     @pytest.mark.parametrize("n, seed, lam, rank, pivot, forecast", PINNED)

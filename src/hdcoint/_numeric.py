@@ -1,11 +1,12 @@
 """Numeric kernels shared by several modules of the package, one
 implementation each: the AR(1) recursion, the residual factors of every
 lag-by-BIC choice, the rule that reads a triangular factor's pivot as
-singular, the sign convention of eigen- and singular vectors, the
-zero-safe column scale, the soft-threshold and its coordinate sweep, the
-fold edges and tie rule of the expanding-window cross-validation of the
-SPECS/PADL and QR-VECM penalties, and the rule that every penalty level
-is finite and non-negative.
+singular, the column order of a pivoted QR, the sign convention of
+eigen- and singular vectors, the zero-safe column scale, the
+soft-threshold and its coordinate sweep, the fold edges and tie rule of
+the expanding-window cross-validation of the SPECS/PADL and QR-VECM
+penalties, and the rule that every penalty level is finite and
+non-negative.
 """
 
 from __future__ import annotations
@@ -51,6 +52,41 @@ def singular_pivots(F: np.ndarray, norms, n: int) -> np.ndarray:
     piv = np.zeros(F.shape[:-2] + F.shape[-1:])
     piv[..., :min(F.shape[-2:])] = np.abs(np.diagonal(F, axis1=-2, axis2=-1))
     return ~(piv > n * np.finfo(float).eps * norms)
+
+
+def pivot_order(A: np.ndarray) -> np.ndarray:
+    """Column order (..., n) of the column-pivoted QR of each matrix of
+    the stack A (..., m >= n, n), by the Businger-Golub rule of LAPACK's
+    ``dgeqp3``: each step takes the unchosen column whose residual on the
+    chosen ones has the largest norm and swaps it into place, ties going
+    to the first in that working order (the smaller index until a swap
+    moves a column back).  The residuals are updated by modified
+    Gram-Schmidt, one step for the whole stack, and their norms recomputed
+    at every step; a QR of ``A`` permuted by this order is the pivoted QR.
+    Norms within rounding of each other, as of two exact copies met after
+    the first step, may be ordered otherwise than by LAPACK, whose choice
+    there follows the rounding of its BLAS kernels.
+    """
+    m, n = A.shape[-2:]
+    # one row per column, so a column's residual is a contiguous row
+    res = np.swapaxes(A.reshape(-1, m, n), 1, 2).astype(float, order="C")
+    S = res.shape[0]
+    rows = np.arange(S)
+    order = np.tile(np.arange(n), (S, 1))
+    sq = np.einsum("sjm,sjm->sj", res, res)
+    for j in range(n - 1):
+        pos = np.argmax(sq[rows[:, None], order[:, j:]], axis=1) + j
+        col = order[rows, pos]
+        order[rows, pos] = order[:, j]
+        order[:, j] = col
+        if j < n - 2:
+            # a zero residual is its own projection: divide by 1, not 0
+            top = sq[rows, col]
+            norm = np.sqrt(np.where(top > 0.0, top, 1.0))
+            q = res[rows, col] / norm[:, None]
+            res -= (res @ q[:, :, None]) @ q[:, None, :]
+            sq = np.einsum("sjm,sjm->sj", res, res)
+    return order.reshape(A.shape[:-2] + (n,))
 
 
 def column_signs(V: np.ndarray) -> np.ndarray:

@@ -18,9 +18,9 @@ lagged-levels block.  One rule reads both grids: an entry is a scalar
 lam_w, meaning (0, 0, lam_w), or a finite, non-negative triple
 (lam_group, lam_levels, lam_w), whose first two are 0 for PADL.
 
-The module uses numpy's linear algebra only, never scipy's: scipy's
-LAPACK loads its own OpenBLAS, and its first call adds 0.6-0.9 MB of
-peak RSS to a SPECS/PADL run that otherwise needs no scipy routine.
+Like every module of the package, it runs on numpy alone: scipy is no
+dependency, since its import and the second OpenBLAS its LAPACK loads
+cost every run start-up time and memory.
 """
 
 from __future__ import annotations

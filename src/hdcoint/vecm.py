@@ -18,19 +18,20 @@ The QR estimator builds its design once per window.  Each
 cross-validation fold trains on a row prefix of it, and the triangular
 factor of that prefix gives the fold's OLS long run, short-run
 coefficients and column Grams, with the same singularity rule and
-messages as the Johansen solve.  After one QR per prefix and one pivoted
-QR per stage, the stages are stacked: one solve, one product, one
-``eigh`` per column size, and one vectorised, safeguarded Newton solve
-of the secular equations for every stage, column and penalty, whose
-group-lasso columns are solved exactly in the range of their Gram
-eigenbasis.  Each fold scores its whole penalty grid with one stacked
-residual product on its slice of the design.  The final short run and
-residual covariance given Π are read off the full sample's factor;
-Johansen fits take theirs from one least-squares step
-(:func:`_short_run`).  The PML estimator penalizes B and the short-run
-block, each of which takes one soft-threshold coordinate sweep per
-cycle on plain floats; its precision matrix is the exact inverse of the
-residual covariance.
+messages as the Johansen solve.  After one QR per prefix, the stages
+are stacked: one solve, one pivoted QR (the column order of
+:func:`pivot_order`, LAPACK's ``dgeqp3`` rule on numpy, then one QR of
+the permuted stack), one product, one ``eigh`` per column size, and one
+vectorised, safeguarded Newton solve of the secular equations for every
+stage, column and penalty, whose group-lasso columns are solved exactly
+in the range of their Gram eigenbasis.  Each fold scores its whole
+penalty grid with one stacked residual product on its slice of the
+design.  Every fit, Johansen or QR, reads its short run and residual
+covariance given Π off its window's factor.  The PML estimator penalizes
+B and the short-run block, each of which takes one soft-threshold
+coordinate sweep per cycle on plain floats; its precision matrix is the
+exact inverse of the residual covariance.  The module, like the whole
+package, needs numpy alone.
 """
 
 from __future__ import annotations
@@ -41,10 +42,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.linalg
 
 from ._numeric import (column_signs, expanding_folds, last_minimum,
-                       nested_residual_factors, penalty_levels,
+                       nested_residual_factors, penalty_levels, pivot_order,
                        singular_pivots, soft_threshold_sweep)
 from .errors import ConvergenceError, DataError, NumericalError, ParameterError
 from .panel import DeterministicSpec, as_values
@@ -87,26 +87,6 @@ def _ec_design(z: np.ndarray, p: int, det: DeterministicSpec
     cols += [dz[p - j:-j] for j in range(1, p + 1)]
     W = np.column_stack(cols) if cols else np.empty((n, 0))
     return y0, y1, W, T
-
-
-def _short_run(y0: np.ndarray, y1: np.ndarray, W: np.ndarray, pi: np.ndarray,
-               p: int, det: DeterministicSpec
-               ) -> Tuple[np.ndarray, Tuple[np.ndarray, ...], np.ndarray]:
-    """Intercept, short-run matrices and residual covariance given Π.
-
-    Regresses y0 - y1 Π' on W by least squares; ``pi`` has one column
-    per column of ``y1``, a restricted-trend column included.
-    """
-    N = y0.shape[1]
-    resid = y0 - y1 @ pi.T
-    c = np.empty((0, N))
-    if W.shape[1]:
-        c, *_ = np.linalg.lstsq(W, resid, rcond=None)
-        resid = resid - W @ c
-    off = 0 if det is DeterministicSpec.NONE else 1
-    mu = c[0] if off else np.zeros(N)
-    phi = tuple(c[off + j * N: off + (j + 1) * N].T for j in range(p))
-    return mu, phi, resid.T @ resid / y0.shape[0]
 
 
 @dataclass(frozen=True)
@@ -173,9 +153,10 @@ class VecmModel:
 # -- reduced-rank maximum likelihood ----------------------------------------
 
 
-#: one window's error-correction blocks, eigenproblem (λ descending,
-#: β'S11β = I), log det S00 and S01, read by every rank of the window
-_Solve = namedtuple("_Solve", "y0 y1 W t_last lam vecs logdet s01")
+#: one window's triangular factor R of its n rows of [W, y1, y0], with k
+#: columns in W and one eigenvalue per column of y1, its eigenproblem
+#: (λ descending, β'S11β = I), log det S00 and S01, read by every rank
+_Solve = namedtuple("_Solve", "R k n t_last lam vecs logdet s01")
 
 
 def _check_factor(ta: np.ndarray, lead: np.ndarray, norms: np.ndarray,
@@ -214,15 +195,15 @@ def _johansen_solve(z: np.ndarray, p: int, det: DeterministicSpec) -> _Solve:
     u, sigma, _ = np.linalg.svd(qa[:m])
     lam = np.zeros(m)
     lam[:N] = np.clip(sigma * sigma, 0.0, 1.0 - 1e-12)
-    vecs = np.sqrt(n) * scipy.linalg.solve_triangular(r22, u)
+    vecs = np.sqrt(n) * np.linalg.solve(r22, u)
     logdet = 2 * np.log(np.abs(np.diagonal(ta))).sum() - N * np.log(n)
-    return _Solve(y0, y1, W, t_last, lam, vecs, logdet,
+    return _Solve(R, k, n, t_last, lam, vecs, logdet,
                   R[k:k + m, k + m:].T @ r22 / n)
 
 
 def _ic_rank(s: _Solve) -> int:
     """The :func:`select_rank_ic` rank of one solve's eigenvalues."""
-    (n, N), m = s.y0.shape, s.y1.shape[1]
+    (N, m), n = s.s01.shape, s.n
     return int(np.argmin([n * float(np.sum(np.log(1 - s.lam[:r])))
                           + np.log(n) * r * (N + m - r)
                           for r in range(N + 1)]))
@@ -239,19 +220,31 @@ def _check_rank(T: int, N: int, p: int, r: int) -> None:
 
 def _johansen_fit(s: _Solve, r: int, p: int,
                   det: DeterministicSpec) -> VecmModel:
-    """Reduced-rank ML fit of one solve at rank ``r``."""
-    n, N = s.y0.shape
+    """Reduced-rank ML fit of one solve at rank ``r``.
+
+    The short run and residual covariance are the OLS given Π, read off
+    the solve's factor R = [[R11, R12, R13], [0, R22, R23], [0, 0, R33]]
+    of [W, y1, y0]: c = R11⁻¹(R13 - R12Π'), and the residuals' cross
+    product is E'E with E = R[k:, k+m:] - R[k:, k:k+m]Π'.
+    """
+    R, k, n, (N, m) = s.R, s.k, s.n, s.s01.shape
     _check_rank(s.t_last, N, p, r)
     b_aug = s.vecs[:, :r] * column_signs(s.vecs[:, :r])
     a = s.s01 @ b_aug
-    mu, phi, sigma = _short_run(s.y0, s.y1, s.W, a @ b_aug.T, p, det)
+    pi_t = b_aug @ a.T
+    c = np.linalg.solve(R[:k, :k], R[:k, k + m:] - R[:k, k:k + m] @ pi_t)
+    resid = R[k:, k + m:] - R[k:, k:k + m] @ pi_t
+    off = 0 if det is DeterministicSpec.NONE else 1
+    mu = c[0] if off else np.zeros(N)
+    phi = tuple(c[off + j * N: off + (j + 1) * N].T for j in range(p))
     loglik = -0.5 * n * (N * (1 + np.log(2 * np.pi)) + s.logdet
                          + float(np.sum(np.log(1 - s.lam[:r]))))
     b = b_aug[:N]
     b_trend = b_aug[N] if det is DeterministicSpec.TREND else None
-    return VecmModel(a=a, b=b, phi=phi, mu=mu, sigma=sigma, rank=r, p=p,
-                     det=det, t_last=s.t_last, estimator="johansen",
-                     b_trend=b_trend, eigenvalues=s.lam, loglik=loglik)
+    return VecmModel(a=a, b=b, phi=phi, mu=mu, sigma=resid.T @ resid / n,
+                     rank=r, p=p, det=det, t_last=s.t_last,
+                     estimator="johansen", b_trend=b_trend,
+                     eigenvalues=s.lam, loglik=loglik)
 
 
 def johansen_ml(data, r: Optional[int], p: int = 1,
@@ -495,11 +488,12 @@ def _qr_stages(design: np.ndarray, k: int, rows: Sequence[int]
 
     With R = [[R11, R12, R13], [0, R22, R23], [0, 0, R33]], the OLS long
     run is Π' = R22⁻¹R23 and the short run R11⁻¹[R13, R12], from one solve
-    for every stage.  Π' = QR0 with column pivoting; column problem j
-    regresses column piv[j] of y0's residual on W on the first j + 1
-    columns of (y1's residual on W)·Q, so with M = R22·Q their Gram is M'M
-    and their cross-products are M'R23[:, piv], from one product.  A
-    singular prefix raises (:func:`_check_factor`).
+    for every stage.  Π' = QR0 with column pivoting: the order from
+    :func:`pivot_order`, then Q and R0 from one QR of the permuted stack.
+    Column problem j regresses column piv[j] of y0's residual on W on the
+    first j + 1 columns of (y1's residual on W)·Q, so with M = R22·Q their
+    Gram is M'M and their cross-products are M'R23[:, piv], from one
+    product.  A singular prefix raises (:func:`_check_factor`).
     """
     S, K = len(rows), design.shape[1]
     N = (K - k) // 2
@@ -515,10 +509,9 @@ def _qr_stages(design: np.ndarray, k: int, rows: Sequence[int]
     lhs[:, :k, :k], lhs[:, k:, k:] = R[:, :k, :k], R[:, k:k + N, k:k + N]
     rhs[:, :, :N], rhs[:, :k, N:] = R[:, :k + N, k + N:], R[:, :k, k:k + N]
     coef = np.linalg.solve(lhs, rhs)
-    Q, R0 = np.empty((S, N, N)), np.empty((S, N, N))
-    piv = np.empty((S, N), int)
-    for s in range(S):
-        Q[s], R0[s], piv[s] = scipy.linalg.qr(coef[s, k:, :N], pivoting=True)
+    pi_t = coef[:, k:, :N]
+    piv = pivot_order(pi_t)
+    Q, R0 = np.linalg.qr(np.take_along_axis(pi_t, piv[:, None], axis=2))
     M = R[:, k:k + N, k:k + N] @ Q
     targets = np.take_along_axis(R[:, k:k + N, k + N:], piv[:, None], axis=2)
     MtB = np.swapaxes(M, 1, 2) @ np.concatenate([M, targets], axis=2)

@@ -2,18 +2,18 @@
 
 No module imports a sibling's ``_private`` helper, so each helper has
 one owner; shared kernels live under public names in ``_numeric``.
-Importing the command line must stay cheap: ``scipy.signal`` alone
-adds most of a second to start-up, and ``scipy.optimize`` about a
-quarter of one.  It must start no thread either: the bootstrap's worker
-pool lives for one round.  ``singleeq`` imports nothing from scipy: the
-SPECS/PADL lanes then run on numpy's LAPACK alone, where scipy's first
-LAPACK call would load a second OpenBLAS and add 0.6-0.9 MB of peak RSS
-to a run.  Every golden file is named by some test, so none outlives the
-check that reads it.  Each forecasting lane is one record of the
-harness's lane table: a built-in lane's name is written there and nowhere
-else in the harness or the command line.  Every name a module's
-``__all__`` lists, the package's included, exists, so a name deleted from
-a module but not from an export list fails here, not at a user's import.
+The package runs on numpy alone: no module imports scipy, and both
+commands, with every forecasting lane, run with scipy unimportable.
+scipy took half of the 0.7 s a fresh interpreter spent importing the
+command line, and its first LAPACK call loaded a second OpenBLAS, about
+20 MB of peak RSS a run.  Importing the command line must start no
+thread either: the bootstrap's worker pool lives for one round.  Every
+golden file is named by some test, so none outlives the check that
+reads it.  Each forecasting lane is one record of the harness's lane
+table: a built-in lane's name is written there and nowhere else in the
+harness or the command line.  Every name a module's ``__all__`` lists,
+the package's included, exists, so a name deleted from a module but not
+from an export list fails here, not at a user's import.
 """
 
 import ast
@@ -60,9 +60,9 @@ def test_no_private_imports_across_modules():
     assert not unexpected, sorted(unexpected)
 
 
-def _imported_packages(module):
-    """Top-level packages that ``module``'s source imports."""
-    path = os.path.join(SRC, "hdcoint", f"{module}.py")
+def _imported_packages(path):
+    """Top-level packages that the module at ``path`` imports, anywhere in
+    its source."""
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), filename=path)
     found = set()
@@ -74,8 +74,11 @@ def _imported_packages(module):
     return found
 
 
-def test_singleeq_imports_nothing_from_scipy():
-    assert "scipy" not in _imported_packages("singleeq")
+def test_no_module_imports_scipy():
+    paths = sorted(glob.glob(os.path.join(SRC, "hdcoint", "*.py")))
+    assert paths
+    assert [os.path.basename(path) for path in paths
+            if "scipy" in _imported_packages(path)] == []
 
 
 def _after_cli_import(expr):
@@ -98,6 +101,28 @@ def test_cli_import_leaves_scipy_signal_unloaded():
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     assert not _loaded_after_cli_import("scipy.optimize")
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # a None entry in sys.modules makes every import of scipy fail
+    panel = os.path.join(TESTS, "golden", "panel.csv")
+    lanes = ",".join(sorted(BUILT_IN_LANES))
+    code = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "from hdcoint.cli import main",
+        f"rc = main(['classify', '--input', {panel!r}, '--boot-reps', '199',"
+        f" '--output', {str(tmp_path / 'orders')!r}])",
+        f"rc = rc or main(['forecast', '--input', {panel!r}, '--methods',"
+        f" {lanes!r}, '--window', '397', '--horizons', '1', '--factors',"
+        f" '1', '--targets', 's1', '--boot-reps', '199', '--output',"
+        f" {str(tmp_path / 'forecast')!r}])",
+        "sys.exit(rc)"])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
 
 
 def test_cli_import_starts_no_thread():

@@ -1,14 +1,17 @@
 """Shared numeric kernels: the scalar soft-threshold of the coordinate
 sweep, the fold edges of expanding-window cross-validation, the
-singular-pivot rule, and the column sign and scale conventions."""
+singular-pivot rule, the column order of a pivoted QR (against scipy's
+``dgeqp3``), and the column sign and scale conventions."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hdcoint import ParameterError
 from hdcoint._numeric import (column_scales, column_signs, expanding_folds,
-                              last_minimum, singular_pivots, soft_threshold,
-                              soft_threshold_scalar, soft_threshold_sweep)
+                              last_minimum, pivot_order, singular_pivots,
+                              soft_threshold, soft_threshold_scalar,
+                              soft_threshold_sweep)
 
 
 def _bits(x):
@@ -156,3 +159,77 @@ class TestSingularPivots:
         norms = np.array([[1.0, 1.0], [1.0, 0.0]])
         assert singular_pivots(F, norms, 10).tolist() == \
             [[False, False], [False, True]]
+
+
+def _pivot_stacks(rng, kind, count=120, S=6):
+    """Stacks of S N x N matrices, N = 2-12, with columns scaled over
+    1e-4 .. 1e4: 'random'; 'near' rank-deficient (rank r < N plus noise
+    of 1e-10 to 1e-4); 'duplicated' (the largest column and a signed copy
+    of it) and 'zero' (one zero column).  Copies tie in the first step;
+    LAPACK breaks a tie between copies met later by the rounding of its
+    BLAS kernels, which no order rule reproduces."""
+    for _ in range(count):
+        N = int(rng.integers(2, 13))
+        if kind == "near":
+            r = int(rng.integers(1, N))
+            A = rng.standard_normal((S, N, r)) @ rng.standard_normal((S, r, N))
+            A += 10.0 ** rng.uniform(-10, -4) * rng.standard_normal((S, N, N))
+        else:
+            A = rng.standard_normal((S, N, N))
+        A *= 10.0 ** rng.uniform(-4, 4, (S, 1, N))
+        if kind == "duplicated":
+            for a in A:
+                i = np.argmax(np.linalg.norm(a, axis=0))
+                j = (i + 1 + rng.integers(N - 1)) % N
+                a[:, j] = a[:, i] * rng.choice([-1.0, 1.0])
+        elif kind == "zero":
+            A[np.arange(S), :, rng.integers(N, size=S)] = 0.0
+        yield A
+
+
+class TestPivotOrder:
+    """The column order of LAPACK's pivoted QR (``dgeqp3`` through
+    ``scipy.linalg.qr(pivoting=True)``), and one stacked numpy QR of the
+    permuted stack for its Q and R."""
+
+    @pytest.mark.parametrize("kind", ["random", "near", "duplicated",
+                                      "zero"])
+    def test_matches_lapack(self, kind):
+        rng = np.random.default_rng(["random", "near", "duplicated",
+                                     "zero"].index(kind))
+        for A in _pivot_stacks(rng, kind):
+            piv = pivot_order(A)
+            Q, R0 = np.linalg.qr(np.take_along_axis(A, piv[:, None], axis=2))
+            for s, a in enumerate(A):
+                q, r, want = scipy.linalg.qr(a, pivoting=True)
+                assert piv[s].tolist() == want.tolist()
+                scale = np.abs(r).max()
+                assert np.abs(R0[s] - r).max() <= 1e-14 * scale
+                # column j of Q is as well determined as the leading j + 1
+                # columns are conditioned: eps |r00| / |rjj|
+                diag = np.abs(np.diagonal(r))
+                cond = np.maximum(1.0, diag[0] / np.maximum(diag, 1e-300))
+                assert (np.abs(Q[s] - q).max(axis=0) <= 1e-14 * cond).all()
+
+    def test_ties_go_to_the_first_in_the_working_order(self):
+        # the largest column swaps into place 0 and sends column 0 to its
+        # place, behind column 1: the tie between them goes to column 1
+        A = np.diag([1.0, 1.0, 10.0])
+        assert pivot_order(A).tolist() == [2, 1, 0]
+        # the first of two largest copies; its swap puts the zero column 0
+        # ahead of the copy left, whose residual is zero too
+        B = np.array([[0.0, 3.0, 1.0, -3.0],
+                      [0.0, 0.0, 2.0, 0.0],
+                      [0.0, 4.0, 0.0, -4.0],
+                      [0.0, 0.0, 0.0, 0.0]])
+        assert pivot_order(B).tolist() == [1, 2, 0, 3]
+        for a in (A, B):
+            assert pivot_order(a).tolist() == \
+                scipy.linalg.qr(a, pivoting=True)[2].tolist()
+
+    def test_stack_shapes(self, rng):
+        A = rng.standard_normal((2, 3, 5, 4))
+        piv = pivot_order(A)
+        assert piv.shape == (2, 3, 4)
+        assert piv[1, 2].tolist() == pivot_order(A[1, 2]).tolist()
+        assert pivot_order(np.ones((3, 1))).tolist() == [0]

@@ -195,6 +195,29 @@ class TestJohansenFactor:
         assert np.allclose(s.s01, s01, rtol=1e-12, atol=1e-14)
         assert np.isclose(s.logdet, np.linalg.slogdet(s00)[1], rtol=1e-12)
 
+    @pytest.mark.parametrize("det", ["none", "mean", "trend"])
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_short_run_is_the_least_squares_fit_given_pi(self, det, p):
+        # the short run and covariance read off the factor, against a
+        # least-squares regression of y0 - y1Π' on W
+        _, z = _sim(4, 2, 200, 12, p=1)
+        model = johansen_ml(z, 2, p, det)
+        y0, y1, W, _ = _ec_design(z, p, DeterministicSpec.parse(det))
+        b = model.b if model.b_trend is None else \
+            np.vstack([model.b, model.b_trend])
+        resid = y0 - y1 @ b @ model.a.T
+        coef = np.empty((0, 4))
+        if W.shape[1]:
+            coef, *_ = np.linalg.lstsq(W, resid, rcond=None)
+            resid = resid - W @ coef
+        if det != "none":
+            assert np.allclose(model.mu, coef[0], rtol=1e-10, atol=1e-13)
+            coef = coef[1:]
+        got = np.hstack(model.phi).T if p else np.empty((0, 4))
+        assert np.allclose(got, coef, rtol=1e-10, atol=1e-13)
+        assert np.allclose(model.sigma, resid.T @ resid / y0.shape[0],
+                           rtol=1e-12, atol=0.0)
+
 
 def _degenerate_windows():
     """Exactly singular windows: (name, panel, lags that make it singular)."""

@@ -11,6 +11,15 @@ body, whether it also nowcasts and whether it extracts factors; the run's
 checks read the records.  Lanes difference and integrate only through
 ``panel``'s one rule and its inverse; an integration order outside
 {0, 1, 2} stops the run up front.
+
+The run builds its windows in blocks of ``_WINDOW_BLOCK`` and hands each
+lane one block at a time, its windows in order.  A stacked lane fits the
+whole block in one call (``qr_vecm`` fits its windows' systems in one
+stacked solve); every other lane, a registered one included, is called
+on one window after another by one adapter.  Either way a lane yields,
+per window, its forecasts or the :class:`ToolkitError` or ``LinAlgError``
+that window raised, and the run records them window by window, in the
+order of the lane table, whatever the block size.
 """
 
 from __future__ import annotations
@@ -144,6 +153,17 @@ def _at_horizons(ctx: _Window, levels) -> Dict[Tuple[int, int], float]:
 # A lane body looks its estimators up by module-global name when it runs, so
 # a wrapper installed on that name sees every call.
 
+#: the errors that fail one window of one lane; any other stops the run
+_WINDOW_ERRORS = (ToolkitError, np.linalg.LinAlgError)
+
+
+def _attempt(fn: Callable, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or the window error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except _WINDOW_ERRORS as exc:
+        return exc
+
 
 def _ar(ctx: _Window) -> Dict[Tuple[int, int], float]:
     out = {}
@@ -189,8 +209,22 @@ def _ml_path(ctx: _Window, zb: np.ndarray) -> np.ndarray:
     return vecm_iterated_forecast(model, zb, _max_h(ctx))
 
 
-def _qr_vecm_path(ctx: _Window, zb: np.ndarray) -> np.ndarray:
-    return vecm_iterated_forecast(qr_vecm(zb, p=1), zb, _max_h(ctx))
+def _fitted_path(model, ctx: _Window, zb: np.ndarray) -> np.ndarray:
+    """The path of a model fitted for this window, or its fit's error."""
+    if isinstance(model, Exception):
+        raise model
+    return vecm_iterated_forecast(model, zb, _max_h(ctx))
+
+
+def _qr_vecm_stacked(windows: Sequence[_Window]) -> list:
+    """The ``qr_vecm`` lane of a block of windows: one stacked fit of the
+    windows' target blocks, then each window's path from its own model."""
+    zs = np.stack([ctx.coint_panel()[:, ctx.targets] for ctx in windows])
+    models = _attempt(qr_vecm, zs, p=1)
+    if isinstance(models, Exception):   # an error of the whole stack
+        models = [models] * len(windows)
+    return [_attempt(_cointegrated, ctx, partial(_fitted_path, model))
+            for ctx, model in zip(windows, models)]
 
 
 def _pml_path(ctx: _Window, zb: np.ndarray) -> np.ndarray:
@@ -247,11 +281,14 @@ class Lane:
     """One forecasting method: ``forecast(window)`` gives {(target index,
     horizon): level forecast}; ``nowcasts``: a single equation that also
     fits h = 0; ``factors``: it extracts ``cfg.factors`` factors, from the
-    N - 1 other series when it also nowcasts."""
+    N - 1 other series when it also nowcasts; ``stacked``: ``forecast``
+    takes a block of windows instead, in order, and returns per window
+    that mapping or the window error it raised (:func:`_run_lane`)."""
 
-    forecast: Callable[[_Window], Dict[Tuple[int, int], float]]
+    forecast: Callable
     nowcasts: bool = False
     factors: bool = False
+    stacked: bool = False
 
 
 _LANES: Dict[str, Lane] = {
@@ -259,7 +296,7 @@ _LANES: Dict[str, Lane] = {
     "var": Lane(partial(_stationary_system, augment=False)),
     "favar": Lane(partial(_stationary_system, augment=True), factors=True),
     "ml": Lane(partial(_cointegrated, path=_ml_path)),
-    "qr_vecm": Lane(partial(_cointegrated, path=_qr_vecm_path)),
+    "qr_vecm": Lane(_qr_vecm_stacked, stacked=True),
     "pml": Lane(partial(_cointegrated, path=_pml_path)),
     "fecm": Lane(partial(_cointegrated, path=_fecm_path, block=False),
                  factors=True),
@@ -278,13 +315,30 @@ SINGLE_EQUATION_METHODS = tuple(m for m in _LANES if _LANES[m].nowcasts)
 # run_rolling dispatches through this copy: the benchmark's tracer wraps it
 _REGISTRY = {m: lane.forecast for m, lane in _LANES.items()}
 
+#: windows built and handed to each lane at a time: a stacked lane fits
+#: them in one pass, and the block bounds the windows held in memory
+_WINDOW_BLOCK = 32
+
+
+def _run_lane(method: str, windows: Sequence[_Window]) -> list:
+    """Lane ``method`` on a block of windows: per window, its forecasts or
+    the window error it raised.  A stacked lane takes the block in one
+    call; any other is called on one window after another."""
+    fn = _REGISTRY[method]
+    if _LANES[method].stacked:
+        return fn(windows)
+    return [_attempt(fn, ctx) for ctx in windows]
+
 
 def register_method(name: str, fn: Callable) -> None:
     """Add or replace a forecasting method in the harness's lane table.
 
     ``fn(window)`` receives the isolated window context and returns a
     mapping {(target index, horizon): level forecast}.  Its record
-    ``Lane(fn)`` neither nowcasts nor extracts factors.
+    ``Lane(fn)`` neither nowcasts nor extracts factors, and is not
+    stacked: the run calls it on every window of a block in turn, the
+    windows in order.  A :class:`ToolkitError` or ``LinAlgError`` fails
+    only that window, as a diagnostic; any other error stops the run.
     """
     _LANES[name] = Lane(fn)
     _REGISTRY[name] = fn
@@ -516,7 +570,10 @@ def run_rolling(data, cfg: HarnessConfig) -> ForecastReport:
     """Roll the evaluation window over the panel and score every method.
 
     Windows are scored only where all horizons can be evaluated, so the
-    loss matrices are aligned across horizons.  Method failures inside a
+    loss matrices are aligned across horizons.  Each lane runs on blocks
+    of ``_WINDOW_BLOCK`` windows (:func:`_run_lane`), and forecasts and
+    diagnostics are recorded window by window, in method order, so the
+    report does not depend on the block size.  Method failures inside a
     window are recorded as diagnostics and missing losses, never raised;
     a factor count above N (N - 1 with a factor-augmented single
     equation) raises :class:`ParameterError` before the first window.
@@ -549,27 +606,31 @@ def run_rolling(data, cfg: HarnessConfig) -> ForecastReport:
                  for ti in targets for h in cfg.horizons}
     diagnostics: List[Tuple[int, str, int, str, str]] = []
 
-    for w, s in enumerate(starts):
-        ctx = _Window(z[s:s + cfg.window].copy(), targets, cfg.horizons,
-                      orders, cfg, s)
-        for m, meth in enumerate(cfg.methods):
-            nowcasts = _LANES[meth].nowcasts
-            if 0 in cfg.horizons and not nowcasts:
-                if w == 0:
+    for first in range(0, n_win, _WINDOW_BLOCK):
+        windows = [_Window(z[s:s + cfg.window].copy(), targets,
+                           cfg.horizons, orders, cfg, s)
+                   for s in starts[first:first + _WINDOW_BLOCK]]
+        # a lane that cannot nowcast has nothing to do at h = 0 alone
+        results = {meth: _run_lane(meth, windows) for meth in cfg.methods
+                   if _LANES[meth].nowcasts or any(cfg.horizons)}
+        for w, ctx in enumerate(windows, start=first):
+            s = ctx.window_start
+            for m, meth in enumerate(cfg.methods):
+                nowcasts = _LANES[meth].nowcasts
+                if 0 in cfg.horizons and not nowcasts and w == 0:
                     diagnostics.append((s, "*", 0, meth,
                                         "h=0 needs a single-equation method"))
-                if all(h == 0 for h in cfg.horizons):
+                if meth not in results:
                     continue
-            try:
-                fc = _REGISTRY[meth](ctx)
-            except (ToolkitError, np.linalg.LinAlgError) as exc:
-                diagnostics.append((s, "*", -1, meth, str(exc)))
-                continue
-            for ti in targets:
-                for h in cfg.horizons:
-                    val = fc.get((int(ti), h)) if h or nowcasts else None
-                    if val is not None and np.isfinite(val):
-                        forecasts[(names[ti], h)][w, m] = val
+                fc = results[meth][w - first]
+                if isinstance(fc, Exception):
+                    diagnostics.append((s, "*", -1, meth, str(fc)))
+                    continue
+                for ti in targets:
+                    for h in cfg.horizons:
+                        val = fc.get((int(ti), h)) if h or nowcasts else None
+                        if val is not None and np.isfinite(val):
+                            forecasts[(names[ti], h)][w, m] = val
 
     losses = {}
     rel = {}

@@ -14,24 +14,31 @@ The solve is one triangular factor: a QR of [W, y1, y0], a QR of its
 residual block and one SVD give the squared canonical correlations, and
 a pivot of at most n eps times its column's norm makes a window singular.
 
-The QR estimator builds its design once per window.  Each
-cross-validation fold trains on a row prefix of it, and the triangular
-factor of that prefix gives the fold's OLS long run, short-run
-coefficients and column Grams, with the same singularity rule and
-messages as the Johansen solve.  After one QR per prefix, the stages
-are stacked: one solve, one pivoted QR (the column order of
-:func:`pivot_order`, LAPACK's ``dgeqp3`` rule on numpy, then one QR of
-the permuted stack), one product, one ``eigh`` per column size, and one
-vectorised, safeguarded Newton solve of the secular equations for every
-stage, column and penalty, whose group-lasso columns are solved exactly
-in the range of their Gram eigenbasis.  Each fold scores its whole
-penalty grid with one stacked residual product on its slice of the
-design.  Every fit, Johansen or QR, reads its short run and residual
-covariance given Π off its window's factor.  The PML estimator penalizes
-B and the short-run block, each of which takes one soft-threshold
-coordinate sweep per cycle on plain floats; its precision matrix is the
-exact inverse of the residual covariance.  The module, like the whole
-package, needs numpy alone.
+The QR estimator fits one window or a stack of windows of one shape in
+one pass (a single window is a stack of one).  Each cross-validation
+fold trains on a row prefix of a window's design and validates on a row
+slice of it; the design is built once for the prefix factors and once
+more for the validation pass, so none is held through the secular
+solve.  The triangular factor of a prefix gives the fold's OLS long
+run, short-run coefficients and column Grams, with the same singularity
+rule and messages as the Johansen solve.  After one QR
+per prefix for the whole stack, the windows' stages are stacked: one
+solve, one pivoted QR (the column order of :func:`pivot_order`,
+LAPACK's ``dgeqp3`` rule on numpy, then one QR of the permuted stack),
+one product, one ``eigh`` per column size, and one vectorised,
+safeguarded Newton solve of the secular equations for every window,
+stage, column and penalty (taken a fixed block of roots at a time, which
+bounds its memory), whose group-lasso columns are solved exactly in the
+range of their Gram eigenbasis.  Each fold scores its whole
+penalty grid, in every window, with one stacked residual product on its
+slice of the designs; a window that fails (a singular stage, a secular
+equation that does not settle) fails alone, and the others come out bit
+for bit as they would alone.  Every fit, Johansen or QR, reads its
+short run and residual covariance given Π off its window's factor.  The
+PML estimator penalizes B and the short-run block, each of which takes
+one soft-threshold coordinate sweep per cycle on plain floats; its
+precision matrix is the exact inverse of the residual covariance.  The
+module, like the whole package, needs numpy alone.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from ._numeric import (column_signs, expanding_folds, last_minimum,
                        nested_residual_factors, penalty_levels, pivot_order,
                        singular_pivots, soft_threshold_sweep)
 from .errors import ConvergenceError, DataError, NumericalError, ParameterError
-from .panel import DeterministicSpec, as_values
+from .panel import DeterministicSpec, Panel, as_values
 
 __all__ = [
     "VecmModel",
@@ -62,30 +69,32 @@ __all__ = [
 
 def _ec_design(z: np.ndarray, p: int, det: DeterministicSpec
                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Error-correction regression blocks.
+    """Error-correction regression blocks of a (T, N) window, or of each
+    window of a (..., T, N) stack.
 
     Returns (y0, y1, W, t_last): differences to explain, lagged levels
     (augmented with a restricted-trend column under the trend spec), and
     the unrestricted block of deterministics plus lagged differences.
     Response rows carry 1-based time indices p+2 .. T; t_last = T.
     """
-    T, N = z.shape
+    T, N = z.shape[-2:]
     if p < 0:
         raise ParameterError("lag order p must be non-negative")
     n = T - p - 1
     if n < 1:
         raise DataError(f"window of {T} observations cannot support p={p}")
-    dz = np.diff(z, axis=0)
-    y0 = dz[p:]
-    y1 = z[p:-1]
-    D = det.design(n, p + 2)
+    dz = np.diff(z, axis=-2)
+    y0 = dz[..., p:, :]
+    y1 = z[..., p:-1, :]
+    D = np.broadcast_to(det.design(n, p + 2), z.shape[:-2] + (n, det.n_terms))
     if det is DeterministicSpec.TREND:
-        y1 = np.column_stack([y1, D[:, 1]])
+        y1 = np.concatenate([y1, D[..., 1:]], axis=-1)
     # no constant block at all under 'none': an empty one would make W
     # C-ordered for a Fortran-ordered z, which moves the PML fit's last bits
-    cols = [D[:, :1]] if det.n_terms else []
-    cols += [dz[p - j:-j] for j in range(1, p + 1)]
-    W = np.column_stack(cols) if cols else np.empty((n, 0))
+    cols = [D[..., :1]] if det.n_terms else []
+    cols += [dz[..., p - j:-j, :] for j in range(1, p + 1)]
+    W = np.concatenate(cols, axis=-1) if cols else np.empty(
+        z.shape[:-2] + (n, 0))
     return y0, y1, W, T
 
 
@@ -159,20 +168,25 @@ class VecmModel:
 _Solve = namedtuple("_Solve", "R k n t_last lam vecs logdet s01")
 
 
-def _check_factor(ta: np.ndarray, lead: np.ndarray, norms: np.ndarray,
-                  n) -> None:
-    """Raise :class:`NumericalError` when a window (or any of a stack) is
-    singular: a pivot of ``ta``, the factor of y0's residual on W, or of
-    ``lead``, the factor of [W, y1], that :func:`singular_pivots` reads as
-    singular against ``norms``, the column norms of [W, y1, y0] in the
-    window's n rows."""
-    q = lead.shape[-1]
-    if singular_pivots(ta, norms[..., q:], n).any():
-        raise NumericalError(
-            "residual moment matrix is singular; reduce the lag order or rank")
-    if singular_pivots(lead, norms[..., :q], n).any():
-        raise NumericalError(
+def _singular_windows(ta: np.ndarray, lead: np.ndarray, norms: np.ndarray,
+                      n) -> list:
+    """For each window of a stack (the leading axis; any further leading
+    axes are its stages), the :class:`NumericalError` that makes it
+    singular, or None: a pivot of ``ta``, the factor of y0's residual on W,
+    then of ``lead``, the factor of [W, y1], that :func:`singular_pivots`
+    reads as singular against ``norms``, the column norms of [W, y1, y0]
+    in the window's n rows."""
+    q, count = lead.shape[-1], ta.shape[0]
+    residual = singular_pivots(ta, norms[..., q:], n).reshape(count, -1)
+    lagged = singular_pivots(lead, norms[..., :q], n).reshape(count, -1)
+    errors = [None] * count
+    for w in np.flatnonzero(lagged.any(axis=1)):
+        errors[w] = NumericalError(
             "lagged-level moment matrix is singular; reduce p or rank")
+    for w in np.flatnonzero(residual.any(axis=1)):
+        errors[w] = NumericalError(
+            "residual moment matrix is singular; reduce the lag order or rank")
+    return errors
 
 
 def _johansen_solve(z: np.ndarray, p: int, det: DeterministicSpec) -> _Solve:
@@ -184,14 +198,17 @@ def _johansen_solve(z: np.ndarray, p: int, det: DeterministicSpec) -> _Solve:
     With A = Qa Ta and Qa[:m] = U diag(σ) V', λ = σ² (squared canonical
     correlations; Björck & Golub 1973, Doornik & O'Brien 2002), zero-padded
     to m and clipped at 1 - 1e-12; the vectors are √n R22⁻¹U.  A singular
-    Ta, then a singular R[:k+m, :k+m], raises (:func:`_check_factor`).
+    Ta, then a singular R[:k+m, :k+m], raises (:func:`_singular_windows`).
     """
     y0, y1, W, t_last = _ec_design(z, p, det)
     (n, N), k, m = y0.shape, W.shape[1], y1.shape[1]
     design = np.hstack([W, y1, y0])
     R = np.linalg.qr(design, mode="r")
     r22, (qa, ta) = R[k:k + m, k:k + m], np.linalg.qr(R[k:, k + m:])
-    _check_factor(ta, R[:k + m, :k + m], np.linalg.norm(design, axis=0), n)
+    error, = _singular_windows(ta[None], R[None, :k + m, :k + m],
+                               np.linalg.norm(design, axis=0), n)
+    if error is not None:
+        raise error
     u, sigma, _ = np.linalg.svd(qa[:m])
     lam = np.zeros(m)
     lam[:N] = np.clip(sigma * sigma, 0.0, 1.0 - 1e-12)
@@ -369,7 +386,8 @@ def _group_bases(G: np.ndarray, C: np.ndarray) -> _Bases:
     """
     m = G.shape[-1]
     d, ch = np.ones(G.shape), np.zeros(G.shape)
-    V = np.zeros(G.shape + (m,)) + np.eye(m)
+    V = np.zeros(G.shape + (m,))
+    V[...] = np.eye(m)
     for j in range(m):
         dj, vj = np.linalg.eigh(G[..., :j + 1, :j + 1])
         chj = (np.swapaxes(vj, -1, -2) @ C[..., :j + 1, j:j + 1])[..., 0]
@@ -383,28 +401,41 @@ def _group_bases(G: np.ndarray, C: np.ndarray) -> _Bases:
 #: Newton steps allowed per secular equation; convergence takes far fewer
 _SECULAR_MAX_ITER = 100
 
+#: (problem, penalty) pairs solved at a time: a stacked fit has thousands,
+#: and each holds a row of the secular solve and its problem's eigenvectors
+_PAIR_BLOCK = 2048
 
-def _secular_roots(d: np.ndarray, ch: np.ndarray, kappa: np.ndarray
-                   ) -> np.ndarray:
-    """Roots mu > 0 of 1/||ch/(d + mu)|| = 2·mu/kappa, one per row.
 
-    A row holds the positive eigenvalues ``d`` and rotated X'y ``ch`` of
-    one group problem (padding has d = 1, ch = 0), with 2||ch|| > kappa.
+def _secular_roots(d: np.ndarray, ch: np.ndarray, rows: np.ndarray,
+                   kappa: np.ndarray) -> np.ndarray:
+    """Roots mu > 0 of 1/||ch/(d + mu)|| = 2·mu/kappa, one per penalty in
+    ``kappa``, each of the group problem of its entry of ``rows``.
+
+    Row i of ``d`` and ``ch`` holds the positive eigenvalues and rotated
+    X'y of problem i (padding has d = 1, ch = 0), with 2||ch|| > kappa.
     The left side is concave in mu (Moré and Sorensen, 1983), so Newton's
     method started right of the root decreases monotonically to it; a
-    step that leaves the bracket of sign changes bisects instead.
+    step that leaves the bracket of sign changes bisects instead.  Roots
+    are solved independently; one still unsettled after
+    ``_SECULAR_MAX_ITER`` steps gets NaN.
     """
     lo = np.zeros(kappa.shape)
-    hi = d.max(axis=1) * kappa / (2.0 * np.linalg.norm(ch, axis=1) - kappa)
+    hi = d.max(axis=1)[rows] * kappa \
+        / (2.0 * np.linalg.norm(ch, axis=1)[rows] - kappa)
     mu = hi.copy()
     todo = np.arange(mu.size)
     for _ in range(_SECULAR_MAX_ITER):
-        m, k = mu[todo], kappa[todo]
-        shifted = d[todo] + m[:, None]
-        q = ch[todo] / shifted
+        m, k, at = mu[todo], kappa[todo], rows[todo]
+        # a stacked fit has thousands of roots, so the two (roots, columns)
+        # arrays are gathered here and updated in place
+        shifted = d[at]
+        shifted += m[:, None]
+        q = ch[at]
+        q /= shifted
         norm = np.sqrt(np.einsum("ij,ij->i", q, q))
         f = 1.0 / norm - 2.0 * m / k
-        slope = np.einsum("ij,ij->i", q, q / shifted) / norm ** 3 - 2.0 / k
+        slope = np.einsum("ij,ij->i", q, np.divide(q, shifted, out=shifted)) \
+            / norm ** 3 - 2.0 / k
         step = f / slope
         lo[todo] = np.where(f >= 0.0, m, lo[todo])
         hi[todo] = np.where(f < 0.0, m, hi[todo])
@@ -417,7 +448,8 @@ def _secular_roots(d: np.ndarray, ch: np.ndarray, kappa: np.ndarray
         todo = todo[~done]
         if todo.size == 0:
             return mu
-    raise ConvergenceError("group-lasso secular equation did not converge")
+    mu[todo] = np.nan
+    return mu
 
 
 def _group_lasso(bases: _Bases, kappa: np.ndarray) -> np.ndarray:
@@ -432,7 +464,8 @@ def _group_lasso(bases: _Bases, kappa: np.ndarray) -> np.ndarray:
     range of the Gram.  kappa = 0 takes mu = 0, the minimum-norm
     least-squares solution, and a root ||b|| below 1e-14 of that
     solution's norm, where 2||X_j'y|| exceeds kappa only by rounding,
-    gives zero.
+    gives zero.  A problem whose secular equation did not converge
+    (:func:`_secular_roots`) gives NaN.
     """
     P, m = kappa.shape[0], bases.d.shape[-1]
     D, CH = bases.d.reshape(P, m), bases.ch.reshape(P, m)
@@ -447,33 +480,40 @@ def _group_lasso(bases: _Bases, kappa: np.ndarray) -> np.ndarray:
     nonzero = ~(2.0 * cnorm[:, None] <= kappa)
     lsq = nonzero & (kappa == 0.0)
     root = nonzero & ~lsq & (floor_gap > 0.0)
-    mu = np.zeros(kappa.shape)
-    j = np.nonzero(root)[0]
-    mu[root] = _secular_roots(D[j], CH[j], kappa[root])
+    # a block of pairs at a time bounds the working arrays of the secular
+    # solve and the gathered eigenvector copies
+    mu, roots = np.zeros(kappa.shape), kappa[root]
+    problems = np.nonzero(root)[0]
+    for first in range(0, roots.size, _PAIR_BLOCK):
+        part = slice(first, first + _PAIR_BLOCK)
+        roots[part] = _secular_roots(D, CH, problems[part], roots[part])
+    mu[root] = roots
     out = np.zeros((kappa.shape[1], m, P))
-    j, g = np.nonzero(root | lsq)
-    out[g, :, j] = np.einsum("qik,qk->qi", V[j],
-                             CH[j] / (D[j] + mu[j, g][:, None]))
+    pairs = np.nonzero(root | lsq)
+    for first in range(0, pairs[0].size, _PAIR_BLOCK):
+        j, g = (a[first:first + _PAIR_BLOCK] for a in pairs)
+        out[g, :, j] = np.einsum("qik,qk->qi", V[j],
+                                 CH[j] / (D[j] + mu[j, g][:, None]))
     return out
 
 
 @dataclass(frozen=True)
 class _QrStages:
-    """The initializer stages of one window, shared by fitting and
-    cross-validation and stacked on a leading axis.
+    """The initializer stages of a stack of windows, shared by fitting and
+    cross-validation, on a leading window axis and then a stage axis.
 
-    Stage s fits the first ``rows[s]`` rows of the window's design
-    [W, y1, y0] (k, N and N columns).  ``R`` is the triangular factor of
-    those rows, with zero rows under a prefix shorter than its width;
-    ``short_run`` = R11⁻¹[R13, R12] holds the coefficients of W in the
-    regressions of [y0, y1] on it; ``Q``, ``piv`` and ``weights`` come from
-    the pivoted QR of the OLS long run; ``bases`` holds one group problem
-    per column of its triangular factor.
+    Stage s fits the first ``rows[s]`` rows of its window's design
+    [W, y1, y0] (k, N and N columns), the last stage all of them.
+    ``factor`` is the triangular factor of each window's whole design
+    (no stage axis); ``short_run`` = R11⁻¹[R13, R12] holds the coefficients
+    of W in the regressions of [y0, y1] on it; ``Q``, ``piv`` and
+    ``weights`` come from the pivoted QR of the OLS long run; ``bases``
+    holds one group problem per column of its triangular factor.
     """
 
     rows: np.ndarray
     k: int
-    R: np.ndarray
+    factor: np.ndarray
     short_run: np.ndarray
     Q: np.ndarray
     piv: np.ndarray
@@ -481,10 +521,27 @@ class _QrStages:
     bases: _Bases
 
 
-def _qr_stages(design: np.ndarray, k: int, rows: Sequence[int]
-               ) -> _QrStages:
-    """The stages of the row prefixes ``rows`` of ``design`` = [W, y1, y0],
-    read off one triangular factor per prefix.
+def _prefix_factors(z: np.ndarray, p: int, rows: Sequence[int]
+                    ) -> Tuple[np.ndarray, int]:
+    """Triangular factors (windows, stages, K, K) of the row prefixes
+    ``rows`` of the error-correction design [W, y1, y0] ('none') of each
+    window of the stack ``z``, from one QR per prefix, with zero rows
+    under a prefix shorter than K; and k, the width of W."""
+    y0, y1, W, _ = _ec_design(z, p, DeterministicSpec.NONE)
+    design = np.concatenate([W, y1, y0], axis=-1)
+    R = np.zeros((z.shape[0], len(rows)) + (design.shape[-1],) * 2)
+    for s, n in enumerate(rows):
+        f = np.linalg.qr(design[:, :n], mode="r")
+        R[:, s, :f.shape[1]] = f
+    return R, W.shape[-1]
+
+
+def _qr_stages(z: np.ndarray, p: int, rows: Sequence[int]
+               ) -> Tuple[_QrStages, list]:
+    """The stages of the row prefixes ``rows`` of each window's design
+    [W, y1, y0] (k, N and N columns), for the (W, T, N) stack ``z``, read
+    off one triangular factor per window and prefix
+    (:func:`_prefix_factors`).
 
     With R = [[R11, R12, R13], [0, R22, R23], [0, 0, R33]], the OLS long
     run is Π' = R22⁻¹R23 and the short run R11⁻¹[R13, R12], from one solve
@@ -493,61 +550,72 @@ def _qr_stages(design: np.ndarray, k: int, rows: Sequence[int]
     Column problem j regresses column piv[j] of y0's residual on W on the
     first j + 1 columns of (y1's residual on W)·Q, so with M = R22·Q their
     Gram is M'M and their cross-products are M'R23[:, piv], from one
-    product.  A singular prefix raises (:func:`_check_factor`).
+    product.  A window with a singular prefix gets its error
+    (:func:`_singular_windows`) and no stages: the stages hold the other
+    windows, in order, and come with one error or None per window.
     """
-    S, K = len(rows), design.shape[1]
-    N = (K - k) // 2
-    R = np.zeros((S, K, K))
-    for s, n in enumerate(rows):
-        f = np.linalg.qr(design[:n], mode="r")
-        R[s, :f.shape[0]] = f
-    _check_factor(np.linalg.qr(R[:, k:, k + N:], mode="r"),
-                  R[:, :k + N, :k + N], np.linalg.norm(R, axis=1),
-                  np.asarray(rows)[:, None])
+    R, k = _prefix_factors(z, p, rows)
+    N = z.shape[-1]
+    errors = _singular_windows(np.linalg.qr(R[..., k:, k + N:], mode="r"),
+                               R[..., :k + N, :k + N],
+                               np.linalg.norm(R, axis=-2),
+                               np.asarray(rows)[:, None])
+    R = R[np.array([e is None for e in errors], dtype=bool)]
     # diag(R11, R22)⁻¹ [[R13, R12], [R23, 0]] = [[short run], [Π', 0]]
-    lhs, rhs = np.zeros((S, k + N, k + N)), np.zeros((S, k + N, 2 * N))
-    lhs[:, :k, :k], lhs[:, k:, k:] = R[:, :k, :k], R[:, k:k + N, k:k + N]
-    rhs[:, :, :N], rhs[:, :k, N:] = R[:, :k + N, k + N:], R[:, :k, k:k + N]
+    lhs = np.zeros(R.shape[:2] + (k + N, k + N))
+    rhs = np.zeros(R.shape[:2] + (k + N, 2 * N))
+    lhs[..., :k, :k] = R[..., :k, :k]
+    lhs[..., k:, k:] = R[..., k:k + N, k:k + N]
+    rhs[..., :N] = R[..., :k + N, k + N:]
+    rhs[..., :k, N:] = R[..., :k, k:k + N]
     coef = np.linalg.solve(lhs, rhs)
-    pi_t = coef[:, k:, :N]
+    pi_t = coef[..., k:, :N]
     piv = pivot_order(pi_t)
-    Q, R0 = np.linalg.qr(np.take_along_axis(pi_t, piv[:, None], axis=2))
-    M = R[:, k:k + N, k:k + N] @ Q
-    targets = np.take_along_axis(R[:, k:k + N, k + N:], piv[:, None], axis=2)
-    MtB = np.swapaxes(M, 1, 2) @ np.concatenate([M, targets], axis=2)
-    return _QrStages(np.asarray(rows), k, R, coef[:, :k], Q, piv,
-                     np.linalg.norm(R0, axis=2),
-                     _group_bases(MtB[..., :N], MtB[..., N:]))
+    Q, R0 = np.linalg.qr(np.take_along_axis(pi_t, piv[..., None, :], axis=-1))
+    M = R[..., k:k + N, k:k + N] @ Q
+    targets = np.take_along_axis(R[..., k:k + N, k + N:], piv[..., None, :],
+                                 axis=-1)
+    MtB = np.swapaxes(M, -1, -2) @ np.concatenate([M, targets], axis=-1)
+    factor, short_run = R[:, -1].copy(), coef[..., :k, :].copy()
+    # free the stacked factors and solves before the eigenbases are built:
+    # at a stack's size they would set its peak memory
+    del R, coef, lhs, rhs
+    return _QrStages(np.asarray(rows), k, factor, short_run, Q, piv,
+                     np.linalg.norm(R0, axis=-1),
+                     _group_bases(MtB[..., :N], MtB[..., N:])), errors
 
 
 def _qr_paths(stages: _QrStages, grid: np.ndarray) -> np.ndarray:
-    """Fitted R matrices of every stage at every penalty in ``grid``,
-    (stages, penalties, N, N), from one :func:`_group_lasso` solve.
+    """Fitted R matrices of every window and stage at every penalty of the
+    window's row of ``grid``, (windows, stages, penalties, N, N), from one
+    :func:`_group_lasso` solve.
 
     Column j of R has support on rows 0..j and its own response series;
     zero weights encode an infinite penalty.
     """
-    S, N = stages.weights.shape
+    (count, S, N), G = stages.weights.shape, grid.shape[-1]
+    lam = grid[:, None, None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        kappa = np.where(grid > 0, grid / stages.weights[..., None], 0.0)
-    out = _group_lasso(stages.bases, kappa.reshape(S * N, grid.size))
-    return out.reshape(grid.size, N, S, N).transpose(2, 0, 1, 3)
+        kappa = np.where(lam > 0, lam / stages.weights[..., None], 0.0)
+    out = _group_lasso(stages.bases, kappa.reshape(count * S * N, G))
+    return out.reshape(G, N, count, S, N).transpose(2, 3, 0, 1, 4)
 
 
-def _qr_assemble(stages: _QrStages, p: int, R: np.ndarray, lam: float,
-                 t_last: int) -> VecmModel:
+def _qr_assemble(stages: _QrStages, w: int, p: int, R: np.ndarray,
+                 lam: float, t_last: int) -> VecmModel:
     """(A, B) = (unit pivot columns, QR) over the nonzero columns of a
-    fitted R of the last stage, the full sample; the short run is the OLS
-    given Π and Σ the covariance of its residuals, both read off the
-    stage's factor."""
-    Q, piv, F, k = stages.Q[-1], stages.piv[-1], stages.R[-1], stages.k
+    fitted R of window ``w``'s last stage, its full sample; the short run
+    is the OLS given Π and Σ the covariance of its residuals, both read
+    off the stage's factor."""
+    Q, piv, F, k = stages.Q[w, -1], stages.piv[w, -1], stages.factor[w], \
+        stages.k
     N = Q.shape[0]
     nonzero = np.flatnonzero(np.any(R != 0.0, axis=0))
     a = np.zeros((N, nonzero.size))
     a[piv[nonzero], np.arange(nonzero.size)] = 1.0
     b = Q @ R[:, nonzero]
     pi_t = b @ a.T
-    c = stages.short_run[-1, :, :N] - stages.short_run[-1, :, N:] @ pi_t
+    c = stages.short_run[w, -1, :, :N] - stages.short_run[w, -1, :, N:] @ pi_t
     resid = F[k:, k + N:] - F[k:, k:k + N] @ pi_t
     return VecmModel(a=a, b=b, phi=tuple(c[j * N:(j + 1) * N].T
                                          for j in range(p)),
@@ -568,15 +636,18 @@ def _one_step_errors(pi: np.ndarray, phi: np.ndarray, y0: np.ndarray,
     return resid * resid
 
 
-def default_lambda_grid(scale: float) -> np.ndarray:
-    """Ten geometric points from scale·10^-3 up to scale."""
-    if scale <= 0:
-        return np.array([0.0])
-    return np.geomspace(scale * 10.0 ** -3, scale, 10)
+def default_lambda_grid(scale) -> np.ndarray:
+    """Ten geometric points from scale·10^-3 up to scale, or ten zeros for
+    a scale <= 0; an array of scales gives one such row per scale."""
+    scale = np.asarray(scale, dtype=float)
+    positive = scale > 0
+    top = np.where(positive, scale, 1.0)
+    grid = np.geomspace(top * 10.0 ** -3, top, 10, axis=-1)
+    return np.where(positive[..., None], grid, 0.0)
 
 
 def qr_vecm(data, p: int = 1, lambda_grid: Optional[Sequence[float]] = None
-            ) -> VecmModel:
+            ) -> Union[VecmModel, list]:
     """Rank-adaptive VECM via pivoted QR of the long-run OLS estimate.
 
     The long-run OLS matrix, read off the triangular factor of the
@@ -590,8 +661,8 @@ def qr_vecm(data, p: int = 1, lambda_grid: Optional[Sequence[float]] = None
     one-step forecasts (the folds of :func:`expanding_folds`, the tie rule
     of :func:`last_minimum`), with validation starting at
     max(N(p+1) + p + 3, T/2) and ties taking the larger penalty; a window
-    too short for any fold takes the largest.  The design is built once:
-    each fold trains on a row prefix of it and validates on a row slice.
+    too short for any fold takes the largest.  Each fold trains on a row
+    prefix of the window's design and validates on a row slice of it.
     Every fold's stage and the full sample's are built together
     (:func:`_qr_stages`), and one batched secular solve gives R for every
     stage, column and penalty.  Each fold then scores the whole grid with
@@ -601,9 +672,21 @@ def qr_vecm(data, p: int = 1, lambda_grid: Optional[Sequence[float]] = None
     OLS given Π, read off the full sample's factor.  A singular window or
     fold raises :class:`NumericalError` with :func:`johansen_ml`'s
     messages.  Assumes de-meaned/de-trended input.
+
+    ``data`` is one (T, N) window, or a (W, T, N) stack of windows of one
+    shape, which is fitted in one pass: one QR per fold prefix, one
+    column order, one eigenbasis per column size and one secular solve
+    for all of them, and the grids and each fold's losses vectorised over
+    windows.  A stack returns a list that holds, per window, its model or
+    the :class:`ToolkitError` it raised alone (a singular stage, missing
+    values, a secular equation that did not converge); the other windows
+    fit as they would alone, bit for bit.  Errors of the arguments (p,
+    the grid, T too short for N) raise for the whole stack.  A single
+    window is fitted as a stack of one.
     """
-    z = as_values(data)
-    T, N = z.shape
+    stack = not isinstance(data, Panel) and np.ndim(data) == 3
+    z = np.asarray(data, dtype=float) if stack else as_values(data)[None]
+    T, N = z.shape[1:]
     if N * (p + 1) >= T:
         raise DataError(
             f"QR estimator needs an OLS initializer, requiring N(p+1) < T; "
@@ -613,32 +696,72 @@ def qr_vecm(data, p: int = 1, lambda_grid: Optional[Sequence[float]] = None
         grid = np.sort(penalty_levels(list(lambda_grid), "lambda grid"))
         if grid.size == 0:
             raise ParameterError("lambda grid is empty")
-    y0, y1, W, t_last = _ec_design(z, p, DeterministicSpec.NONE)
+    fits = _qr_fits(z, p, grid)
+    if stack:
+        return fits
+    if isinstance(fits[0], Exception):
+        raise fits[0]
+    return fits[0]
+
+
+def _qr_fits(z: np.ndarray, p: int, grid: Optional[np.ndarray]) -> list:
+    """:func:`qr_vecm` of each window of the (W, T, N) stack ``z``: its
+    model, or the error it raised."""
+    T, N = z.shape[1:]
+    live = np.isfinite(z).all(axis=(1, 2))
+    fits: list = [None if ok else DataError(
+        "estimation window contains missing values") for ok in live]
     first = max(N * (p + 1) + p + 3, T // 2)
     blocks = [] if first >= T or (grid is not None and grid.size == 1) \
         else expanding_folds(T, 5, first)
     # fold (lo, hi) trains on the design rows of z[:lo] and validates on
     # those of z[lo - p - 1:hi]
-    stages = _qr_stages(np.hstack([W, y1, y0]), W.shape[1],
-                        [lo - p - 1 for lo, _ in blocks] + [y0.shape[0]])
+    stages, errors = _qr_stages(z[live], p, [lo - p - 1 for lo, _ in blocks]
+                                + [T - p - 1])
+    windows = np.flatnonzero(live)
+    for w, error in zip(windows, errors):
+        fits[w] = error
+    windows = windows[np.array([e is None for e in errors], dtype=bool)]
     if grid is None:
-        grid = default_lambda_grid(float(np.max(
-            2.0 * stages.bases.cnorm[-1] * stages.weights[-1])))
-    fits = _qr_paths(stages, grid)
-    losses = np.zeros(grid.size)
+        grid = default_lambda_grid(np.max(
+            2.0 * stages.bases.cnorm[:, -1] * stages.weights[:, -1], axis=-1))
+    grid = np.broadcast_to(grid, (windows.size, grid.shape[-1]))
+    paths = _qr_paths(stages, grid)
+    losses = _cv_losses(z[windows], p, stages, paths, blocks)
+    for i, w in enumerate(windows):
+        if not np.isfinite(paths[i]).all():
+            fits[w] = ConvergenceError(
+                "group-lasso secular equation did not converge")
+            continue
+        best = last_minimum(losses[i]) if blocks else grid.shape[-1] - 1
+        fits[w] = _qr_assemble(stages, i, p, paths[i, -1, best],
+                               grid[i, best], T)
+    return fits
+
+
+def _cv_losses(z: np.ndarray, p: int, stages: _QrStages, paths: np.ndarray,
+               blocks: Sequence[Tuple[int, int]]) -> np.ndarray:
+    """Pooled squared one-step errors (windows, penalties) of the fitted
+    windows ``z``: fold s scores its stage's fits ``paths[:, s]`` at every
+    penalty on its validation rows, one stacked residual product per
+    fold."""
+    y0, y1, W, _ = _ec_design(z, p, DeterministicSpec.NONE)
+    N = z.shape[-1]
+    losses = np.zeros(paths.shape[:1] + paths.shape[2:3])
     for s, (lo, hi) in enumerate(blocks):
         # Π = AB' puts (QR_j)' in row piv[j]; OLS of the short run is
         # linear in the response, so Φ' = C0 - C1Π'
-        pi = np.zeros_like(fits[s])
-        pi[:, stages.piv[s]] = np.swapaxes(stages.Q[s] @ fits[s], 1, 2)
-        c = stages.short_run[s]
-        phi = c[:, :N] - c[:, N:] @ np.swapaxes(pi, 1, 2)
+        pi = np.zeros_like(paths[:, s])
+        np.put_along_axis(pi, stages.piv[:, s, None, :, None], np.swapaxes(
+            stages.Q[:, s, None] @ paths[:, s], -1, -2), axis=2)
+        c = stages.short_run[:, s, None]
+        phi = c[..., :N] - c[..., N:] @ np.swapaxes(pi, -1, -2)
         rows = slice(lo - p - 1, hi - p - 1)
-        err = _one_step_errors(pi, np.swapaxes(phi, 1, 2), y0[rows],
-                               y1[rows], W[rows])
-        losses += err.reshape(grid.size, -1).sum(axis=1)
-    best = last_minimum(losses) if blocks else grid.size - 1
-    return _qr_assemble(stages, p, fits[-1][best], grid[best], t_last)
+        err = _one_step_errors(pi, np.swapaxes(phi, -1, -2),
+                               y0[:, None, rows], y1[:, None, rows],
+                               W[:, None, rows])
+        losses += err.reshape(losses.shape + ((hi - lo) * N,)).sum(axis=-1)
+    return losses
 
 
 # -- penalized maximum likelihood ---------------------------------------------

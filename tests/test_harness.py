@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hdcoint import (DataError, HarnessConfig, ParameterError,
-                     ar_benchmark, from_values, random_vecm_params,
+                     ar_benchmark, from_values, harness, random_vecm_params,
                      run_rolling, simulate_vecm)
 from hdcoint.harness import _LANES, _REGISTRY, Lane
 from hdcoint.panel import invert_differences
@@ -309,3 +309,81 @@ class TestCollinearPanels:
         assert [d[0] for d in qr] == list(report.window_starts)
         assert {d[4] for d in qr} == {
             "residual moment matrix is singular; reduce the lag order or rank"}
+
+
+class TestWindowBlocks:
+    """``run_rolling`` hands each lane its windows in blocks of
+    ``_WINDOW_BLOCK``; the report does not depend on the block size."""
+
+    SYSTEM = ("ar", "var", "ml", "qr_vecm", "pml", "fecm", "ndfm")
+
+    @staticmethod
+    def _run(monkeypatch, block, data, cfg):
+        monkeypatch.setattr(harness, "_WINDOW_BLOCK", block)
+        return run_rolling(data, cfg)
+
+    def test_system_lanes_are_identical_across_block_sizes(self, monkeypatch):
+        # the seventh series is constant for 75 rows: the QR estimator's
+        # early folds are singular in the last 15 windows, so the stacked
+        # fits hold failing and fitted windows in the same blocks
+        z = simulate_vecm(random_vecm_params(6, 2, p=1, seed=11), 106,
+                          seed=12).values
+        walk = 2.5 + np.random.default_rng(13).standard_normal(31).cumsum()
+        z = np.column_stack([z, np.concatenate([np.full(75, 2.5), walk])])
+        cfg = HarnessConfig(window=60, horizons=(1, 3), targets=(0, 2, 6),
+                            methods=self.SYSTEM, benchmark="ar",
+                            boot_reps=199, seed=3, factors=2)
+        reports = [self._run(monkeypatch, block, z, cfg)
+                   for block in (1, 7, 32)]
+        first = reports[0]
+        assert len(first.window_starts) >= 40
+        assert [d[0] for d in first.diagnostics if d[3] == "qr_vecm"] == \
+            list(range(29, 44))
+        for other in reports[1:]:
+            assert other.to_json() == first.to_json()
+            assert other.diagnostics == first.diagnostics
+            for key, fc in first.forecasts.items():
+                assert other.forecasts[key].tobytes() == fc.tobytes()
+
+    def test_registered_lanes_see_their_windows_in_order(
+            self, monkeypatch, register_lane):
+        seen = {"fifth": [], "third": []}
+
+        def lane(name, every):
+            def forecast(ctx):
+                seen[name].append(ctx.window_start)
+                if ctx.window_start % every == 0:
+                    raise DataError(f"{name} rejects {ctx.window_start}")
+                return {(ti, h): ctx.values[-1, ti]
+                        for ti in ctx.targets for h in ctx.horizons}
+            return forecast
+
+        register_lane("fifth", lane("fifth", 5))
+        register_lane("third", lane("third", 3))
+        panel = _walk_panel(2, 105, 9)
+        cfg = _small_cfg(methods=("ar", "fifth", "third"), benchmark="ar")
+        blocked = self._run(monkeypatch, 7, panel, cfg)
+        starts = list(blocked.window_starts)
+        assert len(starts) >= 40
+        assert seen == {"fifth": starts, "third": starts}
+        # a window error is a diagnostic of its window only, recorded window
+        # by window, in method order
+        assert list(blocked.diagnostics) == [
+            (s, "*", -1, name, f"{name} rejects {s}")
+            for s in starts for name, every in (("fifth", 5), ("third", 3))
+            if s % every == 0]
+        single = self._run(monkeypatch, 1, panel, cfg)
+        assert single.to_json() == blocked.to_json()
+        assert single.diagnostics == blocked.diagnostics
+
+    def test_other_errors_still_stop_the_run(self, monkeypatch,
+                                             register_lane):
+        def broken(ctx):
+            if ctx.window_start == 9:
+                raise RuntimeError("lane bug")
+            return {}
+
+        register_lane("broken", broken)
+        with pytest.raises(RuntimeError, match="lane bug"):
+            self._run(monkeypatch, 7, _walk_panel(2, 105, 9), _small_cfg(
+                methods=("ar", "broken"), benchmark="ar"))

@@ -267,6 +267,29 @@ class TestDegenerateWindows:
         model = qr_vecm(z, p=p)
         assert np.isfinite(model.sigma).all() and np.isfinite(model.b).all()
 
+    def test_qr_vecm_rejects_a_fold_prefix_with_a_constant_series(self):
+        # a series constant for its first 70 rows leaves zero columns of y0
+        # and of its lagged differences in W in the early folds' prefixes,
+        # so those stages are singular, while the full sample is not: the
+        # Johansen fit, which has no folds, fits the window
+        z = simulate_vecm(random_vecm_params(5, 2, p=1, seed=7), 120,
+                          seed=8).values
+        walk = 3.7 + np.random.default_rng(9).standard_normal(50).cumsum()
+        late = np.column_stack([z, np.concatenate([np.full(70, 3.7), walk])])
+        with pytest.raises(NumericalError, match="(residual|lagged-level)"
+                           " moment matrix is singular") as alone:
+            qr_vecm(late, p=1)
+        assert np.isfinite(johansen_ml(late, None, 1).loglik)
+        # inside a stack, this window fails alone
+        fine = np.column_stack([z, np.random.default_rng(10).standard_normal(
+            120).cumsum()])
+        fits = qr_vecm(np.stack([fine, late, fine]), p=1)
+        assert str(fits[1]) == str(alone.value)
+        assert isinstance(fits[1], NumericalError)
+        assert not isinstance(fits[0], Exception)
+        assert _fit_bits(fits[2]) == _fit_bits(fits[0]) == _single_bits(
+            fine, 1)
+
 
 class TestLagSelection:
     def test_strong_lag_structure_found(self):
@@ -378,6 +401,14 @@ class TestQrVecm:
             assert np.linalg.norm(beta) < 1e-10
 
 
+def _window_stages(z, p, rows):
+    """The stages of one window, which raise its singular-window error."""
+    stages, (error,) = _qr_stages(z[None], p, rows)
+    if error is not None:
+        raise error
+    return stages
+
+
 def _qr_vecm_per_penalty(z, p, cv_folds=5):
     """The cross-validation the batched one replaced: one stage and one
     group-lasso solve per fold, each from its own prefix of the design,
@@ -385,27 +416,26 @@ def _qr_vecm_per_penalty(z, p, cv_folds=5):
     scored through ``tscv_tune``."""
     T, N = z.shape
     y0, y1, W, _ = _ec_design(z, p, DeterministicSpec.NONE)
-    design, k = np.hstack([W, y1, y0]), W.shape[1]
-    stage = _qr_stages(design, k, [T - p - 1])
+    stage = _window_stages(z, p, [T - p - 1])
     grid = default_lambda_grid(float(np.max(2.0 * stage.bases.cnorm
                                             * stage.weights)))
 
     def path(s, lams):
         with np.errstate(divide="ignore", invalid="ignore"):
-            kappa = np.where(lams > 0, lams / s.weights[0][:, None], 0.0)
+            kappa = np.where(lams > 0, lams / s.weights[0, 0][:, None], 0.0)
         return _group_lasso(s.bases, kappa)
 
     def builder(stop):
-        s = _qr_stages(design, k, [stop - p - 1])
+        s = _window_stages(z, p, [stop - p - 1])
         fits = dict(zip(grid, path(s, grid)))
-        c0, c1 = s.short_run[0][:, :N], s.short_run[0][:, N:]
+        c0, c1 = s.short_run[0, 0][:, :N], s.short_run[0, 0][:, N:]
 
         def scorer(lam, rows):
             R = fits[lam]
             nonzero = np.flatnonzero(np.any(R != 0.0, axis=0))
             a = np.zeros((N, nonzero.size))
-            a[s.piv[0][nonzero], np.arange(nonzero.size)] = 1.0
-            pi = a @ (s.Q[0] @ R[:, nonzero]).T
+            a[s.piv[0, 0][nonzero], np.arange(nonzero.size)] = 1.0
+            pi = a @ (s.Q[0, 0] @ R[:, nonzero]).T
             block = slice(rows[0] - p - 1, rows[-1] - p)
             return _one_step_errors(pi, (c0 - c1 @ pi.T).T, y0[block],
                                     y1[block], W[block])
@@ -415,7 +445,8 @@ def _qr_vecm_per_penalty(z, p, cv_folds=5):
     first = max(N * (p + 1) + p + 3, T // 2)
     lam = grid[-1] if first >= T else tscv_tune(builder, grid, n_rows=T,
                                                 folds=cv_folds, first=first)
-    return _qr_assemble(stage, p, path(stage, np.array([lam]))[0], lam, T)
+    return _qr_assemble(stage, 0, p, path(stage, np.array([lam]))[0], lam,
+                        T)
 
 
 class TestQrVecmOracle:
@@ -442,6 +473,92 @@ class TestQrVecmOracle:
             assert np.array_equal(got.pi, want.pi)
             checked += 1
         assert checked >= 20
+
+
+def _fit_bits(fit):
+    """Everything of a qr_vecm outcome that must not depend on the stack:
+    the error's class and message, or λ, rank, pivot, A, B, Φ and Σ."""
+    if isinstance(fit, Exception):
+        return type(fit).__name__, str(fit)
+    return (fit.info["lambda"], fit.rank, fit.info["pivot"], fit.a.tobytes(),
+            fit.b.tobytes(), [phi.tobytes() for phi in fit.phi],
+            fit.sigma.tobytes())
+
+
+def _single_bits(z, p, **kw):
+    try:
+        return _fit_bits(qr_vecm(z, p=p, **kw))
+    except (DataError, NumericalError) as exc:
+        return _fit_bits(exc)
+
+
+class TestQrVecmStack:
+    """A (W, T, N) stack is fitted in one pass and gives, per window, what
+    the window gives alone, bit for bit, or the error it raises alone."""
+
+    @pytest.mark.parametrize("n, p", [(2, 0), (4, 1), (6, 1), (5, 2)])
+    def test_stack_equals_single_calls(self, n, p):
+        zs = np.stack([_sim(n, min(n - 1, 2), 121, 300 + 7 * w, p=p)[1]
+                       for w in range(9)])
+        fits = qr_vecm(zs, p=p)
+        assert isinstance(fits, list) and len(fits) == 9
+        assert all(not isinstance(f, Exception) for f in fits)
+        assert [_fit_bits(f) for f in fits] == [
+            _single_bits(z, p) for z in zs]
+
+    def test_given_grid_and_fold_free_windows(self):
+        zs = np.stack([_sim(3, 1, 60, 40 + w, p=1)[1] for w in range(4)])
+        grid = [0.0, 0.3, 3.0]
+        assert [_fit_bits(f) for f in qr_vecm(zs, p=1, lambda_grid=grid)] \
+            == [_single_bits(z, 1, lambda_grid=grid) for z in zs]
+        short = zs[:, :12]      # too short for any fold: the largest penalty
+        fits = qr_vecm(short, p=1, lambda_grid=grid)
+        assert [f.info["lambda"] for f in fits] == [3.0] * 4
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_degenerate_window_fails_alone(self, p):
+        z = _degenerate_windows()[0][1][:, :5]
+        good = np.column_stack([z, np.random.default_rng(p).standard_normal(
+            150).cumsum()])
+        for name, bad, lags in _degenerate_windows():
+            if p not in lags or bad.shape != good.shape:
+                continue
+            fits = qr_vecm(np.stack([good, bad, good[::-1]]), p=p)
+            with pytest.raises(NumericalError) as alone:
+                qr_vecm(bad, p=p)
+            assert _fit_bits(fits[1]) == _fit_bits(alone.value)
+            assert [_fit_bits(fits[0]), _fit_bits(fits[2])] == [
+                _single_bits(good, p), _single_bits(good[::-1], p)]
+
+    def test_window_with_missing_values_fails_alone(self):
+        zs = np.stack([_sim(3, 1, 80, 60 + w, p=1)[1] for w in range(3)])
+        zs[1, 40, 2] = np.nan
+        fits = qr_vecm(zs, p=1)
+        assert _fit_bits(fits[1]) == (
+            "DataError", "estimation window contains missing values")
+        assert [_fit_bits(fits[0]), _fit_bits(fits[2])] == [
+            _single_bits(zs[0], 1), _single_bits(zs[2], 1)]
+
+    def test_unsettled_secular_equation_fails_only_its_window(
+            self, monkeypatch):
+        # too few Newton steps for some windows' group problems, not all
+        monkeypatch.setattr("hdcoint.vecm._SECULAR_MAX_ITER", 8)
+        zs = np.stack([simulate_vecm(random_vecm_params(4, 1, p=1, seed=w),
+                                     80, seed=w + 50).values
+                       for w in range(12)])
+        got = [_fit_bits(f) for f in qr_vecm(zs, p=1)]
+        assert got == [_single_bits(z, 1) for z in zs]
+        failed = [g for g in got if g[0] == "ConvergenceError"]
+        assert 0 < len(failed) < len(got)
+        assert {g[1] for g in failed} == {
+            "group-lasso secular equation did not converge"}
+
+    def test_argument_errors_raise_for_the_stack(self):
+        zs = np.stack([_sim(3, 1, 60, 70 + w, p=1)[1] for w in range(2)])
+        with pytest.raises(ParameterError, match="finite and non-negative"):
+            qr_vecm(zs, p=1, lambda_grid=[-1.0])
+        with pytest.raises(DataError, match="OLS initializer"):
+            qr_vecm(zs[:, :6], p=1)
 
 
 def _stationarity_gap(X, y, b, kappa):

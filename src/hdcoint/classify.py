@@ -303,9 +303,6 @@ class IntegrationReport:
     alpha: float
     rounds: Tuple[RoundRecord, ...]
 
-    def order_of(self, name: str) -> int:
-        return int(self.orders[self.names.index(name)])
-
     def counts(self) -> Dict[int, int]:
         return {d: int(np.sum(self.orders == d)) for d in (0, 1, 2)}
 
@@ -340,16 +337,6 @@ class IntegrationReport:
         kwargs.setdefault("sort_keys", True)
         kwargs.setdefault("indent", 2)
         return json.dumps(self.to_dict(), **kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "IntegrationReport":
-        """Rebuild orders and tags from JSON; the round trail is not restored."""
-        doc = json.loads(text)
-        names = tuple(entry["series"] for entry in doc["series"])
-        orders = np.array([entry["order"] for entry in doc["series"]], dtype=int)
-        return cls(names=names, orders=orders, method=doc["method"],
-                   strategy=int(doc["strategy"]), alpha=float(doc["alpha"]),
-                   rounds=())
 
 
 def _round_once(panel: Panel, method: str, cfg: ClassifyConfig, label: str,

@@ -1,8 +1,9 @@
-"""Simulators for cointegrated VECM systems and factor panels.
+"""Simulators for cointegrated VECM systems, factor panels and series of
+known integration order.
 
-Both simulators are fully deterministic given a seed: innovations are
-drawn in a single block from one generator, so replaying a seed
-reproduces the panel bit-for-bit.
+Each is fully deterministic given a seed: innovations are drawn in a
+single block from one generator, so replaying a seed reproduces the
+panel bit-for-bit.
 """
 
 from __future__ import annotations
@@ -163,24 +164,13 @@ def check_i1_conditions(params: VecmParams) -> I1Diagnostics:
 
 
 def simulate_vecm(params: VecmParams, T: int, burn_in: int = 200, seed=0,
-                  variance_break: Optional[Tuple[int, float]] = None,
-                  initial_state: Optional[np.ndarray] = None,
-                  initial_offset: Optional[np.ndarray] = None,
                   return_innovations: bool = False):
     """Simulate ``T`` observations from a VECM process whose parameters
-    pass :func:`check_i1_conditions`, with monthly dates from 2000-01.
+    pass :func:`check_i1_conditions`, started at zero ``burn_in`` steps
+    before the sample, with monthly dates from 2000-01.
 
     Parameters
     ----------
-    variance_break : (t_break, scale), optional
-        One-time innovation scale shift: sample innovations from position
-        ``t_break`` (0-based, within the sample) onwards are multiplied
-        by ``scale``.
-    initial_state : ndarray, optional
-        Pre-burn-in value of the stochastic part (default zero).
-    initial_offset : ndarray, optional
-        Additive offset applied to the stochastic level at the start of
-        the observed sample, exercising initial-condition sensitivity.
     return_innovations : bool
         Also return the sample-period innovation array.
     """
@@ -199,27 +189,11 @@ def simulate_vecm(params: VecmParams, T: int, burn_in: int = 200, seed=0,
     total = burn_in + T
     chol = np.linalg.cholesky(params.sigma)
     eps = rng.standard_normal((total, n)) @ chol.T
-    if variance_break is not None:
-        t_break, scale = variance_break
-        t_break = int(t_break)
-        if not 0 <= t_break < T:
-            raise ParameterError(f"variance break position {t_break} outside sample")
-        if scale <= 0:
-            raise ParameterError("variance break scale must be positive")
-        eps[burn_in + t_break:] *= scale
-
     pi = params.a @ params.b.T if r else np.zeros((n, n))
-    z = np.zeros(n) if initial_state is None else np.asarray(initial_state, dtype=float).copy()
-    if z.shape != (n,):
-        raise ParameterError("initial_state must be a length-N vector")
+    z = np.zeros(n)
     dz_hist = [np.zeros(n) for _ in range(p)]
     sample = np.empty((T, n))
     for t in range(total):
-        if t == burn_in and initial_offset is not None:
-            off = np.asarray(initial_offset, dtype=float)
-            if off.shape != (n,):
-                raise ParameterError("initial_offset must be a length-N vector")
-            z = z + off
         dz = pi @ z + eps[t]
         for j in range(p):
             dz += params.phi[j] @ dz_hist[j]
@@ -359,11 +333,11 @@ def random_vecm_params(n: int, r: int, p: int = 0, seed=0,
     raise NumericalError("failed to draw admissible VECM parameters")
 
 
-def simulate_mixed_orders(n0: int, n1: int, n2: int, T: int, seed=0,
-                          ar: float = 0.5, scale: float = 1.0):
-    """Independent series with known orders: ``n0`` AR(1), ``n1`` random
-    walks, ``n2`` double-integrated walks, over ``T >= 2`` periods from
-    2000-01.  Returns ``(panel, orders)``."""
+def simulate_mixed_orders(n0: int, n1: int, n2: int, T: int, seed=0):
+    """Independent series with known orders: ``n0`` AR(1) with coefficient
+    0.5, ``n1`` random walks, ``n2`` double-integrated walks, all driven by
+    standard normal shocks, over ``T >= 2`` periods from 2000-01.  Returns
+    ``(panel, orders)``."""
     for name, count in (("n0", n0), ("n1", n1), ("n2", n2)):
         if count < 0:
             raise ParameterError(f"{name} must be nonnegative, got {count}")
@@ -372,13 +346,11 @@ def simulate_mixed_orders(n0: int, n1: int, n2: int, T: int, seed=0,
         raise ParameterError("need at least one series")
     if T < 2:
         raise ParameterError(f"T must be at least 2, got {T}")
-    if not abs(ar) < 1:
-        raise ParameterError("AR coefficient must be inside the unit circle")
     rng = as_generator(seed)
     burn = 100
-    eps = rng.standard_normal((burn + T, n)) * scale
+    eps = rng.standard_normal((burn + T, n))
     orders = np.array([0] * n0 + [1] * n1 + [2] * n2)
     vals = np.cumsum(eps[burn:], axis=0)
     vals[:, orders == 2] = np.cumsum(vals[:, orders == 2], axis=0)
-    vals[:, orders == 0] = ar1_recursion(eps[:, orders == 0], ar)[burn:]
+    vals[:, orders == 0] = ar1_recursion(eps[:, orders == 0], 0.5)[burn:]
     return from_values(vals), orders

@@ -249,7 +249,7 @@ def _single_eq(ctx: _Window, specs: bool, augment: bool = False
                ) -> Dict[Tuple[int, int], float]:
     """SPECS (``specs``) or PADL per target and horizon, on the window or,
     when ``augment``, on the target and ``cfg.factors`` factors."""
-    out = {}
+    out, facs = {}, {}
     for ti in ctx.targets:
         d = int(ctx.orders[ti])
         if specs and d > 1:
@@ -259,10 +259,14 @@ def _single_eq(ctx: _Window, specs: bool, augment: bool = False
                 ctx.resid, ctx.deterministic(ti, h))
             if augment:
                 # a nowcast value must stay hidden, so at h = 0 the factor
-                # space comes from the other series only
-                src = np.delete(resid, int(ti), axis=1) if h == 0 else resid
-                fac = extract_factors_diff(src, ctx.cfg.factors).factors
-                z, pos = np.column_stack([resid[:, int(ti)], fac]), 0
+                # space comes from the other series only; every h >= 1
+                # shares the window's one extraction
+                key = int(ti) if h == 0 else None
+                if key not in facs:
+                    src = resid if key is None else np.delete(resid, key, 1)
+                    facs[key] = extract_factors_diff(
+                        src, ctx.cfg.factors).factors
+                z, pos = np.column_stack([resid[:, int(ti)], facs[key]]), 0
                 orders = np.concatenate([[d], np.ones(ctx.cfg.factors,
                                                       dtype=int)])
             else:

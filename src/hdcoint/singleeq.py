@@ -25,7 +25,6 @@ cost every run start-up time and memory.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -677,21 +676,4 @@ class SingleEqFit:
         pairs = zip(self.level_labels + self.w_labels,
                     np.concatenate([self.delta, self.pi]))
         return {lab: float(val) for lab, val in pairs if val != 0}
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "h": self.h,
-            "method": self.method,
-            "lambda": dict(self.lambdas),
-            "nonzero": self.nonzero(),
-            "intercept": self.intercept,
-            "anchor": self.anchor,
-            "forecast": self.forecast,
-            "kkt": self.diagnostics.get("kkt"),
-            "orders": list(self.orders) if self.orders is not None else None,
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 

@@ -302,12 +302,10 @@ def _gls_coef_batch(y: np.ndarray, spec: DeterministicSpec
     # with it, as they can in one (B, T) product or a many-column solve
     W = Zq.copy()
     W[:-1] -= rho * Zq[1:]
+    # G is 1x1 and at least 1 under mean; under trend its columns
+    # [1, a, ..., a] and [1, 1 + a, ...], a = 13.5/T, are independent
     G = Zq.T @ Zq
-    try:
-        G_inv = np.linalg.inv(G)
-    except np.linalg.LinAlgError:
-        G_inv = np.linalg.pinv(G)
-    beta = (y[:, None, :] @ (W @ G_inv.T))[:, 0]
+    beta = (y[:, None, :] @ (W @ np.linalg.inv(G).T))[:, 0]
     return beta, Z
 
 

@@ -43,7 +43,6 @@ module, like the whole package, needs numpy alone.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
@@ -130,33 +129,6 @@ class VecmModel:
     @property
     def pi(self) -> np.ndarray:
         return self.a @ self.b.T
-
-    def to_dict(self) -> dict:
-        def mat(x):
-            if x is None:
-                return None
-            x = np.asarray(x, dtype=float)
-            return {"shape": list(x.shape), "data": x.ravel().tolist()}
-        return {
-            "estimator": self.estimator,
-            "rank": int(self.rank),
-            "p": int(self.p),
-            "det": str(self.det),
-            "t_last": int(self.t_last),
-            "a": mat(self.a),
-            "b": mat(self.b),
-            "b_trend": mat(self.b_trend),
-            "phi": [mat(m) for m in self.phi],
-            "mu": mat(self.mu),
-            "sigma": mat(self.sigma),
-            "eigenvalues": mat(self.eigenvalues),
-            "loglik": None if self.loglik is None else float(self.loglik),
-        }
-
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        kwargs.setdefault("indent", 2)
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 # -- reduced-rank maximum likelihood ----------------------------------------

@@ -9,7 +9,7 @@ from hdcoint import (DataError, HarnessConfig, ParameterError,
                      ar_benchmark, from_values, harness, random_vecm_params,
                      run_rolling, simulate_vecm)
 from hdcoint.harness import _LANES, _REGISTRY, Lane
-from hdcoint.panel import invert_differences
+from hdcoint.panel import difference_columns, invert_differences
 
 
 def _walk_panel(n, T, seed):
@@ -272,6 +272,45 @@ class TestReportOutput:
         assert json.loads(jpath.read_text()) == doc
         header = cpath.read_text().splitlines()[0]
         assert header.split(",")[:3] == ["target", "horizon", "method"]
+
+
+class TestFactorLanes:
+    def test_factors_are_extracted_once_per_window(self, monkeypatch):
+        # h >= 1 shares one extraction from every series; each h = 0
+        # nowcast leaves its own target out
+        seen = []
+        extract = harness.extract_factors_diff
+
+        def counted(data, k):
+            seen.append(data.shape[1])
+            return extract(data, k)
+
+        monkeypatch.setattr(harness, "extract_factors_diff", counted)
+        cfg = _small_cfg(horizons=(0, 1, 2), targets=(0, 2), factors=1,
+                         methods=("ar", "fa_specs", "fapadl"))
+        report = run_rolling(_walk_panel(4, 64, 21), cfg)
+        assert len(report.window_starts) == 3
+        assert sorted(seen) == [3] * 12 + [4] * 6
+
+
+class TestMemoryLayout:
+    def test_forecasts_do_not_depend_on_the_input_layout(self):
+        # windows are copied to C order and the differencing rule returns
+        # C order, so a Fortran-ordered panel gives the same bits
+        z = simulate_vecm(random_vecm_params(8, 2, p=1, seed=5), 170,
+                          seed=6).values
+        assert difference_columns(np.asfortranarray(z), [1] * 8) \
+            .flags.c_contiguous
+        cfg = HarnessConfig(window=120, horizons=(1, 2), targets=(0, 3),
+                            methods=("ar", "var", "favar", "ml", "fecm",
+                                     "ndfm", "qr_vecm", "pml"),
+                            benchmark="ar", boot_reps=199, seed=0)
+        c_run = run_rolling(np.ascontiguousarray(z), cfg)
+        f_run = run_rolling(np.asfortranarray(z), cfg)
+        assert c_run.diagnostics == f_run.diagnostics == ()
+        for key, fc in c_run.forecasts.items():
+            assert np.isfinite(fc).all()
+            assert f_run.forecasts[key].tobytes() == fc.tobytes()
 
 
 class TestCollinearPanels:

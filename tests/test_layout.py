@@ -13,12 +13,16 @@ reads it.  Each forecasting lane is one record of the harness's lane
 table: a built-in lane's name is written there and nowhere else in the
 harness or the command line.  Every name a module's ``__all__`` lists,
 the package's included, exists, so a name deleted from a module but not
-from an export list fails here, not at a user's import.
+from an export list fails here, not at a user's import.  Every public
+function and public method is entered by some command on a small panel,
+or is listed in ``KEPT`` with the reason it stays, so code that nothing
+runs is seen when it appears.
 """
 
 import ast
 import glob
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -182,3 +186,118 @@ def test_every_exported_name_resolves():
         missing += [f"{name}.{attr}" for attr in getattr(module, "__all__", ())
                     if not hasattr(module, attr)]
     assert not missing, missing
+
+
+#: public functions, and public or dunder methods of public classes, that
+#: no command of the reachability run below enters, with why each stays
+KEPT = {
+    "bootstrap.awb_draw": "item 16: oracle of the batched multiplier draw",
+    "unitroot.dfgls_stat": "item 16: oracle of the batched DF-GLS legs",
+    "unitroot.union_stat": "item 16: oracle of the batched union statistic",
+    "singleeq.kkt_residual": "item 16: oracle of the sparse-group-lasso "
+                             "solvers' optimality",
+    "dgp.simulate_factor_dgp": "item 17: factor panels for the union tests",
+    "dgp.FactorDgpParams.__post_init__": "item 17: simulate_factor_dgp's "
+                                         "parameters",
+    "dgp.FactorDgpParams.n": "item 17: simulate_factor_dgp's parameters",
+    "dgp.FactorDgpParams.k": "item 17: simulate_factor_dgp's parameters",
+    "panel.apply_transform": "item 12: the level stage of codes 4-7",
+    "factors.count_factors": "the NDFM factor count when none is given",
+    "harness.register_method": "item 7: the oracle-lane fixture",
+    "harness.McsResult.__contains__": "membership query of an MCS result",
+    "singleeq.SingleEqFit.nonzero": "the benchmark reads a fit's support",
+    "vecm.VecmModel.pi": "the long-run matrix AB' of a fitted model",
+    "vecm.select_rank_ic": "the rank criterion; the benchmark's tracer "
+                           "looks it up in harness and factors",
+}
+
+_TRACE_CALLS = """
+import json, os, sys, threading
+pkg, calls = sys.argv[1], json.loads(sys.argv[2])
+entered = set()
+
+def profile(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename.startswith(pkg):
+        module = os.path.splitext(os.path.basename(code.co_filename))[0]
+        entered.add(module + "." + code.co_qualname)
+
+threading.setprofile(profile)
+sys.setprofile(profile)
+from hdcoint.cli import main
+for argv in calls:
+    if main(argv):
+        sys.exit(f"failed: {argv}")
+sys.setprofile(None)
+print(json.dumps(sorted(entered)))
+"""
+
+
+def _public_names():
+    """``module.function`` and ``module.Class.method`` for every public
+    function and every public or dunder method of a public class."""
+    names = set()
+    for path in sorted(glob.glob(os.path.join(SRC, "hdcoint", "*.py"))):
+        module = os.path.splitext(os.path.basename(path))[0]
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in tree.body:
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                names.add(f"{module}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                names.update(
+                    f"{module}.{node.name}.{f.name}" for f in node.body
+                    if isinstance(f, ast.FunctionDef) and (
+                        not f.name.startswith("_") or f.name.endswith("__")))
+    return names
+
+
+def test_every_public_name_is_reached_or_kept(tmp_path):
+    # every command, classify method and lane on small panels, B = 199
+    def out(name):
+        return str(tmp_path / name)
+
+    with open(out("codes.csv"), "w") as fh:
+        fh.write("s1,1\ns2,2\ns3,6\n")
+    with open(out("loss.csv"), "w") as fh:
+        fh.write("a,b\n" + "".join(f"{i * 7 % 5 + 1},{i * 3 % 4 + 1}\n"
+                                   for i in range(30)))
+    boot = ["--boot-reps", "199"]
+    mixed = ["--input", out("mixed.csv")]
+    calls = [
+        ["simulate", "--dgp", "mixed", "--n0", "1", "--n1", "1", "--n2", "1",
+         "--t-obs", "80", "--output", out("mixed.csv")],
+        ["simulate", "--dgp", "vecm", "--n-series", "4", "--rank", "1",
+         "--t-obs", "64", "--output", out("vecm.csv")],
+        *[["classify", *mixed, "--methods", method, *boot, "--output",
+           out(method + ".json")]
+          for method in ("iadf", "bsqt", "bfdr", "naive")],
+        ["classify", *mixed, "--codes", out("codes.csv"), "--strategy", "1",
+         *boot, "--output", out("strategy1.json")],
+        ["forecast", "--input", out("vecm.csv"), "--methods",
+         ",".join(sorted(BUILT_IN_LANES)), "--window", "60", "--horizons",
+         "1,3", "--factors", "1", "--targets", "s1,s2", *boot, "--output",
+         out("forecast")],
+        ["nowcast", *mixed, "--codes", out("codes.csv"), "--methods",
+         "ar,specs,fa_specs,padl,fapadl", "--window", "78", "--factors",
+         "1", "--targets", "s1", *boot, "--output", out("nowcast")],
+        ["mcs", "--input", out("loss.csv"), *boot, "--output",
+         out("mcs.json")]]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    run = subprocess.run(
+        [sys.executable, "-c", _TRACE_CALLS,
+         os.path.join(SRC, "hdcoint") + os.sep, json.dumps(calls)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    entered = set(json.loads(run.stdout.splitlines()[-1]))
+    # a lane that failed its windows would hide what it never reached
+    for report in ("forecast.json", "nowcast.json"):
+        with open(out(report), encoding="utf-8") as fh:
+            assert json.load(fh)["diagnostics"] == []
+    unreached = _public_names() - entered
+    assert sorted(unreached - set(KEPT)) == []
+    # a kept name that is gone, or that a command now reaches, leaves
+    assert sorted(set(KEPT) - unreached) == []

@@ -416,14 +416,6 @@ class TestSpecs:
         with pytest.raises(ParameterError):
             padl_fit(panel, "y", [1, 1, 1], p=p, h=h)
 
-    def test_serialization_keys(self):
-        panel = self._coint_panel(150, 2, 6)
-        fit = specs_fit(panel, "y", p=1, h=1)
-        doc = fit.to_dict()
-        for key in ("target", "h", "lambda", "nonzero", "forecast"):
-            assert key in doc
-        assert isinstance(fit.to_json(), str)
-
 
 class TestHighDimensional:
     def test_specs_converges_at_n20(self):

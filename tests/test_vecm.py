@@ -4,6 +4,8 @@ Reduced-rank results are cross-checked against an unrestricted OLS fit
 of the error-correction form, computed inline with lstsq.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,20 @@ def _ols_ec(z, p):
     X = np.column_stack(X)
     coef, *_ = np.linalg.lstsq(X, dz[rows], rcond=None)
     return coef.T                       # (N, N(p+1)); leading block is Pi
+
+
+def _assert_same_model(got, want):
+    """Two VecmModels agree bit for bit in every field but ``info``."""
+    for f in dataclasses.fields(want):
+        if f.name == "info":
+            continue
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "phi":
+            assert [m.tobytes() for m in a] == [m.tobytes() for m in b]
+        elif isinstance(b, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
 
 
 class TestJohansen:
@@ -121,7 +137,7 @@ class TestOneSolvePerFit:
         r = select_rank_ic(z, p=1, det=det)
         auto = johansen_ml(z, None, 1, det)
         assert auto.rank == r
-        assert auto.to_json() == johansen_ml(z, r, 1, det).to_json()
+        _assert_same_model(auto, johansen_ml(z, r, 1, det))
 
     def test_pml_auto_rank_equals_two_calls(self):
         _, z = _sim(4, 2, 121, 45, p=1)
@@ -130,7 +146,7 @@ class TestOneSolvePerFit:
         auto = pml_vecm(zs, None, p=1, lambdas=(0.1, 0.1))
         fixed = pml_vecm(zs, r, p=1, lambdas=(0.1, 0.1))
         assert r >= 1 and auto.rank == r
-        assert auto.to_json() == fixed.to_json()
+        _assert_same_model(auto, fixed)
         assert auto.info == fixed.info
 
     def test_one_solve_per_automatic_fit(self, monkeypatch):
@@ -845,12 +861,3 @@ class TestForecast:
             vecm_iterated_forecast(model, z, h=0)
 
 
-class TestSerialization:
-    def test_json_round_trip_preserves_matrices(self):
-        _, z = _sim(3, 1, 250, 19, p=1)
-        model = johansen_ml(z, r=1, p=1, det="none")
-        doc = model.to_dict()
-        a = np.asarray(doc["a"]["data"]).reshape(doc["a"]["shape"])
-        assert np.allclose(a, model.a)
-        assert doc["rank"] == 1 and doc["p"] == 1
-        assert isinstance(model.to_json(), str)

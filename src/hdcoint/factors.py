@@ -4,10 +4,11 @@ Two extraction routes coexist.  The differences route estimates loadings
 from the covariance of differenced, slope-detrended data and recovers
 factor paths by cross-sectional averaging.  The levels route reads factor
 paths directly off the dominant left singular vectors of the data matrix
-as supplied, with separate normalization rates for stochastic-trend and
-stationary factors.  The two forecasters combine either route with the
-reduced-rank VECM machinery.  :func:`var_bic_forecast` is the one
-AR/VAR-by-BIC routine of the package, for one system or a stack of them.
+as supplied, normalized at the T² rate of stochastic trends.  The two
+forecasters combine either route with the reduced-rank VECM machinery,
+at the lag and rank of its information criteria.  :func:`var_bic_forecast`
+is the one AR/VAR-by-BIC routine of the package, for one system or a
+stack of them.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ __all__ = [
     "var_bic_forecast",
 ]
 
-COUNT_MODES = ("diff_ic", "levels_ipc")
-
 
 def _slope_detrend(z: np.ndarray) -> np.ndarray:
     """Remove the per-column OLS trend slope, keeping the intercept."""
@@ -60,11 +59,7 @@ class FactorModel:
         Factor paths in levels of whatever the extractor consumed.
     normalization : str
         "differences" pins loadings to Λ'Λ/N = I; "levels" pins factor
-        paths, the first ``r_ns`` at the T² rate ((1/T²)Σff' = I) and the
-        next ``r_s`` at the T rate.
-    r_ns, r_s : int
-        Stochastic-trend and stationary factor counts.  The differences
-        route does not distinguish them and stores (k, 0).
+        paths at the T² rate ((1/T²)Σff' = I).
     eigenvalues : ndarray or None
         Spectrum of the extraction problem, non-increasing.
     """
@@ -72,14 +67,12 @@ class FactorModel:
     loadings: np.ndarray
     factors: np.ndarray
     normalization: str
-    r_ns: int
-    r_s: int
     eigenvalues: Optional[np.ndarray] = None
 
     def __post_init__(self):
         k = self.loadings.shape[1]
-        if self.factors.shape[1] != k or self.r_ns + self.r_s != k:
-            raise ParameterError("loading/factor/count dimensions disagree")
+        if self.factors.shape[1] != k:
+            raise ParameterError("loading/factor dimensions disagree")
         if k == 0:
             return
         if self.normalization == "differences":
@@ -87,10 +80,8 @@ class FactorModel:
             if np.max(np.abs(gram - np.eye(k))) > 1e-8:
                 raise NumericalError("loading normalization violated")
         elif self.normalization == "levels":
-            T = self.factors.shape[0]
-            scale = np.concatenate([np.full(self.r_ns, float(T)),
-                                    np.full(self.r_s, np.sqrt(float(T)))])
-            gram = (self.factors / scale).T @ (self.factors / scale)
+            scaled = self.factors / float(self.factors.shape[0])
+            gram = scaled.T @ scaled
             if np.max(np.abs(gram - np.eye(k))) > 1e-8:
                 raise NumericalError("factor-path normalization violated")
         else:
@@ -112,8 +103,7 @@ def _principal_components(x: np.ndarray, paths: np.ndarray,
     loadings = np.sqrt(N) * vecs[:, order]
     signs = column_signs(loadings)
     return FactorModel(loadings * signs, paths @ loadings / N * signs,
-                       "differences", k, 0,
-                       eigenvalues=vals[order])
+                       "differences", eigenvalues=vals[order])
 
 
 def extract_factors_diff(data, k: int) -> FactorModel:
@@ -133,31 +123,27 @@ def extract_factors_diff(data, k: int) -> FactorModel:
     return _principal_components(np.diff(zt, axis=0), zt, k)
 
 
-def extract_factors_levels(data, r_ns: int, r_s: int = 0) -> FactorModel:
-    """Factor paths from the leading left singular vectors of the levels.
-
-    The first ``r_ns`` paths are normalized at the T² rate appropriate
-    for stochastic trends, the next ``r_s`` at the stationary T rate;
+def extract_factors_levels(data, r_ns: int) -> FactorModel:
+    """``r_ns`` factor paths from the leading left singular vectors of the
+    levels, normalized at the T² rate appropriate for stochastic trends;
     loadings follow by least squares.  The data enters as given; any
     detrending is the caller's choice.
     """
     z = as_values(data)
     T, N = z.shape
-    r = r_ns + r_s
-    if r_ns < 0 or r_s < 0 or r > min(N, T):
-        raise ParameterError(
-            f"factor counts ({r_ns}, {r_s}) outside [0, min(N, T)]")
+    if not 0 <= r_ns <= min(N, T):
+        raise ParameterError(f"factor count {r_ns} outside [0, min(N, T)]")
     u, s, _ = np.linalg.svd(z, full_matrices=False)
-    factors = np.hstack([T * u[:, :r_ns], np.sqrt(T) * u[:, r_ns:r]])
+    factors = T * u[:, :r_ns]
     coef, *_ = np.linalg.lstsq(factors, z, rcond=None)
     loadings = coef.T.copy()
     signs = column_signs(loadings)
-    return FactorModel(loadings * signs, factors * signs, "levels", r_ns, r_s,
-                       eigenvalues=s[:r] ** 2)
+    return FactorModel(loadings * signs, factors * signs, "levels",
+                       eigenvalues=s[:r_ns] ** 2)
 
 
-def pca_factors(data, k: int, demean: bool = True) -> FactorModel:
-    """Principal-component factors of a stationary panel.
+def pca_factors(data, k: int) -> FactorModel:
+    """Principal-component factors of a demeaned stationary panel.
 
     Same normalization as the differences route; used by the
     factor-augmented forecasters on transformed data.
@@ -166,7 +152,7 @@ def pca_factors(data, k: int, demean: bool = True) -> FactorModel:
     T, N = x.shape
     if not 0 <= k <= min(N, T - 1):
         raise ParameterError(f"factor count {k} outside [0, {min(N, T - 1)}]")
-    xc = x - x.mean(axis=0) if demean else x
+    xc = x - x.mean(axis=0)
     return _principal_components(xc, xc, k)
 
 
@@ -177,13 +163,10 @@ def _tail_variance(x: np.ndarray) -> np.ndarray:
     return tail / x.size
 
 
-def count_factors(data, mode: str = "diff_ic", kmax: int = 8) -> int:
-    """Information-criterion factor count over 0..kmax.
-
-    "diff_ic" applies the (N+T)/(NT)·log(min(N,T)) penalty to standardized
-    first differences; "levels_ipc" applies the heavier levels penalty with
-    rate multiplier T/(4 log log T) directly to the data, which consistently
-    counts stochastic-trend factors without differencing.
+def count_factors(data, kmax: int = 8) -> int:
+    """Information-criterion factor count over 0..kmax: the
+    (N+T)/(NT)·log(min(N,T)) penalty on the log mean squared residual of
+    the standardized first differences after k principal components.
     """
     z = as_values(data)
     T, N = z.shape
@@ -191,25 +174,14 @@ def count_factors(data, mode: str = "diff_ic", kmax: int = 8) -> int:
         raise ParameterError(f"kmax {kmax} outside [0, min(N, T)/2]")
     if kmax == 0:
         return 0
-    if mode == "diff_ic":
-        x = np.diff(z, axis=0)
-        x = (x - x.mean(axis=0)) / column_scales(x)
-        Tx = x.shape[0]
-        v = _tail_variance(x)[:kmax + 1]
-        penalty = (N + Tx) / (N * Tx) * np.log(min(N, Tx))
-        with np.errstate(divide="ignore"):
-            crit = np.where(v > 0, np.log(np.maximum(v, 1e-300)), -np.inf)
-        crit = crit + penalty * np.arange(kmax + 1)
-    elif mode == "levels_ipc":
-        if T < 3:
-            raise DataError("levels criterion needs at least three rows")
-        v = _tail_variance(z)[:kmax + 1]
-        alpha_T = T / (4.0 * np.log(np.log(T)))
-        penalty = v[kmax] * alpha_T * (N + T) / (N * T) * np.log(min(N, T))
-        crit = v + penalty * np.arange(kmax + 1)
-    else:
-        raise ParameterError(f"unknown mode '{mode}'; choose from {COUNT_MODES}")
-    return int(np.argmin(crit))
+    x = np.diff(z, axis=0)
+    x = (x - x.mean(axis=0)) / column_scales(x)
+    Tx = x.shape[0]
+    v = _tail_variance(x)[:kmax + 1]
+    penalty = (N + Tx) / (N * Tx) * np.log(min(N, Tx))
+    with np.errstate(divide="ignore"):
+        crit = np.where(v > 0, np.log(np.maximum(v, 1e-300)), -np.inf)
+    return int(np.argmin(crit + penalty * np.arange(kmax + 1)))
 
 
 def var_bic_forecast(x, h: int, p_max: int, p_min: int) -> np.ndarray:
@@ -260,86 +232,72 @@ def var_bic_forecast(x, h: int, p_max: int, p_min: int) -> np.ndarray:
     return paths if v.ndim == 3 else paths[0].reshape(h, *v.shape[1:])
 
 
-def _factor_path(factors: np.ndarray, h: int, rank: Optional[int],
-                 p: Optional[int], p_max: int) -> np.ndarray:
-    """Iterated factor forecasts; falls back to a frozen path only when
-    automatic selection hits an infeasible window."""
-    k = factors.shape[1]
-    if k == 0:
+def _factor_path(factors: np.ndarray, h: int, p_max: int) -> np.ndarray:
+    """Iterated factor forecasts from a VECM at the criteria's lag and
+    rank; a window where that fit fails gets the frozen path."""
+    if factors.shape[1] == 0:
         return np.zeros((h, 0))
-    auto = rank is None and p is None
     try:
-        p_f = select_lag_bic(factors, p_max=p_max,
-                             det=DeterministicSpec.MEAN) if p is None else p
-        model = johansen_ml(factors, rank, p_f, det=DeterministicSpec.MEAN)
+        p = select_lag_bic(factors, p_max=p_max, det=DeterministicSpec.MEAN)
+        model = johansen_ml(factors, None, p, det=DeterministicSpec.MEAN)
         return vecm_iterated_forecast(model, factors, h)
     except (DataError, NumericalError):
-        if not auto:
-            raise
         return np.repeat(factors[-1:], h, axis=0)
 
 
-def ndfm_forecast(data, k: Optional[int] = None, rank: Optional[int] = None,
-                  p: Optional[int] = None, h: int = 1, idio_ar: bool = True,
+def ndfm_forecast(data, k: Optional[int] = None, h: int = 1,
                   p_max: int = 3) -> np.ndarray:
-    """Level forecasts for every series from the nonstationary factor model.
+    """Level forecasts (h, N) for every series from the nonstationary
+    factor model.
 
     Factors come from the differences route, ``k`` of them or, when not
     given, the :func:`count_factors` choice of at most min(8, N/2, T/2).
-    Their joint dynamics are a VECM fitted by reduced-rank ML (rank and
-    lag by information criteria when not given, the lag at most
-    ``p_max``), iterated one step at a time.  Per-series intercept and trend are re-estimated by OLS holding
-    the loadings fixed, and optional BIC-selected AR(≤ ``p_max``)s, one
-    stack of them, carry the idiosyncratic remainders.
-    ``h=0`` returns the fitted value at the last observation as a (1, N)
-    row; ``h≥1`` returns the (h, N) forecast path.
+    Their joint dynamics are a VECM fitted by reduced-rank ML at the
+    rank and lag (at most ``p_max``) of the information criteria, iterated
+    one step at a time.  Per-series intercept and trend are re-estimated
+    by OLS holding the loadings fixed, and BIC-selected AR(≤ ``p_max``)s,
+    one stack of them, carry the idiosyncratic remainders.
     """
     z = as_values(data)
     T, N = z.shape
-    if h < 0:
-        raise ParameterError("forecast horizon must be nonnegative")
+    if h < 1:
+        raise ParameterError("forecast horizon must be positive")
     if k is None:
-        k = count_factors(z, "diff_ic", min(8, min(N, T) // 2))
+        k = count_factors(z, min(8, min(N, T) // 2))
     fm = extract_factors_diff(z, k)
-    common = fm.common_component()
-    uhat, coef = detrend(z - common)
-    steps = np.array([float(T)]) if h == 0 else np.arange(T + 1.0, T + h + 1.0)
-    if h == 0:
-        fpath = fm.factors[-1:]
-        upath = uhat[-1:] if idio_ar else np.zeros((1, N))
-    else:
-        fpath = _factor_path(fm.factors, h, rank, p, p_max)
-        upath = var_bic_forecast(uhat.T[:, :, None], h, p_max, 0)[:, :, 0].T \
-            if idio_ar else np.zeros((h, N))
+    uhat, coef = detrend(z - fm.common_component())
+    steps = np.arange(T + 1.0, T + h + 1.0)
     det = np.outer(np.ones_like(steps), coef[0]) + np.outer(steps, coef[1])
-    return det + fpath @ fm.loadings.T + upath
+    upath = var_bic_forecast(uhat.T[:, :, None], h, p_max, 0)[:, :, 0].T
+    return det + _factor_path(fm.factors, h, p_max) @ fm.loadings.T + upath
 
 
 def fecm_forecast(data, targets: Optional[Sequence[Union[int, str]]] = None,
-                  r_ns: int = 0, r_s: int = 0, rank: Optional[int] = None,
-                  p: Optional[int] = None, h: int = 1,
+                  r_ns: int = 0, h: int = 1,
                   det: Union[str, DeterministicSpec] = DeterministicSpec.TREND,
                   p_max: int = 3) -> np.ndarray:
     """Level forecasts for the target block from a factor-augmented VECM.
 
-    Levels-extracted factors are stacked under the target series and the
-    joint system is estimated by reduced-rank ML; by default with an
-    unrestricted intercept and a trend restricted to the cointegrating
-    space, while already-detrended inputs can pass ``det="none"``.  Rank
-    and lag (at most ``p_max``) come from the information criteria when
-    not given.  With ``r_ns = r_s = 0`` this is a plain VECM on the
-    targets.  Factors of a panel of targets only are combinations of
-    them: :class:`DataError`.
+    ``r_ns`` levels-extracted factors are stacked under the target series
+    and the joint system is estimated by reduced-rank ML at the rank and
+    lag (at most ``p_max``) of the information criteria; by default with
+    an unrestricted intercept and a trend restricted to the cointegrating
+    space, while already-detrended inputs can pass ``det="none"``.  With
+    ``r_ns = 0`` this is a plain VECM on the targets.  The factors and the
+    targets all lie in the span of the panel's N series, so more targets
+    and factors than N would make the system singular: :class:`DataError`.
     """
     z, _, idx = resolve_targets(data, targets)
     spec = DeterministicSpec.parse(det)
     blocks = [z[:, idx]]
-    if r_ns + r_s > 0:
-        if idx.size == z.shape[1]:
-            raise DataError("factors of an all-target panel would make "
-                            "the factor-augmented system singular")
-        blocks.append(extract_factors_levels(z, r_ns, r_s).factors)
+    if r_ns > 0:
+        if idx.size + r_ns > z.shape[1]:
+            raise DataError(
+                f"{idx.size} targets and {r_ns} factors exceed the "
+                f"{z.shape[1]} series that span them; the factor-augmented "
+                f"system would be singular")
+        blocks.append(extract_factors_levels(z, r_ns).factors)
     x = np.hstack(blocks)
-    p_x = select_lag_bic(x, p_max=p_max, det=spec) if p is None else p
-    model = johansen_ml(x, rank, p_x, det=spec)
+    model = johansen_ml(x, None, select_lag_bic(x, p_max=p_max, det=spec),
+                        det=spec)
     return vecm_iterated_forecast(model, x, h)[:, :idx.shape[0]]

@@ -236,8 +236,7 @@ def _pml_path(ctx: _Window, zb: np.ndarray) -> np.ndarray:
 
 def _fecm_path(ctx: _Window, z: np.ndarray) -> np.ndarray:
     return fecm_forecast(z, targets=list(ctx.targets), r_ns=ctx.cfg.factors,
-                         r_s=0, h=_max_h(ctx), det="none",
-                         p_max=ctx.cfg.p_max)
+                         h=_max_h(ctx), det="none", p_max=ctx.cfg.p_max)
 
 
 def _ndfm_path(ctx: _Window, z: np.ndarray) -> np.ndarray:
@@ -400,9 +399,6 @@ class McsResult:
     members: Tuple[str, ...]
     eliminated: Tuple[str, ...]
     alpha: float
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.members
 
 
 def mcs(losses, alpha: float = 0.10, gamma: float = 0.85, reps: int = 999,

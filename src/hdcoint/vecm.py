@@ -7,22 +7,22 @@ and an elementwise-penalized maximum likelihood estimator for a fixed
 rank.  A common iterated one-step forecaster maps any fitted model to
 level forecasts.
 
-The rank criterion, the Johansen fit and the PML estimator's Johansen
-start read one solve of the reduced-rank eigenproblem; with ``r=None``
-a fit takes the criterion's rank off the eigenvalues it already has.
-The solve is one triangular factor: a QR of [W, y1, y0], a QR of its
-residual block and one SVD give the squared canonical correlations, and
-a pivot of at most n eps times its column's norm makes a window singular.
+One routine factors the error-correction design [W, y1, y0] of every
+fit: one QR per row prefix for a stack of windows, one QR of each
+residual block, and one singular-window rule (a pivot of at most n eps
+times its column's norm) with one pair of messages.  The rank criterion,
+the Johansen fit and the PML estimator's Johansen start read one solve
+of the reduced-rank eigenproblem, a window's full-sample factor and one
+SVD; with ``r=None`` a fit takes the criterion's rank off the
+eigenvalues it already has.
 
 The QR estimator fits one window or a stack of windows of one shape in
 one pass (a single window is a stack of one).  Each cross-validation
 fold trains on a row prefix of a window's design and validates on a row
 slice of it; the design is built once for the prefix factors and once
 more for the validation pass, so none is held through the secular
-solve.  The triangular factor of a prefix gives the fold's OLS long
-run, short-run coefficients and column Grams, with the same singularity
-rule and messages as the Johansen solve.  After one QR
-per prefix for the whole stack, the windows' stages are stacked: one
+solve.  The factor of a prefix gives the fold's OLS long run, short-run
+coefficients and column Grams; the windows' stages are stacked: one
 solve, one pivoted QR (the column order of :func:`pivot_order`,
 LAPACK's ``dgeqp3`` rule on numpy, then one QR of the permuted stack),
 one product, one ``eigh`` per column size, and one vectorised,
@@ -126,10 +126,6 @@ class VecmModel:
     def n_series(self) -> int:
         return self.a.shape[0]
 
-    @property
-    def pi(self) -> np.ndarray:
-        return self.a @ self.b.T
-
 
 # -- reduced-rank maximum likelihood ----------------------------------------
 
@@ -146,8 +142,7 @@ def _singular_windows(ta: np.ndarray, lead: np.ndarray, norms: np.ndarray,
     axes are its stages), the :class:`NumericalError` that makes it
     singular, or None: a pivot of ``ta``, the factor of y0's residual on W,
     then of ``lead``, the factor of [W, y1], that :func:`singular_pivots`
-    reads as singular against ``norms``, the column norms of [W, y1, y0]
-    in the window's n rows."""
+    reads as singular against ``norms``, the column norms of R."""
     q, count = lead.shape[-1], ta.shape[0]
     residual = singular_pivots(ta, norms[..., q:], n).reshape(count, -1)
     lagged = singular_pivots(lead, norms[..., :q], n).reshape(count, -1)
@@ -161,32 +156,53 @@ def _singular_windows(ta: np.ndarray, lead: np.ndarray, norms: np.ndarray,
     return errors
 
 
-def _johansen_solve(z: np.ndarray, p: int, det: DeterministicSpec) -> _Solve:
-    """One window's reduced-rank eigenproblem from one triangular factor.
+def _ec_factors(z: np.ndarray, p: int, det: DeterministicSpec,
+                rows: Sequence[int]) -> Tuple[np.ndarray, int, np.ndarray,
+                                              np.ndarray, list]:
+    """(R, k, Qa, Ta, errors) of the error-correction design [W, y1, y0]
+    (k, m and N columns) of each window of the (W, T, N) stack ``z``: R
+    (windows, stages, K, K), the triangular factor of each row prefix in
+    ``rows`` from one QR per prefix, zero below a prefix shorter than K;
+    Qa Ta, the QR of each residual block R[k:, k+m:]; and each window's
+    :func:`_singular_windows` error over its prefixes, or None."""
+    y0, y1, W, _ = _ec_design(z, p, det)
+    design = np.concatenate([W, y1, y0], axis=-1)
+    k, q = W.shape[-1], W.shape[-1] + y1.shape[-1]
+    R = np.zeros((z.shape[0], len(rows)) + (design.shape[-1],) * 2)
+    for s, n in enumerate(rows):
+        f = np.linalg.qr(design[:, :n], mode="r")
+        R[:, s, :f.shape[1]] = f
+    qa, ta = np.linalg.qr(R[..., k:, q:])
+    errors = _singular_windows(ta, R[..., :q, :q], np.linalg.norm(R, axis=-2),
+                               np.asarray(rows)[:, None])
+    return R, k, qa, ta, errors
 
-    A QR of [W, y1, y0] (k, m and N columns) gives R22 = R[k:k+m, k:k+m]
-    and the residual block A = R[k:, k+m:]: S11 = R22'R22/n, S01 =
-    A[:m]'R22/n and S00 = A'A/n, none of them squared out of the data.
-    With A = Qa Ta and Qa[:m] = U diag(σ) V', λ = σ² (squared canonical
-    correlations; Björck & Golub 1973, Doornik & O'Brien 2002), zero-padded
-    to m and clipped at 1 - 1e-12; the vectors are √n R22⁻¹U.  A singular
-    Ta, then a singular R[:k+m, :k+m], raises (:func:`_singular_windows`).
+
+def _johansen_solve(z: np.ndarray, p: int, det: DeterministicSpec) -> _Solve:
+    """One window's reduced-rank eigenproblem from its triangular factor
+    (:func:`_ec_factors`, which raises a singular window's error).
+
+    R22 = R[k:k+m, k:k+m] and the residual block A = R[k:, k+m:] give
+    S11 = R22'R22/n, S01 = A[:m]'R22/n and S00 = A'A/n, none of them
+    squared out of the data.  With A = Qa Ta and Qa[:m] = U diag(σ) V',
+    λ = σ² (squared canonical correlations; Björck & Golub 1973, Doornik &
+    O'Brien 2002), zero-padded to m and clipped at 1 - 1e-12; the vectors
+    are √n R22⁻¹U.
     """
-    y0, y1, W, t_last = _ec_design(z, p, det)
-    (n, N), k, m = y0.shape, W.shape[1], y1.shape[1]
-    design = np.hstack([W, y1, y0])
-    R = np.linalg.qr(design, mode="r")
-    r22, (qa, ta) = R[k:k + m, k:k + m], np.linalg.qr(R[k:, k + m:])
-    error, = _singular_windows(ta[None], R[None, :k + m, :k + m],
-                               np.linalg.norm(design, axis=0), n)
+    T, N = z.shape
+    n = T - p - 1
+    R, k, qa, ta, (error,) = _ec_factors(z[None], p, det, [n])
     if error is not None:
         raise error
+    R, qa, ta = R[0, 0], qa[0, 0], ta[0, 0]
+    m = R.shape[-1] - k - N
+    r22 = R[k:k + m, k:k + m]
     u, sigma, _ = np.linalg.svd(qa[:m])
     lam = np.zeros(m)
     lam[:N] = np.clip(sigma * sigma, 0.0, 1.0 - 1e-12)
     vecs = np.sqrt(n) * np.linalg.solve(r22, u)
     logdet = 2 * np.log(np.abs(np.diagonal(ta))).sum() - N * np.log(n)
-    return _Solve(R, k, n, t_last, lam, vecs, logdet,
+    return _Solve(R, k, n, T, lam, vecs, logdet,
                   R[k:k + m, k + m:].T @ r22 / n)
 
 
@@ -493,27 +509,11 @@ class _QrStages:
     bases: _Bases
 
 
-def _prefix_factors(z: np.ndarray, p: int, rows: Sequence[int]
-                    ) -> Tuple[np.ndarray, int]:
-    """Triangular factors (windows, stages, K, K) of the row prefixes
-    ``rows`` of the error-correction design [W, y1, y0] ('none') of each
-    window of the stack ``z``, from one QR per prefix, with zero rows
-    under a prefix shorter than K; and k, the width of W."""
-    y0, y1, W, _ = _ec_design(z, p, DeterministicSpec.NONE)
-    design = np.concatenate([W, y1, y0], axis=-1)
-    R = np.zeros((z.shape[0], len(rows)) + (design.shape[-1],) * 2)
-    for s, n in enumerate(rows):
-        f = np.linalg.qr(design[:, :n], mode="r")
-        R[:, s, :f.shape[1]] = f
-    return R, W.shape[-1]
-
-
 def _qr_stages(z: np.ndarray, p: int, rows: Sequence[int]
                ) -> Tuple[_QrStages, list]:
     """The stages of the row prefixes ``rows`` of each window's design
     [W, y1, y0] (k, N and N columns), for the (W, T, N) stack ``z``, read
-    off one triangular factor per window and prefix
-    (:func:`_prefix_factors`).
+    off one triangular factor per window and prefix (:func:`_ec_factors`).
 
     With R = [[R11, R12, R13], [0, R22, R23], [0, 0, R33]], the OLS long
     run is Π' = R22⁻¹R23 and the short run R11⁻¹[R13, R12], from one solve
@@ -522,16 +522,12 @@ def _qr_stages(z: np.ndarray, p: int, rows: Sequence[int]
     Column problem j regresses column piv[j] of y0's residual on W on the
     first j + 1 columns of (y1's residual on W)·Q, so with M = R22·Q their
     Gram is M'M and their cross-products are M'R23[:, piv], from one
-    product.  A window with a singular prefix gets its error
-    (:func:`_singular_windows`) and no stages: the stages hold the other
-    windows, in order, and come with one error or None per window.
+    product.  A window with a singular prefix gets its error and no
+    stages: the stages hold the other windows, in order, and come with one
+    error or None per window.
     """
-    R, k = _prefix_factors(z, p, rows)
+    R, k, _, _, errors = _ec_factors(z, p, DeterministicSpec.NONE, rows)
     N = z.shape[-1]
-    errors = _singular_windows(np.linalg.qr(R[..., k:, k + N:], mode="r"),
-                               R[..., :k + N, :k + N],
-                               np.linalg.norm(R, axis=-2),
-                               np.asarray(rows)[:, None])
     R = R[np.array([e is None for e in errors], dtype=bool)]
     # diag(R11, R22)⁻¹ [[R13, R12], [R23, 0]] = [[short run], [Π', 0]]
     lhs = np.zeros(R.shape[:2] + (k + N, k + N))

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from hdcoint import (FactorDgpParams, ParameterError, count_factors,
-                     extract_factors_diff, extract_factors_levels,
-                     fecm_forecast, johansen_ml, ndfm_forecast, pca_factors,
-                     simulate_factor_dgp, var_bic_forecast,
+from hdcoint import (DataError, FactorDgpParams, ParameterError,
+                     count_factors, extract_factors_diff,
+                     extract_factors_levels, fecm_forecast, johansen_ml,
+                     ndfm_forecast, random_vecm_params, select_lag_bic,
+                     simulate_factor_dgp, simulate_vecm, var_bic_forecast,
                      vecm_iterated_forecast)
 from tests.conftest import canonical_correlations, slope_detrend
 
@@ -80,12 +81,10 @@ class TestDiffExtraction:
 class TestLevelsExtraction:
     def test_normalization_identities(self, rng):
         z = rng.standard_normal((180, 10)).cumsum(axis=0)
-        model = extract_factors_levels(z, r_ns=2, r_s=1)
+        model = extract_factors_levels(z, r_ns=3)
         T = z.shape[0]
-        f_ns = model.factors[:, :2]
-        f_s = model.factors[:, 2:]
-        assert np.allclose(f_ns.T @ f_ns / T ** 2, np.eye(2), atol=1e-8)
-        assert np.allclose(f_s.T @ f_s / T, np.eye(1), atol=1e-8)
+        f = model.factors
+        assert np.allclose(f.T @ f / T ** 2, np.eye(3), atol=1e-8)
 
     def test_single_walk_factor_recovered(self, rng):
         f = rng.standard_normal(300).cumsum()
@@ -94,15 +93,6 @@ class TestLevelsExtraction:
         model = extract_factors_levels(z, r_ns=1)
         corr = np.corrcoef(model.factors[:, 0], f)[0, 1]
         assert abs(corr) > 0.999
-
-    def test_no_nonstationary_block_is_stationary_pca(self, rng):
-        # scales differ by normalization; the spanned paths coincide
-        z = rng.standard_normal((150, 8))
-        a = extract_factors_levels(z, r_ns=0, r_s=2)
-        b = pca_factors(z, 2, demean=False)
-        for j in range(2):
-            corr = np.corrcoef(a.factors[:, j], b.factors[:, j])[0, 1]
-            assert abs(corr) > 1.0 - 1e-10
 
     def test_eigenvalue_ordering(self, rng):
         z = rng.standard_normal((150, 8)).cumsum(axis=0)
@@ -115,22 +105,15 @@ class TestCounting:
         hits = 0
         for seed in range(10):
             z, _ = _factor_panel(50, 200, 2, seed=100 + seed, idio=0.5)
-            hits += count_factors(z, mode="diff_ic") == 2
+            hits += count_factors(z) == 2
         assert hits >= 9
 
     def test_pure_noise_counts_zero(self, rng):
         hits = 0
         for _ in range(10):
             z = rng.standard_normal((200, 30))
-            hits += count_factors(z, mode="diff_ic") == 0
+            hits += count_factors(z) == 0
         assert hits >= 8
-
-    def test_levels_mode_finds_nonstationary_count(self):
-        hits = 0
-        for seed in range(10):
-            z, _ = _factor_panel(40, 300, 2, seed=200 + seed, idio=0.5)
-            hits += count_factors(z, mode="levels_ipc") == 2
-        assert hits >= 7
 
     def test_kmax_zero(self, rng):
         z = rng.standard_normal((100, 10))
@@ -138,32 +121,25 @@ class TestCounting:
 
 
 class TestNdfm:
-    def test_h0_identity_without_idio(self):
-        z, _ = _factor_panel(20, 150, 2, seed=5)
-        fc = ndfm_forecast(z, k=2, rank=1, p=1, h=0, idio_ar=False)
-        model = extract_factors_diff(z, 2)
-        common = model.factors @ model.loadings.T
-        # per-series deterministics are fit on the idiosyncratic residual
-        T = z.shape[0]
-        X = np.column_stack([np.ones(T), np.arange(T, dtype=float)])
-        coef, *_ = np.linalg.lstsq(X, z - common, rcond=None)
-        expect = coef[0] + coef[1] * (T - 1) + common[-1]
-        assert np.allclose(fc[-1], expect, atol=1e-10)
-
     def test_deterministic_only_dgp(self, rng):
         t = np.arange(120.0)
         noise = 1e-8 * rng.standard_normal((120, 2))
         z = np.column_stack([1.0 + 0.2 * t, -3.0 + 0.05 * t]) + noise
-        fc = ndfm_forecast(z, k=1, rank=0, p=1, h=3, idio_ar=False)
+        fc = ndfm_forecast(z, k=1, h=3)
         expect = np.array([1.0 + 0.2 * (t[-1] + 3),
                            -3.0 + 0.05 * (t[-1] + 3)])
         assert np.allclose(fc[-1], expect, atol=1e-5)
 
     def test_forecast_path_shape_and_finiteness(self):
         z, _ = _factor_panel(15, 200, 2, seed=6)
-        fc = ndfm_forecast(z, k=2, rank=1, p=1, h=6)
+        fc = ndfm_forecast(z, k=2, h=6)
         assert fc.shape == (6, 15)
         assert np.isfinite(fc).all()
+
+    def test_horizon_below_one_raises(self):
+        z, _ = _factor_panel(15, 200, 2, seed=6)
+        with pytest.raises(ParameterError, match="horizon"):
+            ndfm_forecast(z, k=2, h=0)
 
     def test_auto_counts_run(self):
         z, _ = _factor_panel(25, 200, 2, seed=7)
@@ -176,9 +152,8 @@ class TestFecm:
     def test_degenerate_fecm_is_plain_johansen(self):
         rng = np.random.default_rng(8)
         z = rng.standard_normal((200, 3)).cumsum(axis=0)
-        fc = fecm_forecast(z, targets=[0, 1, 2], r_ns=0, r_s=0, rank=1, p=1,
-                           det="none", h=4)
-        model = johansen_ml(z, r=1, p=1, det="none")
+        fc = fecm_forecast(z, targets=[0, 1, 2], det="none", h=4)
+        model = johansen_ml(z, None, select_lag_bic(z, p_max=3), det="none")
         expect = vecm_iterated_forecast(model, z, h=4)
         assert np.allclose(fc, expect, atol=1e-8)
 
@@ -187,17 +162,22 @@ class TestFecm:
         lam = rng.normal(size=8)
         z = np.outer(f, lam) + 0.05 * rng.standard_normal((250, 8))
         z[:, 0] = f                     # the target is the factor itself
-        fc = fecm_forecast(z, targets=[0], r_ns=1, rank=1, p=1, h=1,
-                           det="none")
+        fc = fecm_forecast(z, targets=[0], r_ns=1, h=1, det="none")
         assert abs(fc[-1, 0] - f[-1]) < 1.0
 
     def test_det_parameter_accepted(self, rng):
         z = rng.standard_normal((200, 5)).cumsum(axis=0)
-        a = fecm_forecast(z, targets=[0], r_ns=1, rank=1, p=1, h=2,
-                          det="none")
-        b = fecm_forecast(z, targets=[0], r_ns=1, rank=1, p=1, h=2,
-                          det="trend")
+        a = fecm_forecast(z, targets=[0], r_ns=1, h=2, det="none")
+        b = fecm_forecast(z, targets=[0], r_ns=1, h=2, det="trend")
         assert np.isfinite(a).all() and np.isfinite(b).all()
+
+    def test_more_targets_and_factors_than_series_raise(self):
+        # targets and levels factors all lie in the span of the N series
+        z = simulate_vecm(random_vecm_params(4, 1, p=1, seed=3), 140,
+                          seed=4).values
+        with pytest.raises(DataError, match="exceed the 4 series"):
+            fecm_forecast(z, targets=[0, 1], r_ns=3)
+        assert np.isfinite(fecm_forecast(z, targets=[0, 1], r_ns=2)).all()
 
 
 class TestVarBicForecast:

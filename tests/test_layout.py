@@ -204,9 +204,7 @@ KEPT = {
     "panel.apply_transform": "item 12: the level stage of codes 4-7",
     "factors.count_factors": "the NDFM factor count when none is given",
     "harness.register_method": "item 7: the oracle-lane fixture",
-    "harness.McsResult.__contains__": "membership query of an MCS result",
     "singleeq.SingleEqFit.nonzero": "the benchmark reads a fit's support",
-    "vecm.VecmModel.pi": "the long-run matrix AB' of a fitted model",
     "vecm.select_rank_ic": "the rank criterion; the benchmark's tracer "
                            "looks it up in harness and factors",
 }

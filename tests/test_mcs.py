@@ -53,11 +53,11 @@ class TestStructure:
         assert survivor in out.members
         assert out.pvalues[survivor] == 1.0
 
-    def test_contains_protocol(self, rng):
+    def test_members_are_the_names_with_pvalue_at_least_alpha(self, rng):
         out = mcs(_losses(rng, n=100), alpha=0.10, reps=199,
                   names=["x", "y"])
-        for name in out.members:
-            assert name in out
+        assert out.members == tuple(name for name in out.names
+                                    if out.pvalues[name] >= out.alpha)
 
     def test_determinism_by_seed(self, rng):
         losses = _losses(rng, n=90, spread=0.2)

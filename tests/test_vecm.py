@@ -16,9 +16,9 @@ from hdcoint import (DataError, NumericalError, ParameterError, VecmParams,
                      vecm_iterated_forecast)
 from hdcoint._numeric import soft_threshold
 from hdcoint.panel import DeterministicSpec
-from hdcoint.vecm import (_Bases, _ec_design, _group_bases, _group_lasso,
-                          _johansen_solve, _one_step_errors, _pml_init,
-                          _pml_objective, _qr_assemble, _qr_stages,
+from hdcoint.vecm import (_Bases, _ec_design, _ec_factors, _group_bases,
+                          _group_lasso, _johansen_solve, _one_step_errors,
+                          _pml_init, _pml_objective, _qr_assemble, _qr_stages,
                           default_lambda_grid)
 from tests.conftest import canonical_correlations, subspace_angle_deg
 
@@ -233,6 +233,41 @@ class TestJohansenFactor:
         assert np.allclose(got, coef, rtol=1e-10, atol=1e-13)
         assert np.allclose(model.sigma, resid.T @ resid / y0.shape[0],
                            rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("det", ["none", "mean", "trend"])
+    def test_a_stack_factors_each_window_as_alone(self, det):
+        # a stack holding an exactly singular window: each window's
+        # factors, residual QR and error are those of its own stack of one
+        z = _degenerate_windows()[0][1][:, :5]
+        good = np.column_stack([z, np.random.default_rng(3).standard_normal(
+            150).cumsum()])
+        bad = _degenerate_windows()[0][1]
+        zs = np.stack([good, bad, good[::-1]])
+        spec = DeterministicSpec.parse(det)
+        rows = [70, 110, 148]
+        R, k, qa, ta, errors = _ec_factors(zs, 1, spec, rows)
+        assert [e is None for e in errors] == [True, False, True]
+        for w in range(3):
+            R1, k1, qa1, ta1, (error,) = _ec_factors(zs[w:w + 1], 1, spec,
+                                                     rows)
+            assert k1 == k
+            for got, want in ((R, R1), (qa, qa1), (ta, ta1)):
+                assert np.array_equal(got[w], want[0])
+            assert repr(errors[w]) == repr(error)
+
+    def test_a_fit_makes_two_qrs(self, monkeypatch):
+        # one of the design and one of its residual block, none twice
+        _, z = _sim(4, 2, 200, 11, p=1)
+        calls = []
+        qr = np.linalg.qr
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("mode", "reduced"))
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        johansen_ml(z, None, 1)
+        assert calls == ["r", "reduced"]
 
 
 def _degenerate_windows():
@@ -486,7 +521,7 @@ class TestQrVecmOracle:
             assert got.info["lambda"] == want.info["lambda"]
             assert got.rank == want.rank
             assert got.info["pivot"] == want.info["pivot"]
-            assert np.array_equal(got.pi, want.pi)
+            assert np.array_equal(got.a @ got.b.T, want.a @ want.b.T)
             checked += 1
         assert checked >= 20
 
@@ -676,7 +711,8 @@ class TestOneStepSse:
         phi = np.hstack(model.phi) if p else np.zeros((4, 0))
         y0, y1, W, _ = _ec_design(z[120 - p - 1:160], p,
                                   DeterministicSpec.NONE)
-        got = float(np.sum(_one_step_errors(model.pi, phi, y0, y1, W)))
+        got = float(np.sum(_one_step_errors(model.a @ model.b.T, phi, y0,
+                                            y1, W)))
         want = self._loop(model, z, 120, 160)
         assert got == pytest.approx(want, rel=1e-12)
 

@@ -1,12 +1,12 @@
 """Numeric kernels shared by several modules of the package, one
-implementation each: the AR(1) recursion, the residual factors of every
-lag-by-BIC choice, the rule that reads a triangular factor's pivot as
-singular, the column order of a pivoted QR, the sign convention of
-eigen- and singular vectors, the zero-safe column scale, the
-soft-threshold and its coordinate sweep, the fold edges and tie rule of
-the expanding-window cross-validation of the SPECS/PADL and QR-VECM
-penalties, and the rule that every penalty level is finite and
-non-negative.
+implementation each: the AR(1) recursion, the triangular factors of a
+stack of matrices, the residual factors of every lag-by-BIC choice, the
+rule that reads a triangular factor's pivot as singular, the column
+order of a pivoted QR, the sign convention of eigen- and singular
+vectors, the zero-safe column scale, the soft-threshold and its
+coordinate sweep, the fold edges and tie rule of the expanding-window
+cross-validation of the SPECS/PADL and QR-VECM penalties, and the rule
+that every penalty level is finite and non-negative.
 """
 
 from __future__ import annotations
@@ -31,17 +31,40 @@ def ar1_recursion(e: np.ndarray, rho) -> np.ndarray:
     return e
 
 
-def nested_residual_factors(X: np.ndarray, Y: np.ndarray,
+#: bytes of the matrices of a stack given to one QR call: numpy's QR
+#: copies its whole input, so a stack of windows is factored in blocks
+_QR_BLOCK_BYTES = 1 << 16
+
+
+def triangular_factors(A: np.ndarray) -> np.ndarray:
+    """R of each matrix of the stack A (..., n, m), as
+    ``np.linalg.qr(A, mode="r")`` gives it, from one QR call per block of
+    at most ``_QR_BLOCK_BYTES`` of matrices (at least one matrix)."""
+    n, m = A.shape[-2:]
+    flat = A.reshape(-1, n, m)
+    step = max(1, _QR_BLOCK_BYTES // max(1, A.itemsize * n * m))
+    if len(flat) <= step:
+        return np.linalg.qr(A, mode="r")
+    R = np.empty((len(flat), min(n, m), m))
+    for first in range(0, len(flat), step):
+        R[first:first + step] = np.linalg.qr(flat[first:first + step],
+                                             mode="r")
+    return R.reshape(A.shape[:-2] + R.shape[-2:])
+
+
+def nested_residual_factors(A: np.ndarray, m: int,
                             widths: Sequence[int]) -> np.ndarray:
     """Upper-triangular F, (..., len(widths), q, q), whose F'F is the
-    residual cross-product of Y (..., n >= q, q) on the first c columns of
-    X (..., n, m), for each c in ``widths``: with R the triangular factor
-    of [X, Y], it is R[c:, m:]' R[c:, m:] (X[:, :c] of full rank)."""
-    m = X.shape[-1]
-    R = np.linalg.qr(np.concatenate([X, Y], axis=-1), mode="r")[..., m:]
+    residual cross-product of Y = A[..., m:] (..., n >= q, q) on the first
+    c columns of X = A[..., :m], for each c in ``widths``: with R the
+    triangular factor of A = [X, Y], it is R[c:, m:]' R[c:, m:] (X[:, :c]
+    of full rank).  The caller builds A once, so a stack of systems holds
+    one copy of its designs besides the one the QR makes."""
+    # a copy, so the whole factor is freed before the second QR
+    R = triangular_factors(A)[..., m:].copy()
     keep = np.arange(R.shape[-2]) >= np.asarray(widths)[:, None]
-    return np.linalg.qr(np.where(keep[..., None], R[..., None, :, :], 0.0),
-                        mode="r")
+    return triangular_factors(np.where(keep[..., None], R[..., None, :, :],
+                                       0.0))
 
 
 def singular_pivots(F: np.ndarray, norms, n: int) -> np.ndarray:

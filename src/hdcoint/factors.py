@@ -6,9 +6,12 @@ factor paths by cross-sectional averaging.  The levels route reads factor
 paths directly off the dominant left singular vectors of the data matrix
 as supplied, normalized at the T² rate of stochastic trends.  The two
 forecasters combine either route with the reduced-rank VECM machinery,
-at the lag and rank of its information criteria.  :func:`var_bic_forecast`
-is the one AR/VAR-by-BIC routine of the package, for one system or a
-stack of them.
+at the lag and rank of its information criteria.  Each takes one window
+or a (W, T, N) stack of windows: the factors are extracted window by
+window, and the VECMs of all windows are one stacked lag choice and one
+stacked fit, each window's outcome bit for bit as alone.
+:func:`var_bic_forecast` is the one AR/VAR-by-BIC routine of the
+package, for one system or a stack of them.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import numpy as np
 from ._numeric import (column_scales, column_signs, nested_residual_factors,
                        singular_pivots)
 from .errors import DataError, NumericalError, ParameterError
-from .panel import DeterministicSpec, as_values, detrend, resolve_targets
+from .panel import (DeterministicSpec, as_stack, as_values, detrend,
+                    resolve_targets, unstack)
 # select_rank_ic is unused here, but the benchmark's tracer still looks
 # it up in this module
 from .vecm import (johansen_ml, select_lag_bic,  # noqa: F401
@@ -205,10 +209,12 @@ def var_bic_forecast(x, h: int, p_max: int, p_min: int) -> np.ndarray:
     n = T - p_max
     if n < k + 2:
         raise DataError("window too short for the autoregression")
+    # [1, the p_max lags, the response]: the lags' design is its head
     lagged = np.concatenate([np.ones((B, n, 1))] + [
-        z[:, p_max - j:T - j] for j in range(1, p_max + 1)], axis=2)
+        z[:, p_max - j:T - j] for j in range(1, p_max + 1)] + [z[:, p_max:]],
+        axis=2)
     lags = np.arange(p_min, p_max + 1)
-    F = nested_residual_factors(lagged, z[:, p_max:], 1 + k * lags)
+    F = nested_residual_factors(lagged, 1 + k * p_max, 1 + k * lags)
     signs, logdets = np.linalg.slogdet(
         np.swapaxes(F, -1, -2) @ F / n + 1e-12 * np.eye(k))
     norms = np.linalg.norm(z[:, p_max:], axis=1)[:, None]
@@ -232,21 +238,30 @@ def var_bic_forecast(x, h: int, p_max: int, p_min: int) -> np.ndarray:
     return paths if v.ndim == 3 else paths[0].reshape(h, *v.shape[1:])
 
 
-def _factor_path(factors: np.ndarray, h: int, p_max: int) -> np.ndarray:
-    """Iterated factor forecasts from a VECM at the criteria's lag and
-    rank; a window where that fit fails gets the frozen path."""
-    if factors.shape[1] == 0:
-        return np.zeros((h, 0))
-    try:
-        p = select_lag_bic(factors, p_max=p_max, det=DeterministicSpec.MEAN)
-        model = johansen_ml(factors, None, p, det=DeterministicSpec.MEAN)
-        return vecm_iterated_forecast(model, factors, h)
-    except (DataError, NumericalError):
-        return np.repeat(factors[-1:], h, axis=0)
+def _factor_path(factors: Sequence[np.ndarray], h: int,
+                 p_max: int) -> list:
+    """Iterated forecasts of each window's (T, k) factor paths from a VECM
+    at the criteria's lag and rank, one stacked lag choice and fit for the
+    windows of each factor count; a window whose fit fails gets the
+    frozen path."""
+    paths = [np.repeat(f[-1:], h, axis=0) for f in factors]
+    for k in sorted({f.shape[1] for f in factors} - {0}):
+        group = [i for i, f in enumerate(factors) if f.shape[1] == k]
+        stack = np.stack([factors[i] for i in group])
+        lags = select_lag_bic(stack, p_max=p_max, det=DeterministicSpec.MEAN)
+        models = johansen_ml(stack, None, lags, det=DeterministicSpec.MEAN)
+        for i, model in zip(group, models):
+            try:
+                if isinstance(model, Exception):
+                    raise model
+                paths[i] = vecm_iterated_forecast(model, factors[i], h)
+            except (DataError, NumericalError):
+                pass
+    return paths
 
 
 def ndfm_forecast(data, k: Optional[int] = None, h: int = 1,
-                  p_max: int = 3) -> np.ndarray:
+                  p_max: int = 3) -> Union[np.ndarray, list]:
     """Level forecasts (h, N) for every series from the nonstationary
     factor model.
 
@@ -254,28 +269,51 @@ def ndfm_forecast(data, k: Optional[int] = None, h: int = 1,
     given, the :func:`count_factors` choice of at most min(8, N/2, T/2).
     Their joint dynamics are a VECM fitted by reduced-rank ML at the
     rank and lag (at most ``p_max``) of the information criteria, iterated
-    one step at a time.  Per-series intercept and trend are re-estimated
-    by OLS holding the loadings fixed, and BIC-selected AR(≤ ``p_max``)s,
-    one stack of them, carry the idiosyncratic remainders.
+    one step at a time; where that fit fails the factors keep their last
+    value.  Per-series intercept and trend are re-estimated by OLS holding
+    the loadings fixed, and BIC-selected AR(≤ ``p_max``)s carry the
+    idiosyncratic remainders.
+
+    ``data`` is one (T, N) window, or a (W, T, N) stack of windows of one
+    shape.  Each window's factors and deterministics are its own; the
+    idiosyncratic ARs of every series of every window are one
+    :func:`var_bic_forecast` stack, and the factor VECMs one stacked lag
+    choice and fit per factor count.  A stack returns, per window, its
+    forecasts or its error (missing values), each as the window alone
+    gives it; errors of the arguments raise for the whole stack.  A
+    single window is a stack of one.
     """
-    z = as_values(data)
-    T, N = z.shape
+    z, stack, out = as_stack(data)
+    _, T, N = z.shape
     if h < 1:
         raise ParameterError("forecast horizon must be positive")
-    if k is None:
-        k = count_factors(z, min(8, min(N, T) // 2))
-    fm = extract_factors_diff(z, k)
-    uhat, coef = detrend(z - fm.common_component())
+    live = [w for w, e in enumerate(out) if e is None]
+    if not live:
+        return unstack(out, stack)
     steps = np.arange(T + 1.0, T + h + 1.0)
-    det = np.outer(np.ones_like(steps), coef[0]) + np.outer(steps, coef[1])
-    upath = var_bic_forecast(uhat.T[:, :, None], h, p_max, 0)[:, :, 0].T
-    return det + _factor_path(fm.factors, h, p_max) @ fm.loadings.T + upath
+    fms, dets = [], []
+    # the windows' idiosyncratic residuals side by side, one AR a column
+    resid = np.empty((T, len(live) * N))
+    for i, w in enumerate(live):
+        fm = extract_factors_diff(z[w], count_factors(
+            z[w], min(8, min(N, T) // 2)) if k is None else k)
+        resid[:, i * N:(i + 1) * N], coef = detrend(
+            z[w] - fm.common_component())
+        fms.append(fm)
+        dets.append(np.outer(np.ones_like(steps), coef[0])
+                    + np.outer(steps, coef[1]))
+    upath = var_bic_forecast(resid.T[:, :, None], h, p_max, 0)[:, :, 0]
+    fpaths = _factor_path([fm.factors for fm in fms], h, p_max)
+    for i, w in enumerate(live):
+        out[w] = dets[i] + fpaths[i] @ fms[i].loadings.T \
+            + upath[i * N:(i + 1) * N].T
+    return unstack(out, stack)
 
 
 def fecm_forecast(data, targets: Optional[Sequence[Union[int, str]]] = None,
                   r_ns: int = 0, h: int = 1,
                   det: Union[str, DeterministicSpec] = DeterministicSpec.TREND,
-                  p_max: int = 3) -> np.ndarray:
+                  p_max: int = 3) -> Union[np.ndarray, list]:
     """Level forecasts for the target block from a factor-augmented VECM.
 
     ``r_ns`` levels-extracted factors are stacked under the target series
@@ -286,18 +324,36 @@ def fecm_forecast(data, targets: Optional[Sequence[Union[int, str]]] = None,
     ``r_ns = 0`` this is a plain VECM on the targets.  The factors and the
     targets all lie in the span of the panel's N series, so more targets
     and factors than N would make the system singular: :class:`DataError`.
+
+    ``data`` is one (T, N) window, or a (W, T, N) stack of windows of one
+    shape.  Each window's factors are its own; the systems of all windows
+    get one stacked lag choice and one stacked :func:`johansen_ml` call.
+    A stack returns, per window, its forecasts or the error it raised
+    alone, bit for bit; errors of the arguments raise for the whole
+    stack.  A single window is a stack of one.
     """
-    z, _, idx = resolve_targets(data, targets)
+    z, stack, out = as_stack(data)
+    idx = resolve_targets(data, targets)[2]
     spec = DeterministicSpec.parse(det)
-    blocks = [z[:, idx]]
-    if r_ns > 0:
-        if idx.size + r_ns > z.shape[1]:
-            raise DataError(
-                f"{idx.size} targets and {r_ns} factors exceed the "
-                f"{z.shape[1]} series that span them; the factor-augmented "
-                f"system would be singular")
-        blocks.append(extract_factors_levels(z, r_ns).factors)
-    x = np.hstack(blocks)
-    model = johansen_ml(x, None, select_lag_bic(x, p_max=p_max, det=spec),
-                        det=spec)
-    return vecm_iterated_forecast(model, x, h)[:, :idx.shape[0]]
+    if r_ns > 0 and idx.size + r_ns > z.shape[2]:
+        raise DataError(
+            f"{idx.size} targets and {r_ns} factors exceed the "
+            f"{z.shape[2]} series that span them; the factor-augmented "
+            f"system would be singular")
+    live = [w for w, e in enumerate(out) if e is None]
+    if not live:
+        return unstack(out, stack)
+
+    def system(window: np.ndarray) -> np.ndarray:
+        blocks = [window[:, idx]]
+        if r_ns > 0:
+            blocks.append(extract_factors_levels(window, r_ns).factors)
+        return np.hstack(blocks)
+
+    x = np.stack([system(z[w]) for w in live])
+    models = johansen_ml(x, None, select_lag_bic(x, p_max=p_max, det=spec),
+                         det=spec)
+    for w, xw, model in zip(live, x, models):
+        out[w] = model if isinstance(model, Exception) else \
+            vecm_iterated_forecast(model, xw, h)[:, :idx.size]
+    return unstack(out, stack)

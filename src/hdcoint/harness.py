@@ -13,13 +13,20 @@ checks read the records.  Lanes difference and integrate only through
 {0, 1, 2} stops the run up front.
 
 The run builds its windows in blocks of ``_WINDOW_BLOCK`` and hands each
-lane one block at a time, its windows in order.  A stacked lane fits the
-whole block in one call (``qr_vecm`` fits its windows' systems in one
-stacked solve); every other lane, a registered one included, is called
-on one window after another by one adapter.  Either way a lane yields,
-per window, its forecasts or the :class:`ToolkitError` or ``LinAlgError``
-that window raised, and the run records them window by window, in the
-order of the lane table, whatever the block size.
+lane one block at a time, its windows in order.  Every built-in lane but
+the single equations is stacked, and one body serves them all: it
+builds each window's input, fits the block's stack of inputs in one call
+and maps each window's result back to level forecasts.  The AR lane
+makes one autoregression call per integration order for every target of
+every window, the VAR lanes one call for the block's systems, and the
+five cointegration lanes one lag choice and one Johansen-family fit of
+the stack (the stacked estimators return each window's fit or error,
+bit for bit as the window alone).  The single equations and registered
+lanes are called on one window after another by one adapter.  Either
+way a lane yields, per window, its forecasts or the
+:class:`ToolkitError` or ``LinAlgError`` that window raised, and the run
+records them window by window, in the order of the lane table, whatever
+the block size.
 """
 
 from __future__ import annotations
@@ -165,12 +172,62 @@ def _attempt(fn: Callable, *args, **kwargs):
         return exc
 
 
-def _ar(ctx: _Window) -> Dict[Tuple[int, int], float]:
-    out = {}
+def _stacked(windows: Sequence[_Window], prepare: Callable, fit: Callable,
+             finish: Callable) -> list:
+    """The stacked lanes' one body.  ``prepare(ctx)`` gives each window's
+    input; ``fit(ctx, stack)`` fits the stack of those inputs in one call,
+    with ``ctx`` the block's first window (a block's windows share their
+    config, targets, orders and horizons), and gives per window a result
+    or its error; ``finish(ctx, result)`` maps a window's result to its
+    forecasts.  A window error of any step fails its window alone; one
+    that ``fit`` raises for the whole stack fails each of its windows."""
+    inputs = [_attempt(prepare, ctx) for ctx in windows]
+    errors = [x if isinstance(x, Exception) else None for x in inputs]
+    ready = [x for x in inputs if not isinstance(x, Exception)]
+    # the stack is the one copy of the inputs held through the fit
+    stack = np.stack(ready) if ready else None
+    del inputs, ready
+    results = [] if stack is None else _attempt(fit, windows[0], stack)
+    if isinstance(results, Exception):
+        results = [results] * len(stack)
+    results = iter(results)
+    out = []
+    for ctx, error in zip(windows, errors):
+        result = next(results) if error is None else error
+        out.append(result if isinstance(result, Exception)
+                   else _attempt(finish, ctx, result))
+    return out
+
+
+def _ar(windows: Sequence[_Window]) -> list:
+    """The AR lane: every target of every window forecast by its own
+    BIC-selected AR, the block's h >= 1 paths from one call per
+    integration order, and each window's nowcasts at h = 0."""
+    return _stacked(windows, _residuals, _ar_paths, _ar_forecasts)
+
+
+def _residuals(ctx: _Window) -> np.ndarray:
+    return ctx.resid
+
+
+def _ar_paths(ctx: _Window, resid: np.ndarray) -> list:
+    """Per window of the stack ``resid``, (target, residual-level path)
+    pairs of BIC-selected ARs for h >= 1: one :func:`_ar_levels` call per
+    integration order, on the windows' targets side by side."""
+    paths: list = [[] for _ in resid]
     for d in np.unique(ctx.orders[ctx.targets]) if max(ctx.horizons) else ():
         tis = ctx.targets[ctx.orders[ctx.targets] == d]
-        lev = _ar_levels(ctx.resid[:, tis], d, ctx.cfg.p_max, _max_h(ctx))
-        out.update(_at_horizons(ctx, zip(tis, lev.T)))
+        lev = _ar_levels(np.hstack(resid[:, :, tis]), d, ctx.cfg.p_max,
+                         _max_h(ctx))
+        for w, part in enumerate(np.hsplit(lev, len(resid))):
+            paths[w] += zip(tis, part.T)
+    return paths
+
+
+def _ar_forecasts(ctx: _Window, paths: list) -> Dict[Tuple[int, int], float]:
+    """A window's AR forecasts: its paths at every h >= 1, and at h = 0 a
+    nowcast of each target, window by window."""
+    out = _at_horizons(ctx, paths)
     for ti in ctx.targets if 0 in ctx.horizons else ():
         panel, det = ctx.now_parts(ti)
         out[(ti, 0)] = det + ar_benchmark(panel[:, ti], int(ctx.orders[ti]),
@@ -178,8 +235,17 @@ def _ar(ctx: _Window) -> Dict[Tuple[int, int], float]:
     return out
 
 
-def _stationary_system(ctx: _Window, augment: bool) -> Dict[Tuple[int, int], float]:
-    """Shared VAR / factor-augmented VAR lane on transformed residuals."""
+def _stationary_system(windows: Sequence[_Window], augment: bool) -> list:
+    """The VAR / factor-augmented VAR lane on transformed residuals: one
+    :func:`var_bic_forecast` call on the block's stack of systems."""
+    return _stacked(windows, partial(_system_input, augment=augment),
+                    _system_paths, _system_forecasts)
+
+
+def _system_input(ctx: _Window, augment: bool) -> np.ndarray:
+    """The VAR / factor-augmented VAR system of a window: its targets'
+    transformed residuals, with ``cfg.factors`` principal components of
+    every series when ``augment``."""
     orders = ctx.orders[ctx.targets]
     x = difference_columns(ctx.resid[:, ctx.targets], orders)[orders.max():]
     if augment:
@@ -187,61 +253,82 @@ def _stationary_system(ctx: _Window, augment: bool) -> Dict[Tuple[int, int], flo
         rows = min(x.shape[0], full.shape[0])
         fac = pca_factors(full / column_scales(full), ctx.cfg.factors).factors
         x = np.hstack([x[-rows:], fac[-rows:]])
-    path = var_bic_forecast(x, _max_h(ctx), ctx.cfg.p_max, p_min=1)
+    return x
+
+
+def _system_paths(ctx: _Window, x: np.ndarray) -> np.ndarray:
+    return var_bic_forecast(x, _max_h(ctx), ctx.cfg.p_max, p_min=1)
+
+
+def _system_forecasts(ctx: _Window, path: np.ndarray
+                      ) -> Dict[Tuple[int, int], float]:
     return _at_horizons(ctx, [(ti, invert_differences(
         ctx.resid[:, ti], path[:, pos], int(ctx.orders[ti])))
         for pos, ti in enumerate(ctx.targets)])
 
 
-def _cointegrated(ctx: _Window, path: Callable, block: bool = True
-                  ) -> Dict[Tuple[int, int], float]:
-    """The cointegration lanes' one body: ``path(ctx, z)`` forecasts the
-    targets ``_max_h`` steps from the cointegration panel ``z`` (its
-    targets' block when ``block``), mapped back to residual levels."""
+def _coint_input(ctx: _Window, block: bool) -> np.ndarray:
+    """A window's cointegration panel, or its targets' block of it."""
     z = ctx.coint_panel()
-    fc = path(ctx, z[:, ctx.targets] if block else z)
-    return _at_horizons(ctx, [(ti, ctx.coint_invert(ti, fc[:, k]))
+    return z[:, ctx.targets] if block else z
+
+
+def _coint_forecasts(ctx: _Window, path: np.ndarray
+                     ) -> Dict[Tuple[int, int], float]:
+    """A window's target path mapped back to residual levels."""
+    return _at_horizons(ctx, [(ti, ctx.coint_invert(ti, path[:, k]))
                               for k, ti in enumerate(ctx.targets)])
 
 
-def _ml_path(ctx: _Window, zb: np.ndarray) -> np.ndarray:
-    model = johansen_ml(zb, None, select_lag_bic(zb, p_max=ctx.cfg.p_max))
-    return vecm_iterated_forecast(model, zb, _max_h(ctx))
+def _cointegrated(windows: Sequence[_Window], path: Callable,
+                  block: bool = True) -> list:
+    """The cointegration lanes' one body: ``path(ctx, zs)`` forecasts the
+    targets ``_max_h`` steps from each window's cointegration panel (its
+    targets' block when ``block``) of the stack ``zs`` in one call."""
+    return _stacked(windows, partial(_coint_input, block=block), path,
+                    _coint_forecasts)
 
 
-def _fitted_path(model, ctx: _Window, zb: np.ndarray) -> np.ndarray:
-    """The path of a model fitted for this window, or its fit's error."""
+def _fitted_path(model, z: np.ndarray, h: int) -> np.ndarray:
+    """The path of a model fitted for window ``z``, or its fit's error."""
     if isinstance(model, Exception):
         raise model
-    return vecm_iterated_forecast(model, zb, _max_h(ctx))
+    return vecm_iterated_forecast(model, z, h)
 
 
-def _qr_vecm_stacked(windows: Sequence[_Window]) -> list:
-    """The ``qr_vecm`` lane of a block of windows: one stacked fit of the
-    windows' target blocks, then each window's path from its own model."""
-    zs = np.stack([ctx.coint_panel()[:, ctx.targets] for ctx in windows])
-    models = _attempt(qr_vecm, zs, p=1)
-    if isinstance(models, Exception):   # an error of the whole stack
-        models = [models] * len(windows)
-    return [_attempt(_cointegrated, ctx, partial(_fitted_path, model))
-            for ctx, model in zip(windows, models)]
+def _model_paths(models: list, zs: np.ndarray, h: int) -> list:
+    return [_attempt(_fitted_path, model, z, h)
+            for model, z in zip(models, zs)]
 
 
-def _pml_path(ctx: _Window, zb: np.ndarray) -> np.ndarray:
-    sd = column_scales(zb)
-    zs = zb / sd
-    model = pml_vecm(zs, None, p=1, lambdas=(0.1, 0.1))
-    return vecm_iterated_forecast(model, zs, _max_h(ctx)) * sd
+def _ml_paths(ctx: _Window, zs: np.ndarray) -> list:
+    models = johansen_ml(zs, None, select_lag_bic(zs, p_max=ctx.cfg.p_max))
+    return _model_paths(models, zs, _max_h(ctx))
 
 
-def _fecm_path(ctx: _Window, z: np.ndarray) -> np.ndarray:
-    return fecm_forecast(z, targets=list(ctx.targets), r_ns=ctx.cfg.factors,
+def _qr_vecm_paths(ctx: _Window, zs: np.ndarray) -> list:
+    return _model_paths(qr_vecm(zs, p=1), zs, _max_h(ctx))
+
+
+def _pml_paths(ctx: _Window, zs: np.ndarray) -> list:
+    sd = np.stack([column_scales(zb) for zb in zs])[:, None]
+    scaled = zs / sd
+    paths = _model_paths(pml_vecm(scaled, None, p=1, lambdas=(0.1, 0.1)),
+                         scaled, _max_h(ctx))
+    return [fc if isinstance(fc, Exception) else fc * s
+            for fc, s in zip(paths, sd)]
+
+
+def _fecm_paths(ctx: _Window, zs: np.ndarray) -> list:
+    return fecm_forecast(zs, targets=list(ctx.targets), r_ns=ctx.cfg.factors,
                          h=_max_h(ctx), det="none", p_max=ctx.cfg.p_max)
 
 
-def _ndfm_path(ctx: _Window, z: np.ndarray) -> np.ndarray:
-    return ndfm_forecast(z, k=ctx.cfg.factors, h=_max_h(ctx),
-                         p_max=ctx.cfg.p_max)[:, ctx.targets]
+def _ndfm_paths(ctx: _Window, zs: np.ndarray) -> list:
+    paths = ndfm_forecast(zs, k=ctx.cfg.factors, h=_max_h(ctx),
+                          p_max=ctx.cfg.p_max)
+    return [fc if isinstance(fc, Exception) else fc[:, ctx.targets]
+            for fc in paths]
 
 
 def _single_eq(ctx: _Window, specs: bool, augment: bool = False
@@ -284,27 +371,34 @@ class Lane:
     """One forecasting method: ``forecast(window)`` gives {(target index,
     horizon): level forecast}; ``nowcasts``: a single equation that also
     fits h = 0; ``factors``: it extracts ``cfg.factors`` factors, from the
-    N - 1 other series when it also nowcasts; ``stacked``: ``forecast``
-    takes a block of windows instead, in order, and returns per window
-    that mapping or the window error it raised (:func:`_run_lane`)."""
+    N - 1 other series when it also nowcasts; ``with_targets``: those
+    factors join the targets in one system, so the targets and factors
+    together may not outnumber the N series that span them; ``stacked``:
+    ``forecast`` takes a block of windows instead, in order, and returns
+    per window that mapping or the window error it raised
+    (:func:`_run_lane`).  Every built-in lane but the single equations is
+    stacked, one :func:`_stacked` body each."""
 
     forecast: Callable
     nowcasts: bool = False
     factors: bool = False
+    with_targets: bool = False
     stacked: bool = False
 
 
 _LANES: Dict[str, Lane] = {
-    "ar": Lane(_ar, nowcasts=True),
-    "var": Lane(partial(_stationary_system, augment=False)),
-    "favar": Lane(partial(_stationary_system, augment=True), factors=True),
-    "ml": Lane(partial(_cointegrated, path=_ml_path)),
-    "qr_vecm": Lane(_qr_vecm_stacked, stacked=True),
-    "pml": Lane(partial(_cointegrated, path=_pml_path)),
-    "fecm": Lane(partial(_cointegrated, path=_fecm_path, block=False),
-                 factors=True),
-    "ndfm": Lane(partial(_cointegrated, path=_ndfm_path, block=False),
-                 factors=True),
+    "ar": Lane(_ar, nowcasts=True, stacked=True),
+    "var": Lane(partial(_stationary_system, augment=False), stacked=True),
+    "favar": Lane(partial(_stationary_system, augment=True), factors=True,
+                  stacked=True),
+    "ml": Lane(partial(_cointegrated, path=_ml_paths), stacked=True),
+    "qr_vecm": Lane(partial(_cointegrated, path=_qr_vecm_paths),
+                    stacked=True),
+    "pml": Lane(partial(_cointegrated, path=_pml_paths), stacked=True),
+    "fecm": Lane(partial(_cointegrated, path=_fecm_paths, block=False),
+                 factors=True, with_targets=True, stacked=True),
+    "ndfm": Lane(partial(_cointegrated, path=_ndfm_paths, block=False),
+                 factors=True, stacked=True),
     "specs": Lane(partial(_single_eq, specs=True), nowcasts=True),
     "fa_specs": Lane(partial(_single_eq, specs=True, augment=True),
                      nowcasts=True, factors=True),
@@ -576,7 +670,9 @@ def run_rolling(data, cfg: HarnessConfig) -> ForecastReport:
     report does not depend on the block size.  Method failures inside a
     window are recorded as diagnostics and missing losses, never raised;
     a factor count above N (N - 1 with a factor-augmented single
-    equation) raises :class:`ParameterError` before the first window.
+    equation), or targets plus factors above N for a lane whose factors
+    join the targets, raises :class:`ParameterError` before the first
+    window.
     """
     z, names, targets = resolve_targets(data, cfg.targets)
     T, N = z.shape
@@ -593,6 +689,12 @@ def run_rolling(data, cfg: HarnessConfig) -> ForecastReport:
         raise ParameterError(
             f"{cfg.factors} factors exceed the {most} that "
             f"{', '.join(factor_lanes)} can use on {N} series")
+    joint = [m for m in factor_lanes if _LANES[m].with_targets]
+    if joint and cfg.factors and targets.size + cfg.factors > N:
+        raise ParameterError(
+            f"{targets.size} targets and {cfg.factors} factors exceed the {N} "
+            f"series that span {', '.join(joint)}'s system; targets plus "
+            f"factors must be at most {N}")
     h_max = max(cfg.horizons)
     last_start = T - cfg.window - h_max
     if last_start < 0:

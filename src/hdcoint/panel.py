@@ -26,6 +26,8 @@ __all__ = [
     "monthly_dates",
     "from_values",
     "as_values",
+    "as_stack",
+    "unstack",
     "resolve_targets",
     "difference",
     "difference_columns",
@@ -198,6 +200,9 @@ def from_values(values: np.ndarray, names: Optional[Sequence[str]] = None,
     return Panel(vals, tuple(names), dates)
 
 
+_MISSING = "estimation window contains missing values"
+
+
 def as_values(data) -> np.ndarray:
     """Accept a balanced Panel or a (T, N) float array."""
     if isinstance(data, Panel):
@@ -208,8 +213,36 @@ def as_values(data) -> np.ndarray:
     if z.ndim != 2:
         raise ParameterError("data must be a (T, N) array or Panel")
     if not np.all(np.isfinite(z)):
-        raise DataError("estimation window contains missing values")
+        raise DataError(_MISSING)
     return z
+
+
+def _is_stack(data) -> bool:
+    return not isinstance(data, Panel) and np.ndim(data) == 3
+
+
+def as_stack(data) -> Tuple[np.ndarray, bool, list]:
+    """(z, stack, errors): ``data`` as a (W, T, N) float stack of windows,
+    whether it came as one, and each window's error or None.  A (W, T, N)
+    array is taken as given, and a window with missing values gets the
+    :func:`as_values` error; a (T, N) window or a Panel is checked by
+    :func:`as_values`, which raises its error, and is a stack of one."""
+    if not _is_stack(data):
+        return as_values(data)[None], False, [None]
+    z = np.asarray(data, dtype=float)
+    return z, True, [None if ok else DataError(_MISSING)
+                     for ok in np.isfinite(z).all(axis=(1, 2))]
+
+
+def unstack(results: list, stack: bool):
+    """A stacked estimator's per-window ``results`` (each a result or the
+    error of its window) for a stack; for a stack of one made of a single
+    window, that window's result, or its error raised."""
+    if stack:
+        return results
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return results[0]
 
 
 def resolve_targets(data, targets=None
@@ -220,12 +253,14 @@ def resolve_targets(data, targets=None
     series.  An array's series carry the default names of
     :func:`from_values`.  Unknown names, indices outside ``[0, N)``, a
     series listed twice (by name or index) and an empty list raise
-    :class:`ParameterError`.
+    :class:`ParameterError`.  ``data`` may also be a (W, T, N) stack of
+    windows (:func:`as_stack`), whose values come back as that stack.
     """
-    z = as_values(data)
-    names = data.names if isinstance(data, Panel) else _default_names(z.shape[1])
+    z = np.asarray(data, dtype=float) if _is_stack(data) else as_values(data)
+    names = data.names if isinstance(data, Panel) else _default_names(
+        z.shape[-1])
     if targets is None:
-        return z, names, np.arange(z.shape[1])
+        return z, names, np.arange(len(names))
     idx = []
     for key in targets:
         if isinstance(key, str):

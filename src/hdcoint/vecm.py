@@ -16,8 +16,19 @@ of the reduced-rank eigenproblem, a window's full-sample factor and one
 SVD; with ``r=None`` a fit takes the criterion's rank off the
 eigenvalues it already has.
 
-The QR estimator fits one window or a stack of windows of one shape in
-one pass (a single window is a stack of one).  Each cross-validation
+Every estimator, and the lag criterion, takes one (T, N) window or a
+(W, T, N) stack of windows of one shape; a single window is a stack of
+one, and there is no second single-window path.  A stack returns, per
+window, its result or the error it raised alone, bit for bit as alone:
+numpy's batched LAPACK and matmul loop over the stack with each window's
+own call.  Errors of the arguments raise for the whole stack, and a
+window with missing values gets :func:`as_values`' error.  The lag
+criterion scores every window and candidate from one QR; the Johansen
+fit solves the windows of each lag together (one factor call, one SVD,
+one solve); the PML estimator takes its starts from one such solve and
+cycles window by window.
+
+The QR estimator fits a stack in one pass.  Each cross-validation
 fold trains on a row prefix of a window's design and validates on a row
 slice of it; the design is built once for the prefix factors and once
 more for the validation pass, so none is held through the secular
@@ -51,9 +62,11 @@ import numpy as np
 
 from ._numeric import (column_signs, expanding_folds, last_minimum,
                        nested_residual_factors, penalty_levels, pivot_order,
-                       singular_pivots, soft_threshold_sweep)
-from .errors import ConvergenceError, DataError, NumericalError, ParameterError
-from .panel import DeterministicSpec, Panel, as_values
+                       singular_pivots, soft_threshold_sweep,
+                       triangular_factors)
+from .errors import (ConvergenceError, DataError, NumericalError,
+                     ParameterError, ToolkitError)
+from .panel import DeterministicSpec, as_stack, as_values, unstack
 
 __all__ = [
     "VecmModel",
@@ -76,6 +89,19 @@ def _ec_design(z: np.ndarray, p: int, det: DeterministicSpec
     the unrestricted block of deterministics plus lagged differences.
     Response rows carry 1-based time indices p+2 .. T; t_last = T.
     """
+    y0, y1, cols, T = _ec_blocks(z, p, det)
+    # no constant block at all under 'none': an empty one would make W
+    # C-ordered for a Fortran-ordered z, which moves the PML fit's last bits
+    W = np.concatenate(cols, axis=-1) if cols else np.empty(
+        y0.shape[:-1] + (0,))
+    return y0, y1, W, T
+
+
+def _ec_blocks(z: np.ndarray, p: int, det: DeterministicSpec
+               ) -> Tuple[np.ndarray, np.ndarray, list, int]:
+    """:func:`_ec_design` with W as the list of its column blocks (the
+    constant, if any, then each lag's differences), so that a stack's
+    design joins them with y1 and y0 in one copy."""
     T, N = z.shape[-2:]
     if p < 0:
         raise ParameterError("lag order p must be non-negative")
@@ -88,13 +114,9 @@ def _ec_design(z: np.ndarray, p: int, det: DeterministicSpec
     D = np.broadcast_to(det.design(n, p + 2), z.shape[:-2] + (n, det.n_terms))
     if det is DeterministicSpec.TREND:
         y1 = np.concatenate([y1, D[..., 1:]], axis=-1)
-    # no constant block at all under 'none': an empty one would make W
-    # C-ordered for a Fortran-ordered z, which moves the PML fit's last bits
     cols = [D[..., :1]] if det.n_terms else []
     cols += [dz[..., p - j:-j, :] for j in range(1, p + 1)]
-    W = np.concatenate(cols, axis=-1) if cols else np.empty(
-        z.shape[:-2] + (n, 0))
-    return y0, y1, W, T
+    return y0, y1, cols, T
 
 
 @dataclass(frozen=True)
@@ -165,12 +187,15 @@ def _ec_factors(z: np.ndarray, p: int, det: DeterministicSpec,
     ``rows`` from one QR per prefix, zero below a prefix shorter than K;
     Qa Ta, the QR of each residual block R[k:, k+m:]; and each window's
     :func:`_singular_windows` error over its prefixes, or None."""
-    y0, y1, W, _ = _ec_design(z, p, det)
-    design = np.concatenate([W, y1, y0], axis=-1)
-    k, q = W.shape[-1], W.shape[-1] + y1.shape[-1]
+    y0, y1, cols, _ = _ec_blocks(z, p, det)
+    design = np.concatenate(cols + [y1, y0], axis=-1)
+    q = design.shape[-1] - y0.shape[-1]
+    k = q - y1.shape[-1]
+    # freed before the QRs: with the design they would set a stack's peak
+    del y0, y1, cols
     R = np.zeros((z.shape[0], len(rows)) + (design.shape[-1],) * 2)
     for s, n in enumerate(rows):
-        f = np.linalg.qr(design[:, :n], mode="r")
+        f = triangular_factors(design[:, :n])
         R[:, s, :f.shape[1]] = f
     qa, ta = np.linalg.qr(R[..., k:, q:])
     errors = _singular_windows(ta, R[..., :q, :q], np.linalg.norm(R, axis=-2),
@@ -178,32 +203,36 @@ def _ec_factors(z: np.ndarray, p: int, det: DeterministicSpec,
     return R, k, qa, ta, errors
 
 
-def _johansen_solve(z: np.ndarray, p: int, det: DeterministicSpec) -> _Solve:
-    """One window's reduced-rank eigenproblem from its triangular factor
-    (:func:`_ec_factors`, which raises a singular window's error).
+def _johansen_solve(z: np.ndarray, p: int, det: DeterministicSpec) -> list:
+    """The reduced-rank eigenproblem of each window of the (W, T, N) stack
+    ``z`` from its triangular factor: per window a :class:`_Solve`, or the
+    singular-window error of :func:`_ec_factors`.
 
     R22 = R[k:k+m, k:k+m] and the residual block A = R[k:, k+m:] give
     S11 = R22'R22/n, S01 = A[:m]'R22/n and S00 = A'A/n, none of them
     squared out of the data.  With A = Qa Ta and Qa[:m] = U diag(σ) V',
     λ = σ² (squared canonical correlations; Björck & Golub 1973, Doornik &
     O'Brien 2002), zero-padded to m and clipped at 1 - 1e-12; the vectors
-    are √n R22⁻¹U.
+    are √n R22⁻¹U.  One factor call, one SVD and one solve serve the
+    nonsingular windows of the stack, each as it would alone.
     """
-    T, N = z.shape
+    T, N = z.shape[-2:]
     n = T - p - 1
-    R, k, qa, ta, (error,) = _ec_factors(z[None], p, det, [n])
-    if error is not None:
-        raise error
-    R, qa, ta = R[0, 0], qa[0, 0], ta[0, 0]
+    R, k, qa, ta, errors = _ec_factors(z, p, det, [n])
+    fit = np.array([e is None for e in errors], dtype=bool)
+    R, qa, ta = R[fit, 0], qa[fit, 0], ta[fit, 0]
     m = R.shape[-1] - k - N
-    r22 = R[k:k + m, k:k + m]
-    u, sigma, _ = np.linalg.svd(qa[:m])
-    lam = np.zeros(m)
-    lam[:N] = np.clip(sigma * sigma, 0.0, 1.0 - 1e-12)
+    r22 = R[:, k:k + m, k:k + m]
+    u, sigma, _ = np.linalg.svd(qa[:, :m])
+    lam = np.zeros(sigma.shape[:1] + (m,))
+    lam[:, :N] = np.clip(sigma * sigma, 0.0, 1.0 - 1e-12)
     vecs = np.sqrt(n) * np.linalg.solve(r22, u)
-    logdet = 2 * np.log(np.abs(np.diagonal(ta))).sum() - N * np.log(n)
-    return _Solve(R, k, n, T, lam, vecs, logdet,
-                  R[k:k + m, k + m:].T @ r22 / n)
+    logdet = 2 * np.log(np.abs(np.diagonal(ta, axis1=-2, axis2=-1))).sum(
+        axis=-1) - N * np.log(n)
+    s01 = np.swapaxes(R[:, k:k + m, k + m:], -1, -2) @ r22 / n
+    solves = iter([_Solve(R[i], k, n, T, lam[i], vecs[i], logdet[i], s01[i])
+                   for i in range(len(R))])
+    return [next(solves) if e is None else e for e in errors]
 
 
 def _ic_rank(s: _Solve) -> int:
@@ -252,9 +281,9 @@ def _johansen_fit(s: _Solve, r: int, p: int,
                      eigenvalues=s.lam, loglik=loglik)
 
 
-def johansen_ml(data, r: Optional[int], p: int = 1,
+def johansen_ml(data, r: Optional[int], p: Union[int, Sequence] = 1,
                 det: Union[str, DeterministicSpec] = DeterministicSpec.NONE
-                ) -> VecmModel:
+                ) -> Union[VecmModel, list]:
     """Reduced-rank ML estimation of a VECM with cointegrating rank ``r``.
 
     ``r=None`` fits at the :func:`select_rank_ic` rank, read off the
@@ -262,13 +291,56 @@ def johansen_ml(data, r: Optional[int], p: int = 1,
     bare system (suited to pre-detrended data), 'mean' adds an
     unrestricted intercept, 'trend' additionally restricts a linear trend
     to the error-correction term.
+
+    ``data`` is one (T, N) window, or a (W, T, N) stack of windows of one
+    shape, and ``p`` a lag for every window or one per window (as
+    :func:`select_lag_bic` gives them for a stack; a window whose lag
+    choice failed keeps that error).  The windows of one lag are solved
+    together, in one call of :func:`_johansen_solve`; the rank and the fit
+    are each window's own.  A stack returns, per window, its model or the
+    :class:`ToolkitError` it raised alone, bit for bit; errors of the
+    arguments raise for the whole stack.  A single window is fitted as a
+    stack of one.
     """
     det = DeterministicSpec.parse(det)
-    z = as_values(data)
-    if r is not None:
-        _check_rank(*z.shape, p, r)
-    s = _johansen_solve(z, p, det)
-    return _johansen_fit(s, _ic_rank(s) if r is None else r, p, det)
+    z, stack, fits = as_stack(data)
+    T, N = z.shape[1:]
+    lags = [p] * len(z) if np.ndim(p) == 0 else list(p)
+    if len(lags) != len(z):
+        raise ParameterError(f"{len(lags)} lags for {len(z)} windows")
+    if r is not None and not 0 <= r <= N:
+        raise ParameterError(f"rank must lie in 0..{N}")
+    for w, lag in enumerate(lags):
+        if fits[w] is None and isinstance(lag, Exception):
+            fits[w] = lag
+    todo = [w for w, fit in enumerate(fits) if fit is None]
+    for lag in sorted({int(lags[w]) for w in todo}):
+        group = [w for w in todo if lags[w] == lag]
+        try:
+            if r is not None:
+                _check_rank(T, N, lag, r)
+            solves = _johansen_solve(_windows(z, group), lag, det)
+        except DataError as exc:
+            solves = [exc] * len(group)
+        for w, s in zip(group, solves):
+            fits[w] = s if isinstance(s, Exception) else _fitted(
+                _johansen_fit, s, _ic_rank(s) if r is None else r, lag, det)
+    return unstack(fits, stack)
+
+
+def _windows(z: np.ndarray, which) -> np.ndarray:
+    """The windows ``which`` (ascending) of the stack ``z``, copied only
+    when they are not all of it."""
+    return z if len(which) == len(z) else z[which]
+
+
+def _fitted(fit, *args):
+    """``fit(*args)``, or the :class:`ToolkitError` or ``LinAlgError`` it
+    raised: the error of one window of a stack."""
+    try:
+        return fit(*args)
+    except (ToolkitError, np.linalg.LinAlgError) as exc:
+        return exc
 
 
 def select_rank_ic(data, p: int = 1,
@@ -282,12 +354,13 @@ def select_rank_ic(data, p: int = 1,
     ``pml_vecm`` with ``r=None`` fit at this rank from one solve.
     """
     det = DeterministicSpec.parse(det)
-    return _ic_rank(_johansen_solve(as_values(data), p, det))
+    return _ic_rank(unstack(_johansen_solve(as_values(data)[None], p, det),
+                            False))
 
 
 def select_lag_bic(data, p_max: int = 3,
                    det: Union[str, DeterministicSpec] = DeterministicSpec.NONE
-                   ) -> int:
+                   ) -> Union[int, list]:
     """Short-run lag order by multivariate BIC on the unrestricted system.
 
     Candidates share the ``p_max`` design's n rows, and their [y1, W] are
@@ -296,26 +369,39 @@ def select_lag_bic(data, p_max: int = 3,
     when a pivot of its residual factor is singular by
     :func:`singular_pivots`.  Ties go to the smaller order; 0 when every
     candidate is skipped.
+
+    ``data`` is one (T, N) window, or a (W, T, N) stack of windows of one
+    shape, scored together by one :func:`nested_residual_factors` call; a
+    stack returns, per window, its lag or its error (missing values), and
+    a single window is a stack of one.
     """
     det = DeterministicSpec.parse(det)
-    z = as_values(data)
-    T, N = z.shape
+    z, stack, lags = as_stack(data)
+    T, N = z.shape[1:]
     if p_max < 0:
         raise ParameterError("p_max must be non-negative")
     n = T - p_max - 1
     base = N + det.n_terms
     widths = [base + N * p for p in range(p_max + 1) if n > base + N * p + 1]
-    if not widths:
-        return 0
-    y0, y1, W, _ = _ec_design(z, p_max, det)
-    F = nested_residual_factors(np.column_stack([y1, W])[:, :widths[-1]],
-                                y0, widths)
-    piv = np.abs(np.diagonal(F, axis1=1, axis2=2))
-    singular = singular_pivots(F, np.linalg.norm(y0, axis=0), n).any(axis=1)
-    with np.errstate(divide="ignore"):
-        bic = 2 * np.log(piv).sum(axis=1) - N * np.log(n) \
-            + np.log(n) * N * np.array(widths) / n
-    return int(np.argmin(np.where(singular, np.inf, bic)))
+    live = np.flatnonzero([e is None for e in lags])
+    choice = np.zeros(live.size, dtype=int)
+    if widths and live.size:
+        y0, y1, cols, _ = _ec_blocks(_windows(z, live), p_max, det)
+        # the lags of the largest candidate
+        cols = cols[:len(cols) + len(widths) - p_max - 1]
+        design = np.concatenate([y1] + cols + [y0], axis=-1)
+        norms = np.linalg.norm(y0, axis=-2)[:, None]
+        del y0, y1, cols    # as in _ec_factors
+        F = nested_residual_factors(design, widths[-1], widths)
+        piv = np.abs(np.diagonal(F, axis1=-2, axis2=-1))
+        singular = singular_pivots(F, norms, n).any(axis=-1)
+        with np.errstate(divide="ignore"):
+            bic = 2 * np.log(piv).sum(axis=-1) - N * np.log(n) \
+                + np.log(n) * N * np.array(widths) / n
+        choice = np.argmin(np.where(singular, np.inf, bic), axis=-1)
+    for w, lag in zip(live, choice):
+        lags[w] = int(lag)
+    return unstack(lags, stack)
 
 
 # -- iterated forecasting ----------------------------------------------------
@@ -652,8 +738,7 @@ def qr_vecm(data, p: int = 1, lambda_grid: Optional[Sequence[float]] = None
     the grid, T too short for N) raise for the whole stack.  A single
     window is fitted as a stack of one.
     """
-    stack = not isinstance(data, Panel) and np.ndim(data) == 3
-    z = np.asarray(data, dtype=float) if stack else as_values(data)[None]
+    z, stack, fits = as_stack(data)
     T, N = z.shape[1:]
     if N * (p + 1) >= T:
         raise DataError(
@@ -664,21 +749,18 @@ def qr_vecm(data, p: int = 1, lambda_grid: Optional[Sequence[float]] = None
         grid = np.sort(penalty_levels(list(lambda_grid), "lambda grid"))
         if grid.size == 0:
             raise ParameterError("lambda grid is empty")
-    fits = _qr_fits(z, p, grid)
-    if stack:
-        return fits
-    if isinstance(fits[0], Exception):
-        raise fits[0]
-    return fits[0]
+    return unstack(_qr_fits(z, p, grid, fits), stack)
 
 
-def _qr_fits(z: np.ndarray, p: int, grid: Optional[np.ndarray]) -> list:
-    """:func:`qr_vecm` of each window of the (W, T, N) stack ``z``: its
-    model, or the error it raised."""
+def _qr_fits(z: np.ndarray, p: int, grid: Optional[np.ndarray],
+             fits: list) -> list:
+    """:func:`qr_vecm` of each window of the (W, T, N) stack ``z`` whose
+    entry of ``fits`` is None, written there: its model, or the error it
+    raised."""
     T, N = z.shape[1:]
-    live = np.isfinite(z).all(axis=(1, 2))
-    fits: list = [None if ok else DataError(
-        "estimation window contains missing values") for ok in live]
+    live = np.array([fit is None for fit in fits], dtype=bool)
+    if not live.any():
+        return fits
     first = max(N * (p + 1) + p + 3, T // 2)
     blocks = [] if first >= T or (grid is not None and grid.size == 1) \
         else expanding_folds(T, 5, first)
@@ -794,20 +876,38 @@ def pml_vecm(data, r: Optional[int], p: int = 1,
     ``info["converged"]`` is False when ``max_cycles`` ran out first, as
     it often does with B penalized: A grows while B shrinks along a scale
     ridge of the objective.
+
+    ``data`` is one (T, N) window, or a (W, T, N) stack of windows of one
+    shape, whose Johansen solves are made in one call; the cycles run
+    window by window.  A stack returns, per window, its model or the
+    :class:`ToolkitError` it raised alone, bit for bit; errors of the
+    arguments raise for the whole stack.  A single window is fitted as a
+    stack of one.
     """
-    z = as_values(data)
-    T, N = z.shape
-    solve = None
-    if r is None:
-        solve = _johansen_solve(z, p, DeterministicSpec.NONE)
-        r = _ic_rank(solve)
-    if not 0 <= r <= N:
+    z, stack, fits = as_stack(data)
+    T, N = z.shape[1:]
+    if r is not None and not 0 <= r <= N:
         raise ParameterError(f"rank must lie in 0..{N}")
     if T < N + p + 2:
         raise DataError(f"window of {T} observations is too short for N={N}, p={p}")
     lam = tuple(penalty_levels(lambdas, "lambdas").ravel().tolist())
     if len(lam) != 2:
         raise ParameterError("lambdas must be two non-negative numbers")
+    todo = [w for w, fit in enumerate(fits) if fit is None]
+    solves = _johansen_solve(_windows(z, todo), p, DeterministicSpec.NONE) \
+        if r is None and todo else [None] * len(todo)
+    for w, solve in zip(todo, solves):
+        fits[w] = solve if isinstance(solve, Exception) else _fitted(
+            _pml_fit, z[w], r if solve is None else _ic_rank(solve), p, lam,
+            max_cycles, solve)
+    return unstack(fits, stack)
+
+
+def _pml_fit(z: np.ndarray, r: int, p: int, lam: Tuple[float, float],
+             max_cycles: int, solve: Optional[_Solve]) -> VecmModel:
+    """:func:`pml_vecm` of one window at rank ``r``, from its Johansen
+    ``solve`` (None for an explicit rank)."""
+    N = z.shape[1]
     y0, y1, W, t_last = _ec_design(z, p, DeterministicSpec.NONE)
     n = y0.shape[0]
     Yd, Z1, DX = y0.T, y1.T, W.T

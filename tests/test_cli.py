@@ -384,6 +384,23 @@ class TestExitCodes:
         assert rc == 1
         assert "--output is required" in capsys.readouterr().err
 
+    def test_fecm_without_room_for_its_factors_is_one(self, tmp_path,
+                                                        capsys):
+        # every series is a target by default, so fecm's factors would
+        # make its system singular: rejected before the first window
+        panel = str(tmp_path / "vecm.csv")
+        assert main(["simulate", "--dgp", "vecm", "--n-series", "4",
+                     "--rank", "1", "--t-obs", "140", "--output",
+                     panel]) == 0
+        out = tmp_path / "fc.json"
+        rc = main(["forecast", "--input", panel, "--methods", "ar,fecm",
+                   "--window", "120", "--factors", "1", "--output",
+                   str(out)])
+        assert rc == 1
+        assert "targets plus factors must be at most 4" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_data_error_is_two(self, tmp_path):
         path = _write_rows(tmp_path / "p.csv", [
             ["date", "a"],

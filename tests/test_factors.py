@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from hdcoint import (DataError, FactorDgpParams, ParameterError,
-                     count_factors, extract_factors_diff,
+from hdcoint import (DataError, FactorDgpParams, NumericalError,
+                     ParameterError, count_factors, extract_factors_diff,
                      extract_factors_levels, fecm_forecast, johansen_ml,
                      ndfm_forecast, random_vecm_params, select_lag_bic,
                      simulate_factor_dgp, simulate_vecm, var_bic_forecast,
@@ -202,3 +202,88 @@ class TestVarBicForecast:
         step2 = beta[0] + beta[1] * step1 + beta[2] * x[-1]
         np.testing.assert_allclose(var_bic_forecast(x, 2, 2, 2),
                                    [step1, step2], rtol=0, atol=1e-12)
+
+
+def _window_stack():
+    """Rolling (150, 10) windows of a cointegrated panel, among them an
+    exactly collinear window (its last series copies its first), a window
+    with a missing value and a window of constant series, whose factor
+    paths never move."""
+    params = random_vecm_params(10, 2, p=2, seed=12, phi_scale=0.45)
+    z = simulate_vecm(params, 400, seed=13).values
+    zs = np.stack([z[s:s + 150] for s in range(0, 250, 25)])
+    zs[3, :, -1] = zs[3, :, 0]
+    zs[5, 50, 2] = np.nan
+    zs[7] = 1.0
+    return zs
+
+
+def _outcome(fn, *args, **kwargs):
+    """``fn``'s forecasts as bytes, or its error's class and message."""
+    try:
+        return fn(*args, **kwargs).tobytes()
+    except (DataError, NumericalError) as exc:
+        return type(exc), str(exc)
+
+
+class TestFactorStack:
+    """``fecm_forecast`` and ``ndfm_forecast`` on a (W, T, N) stack give,
+    per window, what the window gives alone, bit for bit, or the error it
+    raises alone."""
+
+    @pytest.mark.parametrize("det", ["none", "mean", "trend"])
+    def test_fecm_equals_single_calls(self, det):
+        zs = _window_stack()
+        kw = dict(targets=[0, 9], r_ns=2, h=4, det=det, p_max=3)
+        got = [f.tobytes() if isinstance(f, np.ndarray) else (type(f), str(f))
+               for f in fecm_forecast(zs, **kw)]
+        assert got == [_outcome(fecm_forecast, z, **kw) for z in zs]
+        assert [type(g) for g in got].count(tuple) == 3
+        assert got[5] == (DataError, "estimation window contains missing "
+                                     "values")
+
+    def test_fecm_lags_differ_across_the_stack(self, monkeypatch):
+        from hdcoint import factors
+        seen = []
+        choose = factors.select_lag_bic
+
+        def spy(*args, **kwargs):
+            seen.append(choose(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(factors, "select_lag_bic", spy)
+        fecm_forecast(_window_stack(), targets=[0, 9], r_ns=2, det="none")
+        assert len({lag for lag in seen[0] if isinstance(lag, int)}) > 1
+
+    @pytest.mark.parametrize("k", [2, None])
+    def test_ndfm_equals_single_calls(self, k, monkeypatch):
+        from hdcoint import factors
+        failed = []
+        fit = factors.johansen_ml
+
+        def spy(*args, **kwargs):
+            out = fit(*args, **kwargs)
+            failed.extend(isinstance(m, Exception) for m in out)
+            return out
+
+        monkeypatch.setattr(factors, "johansen_ml", spy)
+        zs = _window_stack()
+        got = [f.tobytes() if isinstance(f, np.ndarray) else (type(f), str(f))
+               for f in ndfm_forecast(zs, k=k, h=3)]
+        stacked = list(failed)
+        assert got == [_outcome(ndfm_forecast, z, k=k, h=3) for z in zs]
+        assert got[5] == (DataError, "estimation window contains missing "
+                                     "values")
+        assert stacked == failed[len(stacked):]
+        # the constant window's factor VECM is singular, so its factors
+        # keep their last value; with k=None it counts no factor at all
+        assert stacked.count(True) == (k == 2) and False in stacked
+
+    def test_argument_errors_raise_for_the_stack(self):
+        zs = _window_stack()[:3]
+        with pytest.raises(DataError, match="exceed the 10 series"):
+            fecm_forecast(zs, targets=[0, 1], r_ns=9)
+        with pytest.raises(ParameterError, match="horizon"):
+            ndfm_forecast(zs, k=2, h=0)
+        with pytest.raises(ParameterError, match="factor count"):
+            ndfm_forecast(zs, k=11)

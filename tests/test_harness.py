@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from hdcoint import (DataError, HarnessConfig, ParameterError,
+from hdcoint import (DataError, HarnessConfig, NumericalError, ParameterError,
                      ar_benchmark, from_values, harness, random_vecm_params,
                      run_rolling, simulate_vecm)
 from hdcoint.harness import _LANES, _REGISTRY, Lane
@@ -72,6 +72,25 @@ class TestConfigValidation:
                                         factors=factors, targets=(0,)))
         assert not [d for d in report.diagnostics if "outside" in d[4]]
         assert all(np.isfinite(f).all() for f in report.forecasts.values())
+
+    def test_fecm_targets_and_factors_above_the_panel_rejected(self):
+        # fecm's levels factors join its targets in one system that the N
+        # series span; every series a target (the default) leaves no room
+        z = simulate_vecm(random_vecm_params(4, 1, p=1, seed=3), 140,
+                          seed=4).values
+        cfg = _small_cfg(window=120, methods=("ar", "fecm"), factors=1)
+        with pytest.raises(ParameterError, match="4 targets and 1 factors "
+                           "exceed the 4 series .* at most 4$"):
+            run_rolling(z, cfg)
+        at_bound = run_rolling(z, _small_cfg(
+            window=120, methods=("ar", "fecm"), factors=2, targets=(0, 1)))
+        assert at_bound.diagnostics == ()
+        # without factors the lane is a plain VECM of its targets, and the
+        # other factor lanes draw theirs from every series
+        for methods, factors in ((("ar", "fecm"), 0), (("ar", "ndfm"), 1)):
+            report = run_rolling(z, _small_cfg(window=120, methods=methods,
+                                               factors=factors))
+            assert report.diagnostics == ()
 
     def test_unknown_target(self):
         with pytest.raises(ParameterError):
@@ -323,7 +342,9 @@ class TestCollinearPanels:
         params = random_vecm_params(8, 2, p=1, seed=0)
         z = simulate_vecm(params, 140, seed=1).values
         col = z[:, 0] if extra == "duplicate" else z[:, 0] + 2 * z[:, 1]
-        cfg = HarnessConfig(window=114, horizons=(1, 3),
+        # the targets hold the collinear columns, and leave the factor
+        # lanes room for their four factors
+        cfg = HarnessConfig(window=114, horizons=(1, 3), targets=(0, 1, 8),
                             methods=("ar", "ml", "pml", "fecm", "ndfm"),
                             benchmark="ar", boot_reps=199, seed=0)
         report = run_rolling(np.column_stack([z, col]), cfg)
@@ -378,6 +399,53 @@ class TestWindowBlocks:
         assert len(first.window_starts) >= 40
         assert [d[0] for d in first.diagnostics if d[3] == "qr_vecm"] == \
             list(range(29, 44))
+        for other in reports[1:]:
+            assert other.to_json() == first.to_json()
+            assert other.diagnostics == first.diagnostics
+            for key, fc in first.forecasts.items():
+                assert other.forecasts[key].tobytes() == fc.tobytes()
+
+    def test_failing_and_fitted_windows_share_a_block(self, monkeypatch):
+        # the second series copies the first until row 75, then walks
+        # apart: the targets' systems are singular in the first 17 windows
+        # and fit in the rest, so the 32-window block holds both
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((110, 5)).cumsum(axis=0)
+        z[:, 1] = z[:, 0] + np.where(np.arange(110) >= 75,
+                                     z[:, 1] - z[75, 1], 0.0)
+        # no panel makes the NDFM factor VECM fail exactly (the extra
+        # factors of a rank-deficient panel are rounding noise, of full
+        # rank), so it fails in the windows whose first factor ended
+        # below its start, a rule of each window's own values
+        from hdcoint import factors
+        fit, failed = factors.johansen_ml, []
+
+        def failing(data, r, p, det):
+            models = fit(data, r, p, det)
+            if det != "mean":
+                return models
+            down = data[:, -1, 0] < data[:, 0, 0]
+            failed.append(list(down))
+            return [NumericalError("injected") if d else m
+                    for d, m in zip(down, models)]
+
+        monkeypatch.setattr(factors, "johansen_ml", failing)
+        cfg = HarnessConfig(window=60, horizons=(1, 3), targets=(0, 1),
+                            methods=self.SYSTEM, benchmark="ar",
+                            boot_reps=199, seed=3, factors=3)
+        reports = []
+        for block in (1, 7, 32):
+            failed.clear()
+            reports.append(self._run(monkeypatch, block, z, cfg))
+        first = reports[0]
+        starts = list(first.window_starts)
+        assert len(starts) == 48
+        for lane in ("ml", "pml", "fecm"):
+            assert [d[0] for d in first.diagnostics if d[3] == lane] == \
+                list(range(17)), lane
+        # the last run's first call saw the first block of 32 windows
+        assert len(failed[0]) == 32 and 0 < sum(failed[0]) < 32
+        assert not [d for d in first.diagnostics if d[3] == "ndfm"]
         for other in reports[1:]:
             assert other.to_json() == first.to_json()
             assert other.diagnostics == first.diagnostics

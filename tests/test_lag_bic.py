@@ -12,8 +12,9 @@ import sys
 import numpy as np
 import pytest
 
-from hdcoint import (DataError, HarnessConfig, ar_benchmark, fecm_forecast,
-                     run_rolling, select_lag_bic, var_bic_forecast)
+from hdcoint import (DataError, HarnessConfig, ParameterError, ar_benchmark,
+                     fecm_forecast, run_rolling, select_lag_bic,
+                     var_bic_forecast)
 from hdcoint import factors
 from hdcoint.harness import _REGISTRY, _Window
 from hdcoint.panel import DeterministicSpec, invert_differences
@@ -213,7 +214,7 @@ def test_grouped_ar_lane_equals_single_benchmarks():
     cfg = HarnessConfig(window=80, horizons=(0, 1, 3), methods=("ar",))
     targets = np.array([0, 1, 2, 3, 4])
     ctx = _Window(values, targets, cfg.horizons, orders, cfg, 0)
-    got = _REGISTRY["ar"](ctx)
+    (got,) = _REGISTRY["ar"]([ctx])
     assert len(got) == 15
     for ti in targets:
         d = int(orders[ti])
@@ -236,12 +237,11 @@ def test_fecm_factors_of_an_all_target_panel_raise():
         fecm_forecast(z, targets=[2, 0, 1], r_ns=1, det="none")
     assert np.isfinite(fecm_forecast(z, targets=[0, 1], r_ns=1,
                                      det="none")).all()
+    # the rolling run rejects the setting before its first window
     cfg = HarnessConfig(window=60, horizons=(1,), methods=("ar", "fecm"),
                         factors=1, boot_reps=199)
-    report = run_rolling(z[:70], cfg)
-    failed = [d for d in report.diagnostics if d[3] == "fecm"]
-    assert len(failed) == len(report.window_starts)
-    assert all("singular" in d[4] for d in failed)
+    with pytest.raises(ParameterError, match="at most 3"):
+        run_rolling(z[:70], cfg)
 
 
 def test_lag_cap_reaches_the_factor_lanes(monkeypatch):

@@ -189,7 +189,7 @@ class TestJohansenFactor:
         z = simulate_vecm(params, T, seed=4).values
         r0, r1 = _residuals_on_w(z, 1, "mean")
         want = np.minimum(canonical_correlations(r0, r1) ** 2, 1.0 - 1e-12)
-        s = _johansen_solve(z, 1, DeterministicSpec.MEAN)
+        (s,) = _johansen_solve(z[None], 1, DeterministicSpec.MEAN)
         assert np.abs(s.lam - want).max() <= 1e-12
         # k = N + 1 columns of W leave n - k = T - N - 3 residual dimensions
         # for the two N-column blocks: 2N - (n - k) correlations are 1
@@ -202,7 +202,7 @@ class TestJohansenFactor:
         r0, r1 = _residuals_on_w(z, 1, det)
         n = r0.shape[0]
         s00, s01, s11 = r0.T @ r0 / n, r0.T @ r1 / n, r1.T @ r1 / n
-        s = _johansen_solve(z, 1, DeterministicSpec.parse(det))
+        (s,) = _johansen_solve(z[None], 1, DeterministicSpec.parse(det))
         assert s.lam.size == s.vecs.shape[1] == r1.shape[1]
         assert np.allclose(s.vecs.T @ s11 @ s.vecs, np.eye(r1.shape[1]),
                            atol=1e-10)
@@ -590,6 +590,11 @@ class TestQrVecmStack:
         assert [_fit_bits(fits[0]), _fit_bits(fits[2])] == [
             _single_bits(zs[0], 1), _single_bits(zs[2], 1)]
 
+    def test_stack_of_windows_with_missing_values(self):
+        zs = np.full((2, 80, 3), np.nan)
+        assert [_fit_bits(f) for f in qr_vecm(zs, p=1)] == [
+            ("DataError", "estimation window contains missing values")] * 2
+
     def test_unsettled_secular_equation_fails_only_its_window(
             self, monkeypatch):
         # too few Newton steps for some windows' group problems, not all
@@ -610,6 +615,113 @@ class TestQrVecmStack:
             qr_vecm(zs, p=1, lambda_grid=[-1.0])
         with pytest.raises(DataError, match="OLS initializer"):
             qr_vecm(zs[:, :6], p=1)
+
+
+def _mixed_stack():
+    """Rolling (200, 10) windows whose BIC lags differ (0, 1 and 2 under
+    'none' and 'mean', 0 and 1 under 'trend'), among them an exactly
+    collinear window (its last series copies its first) and a window with
+    a missing value."""
+    params = random_vecm_params(10, 2, p=2, seed=12, phi_scale=0.45)
+    z = simulate_vecm(params, 450, seed=13).values
+    zs = np.stack([z[s:s + 200] for s in range(0, 250, 10)])
+    zs[3, :, -1] = zs[3, :, 0]
+    zs[5, 50, 2] = np.nan
+    return zs
+
+
+def _alone(fn, *args, **kwargs):
+    """``fn``'s result, or the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (DataError, NumericalError) as exc:
+        return exc
+
+
+def _same_outcome(got, want):
+    """Bit-equal models, or errors of one class and message."""
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        _assert_same_model(got, want)
+        assert got.info == want.info
+
+
+class TestJohansenStack:
+    """``select_lag_bic``, ``johansen_ml`` and ``pml_vecm`` on a (W, T, N)
+    stack give, per window, what the window gives alone, bit for bit, or
+    the error it raises alone."""
+
+    @pytest.mark.parametrize("det", ["none", "mean", "trend"])
+    def test_lags_and_fits_equal_single_calls(self, det):
+        zs = _mixed_stack()
+        lags = select_lag_bic(zs, p_max=3, det=det)
+        assert len(lags) == len(zs)
+        for w, z in enumerate(zs):
+            want = _alone(select_lag_bic, z, p_max=3, det=det)
+            if isinstance(want, Exception):
+                _same_outcome(lags[w], want)
+            else:
+                assert type(lags[w]) is int and lags[w] == want
+        assert isinstance(lags[5], DataError)
+        assert len({lag for lag in lags if isinstance(lag, int)}) > 1
+        fits = johansen_ml(zs, None, lags, det)
+        for w, z in enumerate(zs):
+            lag = lags[w] if isinstance(lags[w], int) else 1
+            _same_outcome(fits[w], _alone(johansen_ml, z, None, lag, det))
+        assert isinstance(fits[3], NumericalError)
+        assert sum(isinstance(f, Exception) for f in fits) == 2
+
+    @pytest.mark.parametrize("det", ["none", "trend"])
+    def test_fixed_rank_and_lag(self, det):
+        zs = _mixed_stack()
+        for r, p in ((2, 1), (0, 0)):
+            fits = johansen_ml(zs, r, p, det)
+            for got, z in zip(fits, zs):
+                _same_outcome(got, _alone(johansen_ml, z, r, p, det))
+
+    def test_pml_equals_single_calls(self):
+        zs = _mixed_stack()[1:7]
+        zs = zs / np.nanstd(zs, axis=1, keepdims=True)
+        for r in (None, 1):
+            fits = pml_vecm(zs, r, p=1, lambdas=(0.1, 0.1), max_cycles=30)
+            for got, z in zip(fits, zs):
+                _same_outcome(got, _alone(pml_vecm, z, r, p=1,
+                                          lambdas=(0.1, 0.1), max_cycles=30))
+            assert isinstance(fits[4], DataError)
+            # the collinear window fails alone: its Johansen start is
+            # singular, and from the ridge start its cycles break down
+            assert isinstance(fits[2], NumericalError)
+
+    def test_one_solve_per_lag(self, monkeypatch):
+        # a stack of two lags makes two factor calls, not one per window
+        import hdcoint.vecm as vecm
+        calls = []
+        factors = vecm._ec_factors
+
+        def counted(z, p, *args):
+            calls.append((len(z), p))
+            return factors(z, p, *args)
+
+        monkeypatch.setattr(vecm, "_ec_factors", counted)
+        zs = np.delete(_mixed_stack(), 5, axis=0)
+        lags = select_lag_bic(zs, p_max=3, det="trend")
+        assert sorted(set(lags)) == [0, 1]
+        fits = johansen_ml(zs, None, lags, "trend")
+        assert sorted(calls) == sorted([(lags.count(0), 0),
+                                        (lags.count(1), 1)])
+        assert sum(isinstance(f, Exception) for f in fits) == 1
+
+    def test_argument_errors_raise_for_the_stack(self):
+        zs = _mixed_stack()[:3]
+        with pytest.raises(ParameterError, match="rank"):
+            johansen_ml(zs, 11, 1)
+        with pytest.raises(ParameterError, match="2 lags for 3 windows"):
+            johansen_ml(zs, None, [0, 1])
+        with pytest.raises(ParameterError, match="p_max"):
+            select_lag_bic(zs, p_max=-1)
+        with pytest.raises(ParameterError, match="lambdas"):
+            pml_vecm(zs, None, lambdas=(0.1,))
 
 
 def _stationarity_gap(X, y, b, kappa):

@@ -372,14 +372,13 @@ def cmd_classify(cfg: Dict[str, object]) -> None:
     step = float(cfg["quantile_step"])
     if not 0 < step < 1:
         raise ParameterError("--quantile-step must lie in (0, 1)")
+    # ClassifyConfig writes its alpha into both the AWB and BSQT configs
     awb = AwbConfig(gamma=float(cfg["gamma"]), reps=int(cfg["boot_reps"]),
-                    alpha=float(cfg["alpha"]),
                     seed=derive_seed(int(cfg["seed"]), "classify"),
                     max_lags=cfg.get("max_lags"), workers=cfg.get("threads"))
     ccfg = ClassifyConfig(alpha=float(cfg["alpha"]), awb=awb,
                           bsqt=BsqtConfig(
-                              quantiles=tuple(np.arange(0.0, 1.0, step)),
-                              alpha=float(cfg["alpha"])),
+                              quantiles=tuple(np.arange(0.0, 1.0, step))),
                           apriori_i2=apriori_i2, at_most_i1=strategy == 1)
     report = pantula_classify(panel, method=method, strategy=strategy,
                               cfg=ccfg)

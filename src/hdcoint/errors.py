@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and the one rule for a
+window's result or its error.
 
 The command line maps these onto exit codes: parameter/configuration
 problems exit 1, data problems exit 2 and numerical failures exit 3.
 """
+
+import numpy as np
 
 
 class ToolkitError(Exception):
@@ -23,3 +26,24 @@ class NumericalError(ToolkitError):
 
 class ConvergenceError(NumericalError):
     """An iterative solver exhausted its iteration budget."""
+
+
+#: the errors that fail one window of a stack or of a rolling run, held
+#: as that window's result; any other stops the caller
+WINDOW_ERRORS = (ToolkitError, np.linalg.LinAlgError)
+
+
+def attempt(fn, *args):
+    """``fn(*args)``, or the window error it raised."""
+    try:
+        return fn(*args)
+    except WINDOW_ERRORS as exc:
+        return exc
+
+
+def per_window(fn, results, *args) -> list:
+    """Per window, ``fn(result, *entries)`` attempted, with ``entries``
+    the window's entry of each sequence in ``args``; a window whose
+    result is an error keeps that error, the same object."""
+    return [r if isinstance(r, WINDOW_ERRORS) else attempt(fn, r, *a)
+            for r, *a in zip(results, *args)]

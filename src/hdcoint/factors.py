@@ -6,10 +6,10 @@ factor paths by cross-sectional averaging.  The levels route reads factor
 paths directly off the dominant left singular vectors of the data matrix
 as supplied, normalized at the T² rate of stochastic trends.  The two
 forecasters combine either route with the reduced-rank VECM machinery,
-at the lag and rank of its information criteria.  Each takes one window
-or a (W, T, N) stack of windows: the factors are extracted window by
-window, and the VECMs of all windows are one stacked lag choice and one
-stacked fit, each window's outcome bit for bit as alone.
+at the lag and rank of its information criteria.  Each follows the
+stack contract of :func:`panel.as_stack`: the factors are extracted
+window by window, and the VECMs of all windows are one stacked lag
+choice and one stacked fit.
 :func:`var_bic_forecast` is the one AR/VAR-by-BIC routine of the
 package, for one system or a stack of them.
 """
@@ -17,13 +17,15 @@ package, for one system or a stack of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from ._numeric import (column_scales, column_signs, nested_residual_factors,
                        singular_pivots)
-from .errors import DataError, NumericalError, ParameterError
+from .errors import (WINDOW_ERRORS, DataError, NumericalError,
+                     ParameterError, per_window)
 from .panel import (DeterministicSpec, as_stack, as_values, detrend,
                     resolve_targets, unstack)
 # select_rank_ic is unused here, but the benchmark's tracer still looks
@@ -242,21 +244,18 @@ def _factor_path(factors: Sequence[np.ndarray], h: int,
                  p_max: int) -> list:
     """Iterated forecasts of each window's (T, k) factor paths from a VECM
     at the criteria's lag and rank, one stacked lag choice and fit for the
-    windows of each factor count; a window whose fit fails gets the
-    frozen path."""
+    windows of each factor count; a window whose fit or forecast raised a
+    window error gets the frozen path."""
     paths = [np.repeat(f[-1:], h, axis=0) for f in factors]
     for k in sorted({f.shape[1] for f in factors} - {0}):
         group = [i for i, f in enumerate(factors) if f.shape[1] == k]
         stack = np.stack([factors[i] for i in group])
         lags = select_lag_bic(stack, p_max=p_max, det=DeterministicSpec.MEAN)
         models = johansen_ml(stack, None, lags, det=DeterministicSpec.MEAN)
-        for i, model in zip(group, models):
-            try:
-                if isinstance(model, Exception):
-                    raise model
-                paths[i] = vecm_iterated_forecast(model, factors[i], h)
-            except (DataError, NumericalError):
-                pass
+        for i, path in zip(group, per_window(
+                partial(vecm_iterated_forecast, h=h), models, stack)):
+            if not isinstance(path, WINDOW_ERRORS):
+                paths[i] = path
     return paths
 
 
@@ -274,14 +273,11 @@ def ndfm_forecast(data, k: Optional[int] = None, h: int = 1,
     the loadings fixed, and BIC-selected AR(≤ ``p_max``)s carry the
     idiosyncratic remainders.
 
-    ``data`` is one (T, N) window, or a (W, T, N) stack of windows of one
-    shape.  Each window's factors and deterministics are its own; the
-    idiosyncratic ARs of every series of every window are one
-    :func:`var_bic_forecast` stack, and the factor VECMs one stacked lag
-    choice and fit per factor count.  A stack returns, per window, its
-    forecasts or its error (missing values), each as the window alone
-    gives it; errors of the arguments raise for the whole stack.  A
-    single window is a stack of one.
+    ``data`` and the result follow the stack contract of
+    :func:`panel.as_stack`.  Each window's factors and deterministics are
+    its own; the idiosyncratic ARs of every series of every window are
+    one :func:`var_bic_forecast` stack, and the factor VECMs one stacked
+    lag choice and fit per factor count.
     """
     z, stack, out = as_stack(data)
     _, T, N = z.shape
@@ -325,16 +321,16 @@ def fecm_forecast(data, targets: Optional[Sequence[Union[int, str]]] = None,
     targets all lie in the span of the panel's N series, so more targets
     and factors than N would make the system singular: :class:`DataError`.
 
-    ``data`` is one (T, N) window, or a (W, T, N) stack of windows of one
-    shape.  Each window's factors are its own; the systems of all windows
-    get one stacked lag choice and one stacked :func:`johansen_ml` call.
-    A stack returns, per window, its forecasts or the error it raised
-    alone, bit for bit; errors of the arguments raise for the whole
-    stack.  A single window is a stack of one.
+    ``data`` and the result follow the stack contract of
+    :func:`panel.as_stack`.  Each window's factors are its own; the
+    systems of all windows get one stacked lag choice and one stacked
+    :func:`johansen_ml` call.
     """
     z, stack, out = as_stack(data)
     idx = resolve_targets(data, targets)[2]
     spec = DeterministicSpec.parse(det)
+    if h < 1:
+        raise ParameterError("forecast horizon must be positive")
     if r_ns > 0 and idx.size + r_ns > z.shape[2]:
         raise DataError(
             f"{idx.size} targets and {r_ns} factors exceed the "
@@ -353,7 +349,7 @@ def fecm_forecast(data, targets: Optional[Sequence[Union[int, str]]] = None,
     x = np.stack([system(z[w]) for w in live])
     models = johansen_ml(x, None, select_lag_bic(x, p_max=p_max, det=spec),
                          det=spec)
-    for w, xw, model in zip(live, x, models):
-        out[w] = model if isinstance(model, Exception) else \
-            vecm_iterated_forecast(model, xw, h)[:, :idx.size]
+    paths = per_window(partial(vecm_iterated_forecast, h=h), models, x)
+    for w, path in zip(live, per_window(lambda fc: fc[:, :idx.size], paths)):
+        out[w] = path
     return unstack(out, stack)

@@ -12,21 +12,19 @@ checks read the records.  Lanes difference and integrate only through
 ``panel``'s one rule and its inverse; an integration order outside
 {0, 1, 2} stops the run up front.
 
-The run builds its windows in blocks of ``_WINDOW_BLOCK`` and hands each
-lane one block at a time, its windows in order.  Every built-in lane but
-the single equations is stacked, and one body serves them all: it
-builds each window's input, fits the block's stack of inputs in one call
-and maps each window's result back to level forecasts.  The AR lane
-makes one autoregression call per integration order for every target of
-every window, the VAR lanes one call for the block's systems, and the
-five cointegration lanes one lag choice and one Johansen-family fit of
-the stack (the stacked estimators return each window's fit or error,
-bit for bit as the window alone).  The single equations and registered
-lanes are called on one window after another by one adapter.  Either
-way a lane yields, per window, its forecasts or the
-:class:`ToolkitError` or ``LinAlgError`` that window raised, and the run
+Every lane takes a block of ``_WINDOW_BLOCK`` windows, in order, and
+yields per window its forecasts or the window error it raised (the one
+rule of :mod:`errors`: :func:`attempt` and :func:`per_window`); the run
 records them window by window, in the order of the lane table, whatever
-the block size.
+the block size.  The single equations and registered lanes are
+one-window bodies called in turn by one adapter.  Every other built-in
+lane is one stacked body: it builds each window's input, fits the
+block's stack of inputs in one call (the stack contract of
+:func:`panel.as_stack`) and finishes each window's result, integrating a
+target's path back to levels.  The AR lane makes one autoregression call
+per integration order for every target of every window, the VAR lanes
+one call for the block's systems, and the five cointegration lanes one
+lag choice and one Johansen-family fit of the stack.
 """
 
 from __future__ import annotations
@@ -35,13 +33,15 @@ import csv
 import json
 from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ._numeric import column_scales
 from .bootstrap import _multiplier_matrix, check_multiplier
-from .errors import DataError, ParameterError, ToolkitError
+from .errors import (WINDOW_ERRORS, DataError, ParameterError, attempt,
+                     per_window)
 from .factors import (extract_factors_diff, fecm_forecast, ndfm_forecast,
                       pca_factors, var_bic_forecast)
 from .panel import (DeterministicSpec, detrend, difference_columns,
@@ -139,11 +139,6 @@ class _Window:
             return r
         return difference_columns(r, self.orders == 2)[1:]
 
-    def coint_invert(self, ti: int, path: np.ndarray) -> np.ndarray:
-        """Map a cointegration-lane forecast path back to residual levels."""
-        return invert_differences(self.resid[:, ti], path,
-                                  int(self.orders[ti] == 2))
-
 
 def _max_h(ctx: _Window) -> int:
     return max(max(ctx.horizons), 1)
@@ -160,16 +155,11 @@ def _at_horizons(ctx: _Window, levels) -> Dict[Tuple[int, int], float]:
 # A lane body looks its estimators up by module-global name when it runs, so
 # a wrapper installed on that name sees every call.
 
-#: the errors that fail one window of one lane; any other stops the run
-_WINDOW_ERRORS = (ToolkitError, np.linalg.LinAlgError)
 
-
-def _attempt(fn: Callable, *args, **kwargs):
-    """``fn(*args, **kwargs)``, or the window error it raised."""
-    try:
-        return fn(*args, **kwargs)
-    except _WINDOW_ERRORS as exc:
-        return exc
+def _each(fn: Callable, windows: Sequence[_Window]) -> list:
+    """The lane of a one-window body ``fn``: per window of the block, in
+    order, ``fn(window)`` or the window error it raised."""
+    return [attempt(fn, ctx) for ctx in windows]
 
 
 def _stacked(windows: Sequence[_Window], prepare: Callable, fit: Callable,
@@ -178,36 +168,25 @@ def _stacked(windows: Sequence[_Window], prepare: Callable, fit: Callable,
     input; ``fit(ctx, stack)`` fits the stack of those inputs in one call,
     with ``ctx`` the block's first window (a block's windows share their
     config, targets, orders and horizons), and gives per window a result
-    or its error; ``finish(ctx, result)`` maps a window's result to its
-    forecasts.  A window error of any step fails its window alone; one
-    that ``fit`` raises for the whole stack fails each of its windows."""
-    inputs = [_attempt(prepare, ctx) for ctx in windows]
-    errors = [x if isinstance(x, Exception) else None for x in inputs]
-    ready = [x for x in inputs if not isinstance(x, Exception)]
+    or its error; ``finish(result, ctx)`` maps a window's result to its
+    forecasts.  A window error of ``fit`` or ``finish`` fails its window
+    alone; one that ``prepare`` or ``fit`` raises for the whole stack
+    fails each of its windows.  ``run_rolling`` admits finite windows
+    only, on which a prepare step raises for every window alike or for
+    none (the factor-augmented VAR's factor count above its rows)."""
     # the stack is the one copy of the inputs held through the fit
-    stack = np.stack(ready) if ready else None
-    del inputs, ready
-    results = [] if stack is None else _attempt(fit, windows[0], stack)
-    if isinstance(results, Exception):
-        results = [results] * len(stack)
-    results = iter(results)
-    out = []
-    for ctx, error in zip(windows, errors):
-        result = next(results) if error is None else error
-        out.append(result if isinstance(result, Exception)
-                   else _attempt(finish, ctx, result))
-    return out
+    results = attempt(lambda: fit(windows[0], np.stack(
+        [prepare(ctx) for ctx in windows])))
+    if isinstance(results, WINDOW_ERRORS):
+        results = [results] * len(windows)
+    return per_window(finish, results, windows)
 
 
 def _ar(windows: Sequence[_Window]) -> list:
     """The AR lane: every target of every window forecast by its own
     BIC-selected AR, the block's h >= 1 paths from one call per
     integration order, and each window's nowcasts at h = 0."""
-    return _stacked(windows, _residuals, _ar_paths, _ar_forecasts)
-
-
-def _residuals(ctx: _Window) -> np.ndarray:
-    return ctx.resid
+    return _stacked(windows, attrgetter("resid"), _ar_paths, _ar_forecasts)
 
 
 def _ar_paths(ctx: _Window, resid: np.ndarray) -> list:
@@ -224,7 +203,7 @@ def _ar_paths(ctx: _Window, resid: np.ndarray) -> list:
     return paths
 
 
-def _ar_forecasts(ctx: _Window, paths: list) -> Dict[Tuple[int, int], float]:
+def _ar_forecasts(paths: list, ctx: _Window) -> Dict[Tuple[int, int], float]:
     """A window's AR forecasts: its paths at every h >= 1, and at h = 0 a
     nowcast of each target, window by window."""
     out = _at_horizons(ctx, paths)
@@ -235,11 +214,23 @@ def _ar_forecasts(ctx: _Window, paths: list) -> Dict[Tuple[int, int], float]:
     return out
 
 
+def _target_levels(path: np.ndarray, ctx: _Window,
+                   d: np.ndarray) -> Dict[Tuple[int, int], float]:
+    """The system lanes' one finish step: a window's forecasts from its
+    targets' path, column k of ``path`` integrated back to residual levels
+    ``d[target]`` times."""
+    return _at_horizons(ctx, [(ti, invert_differences(
+        ctx.resid[:, ti], path[:, k], int(d[ti])))
+        for k, ti in enumerate(ctx.targets)])
+
+
 def _stationary_system(windows: Sequence[_Window], augment: bool) -> list:
     """The VAR / factor-augmented VAR lane on transformed residuals: one
-    :func:`var_bic_forecast` call on the block's stack of systems."""
+    :func:`var_bic_forecast` call on the block's stack of systems, whose
+    paths are integrated back each target's order."""
     return _stacked(windows, partial(_system_input, augment=augment),
-                    _system_paths, _system_forecasts)
+                    _system_paths,
+                    partial(_target_levels, d=windows[0].orders))
 
 
 def _system_input(ctx: _Window, augment: bool) -> np.ndarray:
@@ -260,63 +251,39 @@ def _system_paths(ctx: _Window, x: np.ndarray) -> np.ndarray:
     return var_bic_forecast(x, _max_h(ctx), ctx.cfg.p_max, p_min=1)
 
 
-def _system_forecasts(ctx: _Window, path: np.ndarray
-                      ) -> Dict[Tuple[int, int], float]:
-    return _at_horizons(ctx, [(ti, invert_differences(
-        ctx.resid[:, ti], path[:, pos], int(ctx.orders[ti])))
-        for pos, ti in enumerate(ctx.targets)])
-
-
 def _coint_input(ctx: _Window, block: bool) -> np.ndarray:
     """A window's cointegration panel, or its targets' block of it."""
     z = ctx.coint_panel()
     return z[:, ctx.targets] if block else z
 
 
-def _coint_forecasts(ctx: _Window, path: np.ndarray
-                     ) -> Dict[Tuple[int, int], float]:
-    """A window's target path mapped back to residual levels."""
-    return _at_horizons(ctx, [(ti, ctx.coint_invert(ti, path[:, k]))
-                              for k, ti in enumerate(ctx.targets)])
-
-
 def _cointegrated(windows: Sequence[_Window], path: Callable,
                   block: bool = True) -> list:
     """The cointegration lanes' one body: ``path(ctx, zs)`` forecasts the
     targets ``_max_h`` steps from each window's cointegration panel (its
-    targets' block when ``block``) of the stack ``zs`` in one call."""
+    targets' block when ``block``) of the stack ``zs`` in one call, and an
+    I(2) target's path, of its differences, is integrated back once."""
     return _stacked(windows, partial(_coint_input, block=block), path,
-                    _coint_forecasts)
-
-
-def _fitted_path(model, z: np.ndarray, h: int) -> np.ndarray:
-    """The path of a model fitted for window ``z``, or its fit's error."""
-    if isinstance(model, Exception):
-        raise model
-    return vecm_iterated_forecast(model, z, h)
-
-
-def _model_paths(models: list, zs: np.ndarray, h: int) -> list:
-    return [_attempt(_fitted_path, model, z, h)
-            for model, z in zip(models, zs)]
+                    partial(_target_levels, d=windows[0].orders == 2))
 
 
 def _ml_paths(ctx: _Window, zs: np.ndarray) -> list:
     models = johansen_ml(zs, None, select_lag_bic(zs, p_max=ctx.cfg.p_max))
-    return _model_paths(models, zs, _max_h(ctx))
+    return per_window(partial(vecm_iterated_forecast, h=_max_h(ctx)),
+                      models, zs)
 
 
 def _qr_vecm_paths(ctx: _Window, zs: np.ndarray) -> list:
-    return _model_paths(qr_vecm(zs, p=1), zs, _max_h(ctx))
+    return per_window(partial(vecm_iterated_forecast, h=_max_h(ctx)),
+                      qr_vecm(zs, p=1), zs)
 
 
 def _pml_paths(ctx: _Window, zs: np.ndarray) -> list:
     sd = np.stack([column_scales(zb) for zb in zs])[:, None]
     scaled = zs / sd
-    paths = _model_paths(pml_vecm(scaled, None, p=1, lambdas=(0.1, 0.1)),
-                         scaled, _max_h(ctx))
-    return [fc if isinstance(fc, Exception) else fc * s
-            for fc, s in zip(paths, sd)]
+    models = pml_vecm(scaled, None, p=1, lambdas=(0.1, 0.1))
+    return per_window(lambda model, z, s: vecm_iterated_forecast(
+        model, z, _max_h(ctx)) * s, models, scaled, sd)
 
 
 def _fecm_paths(ctx: _Window, zs: np.ndarray) -> list:
@@ -325,10 +292,9 @@ def _fecm_paths(ctx: _Window, zs: np.ndarray) -> list:
 
 
 def _ndfm_paths(ctx: _Window, zs: np.ndarray) -> list:
-    paths = ndfm_forecast(zs, k=ctx.cfg.factors, h=_max_h(ctx),
-                          p_max=ctx.cfg.p_max)
-    return [fc if isinstance(fc, Exception) else fc[:, ctx.targets]
-            for fc in paths]
+    return per_window(lambda fc: fc[:, ctx.targets],
+                      ndfm_forecast(zs, k=ctx.cfg.factors, h=_max_h(ctx),
+                                    p_max=ctx.cfg.p_max))
 
 
 def _single_eq(ctx: _Window, specs: bool, augment: bool = False
@@ -368,42 +334,43 @@ def _single_eq(ctx: _Window, specs: bool, augment: bool = False
 
 @dataclass(frozen=True)
 class Lane:
-    """One forecasting method: ``forecast(window)`` gives {(target index,
-    horizon): level forecast}; ``nowcasts``: a single equation that also
-    fits h = 0; ``factors``: it extracts ``cfg.factors`` factors, from the
-    N - 1 other series when it also nowcasts; ``with_targets``: those
-    factors join the targets in one system, so the targets and factors
-    together may not outnumber the N series that span them; ``stacked``:
-    ``forecast`` takes a block of windows instead, in order, and returns
-    per window that mapping or the window error it raised
-    (:func:`_run_lane`).  Every built-in lane but the single equations is
-    stacked, one :func:`_stacked` body each."""
+    """One forecasting method.  ``forecast(windows)`` takes a block of
+    windows, in order, and gives per window its {(target index, horizon):
+    level forecast} or the window error it raised; ``nowcasts``: a single
+    equation that also fits h = 0; ``factors``: it extracts
+    ``cfg.factors`` factors, from the N - 1 other series when it also
+    nowcasts; ``with_targets``: those factors join the targets in one
+    system, so the targets and factors together may not outnumber the N
+    series that span them.  The single equations are one-window bodies
+    that :func:`_each` calls window by window; every other built-in lane
+    is one :func:`_stacked` body."""
 
     forecast: Callable
     nowcasts: bool = False
     factors: bool = False
     with_targets: bool = False
-    stacked: bool = False
 
 
 _LANES: Dict[str, Lane] = {
-    "ar": Lane(_ar, nowcasts=True, stacked=True),
-    "var": Lane(partial(_stationary_system, augment=False), stacked=True),
-    "favar": Lane(partial(_stationary_system, augment=True), factors=True,
-                  stacked=True),
-    "ml": Lane(partial(_cointegrated, path=_ml_paths), stacked=True),
-    "qr_vecm": Lane(partial(_cointegrated, path=_qr_vecm_paths),
-                    stacked=True),
-    "pml": Lane(partial(_cointegrated, path=_pml_paths), stacked=True),
+    "ar": Lane(_ar, nowcasts=True),
+    "var": Lane(partial(_stationary_system, augment=False)),
+    "favar": Lane(partial(_stationary_system, augment=True), factors=True),
+    "ml": Lane(partial(_cointegrated, path=_ml_paths)),
+    "qr_vecm": Lane(partial(_cointegrated, path=_qr_vecm_paths)),
+    "pml": Lane(partial(_cointegrated, path=_pml_paths)),
     "fecm": Lane(partial(_cointegrated, path=_fecm_paths, block=False),
-                 factors=True, with_targets=True, stacked=True),
+                 factors=True, with_targets=True),
     "ndfm": Lane(partial(_cointegrated, path=_ndfm_paths, block=False),
-                 factors=True, stacked=True),
-    "specs": Lane(partial(_single_eq, specs=True), nowcasts=True),
-    "fa_specs": Lane(partial(_single_eq, specs=True, augment=True),
+                 factors=True),
+    "specs": Lane(partial(_each, partial(_single_eq, specs=True)),
+                  nowcasts=True),
+    "fa_specs": Lane(partial(_each, partial(_single_eq, specs=True,
+                                            augment=True)),
                      nowcasts=True, factors=True),
-    "padl": Lane(partial(_single_eq, specs=False), nowcasts=True),
-    "fapadl": Lane(partial(_single_eq, specs=False, augment=True),
+    "padl": Lane(partial(_each, partial(_single_eq, specs=False)),
+                 nowcasts=True),
+    "fapadl": Lane(partial(_each, partial(_single_eq, specs=False,
+                                          augment=True)),
                    nowcasts=True, factors=True),
 }
 
@@ -417,28 +384,18 @@ _REGISTRY = {m: lane.forecast for m, lane in _LANES.items()}
 _WINDOW_BLOCK = 32
 
 
-def _run_lane(method: str, windows: Sequence[_Window]) -> list:
-    """Lane ``method`` on a block of windows: per window, its forecasts or
-    the window error it raised.  A stacked lane takes the block in one
-    call; any other is called on one window after another."""
-    fn = _REGISTRY[method]
-    if _LANES[method].stacked:
-        return fn(windows)
-    return [_attempt(fn, ctx) for ctx in windows]
-
-
 def register_method(name: str, fn: Callable) -> None:
     """Add or replace a forecasting method in the harness's lane table.
 
     ``fn(window)`` receives the isolated window context and returns a
     mapping {(target index, horizon): level forecast}.  Its record
-    ``Lane(fn)`` neither nowcasts nor extracts factors, and is not
-    stacked: the run calls it on every window of a block in turn, the
-    windows in order.  A :class:`ToolkitError` or ``LinAlgError`` fails
-    only that window, as a diagnostic; any other error stops the run.
+    ``Lane(partial(_each, fn))`` neither nowcasts nor extracts factors:
+    the run calls ``fn`` on every window of a block in turn, the windows
+    in order.  A :class:`ToolkitError` or ``LinAlgError`` fails only that
+    window, as a diagnostic; any other error stops the run.
     """
-    _LANES[name] = Lane(fn)
-    _REGISTRY[name] = fn
+    _LANES[name] = Lane(partial(_each, fn))
+    _REGISTRY[name] = _LANES[name].forecast
 
 
 @dataclass(frozen=True)
@@ -664,15 +621,15 @@ def run_rolling(data, cfg: HarnessConfig) -> ForecastReport:
     """Roll the evaluation window over the panel and score every method.
 
     Windows are scored only where all horizons can be evaluated, so the
-    loss matrices are aligned across horizons.  Each lane runs on blocks
-    of ``_WINDOW_BLOCK`` windows (:func:`_run_lane`), and forecasts and
-    diagnostics are recorded window by window, in method order, so the
-    report does not depend on the block size.  Method failures inside a
-    window are recorded as diagnostics and missing losses, never raised;
-    a factor count above N (N - 1 with a factor-augmented single
+    loss matrices are aligned across horizons.  Each lane is called on
+    blocks of ``_WINDOW_BLOCK`` windows, and forecasts and diagnostics are
+    recorded window by window, in method order, so the report does not
+    depend on the block size.  Method failures inside a window are
+    recorded as diagnostics and missing losses, never raised.  Before the
+    first window, a panel with missing values raises :class:`DataError`,
+    and a factor count above N (N - 1 with a factor-augmented single
     equation), or targets plus factors above N for a lane whose factors
-    join the targets, raises :class:`ParameterError` before the first
-    window.
+    join the targets, raises :class:`ParameterError`.
     """
     z, names, targets = resolve_targets(data, cfg.targets)
     T, N = z.shape
@@ -713,7 +670,7 @@ def run_rolling(data, cfg: HarnessConfig) -> ForecastReport:
                            cfg.horizons, orders, cfg, s)
                    for s in starts[first:first + _WINDOW_BLOCK]]
         # a lane that cannot nowcast has nothing to do at h = 0 alone
-        results = {meth: _run_lane(meth, windows) for meth in cfg.methods
+        results = {meth: _REGISTRY[meth](windows) for meth in cfg.methods
                    if _LANES[meth].nowcasts or any(cfg.horizons)}
         for w, ctx in enumerate(windows, start=first):
             s = ctx.window_start
@@ -725,7 +682,7 @@ def run_rolling(data, cfg: HarnessConfig) -> ForecastReport:
                 if meth not in results:
                     continue
                 fc = results[meth][w - first]
-                if isinstance(fc, Exception):
+                if isinstance(fc, WINDOW_ERRORS):
                     diagnostics.append((s, "*", -1, meth, str(fc)))
                     continue
                 for ti in targets:

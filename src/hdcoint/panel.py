@@ -223,10 +223,20 @@ def _is_stack(data) -> bool:
 
 def as_stack(data) -> Tuple[np.ndarray, bool, list]:
     """(z, stack, errors): ``data`` as a (W, T, N) float stack of windows,
-    whether it came as one, and each window's error or None.  A (W, T, N)
-    array is taken as given, and a window with missing values gets the
-    :func:`as_values` error; a (T, N) window or a Panel is checked by
-    :func:`as_values`, which raises its error, and is a stack of one."""
+    whether it came as one, and each window's error or None.
+
+    This is the stack contract of every stacked estimator (``johansen_ml``,
+    ``select_lag_bic``, ``qr_vecm``, ``pml_vecm``, ``fecm_forecast`` and
+    ``ndfm_forecast``).  ``data`` is one (T, N) window or a (W, T, N)
+    stack of windows of one shape; a single window is a stack of one, and
+    there is no second single-window path.  A (W, T, N) array is taken as
+    given, and a window with missing values gets the :func:`as_values`
+    error; a (T, N) window or a Panel is checked by :func:`as_values`,
+    which raises its error.  Errors of the arguments raise for the whole
+    stack.  The estimator returns through :func:`unstack`: per window, its
+    result or the window error (``errors.WINDOW_ERRORS``) it raises alone,
+    bit for bit as alone, because numpy's batched LAPACK and matmul loop
+    over the stack with each window's own call."""
     if not _is_stack(data):
         return as_values(data)[None], False, [None]
     z = np.asarray(data, dtype=float)
@@ -237,7 +247,8 @@ def as_stack(data) -> Tuple[np.ndarray, bool, list]:
 def unstack(results: list, stack: bool):
     """A stacked estimator's per-window ``results`` (each a result or the
     error of its window) for a stack; for a stack of one made of a single
-    window, that window's result, or its error raised."""
+    window, that window's result, or its error raised (the contract of
+    :func:`as_stack`)."""
     if stack:
         return results
     if isinstance(results[0], Exception):

@@ -16,17 +16,12 @@ of the reduced-rank eigenproblem, a window's full-sample factor and one
 SVD; with ``r=None`` a fit takes the criterion's rank off the
 eigenvalues it already has.
 
-Every estimator, and the lag criterion, takes one (T, N) window or a
-(W, T, N) stack of windows of one shape; a single window is a stack of
-one, and there is no second single-window path.  A stack returns, per
-window, its result or the error it raised alone, bit for bit as alone:
-numpy's batched LAPACK and matmul loop over the stack with each window's
-own call.  Errors of the arguments raise for the whole stack, and a
-window with missing values gets :func:`as_values`' error.  The lag
-criterion scores every window and candidate from one QR; the Johansen
-fit solves the windows of each lag together (one factor call, one SVD,
-one solve); the PML estimator takes its starts from one such solve and
-cycles window by window.
+Every estimator, and the lag criterion, follows the stack contract of
+:func:`as_stack`.  The lag criterion scores every window and candidate
+from one QR; the Johansen fit solves the windows of each lag together
+(one factor call, one SVD, one solve); the PML estimator takes its
+starts from one such solve, whatever its rank argument, and cycles
+window by window.
 
 The QR estimator fits a stack in one pass.  Each cross-validation
 fold trains on a row prefix of a window's design and validates on a row
@@ -56,6 +51,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -64,8 +60,8 @@ from ._numeric import (column_signs, expanding_folds, last_minimum,
                        nested_residual_factors, penalty_levels, pivot_order,
                        singular_pivots, soft_threshold_sweep,
                        triangular_factors)
-from .errors import (ConvergenceError, DataError, NumericalError,
-                     ParameterError, ToolkitError)
+from .errors import (WINDOW_ERRORS, ConvergenceError, DataError,
+                     NumericalError, ParameterError, per_window)
 from .panel import DeterministicSpec, as_stack, as_values, unstack
 
 __all__ = [
@@ -252,9 +248,10 @@ def _check_rank(T: int, N: int, p: int, r: int) -> None:
             f"window of {T} observations is too short for N={N}, p={p}, r={r}")
 
 
-def _johansen_fit(s: _Solve, r: int, p: int,
+def _johansen_fit(s: _Solve, r: Optional[int], p: int,
                   det: DeterministicSpec) -> VecmModel:
-    """Reduced-rank ML fit of one solve at rank ``r``.
+    """Reduced-rank ML fit of one solve at rank ``r``, or at its
+    :func:`_ic_rank` for ``r=None``.
 
     The short run and residual covariance are the OLS given Π, read off
     the solve's factor R = [[R11, R12, R13], [0, R22, R23], [0, 0, R33]]
@@ -262,6 +259,7 @@ def _johansen_fit(s: _Solve, r: int, p: int,
     product is E'E with E = R[k:, k+m:] - R[k:, k:k+m]Π'.
     """
     R, k, n, (N, m) = s.R, s.k, s.n, s.s01.shape
+    r = _ic_rank(s) if r is None else r
     _check_rank(s.t_last, N, p, r)
     b_aug = s.vecs[:, :r] * column_signs(s.vecs[:, :r])
     a = s.s01 @ b_aug
@@ -292,15 +290,12 @@ def johansen_ml(data, r: Optional[int], p: Union[int, Sequence] = 1,
     unrestricted intercept, 'trend' additionally restricts a linear trend
     to the error-correction term.
 
-    ``data`` is one (T, N) window, or a (W, T, N) stack of windows of one
-    shape, and ``p`` a lag for every window or one per window (as
-    :func:`select_lag_bic` gives them for a stack; a window whose lag
-    choice failed keeps that error).  The windows of one lag are solved
-    together, in one call of :func:`_johansen_solve`; the rank and the fit
-    are each window's own.  A stack returns, per window, its model or the
-    :class:`ToolkitError` it raised alone, bit for bit; errors of the
-    arguments raise for the whole stack.  A single window is fitted as a
-    stack of one.
+    ``data`` and the result follow the stack contract of
+    :func:`as_stack`, and ``p`` is a lag for every window or one per
+    window (as :func:`select_lag_bic` gives them for a stack; a window
+    whose lag choice failed keeps that error).  The windows of one lag are
+    solved together, in one call of :func:`_johansen_solve`; the rank and
+    the fit are each window's own.
     """
     det = DeterministicSpec.parse(det)
     z, stack, fits = as_stack(data)
@@ -310,9 +305,8 @@ def johansen_ml(data, r: Optional[int], p: Union[int, Sequence] = 1,
         raise ParameterError(f"{len(lags)} lags for {len(z)} windows")
     if r is not None and not 0 <= r <= N:
         raise ParameterError(f"rank must lie in 0..{N}")
-    for w, lag in enumerate(lags):
-        if fits[w] is None and isinstance(lag, Exception):
-            fits[w] = lag
+    fits = [lag if fit is None and isinstance(lag, WINDOW_ERRORS) else fit
+            for fit, lag in zip(fits, lags)]
     todo = [w for w, fit in enumerate(fits) if fit is None]
     for lag in sorted({int(lags[w]) for w in todo}):
         group = [w for w in todo if lags[w] == lag]
@@ -322,9 +316,9 @@ def johansen_ml(data, r: Optional[int], p: Union[int, Sequence] = 1,
             solves = _johansen_solve(_windows(z, group), lag, det)
         except DataError as exc:
             solves = [exc] * len(group)
-        for w, s in zip(group, solves):
-            fits[w] = s if isinstance(s, Exception) else _fitted(
-                _johansen_fit, s, _ic_rank(s) if r is None else r, lag, det)
+        for w, fit in zip(group, per_window(
+                partial(_johansen_fit, r=r, p=lag, det=det), solves)):
+            fits[w] = fit
     return unstack(fits, stack)
 
 
@@ -332,15 +326,6 @@ def _windows(z: np.ndarray, which) -> np.ndarray:
     """The windows ``which`` (ascending) of the stack ``z``, copied only
     when they are not all of it."""
     return z if len(which) == len(z) else z[which]
-
-
-def _fitted(fit, *args):
-    """``fit(*args)``, or the :class:`ToolkitError` or ``LinAlgError`` it
-    raised: the error of one window of a stack."""
-    try:
-        return fit(*args)
-    except (ToolkitError, np.linalg.LinAlgError) as exc:
-        return exc
 
 
 def select_rank_ic(data, p: int = 1,
@@ -370,10 +355,9 @@ def select_lag_bic(data, p_max: int = 3,
     :func:`singular_pivots`.  Ties go to the smaller order; 0 when every
     candidate is skipped.
 
-    ``data`` is one (T, N) window, or a (W, T, N) stack of windows of one
-    shape, scored together by one :func:`nested_residual_factors` call; a
-    stack returns, per window, its lag or its error (missing values), and
-    a single window is a stack of one.
+    ``data`` and the result follow the stack contract of
+    :func:`as_stack`; the windows are scored together by one
+    :func:`nested_residual_factors` call.
     """
     det = DeterministicSpec.parse(det)
     z, stack, lags = as_stack(data)
@@ -727,16 +711,13 @@ def qr_vecm(data, p: int = 1, lambda_grid: Optional[Sequence[float]] = None
     fold raises :class:`NumericalError` with :func:`johansen_ml`'s
     messages.  Assumes de-meaned/de-trended input.
 
-    ``data`` is one (T, N) window, or a (W, T, N) stack of windows of one
-    shape, which is fitted in one pass: one QR per fold prefix, one
-    column order, one eigenbasis per column size and one secular solve
-    for all of them, and the grids and each fold's losses vectorised over
-    windows.  A stack returns a list that holds, per window, its model or
-    the :class:`ToolkitError` it raised alone (a singular stage, missing
-    values, a secular equation that did not converge); the other windows
-    fit as they would alone, bit for bit.  Errors of the arguments (p,
-    the grid, T too short for N) raise for the whole stack.  A single
-    window is fitted as a stack of one.
+    ``data`` and the result follow the stack contract of
+    :func:`as_stack` (a window fails alone on a singular stage or a
+    secular equation that did not converge; p, the grid and T too short
+    for N are errors of the arguments).  A stack is fitted in one pass:
+    one QR per fold prefix, one column order, one eigenbasis per column
+    size and one secular solve for all of them, and the grids and each
+    fold's losses vectorised over windows.
     """
     z, stack, fits = as_stack(data)
     T, N = z.shape[1:]
@@ -829,18 +810,20 @@ def _pml_objective(E: np.ndarray, omega: np.ndarray, B: np.ndarray,
                  + lam[1] * np.sum(np.abs(phi_mat)))
 
 
-def _pml_init(z: np.ndarray, r: int, p: int, solve: Optional[_Solve] = None):
-    """Johansen start when feasible, ridge start otherwise; ``solve`` is
-    the window's Johansen solve when the caller has one."""
+def _pml_init(z: np.ndarray, r: int, p: int, solve):
+    """Johansen start from the window's ``solve`` (its :class:`_Solve` or
+    its error) when that and the fit at rank ``r`` succeed, ridge start
+    otherwise."""
     T, N = z.shape
-    try:
-        m = johansen_ml(z, r, p, DeterministicSpec.NONE) if solve is None \
-            else _johansen_fit(solve, r, p, DeterministicSpec.NONE)
-        omega = np.linalg.inv(m.sigma + 1e-8 * np.trace(m.sigma) / N * np.eye(N))
-        phi_mat = np.hstack(m.phi) if p else np.empty((N, 0))
-        return m.a.copy(), m.b.copy(), phi_mat, omega
-    except (DataError, NumericalError):
-        pass
+    if not isinstance(solve, WINDOW_ERRORS):
+        try:
+            m = _johansen_fit(solve, r, p, DeterministicSpec.NONE)
+            omega = np.linalg.inv(m.sigma + 1e-8 * np.trace(m.sigma) / N
+                                  * np.eye(N))
+            phi_mat = np.hstack(m.phi) if p else np.empty((N, 0))
+            return m.a.copy(), m.b.copy(), phi_mat, omega
+        except (DataError, NumericalError):
+            pass
     y0, y1, W, _ = _ec_design(z, p, DeterministicSpec.NONE)
     gram = y1.T @ y1
     kappa = 1e-2 * np.trace(gram) / N
@@ -856,12 +839,13 @@ def _pml_init(z: np.ndarray, r: int, p: int, solve: Optional[_Solve] = None):
 
 def pml_vecm(data, r: Optional[int], p: int = 1,
              lambdas: Tuple[float, float] = (0.0, 0.0),
-             max_cycles: int = 200) -> VecmModel:
+             max_cycles: int = 200) -> Union[VecmModel, list]:
     """Penalized Gaussian likelihood VECM at a fixed cointegrating rank.
 
-    ``r=None`` fixes the :func:`select_rank_ic` rank, read off the
-    eigenvalues of the Johansen solve that also gives the start; an
-    explicit rank falls back to a ridge start when that solve fails.
+    The start is the Johansen fit of the window's one solve, at the
+    :func:`select_rank_ic` rank read off its eigenvalues for ``r=None``;
+    an explicit rank falls back to a ridge start when that solve or fit
+    fails.
     ``lambdas`` holds the L1 penalties (λ_B, λ_Φ) on the cointegrating
     vectors and the short-run block; the precision matrix is unpenalized.
     Cycles exact or descent-guaranteed block updates: least squares for
@@ -877,12 +861,9 @@ def pml_vecm(data, r: Optional[int], p: int = 1,
     it often does with B penalized: A grows while B shrinks along a scale
     ridge of the objective.
 
-    ``data`` is one (T, N) window, or a (W, T, N) stack of windows of one
-    shape, whose Johansen solves are made in one call; the cycles run
-    window by window.  A stack returns, per window, its model or the
-    :class:`ToolkitError` it raised alone, bit for bit; errors of the
-    arguments raise for the whole stack.  A single window is fitted as a
-    stack of one.
+    ``data`` and the result follow the stack contract of
+    :func:`as_stack`; the windows' Johansen solves are made in one call,
+    for every rank argument, and the cycles run window by window.
     """
     z, stack, fits = as_stack(data)
     T, N = z.shape[1:]
@@ -895,18 +876,19 @@ def pml_vecm(data, r: Optional[int], p: int = 1,
         raise ParameterError("lambdas must be two non-negative numbers")
     todo = [w for w, fit in enumerate(fits) if fit is None]
     solves = _johansen_solve(_windows(z, todo), p, DeterministicSpec.NONE) \
-        if r is None and todo else [None] * len(todo)
-    for w, solve in zip(todo, solves):
-        fits[w] = solve if isinstance(solve, Exception) else _fitted(
-            _pml_fit, z[w], r if solve is None else _ic_rank(solve), p, lam,
-            max_cycles, solve)
+        if todo else []
+    ranks = per_window(_ic_rank, solves) if r is None else [r] * len(todo)
+    for w, fit in zip(todo, per_window(
+            partial(_pml_fit, p=p, lam=lam, max_cycles=max_cycles), ranks,
+            [z[w] for w in todo], solves)):
+        fits[w] = fit
     return unstack(fits, stack)
 
 
-def _pml_fit(z: np.ndarray, r: int, p: int, lam: Tuple[float, float],
-             max_cycles: int, solve: Optional[_Solve]) -> VecmModel:
-    """:func:`pml_vecm` of one window at rank ``r``, from its Johansen
-    ``solve`` (None for an explicit rank)."""
+def _pml_fit(r: int, z: np.ndarray, solve, p: int,
+             lam: Tuple[float, float], max_cycles: int) -> VecmModel:
+    """:func:`pml_vecm` of one window ``z`` at rank ``r``, started from its
+    Johansen ``solve`` or, where that failed, from a ridge fit."""
     N = z.shape[1]
     y0, y1, W, t_last = _ec_design(z, p, DeterministicSpec.NONE)
     n = y0.shape[0]

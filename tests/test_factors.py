@@ -285,5 +285,7 @@ class TestFactorStack:
             fecm_forecast(zs, targets=[0, 1], r_ns=9)
         with pytest.raises(ParameterError, match="horizon"):
             ndfm_forecast(zs, k=2, h=0)
+        with pytest.raises(ParameterError, match="horizon"):
+            fecm_forecast(zs, targets=[0, 1], r_ns=1, h=0)
         with pytest.raises(ParameterError, match="factor count"):
             ndfm_forecast(zs, k=11)

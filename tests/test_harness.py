@@ -8,7 +8,8 @@ import pytest
 from hdcoint import (DataError, HarnessConfig, NumericalError, ParameterError,
                      ar_benchmark, from_values, harness, random_vecm_params,
                      run_rolling, simulate_vecm)
-from hdcoint.harness import _LANES, _REGISTRY, Lane
+from hdcoint.errors import attempt, per_window
+from hdcoint.harness import _LANES, _REGISTRY, _Window
 from hdcoint.panel import difference_columns, invert_differences
 
 
@@ -191,15 +192,20 @@ class TestNowcastLane:
     def test_registered_lane_skips_h0_with_diagnostic(self, register_lane):
         # the last value in the window is the horizon-0 truth itself, so
         # a score there would be a perfect nowcast the lane cannot make
+        seen = []
+
         def last_value(ctx):
+            seen.append(ctx.window_start)
             return {(ti, h): ctx.values[-1, ti]
                     for ti in ctx.targets for h in ctx.horizons}
 
         register_lane("last", last_value)
-        assert _LANES["last"] == Lane(last_value)
-        assert _REGISTRY["last"] is last_value
         report = run_rolling(_walk_panel(2, 100, 8), _small_cfg(
             horizons=(0, 1), methods=("ar", "last"), benchmark="ar"))
+        # the lane takes blocks of windows, and calls the registered
+        # function once per window
+        assert not _LANES["last"].nowcasts
+        assert seen == list(report.window_starts)
         assert [d for d in report.diagnostics if d[3] == "last"] == [
             (0, "*", 0, "last", "h=0 needs a single-equation method")]
         for t in report.targets:
@@ -494,3 +500,94 @@ class TestWindowBlocks:
         with pytest.raises(RuntimeError, match="lane bug"):
             self._run(monkeypatch, 7, _walk_panel(2, 105, 9), _small_cfg(
                 methods=("ar", "broken"), benchmark="ar"))
+
+
+def _raise(exc):
+    raise exc
+
+
+class TestLaneContract:
+    """Every lane takes a block of windows and gives per window, in order,
+    its forecasts or the window error it raised (``errors.attempt`` and
+    ``errors.per_window``)."""
+
+    BUILT_IN = ("ar", "var", "favar", "ml", "qr_vecm", "pml", "fecm", "ndfm",
+                "specs", "fa_specs", "padl", "fapadl")
+
+    def test_the_contract_tests_cover_every_built_in_lane(self):
+        assert set(self.BUILT_IN) == set(_REGISTRY) == set(_LANES)
+        assert len(self.BUILT_IN) == 12
+
+    @pytest.mark.parametrize("method", BUILT_IN)
+    def test_a_block_gives_one_result_per_window_in_order(self, method):
+        z = simulate_vecm(random_vecm_params(6, 2, p=1, seed=7), 75,
+                          seed=8).values
+        cfg = _small_cfg(horizons=(0, 1, 3), targets=(0, 2), factors=2)
+        targets = np.array([0, 2])
+        # the fourth series is I(2), so the lanes difference it
+        orders = np.array([1, 1, 1, 2, 1, 1])
+        windows = [_Window(z[s:s + 60].copy(), targets, cfg.horizons, orders,
+                           cfg, s) for s in (0, 6, 12)]
+        block = _REGISTRY[method](windows)
+        assert len(block) == 3
+        hs = cfg.horizons if _LANES[method].nowcasts else (1, 3)
+        for ctx, got in zip(windows, block):
+            assert set(got) == {(ti, h) for ti in targets for h in hs}
+            assert all(np.isfinite(v) for v in got.values())
+            # each window's result is the one it gets alone
+            (alone,) = _REGISTRY[method]([ctx])
+            assert alone == got
+
+    def test_a_prepare_error_fails_every_window_of_its_lane(self):
+        # the I(2) series leaves the factor-augmented VAR 58 differenced
+        # rows, too few for 58 factors in every window alike
+        report = run_rolling(_walk_panel(70, 62, 1), _small_cfg(
+            methods=("ar", "favar"), factors=58, orders=(2,) + (1,) * 69,
+            targets=(0,)))
+        assert len(report.window_starts) == 2
+        assert report.diagnostics == tuple(
+            (s, "*", -1, "favar", "factor count 58 outside [0, 57]")
+            for s in report.window_starts)
+
+    def test_a_finish_error_fails_its_window_alone(self, monkeypatch):
+        panel = _walk_panel(3, 80, 4)
+        cfg = _small_cfg(methods=("ar", "ml"))
+        clean = run_rolling(panel, cfg)
+        assert clean.diagnostics == ()
+        forecast, calls = harness.vecm_iterated_forecast, []
+
+        def failing(model, history, h):
+            calls.append(h)
+            if len(calls) == 5:
+                raise NumericalError("injected")
+            return forecast(model, history, h)
+
+        monkeypatch.setattr(harness, "vecm_iterated_forecast", failing)
+        report = run_rolling(panel, cfg)
+        assert len(calls) == len(report.window_starts) == 20
+        assert report.diagnostics == ((4, "*", -1, "ml", "injected"),)
+        for key, fc in clean.forecasts.items():
+            got = report.forecasts[key]
+            assert np.isnan(got[4, 1])
+            others = np.delete(np.arange(20), 4)
+            assert got[others].tobytes() == fc[others].tobytes()
+            assert got[:, 0].tobytes() == fc[:, 0].tobytes()
+
+    def test_window_errors_pass_through_as_the_same_object(self):
+        errors = [DataError("missing"), NumericalError("singular"),
+                  np.linalg.LinAlgError("not positive definite")]
+        for err in errors:
+            assert attempt(_raise, err) is err
+        out = per_window(lambda r, k: r * k, [2, errors[1], 3, errors[2]],
+                         [10, 20, 30, 40])
+        assert out[0] == 20 and out[2] == 90
+        assert out[1] is errors[1] and out[3] is errors[2]
+        # an error that fn raises on one window is that window's result
+        raised = per_window(lambda r: _raise(errors[0]) if r else r, [0, 1])
+        assert raised == [0, errors[0]] and raised[1] is errors[0]
+
+    def test_other_errors_propagate(self):
+        with pytest.raises(RuntimeError, match="bug"):
+            attempt(_raise, RuntimeError("bug"))
+        with pytest.raises(RuntimeError, match="bug"):
+            per_window(lambda r: _raise(RuntimeError("bug")), [1])

@@ -169,6 +169,35 @@ class TestOneSolvePerFit:
             fit()
             assert len(calls) == 1
 
+    def test_one_solve_per_stacked_pml_call_at_any_rank(self, monkeypatch):
+        # the Johansen starts of a stack come from one stacked solve for an
+        # explicit rank too, bit for bit as each window's own fit
+        import hdcoint.vecm as vecm
+        calls = []
+        solve = vecm._johansen_solve
+
+        def counted(z, *args):
+            calls.append(len(z))
+            return solve(z, *args)
+
+        monkeypatch.setattr(vecm, "_johansen_solve", counted)
+        _, z = _sim(4, 2, 160, 45, p=1)
+        zs = np.stack([z[s:s + 121] for s in (0, 13, 39)])
+        zs = zs / zs.std(axis=1, keepdims=True)
+        for r in (None, 0, 2):
+            calls.clear()
+            fits = pml_vecm(zs, r, p=1, lambdas=(0.1, 0.1))
+            assert calls == [3]
+            for zw, fit in zip(zs, fits):
+                _assert_same_model(fit, pml_vecm(zw, r, p=1,
+                                                 lambdas=(0.1, 0.1)))
+        # an explicit rank starts from the Johansen fit at that rank
+        a, b, _, _ = _pml_init(zs[0], 2, 1, solve(zs[:1], 1,
+                                                  DeterministicSpec.NONE)[0])
+        start = johansen_ml(zs[0], 2, 1)
+        assert a.tobytes() == start.a.tobytes()
+        assert b.tobytes() == start.b.tobytes()
+
 
 def _residuals_on_w(z, p, det):
     """(r0, r1): y0 and y1 residualised on W by least squares."""
@@ -864,7 +893,8 @@ def _pml_per_coordinate(z, r, p, lam, max_cycles=200, tol=1e-7):
     y0, y1, W, _ = _ec_design(z, p, DeterministicSpec.NONE)
     n, N = y0.shape
     Yd, Z1, DX = y0.T, y1.T, W.T
-    a, b, phi_mat, omega = _pml_init(z, r, p)
+    a, b, phi_mat, omega = _pml_init(
+        z, r, p, _johansen_solve(z[None], p, DeterministicSpec.NONE)[0])
     E = Yd - a @ (b.T @ Z1) - (phi_mat @ DX if p else 0.0)
     z_row_ss = np.einsum("it,it->i", Z1, Z1)
     x_row_ss = np.einsum("it,it->i", DX, DX) if p else np.empty(0)

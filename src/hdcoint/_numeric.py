@@ -180,23 +180,27 @@ def penalty_levels(values, what: str) -> np.ndarray:
     return arr
 
 
+#: validation blocks of every expanding-window cross-validation
+_FOLDS = 5
+
+
 def tscv_tune(builder: Callable, grid: Sequence, n_rows: int,
-              folds: int = 5, first: Optional[int] = None):
+              first: Optional[int] = None):
     """Expanding-window cross-validation over a penalty grid.
 
     ``builder(stop)`` must return a scorer ``f(candidate, rows) ->
-    squared errors`` trained on design rows [0, stop).  Validation blocks
-    (:func:`expanding_folds`) partition [first, n_rows); every training
-    segment strictly precedes its validation block.  Mean pooled loss
-    decides; ties go to the later grid entry (:func:`last_minimum`), so
-    grids should ascend in penalty strength.
+    squared errors`` trained on design rows [0, stop).  The validation
+    blocks of :func:`expanding_folds` partition [first, n_rows); every
+    training segment strictly precedes its validation block.  Mean
+    pooled loss decides; ties go to the later grid entry
+    (:func:`last_minimum`), so grids should ascend in penalty strength.
     """
     grid = list(grid)
     if not grid:
         raise ParameterError("empty tuning grid")
     if len(grid) == 1:
         return grid[0]
-    blocks = expanding_folds(n_rows, folds, first)
+    blocks = expanding_folds(n_rows, first)
     if not blocks:
         raise DataError("no validation rows available")
     losses = np.zeros(len(grid))
@@ -208,18 +212,15 @@ def tscv_tune(builder: Callable, grid: Sequence, n_rows: int,
     return grid[last_minimum(losses)]
 
 
-def expanding_folds(n_rows: int, folds: int = 5,
-                    first: Optional[int] = None) -> list:
+def expanding_folds(n_rows: int, first: Optional[int] = None) -> list:
     """Validation blocks ``(lo, hi)``, each training on rows [0, lo), that
-    split [first, n_rows) into ``folds`` near-equal parts, empty ones
-    dropped; ``first`` defaults to max(10, n_rows // 2) and is clamped to
-    [2, n_rows - 1]."""
-    if folds < 2:
-        raise ParameterError("cross-validation needs at least two folds")
+    split [first, n_rows) into :data:`_FOLDS` near-equal parts, empty
+    ones dropped; ``first`` defaults to max(10, n_rows // 2) and is
+    clamped to [2, n_rows - 1]."""
     if first is None:
         first = max(10, n_rows // 2)
     first = min(max(first, 2), n_rows - 1)
-    edges = np.linspace(first, n_rows, folds + 1).astype(int)
+    edges = np.linspace(first, n_rows, _FOLDS + 1).astype(int)
     return [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:])
             if hi > lo]
 

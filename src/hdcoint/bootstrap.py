@@ -24,8 +24,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ._numeric import ar1_recursion
-from .errors import NumericalError, ParameterError
-from .panel import DeterministicSpec, Panel, ols_detrend
+from .errors import DataError, NumericalError, ParameterError, ToolkitError
+from .panel import Panel, ols_detrend
 from .rng import as_generator, substream
 # _adf_tstat_batch and _gls_detrend_batch are unused here, but the
 # benchmark's tracer still looks both names up in this module
@@ -145,24 +145,24 @@ class _Paths:
         return np.cumsum(z, axis=1, out=z)
 
 
-def _in_series(exc: NumericalError, name: str) -> NumericalError:
+def _in_series(exc: ToolkitError, name: str) -> ToolkitError:
     """``exc`` again, its message prefixed with the series it arose in."""
     return type(exc)(f"series '{name}': {exc}")
 
 
-def residual_panel(panel: Panel, rho_mode: str = "estimated",
-                   lags: Optional[Sequence[int]] = None) -> Panel:
+def residual_panel(panel: Panel, rho_mode: str, lags: Sequence[int]) -> Panel:
     """Residual increments feeding the bootstrap DGP.
 
     Each series is OLS-detrended on [1, t] and filtered as
-    ``u_t = zeta_t - rho * zeta_{t-1}`` with ``rho`` either 1 or an
-    AR-root estimate from an ADF regression.  The first available value
-    is the detrended observation itself (a zero pre-sample), so the NaN
-    layout of the input is preserved exactly.
+    ``u_t = zeta_t - rho * zeta_{t-1}`` with ``rho`` either 1 (``'unity'``)
+    or its :func:`adf_rho` at the series' entry of ``lags``
+    (``'estimated'``).  The first available value is the detrended
+    observation itself (a zero pre-sample), so the NaN layout of the
+    input is preserved exactly.
     """
     if rho_mode not in _RHO_MODES:
         raise ParameterError(f"rho_mode must be one of {_RHO_MODES}")
-    detrended, _ = ols_detrend(panel, DeterministicSpec.TREND)
+    detrended, _ = ols_detrend(panel)
     vals = detrended.values
     out = np.full_like(vals, np.nan)
     for j in range(panel.n_series):
@@ -171,8 +171,7 @@ def residual_panel(panel: Panel, rho_mode: str = "estimated",
         if rho_mode == "unity":
             rho = 1.0
         else:
-            lag = int(lags[j]) if lags is not None else select_lags(z)
-            rho = adf_rho(z, lags=lag, spec=DeterministicSpec.NONE)
+            rho = adf_rho(z, lags=int(lags[j]))
         u = np.empty_like(z)
         u[0] = z[0]
         u[1:] = z[1:] - rho * z[:-1]
@@ -210,6 +209,8 @@ class UnionBootstrap:
         Union statistics of every replication, scaled like ``ur``.  The
         level-``alpha`` decision compares each ``ur[i]`` with
         :meth:`union_critical_values`.
+    alpha : float
+        Level of ``critvals`` and of :meth:`union_critical_values`.
     boot_stats : ndarray, shape (B, N, 4)
         Component statistics of every replication.
     """
@@ -221,20 +222,17 @@ class UnionBootstrap:
     ur: np.ndarray
     boot_ur: np.ndarray
     alpha: float
-    gamma: float
-    rho_mode: str
-    seed: int
     boot_stats: np.ndarray
 
-    def union_critical_values(self, alpha: Optional[float] = None) -> np.ndarray:
+    def union_critical_values(self) -> np.ndarray:
         """Per-series critical values of the union statistic itself.
 
         The component critical values in :attr:`critvals` only scale the
         union; size control comes from comparing each observed union
-        statistic with the left-tail ``alpha``-quantile of its own
+        statistic with the left-tail :attr:`alpha`-quantile of its own
         bootstrap distribution.
         """
-        return left_tail_quantile(self.boot_ur, self.alpha if alpha is None else alpha)
+        return left_tail_quantile(self.boot_ur, self.alpha)
 
 
 def bootstrap_union_distribution(panel: Panel, cfg: AwbConfig
@@ -258,7 +256,8 @@ def bootstrap_union_distribution(panel: Panel, cfg: AwbConfig
     cumulative sum), so no series waits for the one before it and a
     round holds paths for only the blocks being fitted.  With more than
     one of ``cfg.workers``, the blocks run on a thread pool shut down
-    when the round returns or raises.  A failed regression raises its
+    when the round returns or raises.  A series too short for its
+    regressions (:class:`DataError`) or a failed regression raises its
     error with the name of its series, the first such series in panel
     order, whatever the number of workers.
     """
@@ -269,10 +268,10 @@ def bootstrap_union_distribution(panel: Panel, cfg: AwbConfig
     stats = np.empty((N, 4))
     for j in range(N):
         col = panel.values[panel.leads[j]:, j]
-        lags[j] = select_lags(col, DeterministicSpec.TREND, cfg.max_lags)
+        lags[j] = select_lags(col, cfg.max_lags)
         try:
             stats[j] = four_stats(col, int(lags[j]))[0]
-        except NumericalError as exc:
+        except (DataError, NumericalError) as exc:
             raise _in_series(exc, panel.names[j]) from None
 
     uhat = residual_panel(panel, cfg.rho_mode, lags=lags)
@@ -286,7 +285,7 @@ def bootstrap_union_distribution(panel: Panel, cfg: AwbConfig
           else contextlib.nullcontext()) as pool:
         try:
             boot_stats = np.stack(four_stats(paths, lags, pool), axis=1)
-        except NumericalError as exc:
+        except (DataError, NumericalError) as exc:
             raise _in_series(exc, panel.names[exc.batch]) from None
 
     crit = left_tail_quantile(boot_stats, cfg.alpha)       # (N, 4)
@@ -302,5 +301,4 @@ def bootstrap_union_distribution(panel: Panel, cfg: AwbConfig
     ur = np.min(stats * scale, axis=1)
     return UnionBootstrap(
         names=panel.names, stats=stats, lags=lags, critvals=critvals,
-        ur=ur, boot_ur=boot_ur, alpha=cfg.alpha, gamma=cfg.gamma,
-        rho_mode=cfg.rho_mode, seed=cfg.seed, boot_stats=boot_stats)
+        ur=ur, boot_ur=boot_ur, alpha=cfg.alpha, boot_stats=boot_stats)

@@ -216,31 +216,22 @@ def classify_bfdr(ur: np.ndarray, boot_ur: np.ndarray,
 
 # -- fixed-lag ADF baseline -------------------------------------------------
 
+#: MacKinnon (2010) trend ADF response surface: alpha -> (b_inf, b1, b2)
 _MACKINNON = {
-    # MacKinnon (2010) response surfaces: alpha -> (b_inf, b1, b2)
-    DeterministicSpec.MEAN: {
-        0.01: (-3.4336, -5.999, -29.25),
-        0.05: (-2.8621, -2.738, -8.36),
-        0.10: (-2.5671, -1.438, -4.48),
-    },
-    DeterministicSpec.TREND: {
-        0.01: (-3.9638, -8.353, -47.44),
-        0.05: (-3.4126, -4.039, -17.83),
-        0.10: (-3.1279, -2.418, -7.58),
-    },
+    0.01: (-3.9638, -8.353, -47.44),
+    0.05: (-3.4126, -4.039, -17.83),
+    0.10: (-3.1279, -2.418, -7.58),
 }
 
 
-def mackinnon_critical_value(alpha: float, T: int,
-                             spec: DeterministicSpec = DeterministicSpec.TREND
-                             ) -> float:
-    """Finite-sample ADF critical value, cv = b_inf + b1/T + b2/T^2."""
-    table = _MACKINNON.get(DeterministicSpec.parse(spec))
-    if table is None or round(alpha, 4) not in table:
+def mackinnon_critical_value(alpha: float, T: int) -> float:
+    """Finite-sample critical value of the trend ADF test of the naive
+    baseline, cv = b_inf + b1/T + b2/T^2."""
+    if round(alpha, 4) not in _MACKINNON:
         raise ParameterError(
             "fixed-lag ADF critical values are tabulated for alpha in "
-            "{0.01, 0.05, 0.10} with spec 'mean' or 'trend'")
-    b0, b1, b2 = table[round(alpha, 4)]
+            "{0.01, 0.05, 0.10}")
+    b0, b1, b2 = _MACKINNON[round(alpha, 4)]
     return b0 + b1 / T + b2 / T ** 2
 
 
@@ -283,7 +274,6 @@ class RoundRecord:
     their per-round trail lives in ``detail`` instead.
     """
 
-    label: str
     hypothesis: str
     tested: Tuple[str, ...]
     statistics: Dict[str, float]
@@ -333,10 +323,8 @@ class IntegrationReport:
         return {"method": self.method, "strategy": int(self.strategy),
                 "alpha": self.alpha, "series": series}
 
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        kwargs.setdefault("indent", 2)
-        return json.dumps(self.to_dict(), **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def _round_once(panel: Panel, method: str, cfg: ClassifyConfig, label: str,
@@ -354,7 +342,7 @@ def _round_once(panel: Panel, method: str, cfg: ClassifyConfig, label: str,
             crit = mackinnon_critical_value(cfg.alpha, col.shape[0])
             stats[name], cuts[name] = stat, crit
             mask[j] = stat < crit
-        rec = RoundRecord(label, hypothesis, names, stats, cuts,
+        rec = RoundRecord(hypothesis, names, stats, cuts,
                           tuple(n for n, m in zip(names, mask) if m))
         return mask, rec
 
@@ -362,7 +350,7 @@ def _round_once(panel: Panel, method: str, cfg: ClassifyConfig, label: str,
     boot = bootstrap_union_distribution(panel, awb)
     detail: Optional[List[dict]] = None
     if method == "iadf":
-        crit = boot.union_critical_values(cfg.alpha)
+        crit = boot.union_critical_values()
         mask = classify_iadf(boot.ur, crit)
         cuts = {n: float(c) for n, c in zip(names, crit)}
     elif method == "bsqt":
@@ -376,7 +364,7 @@ def _round_once(panel: Panel, method: str, cfg: ClassifyConfig, label: str,
     else:
         raise ParameterError(f"unknown method '{method}'; choose from {METHODS}")
     stats = {n: float(u) for n, u in zip(names, boot.ur)}
-    rec = RoundRecord(label, hypothesis, names, stats, cuts,
+    rec = RoundRecord(hypothesis, names, stats, cuts,
                       tuple(n for n, m in zip(names, mask) if m), detail)
     return mask, rec
 

@@ -113,7 +113,6 @@ _UNIT_ROOT_TOL = 1e-6
 class I1Diagnostics:
     """Root diagnostics of the VECM characteristic polynomial."""
 
-    moduli: np.ndarray            # companion eigenvalue moduli, descending
     n_unit_roots: int             # roots with |lambda - 1| < 1e-6
     expected_unit_roots: int      # N - r
     max_other_modulus: float      # largest modulus among the remaining roots
@@ -156,11 +155,10 @@ def check_i1_conditions(params: VecmParams) -> I1Diagnostics:
     unit = np.abs(eig - 1.0) < _UNIT_ROOT_TOL
     others = np.abs(eig[~unit])
     max_other = float(others.max()) if others.size else 0.0
-    moduli = np.sort(np.abs(eig))[::-1]
     n_unit = int(unit.sum())
     expected = params.n - params.r
     ok = n_unit == expected and max_other < 1.0 - _UNIT_ROOT_TOL
-    return I1Diagnostics(moduli, n_unit, expected, max_other, ok)
+    return I1Diagnostics(n_unit, expected, max_other, ok)
 
 
 def simulate_vecm(params: VecmParams, T: int, burn_in: int = 200, seed=0,

@@ -308,15 +308,13 @@ def ndfm_forecast(data, k: Optional[int] = None, h: int = 1,
 
 def fecm_forecast(data, targets: Optional[Sequence[Union[int, str]]] = None,
                   r_ns: int = 0, h: int = 1,
-                  det: Union[str, DeterministicSpec] = DeterministicSpec.TREND,
                   p_max: int = 3) -> Union[np.ndarray, list]:
     """Level forecasts for the target block from a factor-augmented VECM.
 
     ``r_ns`` levels-extracted factors are stacked under the target series
     and the joint system is estimated by reduced-rank ML at the rank and
-    lag (at most ``p_max``) of the information criteria; by default with
-    an unrestricted intercept and a trend restricted to the cointegrating
-    space, while already-detrended inputs can pass ``det="none"``.  With
+    lag (at most ``p_max``) of the information criteria, without
+    deterministic terms: the input is taken as detrended already.  With
     ``r_ns = 0`` this is a plain VECM on the targets.  The factors and the
     targets all lie in the span of the panel's N series, so more targets
     and factors than N would make the system singular: :class:`DataError`.
@@ -328,7 +326,6 @@ def fecm_forecast(data, targets: Optional[Sequence[Union[int, str]]] = None,
     """
     z, stack, out = as_stack(data)
     idx = resolve_targets(data, targets)[2]
-    spec = DeterministicSpec.parse(det)
     if h < 1:
         raise ParameterError("forecast horizon must be positive")
     if r_ns > 0 and idx.size + r_ns > z.shape[2]:
@@ -347,8 +344,7 @@ def fecm_forecast(data, targets: Optional[Sequence[Union[int, str]]] = None,
         return np.hstack(blocks)
 
     x = np.stack([system(z[w]) for w in live])
-    models = johansen_ml(x, None, select_lag_bic(x, p_max=p_max, det=spec),
-                         det=spec)
+    models = johansen_ml(x, None, select_lag_bic(x, p_max=p_max))
     paths = per_window(partial(vecm_iterated_forecast, h=h), models, x)
     for w, path in zip(live, per_window(lambda fc: fc[:, :idx.size], paths)):
         out[w] = path

@@ -288,7 +288,7 @@ def _pml_paths(ctx: _Window, zs: np.ndarray) -> list:
 
 def _fecm_paths(ctx: _Window, zs: np.ndarray) -> list:
     return fecm_forecast(zs, targets=list(ctx.targets), r_ns=ctx.cfg.factors,
-                         h=_max_h(ctx), det="none", p_max=ctx.cfg.p_max)
+                         h=_max_h(ctx), p_max=ctx.cfg.p_max)
 
 
 def _ndfm_paths(ctx: _Window, zs: np.ndarray) -> list:
@@ -573,10 +573,8 @@ class ForecastReport:
             "diagnostics": [list(d) for d in self.diagnostics],
         }
 
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        kwargs.setdefault("indent", 2)
-        return json.dumps(self.to_dict(), **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def write_json(self, path: str) -> None:
         with open(path, "w") as fh:

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from concurrent.futures import Executor
 from dataclasses import dataclass
+from itertools import islice, starmap
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -367,12 +368,11 @@ def dfgls_stat(series, spec: Union[str, DeterministicSpec] = DeterministicSpec.T
     return float(_adf_tstat_batch(yd, 0, lags)[0])
 
 
-def adf_rho(series, lags: int = 0,
-            spec: Union[str, DeterministicSpec] = DeterministicSpec.TREND) -> float:
-    """Largest-autoregressive-root estimate ``1 + b0`` from an ADF regression."""
-    det = DeterministicSpec.parse(spec).n_terms
+def adf_rho(series, lags: int = 0) -> float:
+    """Largest-autoregressive-root estimate ``1 + b0`` from an ADF
+    regression without deterministics (of a series detrended before)."""
     y = _trim_leading_nan(_as_batch(series))
-    return float(1.0 + _adf_fit_batch(y, det, lags)[0][0])
+    return float(1.0 + _adf_fit_batch(y, 0, lags)[0][0])
 
 
 def default_max_lags(T: int) -> int:
@@ -403,31 +403,31 @@ def _variance_rescale(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def select_lags(series, spec: Union[str, DeterministicSpec] = DeterministicSpec.TREND,
-                max_lags: Optional[int] = None) -> int:
+def select_lags(series, max_lags: Optional[int] = None) -> int:
     """Rescaled modified-AIC lag choice for the ADF regressions.
 
-    The series is OLS-detrended per ``spec``, increments are standardized
-    by a rolling-window volatility estimate (window about ``sqrt(T)``),
-    and the Ng-Perron modified AIC is minimized over ``0..max_lags`` on a
-    common estimation sample.  Every candidate regression (no
-    deterministics) is a sub-Gram of one :func:`_grams` matrix, solved by
-    :func:`_level_fit`, which also rejects the exact fits skipped here.
-    Ties break toward the smaller lag.
+    The series is OLS-detrended on [1, t], increments are standardized by
+    a rolling-window volatility estimate (window about ``sqrt(T)``), and
+    the Ng-Perron modified AIC is minimized over ``0..max_lags`` on a
+    common estimation sample, ``max_lags`` (default
+    :func:`default_max_lags`) lowered until :func:`four_stats` can fit
+    it.  Every candidate regression (no deterministics) is a sub-Gram of
+    one :func:`_grams` matrix, solved by :func:`_level_fit`, which also
+    rejects the exact fits skipped here.  Ties break toward the smaller
+    lag.
     """
-    spec = DeterministicSpec.parse(spec)
     y = _trim_leading_nan(_as_batch(series))[0]
     T = y.shape[0]
     if max_lags is None:
         max_lags = default_max_lags(T)
     if max_lags < 0:
         raise ParameterError("max_lags must be non-negative")
-    # feasibility: the largest candidate still needs its regression sample
-    while max_lags > 0 and (T - max_lags - 1) < (max_lags + 3):
+    # feasibility: four_stats' trend ADF regression at the largest candidate
+    while max_lags > 0 and (T - max_lags - 1) < (max_lags + 5):
         max_lags -= 1
     if max_lags == 0:
         return 0
-    y = detrend(y, spec)[0]
+    y = detrend(y)[0]
     d = np.diff(y)
     if not np.any(np.abs(d) > 0) or not np.all(np.isfinite(d)):
         return 0
@@ -510,12 +510,13 @@ def four_stats(series_or_batch, lags: Union[int, Sequence[int]],
     block takes its slice itself, so a batch of the last kind builds its
     rows in the task that fits them and holds at most a block of them at
     a time.  With a ``pool``, the blocks of every batch are queued at
-    once, in batch order, and the calling thread collects them in that
-    order; without one, each block runs on the calling thread when it is
-    collected.  Every batch is checked before any is fitted.  The bits
-    are the same for any number of workers, and so is the error: the
-    first in batch order, with that batch's position as its ``batch``
-    attribute.  On an error, the blocks not yet started are cancelled.
+    once, in batch order, by one ``pool.map``, and the calling thread
+    collects them in that order; without one, each block runs on the
+    calling thread when it is collected.  Every batch is checked before
+    any is fitted.  The bits are the same for any number of workers, and
+    so is the error: the first in batch order, with that batch's position
+    as its ``batch`` attribute.  On an error, ``pool.map`` cancels the
+    blocks not yet started.
     """
     single = np.ndim(lags) == 0
     batches, lags = ([series_or_batch], [lags]) if single else (
@@ -531,35 +532,19 @@ def four_stats(series_or_batch, lags: Union[int, Sequence[int]],
         except ToolkitError as exc:
             exc.batch = j
             raise
-    run = pool.submit if pool is not None else _Deferred
-    queued = [[run(_four_stats_block, y, lo, p, n)
-               for lo in range(0, y.shape[0], _ROW_BLOCK)] for y, p, n in jobs]
+    blocks = [(y, lo, p, n) for y, p, n in jobs
+              for lo in range(0, y.shape[0], _ROW_BLOCK)]
+    fitted = (starmap(_four_stats_block, blocks) if pool is None
+              else pool.map(_four_stats_block, *zip(*blocks)))
     fits = []
     try:
-        for blocks in queued:
-            fits.append(np.concatenate([f.result() for f in blocks]))
+        for y, _, _ in jobs:
+            count = -(-y.shape[0] // _ROW_BLOCK)
+            fits.append(np.concatenate(list(islice(fitted, count))))
     except ToolkitError as exc:
         exc.batch = len(fits)
         raise
-    finally:
-        for blocks in queued:
-            for f in blocks:
-                f.cancel()
     return fits[0] if single else fits
-
-
-class _Deferred:
-    """A block that runs when its result is read: the calling thread's
-    stand-in for a future of :func:`four_stats`."""
-
-    def __init__(self, fn, *args):
-        self.fn, self.args = fn, args
-
-    def result(self):
-        return self.fn(*self.args)
-
-    def cancel(self) -> bool:
-        return False
 
 
 def _four_stats_block(batch, lo: int, lags: int, n: int) -> np.ndarray:

@@ -744,7 +744,7 @@ def _qr_fits(z: np.ndarray, p: int, grid: Optional[np.ndarray],
         return fits
     first = max(N * (p + 1) + p + 3, T // 2)
     blocks = [] if first >= T or (grid is not None and grid.size == 1) \
-        else expanding_folds(T, 5, first)
+        else expanding_folds(T, first)
     # fold (lo, hi) trains on the design rows of z[:lo] and validates on
     # those of z[lo - p - 1:hi]
     stages, errors = _qr_stages(z[live], p, [lo - p - 1 for lo, _ in blocks]

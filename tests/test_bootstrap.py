@@ -61,7 +61,7 @@ class TestResidualPanel:
     def test_unity_rho_on_pure_trend(self):
         t = np.arange(120.0)
         z = np.column_stack([2.0 + 0.3 * t, -1.0 + 0.1 * t])
-        res = residual_panel(from_values(z), rho_mode="unity")
+        res = residual_panel(from_values(z), "unity", [0, 0])
         # unit-rho residuals difference out the detrended series entirely
         assert np.nanmax(np.abs(res.values)) < 1e-8
 
@@ -71,7 +71,8 @@ class TestResidualPanel:
         rhos, corrs = [], []
         for _ in range(20):
             p = from_values(rng.standard_normal((300, 1)))
-            u = residual_panel(p, rho_mode="estimated").values[:, 0]
+            lags = [select_lags(p.values[:, 0])]
+            u = residual_panel(p, "estimated", lags).values[:, 0]
             zeta = ols_detrend(p)[0].values[:, 0]
             t = np.where(~np.isnan(u))[0]
             rho, = np.linalg.lstsq(zeta[t - 1][:, None], zeta[t] - u[t],
@@ -84,7 +85,7 @@ class TestResidualPanel:
     def test_nan_layout_is_preserved(self, rng):
         z = rng.standard_normal((80, 2)).cumsum(axis=0)
         z[:7, 1] = np.nan
-        res = residual_panel(from_values(z))
+        res = residual_panel(from_values(z), "estimated", [1, 1])
         assert np.isnan(res.values[:7, 1]).all()
         assert np.isfinite(res.values[7:, 1]).all()
 
@@ -229,6 +230,22 @@ class TestUnionBootstrap:
         vals[panel.leads[2]:, 2] = 1.5
         with pytest.raises(NumericalError, match="^series 's2': singular"):
             bootstrap_union_distribution(panel.with_values(vals),
+                                         AwbConfig(reps=199, seed=9))
+
+    def test_a_short_series_is_fitted_or_named(self):
+        # a series of the last 20 rows: the lag choice once left its trend
+        # ADF regression a row short, a DataError that named no series (at
+        # 3 of these 40 seeds); a series of 5 rows fits no lag at all, and
+        # the error names it
+        for seed in range(40):
+            vals = np.random.default_rng(seed).standard_normal((200, 3))
+            vals[:180, 2] = np.nan
+            out = bootstrap_union_distribution(
+                from_values(vals), AwbConfig(reps=199, seed=seed))
+            assert np.isfinite(out.ur).all()
+        vals[:195, 2] = np.nan
+        with pytest.raises(DataError, match="^series 's3': series too short"):
+            bootstrap_union_distribution(from_values(vals),
                                          AwbConfig(reps=199, seed=9))
 
     def test_a_round_holds_a_few_blocks_of_paths(self, monkeypatch):

@@ -233,8 +233,6 @@ class TestNaiveBaseline:
     def test_response_surface_limits(self):
         assert mackinnon_critical_value(0.05, 10**9) == pytest.approx(
             -3.4126, abs=1e-4)
-        assert mackinnon_critical_value(0.05, 10**9, "mean") == pytest.approx(
-            -2.8621, abs=1e-4)
 
     def test_monotone_in_alpha(self):
         cvs = [mackinnon_critical_value(a, 200) for a in (0.01, 0.05, 0.10)]

@@ -152,7 +152,7 @@ class TestFecm:
     def test_degenerate_fecm_is_plain_johansen(self):
         rng = np.random.default_rng(8)
         z = rng.standard_normal((200, 3)).cumsum(axis=0)
-        fc = fecm_forecast(z, targets=[0, 1, 2], det="none", h=4)
+        fc = fecm_forecast(z, targets=[0, 1, 2], h=4)
         model = johansen_ml(z, None, select_lag_bic(z, p_max=3), det="none")
         expect = vecm_iterated_forecast(model, z, h=4)
         assert np.allclose(fc, expect, atol=1e-8)
@@ -162,14 +162,8 @@ class TestFecm:
         lam = rng.normal(size=8)
         z = np.outer(f, lam) + 0.05 * rng.standard_normal((250, 8))
         z[:, 0] = f                     # the target is the factor itself
-        fc = fecm_forecast(z, targets=[0], r_ns=1, h=1, det="none")
+        fc = fecm_forecast(z, targets=[0], r_ns=1, h=1)
         assert abs(fc[-1, 0] - f[-1]) < 1.0
-
-    def test_det_parameter_accepted(self, rng):
-        z = rng.standard_normal((200, 5)).cumsum(axis=0)
-        a = fecm_forecast(z, targets=[0], r_ns=1, h=2, det="none")
-        b = fecm_forecast(z, targets=[0], r_ns=1, h=2, det="trend")
-        assert np.isfinite(a).all() and np.isfinite(b).all()
 
     def test_more_targets_and_factors_than_series_raise(self):
         # targets and levels factors all lie in the span of the N series
@@ -231,10 +225,9 @@ class TestFactorStack:
     per window, what the window gives alone, bit for bit, or the error it
     raises alone."""
 
-    @pytest.mark.parametrize("det", ["none", "mean", "trend"])
-    def test_fecm_equals_single_calls(self, det):
+    def test_fecm_equals_single_calls(self):
         zs = _window_stack()
-        kw = dict(targets=[0, 9], r_ns=2, h=4, det=det, p_max=3)
+        kw = dict(targets=[0, 9], r_ns=2, h=4, p_max=3)
         got = [f.tobytes() if isinstance(f, np.ndarray) else (type(f), str(f))
                for f in fecm_forecast(zs, **kw)]
         assert got == [_outcome(fecm_forecast, z, **kw) for z in zs]
@@ -252,7 +245,7 @@ class TestFactorStack:
             return seen[-1]
 
         monkeypatch.setattr(factors, "select_lag_bic", spy)
-        fecm_forecast(_window_stack(), targets=[0, 9], r_ns=2, det="none")
+        fecm_forecast(_window_stack(), targets=[0, 9], r_ns=2)
         assert len({lag for lag in seen[0] if isinstance(lag, int)}) > 1
 
     @pytest.mark.parametrize("k", [2, None])

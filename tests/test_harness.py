@@ -426,7 +426,7 @@ class TestWindowBlocks:
         from hdcoint import factors
         fit, failed = factors.johansen_ml, []
 
-        def failing(data, r, p, det):
+        def failing(data, r, p, det="none"):
             models = fit(data, r, p, det)
             if det != "mean":
                 return models

@@ -232,11 +232,10 @@ def test_fecm_factors_of_an_all_target_panel_raise():
     rng = np.random.default_rng(25)
     z = rng.standard_normal((150, 3)).cumsum(axis=0)
     with pytest.raises(DataError):
-        fecm_forecast(z, r_ns=1, det="none")
+        fecm_forecast(z, r_ns=1)
     with pytest.raises(DataError):
-        fecm_forecast(z, targets=[2, 0, 1], r_ns=1, det="none")
-    assert np.isfinite(fecm_forecast(z, targets=[0, 1], r_ns=1,
-                                     det="none")).all()
+        fecm_forecast(z, targets=[2, 0, 1], r_ns=1)
+    assert np.isfinite(fecm_forecast(z, targets=[0, 1], r_ns=1)).all()
     # the rolling run rejects the setting before its first window
     cfg = HarnessConfig(window=60, horizons=(1,), methods=("ar", "fecm"),
                         factors=1, boot_reps=199)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hdcoint import ParameterError
 from hdcoint._numeric import (column_scales, column_signs, expanding_folds,
                               last_minimum, pivot_order, singular_pivots,
                               soft_threshold, soft_threshold_scalar,
@@ -64,14 +63,15 @@ class TestSoftThresholdSweep:
         assert got.tolist() == [[1.0, 2.0]]
 
 
-def _edges_before(n_rows, folds, first):
-    """The fold edges ``tscv_tune`` computed inline before they were shared."""
+def _edges_before(n_rows, first):
+    """The edges of the five folds ``tscv_tune`` computed inline before
+    they were shared."""
     if first is None:
         first = max(10, n_rows // 2)
     first = min(max(first, 2), n_rows - 1)
-    edges = np.linspace(first, n_rows, folds + 1).astype(int)
+    edges = np.linspace(first, n_rows, 6).astype(int)
     out = []
-    for f in range(folds):
+    for f in range(5):
         lo, hi = int(edges[f]), int(edges[f + 1])
         if hi <= lo:
             continue
@@ -82,20 +82,15 @@ def _edges_before(n_rows, folds, first):
 class TestExpandingFolds:
     def test_edges_equal_the_inline_rule(self):
         for n_rows in (3, 7, 12, 40, 61, 120, 121, 257):
-            for folds in (2, 3, 5, 7, 10, 50):
-                for first in (None, 0, 1, 5, n_rows // 3, n_rows - 1,
-                              n_rows, n_rows + 5):
-                    assert expanding_folds(n_rows, folds, first) \
-                        == _edges_before(n_rows, folds, first)
+            for first in (None, 0, 1, 5, n_rows // 3, n_rows - 1,
+                          n_rows, n_rows + 5):
+                assert expanding_folds(n_rows, first) \
+                    == _edges_before(n_rows, first)
 
     def test_blocks_partition_the_validation_rows(self):
-        blocks = expanding_folds(120, 5, 61)
+        blocks = expanding_folds(120, 61)
         assert blocks[0][0] == 61 and blocks[-1][1] == 120
         assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
-
-    def test_fewer_than_two_folds_rejected(self):
-        with pytest.raises(ParameterError):
-            expanding_folds(100, 1)
 
     def test_ties_go_to_the_later_entry(self):
         assert last_minimum([3.0, 1.0, 2.0, 1.0]) == 3

@@ -622,7 +622,7 @@ class TestTscv:
 
             return scorer
 
-        tscv_tune(builder, [0.1, 1.0], 80, folds=4)
+        tscv_tune(builder, [0.1, 1.0], 80)
         for stop, lo, hi in seen:
             assert stop <= lo <= hi
 

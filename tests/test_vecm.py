@@ -489,7 +489,7 @@ def _window_stages(z, p, rows):
     return stages
 
 
-def _qr_vecm_per_penalty(z, p, cv_folds=5):
+def _qr_vecm_per_penalty(z, p):
     """The cross-validation the batched one replaced: one stage and one
     group-lasso solve per fold, each from its own prefix of the design,
     then one Π, short run and residual product per fold and penalty,
@@ -524,7 +524,7 @@ def _qr_vecm_per_penalty(z, p, cv_folds=5):
 
     first = max(N * (p + 1) + p + 3, T // 2)
     lam = grid[-1] if first >= T else tscv_tune(builder, grid, n_rows=T,
-                                                folds=cv_folds, first=first)
+                                                first=first)
     return _qr_assemble(stage, 0, p, path(stage, np.array([lam]))[0], lam,
                         T)
 

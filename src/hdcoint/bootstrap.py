@@ -26,7 +26,9 @@ import numpy as np
 from ._numeric import ar1_recursion
 from .errors import DataError, NumericalError, ParameterError, ToolkitError
 from .panel import Panel, ols_detrend
-from .rng import as_generator, substream
+# substream is unused here, but the benchmark's tracer still looks it up
+# in this module
+from .rng import as_generator, standard_normal_rows, substream  # noqa: F401
 # _adf_tstat_batch and _gls_detrend_batch are unused here, but the
 # benchmark's tracer still looks both names up in this module
 from .unitroot import (CriticalValueSet, _adf_tstat_batch,  # noqa: F401
@@ -117,18 +119,24 @@ def awb_draw(T: int, gamma: float, seed_or_rng=0) -> np.ndarray:
 def _unit_ar1(e: np.ndarray, gamma: float) -> np.ndarray:
     """Unit-variance AR(1) paths along axis 0, built over the
     standard-normal draws ``e``."""
-    e[1:] *= np.sqrt(1.0 - gamma * gamma)
+    # the whole array is scaled and its first row put back: numpy buffers
+    # an in-place product over a strided slice such as ``e[1:]`` of a
+    # transposed stack, 128 KiB a call
+    first = e[0].copy()
+    e *= np.sqrt(1.0 - gamma * gamma)
+    e[0] = first
     return ar1_recursion(e, gamma)
 
 
 def _multiplier_matrix(B: int, T: int, gamma: float, seed: int) -> np.ndarray:
-    """Stack of replication multipliers, (B, T); row ``b`` uses substream
-    (seed, b).  The paths are built in one (T, B) array and transposed
-    once, so two such arrays are alive at the peak."""
-    e = np.empty((T, B))
-    for b in range(B):
-        e[:, b] = substream(seed, "awb", b).standard_normal(T)
-    return np.ascontiguousarray(_unit_ar1(e, gamma).T)
+    """Stack of replication multipliers, (B, T); row ``b`` is the
+    :func:`awb_draw` of substream (seed, "awb", b), bit for bit.  The
+    draws of every row come from :func:`standard_normal_rows`, which
+    derives the B streams in one pass, and become the paths in place, so
+    the (B, T) result is the one array of that size."""
+    e = standard_normal_rows(np.empty((B, T)), seed, "awb")
+    _unit_ar1(e.T, gamma)
+    return e
 
 
 class _Paths:

@@ -228,14 +228,19 @@ def var_bic_forecast(x, h: int, p_max: int, p_min: int) -> np.ndarray:
     if not (bic < np.inf).any(axis=1).all():
         raise DataError("autoregression could not be fitted")
     paths = np.empty((B, h, k))
-    for b, p in enumerate(np.argmin(bic, axis=1) + p_min):
-        beta, *_ = np.linalg.lstsq(lagged[b, :, :1 + k * p], z[b, p_max:],
-                                   rcond=None)
-        hist = [z[b, -j] for j in range(1, p + 1)]
+    chosen = np.argmin(bic, axis=1) + p_min
+    betas = [np.linalg.lstsq(lagged[b, :, :1 + k * p], z[b, p_max:],
+                             rcond=None)[0] for b, p in enumerate(chosen)]
+    # the systems of one lag iterate together: (G, 1, k) rows
+    for p in np.unique(chosen):
+        group = np.flatnonzero(chosen == p)
+        beta = np.stack([betas[b] for b in group])
+        hist = [z[group, -j, None] for j in range(1, p + 1)]
         for s in range(h):
-            row = beta[0] + sum(hist[j - 1] @ beta[1 + (j - 1) * k: 1 + j * k]
-                                for j in range(1, p + 1))
-            paths[b, s] = row
+            row = beta[:, :1] + sum(
+                hist[j - 1] @ beta[:, 1 + (j - 1) * k: 1 + j * k]
+                for j in range(1, p + 1))
+            paths[group, s] = row[:, 0]
             hist = [row] + hist[:-1]
     return paths if v.ndim == 3 else paths[0].reshape(h, *v.shape[1:])
 

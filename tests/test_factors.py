@@ -197,6 +197,25 @@ class TestVarBicForecast:
         np.testing.assert_allclose(var_bic_forecast(x, 2, 2, 2),
                                    [step1, step2], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 6])
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    def test_stack_equals_one_system_calls(self, p, k):
+        # white-noise, random-walk and AR(2) systems, so that with
+        # p_min = 0 the stack holds systems of different lags; the lags
+        # of a stack iterate their forecasts together
+        rng = np.random.default_rng(40 + p + k)
+        e = rng.standard_normal((9, 90, k))
+        zs = e.copy()
+        zs[3:6] = e[3:6].cumsum(axis=1)
+        for t in range(2, 90):
+            zs[6:, t] = 0.5 * zs[6:, t - 1] - 0.4 * zs[6:, t - 2] + e[6:, t]
+        for p_min in sorted({0, p}):
+            for h in (1, 2, 3):
+                got = var_bic_forecast(zs, h, p, p_min)
+                assert got.shape == (9, h, k)
+                assert got.tobytes() == b"".join(
+                    var_bic_forecast(z, h, p, p_min).tobytes() for z in zs)
+
 
 def _window_stack():
     """Rolling (150, 10) windows of a cointegrated panel, among them an

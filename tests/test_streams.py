@@ -8,11 +8,13 @@ before the AR(1) loops were replaced by ``ar1_recursion``.
 import zlib
 
 import numpy as np
+import pytest
 
 from hdcoint import FactorDgpParams, awb_draw, simulate_factor_dgp
 from hdcoint._numeric import ar1_recursion
 from hdcoint.bootstrap import _multiplier_matrix
 from hdcoint.dgp import simulate_mixed_orders
+from hdcoint.rng import substream
 
 
 def _crc(a: np.ndarray) -> int:
@@ -39,6 +41,36 @@ def test_multiplier_streams():
     assert xi.flags.c_contiguous
     assert _crc(xi) == 2757392296
     assert _crc(awb_draw(500, 0.85, 42)) == 1722853385
+
+
+def _oracle(seed, *words):
+    """numpy's own generator of the substream (seed, *words)."""
+    return np.random.default_rng(np.random.SeedSequence(
+        seed & (2**64 - 1), spawn_key=words))
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, -1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_multiplier_rows_are_seed_sequence_streams(seed):
+    awb = zlib.crc32(b"awb")
+    for B in (1, 199):
+        for T in (1, 2, 300):
+            xi = _multiplier_matrix(B, T, 0.85, seed)
+            want = np.stack([awb_draw(T, 0.85, _oracle(seed, awb, b))
+                             for b in range(B)])
+            assert xi.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_substream_is_the_seed_sequence_stream(seed):
+    # dgp's key shape, and an integer key taken modulo 2**32
+    for keys, words in [
+            (("vecm-params", 6, 2, 3), (zlib.crc32(b"vecm-params"), 6, 2, 3)),
+            ((2**32 + 5, "awb"), (5, zlib.crc32(b"awb")))]:
+        assert substream(seed, *keys).standard_normal(64).tobytes() == \
+            _oracle(seed, *words).standard_normal(64).tobytes()
 
 
 def test_ar1_recursion_matches_scalar_loop():

@@ -142,7 +142,7 @@ def _multiplier_matrix(B: int, T: int, gamma: float, seed: int) -> np.ndarray:
 class _Paths:
     """Bootstrap level paths of one series, shape ``(B, T - lead)``: row
     ``b`` is the cumulative sum of ``xi[b, lead:] * u``.  A row slice is
-    built when :func:`four_stats` takes it, inside the task that fits it."""
+    built, shifted to start at zero, inside the task that fits it."""
 
     def __init__(self, xi: np.ndarray, u: np.ndarray, lead: int):
         self.xi, self.u = xi[:, lead:], u
@@ -150,12 +150,22 @@ class _Paths:
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         z = self.xi[rows] * self.u
-        return np.cumsum(z, axis=1, out=z)
+        np.cumsum(z, axis=1, out=z)
+        z -= z[:, :1].copy()            # a copy: no overlap buffer
+        return z
 
 
 def _in_series(exc: ToolkitError, name: str) -> ToolkitError:
     """``exc`` again, its message prefixed with the series it arose in."""
     return type(exc)(f"series '{name}': {exc}")
+
+
+def _groups(keys) -> dict:
+    """The positions of each distinct key, in order of first appearance."""
+    out = {}
+    for j, key in enumerate(keys):
+        out.setdefault(key, []).append(j)
+    return out
 
 
 def residual_panel(panel: Panel, rho_mode: str, lags: Sequence[int]) -> Panel:
@@ -164,26 +174,20 @@ def residual_panel(panel: Panel, rho_mode: str, lags: Sequence[int]) -> Panel:
     Each series is OLS-detrended on [1, t] and filtered as
     ``u_t = zeta_t - rho * zeta_{t-1}`` with ``rho`` either 1 (``'unity'``)
     or its :func:`adf_rho` at the series' entry of ``lags``
-    (``'estimated'``).  The first available value is the detrended
-    observation itself (a zero pre-sample), so the NaN layout of the
-    input is preserved exactly.
+    (``'estimated'``, one call per start and lag).  The first available
+    value is the detrended observation itself (a zero pre-sample), so the
+    NaN layout of the input is preserved exactly.
     """
     if rho_mode not in _RHO_MODES:
         raise ParameterError(f"rho_mode must be one of {_RHO_MODES}")
-    detrended, _ = ols_detrend(panel)
-    vals = detrended.values
+    vals = ols_detrend(panel)[0].values
     out = np.full_like(vals, np.nan)
-    for j in range(panel.n_series):
-        lead = panel.leads[j]
-        z = vals[lead:, j]
-        if rho_mode == "unity":
-            rho = 1.0
-        else:
-            rho = adf_rho(z, lags=int(lags[j]))
-        u = np.empty_like(z)
-        u[0] = z[0]
-        u[1:] = z[1:] - rho * z[:-1]
-        out[lead:, j] = u
+    groups = _groups(zip(panel.leads, lags, strict=True))
+    for (lead, lag), cols in groups.items():
+        z = vals[lead:, cols]
+        rho = 1.0 if rho_mode == "unity" else adf_rho(z.T, lags=int(lag))
+        out[lead, cols] = z[0]
+        out[lead + 1:, cols] = z[1:] - rho * z[:-1]
     return panel.with_values(out)
 
 
@@ -257,30 +261,43 @@ def bootstrap_union_distribution(panel: Panel, cfg: AwbConfig
     carried through: each bootstrap path starts at its series' first
     observation.
 
-    The replications of every series are fitted in one
-    :func:`~hdcoint.unitroot.four_stats` call, which queues all their row
-    blocks at once, series after series; each block builds its own rows
-    of the bootstrap paths (multiplier times residual, then the
-    cumulative sum), so no series waits for the one before it and a
+    The observed panel is fitted by group, each series' bits those of its
+    own calls: one :func:`~hdcoint.unitroot.select_lags` call per start,
+    and one :func:`~hdcoint.unitroot.four_stats` call over the groups
+    sharing a start and a lag.  The replications of every series are
+    fitted in one :func:`~hdcoint.unitroot.four_stats` call, which queues
+    all their row blocks at once, series after series; each block builds
+    its own rows of the bootstrap paths (multiplier times residual, then
+    the cumulative sum), so no series waits for the one before it and a
     round holds paths for only the blocks being fitted.  With more than
     one of ``cfg.workers``, the blocks run on a thread pool shut down
     when the round returns or raises.  A series too short for its
     regressions (:class:`DataError`) or a failed regression raises its
     error with the name of its series, the first such series in panel
-    order, whatever the number of workers.
+    order, whatever the number of workers; only after a grouped call
+    fails are the series refitted one by one, to find that name.
     """
     N, T = panel.n_series, panel.n_obs
     B = cfg.reps
 
     lags = np.empty(N, dtype=int)
     stats = np.empty((N, 4))
-    for j in range(N):
-        col = panel.values[panel.leads[j]:, j]
-        lags[j] = select_lags(col, cfg.max_lags)
-        try:
-            stats[j] = four_stats(col, int(lags[j]))[0]
-        except (DataError, NumericalError) as exc:
-            raise _in_series(exc, panel.names[j]) from None
+    try:
+        for lead, idx in _groups(panel.leads).items():
+            lags[idx] = select_lags(panel.values[lead:, idx].T, cfg.max_lags)
+        groups = _groups(zip(panel.leads, lags))
+        fits = four_stats([panel.values[lead:, idx].T for (lead, _), idx
+                           in groups.items()], [lag for _, lag in groups])
+    except (DataError, NumericalError):
+        for j, lead in enumerate(panel.leads):
+            col = panel.values[lead:, j]
+            try:
+                four_stats(col, select_lags(col, cfg.max_lags))
+            except (DataError, NumericalError) as exc:
+                raise _in_series(exc, panel.names[j]) from None
+        raise
+    for idx, fit in zip(groups.values(), fits):
+        stats[idx] = fit
 
     uhat = residual_panel(panel, cfg.rho_mode, lags=lags)
     xi = _multiplier_matrix(B, T, cfg.gamma, cfg.seed)

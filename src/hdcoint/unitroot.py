@@ -1,47 +1,48 @@
 """Augmented Dickey-Fuller and GLS-detrended unit-root statistics.
 
 Every Dickey-Fuller regression is read off one Gram matrix per series.
-The design ``X`` has rows ``[1, t, y_{t-1}, dy_t, dy_{t-1}, ...,
-dy_{t-p}]``, and :func:`_grams` writes ``M = X X'`` into one ``(B, p + 4,
-p + 4)`` array without forming the lag block as a product.  Only the
-first four rows are multiplied out, one ``4 x (p + 4)`` product per
-replication from a design buffer of :data:`_BLOCK_BYTES` reused across
-the batch.  The lag rows are windows of one difference series, each
-starting a period before the last, so lag row ``i`` of ``M`` is lag row
-``i - 1`` shifted by one column plus the products of the window's first
-and last differences: ``S(i, j) = S(i-1, j-1) + d[p-i] d[p-j] -
-d[p-i+n] d[p-j+n]``, one slice add per row from one outer-product array.
-The lags' sums of squares are summed again without the subtraction, so a
+:func:`_grams` writes ``M = X X'`` into one ``(B, p + 4, p + 4)`` array
+in the order the regressions factor it, ``[dy_{t-1}, ..., dy_{t-p}, 1,
+t, y_{t-1}, dy_t]``.  Only its last four rows are multiplied out, one
+``4 x (p + 4)`` product per replication from a design buffer of
+:data:`_BLOCK_BYTES` reused across the batch.  The lag rows are windows
+of one difference series, each starting a period before the last, so the
+row of lag ``i`` is that of lag ``i - 1`` (the response for ``i = 1``)
+shifted by one column plus the products of the window's first and last
+differences: ``S(i, j) = S(i-1, j-1) + d[p-i] d[p-j] - d[p-i+n]
+d[p-j+n]``, one slice add per row from one outer-product array.  The
+lags' sums of squares are summed again without the subtraction, so a
 large difference at the end of the sample cannot cancel them away
 (:func:`_grams` states the accuracy off the diagonal).  The
-outer-product array is symmetric and the first four rows are mirrored,
-so ``M`` is exactly symmetric.
+outer-product array is symmetric and the product rows are mirrored, so
+``M`` is exactly symmetric.
 
 A regression is the sub-Gram ``S`` of ``[other regressors, level,
 response]``; with ``L`` the Cholesky factor of ``S`` and ``k``
 regressors, the level has coefficient ``L[k, k-1] / L[k-1, k-1]`` and
 t-statistic ``L[k, k-1] sqrt(n - k) / L[k, k]`` (:func:`_level_fit`).
-Every caller fits its whole batch at once.  :func:`four_stats` cuts its
-batches into fixed row blocks, queued as one stream on a pool's threads
-when given a pool, and per block factors ``M`` once with the lags first
-and reads the ADF trend, ADF mean and DF-GLS mean regressions off that
-one factor; the DF-GLS trend regression is ``A' M A``, where ``A``
-(:func:`_gls_map`) subtracts the GLS deterministics per replication:
-``b1`` from every difference and ``(b0 - b1) + b1 t`` from the level,
-which sits one period behind the trend column.  A Gram that is not
-positive definite falls back to the pseudo-inverse, one regression at a
-time, and a residual norm below :data:`_EXACT_FIT` of the response norm
-is an exact fit, reported as zero residual variance; so is a
-GLS-detrended series whose norm falls below :data:`_EXACT_FIT` of the
-input's.  Regressions with deterministics shift each series to start at
-zero first, which leaves the statistics unchanged.  The scalar entry
-points are thin wrappers over batches of size one.
+Every entry point takes a series, a batch of one, or a ``(B, T)`` batch
+and fits it at once; no row's bits depend on its batch.
+:func:`four_stats` cuts its batches into fixed row blocks, queued as one
+stream on a pool's threads when given a pool, and per block factors
+``M`` once, as it is, and reads the ADF trend, ADF mean and DF-GLS mean
+regressions off that one factor; the DF-GLS trend regression is
+``A' M A``, where ``A`` (:func:`_gls_map`) subtracts the GLS
+deterministics per replication: ``b1`` from every difference and
+``(b0 - b1) + b1 t`` from the level, one period behind the trend
+column.  A row whose Gram is not positive definite, and only that row,
+falls back to the pseudo-inverse, one regression at a time, and a
+residual norm below :data:`_EXACT_FIT` of the response norm is an exact
+fit, reported as zero residual variance; so is a GLS-detrended series
+whose norm falls below :data:`_EXACT_FIT` of the input's.  Regressions
+with deterministics shift each series to start at zero first, which
+leaves the statistics unchanged.
 
 Lag selection uses a modified AIC with a variance-rescaling step that
 standardizes increments by a rolling-window volatility estimate before
 the criterion is evaluated, which keeps the choice stable under
 permanent volatility shifts.  It reads the regression of every candidate
-lag off one Gram of the rescaled series, through :func:`_level_fit`.
+lag off one Gram of the rescaled series, through :func:`_level_terms`.
 
 References
 ----------
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 from concurrent.futures import Executor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice, starmap
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -128,27 +130,30 @@ def _effective_sample(T: int, det: int, lags: int) -> int:
     return n
 
 
-def _rows(det: int, lags: int) -> np.ndarray:
-    """Gram rows of an ADF regression: deterministics, lags, level, response."""
-    return np.array([0, 1][:det] + list(range(4, 4 + lags)) + [2, 3])
+def _rows(det: int, lags: int, p: int) -> np.ndarray:
+    """Rows of an ADF regression with ``lags`` lags in a :func:`_grams`
+    matrix of ``p`` lags: lags, deterministics, level, response."""
+    return np.array([*range(lags), *range(p, p + det), p + 2, p + 3])
 
 
 def _grams(y: np.ndarray, lags: int) -> np.ndarray:
     """Augmented Gram matrices ``M = X X'`` of the DF design, shape (B, m, m).
 
     ``X`` is the series-major design whose ``m = lags + 4`` rows are
-    ``[1, t, y_{t-1}, dy_t, dy_{t-1}, ..., dy_{t-lags}]`` over the
-    ``n = T - lags - 1`` usable periods, ``t`` counted from 1.  Only its
-    first four rows are multiplied out: ``X[:4] X'`` is one small product
-    per replication, formed in blocks of about :data:`_BLOCK_BYTES` with
-    one design buffer reused.  In the block ``S`` of lags ``0..p``
-    (``p = lags``, lag 0 the response), lag ``i`` is the window
-    ``d[p-i : p-i+n]`` of the differences ``d``, one period before lag
-    ``i - 1``, so each row follows from the row above it:
-    ``S(i, j) = S(i-1, j-1) + d[p-i] d[p-j] - d[p-i+n] d[p-j+n]``, one
-    slice add per row from one outer-product array ``E``.  ``E`` is
-    symmetric and the first rows are mirrored, so ``M`` is exactly
-    symmetric.
+    ``[dy_{t-1}, ..., dy_{t-lags}, 1, t, y_{t-1}, dy_t]`` over the
+    ``n = T - lags - 1`` usable periods, ``t`` counted from 1: the order
+    in which :func:`four_stats` factors ``M``, lags first and response
+    last, so no caller reorders it.  Only its last four rows are
+    multiplied out: ``X[-4:] X'`` is one small product per replication,
+    formed in blocks of about :data:`_BLOCK_BYTES` with one design buffer
+    reused.  In the block ``S`` of lags ``0..p`` (``p = lags``, lag 0 the
+    response), lag ``i`` is the window ``d[p-i : p-i+n]`` of the
+    differences ``d``, one period before lag ``i - 1``, so each row
+    follows from the row above it: ``S(i, j) = S(i-1, j-1) + d[p-i]
+    d[p-j] - d[p-i+n] d[p-j+n]``, one slice add per row from one
+    outer-product array ``E``; lag 1 follows from the response row.
+    ``E`` is symmetric and the product rows are mirrored, so ``M`` is
+    exactly symmetric.
 
     A subtracted product leaves its rounding behind, so ``S(i, i+k)`` is
     only as accurate as the largest ``sqrt(S(s, s) S(s+k, s+k))``,
@@ -162,60 +167,65 @@ def _grams(y: np.ndarray, lags: int) -> np.ndarray:
     the window's head and tail, so each lag's sum of squares keeps the
     rounding of a direct product.
     """
-    B, T = y.shape
-    m, n = lags + 4, T - lags - 1
+    (B, T), p = y.shape, lags
+    m, n = p + 4, T - p - 1
     M = np.empty((B, m, m))
     d = np.diff(y, axis=1)
     step = max(1, _BLOCK_BYTES // (8 * m * n))
     X = np.empty((min(step, B), m, n))
-    X[:, :2] = DeterministicSpec.TREND.design(n, lags + 2).T
+    X[:, p:p + 2] = DeterministicSpec.TREND.design(n, p + 2).T
     W = sliding_window_view(d, n, axis=1)       # W[:, k] = d[k:k + n]
     for lo in range(0, B, step):
         hi = min(lo + step, B)
         Xb = X[:hi - lo]
-        Xb[:, 2] = y[lo:hi, lags:T - 1]
-        Xb[:, 3:] = W[lo:hi, ::-1]
-        np.matmul(Xb[:, :4], Xb.transpose(0, 2, 1), out=M[lo:hi, :4])
-    del X, Xb                                   # free the buffer first
-    for i in range(4):
+        Xb[:, :p] = W[lo:hi, :p][:, ::-1]
+        Xb[:, p + 2] = y[lo:hi, p:T - 1]
+        Xb[:, p + 3] = W[lo:hi, p]
+        np.matmul(Xb[:, p:], Xb.transpose(0, 2, 1), out=M[lo:hi, p:])
+    X = Xb = None                               # free the buffer first
+    M[:, :p, p:] = M[:, p:, :p].transpose(0, 2, 1)
+    for i in range(p, m - 1):
         M[:, i + 1:, i] = M[:, i, i + 1:]
-    if lags:
-        head, tail = d[:, :lags], d[:, n:n + lags]
+    if p:
+        head, tail = d[:, :p], d[:, n:n + p]
         E = head[:, :, None] * head[:, None, :]
         E -= tail[:, :, None] * tail[:, None, :]
-        S = M[:, 3:, 3:]                        # S[i, j]: lags i and j
-        for i in range(1, lags + 1):
-            np.add(S[:, i - 1, :-1], E[:, lags - i, ::-1], out=S[:, i, 1:])
-        core = d[:, lags:n]
-        diag = np.zeros((B, lags + 1))
+        E = E[:, ::-1, ::-1]                    # E[i - 1, j - 1]: lags i, j
+        np.add(M[:, -1, :p - 1], E[:, 1:, 0], out=M[:, 1:p, 0])  # lag 1
+        M[:, 0, 0] = 0.0                        # summed again below
+        for i in range(p):                      # row -1 is the response
+            np.add(M[:, i - 1, :p - 1], E[:, i, 1:], out=M[:, i, 1:p])
+        core = d[:, p:n]
+        diag = np.zeros((B, p + 1))
         diag[:, 1:] = np.cumsum(head[:, ::-1] ** 2, axis=1)
         diag[:, :-1] += np.cumsum(tail ** 2, axis=1)[:, ::-1]
         diag += np.einsum("bt,bt->b", core, core)[:, None]
-        lag = np.arange(lags + 1)
-        S[:, lag, lag] = diag
+        lag = np.array([m - 1, *range(p)])      # lag 0, the response, first
+        M[:, lag, lag] = diag
     return M
+
+
+def _exact(rss: np.ndarray, denom: np.ndarray, yy: np.ndarray) -> np.ndarray:
+    """Rows whose fit is exact: ``rss <= _EXACT_FIT^2 yy``, or no variance."""
+    return (rss <= _EXACT_FIT ** 2 * yy) | (denom <= 0) | ~np.isfinite(denom)
 
 
 def _checked(beta: np.ndarray, rss: np.ndarray, denom: np.ndarray,
              yy: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(beta, t, rss)`` of a level fit whose squared standard error is
-    ``denom``; rejects exact fits of a response whose sum of squares is
-    ``yy``."""
-    if (np.any(rss <= _EXACT_FIT ** 2 * yy) or np.any(denom <= 0)
-            or not np.all(np.isfinite(denom))):
+    """``(beta, t, rss)`` of a level fit; rejects an :func:`_exact` fit."""
+    if _exact(rss, denom, yy).any():
         raise NumericalError("singular ADF regression (zero residual variance)")
     return beta, beta / np.sqrt(denom), rss
 
 
-def _factor_fit(L: np.ndarray, yy: np.ndarray, dof: int
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Level fit from the Cholesky factor ``L`` of ``[regressors, level,
-    response]``: ``beta = L[k, k-1] / L[k-1, k-1]``, ``rss = L[k, k]^2``."""
+def _factor_terms(L: np.ndarray, dof: int
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(beta, rss, denom)`` of the level from the Cholesky factor ``L`` of
+    ``[regressors, level, response]``: ``beta = L[k, k-1] / L[k-1, k-1]``."""
     k = L.shape[-1] - 1
     beta = L[:, k, k - 1] / L[:, k - 1, k - 1]
     rss = L[:, k, k] ** 2
-    denom = (L[:, k, k] / L[:, k - 1, k - 1]) ** 2 / dof
-    return _checked(beta, rss, denom, yy)
+    return beta, rss, (L[:, k, k] / L[:, k - 1, k - 1]) ** 2 / dof
 
 
 def _partial_fit(x: np.ndarray, r: np.ndarray, yy: np.ndarray, dof: int
@@ -231,52 +241,61 @@ def _partial_fit(x: np.ndarray, r: np.ndarray, yy: np.ndarray, dof: int
     return _checked(beta, rss, rss / (a * dof), yy)
 
 
-def _level_fit(S: np.ndarray, n: int
-               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coefficient, t-statistic and residual sum of squares of the level
-    from an augmented Gram.
+def _cholesky(S: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors of the positive-definite rows of ``S``; their mask."""
+    ok = np.ones(len(S), dtype=bool)
+    try:
+        return np.linalg.cholesky(S), ok
+    except np.linalg.LinAlgError:
+        for i, s in enumerate(S):
+            try:
+                np.linalg.cholesky(s)
+            except np.linalg.LinAlgError:
+                ok[i] = False
+    return np.linalg.cholesky(S[ok]), ok
+
+
+def _level_terms(S: np.ndarray, n: int) -> np.ndarray:
+    """``(beta, rss, denom)`` of the level from augmented Grams, unchecked.
 
     ``S`` has shape ``(B, k + 1, k + 1)`` and is the Gram matrix of
     ``[other regressors, level, response]`` over ``n`` rows.  With
     ``L`` its Cholesky factor, ``L[k, k]`` is the residual norm and
     ``beta = L[k, k-1] / L[k-1, k-1]``, ``t = L[k, k-1] sqrt(n - k) / L[k, k]``.
-    A singular ``S`` falls back to the pseudo-inverse of the regressor block.
-    A residual norm below :data:`_EXACT_FIT` times the response norm
-    ``sqrt(S[k, k])`` counts as zero residual variance.
+    A row whose ``S`` is not positive definite, and only that row, falls
+    back to the pseudo-inverse of its regressor block.
     """
     k = S.shape[-1] - 1
     dof = n - k
     if dof < 1:
         raise DataError("no degrees of freedom left in the ADF regression")
-    try:
-        L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        Gpinv = np.linalg.pinv(S[:, :k, :k])
-        coef = np.einsum("bij,bj->bi", Gpinv, S[:, :k, k])
-        rss = S[:, k, k] - np.einsum("bi,bi->b", coef, S[:, :k, k])
-        return _checked(coef[:, k - 1], rss,
-                        rss / dof * Gpinv[:, k - 1, k - 1], S[:, k, k])
-    return _factor_fit(L, S[:, k, k], dof)
+    L, ok = _cholesky(S)
+    terms = np.empty((3, S.shape[0]))
+    terms[:, ok] = _factor_terms(L, dof)
+    if not ok.all():
+        G = S[~ok]
+        Gpinv = np.linalg.pinv(G[:, :k, :k])
+        coef = np.einsum("bij,bj->bi", Gpinv, G[:, :k, k])
+        rss = G[:, k, k] - np.einsum("bi,bi->b", coef, G[:, :k, k])
+        terms[:, ~ok] = coef[:, k - 1], rss, rss / dof * Gpinv[:, k - 1, k - 1]
+    return terms
+
+
+def _level_fit(S: np.ndarray, n: int
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked ``(beta, t, rss)`` of the level (:func:`_level_terms`)."""
+    return _checked(*_level_terms(S, n), S[:, -1, -1])
 
 
 def _adf_fit_batch(y: np.ndarray, det: int,
                    lags: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Level coefficient and t-statistic of ADF regressions, batched.
-
-    Parameters
-    ----------
-    y : ndarray, shape (B, T)
-        Batch of series without missing values.
-    det : int
-        Number of deterministic regressors: 0 none, 1 constant,
-        2 constant and trend.
-    lags : int
-        Number of lagged differences augmenting the regression.
-    """
+    """Level coefficient and t-statistic of the ADF regressions of a
+    ``(B, T)`` batch without missing values, with ``det`` deterministics
+    (0 none, 1 constant, 2 constant and trend) and ``lags`` lags."""
     n = _effective_sample(y.shape[1], det, lags)
     if det:
         y = y - y[:, :1]        # shift-invariant; keeps the Gram well scaled
-    rows = _rows(det, lags)
+    rows = _rows(det, lags, lags)
     return _level_fit(_grams(y, lags)[:, rows[:, None], rows], n)[:2]
 
 
@@ -290,24 +309,31 @@ def _gls_coef_batch(y: np.ndarray, spec: DeterministicSpec
     """Local-to-unity GLS coefficients ``(B, d)`` and deterministics ``(T, d)``."""
     if spec not in _GLS_CBAR:
         raise ParameterError("GLS detrending requires spec 'mean' or 'trend'")
-    B, T = y.shape
-    if T < 4:
+    if y.shape[1] < 4:
         raise DataError("series too short for GLS detrending")
+    weights, Z = _gls_weights(spec, y.shape[1])
+    # yq Zq G^-1 for the quasi-differenced yq, without forming yq: one
+    # product per row, so a row's bits do not depend on the rows batched
+    # with it, as they can in one (B, T) product or a many-column solve
+    return (y[:, None, :] @ weights)[:, 0], Z
+
+
+@lru_cache(maxsize=64)
+def _gls_weights(spec: DeterministicSpec, T: int
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """``W G^-1`` (``yq Zq G^-1 = y W G^-1``) and ``Z``, shared, read-only."""
     rho = 1.0 + _GLS_CBAR[spec] / T
     Z = spec.design(T)
     Zq = np.empty_like(Z)
     Zq[0] = Z[0]
     Zq[1:] = Z[1:] - rho * Z[:-1]
-    # yq Zq G^-1 for the quasi-differenced yq, without forming yq: one
-    # product per row, so a row's bits do not depend on the rows batched
-    # with it, as they can in one (B, T) product or a many-column solve
     W = Zq.copy()
     W[:-1] -= rho * Zq[1:]
     # G is 1x1 and at least 1 under mean; under trend its columns
     # [1, a, ..., a] and [1, 1 + a, ...], a = 13.5/T, are independent
-    G = Zq.T @ Zq
-    beta = (y[:, None, :] @ (W @ np.linalg.inv(G).T))[:, 0]
-    return beta, Z
+    weights = W @ np.linalg.inv(Zq.T @ Zq).T
+    weights.flags.writeable = Z.flags.writeable = False
+    return weights, Z
 
 
 def _gls_detrend_batch(y: np.ndarray, spec: DeterministicSpec) -> np.ndarray:
@@ -319,21 +345,21 @@ def _gls_detrend_batch(y: np.ndarray, spec: DeterministicSpec) -> np.ndarray:
 def _gls_map(beta: np.ndarray, lags: int) -> np.ndarray:
     """Map ``A`` with ``A' M A`` the DF-GLS Gram, per replication.
 
-    Takes the rows ``[1, t, level, response, lags]`` of the
+    Takes the rows ``[lags, 1, t, level, response]`` of the
     :func:`_grams` design to ``[lags, level, response]`` of the
     GLS-detrended series.  With coefficients ``(b0, b1)`` on ``(1, t)``
     each difference drops by ``b1``; the level lags the trend column by
     one period, so it drops by ``(b0 - b1) + b1 t``.
     """
     A = np.zeros((beta.shape[0], lags + 4, lags + 2))
-    A[:, _rows(0, lags), np.arange(lags + 2)] = 1.0
+    A[:, _rows(0, lags, lags), np.arange(lags + 2)] = 1.0
     if beta.shape[1] == 1:
-        A[:, 0, lags] = -beta[:, 0]
+        A[:, lags, lags] = -beta[:, 0]
     else:
         b0, b1 = beta[:, 0], beta[:, 1]
-        A[:, 0, :] = -b1[:, None]
-        A[:, 0, lags] = b1 - b0
-        A[:, 1, lags] = -b1
+        A[:, lags, :] = -b1[:, None]
+        A[:, lags, lags] = b1 - b0
+        A[:, lags + 1, lags] = -b1
     return A
 
 
@@ -368,11 +394,14 @@ def dfgls_stat(series, spec: Union[str, DeterministicSpec] = DeterministicSpec.T
     return float(_adf_tstat_batch(yd, 0, lags)[0])
 
 
-def adf_rho(series, lags: int = 0) -> float:
+def adf_rho(series, lags: int = 0) -> Union[float, np.ndarray]:
     """Largest-autoregressive-root estimate ``1 + b0`` from an ADF
-    regression without deterministics (of a series detrended before)."""
+    regression without deterministics (of a series detrended before), off
+    its factor-ordered :func:`_grams` matrix.  A series gives a float; a
+    ``(B, T)`` batch, as in :func:`four_stats`, the ``(B,)`` row results."""
     y = _trim_leading_nan(_as_batch(series))
-    return float(1.0 + _adf_fit_batch(y, 0, lags)[0][0])
+    rho = 1.0 + _adf_fit_batch(y, 0, lags)[0]
+    return float(rho[0]) if np.ndim(series) == 1 else rho
 
 
 def default_max_lags(T: int) -> int:
@@ -380,44 +409,40 @@ def default_max_lags(T: int) -> int:
     return int(np.floor(12.0 * (T / 100.0) ** 0.25))
 
 
-def _rolling_std(d: np.ndarray, window: int) -> np.ndarray:
-    """Centered rolling standard deviation with shrinking edge windows."""
-    m = d.shape[0]
-    kernel = np.ones(window)
-    counts = np.convolve(np.ones(m), kernel, mode="same")
-    s2 = np.convolve(d * d, kernel, mode="same") / counts
-    return np.sqrt(s2)
-
-
 def _variance_rescale(x: np.ndarray) -> np.ndarray:
-    """Standardize increments by local volatility and re-accumulate."""
-    T = x.shape[0]
-    d = np.diff(x)
-    window = max(2, int(round(np.sqrt(T))))
-    sd = _rolling_std(d, window)
-    floor = 1e-8 * max(float(np.sqrt(np.mean(d * d))), 1e-300)
-    sd = np.maximum(sd, floor)
-    out = np.empty(T)
-    out[0] = 0.0
-    out[1:] = np.cumsum(d / sd)
+    """Standardize each row's increments by their centered rolling standard
+    deviation, edge windows shrinking, and re-accumulate.  One convolution
+    per row keeps a row's bits its own."""
+    d = np.diff(x, axis=1)
+    kernel = np.ones(max(2, int(round(np.sqrt(x.shape[1])))))
+    s2 = np.empty(d.shape)
+    for i, row in enumerate(d):
+        s2[i] = np.convolve(row * row, kernel, mode="same")
+    sd = np.sqrt(s2 / np.convolve(np.ones(d.shape[1]), kernel, mode="same"))
+    floor = 1e-8 * np.maximum(np.sqrt(np.mean(d * d, axis=1)), 1e-300)
+    out = np.zeros(x.shape)
+    np.cumsum(d / np.maximum(sd, floor[:, None]), axis=1, out=out[:, 1:])
     return out
 
 
-def select_lags(series, max_lags: Optional[int] = None) -> int:
+def select_lags(series, max_lags: Optional[int] = None
+                ) -> Union[int, np.ndarray]:
     """Rescaled modified-AIC lag choice for the ADF regressions.
 
-    The series is OLS-detrended on [1, t], increments are standardized by
-    a rolling-window volatility estimate (window about ``sqrt(T)``), and
+    A series gives an int; a ``(B, T)`` batch, as in :func:`four_stats`,
+    a ``(B,)`` array, each row's lag the one its own call gives.  Each
+    series is OLS-detrended on [1, t], increments are standardized by a
+    rolling-window volatility estimate (window about ``sqrt(T)``), and
     the Ng-Perron modified AIC is minimized over ``0..max_lags`` on a
     common estimation sample, ``max_lags`` (default
     :func:`default_max_lags`) lowered until :func:`four_stats` can fit
     it.  Every candidate regression (no deterministics) is a sub-Gram of
-    one :func:`_grams` matrix, solved by :func:`_level_fit`, which also
-    rejects the exact fits skipped here.  Ties break toward the smaller
-    lag.
+    the series' factor-ordered :func:`_grams` matrix, one
+    :func:`_level_terms` call per candidate for the whole batch; exact
+    fits are skipped.  Ties break toward the smaller lag.
     """
-    y = _trim_leading_nan(_as_batch(series))[0]
-    T = y.shape[0]
+    y = _trim_leading_nan(_as_batch(series))
+    T = y.shape[1]
     if max_lags is None:
         max_lags = default_max_lags(T)
     if max_lags < 0:
@@ -425,28 +450,27 @@ def select_lags(series, max_lags: Optional[int] = None) -> int:
     # feasibility: four_stats' trend ADF regression at the largest candidate
     while max_lags > 0 and (T - max_lags - 1) < (max_lags + 5):
         max_lags -= 1
-    if max_lags == 0:
-        return 0
-    y = detrend(y)[0]
-    d = np.diff(y)
-    if not np.any(np.abs(d) > 0) or not np.all(np.isfinite(d)):
-        return 0
-    z = _variance_rescale(y)
-    n = T - max_lags - 1               # common estimation sample
-    M = _grams(z[None], max_lags)
-    best = (np.inf, 0)
-    for k in range(max_lags + 1):
-        rows = _rows(0, k)
-        try:
-            beta, _, rss = _level_fit(M[:, rows[:, None], rows], n)
-        except NumericalError:
-            continue                   # zero residual variance
-        sigma2 = rss[0] / n
-        tau = beta[0] ** 2 * M[0, 2, 2] / sigma2
-        maic = np.log(sigma2) + 2.0 * (tau + k) / n
-        if maic < best[0] - 1e-12:
-            best = (maic, k)
-    return best[1]
+    lags = np.zeros(len(y), dtype=int)
+    if max_lags:
+        x = np.array([detrend(row)[0] for row in y]).reshape(y.shape)
+        d = np.diff(x, axis=1)
+        live = np.any(np.abs(d) > 0, axis=1) & np.all(np.isfinite(d), axis=1)
+        n = T - max_lags - 1           # common estimation sample
+        M = _grams(_variance_rescale(x[live]), max_lags)
+        best = np.full(len(M), np.inf)
+        pick = np.zeros(len(M), dtype=int)
+        for k in range(max_lags + 1):
+            rows = _rows(0, k, max_lags)
+            beta, rss, denom = _level_terms(M[:, rows[:, None], rows], n)
+            sigma2 = rss / n
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tau = beta ** 2 * M[:, -2, -2] / sigma2
+                maic = np.log(sigma2) + 2.0 * (tau + k) / n
+            better = (maic < best - 1e-12) & ~_exact(rss, denom, M[:, -1, -1])
+            best[better] = maic[better]
+            pick[better] = k
+        lags[live] = pick
+    return int(lags[0]) if np.ndim(series) == 1 else lags
 
 
 @dataclass(frozen=True)
@@ -504,8 +528,9 @@ def four_stats(series_or_batch, lags: Union[int, Sequence[int]],
     result is the list of their ``(B_j, 4)`` arrays.
 
     A batch is a series, a ``(B, T)`` array, whose shared leading-NaN
-    block is dropped, or any object with a ``shape`` ``(B, T)`` whose row
-    slices ``batch[lo:hi]`` are finite arrays.  Every batch is cut into
+    block is dropped and whose rows are shifted to start at zero, or any
+    object with a ``shape`` ``(B, T)`` whose row slices ``batch[lo:hi]``
+    are finite arrays starting at zero.  Every batch is cut into
     blocks of :data:`_ROW_BLOCK` rows (:func:`_four_stats_block`), and a
     block takes its slice itself, so a batch of the last kind builds its
     rows in the task that fits them and holds at most a block of them at
@@ -528,6 +553,7 @@ def four_stats(series_or_batch, lags: Union[int, Sequence[int]],
         try:
             if isinstance(y, np.ndarray) or not hasattr(y, "shape"):
                 y = _trim_leading_nan(_as_batch(y))
+                y = y - y[:, :1]
             jobs.append((y, int(p), _effective_sample(y.shape[1], 2, int(p))))
         except ToolkitError as exc:
             exc.batch = j
@@ -551,10 +577,10 @@ def _four_stats_block(batch, lo: int, lags: int, n: int) -> np.ndarray:
     """The four statistics of rows ``lo`` to ``lo + _ROW_BLOCK`` of
     ``batch``, shape ``(B, 4)``.
 
-    One Cholesky factor ``L`` of each Gram ``M`` (:func:`_grams`), its
-    rows ordered ``[lags, 1, t, level, response]``, gives three of them:
+    One Cholesky factor ``L`` of each Gram ``M`` (:func:`_grams`), taken
+    in its order ``[lags, 1, t, level, response]``, gives three of them:
 
-    * ADF trend: the whole factor (:func:`_factor_fit`);
+    * ADF trend: the whole factor (:func:`_factor_terms`);
     * ADF mean: the trailing 4 x 4 block ``L4`` of ``L`` is the factor
       of ``[1, t, level, response]`` with the lags partialled out.  Its
       level and response rows without the constant's column condition
@@ -565,36 +591,32 @@ def _four_stats_block(batch, lo: int, lags: int, n: int) -> np.ndarray:
 
     DF-GLS trend is ``A' M A`` with the per-replication :func:`_gls_map`,
     whose level column carries the one-period trend offset
-    ``-(b0 - b1) - b1 t``, fitted by :func:`_level_fit`.  If some
-    replication's ``M`` is not positive definite, the ADF and DF-GLS mean
-    statistics of its block fall back to one :func:`_level_fit` per
-    regression, pseudo-inverse included.  The series are first shifted to
-    start at zero, which leaves all four statistics unchanged and keeps
-    the constant from dominating the level in the Gram.  Runs on worker
+    ``-(b0 - b1) - b1 t``, fitted by :func:`_level_fit`.  A replication
+    whose ``M`` is not positive definite falls back to one
+    :func:`_level_fit` per regression for its ADF and DF-GLS mean
+    statistics, pseudo-inverse included; the other rows keep the shared
+    factor.  The rows start at zero (:func:`four_stats`).  Runs on worker
     threads, so it calls no name that the benchmark's tracer wraps.
     """
     y = batch[lo:lo + _ROW_BLOCK]
-    y = y - y[:, :1]
     gls_mean = _gls_coef_batch(y, DeterministicSpec.MEAN)[0]
     gls_trend = _gls_coef_batch(y, DeterministicSpec.TREND)[0]
     M = _grams(y, lags)
     out = np.empty((y.shape[0], 4))
     out[:, 3] = _gls_tstat(M, gls_trend, n)
-    order = np.r_[4:4 + lags, 0, 1, 2, 3]
-    try:
-        L = np.linalg.cholesky(M[:, order[:, None], order])
-    except np.linalg.LinAlgError:
+    L, ok = _cholesky(M)
+    yy = M[ok, -1, -1]
+    L4 = L[:, lags:, lags:]
+    out[ok, 0] = _partial_fit(L4[:, 2, 1:], L4[:, 3, 1:], yy,
+                              n - lags - 2)[1]
+    out[ok, 1] = _checked(*_factor_terms(L, n - lags - 3), yy)[1]
+    level = L4[:, 2].copy()
+    level[:, 0] -= gls_mean[ok, 0] * L4[:, 0, 0]
+    out[ok, 2] = _partial_fit(level, L4[:, 3], yy, n - lags - 1)[1]
+    if not ok.all():
+        bad = M[~ok]
         for col, det in ((0, 1), (1, 2)):
-            rows = _rows(det, lags)
-            out[:, col] = _level_fit(M[:, rows[:, None], rows], n)[1]
-        out[:, 2] = _gls_tstat(M, gls_mean, n)
-    else:
-        yy = M[:, 3, 3]
-        L4 = L[:, lags:, lags:]
-        out[:, 0] = _partial_fit(L4[:, 2, 1:], L4[:, 3, 1:], yy,
-                                 n - lags - 2)[1]
-        out[:, 1] = _factor_fit(L, yy, n - lags - 3)[1]
-        level = L4[:, 2].copy()
-        level[:, 0] -= gls_mean[:, 0] * L4[:, 0, 0]
-        out[:, 2] = _partial_fit(level, L4[:, 3], yy, n - lags - 1)[1]
+            rows = _rows(det, lags, lags)
+            out[~ok, col] = _level_fit(bad[:, rows[:, None], rows], n)[1]
+        out[~ok, 2] = _gls_tstat(bad, gls_mean[~ok], n)
     return out

@@ -17,7 +17,7 @@ from hdcoint import (AwbConfig, DataError, NumericalError, ParameterError,
                      awb_draw, bootstrap, bootstrap_union_distribution,
                      from_values, left_tail_quantile, residual_panel)
 from hdcoint.panel import ols_detrend
-from hdcoint.unitroot import four_stats, select_lags
+from hdcoint.unitroot import adf_rho, four_stats, select_lags
 
 
 class TestMultiplier:
@@ -129,6 +129,25 @@ def _ragged_panel():
     for j, lead in enumerate((0, 31, 7, 58, 15, 44)):
         vals[:lead, j] = np.nan
     return from_values(vals, names=[f"s{j}" for j in range(6)])
+
+
+def _grouped_panel():
+    """Nine random walks on three starts, three per start, with AR(3),
+    AR(2) or white-noise increments: their lag choices are 0, 0, 3 | 0,
+    0, 3 | 2, 2, 0, so each start holds a shared (start, lag) group and a
+    single one."""
+    rng = np.random.default_rng(0)
+    T, burn = 240, 50
+    cols = []
+    for k in (0, 0, 3, 0, 0, 3, 2, 2, 0):
+        dx = rng.standard_normal(T + burn)
+        for t in range(k, T + burn):
+            dx[t] += 0.6 * dx[t - k] if k else 0.0
+        cols.append(np.cumsum(dx)[burn:])
+    vals = np.column_stack(cols)
+    for j, lead in enumerate((0, 0, 0, 23, 23, 23, 41, 41, 41)):
+        vals[:lead, j] = np.nan
+    return from_values(vals, names=[f"s{j}" for j in range(9)])
 
 
 class TestUnionBootstrap:
@@ -247,6 +266,50 @@ class TestUnionBootstrap:
         with pytest.raises(DataError, match="^series 's3': series too short"):
             bootstrap_union_distribution(from_values(vals),
                                          AwbConfig(reps=199, seed=9))
+
+    def test_the_grouped_prelude_keeps_each_series_bits(self, monkeypatch):
+        # one select_lags call per start, one four_stats call over the
+        # (start, lag) groups and one adf_rho call per group; every
+        # series' lag, statistics and residuals are those of its own calls
+        panel = _grouped_panel()
+        calls = {}
+        for name in ("select_lags", "four_stats", "adf_rho"):
+            def counted(*args, _fn=getattr(bootstrap, name), _name=name,
+                        **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(bootstrap, name, counted)
+        for workers in (1, 2):
+            calls.clear()
+            out = bootstrap_union_distribution(
+                panel, AwbConfig(reps=199, seed=3, workers=workers))
+            assert calls == {"select_lags": 3, "four_stats": 2, "adf_rho": 6}
+            res = residual_panel(panel, "estimated", out.lags).values
+            zeta = ols_detrend(panel)[0].values
+            assert out.lags.tolist() == [0, 0, 3, 0, 0, 3, 2, 2, 0]
+            for j, lead in enumerate(panel.leads):
+                col, z = panel.values[lead:, j], zeta[lead:, j]
+                lag = select_lags(col)
+                assert out.lags[j] == lag
+                one = four_stats(col, lag)[0]
+                assert out.stats[j].tobytes() == one.tobytes()
+                rho = adf_rho(z, lags=lag)
+                want = np.r_[z[0], z[1:] - rho * z[:-1]]
+                assert res[lead:, j].tobytes() == want.tobytes()
+
+    def test_the_first_failing_series_in_panel_order_is_named(self):
+        # s1 and s2 are constant, an exact fit, in the groups of starts 10
+        # and 0; the group of start 0 comes first and fails first, but the
+        # error names s1, the earlier series
+        vals = np.random.default_rng(1).standard_normal((150, 3)).cumsum(0)
+        vals[:10, 1] = np.nan
+        vals[10:, 1] = 0.5
+        vals[:, 2] = -2.0
+        panel = from_values(vals, names=["s0", "s1", "s2"])
+        for workers in (1, 2):
+            with pytest.raises(NumericalError, match="^series 's1': singular"):
+                bootstrap_union_distribution(
+                    panel, AwbConfig(reps=199, max_lags=0, workers=workers))
 
     def test_a_round_holds_a_few_blocks_of_paths(self, monkeypatch):
         # the paths are built block by block inside the fits, so from the

@@ -177,7 +177,11 @@ class TestGramKernel:
                 np.maximum(bound, bound.transpose(0, 2, 1), out=bound)
                 diag = np.arange(lags + 4)
                 bound[:, diag, diag] = size[:, diag, diag]
-                err = np.abs(got - want) / bound
+                # _grams writes M in its factor order, [lags, 1, t, level,
+                # response]: the product and its bound are permuted into it
+                perm = np.r_[4:lags + 4, 0:4]
+                pick = (slice(None), perm[:, None], perm)
+                err = np.abs(got - want[pick]) / bound[pick]
                 assert err.max() <= 1e-13, f"lags={lags}, B={B}"
 
     @pytest.mark.parametrize("order", [1, 2])
@@ -201,8 +205,8 @@ class TestGramKernel:
 
     def test_singular_gram_falls_back_per_regression(self, rng, monkeypatch):
         # the last series is zero up to its final two values, so the
-        # second lagged difference is a zero row of its Gram: the shared
-        # factorization fails and each regression takes the pseudo-inverse
+        # second lagged difference is a zero row of its Gram: its shared
+        # factorization fails and each of its regressions falls back
         lags = 2
         y = self._batch(rng, 1, lags)[:5]
         zeros = np.zeros(self.T)
@@ -224,6 +228,27 @@ class TestGramKernel:
         np.testing.assert_allclose(four_stats(y, lags), got[:-1], rtol=0,
                                    atol=1e-10)
         assert len(calls) == 1                   # DF-GLS trend alone
+
+    def test_a_singular_row_leaves_its_batch_mates_alone(self, rng):
+        # the zero-but-last-two series (see above) sits amid regular ones:
+        # only its row falls back to the pseudo-inverse, and every row of
+        # the batch keeps the bits of its own one-row call, in the four
+        # statistics, in one level fit and in the lag choice
+        lags, n = 2, self.T - 3
+        y = self._batch(rng, 1, lags)[:5]
+        y[2] = 0.0
+        y[2, -2:] = [1.5, -0.7]
+        rows = unitroot._rows(1, lags, lags)
+        S = unitroot._grams(y - y[:, :1], lags)[:, rows[:, None], rows]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(S[2])
+        stats, fit = four_stats(y, lags), unitroot._level_fit(S, n)
+        picks = select_lags(y)
+        for i, row in enumerate(y):
+            assert stats[i].tobytes() == four_stats(row, lags)[0].tobytes()
+            one = unitroot._level_fit(S[i:i + 1], n)
+            assert [f[i] for f in fit] == [f[0] for f in one]
+            assert picks[i] == select_lags(row)
 
     def test_adf_rho_and_no_deterministics(self, rng):
         for _ in range(10):

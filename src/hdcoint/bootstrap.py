@@ -15,8 +15,6 @@ replication multipliers run the same unit-variance AR(1) recursion.
 
 from __future__ import annotations
 
-import concurrent.futures
-import contextlib
 import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -75,9 +73,9 @@ class AwbConfig:
     max_lags : int, optional
         Cap for the per-series lag choice (default ``12 (T/100)^{1/4}``).
     workers : int, optional
-        Threads fitting the :func:`four_stats` row blocks of a round;
-        default every CPU the process may run on.  Any count gives the
-        same bits.
+        How many series' replications a round fits at once, on forked
+        worker processes, or in-process where the platform cannot fork;
+        default every usable CPU.  Any count gives the same bytes.
     """
 
     gamma: float = 0.85
@@ -264,18 +262,17 @@ def bootstrap_union_distribution(panel: Panel, cfg: AwbConfig
     The observed panel is fitted by group, each series' bits those of its
     own calls: one :func:`~hdcoint.unitroot.select_lags` call per start,
     and one :func:`~hdcoint.unitroot.four_stats` call over the groups
-    sharing a start and a lag.  The replications of every series are
-    fitted in one :func:`~hdcoint.unitroot.four_stats` call, which queues
-    all their row blocks at once, series after series; each block builds
-    its own rows of the bootstrap paths (multiplier times residual, then
-    the cumulative sum), so no series waits for the one before it and a
-    round holds paths for only the blocks being fitted.  With more than
-    one of ``cfg.workers``, the blocks run on a thread pool shut down
-    when the round returns or raises.  A series too short for its
-    regressions (:class:`DataError`) or a failed regression raises its
-    error with the name of its series, the first such series in panel
-    order, whatever the number of workers; only after a grouped call
-    fails are the series refitted one by one, to find that name.
+    sharing a start and a lag, in-process: a fork costs more than these
+    fits.  The replications are fitted in one call, one task per series,
+    on ``cfg.workers`` worker processes forked for the round, the same
+    bytes for any number, or in-process where the platform cannot fork;
+    each row block builds its own rows of the bootstrap paths (multiplier
+    times residual, then the cumulative sum), so a round holds paths for
+    only the blocks being fitted.  A series too short for its regressions
+    (:class:`DataError`) or a failed regression raises its error with the
+    name of its series, the first such series in panel order, whatever
+    the number of workers; only after a grouped call fails are the series
+    refitted one by one, to find that name.
     """
     N, T = panel.n_series, panel.n_obs
     B = cfg.reps
@@ -306,12 +303,10 @@ def bootstrap_union_distribution(panel: Panel, cfg: AwbConfig
 
     workers = cfg.workers or (len(os.sched_getaffinity(0)) if hasattr(
         os, "sched_getaffinity") else os.cpu_count() or 1)
-    with (concurrent.futures.ThreadPoolExecutor(workers) if workers > 1
-          else contextlib.nullcontext()) as pool:
-        try:
-            boot_stats = np.stack(four_stats(paths, lags, pool), axis=1)
-        except (DataError, NumericalError) as exc:
-            raise _in_series(exc, panel.names[exc.batch]) from None
+    try:
+        boot_stats = np.stack(four_stats(paths, lags, workers), axis=1)
+    except (DataError, NumericalError) as exc:
+        raise _in_series(exc, panel.names[exc.batch]) from None
 
     crit = left_tail_quantile(boot_stats, cfg.alpha)       # (N, 4)
     critvals = []

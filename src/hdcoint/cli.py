@@ -7,17 +7,17 @@ names it.  Flags may come from an optional ``key=value`` config file
 (given by ``--config``, which is not itself a file key); explicit flags
 override file entries.  Every command honors ``--seed`` and identical
 invocations produce identical output files.  ``classify --threads N``
-sizes the thread pool that fits the bootstrap replications (default:
-every CPU the process may run on); the output has the same bytes for any
-``N``.  ``nowcast`` always runs at horizon 0.  ``classify --strategy
-1`` needs ``--codes``: series whose code implies order two (3 or 6) are
-entered in first differences, all others are assumed at most I(1).
-``--codes`` sets integration orders only (``classify --strategy 1``,
-``forecast`` and ``nowcast`` read the order each code implies): the log
-and percent-change stages of codes 4-7 are not applied, so those series
-are classified and forecast on their levels as given.  The panel, the
-codes file and the ``mcs`` loss file are read by one guarded CSV reader,
-and a codes file must list each series once.
+sets the worker processes fitting the bootstrap replications (default:
+every usable CPU; in-process where the platform cannot fork); the output
+has the same bytes for any ``N``.  ``nowcast`` always runs at horizon 0.
+``classify --strategy 1`` needs ``--codes``: series whose code implies
+order two (3 or 6) are entered in first differences, all others are
+assumed at most I(1).  ``--codes`` sets integration orders only
+(``classify --strategy 1``, ``forecast`` and ``nowcast`` read the order
+each code implies): the log and percent-change stages of codes 4-7 are
+not applied, so those series are classified and forecast on their levels
+as given.  The panel, the codes file and the ``mcs`` loss file are read
+by one guarded CSV reader, and a codes file must list each series once.
 Exit codes: 0 success, 1 usage or configuration, 2 data, 3 numerical
 failure.
 """

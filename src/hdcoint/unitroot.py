@@ -23,11 +23,10 @@ regressors, the level has coefficient ``L[k, k-1] / L[k-1, k-1]`` and
 t-statistic ``L[k, k-1] sqrt(n - k) / L[k, k]`` (:func:`_level_fit`).
 Every entry point takes a series, a batch of one, or a ``(B, T)`` batch
 and fits it at once; no row's bits depend on its batch.
-:func:`four_stats` cuts its batches into fixed row blocks, queued as one
-stream on a pool's threads when given a pool, and per block factors
-``M`` once, as it is, and reads the ADF trend, ADF mean and DF-GLS mean
-regressions off that one factor; the DF-GLS trend regression is
-``A' M A``, where ``A`` (:func:`_gls_map`) subtracts the GLS
+:func:`four_stats` cuts its batches into fixed row blocks and per block
+factors ``M`` once, as it is, and reads the ADF trend, ADF mean and
+DF-GLS mean regressions off that one factor; the DF-GLS trend regression
+is ``A' M A``, where ``A`` (:func:`_gls_map`) subtracts the GLS
 deterministics per replication: ``b1`` from every difference and
 ``(b0 - b1) + b1 t`` from the level, one period behind the trend
 column.  A row whose Gram is not positive definite, and only that row,
@@ -54,10 +53,10 @@ unit root tests with good size and power. Econometrica 69, 1519-1554.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
+import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, starmap
+from itertools import starmap
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -518,8 +517,7 @@ def union_stat(stats, critvals: CriticalValueSet, x: float = -1.0) -> float:
 
 
 def four_stats(series_or_batch, lags: Union[int, Sequence[int]],
-               pool: Optional[Executor] = None
-               ) -> Union[np.ndarray, List[np.ndarray]]:
+               workers: int = 1) -> Union[np.ndarray, List[np.ndarray]]:
     """All four component statistics, batched.
 
     Returns shape ``(B, 4)`` with columns ordered as :data:`VARIANTS`.
@@ -530,18 +528,15 @@ def four_stats(series_or_batch, lags: Union[int, Sequence[int]],
     A batch is a series, a ``(B, T)`` array, whose shared leading-NaN
     block is dropped and whose rows are shifted to start at zero, or any
     object with a ``shape`` ``(B, T)`` whose row slices ``batch[lo:hi]``
-    are finite arrays starting at zero.  Every batch is cut into
-    blocks of :data:`_ROW_BLOCK` rows (:func:`_four_stats_block`), and a
-    block takes its slice itself, so a batch of the last kind builds its
-    rows in the task that fits them and holds at most a block of them at
-    a time.  With a ``pool``, the blocks of every batch are queued at
-    once, in batch order, by one ``pool.map``, and the calling thread
-    collects them in that order; without one, each block runs on the
-    calling thread when it is collected.  Every batch is checked before
-    any is fitted.  The bits are the same for any number of workers, and
-    so is the error: the first in batch order, with that batch's position
-    as its ``batch`` attribute.  On an error, ``pool.map`` cancels the
-    blocks not yet started.
+    are finite arrays starting at zero.  Every batch is checked before
+    any is fitted, each then in one task of :func:`_fit_batch`, whose
+    blocks of :data:`_ROW_BLOCK` rows take their slices themselves.  With
+    more than one of ``workers`` and of batches, the tasks run on at most
+    one worker process per batch, forked for the call (no batch is
+    pickled) and joined before it returns or raises; otherwise, or where
+    the platform cannot fork, in this process.  The bits and the error
+    are the same for any ``workers``: the first error in batch order, its
+    position as its ``batch`` attribute, after which no task starts.
     """
     single = np.ndim(lags) == 0
     batches, lags = ([series_or_batch], [lags]) if single else (
@@ -558,19 +553,48 @@ def four_stats(series_or_batch, lags: Union[int, Sequence[int]],
         except ToolkitError as exc:
             exc.batch = j
             raise
-    blocks = [(y, lo, p, n) for y, p, n in jobs
-              for lo in range(0, y.shape[0], _ROW_BLOCK)]
-    fitted = (starmap(_four_stats_block, blocks) if pool is None
-              else pool.map(_four_stats_block, *zip(*blocks)))
     fits = []
     try:
-        for y, _, _ in jobs:
-            count = -(-y.shape[0] // _ROW_BLOCK)
-            fits.append(np.concatenate(list(islice(fitted, count))))
+        for fit in _fitted(jobs, min(workers, len(jobs))):
+            fits.append(fit)
     except ToolkitError as exc:
         exc.batch = len(fits)
         raise
     return fits[0] if single else fits
+
+
+def _fitted(jobs: list, workers: int):
+    """Each checked batch's fit, in order; only a fork loads the pool."""
+    if workers < 2 or not hasattr(os, "fork"):
+        yield from starmap(_fit_batch, jobs)
+        return
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+    ctx = multiprocessing.get_context("fork")
+    failed = ctx.Event()
+    with ProcessPoolExecutor(workers, ctx, _inherit, (jobs, failed)) as pool:
+        try:
+            yield from pool.map(_fit_inherited, range(len(jobs)))
+        finally:
+            failed.set()
+
+
+def _fit_batch(batch, lags: int, n: int) -> np.ndarray:
+    """One checked batch's statistics, its row blocks fitted in order."""
+    return np.concatenate([_four_stats_block(batch, lo, lags, n)
+                           for lo in range(0, batch.shape[0], _ROW_BLOCK)])
+
+
+def _inherit(jobs: list, failed) -> None:
+    """Keep a forked worker's batches and its call's done event."""
+    global _round
+    _round = jobs, failed
+
+
+def _fit_inherited(j: int) -> Optional[np.ndarray]:
+    """Batch ``j`` of the worker's call, or None once the call is done."""
+    jobs, failed = _round
+    return None if failed.is_set() else _fit_batch(*jobs[j])
 
 
 def _four_stats_block(batch, lo: int, lags: int, n: int) -> np.ndarray:
@@ -596,7 +620,8 @@ def _four_stats_block(batch, lo: int, lags: int, n: int) -> np.ndarray:
     :func:`_level_fit` per regression for its ADF and DF-GLS mean
     statistics, pseudo-inverse included; the other rows keep the shared
     factor.  The rows start at zero (:func:`four_stats`).  Runs on worker
-    threads, so it calls no name that the benchmark's tracer wraps.
+    processes, same bytes for any number, in-process where the platform
+    cannot fork; it calls no name the benchmark's tracer wraps.
     """
     y = batch[lo:lo + _ROW_BLOCK]
     gls_mean = _gls_coef_batch(y, DeterministicSpec.MEAN)[0]

@@ -5,6 +5,7 @@ a direct Monte Carlo of the same statistic is the slowest test here
 (a couple of seconds).
 """
 
+import multiprocessing
 import os
 import threading
 import tracemalloc
@@ -209,6 +210,7 @@ class TestUnionBootstrap:
                 assert np.array_equal(out.ur, runs[0].ur)
         assert len(set(ragged.leads)) == len(set(runs[0].lags.tolist())) == 6
         assert threading.active_count() == threads
+        assert multiprocessing.active_children() == []
         with pytest.raises(ParameterError):
             AwbConfig(workers=0)
 
@@ -242,6 +244,7 @@ class TestUnionBootstrap:
                     f"series '{panel.names[cols[0]]}': singular ADF "
                     "regression (zero residual variance)")
                 assert threading.active_count() == threads
+                assert multiprocessing.active_children() == []
 
     def test_a_constant_series_is_named(self):
         panel = _ragged_panel()
@@ -316,7 +319,9 @@ class TestUnionBootstrap:
         # multipliers on a round's memory peak grows with the workers, each
         # fitting one block of 256 replications, not with the series: below
         # one series' (B, T) paths per worker (about 0.85 here).  Building
-        # a series' whole paths before its fits held 2 to 3
+        # a series' whole paths before its fits held 2 to 3.  With two
+        # workers the blocks are built in forked processes, which
+        # tracemalloc in this one does not see
         panel, reps = _ragged_panel(), 999
         real, start = bootstrap._multiplier_matrix, []
 

@@ -7,9 +7,9 @@ commands, with every forecasting lane, run with scipy unimportable.
 scipy took half of the 0.7 s a fresh interpreter spent importing the
 command line, and its first LAPACK call loaded a second OpenBLAS, about
 20 MB of peak RSS a run.  Importing the command line must start no
-thread either: the bootstrap's worker pool lives for one round.  Every
-golden file is named by some test, so none outlives the check that
-reads it.  Each forecasting lane is one record of the harness's lane
+thread either, nor load the process-pool modules: the bootstrap's worker
+processes live for one round, which imports them.  Every golden file is
+named by some test, so none outlives the check that reads it.  Each forecasting lane is one record of the harness's lane
 table: a built-in lane's name is written there and nowhere else in the
 harness or the command line.  Every name a module's ``__all__`` lists,
 the package's included, exists, so a name deleted from a module but not
@@ -131,6 +131,12 @@ def test_commands_run_without_scipy(tmp_path):
 
 def test_cli_import_starts_no_thread():
     assert _after_cli_import("threading.active_count()") == "1"
+
+
+def test_cli_import_loads_no_process_pool():
+    # 13-21 ms of imports that only a round forking workers needs
+    assert not _loaded_after_cli_import("multiprocessing")
+    assert not _loaded_after_cli_import("concurrent.futures.process")
 
 
 def test_every_golden_file_is_named_by_a_test():

@@ -4,14 +4,17 @@ The oracles below build each test regression explicitly and solve the
 normal equations directly, sharing no code with the implementation.
 """
 
+import concurrent.futures.process
+import multiprocessing
+import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from hdcoint import (CriticalValueSet, NumericalError, ParameterError, adf_stat,
-                     dfgls_stat, four_stats, select_lags, union_stat)
+from hdcoint import (CriticalValueSet, DataError, NumericalError,
+                     ParameterError, ToolkitError, adf_stat, dfgls_stat,
+                     four_stats, select_lags, union_stat)
 from hdcoint import unitroot
 from hdcoint.unitroot import _BLOCK_BYTES, adf_rho, default_max_lags
 
@@ -271,14 +274,16 @@ class TestGramKernel:
 
 class TestRowBlocks:
     """``four_stats`` fits fixed row blocks; the bits do not depend on the
-    block split or on the number of worker threads."""
+    block split or on the number of worker processes."""
 
     T = 150
 
     def _fits(self, y, lags):
-        """Results with no pool and with a two-thread pool."""
-        with ThreadPoolExecutor(2) as pool:
-            return four_stats(y, lags), four_stats(y, lags, pool)
+        """Results in-process, and of two batches on two and on three
+        worker processes."""
+        return [four_stats(y, lags)] + [
+            fit for workers in (2, 3)
+            for fit in four_stats([y, y], [lags, lags], workers)]
 
     @pytest.mark.parametrize("B", [1, 255, 256, 257, 999])
     @pytest.mark.parametrize("lags", [0, 13])
@@ -312,46 +317,52 @@ class TestRowBlocks:
                                        atol=1e-10)
 
     def test_exact_fit_raises_alike_on_any_pool(self, rng):
+        # the exact fit is in the second batch, fitted by a worker process
+        # when there are workers
         y = np.cumsum(rng.standard_normal((600, self.T)), axis=1)
         y[400] = 0.5 * np.arange(self.T)        # constant increments
         threads = threading.active_count()
         errors = []
-        for pool in (None, ThreadPoolExecutor(1), ThreadPoolExecutor(2)):
+        for workers in (1, 2, 3):
             with pytest.raises(NumericalError) as info:
-                four_stats(y, 3, pool)
-            errors.append((info.type, str(info.value)))
-            if pool is not None:
-                pool.shutdown()
-        assert errors[1:] == errors[:1] * 2
-        assert threading.active_count() == threads
+                four_stats([y[:100], y], [3, 3], workers)
+            errors.append((info.type, str(info.value), info.value.batch))
+            assert threading.active_count() == threads
+            assert multiprocessing.active_children() == []
+        with pytest.raises(NumericalError) as info:
+            four_stats(y, 3)
+        assert errors == [(info.type, str(info.value), 1)] * 3
 
-
-    def test_a_failed_block_cancels_the_queued_ones(self, rng,
+    def test_a_failed_block_cancels_the_queued_ones(self, tmp_path,
                                                     monkeypatch):
-        # four blocks on one worker: the first raises and every other
-        # waits until the error has reached the caller, by which time at
-        # most the second has started; the third and fourth never do
-        entered, release = [], threading.Event()
-
+        # eight one-block batches: the first raises and every other, once
+        # started, waits until the error has reached the caller, by which
+        # time at most one batch per worker besides the first has started;
+        # the others never do.  Each start leaves a marker file
         def block(batch, lo, lags, n):
-            entered.append(lo)
-            if lo == 0:
+            (tmp_path / f"{batch.j}-started").touch()
+            if batch.j == 0:
                 raise NumericalError("injected")
-            release.wait(timeout=60)
-            return np.zeros((len(batch[lo:lo + unitroot._ROW_BLOCK]), 4))
+            unitroot._round[1].wait(timeout=60)     # the call has failed
+            return np.zeros((1, 4))
 
         monkeypatch.setattr(unitroot, "_four_stats_block", block)
-        y = np.cumsum(rng.standard_normal((999, self.T)), axis=1)
-        with ThreadPoolExecutor(1) as pool:
+        batches = [_Tagged(j, self.T) for j in range(8)]
+        threads = threading.active_count()
+        for workers in (1, 2, 3):
+            for marker in tmp_path.iterdir():
+                marker.unlink()
             with pytest.raises(NumericalError, match="injected") as info:
-                four_stats(y, 0, pool)
-            release.set()
-        assert info.value.batch == 0
-        assert entered[0] == 0 and set(entered) <= {0, 256}
+                four_stats(batches, [0] * 8, workers)
+            assert info.value.batch == 0
+            started = {int(m.name.split("-")[0]) for m in tmp_path.iterdir()}
+            assert 0 in started and started <= set(range(workers + 1))
+            assert threading.active_count() == threads
+            assert multiprocessing.active_children() == []
 
     def test_a_sequence_of_batches_is_one_call_each(self, rng):
-        # the blocks of all batches are queued at once; each batch's result
-        # and the first failing batch are those of one call per batch
+        # the batches run one task each; each batch's result and the first
+        # failing batch are those of one call per batch
         lags = [0, 3, 13]
         ys = [np.cumsum(rng.standard_normal((B, self.T)), axis=1)
               for B in (300, 1, 257)]
@@ -359,16 +370,73 @@ class TestRowBlocks:
         bad = [y.copy() for y in ys]
         for y in bad[1:]:
             y[0] = 0.5 * np.arange(self.T)      # an exact fit
-        with ThreadPoolExecutor(2) as two:
-            for pool in (None, two):
-                got = four_stats(ys, lags, pool)
-                for g, w in zip(got, want):
-                    np.testing.assert_array_equal(g, w)
-                with pytest.raises(NumericalError) as info:
-                    four_stats(bad, lags, pool)
-                assert info.value.batch == 1
-                with pytest.raises(ParameterError):
-                    four_stats(ys, lags[:2], pool)
+        for workers in (1, 2, 3):
+            got = four_stats(ys, lags, workers)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+            with pytest.raises(NumericalError) as info:
+                four_stats(bad, lags, workers)
+            assert info.value.batch == 1
+            with pytest.raises(ParameterError):
+                four_stats(ys, lags[:2], workers)
+
+    @pytest.mark.parametrize("error", [DataError, NumericalError])
+    def test_a_worker_error_keeps_its_type_message_and_batch(
+            self, rng, monkeypatch, error):
+        # raised in the third of four batches, in a worker process when
+        # there are workers
+        real = unitroot._four_stats_block
+
+        def block(batch, lo, lags, n):
+            if lags == 2:
+                raise error("injected at lag 2")
+            return real(batch, lo, lags, n)
+
+        monkeypatch.setattr(unitroot, "_four_stats_block", block)
+        ys = [np.cumsum(rng.standard_normal((B, self.T)), axis=1)
+              for B in (300, 40, 257, 20)]
+        for workers in (1, 2, 3):
+            with pytest.raises(ToolkitError) as info:
+                four_stats(ys, [0, 1, 2, 3], workers)
+            assert info.type is error
+            assert str(info.value) == "injected at lag 2"
+            assert info.value.batch == 2
+            assert multiprocessing.active_children() == []
+
+    def test_no_idle_workers(self, rng, monkeypatch):
+        # a call forks at most one worker per batch, and none for one
+        # batch or where the platform cannot fork; the bits stay the same
+        sizes = []
+
+        class Recorded(concurrent.futures.process.ProcessPoolExecutor):
+            def __init__(self, max_workers, *args):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args)
+
+        monkeypatch.setattr(concurrent.futures.process,
+                            "ProcessPoolExecutor", Recorded)
+        ys = [np.cumsum(rng.standard_normal((B, self.T)), axis=1)
+              for B in (30, 20, 10)]
+        want = [four_stats(y, 1) for y in ys]
+        for got in (four_stats(ys, [1] * 3, 8),
+                    four_stats(ys[:2], [1] * 2, 8)):
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+        assert sizes == [3, 2]
+        np.testing.assert_array_equal(four_stats(ys[0], 1, 8), want[0])
+        np.testing.assert_array_equal(four_stats(ys[:1], [1], 8)[0], want[0])
+        monkeypatch.delattr(os, "fork")
+        for g, w in zip(four_stats(ys, [1] * 3, 8), want):
+            np.testing.assert_array_equal(g, w)
+        assert sizes == [3, 2]
+        assert multiprocessing.active_children() == []
+
+
+class _Tagged:
+    """A batch of one row that only says its position ``j``."""
+
+    def __init__(self, j, T):
+        self.j, self.shape = j, (1, T)
 
 
 class TestStatisticBehavior:

@@ -1,37 +1,37 @@
 """Rolling-window forecast evaluation and model confidence sets.
 
-Each window is an isolated slice: series are detrended inside it, every
-method sees only that window's observations, forecasts are mapped back
-to levels by adding the window's own deterministic extrapolation, and
-squared level errors feed relative MSFEs against an autoregressive
-benchmark.  Surviving-method sets come from an elimination procedure on
-loss differentials bootstrapped with the autoregressive wild multiplier.
-Each forecasting method is one :class:`Lane` record of one table: its
-body, whether it also nowcasts and whether it extracts factors; the run's
-checks read the records.  Lanes difference and integrate only through
-``panel``'s one rule and its inverse; an integration order outside
-{0, 1, 2} stops the run up front.
+The run takes its windows in blocks, each one :class:`_Block` of their
+values and residuals side by side, with the run's settings held once.
+Each window is detrended alone, every method sees only its observations,
+forecasts are mapped back to levels by adding its own deterministic
+extrapolation, and squared level errors feed relative MSFEs against an
+autoregressive benchmark.  Surviving-method sets come from an
+elimination procedure on loss differentials bootstrapped with the
+autoregressive wild multiplier.  Each forecasting method is one
+:class:`Lane` record of one table: its body, whether it also nowcasts
+and whether it extracts factors; the run's checks read the records.
+Lanes difference and integrate only through ``panel``'s one rule and its
+inverse; an integration order outside {0, 1, 2} stops the run up front.
 
-Every lane takes a block of ``_WINDOW_BLOCK`` windows, in order, and
-yields per window its forecasts or the window error it raised (the one
+Every lane takes a block of ``_WINDOW_BLOCK`` windows and yields per
+window, in order, its forecasts or the window error it raised (the one
 rule of :mod:`errors`: :func:`attempt` and :func:`per_window`); the run
 records them window by window, in the order of the lane table, whatever
 the block size.  The single equations and registered lanes are
-one-window bodies called in turn by one adapter.  Every other built-in
-lane is one stacked body: it builds each window's input, fits the
-block's stack of inputs in one call (the stack contract of
-:func:`panel.as_stack`) and finishes each window's result, integrating a
-target's path back to levels.  The AR lane makes one autoregression call
-per integration order for every target of every window, the VAR lanes
-one call for the block's systems, and the five cointegration lanes one
-lag choice and one Johansen-family fit of the stack.
+one-window bodies that one adapter calls on each window, ``block[w]``.
+Every other built-in lane is one stacked body: it fits the block's stack
+of inputs in one call (the stack contract of :func:`panel.as_stack`) and
+finishes each window's result, integrating a target's path back to
+levels.  The AR lane makes one autoregression call per integration
+order, the VAR lanes one call for the block's systems, and the five
+cointegration lanes one lag choice and one Johansen-family fit.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -90,63 +90,79 @@ def _ar_levels(v: np.ndarray, order: int, p_max: int,
     return invert_differences(v, path[:, :, 0].T, int(order))
 
 
-# -- per-window context ------------------------------------------------------
+# -- window blocks -----------------------------------------------------------
 
 
-class _Window:
-    """One isolated window: detrended residuals plus forecast bookkeeping."""
+@dataclass(frozen=True)
+class _Block:
+    """A block of windows, in order: their values and residuals on [1, t]
+    (W, T, N), trend coefficients (W, 2, N) and starts, with the run's
+    config, targets and orders held once.  ``block[w]`` is window w alone,
+    the window axis indexed away.  The lanes share the read-only arrays."""
 
-    def __init__(self, values: np.ndarray, targets: np.ndarray,
-                 horizons: Tuple[int, ...], orders: np.ndarray,
-                 cfg: HarnessConfig, window_start: int):
-        self.values = values
-        self.targets = targets
-        self.horizons = tuple(horizons)
-        self.orders = orders
-        self.cfg = cfg
-        self.window_start = window_start
-        self.resid, self.trend_coef = detrend(values)
-        self._now_cache: Dict[int, Tuple[np.ndarray, float]] = {}
+    values: np.ndarray
+    resid: np.ndarray
+    trend_coef: np.ndarray
+    window_start: Union[Tuple[int, ...], int]
+    targets: np.ndarray
+    orders: np.ndarray
+    cfg: HarnessConfig
+
+    @classmethod
+    def build(cls, z: np.ndarray, starts: Sequence[int], targets: np.ndarray,
+              orders: np.ndarray, cfg: HarnessConfig) -> _Block:
+        """The ``cfg.window``-row windows of ``z`` at ``starts``, each
+        detrended alone (side by side, the residuals' last bits move)."""
+        values = np.empty((len(starts), cfg.window, z.shape[1]))
+        resid = np.empty_like(values)
+        coef = np.empty((len(starts), 2, z.shape[1]))
+        for w, s in enumerate(starts):
+            values[w] = z[s:s + cfg.window]
+            resid[w], coef[w] = detrend(values[w])
+        for a in (values, resid, coef):
+            a.flags.writeable = False
+        return cls(values, resid, coef, tuple(starts), targets, orders, cfg)
+
+    def __getitem__(self, w: int) -> _Block:
+        return replace(self, values=self.values[w], resid=self.resid[w],
+                       trend_coef=self.trend_coef[w],
+                       window_start=self.window_start[w])
 
     @property
     def n_obs(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
+
+    @property
+    def horizons(self) -> Tuple[int, ...]:
+        return self.cfg.horizons
 
     def deterministic(self, j: int, h: int) -> float:
         a, b = self.trend_coef[:, j]
         return float(a + b * (self.n_obs + h))
 
     def now_parts(self, ti: int) -> Tuple[np.ndarray, float]:
-        """Residual panel and deterministic value for an h=0 nowcast.
-
-        The target column is detrended without its final observation, so
-        the value being nowcast never enters any estimate.
-        """
-        if ti not in self._now_cache:
-            n = self.n_obs
-            coef = detrend(self.values[:-1, ti])[1]
-            col = self.values[:, ti] - DeterministicSpec.TREND.design(n) @ coef
-            panel = self.resid.copy()
-            panel[:, ti] = col
-            det = float(coef[0] + coef[1] * n)
-            self._now_cache[ti] = (panel, det)
-        return self._now_cache[ti]
+        """A window's residual panel and deterministic value for h = 0:
+        the target column is detrended without its final observation, so
+        the value being nowcast never enters any estimate."""
+        n = self.n_obs
+        coef = detrend(self.values[:-1, ti])[1]
+        col = self.values[:, ti] - DeterministicSpec.TREND.design(n) @ coef
+        panel = self.resid.copy()
+        panel[:, ti] = col
+        return panel, float(coef[0] + coef[1] * n)
 
     def coint_panel(self, resid: Optional[np.ndarray] = None) -> np.ndarray:
-        """Levels for the cointegration lane: I(2) columns differenced once."""
+        """Levels for the cointegration lanes, of the block or of a window
+        (``resid`` in place of its own): I(2) columns differenced once."""
         r = self.resid if resid is None else resid
         if (self.orders < 2).all():
             return r
-        return difference_columns(r, self.orders == 2)[1:]
+        return difference_columns(r, self.orders == 2)[..., 1:, :]
 
 
-def _max_h(ctx: _Window) -> int:
-    return max(max(ctx.horizons), 1)
-
-
-def _at_horizons(ctx: _Window, levels) -> Dict[Tuple[int, int], float]:
-    """Level forecasts {(target, h): value} for every h >= 1 from
-    (target, residual-level path) pairs."""
+def _at_horizons(ctx: _Block, levels) -> Dict[Tuple[int, int], float]:
+    """A window's level forecasts {(target, h): value} for every h >= 1
+    from (target, residual-level path) pairs."""
     return {(ti, h): lev[h - 1] + ctx.deterministic(ti, h)
             for ti, lev in levels for h in ctx.horizons if h >= 1}
 
@@ -156,54 +172,44 @@ def _at_horizons(ctx: _Window, levels) -> Dict[Tuple[int, int], float]:
 # a wrapper installed on that name sees every call.
 
 
-def _each(fn: Callable, windows: Sequence[_Window]) -> list:
+def _each(fn: Callable, block: _Block) -> list:
     """The lane of a one-window body ``fn``: per window of the block, in
     order, ``fn(window)`` or the window error it raised."""
-    return [attempt(fn, ctx) for ctx in windows]
+    return [attempt(fn, ctx) for ctx in block]
 
 
-def _stacked(windows: Sequence[_Window], prepare: Callable, fit: Callable,
+def _stacked(block: _Block, prepare: Callable, fit: Callable,
              finish: Callable) -> list:
-    """The stacked lanes' one body.  ``prepare(ctx)`` gives each window's
-    input; ``fit(ctx, stack)`` fits the stack of those inputs in one call,
-    with ``ctx`` the block's first window (a block's windows share their
-    config, targets, orders and horizons), and gives per window a result
-    or its error; ``finish(result, ctx)`` maps a window's result to its
-    forecasts.  A window error of ``fit`` or ``finish`` fails its window
-    alone; one that ``prepare`` or ``fit`` raises for the whole stack
-    fails each of its windows.  ``run_rolling`` admits finite windows
-    only, on which a prepare step raises for every window alike or for
-    none (the factor-augmented VAR's factor count above its rows)."""
-    # the stack is the one copy of the inputs held through the fit
-    results = attempt(lambda: fit(windows[0], np.stack(
-        [prepare(ctx) for ctx in windows])))
+    """The stacked lanes' one body.  ``prepare(block)`` gives the stack of
+    the windows' inputs, ``fit(block, stack)`` fits it in one call and
+    gives per window a result or its error, and ``finish(result, window)``
+    maps a window's result to its forecasts.  A window error of ``fit`` or
+    ``finish`` fails its window alone; one that ``prepare`` or ``fit``
+    raises for the whole stack fails each of its windows.  On the finite
+    windows ``run_rolling`` admits, a prepare step raises for all alike
+    or none (the factor-augmented VAR's factor count above its rows)."""
+    results = attempt(lambda: fit(block, prepare(block)))
     if isinstance(results, WINDOW_ERRORS):
-        results = [results] * len(windows)
-    return per_window(finish, results, windows)
+        results = [results] * len(block.window_start)
+    return per_window(finish, results, block)
 
 
-def _ar(windows: Sequence[_Window]) -> list:
-    """The AR lane: every target of every window forecast by its own
-    BIC-selected AR, the block's h >= 1 paths from one call per
-    integration order, and each window's nowcasts at h = 0."""
-    return _stacked(windows, attrgetter("resid"), _ar_paths, _ar_forecasts)
-
-
-def _ar_paths(ctx: _Window, resid: np.ndarray) -> list:
-    """Per window of the stack ``resid``, (target, residual-level path)
-    pairs of BIC-selected ARs for h >= 1: one :func:`_ar_levels` call per
-    integration order, on the windows' targets side by side."""
+def _ar_paths(block: _Block, resid: np.ndarray) -> list:
+    """The AR lane's fit: per window of the block's residuals ``resid``,
+    (target, residual-level path) pairs of BIC-selected ARs for h >= 1,
+    one :func:`_ar_levels` call per order on the windows' targets at once."""
     paths: list = [[] for _ in resid]
-    for d in np.unique(ctx.orders[ctx.targets]) if max(ctx.horizons) else ():
-        tis = ctx.targets[ctx.orders[ctx.targets] == d]
-        lev = _ar_levels(np.hstack(resid[:, :, tis]), d, ctx.cfg.p_max,
-                         _max_h(ctx))
+    orders = block.orders[block.targets]
+    for d in np.unique(orders) if max(block.horizons) else ():
+        tis = block.targets[orders == d]
+        lev = _ar_levels(np.hstack(resid[:, :, tis]), d, block.cfg.p_max,
+                         max(block.horizons))
         for w, part in enumerate(np.hsplit(lev, len(resid))):
             paths[w] += zip(tis, part.T)
     return paths
 
 
-def _ar_forecasts(paths: list, ctx: _Window) -> Dict[Tuple[int, int], float]:
+def _ar_forecasts(paths: list, ctx: _Block) -> Dict[Tuple[int, int], float]:
     """A window's AR forecasts: its paths at every h >= 1, and at h = 0 a
     nowcast of each target, window by window."""
     out = _at_horizons(ctx, paths)
@@ -214,7 +220,7 @@ def _ar_forecasts(paths: list, ctx: _Window) -> Dict[Tuple[int, int], float]:
     return out
 
 
-def _target_levels(path: np.ndarray, ctx: _Window,
+def _target_levels(path: np.ndarray, ctx: _Block,
                    d: np.ndarray) -> Dict[Tuple[int, int], float]:
     """The system lanes' one finish step: a window's forecasts from its
     targets' path, column k of ``path`` integrated back to residual levels
@@ -224,80 +230,76 @@ def _target_levels(path: np.ndarray, ctx: _Window,
         for k, ti in enumerate(ctx.targets)])
 
 
-def _stationary_system(windows: Sequence[_Window], augment: bool) -> list:
+def _stationary_system(block: _Block, augment: bool) -> list:
     """The VAR / factor-augmented VAR lane on transformed residuals: one
     :func:`var_bic_forecast` call on the block's stack of systems, whose
     paths are integrated back each target's order."""
-    return _stacked(windows, partial(_system_input, augment=augment),
-                    _system_paths,
-                    partial(_target_levels, d=windows[0].orders))
+    return _stacked(block, partial(_system_input, augment=augment),
+                    _system_paths, partial(_target_levels, d=block.orders))
 
 
-def _system_input(ctx: _Window, augment: bool) -> np.ndarray:
-    """The VAR / factor-augmented VAR system of a window: its targets'
-    transformed residuals, with ``cfg.factors`` principal components of
-    every series when ``augment``."""
-    orders = ctx.orders[ctx.targets]
-    x = difference_columns(ctx.resid[:, ctx.targets], orders)[orders.max():]
+def _system_input(block: _Block, augment: bool) -> np.ndarray:
+    """The VAR / factor-augmented VAR systems of a block: each window's
+    targets' transformed residuals, with ``cfg.factors`` principal
+    components of all its series when ``augment``."""
+    d = block.orders[block.targets]
+    x = difference_columns(block.resid[..., block.targets], d)[:, d.max():]
     if augment:
-        full = difference_columns(ctx.resid, ctx.orders)[ctx.orders.max():]
-        rows = min(x.shape[0], full.shape[0])
-        fac = pca_factors(full / column_scales(full), ctx.cfg.factors).factors
-        x = np.hstack([x[-rows:], fac[-rows:]])
+        full = difference_columns(block.resid, block.orders)
+        full = full[:, block.orders.max():]
+        fac = [pca_factors(f / column_scales(f), block.cfg.factors).factors
+               for f in full]
+        x = np.concatenate([x[:, -full.shape[1]:], np.stack(fac)], axis=2)
     return x
 
 
-def _system_paths(ctx: _Window, x: np.ndarray) -> np.ndarray:
-    return var_bic_forecast(x, _max_h(ctx), ctx.cfg.p_max, p_min=1)
+def _system_paths(block: _Block, x: np.ndarray) -> np.ndarray:
+    return var_bic_forecast(x, max(block.horizons), block.cfg.p_max, p_min=1)
 
 
-def _coint_input(ctx: _Window, block: bool) -> np.ndarray:
-    """A window's cointegration panel, or its targets' block of it."""
-    z = ctx.coint_panel()
-    return z[:, ctx.targets] if block else z
-
-
-def _cointegrated(windows: Sequence[_Window], path: Callable,
-                  block: bool = True) -> list:
-    """The cointegration lanes' one body: ``path(ctx, zs)`` forecasts the
-    targets ``_max_h`` steps from each window's cointegration panel (its
-    targets' block when ``block``) of the stack ``zs`` in one call, and an
+def _cointegrated(block: _Block, path: Callable,
+                  targets_only: bool = True) -> list:
+    """The cointegration lanes' one body: ``path(block, zs)`` forecasts the
+    targets from the stack ``zs`` of the windows' cointegration panels
+    (their targets' columns when ``targets_only``) in one call, and an
     I(2) target's path, of its differences, is integrated back once."""
-    return _stacked(windows, partial(_coint_input, block=block), path,
-                    partial(_target_levels, d=windows[0].orders == 2))
+    cols = block.targets if targets_only else slice(None)
+    return _stacked(block, lambda b: b.coint_panel()[..., cols], path,
+                    partial(_target_levels, d=block.orders == 2))
 
 
-def _ml_paths(ctx: _Window, zs: np.ndarray) -> list:
-    models = johansen_ml(zs, None, select_lag_bic(zs, p_max=ctx.cfg.p_max))
-    return per_window(partial(vecm_iterated_forecast, h=_max_h(ctx)),
+def _ml_paths(block: _Block, zs: np.ndarray) -> list:
+    models = johansen_ml(zs, None, select_lag_bic(zs, p_max=block.cfg.p_max))
+    return per_window(partial(vecm_iterated_forecast, h=max(block.horizons)),
                       models, zs)
 
 
-def _qr_vecm_paths(ctx: _Window, zs: np.ndarray) -> list:
-    return per_window(partial(vecm_iterated_forecast, h=_max_h(ctx)),
+def _qr_vecm_paths(block: _Block, zs: np.ndarray) -> list:
+    return per_window(partial(vecm_iterated_forecast, h=max(block.horizons)),
                       qr_vecm(zs, p=1), zs)
 
 
-def _pml_paths(ctx: _Window, zs: np.ndarray) -> list:
+def _pml_paths(block: _Block, zs: np.ndarray) -> list:
     sd = np.stack([column_scales(zb) for zb in zs])[:, None]
     scaled = zs / sd
     models = pml_vecm(scaled, None, p=1, lambdas=(0.1, 0.1))
     return per_window(lambda model, z, s: vecm_iterated_forecast(
-        model, z, _max_h(ctx)) * s, models, scaled, sd)
+        model, z, max(block.horizons)) * s, models, scaled, sd)
 
 
-def _fecm_paths(ctx: _Window, zs: np.ndarray) -> list:
-    return fecm_forecast(zs, targets=list(ctx.targets), r_ns=ctx.cfg.factors,
-                         h=_max_h(ctx), p_max=ctx.cfg.p_max)
+def _fecm_paths(block: _Block, zs: np.ndarray) -> list:
+    return fecm_forecast(zs, targets=list(block.targets),
+                         r_ns=block.cfg.factors, h=max(block.horizons),
+                         p_max=block.cfg.p_max)
 
 
-def _ndfm_paths(ctx: _Window, zs: np.ndarray) -> list:
-    return per_window(lambda fc: fc[:, ctx.targets],
-                      ndfm_forecast(zs, k=ctx.cfg.factors, h=_max_h(ctx),
-                                    p_max=ctx.cfg.p_max))
+def _ndfm_paths(block: _Block, zs: np.ndarray) -> list:
+    fcs = ndfm_forecast(zs, k=block.cfg.factors, h=max(block.horizons),
+                        p_max=block.cfg.p_max)
+    return per_window(lambda fc: fc[:, block.targets], fcs)
 
 
-def _single_eq(ctx: _Window, specs: bool, augment: bool = False
+def _single_eq(ctx: _Block, specs: bool, augment: bool = False
                ) -> Dict[Tuple[int, int], float]:
     """SPECS (``specs``) or PADL per target and horizon, on the window or,
     when ``augment``, on the target and ``cfg.factors`` factors."""
@@ -334,9 +336,9 @@ def _single_eq(ctx: _Window, specs: bool, augment: bool = False
 
 @dataclass(frozen=True)
 class Lane:
-    """One forecasting method.  ``forecast(windows)`` takes a block of
-    windows, in order, and gives per window its {(target index, horizon):
-    level forecast} or the window error it raised; ``nowcasts``: a single
+    """One forecasting method.  ``forecast(block)`` takes a :class:`_Block`
+    and gives per window, in order, its {(target index, horizon): level
+    forecast} or the window error it raised; ``nowcasts``: a single
     equation that also fits h = 0; ``factors``: it extracts
     ``cfg.factors`` factors, from the N - 1 other series when it also
     nowcasts; ``with_targets``: those factors join the targets in one
@@ -352,15 +354,16 @@ class Lane:
 
 
 _LANES: Dict[str, Lane] = {
-    "ar": Lane(_ar, nowcasts=True),
+    "ar": Lane(partial(_stacked, prepare=attrgetter("resid"), fit=_ar_paths,
+                       finish=_ar_forecasts), nowcasts=True),
     "var": Lane(partial(_stationary_system, augment=False)),
     "favar": Lane(partial(_stationary_system, augment=True), factors=True),
     "ml": Lane(partial(_cointegrated, path=_ml_paths)),
     "qr_vecm": Lane(partial(_cointegrated, path=_qr_vecm_paths)),
     "pml": Lane(partial(_cointegrated, path=_pml_paths)),
-    "fecm": Lane(partial(_cointegrated, path=_fecm_paths, block=False),
+    "fecm": Lane(partial(_cointegrated, path=_fecm_paths, targets_only=False),
                  factors=True, with_targets=True),
-    "ndfm": Lane(partial(_cointegrated, path=_ndfm_paths, block=False),
+    "ndfm": Lane(partial(_cointegrated, path=_ndfm_paths, targets_only=False),
                  factors=True),
     "specs": Lane(partial(_each, partial(_single_eq, specs=True)),
                   nowcasts=True),
@@ -387,8 +390,11 @@ _WINDOW_BLOCK = 32
 def register_method(name: str, fn: Callable) -> None:
     """Add or replace a forecasting method in the harness's lane table.
 
-    ``fn(window)`` receives the isolated window context and returns a
-    mapping {(target index, horizon): level forecast}.  Its record
+    ``fn(window)`` receives one window of a block and returns a mapping
+    {(target index, horizon): level forecast}.  The window's attributes
+    are the lane contract: ``values`` and ``resid`` (T, N),
+    ``window_start``, ``n_obs``, ``targets``, ``orders``, ``horizons``,
+    ``cfg``, ``deterministic(j, h)`` and ``now_parts(ti)``.  Its record
     ``Lane(partial(_each, fn))`` neither nowcasts nor extracts factors:
     the run calls ``fn`` on every window of a block in turn, the windows
     in order.  A :class:`ToolkitError` or ``LinAlgError`` fails only that
@@ -586,16 +592,12 @@ class ForecastReport:
             writer = csv.writer(fh)
             writer.writerow(["target", "horizon", "method", "rel_msfe",
                              "in_mcs"])
-            for tgt in self.targets:
-                for h in self.horizons:
-                    key = (tgt, h)
-                    members = self.mcs_members[key]
-                    for m in self.methods:
-                        val = self.rel_msfe[key][m]
-                        writer.writerow([
-                            tgt, h, m,
-                            "" if val is None else repr(val),
-                            "" if members is None else int(m in members)])
+            for row in self.to_dict()["results"]:
+                for m, res in row["methods"].items():
+                    val, member = res["rel_msfe"], res["in_mcs"]
+                    writer.writerow([row["target"], row["horizon"], m,
+                                     "" if val is None else repr(val),
+                                     "" if member is None else int(member)])
 
 
 def _relative_msfe(losses: np.ndarray, methods: Tuple[str, ...],
@@ -664,14 +666,12 @@ def run_rolling(data, cfg: HarnessConfig) -> ForecastReport:
     diagnostics: List[Tuple[int, str, int, str, str]] = []
 
     for first in range(0, n_win, _WINDOW_BLOCK):
-        windows = [_Window(z[s:s + cfg.window].copy(), targets,
-                           cfg.horizons, orders, cfg, s)
-                   for s in starts[first:first + _WINDOW_BLOCK]]
+        block = _Block.build(z, starts[first:first + _WINDOW_BLOCK],
+                             targets, orders, cfg)
         # a lane that cannot nowcast has nothing to do at h = 0 alone
-        results = {meth: _REGISTRY[meth](windows) for meth in cfg.methods
+        results = {meth: _REGISTRY[meth](block) for meth in cfg.methods
                    if _LANES[meth].nowcasts or any(cfg.horizons)}
-        for w, ctx in enumerate(windows, start=first):
-            s = ctx.window_start
+        for w, s in enumerate(block.window_start, start=first):
             for m, meth in enumerate(cfg.methods):
                 nowcasts = _LANES[meth].nowcasts
                 if 0 in cfg.horizons and not nowcasts and w == 0:

@@ -304,22 +304,23 @@ def validate_orders(orders, n_series: int) -> np.ndarray:
 
 
 def difference_columns(x: np.ndarray, orders) -> np.ndarray:
-    """Difference column ``j`` of the (T, N) array ``x`` ``orders[j]`` times.
+    """Difference column ``j`` of the (T, N) array ``x``, or of each
+    window of a (..., T, N) stack, ``orders[j]`` times.
 
     Each pass subtracts the row above and sets the first row to NaN, so
     the output keeps the shape of ``x`` and column ``j`` gains
-    ``orders[j]`` leading NaNs after its own.  The result is a new
-    C-ordered array whatever the layout of ``x``, so the fits downstream
-    see one memory layout (their last bits can depend on it).  This is the
-    package's one differencing rule; :func:`invert_differences` is its
-    inverse.
+    ``orders[j]`` leading NaNs after its own; a window of a stack gets the
+    bits it gets alone.  The result is a new C-ordered array whatever the
+    layout of ``x``, so the fits downstream see one memory layout (their
+    last bits can depend on it).  This is the package's one differencing
+    rule; :func:`invert_differences` is its inverse.
     """
     out = np.array(x, dtype=float, order="C")
-    orders = validate_orders(orders, out.shape[1])
+    orders = validate_orders(orders, out.shape[-1])
     for k in range(1, orders.max(initial=0) + 1):
         cols = orders >= k
-        out[1:, cols] = out[1:, cols] - out[:-1, cols]
-        out[0, cols] = np.nan
+        out[..., 1:, cols] = out[..., 1:, cols] - out[..., :-1, cols]
+        out[..., 0, cols] = np.nan
     return out
 
 

@@ -9,8 +9,8 @@ from hdcoint import (DataError, HarnessConfig, NumericalError, ParameterError,
                      ar_benchmark, from_values, harness, random_vecm_params,
                      run_rolling, simulate_vecm)
 from hdcoint.errors import attempt, per_window
-from hdcoint.harness import _LANES, _REGISTRY, _Window
-from hdcoint.panel import difference_columns, invert_differences
+from hdcoint.harness import _LANES, _REGISTRY, _Block
+from hdcoint.panel import detrend, difference_columns, invert_differences
 
 
 def _walk_panel(n, T, seed):
@@ -502,6 +502,35 @@ class TestWindowBlocks:
                 methods=("ar", "broken"), benchmark="ar"))
 
 
+class TestBlockRecord:
+    """A registered lane gets window w of a block as ``block[w]``: the
+    block's record with the window axis indexed away."""
+
+    def test_each_window_is_detrended_alone(self, register_lane):
+        seen = []
+
+        def record(ctx):
+            seen.append(ctx)
+            return {}
+
+        register_lane("record", record)
+        # 32 windows of T = 60, N = 7, one block: on this panel, one
+        # regression on the windows side by side moves the residuals of 30
+        z = _walk_panel(7, 92, 31).values
+        cfg = _small_cfg(methods=("ar", "record"), targets=(0, 4))
+        report = run_rolling(z, cfg)
+        assert len(seen) == len(report.window_starts) == harness._WINDOW_BLOCK
+        for s, ctx in zip(report.window_starts, seen):
+            assert type(ctx.window_start) is int and ctx.window_start == s
+            assert ctx.n_obs == 60 and ctx.horizons == (1,) and ctx.cfg is cfg
+            assert ctx.targets.tolist() == [0, 4]
+            assert ctx.orders.tolist() == [1] * 7
+            resid, coef = detrend(z[s:s + 60])
+            assert ctx.values.tobytes() == z[s:s + 60].tobytes()
+            assert ctx.resid.tobytes() == resid.tobytes()
+            assert ctx.trend_coef.tobytes() == coef.tobytes()
+
+
 def _raise(exc):
     raise exc
 
@@ -526,16 +555,16 @@ class TestLaneContract:
         targets = np.array([0, 2])
         # the fourth series is I(2), so the lanes difference it
         orders = np.array([1, 1, 1, 2, 1, 1])
-        windows = [_Window(z[s:s + 60].copy(), targets, cfg.horizons, orders,
-                           cfg, s) for s in (0, 6, 12)]
-        block = _REGISTRY[method](windows)
+        block = _REGISTRY[method](_Block.build(z, (0, 6, 12), targets,
+                                               orders, cfg))
         assert len(block) == 3
         hs = cfg.horizons if _LANES[method].nowcasts else (1, 3)
-        for ctx, got in zip(windows, block):
+        for s, got in zip((0, 6, 12), block):
             assert set(got) == {(ti, h) for ti in targets for h in hs}
             assert all(np.isfinite(v) for v in got.values())
             # each window's result is the one it gets alone
-            (alone,) = _REGISTRY[method]([ctx])
+            (alone,) = _REGISTRY[method](_Block.build(z, (s,), targets,
+                                                      orders, cfg))
             assert alone == got
 
     def test_a_prepare_error_fails_every_window_of_its_lane(self):

@@ -16,7 +16,7 @@ from hdcoint import (DataError, HarnessConfig, ParameterError, ar_benchmark,
                      fecm_forecast, run_rolling, select_lag_bic,
                      var_bic_forecast)
 from hdcoint import factors
-from hdcoint.harness import _REGISTRY, _Window
+from hdcoint.harness import _REGISTRY, _Block
 from hdcoint.panel import DeterministicSpec, invert_differences
 from hdcoint.vecm import _ec_design
 
@@ -213,8 +213,9 @@ def test_grouped_ar_lane_equals_single_benchmarks():
     orders = np.array([0, 0, 1, 2, 1, 1])
     cfg = HarnessConfig(window=80, horizons=(0, 1, 3), methods=("ar",))
     targets = np.array([0, 1, 2, 3, 4])
-    ctx = _Window(values, targets, cfg.horizons, orders, cfg, 0)
-    (got,) = _REGISTRY["ar"]([ctx])
+    block = _Block.build(values, (0,), targets, orders, cfg)
+    (got,) = _REGISTRY["ar"](block)
+    ctx = block[0]
     assert len(got) == 15
     for ti in targets:
         d = int(orders[ti])

@@ -81,6 +81,18 @@ class TestDifferenceColumns:
             assert np.array_equal(out[lead:, j],
                                   np.diff(x[:, j], n=j)[lead - j:])
 
+    def test_a_stack_differences_each_window_as_alone(self, rng):
+        # a (W, T, N) stack with mixed orders, its windows Fortran-ordered
+        # by the column selection: each window gets its own call's bits
+        x = rng.standard_normal((5, 25, 3)).cumsum(axis=1) * [1e-6, 1.0, 1e6]
+        x[:, :3, 2] = np.nan
+        for orders in ([0, 1, 2], [2, 0, 1]):
+            out = difference_columns(x[:, :, [1, 2, 0]], orders)
+            assert out.shape == x.shape and out.flags["C_CONTIGUOUS"]
+            for w in range(5):
+                alone = difference_columns(x[w][:, [1, 2, 0]], orders)
+                assert out[w].tobytes() == alone.tobytes()
+
     def test_input_left_unchanged(self, rng):
         x = rng.standard_normal((10, 2))
         keep = x.copy()

@@ -1,17 +1,17 @@
 """Rolling-window forecast evaluation and model confidence sets.
 
 The run takes its windows in blocks, each one :class:`_Block` of their
-values and residuals side by side, with the run's settings held once.
-Each window is detrended alone, every method sees only its observations,
-forecasts are mapped back to levels by adding its own deterministic
-extrapolation, and squared level errors feed relative MSFEs against an
-autoregressive benchmark.  Surviving-method sets come from an
-elimination procedure on loss differentials bootstrapped with the
-autoregressive wild multiplier.  Each forecasting method is one
-:class:`Lane` record of one table: its body, whether it also nowcasts
-and whether it extracts factors; the run's checks read the records.
-Lanes difference and integrate only through ``panel``'s one rule and its
-inverse; an integration order outside {0, 1, 2} stops the run up front.
+values and residuals side by side, with the run's settings held once.  Each
+window is detrended alone, and at h = 0 each target without its final value;
+every method sees only its observations, forecasts are mapped back to levels
+by adding its own deterministic extrapolation, and squared level errors feed
+relative MSFEs against an autoregressive benchmark.  Surviving-method sets
+come from an elimination procedure on loss differentials bootstrapped with
+the autoregressive wild multiplier.  Each forecasting method is one
+:class:`Lane` record of one table: its body, whether it also nowcasts and
+whether it extracts factors; the run's checks read the records.  Lanes
+difference and integrate only through ``panel``'s one rule and its inverse;
+an integration order outside {0, 1, 2} stops the run up front.
 
 Every lane takes a block of ``_WINDOW_BLOCK`` windows and yields per
 window, in order, its forecasts or the window error it raised (the one
@@ -23,8 +23,8 @@ Every other built-in lane is one stacked body: it fits the block's stack
 of inputs in one call (the stack contract of :func:`panel.as_stack`) and
 finishes each window's result, integrating a target's path back to
 levels.  The AR lane makes one autoregression call per integration
-order, the VAR lanes one call for the block's systems, and the five
-cointegration lanes one lag choice and one Johansen-family fit.
+order (and per order at h = 0), the VAR lanes one for the systems, and
+the five cointegration lanes one lag choice and one Johansen-family fit.
 """
 
 from __future__ import annotations
@@ -95,14 +95,16 @@ def _ar_levels(v: np.ndarray, order: int, p_max: int,
 
 @dataclass(frozen=True)
 class _Block:
-    """A block of windows, in order: their values and residuals on [1, t]
-    (W, T, N), trend coefficients (W, 2, N) and starts, with the run's
-    config, targets and orders held once.  ``block[w]`` is window w alone,
-    the window axis indexed away.  The lanes share the read-only arrays."""
+    """Windows in order: their values and residuals on [1, t] (W, T, N),
+    trend coefficients (W, 2, N), starts and, at h = 0, each target's now
+    column (W, T, K) and deterministic value (W, K), all read-only, with the
+    run's config, targets and orders once.  ``block[w]`` is window w alone."""
 
     values: np.ndarray
     resid: np.ndarray
     trend_coef: np.ndarray
+    now_resid: np.ndarray
+    now_det: np.ndarray
     window_start: Union[Tuple[int, ...], int]
     targets: np.ndarray
     orders: np.ndarray
@@ -111,21 +113,31 @@ class _Block:
     @classmethod
     def build(cls, z: np.ndarray, starts: Sequence[int], targets: np.ndarray,
               orders: np.ndarray, cfg: HarnessConfig) -> _Block:
-        """The ``cfg.window``-row windows of ``z`` at ``starts``, each
-        detrended alone (side by side, the residuals' last bits move)."""
-        values = np.empty((len(starts), cfg.window, z.shape[1]))
+        """The ``cfg.window``-row windows of ``z`` at ``starts``, each window
+        and h = 0 target column detrended alone (side by side, bits move)."""
+        n, now = cfg.window, targets if 0 in cfg.horizons else targets[:0]
+        values = np.empty((len(starts), n, z.shape[1]))
         resid = np.empty_like(values)
         coef = np.empty((len(starts), 2, z.shape[1]))
+        now_resid = np.empty((len(starts), n, now.size))
+        now_det = np.empty((len(starts), now.size))
+        trend = DeterministicSpec.TREND.design(n)
         for w, s in enumerate(starts):
-            values[w] = z[s:s + cfg.window]
+            values[w] = z[s:s + n]
             resid[w], coef[w] = detrend(values[w])
-        for a in (values, resid, coef):
+            for k, ti in enumerate(now):
+                c = detrend(values[w, :-1, ti])[1]
+                now_resid[w, :, k] = values[w, :, ti] - trend @ c
+                now_det[w, k] = c[0] + c[1] * n
+        for a in (values, resid, coef, now_resid, now_det):
             a.flags.writeable = False
-        return cls(values, resid, coef, tuple(starts), targets, orders, cfg)
+        return cls(values, resid, coef, now_resid, now_det, tuple(starts),
+                   targets, orders, cfg)
 
     def __getitem__(self, w: int) -> _Block:
         return replace(self, values=self.values[w], resid=self.resid[w],
                        trend_coef=self.trend_coef[w],
+                       now_resid=self.now_resid[w], now_det=self.now_det[w],
                        window_start=self.window_start[w])
 
     @property
@@ -141,15 +153,13 @@ class _Block:
         return float(a + b * (self.n_obs + h))
 
     def now_parts(self, ti: int) -> Tuple[np.ndarray, float]:
-        """A window's residual panel and deterministic value for h = 0:
-        the target column is detrended without its final observation, so
-        the value being nowcast never enters any estimate."""
-        n = self.n_obs
-        coef = detrend(self.values[:-1, ti])[1]
-        col = self.values[:, ti] - DeterministicSpec.TREND.design(n) @ coef
+        """A window's residual panel and deterministic value at h = 0 for
+        a target ``ti`` of a run with h = 0, built once: its column is
+        detrended without the final observation, which no estimate sees."""
+        k = list(self.targets).index(ti)
         panel = self.resid.copy()
-        panel[:, ti] = col
-        return panel, float(coef[0] + coef[1] * n)
+        panel[:, ti] = self.now_resid[:, k]
+        return panel, float(self.now_det[k])
 
     def coint_panel(self, resid: Optional[np.ndarray] = None) -> np.ndarray:
         """Levels for the cointegration lanes, of the block or of a window
@@ -195,29 +205,29 @@ def _stacked(block: _Block, prepare: Callable, fit: Callable,
 
 
 def _ar_paths(block: _Block, resid: np.ndarray) -> list:
-    """The AR lane's fit: per window of the block's residuals ``resid``,
-    (target, residual-level path) pairs of BIC-selected ARs for h >= 1,
-    one :func:`_ar_levels` call per order on the windows' targets at once."""
-    paths: list = [[] for _ in resid]
-    orders = block.orders[block.targets]
-    for d in np.unique(orders) if max(block.horizons) else ():
-        tis = block.targets[orders == d]
-        lev = _ar_levels(np.hstack(resid[:, :, tis]), d, block.cfg.p_max,
-                         max(block.horizons))
-        for w, part in enumerate(np.hsplit(lev, len(resid))):
-            paths[w] += zip(tis, part.T)
+    """The AR lane's fit: per window, (target, residual-level path) pairs
+    of the residuals ``resid`` for h >= 1 and {(target, 0): nowcast} one
+    step ahead of the now columns; per order, one :func:`_ar_levels` call
+    on the block for each."""
+    paths: list = [([], {}) for _ in resid]
+    orders, p_max = block.orders[block.targets], block.cfg.p_max
+    for d in np.unique(orders):
+        on, tis = orders == d, block.targets[orders == d]
+        if max(block.horizons):
+            lev = _ar_levels(np.hstack(resid[:, :, tis]), d, p_max,
+                             max(block.horizons))
+            for w, part in enumerate(np.hsplit(lev, len(resid))):
+                paths[w][0].extend(zip(tis, part.T))
+        if 0 in block.horizons:
+            lev = _ar_levels(np.hstack(block.now_resid[:, :-1, on]), d,
+                             p_max, 1)[0] + block.now_det[:, on].ravel()
+            for w, part in enumerate(np.split(lev, len(resid))):
+                paths[w][1].update(zip([(ti, 0) for ti in tis], part))
     return paths
 
 
-def _ar_forecasts(paths: list, ctx: _Block) -> Dict[Tuple[int, int], float]:
-    """A window's AR forecasts: its paths at every h >= 1, and at h = 0 a
-    nowcast of each target, window by window."""
-    out = _at_horizons(ctx, paths)
-    for ti in ctx.targets if 0 in ctx.horizons else ():
-        panel, det = ctx.now_parts(ti)
-        out[(ti, 0)] = det + ar_benchmark(panel[:, ti], int(ctx.orders[ti]),
-                                          ctx.cfg.p_max, 0)
-    return out
+def _ar_forecasts(paths: tuple, ctx: _Block) -> Dict[Tuple[int, int], float]:
+    return {**_at_horizons(ctx, paths[0]), **paths[1]}
 
 
 def _target_levels(path: np.ndarray, ctx: _Block,
@@ -391,14 +401,14 @@ def register_method(name: str, fn: Callable) -> None:
     """Add or replace a forecasting method in the harness's lane table.
 
     ``fn(window)`` receives one window of a block and returns a mapping
-    {(target index, horizon): level forecast}.  The window's attributes
-    are the lane contract: ``values`` and ``resid`` (T, N),
-    ``window_start``, ``n_obs``, ``targets``, ``orders``, ``horizons``,
-    ``cfg``, ``deterministic(j, h)`` and ``now_parts(ti)``.  Its record
-    ``Lane(partial(_each, fn))`` neither nowcasts nor extracts factors:
-    the run calls ``fn`` on every window of a block in turn, the windows
-    in order.  A :class:`ToolkitError` or ``LinAlgError`` fails only that
-    window, as a diagnostic; any other error stops the run.
+    {(target index, horizon): level forecast}.  The window's attributes are
+    the lane contract: ``values`` and ``resid`` (T, N), ``window_start``,
+    ``n_obs``, ``targets``, ``orders``, ``horizons``, ``cfg``,
+    ``deterministic(j, h)`` and, for the targets of a run with h = 0,
+    ``now_parts(ti)``.  ``Lane(partial(_each, fn))`` neither nowcasts (the run
+    drops its h = 0 values) nor extracts factors; it calls ``fn`` on each
+    window of a block, in order.  A :class:`ToolkitError` or ``LinAlgError``
+    fails only that window, as a diagnostic; any other error stops the run.
     """
     _LANES[name] = Lane(partial(_each, fn))
     _REGISTRY[name] = _LANES[name].forecast

@@ -10,7 +10,8 @@ from hdcoint import (DataError, HarnessConfig, NumericalError, ParameterError,
                      run_rolling, simulate_vecm)
 from hdcoint.errors import attempt, per_window
 from hdcoint.harness import _LANES, _REGISTRY, _Block
-from hdcoint.panel import detrend, difference_columns, invert_differences
+from hdcoint.panel import (DeterministicSpec, detrend, difference_columns,
+                           invert_differences)
 
 
 def _walk_panel(n, T, seed):
@@ -506,7 +507,8 @@ class TestBlockRecord:
     """A registered lane gets window w of a block as ``block[w]``: the
     block's record with the window axis indexed away."""
 
-    def test_each_window_is_detrended_alone(self, register_lane):
+    def test_each_window_is_detrended_alone(self, register_lane,
+                                            monkeypatch):
         seen = []
 
         def record(ctx):
@@ -517,18 +519,43 @@ class TestBlockRecord:
         # 32 windows of T = 60, N = 7, one block: on this panel, one
         # regression on the windows side by side moves the residuals of 30
         z = _walk_panel(7, 92, 31).values
-        cfg = _small_cfg(methods=("ar", "record"), targets=(0, 4))
+        cfg = _small_cfg(methods=("ar", "record"), targets=(0, 4),
+                         horizons=(0, 1))
         report = run_rolling(z, cfg)
         assert len(seen) == len(report.window_starts) == harness._WINDOW_BLOCK
+        trend = DeterministicSpec.TREND.design(60)
         for s, ctx in zip(report.window_starts, seen):
             assert type(ctx.window_start) is int and ctx.window_start == s
-            assert ctx.n_obs == 60 and ctx.horizons == (1,) and ctx.cfg is cfg
-            assert ctx.targets.tolist() == [0, 4]
+            assert ctx.n_obs == 60 and ctx.horizons == (0, 1)
+            assert ctx.cfg is cfg and ctx.targets.tolist() == [0, 4]
             assert ctx.orders.tolist() == [1] * 7
             resid, coef = detrend(z[s:s + 60])
             assert ctx.values.tobytes() == z[s:s + 60].tobytes()
             assert ctx.resid.tobytes() == resid.tobytes()
             assert ctx.trend_coef.tobytes() == coef.tobytes()
+            for ti in (0, 4):
+                # the nowcast's column, detrended alone without its final
+                # value, in place of the target's residuals
+                c = detrend(z[s:s + 59, ti])[1]
+                want = resid.copy()
+                want[:, ti] = z[s:s + 60, ti] - trend @ c
+                panel, det = ctx.now_parts(ti)
+                assert panel.tobytes() == want.tobytes()
+                assert det == float(c[0] + c[1] * 60)
+        # three nowcasting lanes share each window's and target's one
+        # detrend of its now column
+        calls, fit = [], harness.detrend
+
+        def counted(x):
+            calls.append(np.ndim(x))
+            return fit(x)
+
+        monkeypatch.setattr(harness, "detrend", counted)
+        now = run_rolling(z, _small_cfg(methods=("ar", "padl", "fapadl"),
+                                        targets=(0, 4), horizons=(0,),
+                                        factors=1))
+        n_win = len(now.window_starts)
+        assert calls.count(2) == n_win and calls.count(1) == n_win * 2
 
 
 def _raise(exc):

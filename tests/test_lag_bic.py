@@ -15,9 +15,9 @@ import pytest
 from hdcoint import (DataError, HarnessConfig, ParameterError, ar_benchmark,
                      fecm_forecast, run_rolling, select_lag_bic,
                      var_bic_forecast)
-from hdcoint import factors
+from hdcoint import factors, harness
 from hdcoint.harness import _REGISTRY, _Block
-from hdcoint.panel import DeterministicSpec, invert_differences
+from hdcoint.panel import DeterministicSpec, detrend, invert_differences
 from hdcoint.vecm import _ec_design
 
 
@@ -206,27 +206,49 @@ def test_singular_candidates_are_skipped(det):
     assert select_lag_bic(z, p_max=3, det=det) == 0
 
 
-def test_grouped_ar_lane_equals_single_benchmarks():
+def test_grouped_ar_lane_equals_single_benchmarks(monkeypatch):
+    # a block of three windows: per integration order, one stacked AR fit
+    # for h >= 1 and one for the h = 0 nowcasts, and every window's values
+    # are the one-series benchmark's on that window alone, bit for bit
     rng = np.random.default_rng(24)
-    values = np.column_stack([_series(rng, kind, 80, 1)[:, 0]
+    values = np.column_stack([_series(rng, kind, 100, 1)[:, 0]
                               for kind in (0, 1, 2, 3, 2, 1)])
     orders = np.array([0, 0, 1, 2, 1, 1])
     cfg = HarnessConfig(window=80, horizons=(0, 1, 3), methods=("ar",))
-    targets = np.array([0, 1, 2, 3, 4])
-    block = _Block.build(values, (0,), targets, orders, cfg)
-    (got,) = _REGISTRY["ar"](block)
-    ctx = block[0]
-    assert len(got) == 15
-    for ti in targets:
-        d = int(orders[ti])
-        panel, det = ctx.now_parts(ti)
-        assert got[(ti, 0)] == det + ar_benchmark(panel[:, ti], d, 3, 0)
-        for h in (1, 3):
-            v = ctx.resid[:, ti]
-            want = ar_benchmark(v, d, 3, h)
-            _, path = var_bic_reference(np.diff(v, n=d), h, 3, 0)
-            assert want == float(invert_differences(v, path, d)[-1])
-            assert got[(ti, h)] == ctx.deterministic(ti, h) + want
+    targets, starts = np.array([0, 1, 2, 3, 4]), (0, 7, 20)
+    block = _Block.build(values, starts, targets, orders, cfg)
+    calls, fit = [], harness._ar_levels
+
+    def counted(v, order, p_max, steps):
+        calls.append((int(order), steps, v.shape[1]))
+        return fit(v, order, p_max, steps)
+
+    monkeypatch.setattr(harness, "_ar_levels", counted)
+    got = _REGISTRY["ar"](block)
+    monkeypatch.undo()
+    # targets 0, 1 are I(0), 2 and 4 I(1), 3 I(2): columns over 3 windows
+    assert sorted(calls) == [(0, 1, 6), (0, 3, 6), (1, 1, 6), (1, 3, 6),
+                             (2, 1, 3), (2, 3, 3)]
+    assert len(got) == len(starts)
+    n, trend = cfg.window, DeterministicSpec.TREND.design(cfg.window)
+    for s, fc in zip(starts, got):
+        assert len(fc) == 15
+        window = values[s:s + n]
+        resid, coef = detrend(window)
+        for ti in targets:
+            d = int(orders[ti])
+            # the nowcast's column is detrended without its final value
+            c = detrend(window[:-1, ti])[1]
+            det = float(c[0] + c[1] * n)
+            want = ar_benchmark(window[:, ti] - trend @ c, d, 3, 0)
+            assert fc[(ti, 0)] == det + want
+            for h in (1, 3):
+                v = resid[:, ti]
+                want = ar_benchmark(v, d, 3, h)
+                _, path = var_bic_reference(np.diff(v, n=d), h, 3, 0)
+                assert want == float(invert_differences(v, path, d)[-1])
+                a, b = coef[:, ti]
+                assert fc[(ti, h)] == float(a + b * (n + h)) + want
 
 
 def test_fecm_factors_of_an_all_target_panel_raise():

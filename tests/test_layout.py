@@ -210,6 +210,8 @@ KEPT = {
     "panel.apply_transform": "item 12: the level stage of codes 4-7",
     "factors.count_factors": "the NDFM factor count when none is given",
     "harness.register_method": "item 7: the oracle-lane fixture",
+    "harness.ar_benchmark": "the one-series AR forecast; oracle of the AR "
+                            "lane's stacked fit (test_lag_bic, test_harness)",
     "singleeq.SingleEqFit.nonzero": "the benchmark reads a fit's support",
     "vecm.select_rank_ic": "the rank criterion; the benchmark's tracer "
                            "looks it up in harness and factors",

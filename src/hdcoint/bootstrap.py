@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ._numeric import ar1_recursion
-from .errors import DataError, NumericalError, ParameterError, ToolkitError
+from .errors import WINDOW_ERRORS, ParameterError, attempt
 from .panel import Panel, ols_detrend
 # substream is unused here, but the benchmark's tracer still looks it up
 # in this module
@@ -153,9 +153,13 @@ class _Paths:
         return z
 
 
-def _in_series(exc: ToolkitError, name: str) -> ToolkitError:
-    """``exc`` again, its message prefixed with the series it arose in."""
-    return type(exc)(f"series '{name}': {exc}")
+def _named(results: list, names) -> list:
+    """Per-series ``results``, or the first window error among them
+    raised, its message prefixed with the name of its series."""
+    for result, name in zip(results, names, strict=True):
+        if isinstance(result, WINDOW_ERRORS):
+            raise type(result)(f"series '{name}': {result}") from None
+    return results
 
 
 def _groups(keys) -> dict:
@@ -268,33 +272,36 @@ def bootstrap_union_distribution(panel: Panel, cfg: AwbConfig
     bytes for any number, or in-process where the platform cannot fork;
     each row block builds its own rows of the bootstrap paths (multiplier
     times residual, then the cumulative sum), so a round holds paths for
-    only the blocks being fitted.  A series too short for its regressions
-    (:class:`DataError`) or a failed regression raises its error with the
-    name of its series, the first such series in panel order, whatever
-    the number of workers; only after a grouped call fails are the series
-    refitted one by one, to find that name.
+    only the blocks being fitted.  Each call gives per series or group
+    its statistics or its window error, and the round raises the first
+    failing series' error in panel order, prefixed with its name, for any
+    number of workers: a series too short for its regressions
+    (:class:`DataError`), a failed regression or an invalid component
+    critical value.  A group's error cannot say which of its series
+    failed, so the series of failed groups are refitted one by one with
+    the lags already chosen.
     """
     N, T = panel.n_series, panel.n_obs
     B = cfg.reps
 
     lags = np.empty(N, dtype=int)
+    for lead, idx in _groups(panel.leads).items():
+        lags[idx] = select_lags(panel.values[lead:, idx].T, cfg.max_lags)
+    groups = _groups(zip(panel.leads, lags))
+    fits = four_stats([panel.values[lead:, idx].T for (lead, _), idx
+                       in groups.items()], [lag for _, lag in groups])
     stats = np.empty((N, 4))
-    try:
-        for lead, idx in _groups(panel.leads).items():
-            lags[idx] = select_lags(panel.values[lead:, idx].T, cfg.max_lags)
-        groups = _groups(zip(panel.leads, lags))
-        fits = four_stats([panel.values[lead:, idx].T for (lead, _), idx
-                           in groups.items()], [lag for _, lag in groups])
-    except (DataError, NumericalError):
-        for j, lead in enumerate(panel.leads):
-            col = panel.values[lead:, j]
-            try:
-                four_stats(col, select_lags(col, cfg.max_lags))
-            except (DataError, NumericalError) as exc:
-                raise _in_series(exc, panel.names[j]) from None
-        raise
+    failed = []
     for idx, fit in zip(groups.values(), fits):
-        stats[idx] = fit
+        if isinstance(fit, WINDOW_ERRORS):
+            failed += idx
+        else:
+            stats[idx] = fit
+    if failed:
+        failed.sort()
+        stats[failed] = np.concatenate(_named(four_stats(
+            [panel.values[panel.leads[j]:, j] for j in failed],
+            lags[failed]), [panel.names[j] for j in failed]))
 
     uhat = residual_panel(panel, cfg.rho_mode, lags=lags)
     xi = _multiplier_matrix(B, T, cfg.gamma, cfg.seed)
@@ -303,18 +310,11 @@ def bootstrap_union_distribution(panel: Panel, cfg: AwbConfig
 
     workers = cfg.workers or (len(os.sched_getaffinity(0)) if hasattr(
         os, "sched_getaffinity") else os.cpu_count() or 1)
-    try:
-        boot_stats = np.stack(four_stats(paths, lags, workers), axis=1)
-    except (DataError, NumericalError) as exc:
-        raise _in_series(exc, panel.names[exc.batch]) from None
-
+    boot_stats = np.stack(_named(four_stats(paths, lags, workers),
+                                 panel.names), axis=1)
     crit = left_tail_quantile(boot_stats, cfg.alpha)       # (N, 4)
-    critvals = []
-    for j in range(N):
-        try:
-            critvals.append(CriticalValueSet(*crit[j], alpha=cfg.alpha))
-        except NumericalError as exc:
-            raise _in_series(exc, panel.names[j]) from None
+    critvals = _named([attempt(CriticalValueSet, *c, cfg.alpha)
+                       for c in crit], panel.names)
 
     scale = -1.0 / crit                                    # (N, 4)
     boot_ur = np.min(boot_stats * scale[None, :, :], axis=2)

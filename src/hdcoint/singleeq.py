@@ -45,10 +45,16 @@ __all__ = [
     "tscv_tune",
 ]
 
+#: scale-free stationarity violation below which a solve has converged
+_TOL = 1e-6
+
+#: descent sweeps after which a solve that has not converged fails
+_MAX_SWEEPS = 10_000
+
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Penalty levels and solver limits.
+    """Penalty levels.
 
     ``lam_group`` acts on the lagged-levels block as a whole,
     ``lam_levels`` and ``lam_w`` on individual coefficients of the levels
@@ -61,8 +67,6 @@ class PenaltyConfig:
     lam_group: float = 0.0
     lam_levels: float = 0.0
     lam_w: float = 0.0
-    max_sweeps: int = 10_000
-    tol: float = 1e-6
 
     def __post_init__(self):
         penalty_levels((self.lam_group, self.lam_levels, self.lam_w),
@@ -355,7 +359,7 @@ def sgl_solve(design: SingleEqDesign, cfg: PenaltyConfig,
     default; excluded coordinates forced to zero), and after sweeps 1, 2
     and every fifth an active-set Newton finish tries to complete it.
     The result has a scale-free stationarity violation below
-    ``cfg.tol``; the diagnostics name the ``solver`` behind it ("path",
+    :data:`_TOL`; the diagnostics name the ``solver`` behind it ("path",
     "active-set" or "cd") and count descent ``sweeps`` and path events
     plus Newton ``steps``.
     """
@@ -386,10 +390,10 @@ def sgl_solve(design: SingleEqDesign, cfg: PenaltyConfig,
 
     sweeps = 0
     q, raw, scale = current_kkt()
-    while raw / scale > cfg.tol:
-        if sweeps >= cfg.max_sweeps:
+    while raw / scale > _TOL:
+        if sweeps >= _MAX_SWEEPS:
             raise ConvergenceError(
-                f"no convergence after {cfg.max_sweeps} sweeps; "
+                f"no convergence after {_MAX_SWEEPS} sweeps; "
                 f"KKT residual {raw / scale:.3e}")
         sweeps += 1
         solver = "cd"
@@ -597,7 +601,7 @@ def _path_candidates(gram: _Gram, nz: int, grid, cfg: PenaltyConfig) -> dict:
                     2.0 * q[:nz][a], pen[:nz][a])) > lam[0]:
                 continue
             raw, scale = _kkt(q, c, theta, nz, lam[0], pen)
-            if raw / scale <= cfg.tol:
+            if raw / scale <= _TOL:
                 out[lam] = (theta[:nz], theta[nz:])
     return out
 

@@ -23,19 +23,20 @@ regressors, the level has coefficient ``L[k, k-1] / L[k-1, k-1]`` and
 t-statistic ``L[k, k-1] sqrt(n - k) / L[k, k]`` (:func:`_level_fit`).
 Every entry point takes a series, a batch of one, or a ``(B, T)`` batch
 and fits it at once; no row's bits depend on its batch.
-:func:`four_stats` cuts its batches into fixed row blocks and per block
-factors ``M`` once, as it is, and reads the ADF trend, ADF mean and
-DF-GLS mean regressions off that one factor; the DF-GLS trend regression
-is ``A' M A``, where ``A`` (:func:`_gls_map`) subtracts the GLS
-deterministics per replication: ``b1`` from every difference and
-``(b0 - b1) + b1 t`` from the level, one period behind the trend
-column.  A row whose Gram is not positive definite, and only that row,
-falls back to the pseudo-inverse, one regression at a time, and a
-residual norm below :data:`_EXACT_FIT` of the response norm is an exact
-fit, reported as zero residual variance; so is a GLS-detrended series
-whose norm falls below :data:`_EXACT_FIT` of the input's.  Regressions
-with deterministics shift each series to start at zero first, which
-leaves the statistics unchanged.
+:func:`four_stats` gives each of a sequence of batches its statistics
+or the window error it raised (``errors.attempt``).  It cuts its batches
+into fixed row blocks and per block factors ``M`` once, as it is, and
+reads the ADF trend, ADF mean and DF-GLS mean regressions off that one
+factor; the DF-GLS trend regression is ``A' M A``, where ``A``
+(:func:`_gls_map`) subtracts the GLS deterministics per replication:
+``b1`` from every difference and ``(b0 - b1) + b1 t`` from the level,
+one period behind the trend column.  A row whose Gram is not positive
+definite, and only that row, falls back to the pseudo-inverse, one
+regression at a time, and a residual norm below :data:`_EXACT_FIT` of
+the response norm is an exact fit, reported as zero residual variance;
+so is a GLS-detrended series whose norm falls below :data:`_EXACT_FIT`
+of the input's.  Regressions with deterministics shift each series to
+start at zero first, which leaves the statistics unchanged.
 
 Lag selection uses a modified AIC with a variance-rescaling step that
 standardizes increments by a rolling-window volatility estimate before
@@ -56,14 +57,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import starmap
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError, NumericalError, ParameterError, ToolkitError
-from .panel import DeterministicSpec, detrend
+from .errors import (DataError, NumericalError, ParameterError, attempt,
+                     per_window)
+from .panel import DeterministicSpec, detrend, unstack
 
 __all__ = [
     "VARIANTS",
@@ -517,84 +518,69 @@ def union_stat(stats, critvals: CriticalValueSet, x: float = -1.0) -> float:
 
 
 def four_stats(series_or_batch, lags: Union[int, Sequence[int]],
-               workers: int = 1) -> Union[np.ndarray, List[np.ndarray]]:
+               workers: int = 1) -> Union[np.ndarray, list]:
     """All four component statistics, batched.
 
     Returns shape ``(B, 4)`` with columns ordered as :data:`VARIANTS`.
     When ``lags`` is a sequence, ``series_or_batch`` is a sequence of as
     many batches, batch ``j`` fitted with ``lags[j]`` lags, and the
-    result is the list of their ``(B_j, 4)`` arrays.
+    result lists, in batch order, each batch's ``(B_j, 4)`` array or the
+    window error (``errors.WINDOW_ERRORS``) it raised in its check or its
+    fit; a single batch raises its error (``panel.unstack``).
 
     A batch is a series, a ``(B, T)`` array, whose shared leading-NaN
     block is dropped and whose rows are shifted to start at zero, or any
     object with a ``shape`` ``(B, T)`` whose row slices ``batch[lo:hi]``
-    are finite arrays starting at zero.  Every batch is checked before
-    any is fitted, each then in one task of :func:`_fit_batch`, whose
-    blocks of :data:`_ROW_BLOCK` rows take their slices themselves.  With
-    more than one of ``workers`` and of batches, the tasks run on at most
-    one worker process per batch, forked for the call (no batch is
-    pickled) and joined before it returns or raises; otherwise, or where
-    the platform cannot fork, in this process.  The bits and the error
-    are the same for any ``workers``: the first error in batch order, its
-    position as its ``batch`` attribute, after which no task starts.
+    are finite arrays starting at zero.  Every batch is checked, each
+    then fitted in one task of :func:`_fit_batch`, whose blocks of
+    :data:`_ROW_BLOCK` rows take their slices themselves.  With more than
+    one of ``workers`` and of batches, the tasks run on at most one
+    worker process per batch, forked for the call (no batch is pickled;
+    a result or an error is) and joined before it returns; otherwise, or
+    where the platform cannot fork, in this process.  Every batch is
+    fitted, and the bits and errors are the same for any ``workers``.
     """
-    single = np.ndim(lags) == 0
-    batches, lags = ([series_or_batch], [lags]) if single else (
-        series_or_batch, lags)
+    stack = np.ndim(lags) != 0
+    batches, lags = (series_or_batch, lags) if stack else (
+        [series_or_batch], [lags])
     if len(batches) != len(lags):
         raise ParameterError("need one lag per batch")
-    jobs = []
-    for j, (y, p) in enumerate(zip(batches, lags)):
-        try:
-            if isinstance(y, np.ndarray) or not hasattr(y, "shape"):
-                y = _trim_leading_nan(_as_batch(y))
-                y = y - y[:, :1]
-            jobs.append((y, int(p), _effective_sample(y.shape[1], 2, int(p))))
-        except ToolkitError as exc:
-            exc.batch = j
-            raise
-    fits = []
-    try:
-        for fit in _fitted(jobs, min(workers, len(jobs))):
-            fits.append(fit)
-    except ToolkitError as exc:
-        exc.batch = len(fits)
-        raise
-    return fits[0] if single else fits
-
-
-def _fitted(jobs: list, workers: int):
-    """Each checked batch's fit, in order; only a fork loads the pool."""
+    jobs = [attempt(_job, y, int(p)) for y, p in zip(batches, lags)]
+    workers = min(workers, len(jobs))
     if workers < 2 or not hasattr(os, "fork"):
-        yield from starmap(_fit_batch, jobs)
-        return
+        return unstack(per_window(_fit_batch, jobs), stack)
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor
     ctx = multiprocessing.get_context("fork")
-    failed = ctx.Event()
-    with ProcessPoolExecutor(workers, ctx, _inherit, (jobs, failed)) as pool:
-        try:
-            yield from pool.map(_fit_inherited, range(len(jobs)))
-        finally:
-            failed.set()
+    with ProcessPoolExecutor(workers, ctx, _inherit, (jobs,)) as pool:
+        return list(pool.map(_fit_inherited, range(len(jobs))))
 
 
-def _fit_batch(batch, lags: int, n: int) -> np.ndarray:
+def _job(y, lags: int) -> tuple:
+    """``(batch, lags, n)``: a batch checked for a fit with ``lags`` lags
+    over ``n`` rows of its trend ADF regression."""
+    if isinstance(y, np.ndarray) or not hasattr(y, "shape"):
+        y = _trim_leading_nan(_as_batch(y))
+        y = y - y[:, :1]
+    return y, lags, _effective_sample(y.shape[1], 2, lags)
+
+
+def _fit_batch(job: tuple) -> np.ndarray:
     """One checked batch's statistics, its row blocks fitted in order."""
+    batch, lags, n = job
     return np.concatenate([_four_stats_block(batch, lo, lags, n)
                            for lo in range(0, batch.shape[0], _ROW_BLOCK)])
 
 
-def _inherit(jobs: list, failed) -> None:
-    """Keep a forked worker's batches and its call's done event."""
-    global _round
-    _round = jobs, failed
+def _inherit(jobs: list) -> None:
+    """Keep a forked worker's checked batches."""
+    global _jobs
+    _jobs = jobs
 
 
-def _fit_inherited(j: int) -> Optional[np.ndarray]:
-    """Batch ``j`` of the worker's call, or None once the call is done."""
-    jobs, failed = _round
-    return None if failed.is_set() else _fit_batch(*jobs[j])
+def _fit_inherited(j: int):
+    """Batch ``j`` of the worker's call: its statistics or its error."""
+    return per_window(_fit_batch, _jobs[j:j + 1])[0]
 
 
 def _four_stats_block(batch, lo: int, lags: int, n: int) -> np.ndarray:

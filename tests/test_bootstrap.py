@@ -314,6 +314,32 @@ class TestUnionBootstrap:
                 bootstrap_union_distribution(
                     panel, AwbConfig(reps=199, max_lags=0, workers=workers))
 
+    def test_a_failing_round_chooses_the_lags_once(self, monkeypatch):
+        # s2 and s3 are constant, an exact fit, both of lag 0 in the group
+        # of start 0; the round fails in the observed fit, after one
+        # select_lags call per start, and names s2, the earlier series
+        vals = np.random.default_rng(2).standard_normal((150, 4)).cumsum(0)
+        vals[:10, 1] = np.nan
+        vals[:, 2] = 0.5
+        vals[:, 3] = -2.0
+        panel = from_values(vals, names=["s0", "s1", "s2", "s3"])
+        calls = []
+
+        def counted(*args, _fn=bootstrap.select_lags, **kwargs):
+            out = _fn(*args, **kwargs)
+            calls.append(out)
+            return out
+
+        monkeypatch.setattr(bootstrap, "select_lags", counted)
+        for workers in (1, 2):
+            calls.clear()
+            with pytest.raises(NumericalError, match="^series 's2': singular"):
+                bootstrap_union_distribution(
+                    panel, AwbConfig(reps=199, workers=workers))
+            assert len(calls) == 2
+            assert calls[0][1:].tolist() == [0, 0]
+            assert multiprocessing.active_children() == []
+
     def test_a_round_holds_a_few_blocks_of_paths(self, monkeypatch):
         # the paths are built block by block inside the fits, so from the
         # multipliers on a round's memory peak stays below one series'

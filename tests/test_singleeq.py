@@ -172,8 +172,11 @@ def _grid_path(design, lams):
 
 
 def _descent(design, cfg, monkeypatch):
-    """Pure block coordinate descent: no path, no active-set finish."""
+    """Pure block coordinate descent to a stationarity violation below
+    1e-13: no path, no active-set finish."""
     with monkeypatch.context() as m:
+        m.setattr(singleeq, "_TOL", 1e-13)
+        m.setattr(singleeq, "_MAX_SWEEPS", 200_000)
         m.setattr(singleeq, "_lasso_path",
                   lambda G, c, unit, lams: ([None] * len(lams), 0))
         m.setattr(singleeq, "_active_set", lambda *args: None)
@@ -206,7 +209,7 @@ class TestPath:
             lams = self._lams(design)
             path, gram = _grid_path(design, lams)
             for lam, theta in zip(lams, path):
-                cfg = PenaltyConfig(lam_levels=lam, lam_w=lam, tol=1e-13)
+                cfg = PenaltyConfig(lam_levels=lam, lam_w=lam)
                 assert np.max(np.abs(theta - _brute_force(design, cfg))) < 1e-9
                 assert np.max(np.abs(
                     theta - _descent(design, cfg, monkeypatch))) < 1e-9
@@ -240,8 +243,7 @@ class TestPath:
         path, gram = _grid_path(design, lams)
         assert gram.tag == initializer
         for lam, theta in zip(lams, path):
-            cfg = PenaltyConfig(lam_levels=lam, lam_w=lam, tol=1e-13,
-                                max_sweeps=200_000)
+            cfg = PenaltyConfig(lam_levels=lam, lam_w=lam)
             assert np.max(np.abs(theta - _descent(design, cfg, monkeypatch))
                           ) < 1e-9
             assert _path_kkt(gram, nz, lam, theta) <= 1e-12
@@ -323,8 +325,7 @@ class TestCarriedFactor:
             + 0.5 * rng.standard_normal(80)
         design = SingleEqDesign("y", y, X[:, :nz], X[:, nz:], ("z0", "z1"),
                                 tuple(f"w{j}" for j in range(nw)))
-        cfg = PenaltyConfig(lam_group=5.0, lam_levels=2.0, lam_w=2.0,
-                            tol=1e-13, max_sweeps=200_000)
+        cfg = PenaltyConfig(lam_group=5.0, lam_levels=2.0, lam_w=2.0)
         want = _descent(design, cfg, monkeypatch)
         assert want[:nz].all()   # the group is active
         gram = singleeq._gram(design)

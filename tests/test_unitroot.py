@@ -318,33 +318,31 @@ class TestRowBlocks:
 
     def test_exact_fit_raises_alike_on_any_pool(self, rng):
         # the exact fit is in the second batch, fitted by a worker process
-        # when there are workers
+        # when there are workers; its error sits in the second place, the
+        # one a call on that batch alone raises
         y = np.cumsum(rng.standard_normal((600, self.T)), axis=1)
         y[400] = 0.5 * np.arange(self.T)        # constant increments
         threads = threading.active_count()
-        errors = []
-        for workers in (1, 2, 3):
-            with pytest.raises(NumericalError) as info:
-                four_stats([y[:100], y], [3, 3], workers)
-            errors.append((info.type, str(info.value), info.value.batch))
-            assert threading.active_count() == threads
-            assert multiprocessing.active_children() == []
         with pytest.raises(NumericalError) as info:
             four_stats(y, 3)
-        assert errors == [(info.type, str(info.value), 1)] * 3
+        first = four_stats(y[:100], 3)
+        for workers in (1, 2, 3):
+            got = four_stats([y[:100], y], [3, 3], workers)
+            np.testing.assert_array_equal(got[0], first)
+            assert (type(got[1]), str(got[1])) == (info.type, str(info.value))
+            assert threading.active_count() == threads
+            assert multiprocessing.active_children() == []
 
-    def test_a_failed_block_cancels_the_queued_ones(self, tmp_path,
-                                                    monkeypatch):
-        # eight one-block batches: the first raises and every other, once
-        # started, waits until the error has reached the caller, by which
-        # time at most one batch per worker besides the first has started;
-        # the others never do.  Each start leaves a marker file
+    def test_failing_batches_leave_every_batch_fitted(self, tmp_path,
+                                                      monkeypatch):
+        # eight one-block batches, of which 0, 3 and 6 fail: every batch
+        # is fitted, each leaving a marker file, and each error sits in
+        # its own place
         def block(batch, lo, lags, n):
-            (tmp_path / f"{batch.j}-started").touch()
-            if batch.j == 0:
-                raise NumericalError("injected")
-            unitroot._round[1].wait(timeout=60)     # the call has failed
-            return np.zeros((1, 4))
+            (tmp_path / f"{batch.j}-fitted").touch()
+            if batch.j % 3 == 0:
+                raise NumericalError(f"injected in {batch.j}")
+            return np.full((1, 4), float(batch.j))
 
         monkeypatch.setattr(unitroot, "_four_stats_block", block)
         batches = [_Tagged(j, self.T) for j in range(8)]
@@ -352,17 +350,22 @@ class TestRowBlocks:
         for workers in (1, 2, 3):
             for marker in tmp_path.iterdir():
                 marker.unlink()
-            with pytest.raises(NumericalError, match="injected") as info:
-                four_stats(batches, [0] * 8, workers)
-            assert info.value.batch == 0
-            started = {int(m.name.split("-")[0]) for m in tmp_path.iterdir()}
-            assert 0 in started and started <= set(range(workers + 1))
+            got = four_stats(batches, [0] * 8, workers)
+            for j, fit in enumerate(got):
+                if j % 3 == 0:
+                    assert type(fit) is NumericalError
+                    assert str(fit) == f"injected in {j}"
+                else:
+                    np.testing.assert_array_equal(fit, np.full((1, 4), j))
+            fitted = {int(m.name.split("-")[0]) for m in tmp_path.iterdir()}
+            assert fitted == set(range(8))
             assert threading.active_count() == threads
             assert multiprocessing.active_children() == []
 
     def test_a_sequence_of_batches_is_one_call_each(self, rng):
-        # the batches run one task each; each batch's result and the first
-        # failing batch are those of one call per batch
+        # the batches run one task each; each batch's result or error is
+        # that of one call on the batch alone, and the check's error of a
+        # batch too short for its lags sits in its place as well
         lags = [0, 3, 13]
         ys = [np.cumsum(rng.standard_normal((B, self.T)), axis=1)
               for B in (300, 1, 257)]
@@ -370,13 +373,20 @@ class TestRowBlocks:
         bad = [y.copy() for y in ys]
         for y in bad[1:]:
             y[0] = 0.5 * np.arange(self.T)      # an exact fit
+        bad.append(ys[0][:, :20])
+        errors = []
+        for y, p in zip(bad[1:], lags[1:] + [13]):
+            with pytest.raises(ToolkitError) as info:
+                four_stats(y, p)
+            errors.append((info.type, str(info.value)))
+        assert [e[0] for e in errors] == [NumericalError] * 2 + [DataError]
         for workers in (1, 2, 3):
             got = four_stats(ys, lags, workers)
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
-            with pytest.raises(NumericalError) as info:
-                four_stats(bad, lags, workers)
-            assert info.value.batch == 1
+            got = four_stats(bad, lags + [13], workers)
+            np.testing.assert_array_equal(got[0], want[0])
+            assert [(type(e), str(e)) for e in got[1:]] == errors
             with pytest.raises(ParameterError):
                 four_stats(ys, lags[:2], workers)
 
@@ -384,7 +394,7 @@ class TestRowBlocks:
     def test_a_worker_error_keeps_its_type_message_and_batch(
             self, rng, monkeypatch, error):
         # raised in the third of four batches, in a worker process when
-        # there are workers
+        # there are workers; the other batches keep their statistics
         real = unitroot._four_stats_block
 
         def block(batch, lo, lags, n):
@@ -395,12 +405,15 @@ class TestRowBlocks:
         monkeypatch.setattr(unitroot, "_four_stats_block", block)
         ys = [np.cumsum(rng.standard_normal((B, self.T)), axis=1)
               for B in (300, 40, 257, 20)]
+        want = {j: four_stats(ys[j], j) for j in (0, 1, 3)}
+        with pytest.raises(error, match="^injected at lag 2$"):
+            four_stats(ys[2], 2)
         for workers in (1, 2, 3):
-            with pytest.raises(ToolkitError) as info:
-                four_stats(ys, [0, 1, 2, 3], workers)
-            assert info.type is error
-            assert str(info.value) == "injected at lag 2"
-            assert info.value.batch == 2
+            got = four_stats(ys, [0, 1, 2, 3], workers)
+            assert type(got[2]) is error
+            assert str(got[2]) == "injected at lag 2"
+            for j, fit in want.items():
+                np.testing.assert_array_equal(got[j], fit)
             assert multiprocessing.active_children() == []
 
     def test_no_idle_workers(self, rng, monkeypatch):

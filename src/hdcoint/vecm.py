@@ -19,9 +19,15 @@ eigenvalues it already has.
 Every estimator, and the lag criterion, follows the stack contract of
 :func:`as_stack`.  The lag criterion scores every window and candidate
 from one QR; the Johansen fit solves the windows of each lag together
-(one factor call, one SVD, one solve); the PML estimator takes its
-starts from one such solve, whatever its rank argument, and cycles
-window by window.
+(one factor call, one SVD, one solve), reads their ranks in one pass
+and fits the windows of each rank together (the signs, A, Π, the
+short-run solve and Σ each one stacked step).  The PML estimator takes
+its starts from one such solve and fit, whatever its rank argument, and
+cycles the windows of each rank as one stack, each leaving it when it
+converges, reaches its cycle cap or fails.  Every window comes out bit
+for bit as it would alone, in the memory order its own fit gives each
+matrix: a sum over a matrix, and a forecast's matrix-vector product,
+follow that order.
 
 The QR estimator fits a stack in one pass.  Each cross-validation
 fold trains on a row prefix of a window's design and validates on a row
@@ -42,8 +48,9 @@ equation that does not settle) fails alone, and the others come out bit
 for bit as they would alone.  Every fit, Johansen or QR, reads its
 short run and residual covariance given Π off its window's factor.  The
 PML estimator penalizes B and the short-run block, each of which takes
-one soft-threshold coordinate sweep per cycle on plain floats; its
-precision matrix is the exact inverse of the residual covariance.  The
+one soft-threshold coordinate sweep per cycle, one numpy step per
+coordinate across the stack; its precision matrix is the exact inverse
+of the residual covariance.  The
 module, like the whole package, needs numpy alone.
 """
 
@@ -61,7 +68,7 @@ from ._numeric import (column_signs, expanding_folds, last_minimum,
                        singular_pivots, soft_threshold_sweep,
                        triangular_factors)
 from .errors import (WINDOW_ERRORS, ConvergenceError, DataError,
-                     NumericalError, ParameterError, per_window)
+                     NumericalError, ParameterError, attempt)
 from .panel import DeterministicSpec, as_stack, as_values, unstack
 
 __all__ = [
@@ -231,12 +238,50 @@ def _johansen_solve(z: np.ndarray, p: int, det: DeterministicSpec) -> list:
     return [next(solves) if e is None else e for e in errors]
 
 
-def _ic_rank(s: _Solve) -> int:
-    """The :func:`select_rank_ic` rank of one solve's eigenvalues."""
-    (N, m), n = s.s01.shape, s.n
-    return int(np.argmin([n * float(np.sum(np.log(1 - s.lam[:r])))
-                          + np.log(n) * r * (N + m - r)
-                          for r in range(N + 1)]))
+def _ic_ranks(solves: list) -> list:
+    """The :func:`select_rank_ic` rank of each solve of one lag group, or
+    the window's error, from one pass over the stack's eigenvalues: each
+    window's Σ log(1 - λ_i) over i <= r is reduced as ``np.sum`` reduces
+    it alone."""
+    ranks, fit = list(solves), [i for i, s in enumerate(solves)
+                                if isinstance(s, _Solve)]
+    if fit:
+        (N, m), n = solves[fit[0]].s01.shape, solves[fit[0]].n
+        logs = np.log(1 - np.stack([solves[i].lam for i in fit]))
+        crit = np.stack([n * logs[:, :r].sum(axis=-1)
+                         + np.log(n) * r * (N + m - r)
+                         for r in range(N + 1)], axis=-1)
+        for i, r in zip(fit, np.argmin(crit, axis=-1).tolist()):
+            ranks[i] = r
+    return ranks
+
+
+def _rank_groups(ranks: list) -> list:
+    """(rank, positions) of each rank in ``ranks`` (an error has none),
+    ascending."""
+    groups = {}
+    for i, r in enumerate(ranks):
+        if not isinstance(r, WINDOW_ERRORS):
+            groups.setdefault(r, []).append(i)
+    return sorted(groups.items())
+
+
+def _each_matrix(fn, *stacks) -> Tuple[np.ndarray, list]:
+    """``fn`` (a numpy.linalg routine) over stacks of matrices in one
+    call, and for each matrix the LinAlgError its own call raises, or
+    None; a failing matrix gets NaN and fails alone, the others come out
+    as in one call (numpy's batched LAPACK loops over the stack)."""
+    try:
+        return fn(*stacks), [None] * len(stacks[0])
+    except np.linalg.LinAlgError:
+        errors = [attempt(fn, *args) for args in zip(*stacks)]
+        errors = [e if isinstance(e, np.linalg.LinAlgError) else None
+                  for e in errors]
+    ok = np.array([e is None for e in errors], dtype=bool)
+    part = fn(*(x[ok] for x in stacks))
+    out = np.full((ok.size,) + part.shape[1:], np.nan)
+    out[ok] = part
+    return out, errors
 
 
 def _check_rank(T: int, N: int, p: int, r: int) -> None:
@@ -248,35 +293,47 @@ def _check_rank(T: int, N: int, p: int, r: int) -> None:
             f"window of {T} observations is too short for N={N}, p={p}, r={r}")
 
 
-def _johansen_fit(s: _Solve, r: Optional[int], p: int,
-                  det: DeterministicSpec) -> VecmModel:
-    """Reduced-rank ML fit of one solve at rank ``r``, or at its
-    :func:`_ic_rank` for ``r=None``.
+def _johansen_fit(solves: list, r: int, p: int,
+                  det: DeterministicSpec) -> list:
+    """Reduced-rank ML fits at rank ``r`` of solves of one lag (each a
+    :class:`_Solve`), in one pass: per window its model, or the
+    :class:`DataError` of a window too short for ``r``, or the
+    LinAlgError of its own short-run solve.
 
     The short run and residual covariance are the OLS given Π, read off
     the solve's factor R = [[R11, R12, R13], [0, R22, R23], [0, 0, R33]]
     of [W, y1, y0]: c = R11⁻¹(R13 - R12Π'), and the residuals' cross
-    product is E'E with E = R[k:, k+m:] - R[k:, k:k+m]Π'.
+    product is E'E with E = R[k:, k+m:] - R[k:, k:k+m]Π'.  The signs,
+    A, Π, the solve and Σ are each one stacked step over the windows.
     """
-    R, k, n, (N, m) = s.R, s.k, s.n, s.s01.shape
-    r = _ic_rank(s) if r is None else r
-    _check_rank(s.t_last, N, p, r)
-    b_aug = s.vecs[:, :r] * column_signs(s.vecs[:, :r])
-    a = s.s01 @ b_aug
-    pi_t = b_aug @ a.T
-    c = np.linalg.solve(R[:k, :k], R[:k, k + m:] - R[:k, k:k + m] @ pi_t)
-    resid = R[k:, k + m:] - R[k:, k:k + m] @ pi_t
+    s0 = solves[0]
+    k, n, (N, m) = s0.k, s0.n, s0.s01.shape
+    try:
+        _check_rank(s0.t_last, N, p, r)
+    except DataError as exc:
+        return [exc] * len(solves)
+    R, vecs, s01, lam, logdet = (np.stack([getattr(s, f) for s in solves])
+                                 for f in ("R", "vecs", "s01", "lam",
+                                           "logdet"))
+    V = vecs[..., :r]
+    b_aug = V * column_signs(V)[:, None, :]
+    a = s01 @ b_aug
+    pi_t = b_aug @ np.swapaxes(a, -1, -2)
+    c, errors = _each_matrix(np.linalg.solve, R[:, :k, :k],
+                             R[:, :k, k + m:] - R[:, :k, k:k + m] @ pi_t)
+    resid = R[:, k:, k + m:] - R[:, k:, k:k + m] @ pi_t
+    sigma = np.swapaxes(resid, -1, -2) @ resid / n
+    loglik = -0.5 * n * (N * (1 + np.log(2 * np.pi)) + logdet
+                         + np.log(1 - lam[:, :r]).sum(axis=-1))
     off = 0 if det is DeterministicSpec.NONE else 1
-    mu = c[0] if off else np.zeros(N)
-    phi = tuple(c[off + j * N: off + (j + 1) * N].T for j in range(p))
-    loglik = -0.5 * n * (N * (1 + np.log(2 * np.pi)) + s.logdet
-                         + float(np.sum(np.log(1 - s.lam[:r]))))
-    b = b_aug[:N]
-    b_trend = b_aug[N] if det is DeterministicSpec.TREND else None
-    return VecmModel(a=a, b=b, phi=phi, mu=mu, sigma=resid.T @ resid / n,
-                     rank=r, p=p, det=det, t_last=s.t_last,
-                     estimator="johansen", b_trend=b_trend,
-                     eigenvalues=s.lam, loglik=loglik)
+    trend = det is DeterministicSpec.TREND
+    return [errors[i] or VecmModel(
+        a=a[i], b=b_aug[i, :N],
+        phi=tuple(c[i, off + j * N: off + (j + 1) * N].T for j in range(p)),
+        mu=c[i, 0] if off else np.zeros(N), sigma=sigma[i], rank=r, p=p,
+        det=det, t_last=s.t_last, estimator="johansen",
+        b_trend=b_aug[i, N] if trend else None, eigenvalues=s.lam,
+        loglik=loglik[i]) for i, s in enumerate(solves)]
 
 
 def johansen_ml(data, r: Optional[int], p: Union[int, Sequence] = 1,
@@ -294,8 +351,9 @@ def johansen_ml(data, r: Optional[int], p: Union[int, Sequence] = 1,
     :func:`as_stack`, and ``p`` is a lag for every window or one per
     window (as :func:`select_lag_bic` gives them for a stack; a window
     whose lag choice failed keeps that error).  The windows of one lag are
-    solved together, in one call of :func:`_johansen_solve`; the rank and
-    the fit are each window's own.
+    solved together, in one call of :func:`_johansen_solve`, their ranks
+    read in one pass (:func:`_ic_ranks`), and the windows of each lag and
+    rank fitted together, in one call of :func:`_johansen_fit`.
     """
     det = DeterministicSpec.parse(det)
     z, stack, fits = as_stack(data)
@@ -316,9 +374,14 @@ def johansen_ml(data, r: Optional[int], p: Union[int, Sequence] = 1,
             solves = _johansen_solve(_windows(z, group), lag, det)
         except DataError as exc:
             solves = [exc] * len(group)
-        for w, fit in zip(group, per_window(
-                partial(_johansen_fit, r=r, p=lag, det=det), solves)):
-            fits[w] = fit
+        ranks = _ic_ranks(solves) if r is None else [
+            s if isinstance(s, WINDOW_ERRORS) else r for s in solves]
+        for w, rank in zip(group, ranks):
+            fits[w] = rank
+        for rank, at in _rank_groups(ranks):
+            for i, fit in zip(at, _johansen_fit([solves[i] for i in at],
+                                                rank, lag, det)):
+                fits[group[i]] = fit
     return unstack(fits, stack)
 
 
@@ -339,8 +402,8 @@ def select_rank_ic(data, p: int = 1,
     ``pml_vecm`` with ``r=None`` fit at this rank from one solve.
     """
     det = DeterministicSpec.parse(det)
-    return _ic_rank(unstack(_johansen_solve(as_values(data)[None], p, det),
-                            False))
+    return unstack(_ic_ranks(_johansen_solve(as_values(data)[None], p, det)),
+                   False)
 
 
 def select_lag_bic(data, p_max: int = 3,
@@ -799,31 +862,57 @@ def _cv_losses(z: np.ndarray, p: int, stages: _QrStages, paths: np.ndarray,
 
 
 def _pml_objective(E: np.ndarray, omega: np.ndarray, B: np.ndarray,
-                   phi_mat: np.ndarray, lam: Tuple[float, float],
-                   n: int) -> float:
-    S = E @ E.T / n
+                   phi_mat: np.ndarray, lam: Tuple[float, float], n: int):
+    """tr(SΩ) - log det Ω + λ_B|B|₁ + λ_Φ|Φ|₁ with S = EE'/n, or inf
+    where det Ω <= 0, of one window or of each window of a stack.  Each
+    sum runs over its matrix in the matrix's memory order, as ``np.sum``
+    runs it alone, so a stack must hold each window's B and Φ in the
+    memory order the window's own fit gives them."""
+    axes = (-2, -1)
+    S = E @ np.swapaxes(E, -1, -2) / n
     sign, logdet = np.linalg.slogdet(omega)
-    if sign <= 0:
-        return np.inf
-    return float(np.sum(S * omega) - logdet
-                 + lam[0] * np.sum(np.abs(B))
-                 + lam[1] * np.sum(np.abs(phi_mat)))
+    value = (np.sum(S * omega, axis=axes) - logdet
+             + lam[0] * np.sum(np.abs(B), axis=axes)
+             + lam[1] * np.sum(np.abs(phi_mat), axis=axes))
+    return np.where(sign <= 0, np.inf, value)[()]
 
 
-def _pml_init(z: np.ndarray, r: int, p: int, solve):
-    """Johansen start from the window's ``solve`` (its :class:`_Solve` or
-    its error) when that and the fit at rank ``r`` succeed, ridge start
-    otherwise."""
-    T, N = z.shape
-    if not isinstance(solve, WINDOW_ERRORS):
-        try:
-            m = _johansen_fit(solve, r, p, DeterministicSpec.NONE)
-            omega = np.linalg.inv(m.sigma + 1e-8 * np.trace(m.sigma) / N
-                                  * np.eye(N))
-            phi_mat = np.hstack(m.phi) if p else np.empty((N, 0))
-            return m.a.copy(), m.b.copy(), phi_mat, omega
-        except (DataError, NumericalError):
-            pass
+def _pml_init(z: np.ndarray, r: int, p: int, solves):
+    """Starts (A, B, Φ, Ω) at rank ``r`` of the windows of the (G, T, N)
+    stack ``z``, from each window's Johansen ``solves`` entry (its
+    :class:`_Solve` or its error): the Johansen fit, one
+    :func:`_johansen_fit` pass for the stack, where the solve and the fit
+    succeed, a ridge start otherwise.  Per window its start, each array in
+    the memory order its own start gives it, or the LinAlgError of its
+    fit; a (T, N) window with its one solve gives its start, or raises
+    (:func:`unstack`)."""
+    stack = z.ndim == 3
+    z, solves = (z, solves) if stack else (z[None], [solves])
+    N = z.shape[-1]
+    at = [i for i, s in enumerate(solves) if isinstance(s, _Solve)]
+    fits = dict(zip(at, _johansen_fit([solves[i] for i in at], r, p,
+                                      DeterministicSpec.NONE) if at else []))
+    starts = {i: fit for i, fit in fits.items()
+              if isinstance(fit, np.linalg.LinAlgError)}
+    good = [i for i, fit in fits.items() if isinstance(fit, VecmModel)]
+    if good:
+        sigma = np.stack([fits[i].sigma for i in good])
+        omega, errors = _each_matrix(np.linalg.inv, sigma + (
+            1e-8 * np.trace(sigma, axis1=-2, axis2=-1) / N)[:, None, None]
+            * np.eye(N))
+        for i, om, error in zip(good, omega, errors):
+            m = fits[i]
+            starts[i] = error or (m.a, m.b, np.hstack(m.phi) if p
+                                  else np.empty((N, 0)), om)
+    return unstack([starts[i] if i in starts else
+                    attempt(_ridge_start, z[i], r, p)
+                    for i in range(len(z))], stack)
+
+
+def _ridge_start(z: np.ndarray, r: int, p: int) -> tuple:
+    """(A, B, Φ, Ω) of one window from the rank-``r`` SVD of a ridge
+    estimate of Π."""
+    N = z.shape[1]
     y0, y1, W, _ = _ec_design(z, p, DeterministicSpec.NONE)
     gram = y1.T @ y1
     kappa = 1e-2 * np.trace(gram) / N
@@ -835,6 +924,14 @@ def _pml_init(z: np.ndarray, r: int, p: int, solve):
     S = resid.T @ resid / y0.shape[0]
     omega = np.linalg.inv(S + 1e-3 * np.trace(S) / N * np.eye(N))
     return a, b, np.zeros((N, p * N)), omega
+
+
+def _stack(arrays) -> np.ndarray:
+    """2-D arrays of one memory order as one stack whose every matrix
+    keeps that order."""
+    if np.isfortran(arrays[0]):
+        return np.swapaxes(np.stack([x.T for x in arrays]), -1, -2)
+    return np.stack(arrays)
 
 
 def pml_vecm(data, r: Optional[int], p: int = 1,
@@ -862,8 +959,11 @@ def pml_vecm(data, r: Optional[int], p: int = 1,
     ridge of the objective.
 
     ``data`` and the result follow the stack contract of
-    :func:`as_stack`; the windows' Johansen solves are made in one call,
-    for every rank argument, and the cycles run window by window.
+    :func:`as_stack`.  The windows' Johansen solves are made in one call,
+    for every rank argument, and their ranks read in one pass; the
+    windows of each rank take their starts from one :func:`_johansen_fit`
+    pass and cycle as one stack (:func:`_pml_fit`), those with a ridge
+    start apart from those with a Johansen one.
     """
     z, stack, fits = as_stack(data)
     T, N = z.shape[1:]
@@ -877,82 +977,165 @@ def pml_vecm(data, r: Optional[int], p: int = 1,
     todo = [w for w, fit in enumerate(fits) if fit is None]
     solves = _johansen_solve(_windows(z, todo), p, DeterministicSpec.NONE) \
         if todo else []
-    ranks = per_window(_ic_rank, solves) if r is None else [r] * len(todo)
-    for w, fit in zip(todo, per_window(
-            partial(_pml_fit, p=p, lam=lam, max_cycles=max_cycles), ranks,
-            [z[w] for w in todo], solves)):
-        fits[w] = fit
+    ranks = _ic_ranks(solves) if r is None else [r] * len(todo)
+    for w, rank in zip(todo, ranks):
+        fits[w] = rank
+    for rank, at in _rank_groups(ranks):
+        windows = [todo[i] for i in at]
+        # a sum of |B| or |Φ| follows its matrix's memory order, so the
+        # windows whose starts share one cycle together
+        kinds = {}
+        for w, start in zip(windows, _pml_init(z[windows], rank, p,
+                                               [solves[i] for i in at])):
+            fits[w] = start
+            if not isinstance(start, WINDOW_ERRORS):
+                kinds.setdefault(tuple(map(np.isfortran, start)), []).append(w)
+        for group in kinds.values():
+            for w, fit in zip(group, _pml_fit(
+                    z[group], rank, p, lam, max_cycles,
+                    [fits[w] for w in group])):
+                fits[w] = fit
     return unstack(fits, stack)
 
 
-def _pml_fit(r: int, z: np.ndarray, solve, p: int,
-             lam: Tuple[float, float], max_cycles: int) -> VecmModel:
-    """:func:`pml_vecm` of one window ``z`` at rank ``r``, started from its
-    Johansen ``solve`` or, where that failed, from a ridge fit."""
-    N = z.shape[1]
+def _pml_fit(z: np.ndarray, r: int, p: int, lam: Tuple[float, float],
+             max_cycles: int, starts: list) -> list:
+    """:func:`pml_vecm` of the windows of the (G, T, N) stack ``z`` at
+    rank ``r`` from their ``starts`` (A, B, Φ, Ω), of one memory order
+    each: per window its model, or its error.
+
+    Each block step runs once for the windows still cycling, with a mask
+    per window for the A-block and Ω acceptance tests; a window leaves the
+    stack when it converges, reaches ``max_cycles`` or fails (a failed
+    A-block solve, a singular residual covariance, an objective that
+    rises), and comes out bit for bit as it would alone.
+    """
+    T_ = partial(np.swapaxes, axis1=-1, axis2=-2)
+    N = z.shape[-1]
     y0, y1, W, t_last = _ec_design(z, p, DeterministicSpec.NONE)
-    n = y0.shape[0]
-    Yd, Z1, DX = y0.T, y1.T, W.T
-    a, b, phi_mat, omega = _pml_init(z, r, p, solve)
-
-    E = Yd - a @ (b.T @ Z1) - (phi_mat @ DX if p else 0.0)
-    zz, xx = Z1 @ Z1.T, DX @ DX.T
+    n = y0.shape[-2]
+    Yd, Z1, DX = T_(y0), T_(y1), T_(W)
+    a, b, phi_mat, omega = (_stack(x) for x in zip(*starts))
+    E = Yd - a @ (T_(b) @ Z1) - (phi_mat @ DX if p else 0.0)
     obj = _pml_objective(E, omega, b, phi_mat, lam, n)
-    history, converged = [obj], False
+    path = np.empty((len(z), max(max_cycles, 0) + 1))
+    path[:, 0] = obj
+    # per window: whether its A last came from the solve, whose transpose
+    # makes it Fortran-ordered; a forecast's matrix-vector product reads
+    # that order
+    a_solved = np.zeros(len(z), dtype=bool)
+    live = dict(Yd=Yd, Z1=Z1, DX=DX, zz=Z1 @ T_(Z1), xx=DX @ T_(DX), a=a,
+                b=b, phi_mat=phi_mat, omega=omega, E=E, obj=obj, path=path,
+                a_solved=a_solved, ids=np.arange(len(z)))
+    fits = [None] * len(z)
 
-    for _ in range(max_cycles):
+    def leave(gone: np.ndarray, errors: list, converged: np.ndarray,
+              cycles: int) -> None:
+        at = np.flatnonzero(gone & np.array([e is None for e in errors],
+                                            dtype=bool))
+        for i in np.flatnonzero(gone):
+            fits[live["ids"][i]] = errors[i]
+        if at.size:
+            v = {k: x[at] for k, x in live.items()}
+            sigma, inv_errors = _each_matrix(np.linalg.inv, v["omega"])
+            loglik = -0.5 * n * (N * np.log(2 * np.pi) + _pml_objective(
+                v["E"], v["omega"], np.zeros_like(v["b"]),
+                np.zeros_like(v["phi_mat"]), (0.0, 0.0), n))
+            for j, i in enumerate(at):
+                hist = v["path"][j, :cycles + 1].tolist()
+                a_j = v["a"][j]
+                fits[v["ids"][j]] = inv_errors[j] or VecmModel(
+                    a=np.asfortranarray(a_j) if v["a_solved"][j]
+                    else np.ascontiguousarray(a_j), b=v["b"][j],
+                    phi=tuple(v["phi_mat"][j][:, k * N:(k + 1) * N]
+                              for k in range(p)),
+                    mu=np.zeros(N), sigma=sigma[j], rank=r, p=p,
+                    det=DeterministicSpec.NONE, t_last=t_last,
+                    estimator="pml", loglik=loglik[j],
+                    info={"lambdas": list(lam), "objective": hist[-1],
+                          "cycles": cycles, "converged": bool(converged[i]),
+                          "objective_path": hist})
+        for k in live:
+            live[k] = live[k][~gone]
+
+    cycle = 0
+    while live["ids"].size:
+        count = live["ids"].size
+        if cycle >= max_cycles:
+            leave(np.ones(count, dtype=bool), [None] * count,
+                  np.zeros(count, dtype=bool), cycle)
+            break
+        cycle += 1
+        Yd, Z1, DX, zz, xx, a, b, phi_mat, omega, E, obj = (
+            live[k] for k in ("Yd", "Z1", "DX", "zz", "xx", "a", "b",
+                              "phi_mat", "omega", "E", "obj"))
+        errors = [None] * count
         if r:
             # A block: exact least squares, precision weighting cancels
-            M = b.T @ Z1
+            M = T_(b) @ Z1
             D = Yd - (phi_mat @ DX if p else 0.0)
-            g = M @ M.T
-            if np.linalg.cond(g) < 1e12:
-                a_new = np.linalg.solve(g, M @ D.T).T
-            else:
-                a_new = D @ np.linalg.pinv(M)
-            if _pml_objective(D - a_new @ M, omega, b, phi_mat, lam, n) \
-                    <= obj + 1e-12:
-                E = E + (a - a_new) @ M
-                a = a_new
+            g = M @ T_(M)
+            cond, errors = _each_matrix(np.linalg.cond, g)
+            well = cond < 1e12
+            a_new = np.empty(a.shape)
+            if well.any():
+                sol, errs = _each_matrix(np.linalg.solve, g[well],
+                                         (M @ T_(D))[well])
+                a_new[well] = T_(sol)
+                _first_errors(errors, np.flatnonzero(well), errs)
+            if not well.all():
+                pinv, errs = _each_matrix(np.linalg.pinv, M[~well])
+                a_new[~well] = D[~well] @ pinv
+                _first_errors(errors, np.flatnonzero(~well), errs)
+            take = (_pml_objective(D - a_new @ M, omega, b, phi_mat, lam, n)
+                    <= obj + 1e-12)[:, None, None]
+            E = np.where(take, E + (a - a_new) @ M, E)
+            a = np.where(take, a_new, a)
+            live["a_solved"] = np.where(take[:, 0, 0], well,
+                                        live["a_solved"])
             # B block: b'[j, i] has curvature (A'ΩA)_jj (Z1Z1')_ii
             oa = omega @ a
-            b_new = soft_threshold_sweep(b.T, oa.T @ E @ Z1.T, oa.T @ a, zz,
-                                         n * lam[0] / 2.0).T
-            E = E - a @ (b_new - b).T @ Z1
+            b_new = T_(soft_threshold_sweep(T_(b), T_(oa) @ E @ T_(Z1),
+                                            T_(oa) @ a, zz,
+                                            n * lam[0] / 2.0))
+            E = E - a @ T_(b_new - b) @ Z1
             b = b_new
         if p:
             # short-run block: Φ[i, k] has curvature Ω_ii (DX DX')_kk
-            phi_new = soft_threshold_sweep(phi_mat, omega @ E @ DX.T, omega,
-                                           xx, n * lam[1] / 2.0)
+            phi_new = soft_threshold_sweep(phi_mat, omega @ E @ T_(DX),
+                                           omega, xx, n * lam[1] / 2.0)
             E = E - (phi_new - phi_mat) @ DX
             phi_mat = phi_new
-        try:
-            omega_new = np.linalg.inv(E @ E.T / n)
-        except np.linalg.LinAlgError:
-            raise NumericalError("residual covariance is singular")
-        new_obj = _pml_objective(E, omega_new, b, phi_mat, lam, n)
-        if new_obj <= obj + 1e-10:
-            omega = omega_new
-        else:
-            new_obj = _pml_objective(E, omega, b, phi_mat, lam, n)
-        if new_obj > history[-1] + 1e-10:
-            raise ConvergenceError(
-                f"objective increased from {history[-1]:.12g} to "
-                f"{new_obj:.12g}; subproblem fault")
-        history.append(new_obj)
-        if abs(history[-2] - new_obj) < 1e-7 * max(1.0, abs(history[-2])):
-            converged = True
-            break
+        omega_new, singular = _each_matrix(np.linalg.inv, E @ T_(E) / n)
+        _first_errors(errors, range(count), [
+            e and NumericalError("residual covariance is singular")
+            for e in singular])
+        with np.errstate(invalid="ignore"):     # a singular window's NaN
+            new_obj = _pml_objective(E, omega_new, b, phi_mat, lam, n)
+        better = new_obj <= obj + 1e-10
+        omega = np.where(better[:, None, None], omega_new, omega)
+        if not better.all():
+            new_obj = np.where(better, new_obj, _pml_objective(
+                E, omega, b, phi_mat, lam, n))
+        last = live["path"][:, cycle - 1]
+        for i in np.flatnonzero(new_obj > last + 1e-10):
+            errors[i] = errors[i] or ConvergenceError(
+                f"objective increased from {last[i]:.12g} to "
+                f"{new_obj[i]:.12g}; subproblem fault")
+        live["path"][:, cycle] = new_obj
+        size = np.abs(last)
+        converged = np.abs(last - new_obj) < 1e-7 * np.where(size > 1.0,
+                                                               size, 1.0)
+        live.update(a=a, b=b, phi_mat=phi_mat, omega=omega, E=E)
+        gone = converged | np.array([e is not None for e in errors],
+                                    dtype=bool)
+        if gone.any():
+            leave(gone, errors, converged, cycle)
+    return fits
 
-    sigma = np.linalg.inv(omega)
-    phi = tuple(phi_mat[:, j * N:(j + 1) * N] for j in range(p))
-    loglik = -0.5 * n * (N * np.log(2 * np.pi)
-                         + _pml_objective(E, omega, np.zeros_like(b),
-                                          np.zeros_like(phi_mat),
-                                          (0.0, 0.0), n))
-    return VecmModel(a=a, b=b, phi=phi, mu=np.zeros(N), sigma=sigma, rank=r,
-                     p=p, det=DeterministicSpec.NONE, t_last=t_last,
-                     estimator="pml", loglik=loglik,
-                     info={"lambdas": list(lam), "objective": history[-1],
-                           "cycles": len(history) - 1, "converged": converged,
-                           "objective_path": history})
+
+def _first_errors(errors: list, at, new: list) -> None:
+    """Give each window at positions ``at`` its entry of ``new`` unless it
+    already has an error."""
+    for i, e in zip(at, new):
+        errors[i] = errors[i] or e

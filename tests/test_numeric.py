@@ -1,7 +1,8 @@
-"""Shared numeric kernels: the scalar soft-threshold of the coordinate
-sweep, the fold edges of expanding-window cross-validation, the
-singular-pivot rule, the column order of a pivoted QR (against scipy's
-``dgeqp3``), and the column sign and scale conventions."""
+"""Shared numeric kernels: the stacked coordinate sweep against the
+plain-float sweep of one window, the fold edges of expanding-window
+cross-validation, the singular-pivot rule, the column order of a
+pivoted QR (against scipy's ``dgeqp3``), and the column sign and scale
+conventions."""
 
 import numpy as np
 import pytest
@@ -9,31 +10,66 @@ import scipy.linalg
 
 from hdcoint._numeric import (column_scales, column_signs, expanding_folds,
                               last_minimum, pivot_order, singular_pivots,
-                              soft_threshold, soft_threshold_scalar,
-                              soft_threshold_sweep)
+                              soft_threshold, soft_threshold_sweep)
 
 
-def _bits(x):
-    return np.array([x], dtype=float).view(np.uint64)[0]
+def _scalar_soft_threshold(c, thr):
+    """The plain-float soft-threshold the sweep ran on before it was
+    stacked: a zero result is -0.0 for c < 0 and +0.0 otherwise."""
+    if c > thr:
+        return c - thr
+    if c < -thr:
+        return c + thr
+    return -0.0 if c < 0.0 else abs(c) * 0.0
 
 
-class TestSoftThresholdScalar:
-    def test_matches_the_array_threshold_bit_for_bit(self, rng):
-        thresholds = [0.0, 0.3, 1e-300, float(rng.uniform(0.0, 5.0))]
-        for t in thresholds:
-            values = [t, -t, 0.0, -0.0, np.nextafter(t, np.inf),
-                      np.nextafter(-t, -np.inf), np.nextafter(t, 0.0),
-                      np.nextafter(-t, 0.0)]
-            values += list(rng.standard_normal(200) * 3.0)
-            for c in values:
-                want = soft_threshold(np.float64(c), t)
-                got = soft_threshold_scalar(float(c), t)
-                assert type(got) is float
-                assert _bits(got) == _bits(want), (c, t)
+def _plain_sweep(x, grad, M, K, thr):
+    """The plain-float sweep of one window that the stacked sweep
+    replaced, kept as its oracle."""
+    x, grad, M, K = (np.asarray(v).tolist() for v in (x, grad, M, K))
+    for s, (row, g) in enumerate(zip(x, grad)):
+        m_ss, dk = M[s][s], [0.0] * len(K)
+        for t, k_t in enumerate(K):
+            q = m_ss * k_t[t]
+            if q <= 0.0:
+                continue
+            old = row[t]
+            new = _scalar_soft_threshold(g[t] - m_ss * dk[t] + old * q,
+                                         thr) / q
+            if new != old:
+                row[t] = new
+                d = new - old
+                dk = [a + d * k for a, k in zip(dk, k_t)]
+        if any(dk):
+            for u in range(s + 1, len(x)):
+                m_us = M[u][s]
+                grad[u] = [gi - m_us * a for gi, a in zip(grad[u], dk)]
+    return np.array(x)
 
-    def test_nan_stays_nan(self):
-        assert np.isnan(soft_threshold_scalar(float("nan"), 0.5))
-        assert np.isnan(soft_threshold(np.float64("nan"), 0.5))
+
+def _sweep_stack(rng, W, S, T, zero_rows=False):
+    """Random sweep problems: x, grad, M, K stacks of W windows, some
+    with zero curvature on a diagonal entry (q = 0) and some x entries
+    zero."""
+    A = rng.standard_normal((W, S + 2, S))
+    B = rng.standard_normal((W, T + 3, T))
+    M, K = np.swapaxes(A, 1, 2) @ A, np.swapaxes(B, 1, 2) @ B
+    if zero_rows:
+        # a zero row and column of M or K: q = 0 on a row or column
+        for w in range(0, W, 2):
+            s = int(rng.integers(S))
+            M[w, s, :] = M[w, :, s] = 0.0
+        for w in range(1, W, 3):
+            t = int(rng.integers(T))
+            K[w, t, :] = K[w, :, t] = 0.0
+    x = rng.standard_normal((W, S, T))
+    x[rng.random((W, S, T)) < 0.3] = 0.0
+    grad = rng.standard_normal((W, S, T)) * 3.0
+    return x, grad, M, K
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
 class TestSoftThresholdSweep:
@@ -54,13 +90,41 @@ class TestSoftThresholdSweep:
                 q = H[i, i]
                 c = g0.ravel()[i] - H[i] @ want + want[i] * q
                 want[i] = float(soft_threshold(c, thr)) / q
-            got = soft_threshold_sweep(x0, g0 - M @ x0 @ K, M, K, thr)
-            assert np.allclose(got.ravel(), want, rtol=1e-12, atol=1e-12)
+            got = soft_threshold_sweep(x0[None], (g0 - M @ x0 @ K)[None],
+                                       M[None], K[None], thr)
+            assert got.shape == (1, S, T)
+            assert np.allclose(got[0].ravel(), want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("zero_rows", [False, True])
+    def test_each_window_equals_the_plain_float_sweep(self, rng, zero_rows):
+        for _ in range(30):
+            W = int(rng.integers(1, 12))
+            S, T = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+            x, grad, M, K = _sweep_stack(rng, W, S, T, zero_rows)
+            thr = float(rng.choice([0.0, rng.uniform(0.0, 4.0)]))
+            got = soft_threshold_sweep(x, grad, M, K, thr)
+            assert got.shape == (W, S, T) and got.flags.c_contiguous
+            for w in range(W):
+                want = _plain_sweep(x[w], grad[w], M[w], K[w], thr)
+                assert np.array_equal(_bits(got[w]), _bits(want))
+
+    def test_exact_zeros_keep_their_sign(self, rng):
+        # a threshold above every |c| zeroes every coordinate with q > 0:
+        # -0.0 where c < 0, +0.0 elsewhere, as the plain-float sweep gives
+        x, grad, M, K = _sweep_stack(rng, 6, 3, 4, zero_rows=True)
+        thr = 1e6
+        got = soft_threshold_sweep(x, grad, M, K, thr)
+        signs = set()
+        for w in range(6):
+            want = _plain_sweep(x[w], grad[w], M[w], K[w], thr)
+            assert np.array_equal(_bits(got[w]), _bits(want))
+            signs |= {np.signbit(v) for v in want[want == 0.0]}
+        assert signs == {False, True}
 
     def test_nonpositive_curvature_is_skipped(self):
-        got = soft_threshold_sweep([[1.0, 2.0]], [[5.0, 5.0]], [[0.0]],
-                                   np.eye(2), 0.1)
-        assert got.tolist() == [[1.0, 2.0]]
+        got = soft_threshold_sweep([[[1.0, 2.0]]], [[[5.0, 5.0]]], [[[0.0]]],
+                                   np.eye(2)[None], 0.1)
+        assert got.tolist() == [[[1.0, 2.0]]]
 
 
 def _edges_before(n_rows, first):

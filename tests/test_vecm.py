@@ -659,6 +659,29 @@ def _mixed_stack():
     return zs
 
 
+def _ranked_stack():
+    """(30, 11, 3) standardized windows (p = 1) whose IC ranks are 0, 1,
+    2 and 3, rank 3 too high for T = 11, among them a collinear window
+    and one with a missing value, made as in :func:`_mixed_stack`."""
+    params = random_vecm_params(3, 1, p=1, seed=0)
+    z = simulate_vecm(params, 200, seed=1).values
+    zs = np.stack([z[s:s + 11] for s in range(0, 180, 6)])
+    zs = zs / zs.std(axis=1, keepdims=True)
+    zs[3, :, -1] = zs[3, :, 0]
+    zs[5, 4, 2] = np.nan
+    return zs
+
+
+def _same_memory_order(got, want):
+    """Each matrix of two models in one memory order: a forecast's
+    matrix-vector products read it."""
+    for f in ("a", "b", "sigma"):
+        assert np.isfortran(getattr(got, f)) == np.isfortran(
+            getattr(want, f)), f
+    assert [np.isfortran(m) for m in got.phi] == [np.isfortran(m)
+                                                  for m in want.phi]
+
+
 def _alone(fn, *args, **kwargs):
     """``fn``'s result, or the error it raised."""
     try:
@@ -740,6 +763,79 @@ class TestJohansenStack:
         assert sorted(calls) == sorted([(lags.count(0), 0),
                                         (lags.count(1), 1)])
         assert sum(isinstance(f, Exception) for f in fits) == 1
+
+    def test_pml_mixed_ranks_equal_single_calls(self):
+        # one r=None stack holding IC ranks 0-3, where rank 3 is too high
+        # for T = 11 and starts from the ridge fit, the collinear and the
+        # missing-value window, and a cycle cap some windows reach while
+        # others converge
+        zs = _ranked_stack()
+        for lam in ((0.1, 0.1), (0.0, 0.2)):
+            fits = pml_vecm(zs, None, p=1, lambdas=lam, max_cycles=8)
+            for got, z in zip(fits, zs):
+                want = _alone(pml_vecm, z, None, p=1, lambdas=lam,
+                              max_cycles=8)
+                _same_outcome(got, want)
+                if not isinstance(want, Exception):
+                    _same_memory_order(got, want)
+            models = [f for f in fits if not isinstance(f, Exception)]
+            assert {m.rank for m in models} == {0, 1, 2, 3}
+            assert {m.info["converged"] for m in models} == {False, True}
+            # A from the least-squares step is the transpose of the solve's
+            # solution, Fortran-ordered as a window's own fit has it
+            assert all(np.isfortran(m.a) for m in models if m.rank >= 2)
+            assert isinstance(fits[3], NumericalError)
+            assert isinstance(fits[5], DataError)
+
+    def test_johansen_mixed_ranks_in_one_lag_group(self):
+        for zs, det in ((_ranked_stack(), "none"), (_mixed_stack(), "trend")):
+            fits = johansen_ml(zs, None, 1, det)
+            for got, z in zip(fits, zs):
+                want = _alone(johansen_ml, z, None, 1, det)
+                _same_outcome(got, want)
+                if not isinstance(want, Exception):
+                    _same_memory_order(got, want)
+            ranks = {f.rank for f in fits if not isinstance(f, Exception)}
+            assert len(ranks) >= 2
+        # the ranked stack's rank-3 windows are too short to fit
+        assert any(isinstance(f, DataError) and "too short" in str(f)
+                   for f in johansen_ml(_ranked_stack(), None, 1))
+
+    def test_one_sweep_per_block_and_one_fit_per_rank(self, monkeypatch):
+        # the cycles of W windows of one rank make one sweep per block and
+        # cycle, not one per window, and johansen_ml one fit pass per
+        # (lag, rank) group
+        import hdcoint.vecm as vecm
+        sweeps, passes = [], []
+        sweep, fit = vecm.soft_threshold_sweep, vecm._johansen_fit
+
+        def counted_sweep(x, *args):
+            sweeps.append(len(x))
+            return sweep(x, *args)
+
+        def counted_fit(solves, r, p, det):
+            passes.append((p, r, len(solves)))
+            return fit(solves, r, p, det)
+
+        monkeypatch.setattr(vecm, "soft_threshold_sweep", counted_sweep)
+        monkeypatch.setattr(vecm, "_johansen_fit", counted_fit)
+        zs = np.delete(_ranked_stack(), [3, 5], axis=0)
+        for r in (0, 1, 2):
+            sweeps.clear()
+            models = pml_vecm(zs, r, p=1, lambdas=(0.1, 0.1), max_cycles=8)
+            cycles = max(m.info["cycles"] for m in models)
+            assert len(sweeps) <= cycles * (1 + (r > 0))
+            assert sweeps[0] == len(zs)
+        zs = np.delete(_mixed_stack(), [3, 5], axis=0)
+        lags = [w % 2 for w in range(len(zs))]
+        passes.clear()
+        models = johansen_ml(zs, None, lags)
+        groups = {}
+        for m in models:
+            groups[(m.p, m.rank)] = groups.get((m.p, m.rank), 0) + 1
+        assert len(groups) >= 3
+        assert sorted(passes) == sorted((p, r, c) for (p, r), c in
+                                        groups.items())
 
     def test_argument_errors_raise_for_the_stack(self):
         zs = _mixed_stack()[:3]

@@ -3,9 +3,9 @@
 from .bootstrap import (AwbConfig, UnionBootstrap, awb_draw,
                         bootstrap_union_distribution, left_tail_quantile,
                         residual_panel)
-from .classify import (BsqtConfig, ClassifyConfig, IntegrationReport,
-                       classify_bfdr, classify_bsqt, classify_iadf,
-                       mackinnon_critical_value, pantula_classify)
+from .classify import (ClassifyConfig, IntegrationReport, classify_bfdr,
+                       classify_bsqt, classify_iadf, mackinnon_critical_value,
+                       pantula_classify)
 from .dgp import (FactorDgpParams, VecmParams, random_vecm_params,
                   simulate_factor_dgp, simulate_mixed_orders, simulate_vecm)
 from .errors import (ConvergenceError, DataError, NumericalError,
@@ -43,7 +43,7 @@ __all__ = [
     "CriticalValueSet", "AwbConfig", "awb_draw", "residual_panel",
     "bootstrap_union_distribution", "UnionBootstrap", "left_tail_quantile",
     # classification
-    "ClassifyConfig", "BsqtConfig", "IntegrationReport", "classify_iadf",
+    "ClassifyConfig", "IntegrationReport", "classify_iadf",
     "classify_bsqt", "classify_bfdr", "mackinnon_critical_value",
     "pantula_classify",
     # simulation

@@ -1,13 +1,14 @@
 """Numeric kernels shared by several modules of the package, one
-implementation each: the AR(1) recursion, the triangular factors of a
-stack of matrices, the residual factors of every lag-by-BIC choice, the
-rule that reads a triangular factor's pivot as singular, the column
-order of a pivoted QR, the sign convention of eigen- and singular
-vectors, the zero-safe column scale, the soft-threshold and its
-coordinate sweep over a stack of windows (bit for bit the sweep of each
-window alone), the fold edges and tie rule of the expanding-window
-cross-validation of the SPECS/PADL and QR-VECM penalties, and the rule
-that every penalty level is finite and non-negative.
+implementation each: the positions of each distinct key of a sequence,
+the AR(1) recursion, the triangular factors of a stack of matrices, the
+residual factors of every lag-by-BIC choice, the rule that reads a
+triangular factor's pivot as singular, the column order of a pivoted
+QR, the sign convention of eigen- and singular vectors, the zero-safe
+column scale, the soft-threshold and its coordinate sweep over a stack
+of windows (bit for bit the sweep of each window alone), the fold edges
+and tie rule of the expanding-window cross-validation of the SPECS/PADL
+and QR-VECM penalties, and the rule that every penalty level is finite
+and non-negative.
 """
 
 from __future__ import annotations
@@ -17,6 +18,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DataError, ParameterError
+
+
+def key_positions(keys) -> dict:
+    """The positions of each distinct key, in order of first appearance."""
+    out: dict = {}
+    for j, key in enumerate(keys):
+        out.setdefault(key, []).append(j)
+    return out
 
 
 def ar1_recursion(e: np.ndarray, rho) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._numeric import ar1_recursion
+from ._numeric import ar1_recursion, key_positions
 from .errors import WINDOW_ERRORS, ParameterError, attempt
 from .panel import Panel, ols_detrend
 # substream is unused here, but the benchmark's tracer still looks it up
@@ -162,14 +162,6 @@ def _named(results: list, names) -> list:
     return results
 
 
-def _groups(keys) -> dict:
-    """The positions of each distinct key, in order of first appearance."""
-    out = {}
-    for j, key in enumerate(keys):
-        out.setdefault(key, []).append(j)
-    return out
-
-
 def residual_panel(panel: Panel, rho_mode: str, lags: Sequence[int]) -> Panel:
     """Residual increments feeding the bootstrap DGP.
 
@@ -184,7 +176,7 @@ def residual_panel(panel: Panel, rho_mode: str, lags: Sequence[int]) -> Panel:
         raise ParameterError(f"rho_mode must be one of {_RHO_MODES}")
     vals = ols_detrend(panel)[0].values
     out = np.full_like(vals, np.nan)
-    groups = _groups(zip(panel.leads, lags, strict=True))
+    groups = key_positions(zip(panel.leads, lags, strict=True))
     for (lead, lag), cols in groups.items():
         z = vals[lead:, cols]
         rho = 1.0 if rho_mode == "unity" else adf_rho(z.T, lags=int(lag))
@@ -285,9 +277,9 @@ def bootstrap_union_distribution(panel: Panel, cfg: AwbConfig
     B = cfg.reps
 
     lags = np.empty(N, dtype=int)
-    for lead, idx in _groups(panel.leads).items():
+    for lead, idx in key_positions(panel.leads).items():
         lags[idx] = select_lags(panel.values[lead:, idx].T, cfg.max_lags)
-    groups = _groups(zip(panel.leads, lags))
+    groups = key_positions(zip(panel.leads, lags))
     fits = four_stats([panel.values[lead:, idx].T for (lead, _), idx
                        in groups.items()], [lag for _, lag in groups])
     stats = np.empty((N, 4))

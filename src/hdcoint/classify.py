@@ -26,7 +26,6 @@ from .unitroot import adf_stat
 __all__ = [
     "METHODS",
     "STRATEGIES",
-    "BsqtConfig",
     "ClassifyConfig",
     "SequentialOutcome",
     "FdrOutcome",
@@ -62,41 +61,13 @@ def classify_iadf(ur: np.ndarray, critvals: np.ndarray) -> np.ndarray:
 # -- sequential quantile test ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class BsqtConfig:
-    """Quantile grid and level of the sequential quantile test.
-
-    ``quantiles`` must start at 0 and increase strictly; a terminal
-    boundary at N is always appended, so the final round tests against
-    the alternative that every remaining series is stationary.  A single
-    quantile ``(0,)`` therefore degenerates to one joint test of "all
-    I(1)" against "all I(0)".
-    """
-
-    quantiles: Tuple[float, ...] = tuple(np.arange(0.0, 1.0, 0.05))
-    alpha: float = 0.05
-
-    def __post_init__(self):
-        q = tuple(float(v) for v in self.quantiles)
-        if not q or q[0] != 0.0:
-            raise ParameterError("quantile grid must start at 0")
-        if any(b <= a for a, b in zip(q, q[1:])):
-            raise ParameterError("quantiles must increase strictly")
-        if q[-1] > 1.0:
-            raise ParameterError("quantiles cannot exceed 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ParameterError("alpha must lie in (0, 1)")
-        object.__setattr__(self, "quantiles", q)
-
-    def thresholds(self, n: int) -> List[int]:
-        """Group boundaries p_k = round(q_k n), duplicates collapsed."""
-        p = [int(np.floor(q * n + 0.5)) for q in self.quantiles]
-        p.append(n)
-        out = [p[0]]
-        for v in p[1:]:
-            if v > out[-1]:
-                out.append(v)
-        return out
+def _check_level_and_step(alpha: float, step: float = 0.05) -> None:
+    """The one range rule of the classification settings: the level
+    ``alpha`` in (0, 1) and the bsqt quantile ``step`` in (0, 1]."""
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError("alpha must lie in (0, 1)")
+    if not 0.0 < step <= 1.0:
+        raise ParameterError(f"quantile step must lie in (0, 1], got {step}")
 
 
 @dataclass(frozen=True)
@@ -109,9 +80,16 @@ class SequentialOutcome:
     steps: List[dict]
 
 
-def classify_bsqt(ur: np.ndarray, boot_ur: np.ndarray,
-                  cfg: Optional[BsqtConfig] = None) -> SequentialOutcome:
+def classify_bsqt(ur: np.ndarray, boot_ur: np.ndarray, alpha: float = 0.05,
+                  step: float = 0.05) -> SequentialOutcome:
     """Sequential quantile test over the ranked union statistics.
+
+    The quantile grid is ``np.arange(0, 1, step)``, with ``step`` in
+    (0, 1]; its group boundaries are p_k = round(q_k N), duplicates
+    collapsed, and a terminal boundary at N is always appended, so the
+    final round tests against the alternative that every remaining series
+    is stationary.  ``step=1`` gives the grid (0,): one joint test of
+    "all I(1)" against "all I(0)".
 
     Round ``k`` tests "exactly p_k series are I(0)" against "at least
     p_{k+1}" by comparing the observed order statistic at position
@@ -121,12 +99,16 @@ def classify_bsqt(ur: np.ndarray, boot_ur: np.ndarray,
     significant series as I(0); the true count falls outside the reported
     interval with probability about ``alpha``.
     """
-    cfg = cfg if cfg is not None else BsqtConfig()
+    _check_level_and_step(alpha, step)
     ur = np.asarray(ur, dtype=float)
     n = ur.shape[0]
     if boot_ur.ndim != 2 or boot_ur.shape[1] != n:
         raise ParameterError("boot_ur must have one column per series")
-    thresholds = cfg.thresholds(n)
+    thresholds = [0]
+    for p in [int(np.floor(q * n + 0.5))
+              for q in np.arange(0.0, 1.0, step)] + [n]:
+        if p > thresholds[-1]:
+            thresholds.append(p)
     order = np.argsort(ur, kind="stable")
     ur_sorted = ur[order]
     steps: List[dict] = []
@@ -139,7 +121,7 @@ def classify_bsqt(ur: np.ndarray, boot_ur: np.ndarray,
         k_within = p_hi - p_lo
         draws = np.partition(boot_ur[:, remaining], k_within - 1,
                              axis=1)[:, k_within - 1]
-        cutoff = float(left_tail_quantile(draws, cfg.alpha))
+        cutoff = float(left_tail_quantile(draws, alpha))
         rejected = stat < cutoff
         steps.append({
             "null_count": p_lo, "alternative": p_hi,
@@ -190,8 +172,7 @@ def classify_bfdr(ur: np.ndarray, boot_ur: np.ndarray,
     toward non-rejection (strict inequality when counting false
     rejections).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError("alpha must lie in (0, 1)")
+    _check_level_and_step(alpha)
     ur = np.asarray(ur, dtype=float)
     n = ur.shape[0]
     if boot_ur.ndim != 2 or boot_ur.shape[1] != n:
@@ -242,26 +223,23 @@ def mackinnon_critical_value(alpha: float, T: int) -> float:
 class ClassifyConfig:
     """Settings shared by every classification method.
 
-    ``alpha`` overrides the levels carried by ``awb`` and ``bsqt`` so a
-    single number controls the whole procedure.  ``apriori_i2`` names
-    series entered in first differences under strategy one; without it,
-    strategy one requires the explicit ``at_most_i1`` assumption.
+    ``alpha`` is the level of every method, and overrides the level
+    carried by ``awb`` so a single number controls the whole procedure.
+    ``quantile_step`` spaces bsqt's quantile grid (:func:`classify_bsqt`).
+    ``apriori_i2`` names series entered in first differences under
+    strategy one; without it, strategy one requires the explicit
+    ``at_most_i1`` assumption.
     """
 
     alpha: float = 0.05
     awb: AwbConfig = field(default_factory=AwbConfig)
-    bsqt: Optional[BsqtConfig] = None
+    quantile_step: float = 0.05
     apriori_i2: Tuple[str, ...] = ()
     at_most_i1: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ParameterError("alpha must lie in (0, 1)")
+        _check_level_and_step(self.alpha, self.quantile_step)
         object.__setattr__(self, "awb", replace(self.awb, alpha=self.alpha))
-        bsqt = self.bsqt if self.bsqt is not None else BsqtConfig()
-        if bsqt.alpha != self.alpha:
-            bsqt = replace(bsqt, alpha=self.alpha)
-        object.__setattr__(self, "bsqt", bsqt)
         object.__setattr__(self, "apriori_i2", tuple(self.apriori_i2))
 
 
@@ -271,7 +249,7 @@ class RoundRecord:
 
     ``cutoffs`` carries a per-series critical value where one exists
     (iadf, naive); the sequential methods decide by ranked blocks, so
-    their per-round trail lives in ``detail`` instead.
+    their cutoffs are None.
     """
 
     hypothesis: str
@@ -279,7 +257,6 @@ class RoundRecord:
     statistics: Dict[str, float]
     cutoffs: Dict[str, Optional[float]]
     rejected: Tuple[str, ...]
-    detail: Optional[List[dict]] = None
 
 
 @dataclass(frozen=True)
@@ -348,24 +325,18 @@ def _round_once(panel: Panel, method: str, cfg: ClassifyConfig, label: str,
 
     awb = replace(cfg.awb, seed=derive_seed(cfg.awb.seed, label))
     boot = bootstrap_union_distribution(panel, awb)
-    detail: Optional[List[dict]] = None
     if method == "iadf":
         crit = boot.union_critical_values()
         mask = classify_iadf(boot.ur, crit)
         cuts = {n: float(c) for n, c in zip(names, crit)}
-    elif method == "bsqt":
-        out = classify_bsqt(boot.ur, boot.boot_ur, cfg.bsqt)
-        mask, detail = out.rejected, out.steps
-        cuts = {n: None for n in names}
-    elif method == "bfdr":
-        out = classify_bfdr(boot.ur, boot.boot_ur, cfg.alpha)
-        mask, detail = out.rejected, out.steps
-        cuts = {n: None for n in names}
-    else:
-        raise ParameterError(f"unknown method '{method}'; choose from {METHODS}")
+    else:       # bsqt or bfdr: pantula_classify has checked the method
+        out = (classify_bsqt(boot.ur, boot.boot_ur, cfg.alpha,
+                             cfg.quantile_step) if method == "bsqt"
+               else classify_bfdr(boot.ur, boot.boot_ur, cfg.alpha))
+        mask, cuts = out.rejected, dict.fromkeys(names)
     stats = {n: float(u) for n, u in zip(names, boot.ur)}
     rec = RoundRecord(hypothesis, names, stats, cuts,
-                      tuple(n for n, m in zip(names, mask) if m), detail)
+                      tuple(n for n, m in zip(names, mask) if m))
     return mask, rec
 
 

@@ -9,7 +9,10 @@ override file entries.  Every command honors ``--seed`` and identical
 invocations produce identical output files.  ``classify --threads N``
 sets the worker processes fitting the bootstrap replications (default:
 every usable CPU; in-process where the platform cannot fork); the output
-has the same bytes for any ``N``.  ``nowcast`` always runs at horizon 0.
+has the same bytes for any ``N``.  ``classify --quantile-step s`` spaces
+bsqt's quantile grid 0, s, 2s, ... below 1, with ``s`` in (0, 1]; ``s = 1``
+is one joint test of "all I(1)" against "all I(0)".  ``nowcast`` always
+runs at horizon 0.
 ``classify --strategy 1`` needs ``--codes``: series whose code implies
 order two (3 or 6) are entered in first differences, all others are
 assumed at most I(1).  ``--codes`` sets integration orders only
@@ -34,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bootstrap import AwbConfig
-from .classify import BsqtConfig, ClassifyConfig, METHODS as CLASSIFY_METHODS, \
+from .classify import ClassifyConfig, METHODS as CLASSIFY_METHODS, \
     pantula_classify
 from .dgp import random_vecm_params, simulate_mixed_orders, simulate_vecm
 from .errors import DataError, NumericalError, ParameterError
@@ -369,16 +372,13 @@ def cmd_classify(cfg: Dict[str, object]) -> None:
     if method not in CLASSIFY_METHODS:
         raise ParameterError(f"unknown classification method '{method}'; "
                              f"choose from {CLASSIFY_METHODS}")
-    step = float(cfg["quantile_step"])
-    if not 0 < step < 1:
-        raise ParameterError("--quantile-step must lie in (0, 1)")
-    # ClassifyConfig writes its alpha into both the AWB and BSQT configs
+    # ClassifyConfig writes its alpha into the AWB config and checks the
+    # alpha and the quantile step
     awb = AwbConfig(gamma=float(cfg["gamma"]), reps=int(cfg["boot_reps"]),
                     seed=derive_seed(int(cfg["seed"]), "classify"),
                     max_lags=cfg.get("max_lags"), workers=cfg.get("threads"))
     ccfg = ClassifyConfig(alpha=float(cfg["alpha"]), awb=awb,
-                          bsqt=BsqtConfig(
-                              quantiles=tuple(np.arange(0.0, 1.0, step))),
+                          quantile_step=float(cfg["quantile_step"]),
                           apriori_i2=apriori_i2, at_most_i1=strategy == 1)
     report = pantula_classify(panel, method=method, strategy=strategy,
                               cfg=ccfg)

@@ -1,5 +1,7 @@
-"""Exception hierarchy shared across the toolkit, and the one rule for a
-window's result or its error.
+"""Exception hierarchy shared across the toolkit, the one rule for a
+window's result or its error (:func:`attempt`, :func:`per_window`), and
+the one rule for a stack of matrices that a linear-algebra routine fails
+on (:func:`per_matrix`).
 
 The command line maps these onto exit codes: parameter/configuration
 problems exit 1, data problems exit 2 and numerical failures exit 3.
@@ -47,3 +49,24 @@ def per_window(fn, results, *args) -> list:
     result is an error keeps that error, the same object."""
     return [r if isinstance(r, WINDOW_ERRORS) else attempt(fn, r, *a)
             for r, *a in zip(results, *args)]
+
+
+def per_matrix(fn, *stacks) -> tuple:
+    """``fn`` (a numpy.linalg routine) over stacks of matrices in one
+    call, and the LinAlgError of each matrix whose own call raises one,
+    by position: ``(out, failed)``, ``failed`` empty when the one call
+    succeeds.  A failing matrix gets NaN in ``out`` and fails alone; the
+    others come out as in one call (numpy's batched LAPACK loops over the
+    stack)."""
+    try:
+        return fn(*stacks), {}
+    except np.linalg.LinAlgError:
+        failed = {i: e for i, e in enumerate(
+            attempt(fn, *args) for args in zip(*stacks))
+            if isinstance(e, np.linalg.LinAlgError)}
+    ok = np.ones(len(stacks[0]), dtype=bool)
+    ok[list(failed)] = False
+    part = fn(*(x[ok] for x in stacks))
+    out = np.full((ok.size,) + part.shape[1:], np.nan)
+    out[ok] = part
+    return out, failed

@@ -22,8 +22,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._numeric import (column_scales, column_signs, nested_residual_factors,
-                       singular_pivots)
+from ._numeric import (column_scales, column_signs, key_positions,
+                       nested_residual_factors, singular_pivots)
 from .errors import (WINDOW_ERRORS, DataError, NumericalError,
                      ParameterError, per_window)
 from .panel import (DeterministicSpec, as_stack, as_values, detrend,
@@ -232,8 +232,7 @@ def var_bic_forecast(x, h: int, p_max: int, p_min: int) -> np.ndarray:
     betas = [np.linalg.lstsq(lagged[b, :, :1 + k * p], z[b, p_max:],
                              rcond=None)[0] for b, p in enumerate(chosen)]
     # the systems of one lag iterate together: (G, 1, k) rows
-    for p in np.unique(chosen):
-        group = np.flatnonzero(chosen == p)
+    for p, group in key_positions(chosen.tolist()).items():
         beta = np.stack([betas[b] for b in group])
         hist = [z[group, -j, None] for j in range(1, p + 1)]
         for s in range(h):
@@ -252,8 +251,9 @@ def _factor_path(factors: Sequence[np.ndarray], h: int,
     windows of each factor count; a window whose fit or forecast raised a
     window error gets the frozen path."""
     paths = [np.repeat(f[-1:], h, axis=0) for f in factors]
-    for k in sorted({f.shape[1] for f in factors} - {0}):
-        group = [i for i, f in enumerate(factors) if f.shape[1] == k]
+    for k, group in key_positions(f.shape[1] for f in factors).items():
+        if not k:
+            continue
         stack = np.stack([factors[i] for i in group])
         lags = select_lag_bic(stack, p_max=p_max, det=DeterministicSpec.MEAN)
         models = johansen_ml(stack, None, lags, det=DeterministicSpec.MEAN)

@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._numeric import column_scales
+from ._numeric import column_scales, key_positions
 from .bootstrap import _multiplier_matrix, check_multiplier
 from .errors import (WINDOW_ERRORS, DataError, ParameterError, attempt,
                      per_window)
@@ -211,8 +211,8 @@ def _ar_paths(block: _Block, resid: np.ndarray) -> list:
     on the block for each."""
     paths: list = [([], {}) for _ in resid]
     orders, p_max = block.orders[block.targets], block.cfg.p_max
-    for d in np.unique(orders):
-        on, tis = orders == d, block.targets[orders == d]
+    for d, on in key_positions(orders.tolist()).items():
+        tis = block.targets[on]
         if max(block.horizons):
             lev = _ar_levels(np.hstack(resid[:, :, tis]), d, p_max,
                              max(block.horizons))

@@ -63,7 +63,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DataError, NumericalError, ParameterError, attempt,
-                     per_window)
+                     per_matrix, per_window)
 from .panel import DeterministicSpec, detrend, unstack
 
 __all__ = [
@@ -241,20 +241,6 @@ def _partial_fit(x: np.ndarray, r: np.ndarray, yy: np.ndarray, dof: int
     return _checked(beta, rss, rss / (a * dof), yy)
 
 
-def _cholesky(S: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Cholesky factors of the positive-definite rows of ``S``; their mask."""
-    ok = np.ones(len(S), dtype=bool)
-    try:
-        return np.linalg.cholesky(S), ok
-    except np.linalg.LinAlgError:
-        for i, s in enumerate(S):
-            try:
-                np.linalg.cholesky(s)
-            except np.linalg.LinAlgError:
-                ok[i] = False
-    return np.linalg.cholesky(S[ok]), ok
-
-
 def _level_terms(S: np.ndarray, n: int) -> np.ndarray:
     """``(beta, rss, denom)`` of the level from augmented Grams, unchecked.
 
@@ -269,15 +255,15 @@ def _level_terms(S: np.ndarray, n: int) -> np.ndarray:
     dof = n - k
     if dof < 1:
         raise DataError("no degrees of freedom left in the ADF regression")
-    L, ok = _cholesky(S)
-    terms = np.empty((3, S.shape[0]))
-    terms[:, ok] = _factor_terms(L, dof)
-    if not ok.all():
-        G = S[~ok]
+    L, failed = per_matrix(np.linalg.cholesky, S)
+    terms = np.array(_factor_terms(L, dof))
+    if failed:
+        bad = list(failed)
+        G = S[bad]
         Gpinv = np.linalg.pinv(G[:, :k, :k])
         coef = np.einsum("bij,bj->bi", Gpinv, G[:, :k, k])
         rss = G[:, k, k] - np.einsum("bi,bi->b", coef, G[:, :k, k])
-        terms[:, ~ok] = coef[:, k - 1], rss, rss / dof * Gpinv[:, k - 1, k - 1]
+        terms[:, bad] = coef[:, k - 1], rss, rss / dof * Gpinv[:, k - 1, k - 1]
     return terms
 
 
@@ -615,7 +601,11 @@ def _four_stats_block(batch, lo: int, lags: int, n: int) -> np.ndarray:
     M = _grams(y, lags)
     out = np.empty((y.shape[0], 4))
     out[:, 3] = _gls_tstat(M, gls_trend, n)
-    L, ok = _cholesky(M)
+    L, failed = per_matrix(np.linalg.cholesky, M)
+    ok = np.ones(len(M), dtype=bool)
+    if failed:
+        ok[list(failed)] = False
+        L = L[ok]
     yy = M[ok, -1, -1]
     L4 = L[:, lags:, lags:]
     out[ok, 0] = _partial_fit(L4[:, 2, 1:], L4[:, 3, 1:], yy,
@@ -624,7 +614,7 @@ def _four_stats_block(batch, lo: int, lags: int, n: int) -> np.ndarray:
     level = L4[:, 2].copy()
     level[:, 0] -= gls_mean[ok, 0] * L4[:, 0, 0]
     out[ok, 2] = _partial_fit(level, L4[:, 3], yy, n - lags - 1)[1]
-    if not ok.all():
+    if failed:
         bad = M[~ok]
         for col, det in ((0, 1), (1, 2)):
             rows = _rows(det, lags, lags)

@@ -63,12 +63,12 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._numeric import (column_signs, expanding_folds, last_minimum,
-                       nested_residual_factors, penalty_levels, pivot_order,
-                       singular_pivots, soft_threshold_sweep,
+from ._numeric import (column_signs, expanding_folds, key_positions,
+                       last_minimum, nested_residual_factors, penalty_levels,
+                       pivot_order, singular_pivots, soft_threshold_sweep,
                        triangular_factors)
 from .errors import (WINDOW_ERRORS, ConvergenceError, DataError,
-                     NumericalError, ParameterError, attempt)
+                     NumericalError, ParameterError, attempt, per_matrix)
 from .panel import DeterministicSpec, as_stack, as_values, unstack
 
 __all__ = [
@@ -256,34 +256,6 @@ def _ic_ranks(solves: list) -> list:
     return ranks
 
 
-def _rank_groups(ranks: list) -> list:
-    """(rank, positions) of each rank in ``ranks`` (an error has none),
-    ascending."""
-    groups = {}
-    for i, r in enumerate(ranks):
-        if not isinstance(r, WINDOW_ERRORS):
-            groups.setdefault(r, []).append(i)
-    return sorted(groups.items())
-
-
-def _each_matrix(fn, *stacks) -> Tuple[np.ndarray, list]:
-    """``fn`` (a numpy.linalg routine) over stacks of matrices in one
-    call, and for each matrix the LinAlgError its own call raises, or
-    None; a failing matrix gets NaN and fails alone, the others come out
-    as in one call (numpy's batched LAPACK loops over the stack)."""
-    try:
-        return fn(*stacks), [None] * len(stacks[0])
-    except np.linalg.LinAlgError:
-        errors = [attempt(fn, *args) for args in zip(*stacks)]
-        errors = [e if isinstance(e, np.linalg.LinAlgError) else None
-                  for e in errors]
-    ok = np.array([e is None for e in errors], dtype=bool)
-    part = fn(*(x[ok] for x in stacks))
-    out = np.full((ok.size,) + part.shape[1:], np.nan)
-    out[ok] = part
-    return out, errors
-
-
 def _check_rank(T: int, N: int, p: int, r: int) -> None:
     """Rank ``r`` in 0..N and a window of T rows long enough to fit it."""
     if not 0 <= r <= N:
@@ -319,15 +291,15 @@ def _johansen_fit(solves: list, r: int, p: int,
     b_aug = V * column_signs(V)[:, None, :]
     a = s01 @ b_aug
     pi_t = b_aug @ np.swapaxes(a, -1, -2)
-    c, errors = _each_matrix(np.linalg.solve, R[:, :k, :k],
-                             R[:, :k, k + m:] - R[:, :k, k:k + m] @ pi_t)
+    c, failed = per_matrix(np.linalg.solve, R[:, :k, :k],
+                           R[:, :k, k + m:] - R[:, :k, k:k + m] @ pi_t)
     resid = R[:, k:, k + m:] - R[:, k:, k:k + m] @ pi_t
     sigma = np.swapaxes(resid, -1, -2) @ resid / n
     loglik = -0.5 * n * (N * (1 + np.log(2 * np.pi)) + logdet
                          + np.log(1 - lam[:, :r]).sum(axis=-1))
     off = 0 if det is DeterministicSpec.NONE else 1
     trend = det is DeterministicSpec.TREND
-    return [errors[i] or VecmModel(
+    return [failed.get(i) or VecmModel(
         a=a[i], b=b_aug[i, :N],
         phi=tuple(c[i, off + j * N: off + (j + 1) * N].T for j in range(p)),
         mu=c[i, 0] if off else np.zeros(N), sigma=sigma[i], rank=r, p=p,
@@ -366,8 +338,8 @@ def johansen_ml(data, r: Optional[int], p: Union[int, Sequence] = 1,
     fits = [lag if fit is None and isinstance(lag, WINDOW_ERRORS) else fit
             for fit, lag in zip(fits, lags)]
     todo = [w for w, fit in enumerate(fits) if fit is None]
-    for lag in sorted({int(lags[w]) for w in todo}):
-        group = [w for w in todo if lags[w] == lag]
+    for lag, at in key_positions(int(lags[w]) for w in todo).items():
+        group = [todo[i] for i in at]
         try:
             if r is not None:
                 _check_rank(T, N, lag, r)
@@ -378,10 +350,11 @@ def johansen_ml(data, r: Optional[int], p: Union[int, Sequence] = 1,
             s if isinstance(s, WINDOW_ERRORS) else r for s in solves]
         for w, rank in zip(group, ranks):
             fits[w] = rank
-        for rank, at in _rank_groups(ranks):
-            for i, fit in zip(at, _johansen_fit([solves[i] for i in at],
-                                                rank, lag, det)):
-                fits[group[i]] = fit
+        for rank, at in key_positions(ranks).items():
+            if not isinstance(rank, WINDOW_ERRORS):
+                for i, fit in zip(at, _johansen_fit([solves[i] for i in at],
+                                                    rank, lag, det)):
+                    fits[group[i]] = fit
     return unstack(fits, stack)
 
 
@@ -884,10 +857,7 @@ def _pml_init(z: np.ndarray, r: int, p: int, solves):
     :func:`_johansen_fit` pass for the stack, where the solve and the fit
     succeed, a ridge start otherwise.  Per window its start, each array in
     the memory order its own start gives it, or the LinAlgError of its
-    fit; a (T, N) window with its one solve gives its start, or raises
-    (:func:`unstack`)."""
-    stack = z.ndim == 3
-    z, solves = (z, solves) if stack else (z[None], [solves])
+    fit."""
     N = z.shape[-1]
     at = [i for i, s in enumerate(solves) if isinstance(s, _Solve)]
     fits = dict(zip(at, _johansen_fit([solves[i] for i in at], r, p,
@@ -897,16 +867,15 @@ def _pml_init(z: np.ndarray, r: int, p: int, solves):
     good = [i for i, fit in fits.items() if isinstance(fit, VecmModel)]
     if good:
         sigma = np.stack([fits[i].sigma for i in good])
-        omega, errors = _each_matrix(np.linalg.inv, sigma + (
+        omega, failed = per_matrix(np.linalg.inv, sigma + (
             1e-8 * np.trace(sigma, axis1=-2, axis2=-1) / N)[:, None, None]
             * np.eye(N))
-        for i, om, error in zip(good, omega, errors):
+        for j, (i, om) in enumerate(zip(good, omega)):
             m = fits[i]
-            starts[i] = error or (m.a, m.b, np.hstack(m.phi) if p
-                                  else np.empty((N, 0)), om)
-    return unstack([starts[i] if i in starts else
-                    attempt(_ridge_start, z[i], r, p)
-                    for i in range(len(z))], stack)
+            starts[i] = failed.get(j) or (m.a, m.b, np.hstack(m.phi) if p
+                                          else np.empty((N, 0)), om)
+    return [starts[i] if i in starts else attempt(_ridge_start, z[i], r, p)
+            for i in range(len(z))]
 
 
 def _ridge_start(z: np.ndarray, r: int, p: int) -> tuple:
@@ -980,21 +949,24 @@ def pml_vecm(data, r: Optional[int], p: int = 1,
     ranks = _ic_ranks(solves) if r is None else [r] * len(todo)
     for w, rank in zip(todo, ranks):
         fits[w] = rank
-    for rank, at in _rank_groups(ranks):
+    for rank, at in key_positions(ranks).items():
+        if isinstance(rank, WINDOW_ERRORS):
+            continue
         windows = [todo[i] for i in at]
+        starts = _pml_init(z[windows], rank, p, [solves[i] for i in at])
+        for w, start in zip(windows, starts):
+            fits[w] = start
         # a sum of |B| or |Φ| follows its matrix's memory order, so the
         # windows whose starts share one cycle together
-        kinds = {}
-        for w, start in zip(windows, _pml_init(z[windows], rank, p,
-                                               [solves[i] for i in at])):
-            fits[w] = start
-            if not isinstance(start, WINDOW_ERRORS):
-                kinds.setdefault(tuple(map(np.isfortran, start)), []).append(w)
-        for group in kinds.values():
-            for w, fit in zip(group, _pml_fit(
-                    z[group], rank, p, lam, max_cycles,
-                    [fits[w] for w in group])):
-                fits[w] = fit
+        kinds = key_positions(None if isinstance(s, WINDOW_ERRORS)
+                              else tuple(map(np.isfortran, s)) for s in starts)
+        for kind, pos in kinds.items():
+            if kind is not None:
+                group = [windows[i] for i in pos]
+                for w, fit in zip(group, _pml_fit(
+                        z[group], rank, p, lam, max_cycles,
+                        [starts[i] for i in pos])):
+                    fits[w] = fit
     return unstack(fits, stack)
 
 
@@ -1029,22 +1001,23 @@ def _pml_fit(z: np.ndarray, r: int, p: int, lam: Tuple[float, float],
                 a_solved=a_solved, ids=np.arange(len(z)))
     fits = [None] * len(z)
 
-    def leave(gone: np.ndarray, errors: list, converged: np.ndarray,
+    def leave(gone: np.ndarray, errors: dict, converged: np.ndarray,
               cycles: int) -> None:
-        at = np.flatnonzero(gone & np.array([e is None for e in errors],
-                                            dtype=bool))
-        for i in np.flatnonzero(gone):
-            fits[live["ids"][i]] = errors[i]
+        for i, e in errors.items():
+            fits[live["ids"][i]] = e
+        fitted = gone.copy()
+        fitted[list(errors)] = False
+        at = np.flatnonzero(fitted)
         if at.size:
             v = {k: x[at] for k, x in live.items()}
-            sigma, inv_errors = _each_matrix(np.linalg.inv, v["omega"])
+            sigma, failed = per_matrix(np.linalg.inv, v["omega"])
             loglik = -0.5 * n * (N * np.log(2 * np.pi) + _pml_objective(
                 v["E"], v["omega"], np.zeros_like(v["b"]),
                 np.zeros_like(v["phi_mat"]), (0.0, 0.0), n))
             for j, i in enumerate(at):
                 hist = v["path"][j, :cycles + 1].tolist()
                 a_j = v["a"][j]
-                fits[v["ids"][j]] = inv_errors[j] or VecmModel(
+                fits[v["ids"][j]] = failed.get(j) or VecmModel(
                     a=np.asfortranarray(a_j) if v["a_solved"][j]
                     else np.ascontiguousarray(a_j), b=v["b"][j],
                     phi=tuple(v["phi_mat"][j][:, k * N:(k + 1) * N]
@@ -1062,31 +1035,31 @@ def _pml_fit(z: np.ndarray, r: int, p: int, lam: Tuple[float, float],
     while live["ids"].size:
         count = live["ids"].size
         if cycle >= max_cycles:
-            leave(np.ones(count, dtype=bool), [None] * count,
+            leave(np.ones(count, dtype=bool), {},
                   np.zeros(count, dtype=bool), cycle)
             break
         cycle += 1
         Yd, Z1, DX, zz, xx, a, b, phi_mat, omega, E, obj = (
             live[k] for k in ("Yd", "Z1", "DX", "zz", "xx", "a", "b",
                               "phi_mat", "omega", "E", "obj"))
-        errors = [None] * count
+        errors = {}
         if r:
             # A block: exact least squares, precision weighting cancels
             M = T_(b) @ Z1
             D = Yd - (phi_mat @ DX if p else 0.0)
             g = M @ T_(M)
-            cond, errors = _each_matrix(np.linalg.cond, g)
+            cond, errors = per_matrix(np.linalg.cond, g)
             well = cond < 1e12
             a_new = np.empty(a.shape)
             if well.any():
-                sol, errs = _each_matrix(np.linalg.solve, g[well],
+                sol, failed = per_matrix(np.linalg.solve, g[well],
                                          (M @ T_(D))[well])
                 a_new[well] = T_(sol)
-                _first_errors(errors, np.flatnonzero(well), errs)
+                _first_errors(errors, np.flatnonzero(well), failed)
             if not well.all():
-                pinv, errs = _each_matrix(np.linalg.pinv, M[~well])
+                pinv, failed = per_matrix(np.linalg.pinv, M[~well])
                 a_new[~well] = D[~well] @ pinv
-                _first_errors(errors, np.flatnonzero(~well), errs)
+                _first_errors(errors, np.flatnonzero(~well), failed)
             take = (_pml_objective(D - a_new @ M, omega, b, phi_mat, lam, n)
                     <= obj + 1e-12)[:, None, None]
             E = np.where(take, E + (a - a_new) @ M, E)
@@ -1106,10 +1079,10 @@ def _pml_fit(z: np.ndarray, r: int, p: int, lam: Tuple[float, float],
                                            omega, xx, n * lam[1] / 2.0)
             E = E - (phi_new - phi_mat) @ DX
             phi_mat = phi_new
-        omega_new, singular = _each_matrix(np.linalg.inv, E @ T_(E) / n)
-        _first_errors(errors, range(count), [
-            e and NumericalError("residual covariance is singular")
-            for e in singular])
+        omega_new, singular = per_matrix(np.linalg.inv, E @ T_(E) / n)
+        for i in singular:
+            errors.setdefault(
+                i, NumericalError("residual covariance is singular"))
         with np.errstate(invalid="ignore"):     # a singular window's NaN
             new_obj = _pml_objective(E, omega_new, b, phi_mat, lam, n)
         better = new_obj <= obj + 1e-10
@@ -1118,24 +1091,24 @@ def _pml_fit(z: np.ndarray, r: int, p: int, lam: Tuple[float, float],
             new_obj = np.where(better, new_obj, _pml_objective(
                 E, omega, b, phi_mat, lam, n))
         last = live["path"][:, cycle - 1]
-        for i in np.flatnonzero(new_obj > last + 1e-10):
-            errors[i] = errors[i] or ConvergenceError(
+        for i in np.flatnonzero(new_obj > last + 1e-10).tolist():
+            errors.setdefault(i, ConvergenceError(
                 f"objective increased from {last[i]:.12g} to "
-                f"{new_obj[i]:.12g}; subproblem fault")
+                f"{new_obj[i]:.12g}; subproblem fault"))
         live["path"][:, cycle] = new_obj
         size = np.abs(last)
         converged = np.abs(last - new_obj) < 1e-7 * np.where(size > 1.0,
                                                                size, 1.0)
         live.update(a=a, b=b, phi_mat=phi_mat, omega=omega, E=E)
-        gone = converged | np.array([e is not None for e in errors],
-                                    dtype=bool)
+        gone = converged.copy()
+        gone[list(errors)] = True
         if gone.any():
             leave(gone, errors, converged, cycle)
     return fits
 
 
-def _first_errors(errors: list, at, new: list) -> None:
-    """Give each window at positions ``at`` its entry of ``new`` unless it
-    already has an error."""
-    for i, e in zip(at, new):
-        errors[i] = errors[i] or e
+def _first_errors(errors: dict, at, new: dict) -> None:
+    """Give the window at position ``at[j]`` the error ``new[j]`` unless it
+    already has one."""
+    for j, e in new.items():
+        errors.setdefault(int(at[j]), e)

@@ -14,11 +14,16 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from hdcoint import AwbConfig, bootstrap_union_distribution, from_values
 from hdcoint.dgp import simulate_mixed_orders
 
 #: replications -> golden file
+#: CI runs these on two BLAS threads too: their bits must not depend on
+#: the thread count
+pytestmark = pytest.mark.blas_threads
+
 GOLDEN = {reps: os.path.join(os.path.dirname(__file__), "golden", name)
           for reps, name in ((199, "bootstrap_union.json"),
                              (999, "bootstrap_union_999.json"))}

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from hdcoint import (AwbConfig, BsqtConfig, ClassifyConfig, ParameterError,
+from hdcoint import (AwbConfig, ClassifyConfig, ParameterError,
                      classify_bfdr, classify_bsqt, classify_iadf, from_values,
                      left_tail_quantile, mackinnon_critical_value,
                      pantula_classify)
@@ -31,12 +31,13 @@ def _boot(rng, n, b=199):
 
 
 class TestBsqt:
-    grid = BsqtConfig(quantiles=(0.0, 0.25, 0.5, 0.75), alpha=0.05)
+    # the grid (0, .25, .5, .75) at level 0.05
+    grid = dict(alpha=0.05, step=0.25)
 
     def test_first_round_cutoff_matches_order_statistic_oracle(self, rng):
         ur = np.array([-3.0, -0.5, -2.5, -0.1])
         boot = _boot(rng, 4)
-        out = classify_bsqt(ur, boot, self.grid)
+        out = classify_bsqt(ur, boot, **self.grid)
         # p = {0, 1, 2, 3, 4}: round 1 tests "0 I(0)" vs "at least 1" via
         # the sample minimum against the bootstrap minimum's 5% quantile
         expect = float(left_tail_quantile(boot.min(axis=1), 0.05))
@@ -46,7 +47,7 @@ class TestBsqt:
     def test_second_round_conditions_on_survivors(self, rng):
         ur = np.array([-8.0, -0.5, -7.0, -0.1])
         boot = _boot(rng, 4)
-        out = classify_bsqt(ur, boot, self.grid)
+        out = classify_bsqt(ur, boot, **self.grid)
         assert out.count >= 1
         # series 0 classified in round 1; round 2 bootstraps the minimum
         # over the three remaining columns only
@@ -57,7 +58,7 @@ class TestBsqt:
 
     def test_all_quantiles_below_observed_gives_zero(self, rng):
         boot = _boot(rng, 4) - 10.0
-        out = classify_bsqt(np.zeros(4), boot, self.grid)
+        out = classify_bsqt(np.zeros(4), boot, **self.grid)
         assert out.count == 0
         assert not out.rejected.any()
         assert out.interval == (0, 1)
@@ -65,7 +66,8 @@ class TestBsqt:
     def test_single_quantile_falls_back_to_joint_test(self, rng):
         ur = np.array([-3.0, -0.5, -2.5, -0.1])
         boot = _boot(rng, 4)
-        out = classify_bsqt(ur, boot, BsqtConfig(quantiles=(0.0,)))
+        # step 1 gives the grid (0,)
+        out = classify_bsqt(ur, boot, step=1.0)
         assert len(out.steps) == 1
         assert out.steps[0]["alternative"] == 4
         # the joint statistic is the largest (least significant) value
@@ -75,26 +77,34 @@ class TestBsqt:
 
     def test_unit_grid_on_single_series_is_union_test(self, rng):
         boot = _boot(rng, 1)
-        cfg = BsqtConfig(quantiles=(0.0, 1.0), alpha=0.05)
+        # the grid (0, 1) and step 1's (0,) both give the boundaries (0, N)
+        cfg = dict(alpha=0.05, step=1.0)
         cutoff = float(left_tail_quantile(boot[:, 0], 0.05))
-        below = classify_bsqt(np.array([cutoff - 0.1]), boot, cfg)
-        above = classify_bsqt(np.array([cutoff + 0.1]), boot, cfg)
+        below = classify_bsqt(np.array([cutoff - 0.1]), boot, **cfg)
+        above = classify_bsqt(np.array([cutoff + 0.1]), boot, **cfg)
         assert below.count == 1 and above.count == 0
 
     def test_stepwise_grid_gives_unit_rounds(self, rng):
         # p_k = k - 1 recovers a one-at-a-time sequential procedure
         n = 6
-        cfg = BsqtConfig(quantiles=tuple(k / n for k in range(n)))
         ur = -np.linspace(9.0, 8.0, n)            # all deeply significant
-        out = classify_bsqt(ur, _boot(rng, n), cfg)
+        # step 1/n gives the grid k/n, k < n
+        out = classify_bsqt(ur, _boot(rng, n), step=1 / n)
         sizes = [s["alternative"] - s["null_count"] for s in out.steps]
         assert all(sz == 1 for sz in sizes)
         assert out.count == n
 
+    @pytest.mark.parametrize("step", [0.0, -0.25, 1.5, float("nan")])
+    def test_step_outside_the_unit_interval_rejected(self, rng, step):
+        with pytest.raises(ParameterError, match="quantile step"):
+            classify_bsqt(np.zeros(3), _boot(rng, 3), step=step)
+        with pytest.raises(ParameterError, match="quantile step"):
+            ClassifyConfig(quantile_step=step)
+
     def test_rejection_set_is_a_ranking_prefix(self, rng):
         for _ in range(20):
             ur = rng.normal(-1.5, 1.5, size=7)
-            out = classify_bsqt(ur, _boot(rng, 7), self.grid)
+            out = classify_bsqt(ur, _boot(rng, 7), **self.grid)
             ranked = np.argsort(ur, kind="stable")
             assert set(np.where(out.rejected)[0]) == set(ranked[:out.count])
 

@@ -517,6 +517,19 @@ class TestClassifyCommand:
         assert rc == 0
         assert len(_orders(out)) == 1
 
+    def test_quantile_step_in_the_unit_interval(self, tmp_path, capsys):
+        # a step of 1 is the grid (0,): one joint test of "all I(1)"
+        # against "all I(0)"
+        path = _simulate(tmp_path, t_obs=60)
+        args = ["classify", "--input", path, "--output",
+                str(tmp_path / "r.json"), "--boot-reps", "199",
+                "--quantile-step"]
+        assert main(args + ["1"]) == 0
+        capsys.readouterr()
+        for step in ("0", "1.5"):
+            assert main(args + [step]) == 1
+            assert "quantile step must lie in (0, 1]" in capsys.readouterr().err
+
     def test_unknown_method(self, tmp_path):
         path = _simulate(tmp_path, t_obs=60)
         rc = main(["classify", "--input", path, "--methods", "magic",

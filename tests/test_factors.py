@@ -197,6 +197,7 @@ class TestVarBicForecast:
         np.testing.assert_allclose(var_bic_forecast(x, 2, 2, 2),
                                    [step1, step2], rtol=0, atol=1e-12)
 
+    @pytest.mark.blas_threads
     @pytest.mark.parametrize("k", [1, 6])
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
     def test_stack_equals_one_system_calls(self, p, k):
@@ -239,6 +240,7 @@ def _outcome(fn, *args, **kwargs):
         return type(exc), str(exc)
 
 
+@pytest.mark.blas_threads
 class TestFactorStack:
     """``fecm_forecast`` and ``ndfm_forecast`` on a (W, T, N) stack give,
     per window, what the window gives alone, bit for bit, or the error it

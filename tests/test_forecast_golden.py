@@ -31,7 +31,13 @@ multiplier stream or the seed derivation shows here.
 
 import os
 
+import pytest
+
 from hdcoint.cli import main
+
+#: CI runs these on two BLAS threads too: their bits must not depend on
+#: the thread count
+pytestmark = pytest.mark.blas_threads
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 

@@ -378,6 +378,7 @@ class TestCollinearPanels:
             "residual moment matrix is singular; reduce the lag order or rank"}
 
 
+@pytest.mark.blas_threads
 class TestWindowBlocks:
     """``run_rolling`` hands each lane its windows in blocks of
     ``_WINDOW_BLOCK``; the report does not depend on the block size."""
@@ -503,6 +504,7 @@ class TestWindowBlocks:
                 methods=("ar", "broken"), benchmark="ar"))
 
 
+@pytest.mark.blas_threads
 class TestBlockRecord:
     """A registered lane gets window w of a block as ``block[w]``: the
     block's record with the window axis indexed away."""
@@ -562,6 +564,7 @@ def _raise(exc):
     raise exc
 
 
+@pytest.mark.blas_threads
 class TestLaneContract:
     """Every lane takes a block of windows and gives per window, in order,
     its forecasts or the window error it raised (``errors.attempt`` and
@@ -604,6 +607,18 @@ class TestLaneContract:
         assert report.diagnostics == tuple(
             (s, "*", -1, "favar", "factor count 58 outside [0, 57]")
             for s in report.window_starts)
+
+    def test_specs_on_an_i2_target_fails_each_window_alone(self):
+        # the selector models at most I(1) targets: every window records
+        # that error for the SPECS lane, and the run goes on
+        report = run_rolling(_walk_panel(3, 80, 5), _small_cfg(
+            methods=("ar", "specs"), orders=(2, 1, 1), targets=(0,)))
+        assert len(report.window_starts) == 20
+        assert report.diagnostics == tuple(
+            (s, "*", -1, "specs", "the selector models at most I(1) targets")
+            for s in report.window_starts)
+        fc = report.forecasts[("s1", 1)]
+        assert np.isfinite(fc[:, 0]).all() and np.isnan(fc[:, 1]).all()
 
     def test_a_finish_error_fails_its_window_alone(self, monkeypatch):
         panel = _walk_panel(3, 80, 4)

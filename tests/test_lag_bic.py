@@ -206,6 +206,7 @@ def test_singular_candidates_are_skipped(det):
     assert select_lag_bic(z, p_max=3, det=det) == 0
 
 
+@pytest.mark.blas_threads
 def test_grouped_ar_lane_equals_single_benchmarks(monkeypatch):
     # a block of three windows: per integration order, one stacked AR fit
     # for h >= 1 and one for the h = 0 nowcasts, and every window's values

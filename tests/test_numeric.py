@@ -1,16 +1,19 @@
 """Shared numeric kernels: the stacked coordinate sweep against the
 plain-float sweep of one window, the fold edges of expanding-window
 cross-validation, the singular-pivot rule, the column order of a
-pivoted QR (against scipy's ``dgeqp3``), and the column sign and scale
-conventions."""
+pivoted QR (against scipy's ``dgeqp3``), the column sign and scale
+conventions, the positions of each key, and the one rule for a stack
+of matrices that a linear-algebra routine fails on."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from hdcoint._numeric import (column_scales, column_signs, expanding_folds,
-                              last_minimum, pivot_order, singular_pivots,
-                              soft_threshold, soft_threshold_sweep)
+                              key_positions, last_minimum, pivot_order,
+                              singular_pivots, soft_threshold,
+                              soft_threshold_sweep)
+from hdcoint.errors import per_matrix
 
 
 def _scalar_soft_threshold(c, thr):
@@ -72,6 +75,7 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
+@pytest.mark.blas_threads
 class TestSoftThresholdSweep:
     def test_one_pass_equals_direct_coordinate_descent(self, rng):
         # smooth part 0.5 vec(x)'(M kron K)vec(x) - vec(g0)'vec(x), whose
@@ -246,6 +250,7 @@ def _pivot_stacks(rng, kind, count=120, S=6):
         yield A
 
 
+@pytest.mark.blas_threads
 class TestPivotOrder:
     """The column order of LAPACK's pivoted QR (``dgeqp3`` through
     ``scipy.linalg.qr(pivoting=True)``), and one stacked numpy QR of the
@@ -292,3 +297,62 @@ class TestPivotOrder:
         assert piv.shape == (2, 3, 4)
         assert piv[1, 2].tolist() == pivot_order(A[1, 2]).tolist()
         assert pivot_order(np.ones((3, 1))).tolist() == [0]
+
+
+def test_key_positions_in_order_of_first_appearance():
+    got = key_positions([(0, 2), (3, 1), (0, 2), (1, 1), (3, 1)])
+    assert list(got.items()) == [((0, 2), [0, 2]), ((3, 1), [1, 4]),
+                                 ((1, 1), [3])]
+    assert key_positions([]) == {}
+
+
+@pytest.mark.blas_threads
+class TestPerMatrix:
+    """``errors.per_matrix``: a matrix that its own call fails on gets
+    that LinAlgError in place and NaN, and the others come out as one
+    call over them gives them."""
+
+    @staticmethod
+    def _args(fn, singular):
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((6, 9, 4))
+        S = np.swapaxes(X, 1, 2) @ X          # positive definite
+        for i in singular:
+            # a zero row and column: an exact zero pivot, not positive
+            # definite
+            S[i, 1, :] = S[i, :, 1] = 0.0
+        rhs = rng.standard_normal((6, 4, 2))
+        return (S, rhs) if fn is np.linalg.solve else (S,)
+
+    @pytest.mark.parametrize("fn", [np.linalg.solve, np.linalg.inv,
+                                    np.linalg.cholesky])
+    def test_a_singular_matrix_fails_alone(self, fn):
+        args = self._args(fn, (2,))
+        with pytest.raises(np.linalg.LinAlgError):
+            fn(*args)
+        out, failed = per_matrix(fn, *args)
+        assert list(failed) == [2]
+        assert isinstance(failed[2], np.linalg.LinAlgError)
+        with pytest.raises(np.linalg.LinAlgError, match=str(failed[2])):
+            fn(*(a[2] for a in args))
+        assert np.isnan(out[2]).all()
+        others = np.delete(out, 2, axis=0)
+        assert others.tobytes() == fn(
+            *(np.delete(a, 2, axis=0) for a in args)).tobytes()
+
+    @pytest.mark.parametrize("fn", [np.linalg.solve, np.linalg.inv,
+                                    np.linalg.cholesky])
+    def test_one_call_when_every_matrix_succeeds(self, fn):
+        args = self._args(fn, ())
+        out, failed = per_matrix(fn, *args)
+        assert failed == {}
+        assert out.tobytes() == fn(*args).tobytes()
+
+    @pytest.mark.parametrize("singular", [(0, 3), tuple(range(6))])
+    def test_several_or_every_matrix_failing(self, singular):
+        out, failed = per_matrix(np.linalg.inv,
+                                 *self._args(np.linalg.inv, singular))
+        assert list(failed) == list(singular)
+        assert out.shape == (6, 4, 4)
+        assert np.isnan(out[list(singular)]).all()
+        assert np.isfinite(np.delete(out, singular, axis=0)).all()

@@ -19,6 +19,10 @@ import pytest
 
 from hdcoint import from_values, padl_fit, specs_fit
 
+#: CI runs these on two BLAS threads too: their bits must not depend on
+#: the thread count
+pytestmark = pytest.mark.blas_threads
+
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
                       "single_eq_pins.json")
 ORDERS = [0, 1, 2, 1, 0]

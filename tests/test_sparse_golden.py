@@ -17,8 +17,13 @@ import os
 import sys
 
 import numpy as np
+import pytest
 
 from hdcoint import padl_fit, random_vecm_params, simulate_vecm, specs_fit
+
+#: CI runs these on two BLAS threads too: their bits must not depend on
+#: the thread count
+pytestmark = pytest.mark.blas_threads
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
                       "sparse_fits.json")

@@ -139,6 +139,7 @@ class TestOneSolvePerFit:
         assert auto.rank == r
         _assert_same_model(auto, johansen_ml(z, r, 1, det))
 
+    @pytest.mark.blas_threads
     def test_pml_auto_rank_equals_two_calls(self):
         _, z = _sim(4, 2, 121, 45, p=1)
         zs = z / z.std(axis=0)
@@ -169,6 +170,7 @@ class TestOneSolvePerFit:
             fit()
             assert len(calls) == 1
 
+    @pytest.mark.blas_threads
     def test_one_solve_per_stacked_pml_call_at_any_rank(self, monkeypatch):
         # the Johansen starts of a stack come from one stacked solve for an
         # explicit rank too, bit for bit as each window's own fit
@@ -192,8 +194,8 @@ class TestOneSolvePerFit:
                 _assert_same_model(fit, pml_vecm(zw, r, p=1,
                                                  lambdas=(0.1, 0.1)))
         # an explicit rank starts from the Johansen fit at that rank
-        a, b, _, _ = _pml_init(zs[0], 2, 1, solve(zs[:1], 1,
-                                                  DeterministicSpec.NONE)[0])
+        a, b, _, _ = _pml_init(zs[:1], 2, 1, solve(zs[:1], 1,
+                                                   DeterministicSpec.NONE))[0]
         start = johansen_ml(zs[0], 2, 1)
         assert a.tobytes() == start.a.tobytes()
         assert b.tobytes() == start.b.tobytes()
@@ -207,6 +209,7 @@ def _residuals_on_w(z, p, det):
     return r[:, :y0.shape[1]], r[:, y0.shape[1]:]
 
 
+@pytest.mark.blas_threads
 class TestJohansenFactor:
     """The eigenproblem read off one QR of [W, y1, y0] against the squared
     canonical correlations of the residuals, computed apart from it."""
@@ -383,6 +386,7 @@ class TestLagSelection:
         assert select_lag_bic(z, p_max=3, det="none") <= 1
 
 
+@pytest.mark.blas_threads
 class TestQrVecm:
     def test_lambda_zero_equals_ols(self):
         _, z = _sim(3, 1, 300, 10, p=1)
@@ -529,6 +533,7 @@ def _qr_vecm_per_penalty(z, p):
                         T)
 
 
+@pytest.mark.blas_threads
 class TestQrVecmOracle:
     def test_matches_the_per_penalty_cross_validation(self):
         rng = np.random.default_rng(2024)
@@ -572,6 +577,7 @@ def _single_bits(z, p, **kw):
         return _fit_bits(exc)
 
 
+@pytest.mark.blas_threads
 class TestQrVecmStack:
     """A (W, T, N) stack is fitted in one pass and gives, per window, what
     the window gives alone, bit for bit, or the error it raises alone."""
@@ -699,6 +705,7 @@ def _same_outcome(got, want):
         assert got.info == want.info
 
 
+@pytest.mark.blas_threads
 class TestJohansenStack:
     """``select_lag_bic``, ``johansen_ml`` and ``pml_vecm`` on a (W, T, N)
     stack give, per window, what the window gives alone, bit for bit, or
@@ -954,6 +961,7 @@ class TestOneStepSse:
         assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.blas_threads
 class TestPml:
     def test_zero_penalty_matches_likelihood_estimator(self):
         _, z = _sim(3, 1, 300, 12)
@@ -990,7 +998,7 @@ def _pml_per_coordinate(z, r, p, lam, max_cycles=200, tol=1e-7):
     n, N = y0.shape
     Yd, Z1, DX = y0.T, y1.T, W.T
     a, b, phi_mat, omega = _pml_init(
-        z, r, p, _johansen_solve(z[None], p, DeterministicSpec.NONE)[0])
+        z[None], r, p, _johansen_solve(z[None], p, DeterministicSpec.NONE))[0]
     E = Yd - a @ (b.T @ Z1) - (phi_mat @ DX if p else 0.0)
     z_row_ss = np.einsum("it,it->i", Z1, Z1)
     x_row_ss = np.einsum("it,it->i", DX, DX) if p else np.empty(0)
@@ -1050,6 +1058,7 @@ def _rel(got, want):
     return np.linalg.norm(got - want) / (scale if scale else 1.0)
 
 
+@pytest.mark.blas_threads
 class TestPmlOracle:
     # lambda_B = 0 leaves B unpenalized.  Most fits with r >= 1 reach the
     # cycle cap.
@@ -1127,6 +1136,24 @@ class TestForecast:
         pi = model.a @ model.b.T
         dz = pi @ z[-1] + model.phi[0] @ (z[-1] - z[-2]) + model.mu
         assert np.allclose(fc[0], z[-1] + dz, atol=1e-10)
+
+    def test_restricted_trend_enters_each_step_at_its_time(self):
+        # 'trend' restricts a linear trend to the error-correction term:
+        # step s adds mu + A(B'z + b_trend t) + sum_j Phi_j dz_{-j} at the
+        # 1-based time t = T + s
+        _, z = _sim(3, 1, 250, 19, p=1)
+        z = z + 0.02 * np.arange(1.0, 251.0)[:, None] * [1.0, -0.5, 0.0]
+        model = johansen_ml(z, r=1, p=2, det="trend")
+        assert np.all(model.b_trend != 0) and np.any(model.mu != 0)
+        levels, dz = [z[-1]], list(np.diff(z[-3:], axis=0))
+        for t in range(251, 257):
+            step = model.mu + model.a @ (model.b.T @ levels[-1]
+                                         + model.b_trend * t)
+            step = step + model.phi[0] @ dz[-1] + model.phi[1] @ dz[-2]
+            dz.append(step)
+            levels.append(levels[-1] + step)
+        np.testing.assert_allclose(vecm_iterated_forecast(model, z, h=6),
+                                   levels[1:], rtol=1e-12, atol=0)
 
     def test_nonpositive_horizon_rejected(self):
         _, z = _sim(2, 1, 200, 18)

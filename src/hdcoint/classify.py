@@ -104,9 +104,11 @@ def classify_bsqt(ur: np.ndarray, boot_ur: np.ndarray, alpha: float = 0.05,
     n = ur.shape[0]
     if boot_ur.ndim != 2 or boot_ur.shape[1] != n:
         raise ParameterError("boot_ur must have one column per series")
+    # a step of at most 1/N rounds to every count 0..N: no grid needed
+    counts = range(n + 1) if step * n <= 1 else [
+        int(np.floor(q * n + 0.5)) for q in np.arange(0.0, 1.0, step)] + [n]
     thresholds = [0]
-    for p in [int(np.floor(q * n + 0.5))
-              for q in np.arange(0.0, 1.0, step)] + [n]:
+    for p in counts:
         if p > thresholds[-1]:
             thresholds.append(p)
     order = np.argsort(ur, kind="stable")

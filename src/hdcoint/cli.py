@@ -37,8 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bootstrap import AwbConfig
-from .classify import ClassifyConfig, METHODS as CLASSIFY_METHODS, \
-    pantula_classify
+from .classify import ClassifyConfig, pantula_classify
 from .dgp import random_vecm_params, simulate_mixed_orders, simulate_vecm
 from .errors import DataError, NumericalError, ParameterError
 from .harness import HarnessConfig, SINGLE_EQUATION_METHODS, mcs, run_rolling
@@ -369,9 +368,6 @@ def cmd_classify(cfg: Dict[str, object]) -> None:
     if len(methods) != 1:
         raise ParameterError("'classify' takes exactly one method")
     method = methods[0]
-    if method not in CLASSIFY_METHODS:
-        raise ParameterError(f"unknown classification method '{method}'; "
-                             f"choose from {CLASSIFY_METHODS}")
     # ClassifyConfig writes its alpha into the AWB config and checks the
     # alpha and the quantile step
     awb = AwbConfig(gamma=float(cfg["gamma"]), reps=int(cfg["boot_reps"]),

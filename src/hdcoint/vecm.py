@@ -25,9 +25,7 @@ short-run solve and Σ each one stacked step).  The PML estimator takes
 its starts from one such solve and fit, whatever its rank argument, and
 cycles the windows of each rank as one stack, each leaving it when it
 converges, reaches its cycle cap or fails.  Every window comes out bit
-for bit as it would alone, in the memory order its own fit gives each
-matrix: a sum over a matrix, and a forecast's matrix-vector product,
-follow that order.
+for bit as it would alone.
 
 The QR estimator fits a stack in one pass.  Each cross-validation
 fold trains on a row prefix of a window's design and validates on a row
@@ -837,10 +835,7 @@ def _cv_losses(z: np.ndarray, p: int, stages: _QrStages, paths: np.ndarray,
 def _pml_objective(E: np.ndarray, omega: np.ndarray, B: np.ndarray,
                    phi_mat: np.ndarray, lam: Tuple[float, float], n: int):
     """tr(SΩ) - log det Ω + λ_B|B|₁ + λ_Φ|Φ|₁ with S = EE'/n, or inf
-    where det Ω <= 0, of one window or of each window of a stack.  Each
-    sum runs over its matrix in the matrix's memory order, as ``np.sum``
-    runs it alone, so a stack must hold each window's B and Φ in the
-    memory order the window's own fit gives them."""
+    where det Ω <= 0, of one window or of each window of a stack."""
     axes = (-2, -1)
     S = E @ np.swapaxes(E, -1, -2) / n
     sign, logdet = np.linalg.slogdet(omega)
@@ -855,9 +850,8 @@ def _pml_init(z: np.ndarray, r: int, p: int, solves):
     stack ``z``, from each window's Johansen ``solves`` entry (its
     :class:`_Solve` or its error): the Johansen fit, one
     :func:`_johansen_fit` pass for the stack, where the solve and the fit
-    succeed, a ridge start otherwise.  Per window its start, each array in
-    the memory order its own start gives it, or the LinAlgError of its
-    fit."""
+    succeed, a ridge start otherwise.  Per window its start, or the
+    LinAlgError of its fit."""
     N = z.shape[-1]
     at = [i for i, s in enumerate(solves) if isinstance(s, _Solve)]
     fits = dict(zip(at, _johansen_fit([solves[i] for i in at], r, p,
@@ -895,14 +889,6 @@ def _ridge_start(z: np.ndarray, r: int, p: int) -> tuple:
     return a, b, np.zeros((N, p * N)), omega
 
 
-def _stack(arrays) -> np.ndarray:
-    """2-D arrays of one memory order as one stack whose every matrix
-    keeps that order."""
-    if np.isfortran(arrays[0]):
-        return np.swapaxes(np.stack([x.T for x in arrays]), -1, -2)
-    return np.stack(arrays)
-
-
 def pml_vecm(data, r: Optional[int], p: int = 1,
              lambdas: Tuple[float, float] = (0.0, 0.0),
              max_cycles: int = 200) -> Union[VecmModel, list]:
@@ -931,8 +917,8 @@ def pml_vecm(data, r: Optional[int], p: int = 1,
     :func:`as_stack`.  The windows' Johansen solves are made in one call,
     for every rank argument, and their ranks read in one pass; the
     windows of each rank take their starts from one :func:`_johansen_fit`
-    pass and cycle as one stack (:func:`_pml_fit`), those with a ridge
-    start apart from those with a Johansen one.
+    pass and cycle as one stack (:func:`_pml_fit`), whether a window
+    starts from its Johansen fit or from the ridge fit.
     """
     z, stack, fits = as_stack(data)
     T, N = z.shape[1:]
@@ -956,25 +942,22 @@ def pml_vecm(data, r: Optional[int], p: int = 1,
         starts = _pml_init(z[windows], rank, p, [solves[i] for i in at])
         for w, start in zip(windows, starts):
             fits[w] = start
-        # a sum of |B| or |Φ| follows its matrix's memory order, so the
-        # windows whose starts share one cycle together
-        kinds = key_positions(None if isinstance(s, WINDOW_ERRORS)
-                              else tuple(map(np.isfortran, s)) for s in starts)
-        for kind, pos in kinds.items():
-            if kind is not None:
-                group = [windows[i] for i in pos]
-                for w, fit in zip(group, _pml_fit(
-                        z[group], rank, p, lam, max_cycles,
-                        [starts[i] for i in pos])):
-                    fits[w] = fit
+        pos = [i for i, s in enumerate(starts)
+               if not isinstance(s, WINDOW_ERRORS)]
+        if pos:
+            group = [windows[i] for i in pos]
+            for w, fit in zip(group, _pml_fit(z[group], rank, p, lam,
+                                              max_cycles,
+                                              [starts[i] for i in pos])):
+                fits[w] = fit
     return unstack(fits, stack)
 
 
 def _pml_fit(z: np.ndarray, r: int, p: int, lam: Tuple[float, float],
              max_cycles: int, starts: list) -> list:
     """:func:`pml_vecm` of the windows of the (G, T, N) stack ``z`` at
-    rank ``r`` from their ``starts`` (A, B, Φ, Ω), of one memory order
-    each: per window its model, or its error.
+    rank ``r`` from their ``starts`` (A, B, Φ, Ω): per window its model,
+    or its error.
 
     Each block step runs once for the windows still cycling, with a mask
     per window for the A-block and Ω acceptance tests; a window leaves the
@@ -987,18 +970,15 @@ def _pml_fit(z: np.ndarray, r: int, p: int, lam: Tuple[float, float],
     y0, y1, W, t_last = _ec_design(z, p, DeterministicSpec.NONE)
     n = y0.shape[-2]
     Yd, Z1, DX = T_(y0), T_(y1), T_(W)
-    a, b, phi_mat, omega = (_stack(x) for x in zip(*starts))
+    # C-ordered whatever the starts' layouts, which np.stack would keep
+    a, b, phi_mat, omega = (np.array(x) for x in zip(*starts))
     E = Yd - a @ (T_(b) @ Z1) - (phi_mat @ DX if p else 0.0)
     obj = _pml_objective(E, omega, b, phi_mat, lam, n)
     path = np.empty((len(z), max(max_cycles, 0) + 1))
     path[:, 0] = obj
-    # per window: whether its A last came from the solve, whose transpose
-    # makes it Fortran-ordered; a forecast's matrix-vector product reads
-    # that order
-    a_solved = np.zeros(len(z), dtype=bool)
     live = dict(Yd=Yd, Z1=Z1, DX=DX, zz=Z1 @ T_(Z1), xx=DX @ T_(DX), a=a,
                 b=b, phi_mat=phi_mat, omega=omega, E=E, obj=obj, path=path,
-                a_solved=a_solved, ids=np.arange(len(z)))
+                ids=np.arange(len(z)))
     fits = [None] * len(z)
 
     def leave(gone: np.ndarray, errors: dict, converged: np.ndarray,
@@ -1016,10 +996,8 @@ def _pml_fit(z: np.ndarray, r: int, p: int, lam: Tuple[float, float],
                 np.zeros_like(v["phi_mat"]), (0.0, 0.0), n))
             for j, i in enumerate(at):
                 hist = v["path"][j, :cycles + 1].tolist()
-                a_j = v["a"][j]
                 fits[v["ids"][j]] = failed.get(j) or VecmModel(
-                    a=np.asfortranarray(a_j) if v["a_solved"][j]
-                    else np.ascontiguousarray(a_j), b=v["b"][j],
+                    a=v["a"][j], b=v["b"][j],
                     phi=tuple(v["phi_mat"][j][:, k * N:(k + 1) * N]
                               for k in range(p)),
                     mu=np.zeros(N), sigma=sigma[j], rank=r, p=p,
@@ -1064,8 +1042,6 @@ def _pml_fit(z: np.ndarray, r: int, p: int, lam: Tuple[float, float],
                     <= obj + 1e-12)[:, None, None]
             E = np.where(take, E + (a - a_new) @ M, E)
             a = np.where(take, a_new, a)
-            live["a_solved"] = np.where(take[:, 0, 0], well,
-                                        live["a_solved"])
             # B block: b'[j, i] has curvature (A'ΩA)_jj (Z1Z1')_ii
             oa = omega @ a
             b_new = T_(soft_threshold_sweep(T_(b), T_(oa) @ E @ T_(Z1),

@@ -190,6 +190,7 @@ class TestUnionBootstrap:
         with pytest.raises(ParameterError):
             AwbConfig(reps=99)
 
+    @pytest.mark.worker_processes
     def test_workers_leave_the_bits_alone(self, monkeypatch):
         # 599 replications are three row blocks of four_stats; the default
         # count also works where the OS has no CPU affinity call.  The
@@ -214,6 +215,7 @@ class TestUnionBootstrap:
         with pytest.raises(ParameterError):
             AwbConfig(workers=0)
 
+    @pytest.mark.worker_processes
     def test_failing_round_shuts_its_pool_down(self, monkeypatch):
         # unit multipliers on constant residuals make every replication a
         # pure trend, an exact fit that four_stats rejects.  The error names
@@ -270,6 +272,7 @@ class TestUnionBootstrap:
             bootstrap_union_distribution(from_values(vals),
                                          AwbConfig(reps=199, seed=9))
 
+    @pytest.mark.worker_processes
     def test_the_grouped_prelude_keeps_each_series_bits(self, monkeypatch):
         # one select_lags call per start, one four_stats call over the
         # (start, lag) groups and one adf_rho call per group; every
@@ -300,6 +303,7 @@ class TestUnionBootstrap:
                 want = np.r_[z[0], z[1:] - rho * z[:-1]]
                 assert res[lead:, j].tobytes() == want.tobytes()
 
+    @pytest.mark.worker_processes
     def test_the_first_failing_series_in_panel_order_is_named(self):
         # s1 and s2 are constant, an exact fit, in the groups of starts 10
         # and 0; the group of start 0 comes first and fails first, but the
@@ -314,6 +318,7 @@ class TestUnionBootstrap:
                 bootstrap_union_distribution(
                     panel, AwbConfig(reps=199, max_lags=0, workers=workers))
 
+    @pytest.mark.worker_processes
     def test_a_failing_round_chooses_the_lags_once(self, monkeypatch):
         # s2 and s3 are constant, an exact fit, both of lag 0 in the group
         # of start 0; the round fails in the observed fit, after one
@@ -340,6 +345,7 @@ class TestUnionBootstrap:
             assert calls[0][1:].tolist() == [0, 0]
             assert multiprocessing.active_children() == []
 
+    @pytest.mark.worker_processes
     def test_a_round_holds_a_few_blocks_of_paths(self, monkeypatch):
         # the paths are built block by block inside the fits, so from the
         # multipliers on a round's memory peak stays below one series'

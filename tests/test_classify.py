@@ -94,6 +94,41 @@ class TestBsqt:
         assert all(sz == 1 for sz in sizes)
         assert out.count == n
 
+    @staticmethod
+    def _grid_boundaries(n, step):
+        """The boundaries as rounded off the full grid np.arange(0, 1, step)."""
+        thresholds = [0]
+        for p in [int(np.floor(q * n + 0.5))
+                  for q in np.arange(0.0, 1.0, step)] + [n]:
+            if p > thresholds[-1]:
+                thresholds.append(p)
+        return thresholds
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
+    def test_fine_steps_give_the_grid_boundaries(self, rng, n):
+        boot = _boot(rng, n)
+        for step in (1 / n, 1 / (n + 1), 1 / (3 * n), 1e-4):
+            want = self._grid_boundaries(n, step)
+            # all deeply significant: every boundary gets its round
+            out = classify_bsqt(-np.linspace(9.0, 8.0, n), boot, step=step)
+            got = [s["null_count"] for s in out.steps]
+            assert got + [out.steps[-1]["alternative"]] == want
+            # mixed: the rounds run a prefix of the boundaries
+            out = classify_bsqt(rng.normal(-1.5, 1.5, size=n), boot,
+                                step=step)
+            got = [s["null_count"] for s in out.steps]
+            assert got + [out.steps[-1]["alternative"]] == want[:len(got) + 1]
+
+    def test_tiny_step_is_the_stepwise_grid(self, rng):
+        # 1e-9 would be a grid of 1e9 quantiles; it gives step 1/N's rounds
+        n = 40
+        ur, boot = rng.normal(-2.0, 1.5, size=n), _boot(rng, n)
+        tiny, unit = (classify_bsqt(ur, boot, step=s) for s in (1e-9, 1 / n))
+        assert (tiny.rejected == unit.rejected).all()
+        assert (tiny.count, tiny.interval, tiny.steps) == (
+            unit.count, unit.interval, unit.steps)
+        assert len(tiny.steps) > 1
+
     @pytest.mark.parametrize("step", [0.0, -0.25, 1.5, float("nan")])
     def test_step_outside_the_unit_interval_rejected(self, rng, step):
         with pytest.raises(ParameterError, match="quantile step"):

@@ -39,6 +39,7 @@ RUNS = {
 }
 
 
+@pytest.mark.worker_processes
 @pytest.mark.parametrize("name", list(RUNS))
 def test_classify_matches_golden_on_any_worker_count(tmp_path, name):
     with open(os.path.join(GOLDEN, f"classify_{name}.json"), "rb") as fh:

@@ -285,6 +285,12 @@ KEPT = [(c, f) for c, row in ROWS.items() for f in row if f != "config"]
 OTHERS = [(c, f) for c, row in ROWS.items() for f in VALUES if f not in row]
 
 
+def _marked(pairs):
+    """(command, flag) pairs, the threads flag's as worker_processes."""
+    return [pytest.param(c, f, marks=pytest.mark.worker_processes)
+            if f == "threads" else (c, f) for c, f in pairs]
+
+
 def _flag(key):
     return "--" + key.replace("_", "-")
 
@@ -298,7 +304,7 @@ class TestFlagTable:
             assert resolved.pop("command") == command
             assert resolved == row
 
-    @pytest.mark.parametrize("command, key", KEPT)
+    @pytest.mark.parametrize("command, key", _marked(KEPT))
     def test_a_flag_resolves_alike_from_argv_and_file(self, tmp_path,
                                                      command, key):
         text, value = VALUES[key]
@@ -312,7 +318,7 @@ class TestFlagTable:
                 {k: v for k, v in ROWS[command].items()
                  if k not in (key, "config")}
 
-    @pytest.mark.parametrize("command, key", OTHERS)
+    @pytest.mark.parametrize("command, key", _marked(OTHERS))
     def test_a_flag_the_command_does_not_read_is_a_usage_error(
             self, tmp_path, capsys, command, key):
         out = tmp_path / "o.json"
@@ -477,6 +483,7 @@ class TestClassifyCommand:
         assert all(d in (0, 1, 2) for d in orders.values())
         assert "method=bsqt" in capsys.readouterr().out
 
+    @pytest.mark.worker_processes
     def test_output_identical_across_threads(self, tmp_path):
         # 599 replications are three row blocks of four_stats; a simulated
         # panel and the golden CSV panel
@@ -490,6 +497,7 @@ class TestClassifyCommand:
             for n in ("2", "3"):
                 assert (tmp_path / f"r{k}_{n}.json").read_bytes() == first
 
+    @pytest.mark.worker_processes
     def test_threads_leave_the_environment_alone(self, tmp_path):
         # --threads sizes the bootstrap's worker pool and nothing else
         path = _simulate(tmp_path, t_obs=60)
@@ -530,11 +538,12 @@ class TestClassifyCommand:
             assert main(args + [step]) == 1
             assert "quantile step must lie in (0, 1]" in capsys.readouterr().err
 
-    def test_unknown_method(self, tmp_path):
+    def test_unknown_method(self, tmp_path, capsys):
         path = _simulate(tmp_path, t_obs=60)
         rc = main(["classify", "--input", path, "--methods", "magic",
                    "--output", str(tmp_path / "r.json")])
         assert rc == 1
+        assert "unknown method 'magic'" in capsys.readouterr().err
 
     def test_strategy_one_enters_code_implied_i2_series(self, tmp_path):
         path = _simulate(tmp_path, n0=1, n1=1, n2=1, t_obs=120)

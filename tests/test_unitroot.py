@@ -272,6 +272,7 @@ class TestGramKernel:
                                        base, rtol=0, atol=1e-9)
 
 
+@pytest.mark.worker_processes
 class TestRowBlocks:
     """``four_stats`` fits fixed row blocks; the bits do not depend on the
     block split or on the number of worker processes."""

@@ -788,11 +788,45 @@ class TestJohansenStack:
             models = [f for f in fits if not isinstance(f, Exception)]
             assert {m.rank for m in models} == {0, 1, 2, 3}
             assert {m.info["converged"] for m in models} == {False, True}
-            # A from the least-squares step is the transpose of the solve's
-            # solution, Fortran-ordered as a window's own fit has it
-            assert all(np.isfortran(m.a) for m in models if m.rank >= 2)
+            # A keeps the C order of the stack the cycles run on
+            assert all(m.a.flags.c_contiguous for m in models if m.rank >= 2)
             assert isinstance(fits[3], NumericalError)
             assert isinstance(fits[5], DataError)
+
+    def test_pml_ridge_and_johansen_starts_cycle_as_one_stack(
+            self, monkeypatch):
+        # at an explicit rank the collinear window starts from the ridge
+        # fit and the others from their Johansen fits; all of them cycle
+        # in one stack, and each comes out as it does alone
+        import hdcoint.vecm as vecm
+        calls, ridge = [], []
+        fit, start = vecm._pml_fit, vecm._ridge_start
+
+        def counted_fit(z, *args):
+            calls.append(len(z))
+            return fit(z, *args)
+
+        def counted_start(z, *args):
+            ridge.append(z.tobytes())
+            return start(z, *args)
+
+        monkeypatch.setattr(vecm, "_pml_fit", counted_fit)
+        monkeypatch.setattr(vecm, "_ridge_start", counted_start)
+        zs = _ranked_stack()
+        for r in (1, 2):
+            calls.clear()
+            ridge.clear()
+            fits = pml_vecm(zs, r, p=1, lambdas=(0.1, 0.1), max_cycles=8)
+            assert calls == [len(zs) - 1]
+            assert ridge == [zs[3].tobytes()]
+            for got, z in zip(fits, zs):
+                want = _alone(pml_vecm, z, r, p=1, lambdas=(0.1, 0.1),
+                              max_cycles=8)
+                _same_outcome(got, want)
+                if not isinstance(want, Exception):
+                    _same_memory_order(got, want)
+            assert isinstance(fits[5], DataError)
+            assert sum(isinstance(f, Exception) for f in fits) <= 2
 
     def test_johansen_mixed_ranks_in_one_lag_group(self):
         for zs, det in ((_ranked_stack(), "none"), (_mixed_stack(), "trend")):

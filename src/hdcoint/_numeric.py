@@ -7,8 +7,8 @@ QR, the sign convention of eigen- and singular vectors, the zero-safe
 column scale, the soft-threshold and its coordinate sweep over a stack
 of windows (bit for bit the sweep of each window alone), the fold edges
 and tie rule of the expanding-window cross-validation of the SPECS/PADL
-and QR-VECM penalties, and the rule that every penalty level is finite
-and non-negative.
+and QR-VECM penalties, the range rule of a level, and the rule that
+every penalty level is finite and non-negative.
 """
 
 from __future__ import annotations
@@ -196,6 +196,12 @@ def soft_threshold_sweep(x, grad, M, K, thr: float) -> np.ndarray:
                 rest[...] = np.where(changed, rest - M[s + 1:, s, None] * dk,
                                      rest)
     return x.transpose(2, 0, 1).copy()
+
+
+def check_level(alpha: float, what: str = "alpha") -> None:
+    """The one range rule of a level: ``alpha`` in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"{what} must lie in (0, 1)")
 
 
 def penalty_levels(values, what: str) -> np.ndarray:

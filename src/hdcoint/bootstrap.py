@@ -15,13 +15,12 @@ replication multipliers run the same unit-variance AR(1) recursion.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._numeric import ar1_recursion, key_positions
+from ._numeric import ar1_recursion, check_level, key_positions
 from .errors import WINDOW_ERRORS, ParameterError, attempt
 from .panel import Panel, ols_detrend
 # substream is unused here, but the benchmark's tracer still looks it up
@@ -73,9 +72,9 @@ class AwbConfig:
     max_lags : int, optional
         Cap for the per-series lag choice (default ``12 (T/100)^{1/4}``).
     workers : int, optional
-        How many series' replications a round fits at once, on forked
-        worker processes, or in-process where the platform cannot fork;
-        default every usable CPU.  Any count gives the same bytes.
+        How many series' replications a round fits at once, on worker
+        processes (the rule of ``errors.per_window``); default every
+        usable CPU.  Any count gives the same bytes.
     """
 
     gamma: float = 0.85
@@ -93,8 +92,7 @@ class AwbConfig:
                 f"workers must be a positive integer, got {self.workers}")
         if self.rho_mode not in _RHO_MODES:
             raise ParameterError(f"rho_mode must be one of {_RHO_MODES}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ParameterError("alpha must lie in (0, 1)")
+        check_level(self.alpha)
         if self.reps * self.alpha < 5.0:
             raise ParameterError(
                 f"reps * alpha = {self.reps * self.alpha:.1f} < 5: too few "
@@ -258,13 +256,12 @@ def bootstrap_union_distribution(panel: Panel, cfg: AwbConfig
     The observed panel is fitted by group, each series' bits those of its
     own calls: one :func:`~hdcoint.unitroot.select_lags` call per start,
     and one :func:`~hdcoint.unitroot.four_stats` call over the groups
-    sharing a start and a lag, in-process: a fork costs more than these
-    fits.  The replications are fitted in one call, one task per series,
-    on ``cfg.workers`` worker processes forked for the round, the same
-    bytes for any number, or in-process where the platform cannot fork;
-    each row block builds its own rows of the bootstrap paths (multiplier
-    times residual, then the cumulative sum), so a round holds paths for
-    only the blocks being fitted.  Each call gives per series or group
+    sharing a start and a lag, in-process: a worker costs more than these
+    fits.  The replications are fitted in one call, one task per series
+    on ``cfg.workers`` processes (``errors.per_window``), the same bytes
+    for any number; each row block builds its own rows of the bootstrap
+    paths (multiplier times residual, then the cumulative sum), so a
+    round holds paths for only the blocks being fitted.  Each call gives per series or group
     its statistics or its window error, and the round raises the first
     failing series' error in panel order, prefixed with its name, for any
     number of workers: a series too short for its regressions
@@ -300,9 +297,7 @@ def bootstrap_union_distribution(panel: Panel, cfg: AwbConfig
     paths = [_Paths(xi, uhat.values[lead:, j], lead)
              for j, lead in enumerate(panel.leads)]
 
-    workers = cfg.workers or (len(os.sched_getaffinity(0)) if hasattr(
-        os, "sched_getaffinity") else os.cpu_count() or 1)
-    boot_stats = np.stack(_named(four_stats(paths, lags, workers),
+    boot_stats = np.stack(_named(four_stats(paths, lags, cfg.workers),
                                  panel.names), axis=1)
     crit = left_tail_quantile(boot_stats, cfg.alpha)       # (N, 4)
     critvals = _named([attempt(CriticalValueSet, *c, cfg.alpha)

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ._numeric import check_level
 from .bootstrap import AwbConfig, bootstrap_union_distribution, left_tail_quantile
 from .errors import ParameterError
 from .panel import DeterministicSpec, Panel, difference, difference_columns
@@ -64,8 +65,7 @@ def classify_iadf(ur: np.ndarray, critvals: np.ndarray) -> np.ndarray:
 def _check_level_and_step(alpha: float, step: float = 0.05) -> None:
     """The one range rule of the classification settings: the level
     ``alpha`` in (0, 1) and the bsqt quantile ``step`` in (0, 1]."""
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError("alpha must lie in (0, 1)")
+    check_level(alpha)
     if not 0.0 < step <= 1.0:
         raise ParameterError(f"quantile step must lie in (0, 1], got {step}")
 

@@ -7,12 +7,12 @@ names it.  Flags may come from an optional ``key=value`` config file
 (given by ``--config``, which is not itself a file key); explicit flags
 override file entries.  Every command honors ``--seed`` and identical
 invocations produce identical output files.  ``classify --threads N``
-sets the worker processes fitting the bootstrap replications (default:
-every usable CPU; in-process where the platform cannot fork); the output
-has the same bytes for any ``N``.  ``classify --quantile-step s`` spaces
-bsqt's quantile grid 0, s, 2s, ... below 1, with ``s`` in (0, 1]; ``s = 1``
-is one joint test of "all I(1)" against "all I(0)".  ``nowcast`` always
-runs at horizon 0.
+sets the worker processes (``errors.per_window``) that fit the bootstrap
+replications (default: every usable CPU; none where the platform cannot
+start them), with the same output bytes for any ``N``.
+``classify --quantile-step s`` spaces bsqt's quantile grid 0, s, 2s, ...
+below 1, with ``s`` in (0, 1]; ``s = 1`` is one joint test of "all I(1)"
+against "all I(0)".  ``nowcast`` always runs at horizon 0.
 ``classify --strategy 1`` needs ``--codes``: series whose code implies
 order two (3 or 6) are entered in first differences, all others are
 assumed at most I(1).  ``--codes`` sets integration orders only

@@ -43,12 +43,43 @@ def attempt(fn, *args):
         return exc
 
 
-def per_window(fn, results, *args) -> list:
+def per_window(fn, results, *args, workers=1) -> list:
     """Per window, ``fn(result, *entries)`` attempted, with ``entries``
     the window's entry of each sequence in ``args``; a window whose
-    result is an error keeps that error, the same object."""
-    return [r if isinstance(r, WINDOW_ERRORS) else attempt(fn, r, *a)
-            for r, *a in zip(results, *args)]
+    result is an error keeps that error, the same object.  The package's
+    one map: given ``os.fork`` and 2 or more of ``workers`` (``None``:
+    every usable CPU) and of windows to attempt, these run on forked
+    processes, at most one each, joined within the call; each inherits
+    ``fn`` and the windows and pickles its outcomes back.  Otherwise
+    they run in this process."""
+    import os
+    items = list(zip(results, *args))
+    live = [a for a in items if not isinstance(a[0], WINDOW_ERRORS)]
+    if workers is None:
+        workers = len(os.sched_getaffinity(0)) if hasattr(
+            os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, len(live))
+    if workers < 2 or not hasattr(os, "fork"):
+        done = (attempt(fn, *a) for a in live)
+    else:
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, ctx, _inherit, (fn, live)) as pool:
+            done = pool.map(_attempt_inherited, range(len(live)))
+    return [a[0] if isinstance(a[0], WINDOW_ERRORS) else next(done)
+            for a in items]
+
+
+def _inherit(*work) -> None:
+    """Keep a forked worker's function and windows."""
+    global _work
+    _work = work
+
+
+def _attempt_inherited(i: int):
+    """Window ``i`` of the worker's call, attempted."""
+    return attempt(_work[0], *_work[1][i])
 
 
 def per_matrix(fn, *stacks) -> tuple:

@@ -18,13 +18,14 @@ window, in order, its forecasts or the window error it raised (the one
 rule of :mod:`errors`: :func:`attempt` and :func:`per_window`); the run
 records them window by window, in the order of the lane table, whatever
 the block size.  The single equations and registered lanes are
-one-window bodies that one adapter calls on each window, ``block[w]``.
-Every other built-in lane is one stacked body: it fits the block's stack
-of inputs in one call (the stack contract of :func:`panel.as_stack`) and
-finishes each window's result, integrating a target's path back to
-levels.  The AR lane makes one autoregression call per integration
-order (and per order at h = 0), the VAR lanes one for the systems, and
-the five cointegration lanes one lag choice and one Johansen-family fit.
+one-window bodies that :func:`per_window` calls on each window, in this
+process.  Every other built-in lane is one stacked body: it fits the
+block's stack of inputs in one call (the stack contract of
+:func:`panel.as_stack`) and finishes each window's result, integrating a
+target's path back to levels.  The AR lane makes one autoregression call
+per integration order (and per order at h = 0), the VAR lanes one for
+the systems, and the five cointegration lanes one lag choice and one
+Johansen-family fit.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._numeric import column_scales, key_positions
+from ._numeric import check_level, column_scales, key_positions
 from .bootstrap import _multiplier_matrix, check_multiplier
 from .errors import (WINDOW_ERRORS, DataError, ParameterError, attempt,
                      per_window)
@@ -180,12 +181,6 @@ def _at_horizons(ctx: _Block, levels) -> Dict[Tuple[int, int], float]:
 # -- lanes -------------------------------------------------------------------
 # A lane body looks its estimators up by module-global name when it runs, so
 # a wrapper installed on that name sees every call.
-
-
-def _each(fn: Callable, block: _Block) -> list:
-    """The lane of a one-window body ``fn``: per window of the block, in
-    order, ``fn(window)`` or the window error it raised."""
-    return [attempt(fn, ctx) for ctx in block]
 
 
 def _stacked(block: _Block, prepare: Callable, fit: Callable,
@@ -354,8 +349,8 @@ class Lane:
     nowcasts; ``with_targets``: those factors join the targets in one
     system, so the targets and factors together may not outnumber the N
     series that span them.  The single equations are one-window bodies
-    that :func:`_each` calls window by window; every other built-in lane
-    is one :func:`_stacked` body."""
+    that :func:`per_window` calls window by window; every other built-in
+    lane is one :func:`_stacked` body."""
 
     forecast: Callable
     nowcasts: bool = False
@@ -375,15 +370,15 @@ _LANES: Dict[str, Lane] = {
                  factors=True, with_targets=True),
     "ndfm": Lane(partial(_cointegrated, path=_ndfm_paths, targets_only=False),
                  factors=True),
-    "specs": Lane(partial(_each, partial(_single_eq, specs=True)),
+    "specs": Lane(partial(per_window, partial(_single_eq, specs=True)),
                   nowcasts=True),
-    "fa_specs": Lane(partial(_each, partial(_single_eq, specs=True,
-                                            augment=True)),
+    "fa_specs": Lane(partial(per_window, partial(_single_eq, specs=True,
+                                                 augment=True)),
                      nowcasts=True, factors=True),
-    "padl": Lane(partial(_each, partial(_single_eq, specs=False)),
+    "padl": Lane(partial(per_window, partial(_single_eq, specs=False)),
                  nowcasts=True),
-    "fapadl": Lane(partial(_each, partial(_single_eq, specs=False,
-                                          augment=True)),
+    "fapadl": Lane(partial(per_window, partial(_single_eq, specs=False,
+                                               augment=True)),
                    nowcasts=True, factors=True),
 }
 
@@ -405,12 +400,13 @@ def register_method(name: str, fn: Callable) -> None:
     the lane contract: ``values`` and ``resid`` (T, N), ``window_start``,
     ``n_obs``, ``targets``, ``orders``, ``horizons``, ``cfg``,
     ``deterministic(j, h)`` and, for the targets of a run with h = 0,
-    ``now_parts(ti)``.  ``Lane(partial(_each, fn))`` neither nowcasts (the run
-    drops its h = 0 values) nor extracts factors; it calls ``fn`` on each
-    window of a block, in order.  A :class:`ToolkitError` or ``LinAlgError``
-    fails only that window, as a diagnostic; any other error stops the run.
+    ``now_parts(ti)``.  ``Lane(partial(per_window, fn))`` neither nowcasts
+    (the run drops its h = 0 values) nor extracts factors; it calls ``fn``
+    on each window of a block, in order, in this process.  A
+    :class:`ToolkitError` or ``LinAlgError`` fails only that window, as a
+    diagnostic; any other error stops the run.
     """
-    _LANES[name] = Lane(partial(_each, fn))
+    _LANES[name] = Lane(partial(per_window, fn))
     _REGISTRY[name] = _LANES[name].forecast
 
 
@@ -449,8 +445,7 @@ class HarnessConfig:
             raise ParameterError("p_max must be non-negative")
         if self.factors < 0:
             raise ParameterError("factor count must be non-negative")
-        if not 0 < self.mcs_level < 1:
-            raise ParameterError("the MCS level --alpha must lie in (0, 1)")
+        check_level(self.mcs_level, "the MCS level --alpha")
         check_multiplier(self.boot_reps, self.gamma)
 
 
@@ -493,8 +488,7 @@ def mcs(losses, alpha: float = 0.10, gamma: float = 0.85, reps: int = 999,
         raise ParameterError("one name per loss column is required")
     if len(set(names)) < K:
         raise ParameterError(f"method names {names} repeat a name")
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError("alpha must lie strictly inside (0, 1)")
+    check_level(alpha)
     check_multiplier(reps, gamma)
     return _eliminate(L, _multiplier_matrix(reps, n, gamma, seed), alpha,
                       names)

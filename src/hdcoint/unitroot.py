@@ -54,7 +54,6 @@ unit root tests with good size and power. Econometrica 69, 1519-1554.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple, Union
@@ -62,8 +61,9 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (DataError, NumericalError, ParameterError, attempt,
-                     per_matrix, per_window)
+from ._numeric import check_level
+from .errors import (DataError, NumericalError, ParameterError, per_matrix,
+                     per_window)
 from .panel import DeterministicSpec, detrend, unstack
 
 __all__ = [
@@ -470,8 +470,7 @@ class CriticalValueSet:
     alpha: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ParameterError("alpha must lie in (0, 1)")
+        check_level(self.alpha)
         vals = self.as_array()
         if not np.all(np.isfinite(vals)):
             raise NumericalError("critical values must be finite")
@@ -504,7 +503,7 @@ def union_stat(stats, critvals: CriticalValueSet, x: float = -1.0) -> float:
 
 
 def four_stats(series_or_batch, lags: Union[int, Sequence[int]],
-               workers: int = 1) -> Union[np.ndarray, list]:
+               workers: Optional[int] = 1) -> Union[np.ndarray, list]:
     """All four component statistics, batched.
 
     Returns shape ``(B, 4)`` with columns ordered as :data:`VARIANTS`.
@@ -517,56 +516,30 @@ def four_stats(series_or_batch, lags: Union[int, Sequence[int]],
     A batch is a series, a ``(B, T)`` array, whose shared leading-NaN
     block is dropped and whose rows are shifted to start at zero, or any
     object with a ``shape`` ``(B, T)`` whose row slices ``batch[lo:hi]``
-    are finite arrays starting at zero.  Every batch is checked, each
-    then fitted in one task of :func:`_fit_batch`, whose blocks of
-    :data:`_ROW_BLOCK` rows take their slices themselves.  With more than
-    one of ``workers`` and of batches, the tasks run on at most one
-    worker process per batch, forked for the call (no batch is pickled;
-    a result or an error is) and joined before it returns; otherwise, or
-    where the platform cannot fork, in this process.  Every batch is
-    fitted, and the bits and errors are the same for any ``workers``.
+    are finite arrays starting at zero.  ``errors.per_window`` runs one
+    task of :func:`_fit_batch` per batch, which checks it and fits its
+    blocks of :data:`_ROW_BLOCK` rows, each taking its own slice, on
+    ``workers`` worker processes (``None``: every usable CPU) or in this
+    process, the same bits and errors for any ``workers``.
     """
     stack = np.ndim(lags) != 0
     batches, lags = (series_or_batch, lags) if stack else (
         [series_or_batch], [lags])
     if len(batches) != len(lags):
         raise ParameterError("need one lag per batch")
-    jobs = [attempt(_job, y, int(p)) for y, p in zip(batches, lags)]
-    workers = min(workers, len(jobs))
-    if workers < 2 or not hasattr(os, "fork"):
-        return unstack(per_window(_fit_batch, jobs), stack)
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
-    ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, ctx, _inherit, (jobs,)) as pool:
-        return list(pool.map(_fit_inherited, range(len(jobs))))
+    return unstack(per_window(_fit_batch, batches, map(int, lags),
+                              workers=workers), stack)
 
 
-def _job(y, lags: int) -> tuple:
-    """``(batch, lags, n)``: a batch checked for a fit with ``lags`` lags
-    over ``n`` rows of its trend ADF regression."""
+def _fit_batch(y, lags) -> np.ndarray:
+    """One batch checked for a fit with ``lags`` lags, then its
+    statistics, its row blocks fitted in order."""
     if isinstance(y, np.ndarray) or not hasattr(y, "shape"):
         y = _trim_leading_nan(_as_batch(y))
         y = y - y[:, :1]
-    return y, lags, _effective_sample(y.shape[1], 2, lags)
-
-
-def _fit_batch(job: tuple) -> np.ndarray:
-    """One checked batch's statistics, its row blocks fitted in order."""
-    batch, lags, n = job
-    return np.concatenate([_four_stats_block(batch, lo, lags, n)
-                           for lo in range(0, batch.shape[0], _ROW_BLOCK)])
-
-
-def _inherit(jobs: list) -> None:
-    """Keep a forked worker's checked batches."""
-    global _jobs
-    _jobs = jobs
-
-
-def _fit_inherited(j: int):
-    """Batch ``j`` of the worker's call: its statistics or its error."""
-    return per_window(_fit_batch, _jobs[j:j + 1])[0]
+    n = _effective_sample(y.shape[1], 2, lags)
+    return np.concatenate([_four_stats_block(y, lo, lags, n)
+                           for lo in range(0, y.shape[0], _ROW_BLOCK)])
 
 
 def _four_stats_block(batch, lo: int, lags: int, n: int) -> np.ndarray:
@@ -591,9 +564,8 @@ def _four_stats_block(batch, lo: int, lags: int, n: int) -> np.ndarray:
     whose ``M`` is not positive definite falls back to one
     :func:`_level_fit` per regression for its ADF and DF-GLS mean
     statistics, pseudo-inverse included; the other rows keep the shared
-    factor.  The rows start at zero (:func:`four_stats`).  Runs on worker
-    processes, same bytes for any number, in-process where the platform
-    cannot fork; it calls no name the benchmark's tracer wraps.
+    factor.  The rows start at zero (:func:`four_stats`).  It calls no
+    name the benchmark's tracer wraps, as it may run on a worker process.
     """
     y = batch[lo:lo + _ROW_BLOCK]
     gls_mean = _gls_coef_batch(y, DeterministicSpec.MEAN)[0]

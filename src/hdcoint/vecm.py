@@ -254,10 +254,14 @@ def _ic_ranks(solves: list) -> list:
     return ranks
 
 
-def _check_rank(T: int, N: int, p: int, r: int) -> None:
-    """Rank ``r`` in 0..N and a window of T rows long enough to fit it."""
-    if not 0 <= r <= N:
+def _check_rank_range(r: Optional[int], N: int) -> None:
+    """A rank argument: ``None`` or a rank in 0..N."""
+    if r is not None and not 0 <= r <= N:
         raise ParameterError(f"rank must lie in 0..{N}")
+
+
+def _check_rank(T: int, N: int, p: int, r: int) -> None:
+    """A window of T rows long enough to fit rank ``r``."""
     if T <= N * (p + 1) + r + 2:
         raise DataError(
             f"window of {T} observations is too short for N={N}, p={p}, r={r}")
@@ -278,10 +282,9 @@ def _johansen_fit(solves: list, r: int, p: int,
     """
     s0 = solves[0]
     k, n, (N, m) = s0.k, s0.n, s0.s01.shape
-    try:
-        _check_rank(s0.t_last, N, p, r)
-    except DataError as exc:
-        return [exc] * len(solves)
+    short = attempt(_check_rank, s0.t_last, N, p, r)
+    if short is not None:
+        return [short] * len(solves)
     R, vecs, s01, lam, logdet = (np.stack([getattr(s, f) for s in solves])
                                  for f in ("R", "vecs", "s01", "lam",
                                            "logdet"))
@@ -331,8 +334,7 @@ def johansen_ml(data, r: Optional[int], p: Union[int, Sequence] = 1,
     lags = [p] * len(z) if np.ndim(p) == 0 else list(p)
     if len(lags) != len(z):
         raise ParameterError(f"{len(lags)} lags for {len(z)} windows")
-    if r is not None and not 0 <= r <= N:
-        raise ParameterError(f"rank must lie in 0..{N}")
+    _check_rank_range(r, N)
     fits = [lag if fit is None and isinstance(lag, WINDOW_ERRORS) else fit
             for fit, lag in zip(fits, lags)]
     todo = [w for w, fit in enumerate(fits) if fit is None]
@@ -922,8 +924,7 @@ def pml_vecm(data, r: Optional[int], p: int = 1,
     """
     z, stack, fits = as_stack(data)
     T, N = z.shape[1:]
-    if r is not None and not 0 <= r <= N:
-        raise ParameterError(f"rank must lie in 0..{N}")
+    _check_rank_range(r, N)
     if T < N + p + 2:
         raise DataError(f"window of {T} observations is too short for N={N}, p={p}")
     lam = tuple(penalty_levels(lambdas, "lambdas").ravel().tolist())

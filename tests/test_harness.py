@@ -1,6 +1,8 @@
 """Rolling-window evaluation engine and the autoregressive benchmark."""
 
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -662,3 +664,27 @@ class TestLaneContract:
             attempt(_raise, RuntimeError("bug"))
         with pytest.raises(RuntimeError, match="bug"):
             per_window(lambda r: _raise(RuntimeError("bug")), [1])
+
+
+@pytest.mark.worker_processes
+def test_one_window_lanes_run_in_this_process(register_lane, monkeypatch):
+    # the SPECS, PADL and registered lanes fork nothing: a registered
+    # lane's side effects land in this process, in window order
+    def no_fork():
+        raise AssertionError("a lane forked a process")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    seen = []
+
+    def last_value(ctx):
+        seen.append((os.getpid(), ctx.window_start))
+        return {(ti, h): ctx.values[-1, ti]
+                for ti in ctx.targets for h in ctx.horizons}
+
+    register_lane("last", last_value)
+    report = run_rolling(_walk_panel(3, 72, 6), _small_cfg(
+        methods=("ar", "specs", "padl", "last"), targets=(0,)))
+    assert len(report.window_starts) == 12
+    assert seen == [(os.getpid(), s) for s in report.window_starts]
+    assert np.isfinite(report.forecasts[("s1", 1)]).all()
+    assert multiprocessing.active_children() == []

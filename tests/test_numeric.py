@@ -2,18 +2,28 @@
 plain-float sweep of one window, the fold edges of expanding-window
 cross-validation, the singular-pivot rule, the column order of a
 pivoted QR (against scipy's ``dgeqp3``), the column sign and scale
-conventions, the positions of each key, and the one rule for a stack
-of matrices that a linear-algebra routine fails on."""
+conventions, the positions of each key, the one rule for a stack of
+matrices that a linear-algebra routine fails on, the one range rule of
+a level, and the one map over windows, in this process or on forked
+worker processes."""
+
+import concurrent.futures.process
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from hdcoint import (AwbConfig, ClassifyConfig, CriticalValueSet,
+                     HarnessConfig, ParameterError, mcs)
+
 from hdcoint._numeric import (column_scales, column_signs, expanding_folds,
                               key_positions, last_minimum, pivot_order,
                               singular_pivots, soft_threshold,
                               soft_threshold_sweep)
-from hdcoint.errors import per_matrix
+from hdcoint.errors import (DataError, NumericalError, per_matrix,
+                            per_window)
 
 
 def _scalar_soft_threshold(c, thr):
@@ -356,3 +366,124 @@ class TestPerMatrix:
         assert out.shape == (6, 4, 4)
         assert np.isnan(out[list(singular)]).all()
         assert np.isfinite(np.delete(out, singular, axis=0)).all()
+
+
+def test_one_range_rule_for_every_level():
+    # the classification, bootstrap, critical-value and MCS levels; the
+    # harness's config names its command-line flag
+    losses = np.random.default_rng(0).standard_normal((40, 2))
+    checks = [lambda a: ClassifyConfig(alpha=a), lambda a: AwbConfig(alpha=a),
+              lambda a: CriticalValueSet(-3.4, -3.9, -2.0, -2.9, alpha=a),
+              lambda a: mcs(losses, alpha=a)]
+    for alpha in (0.0, 1.0, -0.1, float("nan")):
+        for check in checks:
+            with pytest.raises(ParameterError,
+                               match=r"^alpha must lie in \(0, 1\)$"):
+                check(alpha)
+        with pytest.raises(ParameterError, match=r"^the MCS level --alpha "
+                           r"must lie in \(0, 1\)$"):
+            HarnessConfig(mcs_level=alpha)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The size of every worker pool that ``per_window`` starts."""
+    sizes = []
+
+    class Recorded(concurrent.futures.process.ProcessPoolExecutor):
+        def __init__(self, max_workers, *args):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args)
+
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor",
+                        Recorded)
+    return sizes
+
+
+def _outcomes(results):
+    """Each result as plain data: an array's bytes, an error's type and
+    message."""
+    return [(type(r), str(r)) if isinstance(r, Exception) else r.tobytes()
+            for r in results]
+
+
+@pytest.mark.worker_processes
+class TestPerWindow:
+    """``errors.per_window`` on worker processes gives what it gives in
+    this process: each window's result or window error, in order, with a
+    window that is already an error kept as the same object in this
+    process."""
+
+    def test_a_closure_gives_the_same_on_any_pool(self, pool_sizes):
+        # a closure cannot be pickled: the workers inherit it
+        scale = np.arange(3.0)
+
+        def fit(x, k):
+            if k == 2:
+                raise NumericalError(f"injected at {k}")
+            return np.sqrt(x) * scale + k
+
+        xs, ks = [1.0, 2.0, 3.0, 4.0, 5.0], range(5)
+        here = per_window(fit, xs, ks)
+        assert type(here[2]) is NumericalError and pool_sizes == []
+        for workers in (2, 3):
+            assert _outcomes(per_window(fit, xs, ks, workers=workers)) == \
+                _outcomes(here)
+        assert pool_sizes == [2, 3]
+        assert multiprocessing.active_children() == []
+
+    def test_an_error_stays_the_same_object_and_forks_nothing(
+            self, pool_sizes, tmp_path):
+        # fn leaves a marker per window it runs on; the error windows
+        # leave none, and the pool counts only the windows to attempt
+        def fit(x, k):
+            (tmp_path / str(k)).touch()
+            return x * k
+
+        errors = [DataError("short"), np.linalg.LinAlgError("singular")]
+        results = [2.0, errors[0], 3.0, errors[1], 4.0]
+        for workers in (1, 2, 3):
+            for marker in tmp_path.iterdir():
+                marker.unlink()
+            out = per_window(fit, results, range(5), workers=workers)
+            assert out[1] is errors[0] and out[3] is errors[1]
+            assert [out[0], out[2], out[4]] == [0.0, 6.0, 16.0]
+            assert sorted(m.name for m in tmp_path.iterdir()) == \
+                ["0", "2", "4"]
+        assert pool_sizes == [2, 3]
+        # one window to attempt, or none: no pool at all
+        for results in ([errors[0], 5.0, errors[1]], errors):
+            out = per_window(fit, results, [1, 2, 3][:len(results)],
+                             workers=3)
+            assert [r for r in out if isinstance(r, Exception)] == errors
+            assert all(a is b for a, b in zip(out, results)
+                       if isinstance(b, Exception))
+        assert pool_sizes == [2, 3]
+        assert multiprocessing.active_children() == []
+
+    def test_none_means_every_usable_cpu(self, pool_sizes, monkeypatch):
+        xs = [float(j) for j in range(6)]
+        want = per_window(np.sqrt, xs)
+        for cpus in ({0, 1, 2}, {0}, {0, 1, 2, 3, 4, 5, 6, 7}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                                raising=False)
+            assert per_window(np.sqrt, xs, workers=None) == want
+        # one CPU forks nothing; eight CPUs fork one worker per window
+        assert pool_sizes == [3, 6]
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for count in (2, None, 4):
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+            assert per_window(np.sqrt, xs, workers=None) == want
+        assert pool_sizes == [3, 6, 2, 4]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_another_error_in_a_worker_reaches_the_caller(self, workers):
+        def fit(x):
+            if x == 3:
+                raise KeyError("not a window error")
+            return x
+
+        with pytest.raises(KeyError, match="not a window error"):
+            per_window(fit, range(6), workers=workers)
+        assert multiprocessing.active_children() == []

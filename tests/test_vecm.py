@@ -64,6 +64,16 @@ def _assert_same_model(got, want):
             assert a == b, f.name
 
 
+@pytest.mark.parametrize("fit", [johansen_ml, pml_vecm])
+@pytest.mark.parametrize("r", [-1, 4])
+def test_a_rank_outside_0_to_n_has_one_check(fit, r):
+    # one range rule for both estimators, on a window or a stack
+    _, z = _sim(3, 1, 120, 0, p=1)
+    for data in (z, np.stack([z, z])):
+        with pytest.raises(ParameterError, match=r"^rank must lie in 0\.\.3$"):
+            fit(data, r, 1)
+
+
 class TestJohansen:
     def test_full_rank_equals_ols(self):
         _, z = _sim(3, 1, 300, 0, p=1)

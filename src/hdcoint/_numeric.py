@@ -62,18 +62,16 @@ def triangular_factors(A: np.ndarray) -> np.ndarray:
     return R.reshape(A.shape[:-2] + R.shape[-2:])
 
 
-def nested_residual_factors(A: np.ndarray, m: int,
+def nested_residual_factors(RY: np.ndarray,
                             widths: Sequence[int]) -> np.ndarray:
     """Upper-triangular F, (..., len(widths), q, q), whose F'F is the
-    residual cross-product of Y = A[..., m:] (..., n >= q, q) on the first
-    c columns of X = A[..., :m], for each c in ``widths``: with R the
-    triangular factor of A = [X, Y], it is R[c:, m:]' R[c:, m:] (X[:, :c]
-    of full rank).  The caller builds A once, so a stack of systems holds
-    one copy of its designs besides the one the QR makes."""
-    # a copy, so the whole factor is freed before the second QR
-    R = triangular_factors(A)[..., m:].copy()
-    keep = np.arange(R.shape[-2]) >= np.asarray(widths)[:, None]
-    return triangular_factors(np.where(keep[..., None], R[..., None, :, :],
+    residual cross-product of Y (..., n >= q, q) on the first c columns of
+    X, for each c in ``widths``, from RY = R[..., m:], the columns of Y in
+    the :func:`triangular_factors` R of A = [X, Y] with X (..., n, m): it
+    is R[c:, m:]' R[c:, m:] (X[:, :c] of full rank).  The callers factor A
+    once, and may read the fits off the same R."""
+    keep = np.arange(RY.shape[-2]) >= np.asarray(widths)[:, None]
+    return triangular_factors(np.where(keep[..., None], RY[..., None, :, :],
                                        0.0))
 
 

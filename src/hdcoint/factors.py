@@ -11,7 +11,8 @@ stack contract of :func:`panel.as_stack`: the factors are extracted
 window by window, and the VECMs of all windows are one stacked lag
 choice and one stacked fit.
 :func:`var_bic_forecast` is the one AR/VAR-by-BIC routine of the
-package, for one system or a stack of them.
+package, for one system or a stack of them; one QR of its design scores
+every lag and fits the chosen ones.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ._numeric import (column_scales, column_signs, key_positions,
-                       nested_residual_factors, singular_pivots)
+                       nested_residual_factors, singular_pivots,
+                       triangular_factors)
 from .errors import (WINDOW_ERRORS, DataError, NumericalError,
                      ParameterError, per_window)
 from .panel import (DeterministicSpec, as_stack, as_values, detrend,
@@ -197,26 +199,32 @@ def var_bic_forecast(x, h: int, p_max: int, p_min: int) -> np.ndarray:
     stack of systems with a lag each ((B, h, k) paths); an AR is k = 1.
     The lag runs over ``p_min..p_max`` on a common sample; ``p_max`` is
     capped so that each equation keeps ``k + 1`` residual degrees of
-    freedom.  The criterion is ``n log det(Sigma + 1e-12 I) + log(n) k (k p
-    + 1)``.  A singular residual covariance ends the search at its lag:
-    a pivot of its residual factor is singular by :func:`singular_pivots`
-    (as in :func:`select_lag_bic`), or ``Sigma + 1e-12 I`` is not positive
-    definite.  One QR scores every lag (:func:`nested_residual_factors`);
-    least squares fits the chosen one.
+    freedom, and a common sample of fewer than ``max(k + 2, 1 + k p_min)``
+    rows raises :class:`DataError`.  The criterion is ``n log det(Sigma +
+    1e-12 I) + log(n) k (k p + 1)``.  A singular residual covariance ends
+    the search at its lag: a pivot of its residual factor is singular by
+    :func:`singular_pivots` (as in :func:`select_lag_bic`), or ``Sigma +
+    1e-12 I`` is not positive definite.  One QR of the largest design
+    [X, y] scores every lag (:func:`nested_residual_factors`), and its R
+    fits the chosen one: with c = 1 + kp, beta = R[:c, :c]^-1 R[:c, m:],
+    one solve per distinct lag, where a pivot that :func:`singular_pivots`
+    reads as singular gets coefficient 0.
     """
     v = np.asarray(x, dtype=float)
     z = v if v.ndim == 3 else v.reshape(1, v.shape[0], -1)
     B, T, k = z.shape
     p_max = max(p_min, min(p_max, (T - k - 2) // (k + 1)))
     n = T - p_max
-    if n < k + 2:
+    if n < max(k + 2, 1 + k * p_min):
         raise DataError("window too short for the autoregression")
     # [1, the p_max lags, the response]: the lags' design is its head
     lagged = np.concatenate([np.ones((B, n, 1))] + [
         z[:, p_max - j:T - j] for j in range(1, p_max + 1)] + [z[:, p_max:]],
         axis=2)
     lags = np.arange(p_min, p_max + 1)
-    F = nested_residual_factors(lagged, 1 + k * p_max, 1 + k * lags)
+    m = 1 + k * p_max
+    R = triangular_factors(lagged)
+    F = nested_residual_factors(R[..., m:], 1 + k * lags)
     signs, logdets = np.linalg.slogdet(
         np.swapaxes(F, -1, -2) @ F / n + 1e-12 * np.eye(k))
     norms = np.linalg.norm(z[:, p_max:], axis=1)[:, None]
@@ -229,11 +237,15 @@ def var_bic_forecast(x, h: int, p_max: int, p_min: int) -> np.ndarray:
         raise DataError("autoregression could not be fitted")
     paths = np.empty((B, h, k))
     chosen = np.argmin(bic, axis=1) + p_min
-    betas = [np.linalg.lstsq(lagged[b, :, :1 + k * p], z[b, p_max:],
-                             rcond=None)[0] for b, p in enumerate(chosen)]
-    # the systems of one lag iterate together: (G, 1, k) rows
+    # the systems of one lag are fitted and iterate together: (G, 1, k) rows
     for p, group in key_positions(chosen.tolist()).items():
-        beta = np.stack([betas[b] for b in group])
+        c = 1 + k * p
+        tri, rhs = R[group, :c, :c], R[group, :c, m:]
+        # a singular pivot's coefficient is 0: a unit row, a zero right-
+        # hand side (a NaN stays NaN); ||X e_j|| = ||R e_j||
+        unit = singular_pivots(tri, np.linalg.norm(tri, axis=1), n)[..., None]
+        beta = np.linalg.solve(np.where(unit, np.eye(c), tri),
+                               np.where(unit, 0.0 * rhs, rhs))
         hist = [z[group, -j, None] for j in range(1, p + 1)]
         for s in range(h):
             row = beta[:, :1] + sum(

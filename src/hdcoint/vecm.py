@@ -270,8 +270,8 @@ def _check_rank(T: int, N: int, p: int, r: int) -> None:
 def _johansen_fit(solves: list, r: int, p: int,
                   det: DeterministicSpec) -> list:
     """Reduced-rank ML fits at rank ``r`` of solves of one lag (each a
-    :class:`_Solve`), in one pass: per window its model, or the
-    :class:`DataError` of a window too short for ``r``, or the
+    :class:`_Solve`) of windows long enough for ``r`` (its callers run
+    :func:`_check_rank`), in one pass: per window its model, or the
     LinAlgError of its own short-run solve.
 
     The short run and residual covariance are the OLS given Π, read off
@@ -282,9 +282,6 @@ def _johansen_fit(solves: list, r: int, p: int,
     """
     s0 = solves[0]
     k, n, (N, m) = s0.k, s0.n, s0.s01.shape
-    short = attempt(_check_rank, s0.t_last, N, p, r)
-    if short is not None:
-        return [short] * len(solves)
     R, vecs, s01, lam, logdet = (np.stack([getattr(s, f) for s in solves])
                                  for f in ("R", "vecs", "s01", "lam",
                                            "logdet"))
@@ -351,10 +348,14 @@ def johansen_ml(data, r: Optional[int], p: Union[int, Sequence] = 1,
         for w, rank in zip(group, ranks):
             fits[w] = rank
         for rank, at in key_positions(ranks).items():
-            if not isinstance(rank, WINDOW_ERRORS):
-                for i, fit in zip(at, _johansen_fit([solves[i] for i in at],
-                                                    rank, lag, det)):
-                    fits[group[i]] = fit
+            if isinstance(rank, WINDOW_ERRORS):
+                continue
+            # an explicit r is checked before the solve, an IC rank here
+            short = r is None and attempt(_check_rank, T, N, lag, rank)
+            for i, fit in zip(at, [short] * len(at) if short else
+                              _johansen_fit([solves[i] for i in at], rank,
+                                            lag, det)):
+                fits[group[i]] = fit
     return unstack(fits, stack)
 
 
@@ -412,7 +413,9 @@ def select_lag_bic(data, p_max: int = 3,
         design = np.concatenate([y1] + cols + [y0], axis=-1)
         norms = np.linalg.norm(y0, axis=-2)[:, None]
         del y0, y1, cols    # as in _ec_factors
-        F = nested_residual_factors(design, widths[-1], widths)
+        # a copy, so the whole factor is freed before the second QR
+        F = nested_residual_factors(
+            triangular_factors(design)[..., widths[-1]:].copy(), widths)
         piv = np.abs(np.diagonal(F, axis1=-2, axis2=-1))
         singular = singular_pivots(F, norms, n).any(axis=-1)
         with np.errstate(divide="ignore"):
@@ -855,7 +858,9 @@ def _pml_init(z: np.ndarray, r: int, p: int, solves):
     succeed, a ridge start otherwise.  Per window its start, or the
     LinAlgError of its fit."""
     N = z.shape[-1]
-    at = [i for i, s in enumerate(solves) if isinstance(s, _Solve)]
+    # a window too short for rank r starts from the ridge fit
+    at = [] if attempt(_check_rank, z.shape[1], N, p, r) else [
+        i for i, s in enumerate(solves) if isinstance(s, _Solve)]
     fits = dict(zip(at, _johansen_fit([solves[i] for i in at], r, p,
                                       DeterministicSpec.NONE) if at else []))
     starts = {i: fit for i, fit in fits.items()
@@ -907,8 +912,10 @@ def pml_vecm(data, r: Optional[int], p: int = 1,
     sweep each for B and the short-run block (gradients kept by rank-one
     updates from Z1Z1' and DX DX', the residual rebuilt once per block),
     and the exact inverse of the residual covariance for the precision
-    matrix.  The objective must be non-increasing across cycles; an
-    increase signals a subproblem fault and raises ConvergenceError.
+    matrix; a window whose residual covariance has a 1-norm condition
+    number of 1e12 or more fails with NumericalError.  The objective
+    must be non-increasing across cycles; an increase signals a
+    subproblem fault and raises ConvergenceError.
     The fit has converged once a cycle changes the objective by less than
     1e-7 of its size (at least 1).
     ``info["converged"]`` is False when ``max_cycles`` ran out first, as
@@ -1056,8 +1063,11 @@ def _pml_fit(z: np.ndarray, r: int, p: int, lam: Tuple[float, float],
                                            omega, xx, n * lam[1] / 2.0)
             E = E - (phi_new - phi_mat) @ DX
             phi_mat = phi_new
-        omega_new, singular = per_matrix(np.linalg.inv, E @ T_(E) / n)
-        for i in singular:
+        S = E @ T_(E) / n
+        omega_new, _ = per_matrix(np.linalg.inv, S)
+        # the A step's bound on the 1-norm condition number; NaN fails
+        one = partial(np.linalg.norm, ord=1, axis=(-2, -1))
+        for i in np.flatnonzero(~(one(S) * one(omega_new) < 1e12)).tolist():
             errors.setdefault(
                 i, NumericalError("residual covariance is singular"))
         with np.errstate(invalid="ignore"):     # a singular window's NaN

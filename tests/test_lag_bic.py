@@ -1,10 +1,14 @@
 """Lag-by-BIC choices against the per-lag searches they replaced.
 
 ``var_bic_forecast`` and ``select_lag_bic`` score every candidate lag
-from one QR of the largest design.  The references below are the
-per-lag searches they replaced: each candidate refitted by ``lstsq``,
-its residual covariance scored by ``slogdet``.  On well-posed inputs the
-chosen lags must agree and the forecasts must match bit for bit.
+from one QR of the largest design, and ``var_bic_forecast`` fits the
+chosen lag off the same QR.  The references below are the per-lag
+searches they replaced: each candidate refitted by ``lstsq``, its
+residual covariance scored by ``slogdet``.  On well-posed inputs the
+chosen lags must agree, and the forecasts must match to 1e-9 of the
+reference path's largest value: the triangular solve and ``lstsq`` round
+differently, by at most 3.5e-10 of that scale on these cases.  A stack
+must match its single calls bit for bit.
 """
 
 import sys
@@ -30,7 +34,7 @@ def var_bic_reference(x, h, p_max, p_min):
     n = T - p_max
     lagged = np.hstack([np.ones((n, 1))] +
                        [z[p_max - j:T - j] for j in range(1, p_max + 1)])
-    best = (np.inf, p_min, None)
+    best = (np.inf, p_min)
     for p in range(p_min, p_max + 1):
         X = lagged[:, :1 + k * p]
         beta, *_ = np.linalg.lstsq(X, z[p_max:], rcond=None)
@@ -38,10 +42,21 @@ def var_bic_reference(x, h, p_max, p_min):
         sign, logdet = np.linalg.slogdet(E.T @ E / n + 1e-12 * np.eye(k))
         bic = n * logdet + np.log(n) * k * (k * p + 1) if sign > 0 else -np.inf
         if bic < best[0]:
-            best = (bic, p, beta)
+            best = (bic, p)
         if sign <= 0:
             break
-    _, p, beta = best
+    return best[1], ols_path(x, h, p_max, best[1])
+
+
+def ols_path(x, h, p_max, p):
+    """The path of the lag-``p`` VAR fitted by ``lstsq`` on the rows from
+    ``p_max`` on, the common sample of the candidates up to ``p_max``."""
+    v = np.asarray(x, dtype=float)
+    z = v.reshape(v.shape[0], -1)
+    T, k = z.shape
+    X = np.hstack([np.ones((T - p_max, 1))] +
+                  [z[p_max - j:T - j] for j in range(1, p + 1)])
+    beta, *_ = np.linalg.lstsq(X, z[p_max:], rcond=None)
     hist = [z[-j] for j in range(1, p + 1)]
     path = np.empty((h, k))
     for s in range(h):
@@ -49,7 +64,7 @@ def var_bic_reference(x, h, p_max, p_min):
                             for j in range(1, p + 1))
         path[s] = row
         hist = [row] + hist[:-1]
-    return p, (path if v.ndim > 1 else path[:, 0])
+    return path if v.ndim > 1 else path[:, 0]
 
 
 def select_lag_reference(z, p_max, det):
@@ -76,18 +91,29 @@ def select_lag_reference(z, p_max, det):
 
 
 def _fitted_lags(monkeypatch, x, h, p_max, p_min):
-    """``var_bic_forecast``'s output and the lag of every lstsq fit it made."""
+    """``var_bic_forecast``'s output and the (lag, systems) of every solve
+    it made, which must be no ``lstsq`` call."""
     k = 1 if np.ndim(x) == 1 else np.shape(x)[-1]
-    widths, lstsq = [], np.linalg.lstsq
+    solves, solve = [], np.linalg.solve
 
-    def spy(a, b, rcond=None):
-        widths.append(a.shape[1])
-        return lstsq(a, b, rcond=rcond)
+    def spy(a, b):
+        solves.append(((a.shape[-1] - 1) // k, len(a)))
+        return solve(a, b)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("var_bic_forecast called lstsq")
 
     with monkeypatch.context() as m:
-        m.setattr(np.linalg, "lstsq", spy)
+        m.setattr(np.linalg, "solve", spy)
+        m.setattr(np.linalg, "lstsq", refused)
         out = var_bic_forecast(x, h, p_max, p_min)
-    return out, [(w - 1) // k for w in widths]
+    return out, solves
+
+
+def _close(got, want, tol) -> bool:
+    """Equal shapes and |got - want| <= tol max|want|."""
+    return got.shape == want.shape and np.max(np.abs(got - want)) <= tol * \
+        np.max(np.abs(want))
 
 
 def _series(rng, kind, T, k):
@@ -117,9 +143,9 @@ def test_var_bic_matches_per_lag_search(monkeypatch):
         x = _series(rng, kind, T, k) * 10.0 ** rng.choice([-6, 0, 6])
         x = x[:, 0] if k == 1 and i % 2 else x
         want_p, want = var_bic_reference(x, 3, p_max, p_min)
-        got, fitted = _fitted_lags(monkeypatch, x, 3, p_max, p_min)
-        assert fitted == [want_p], (i, k, T, p_max, p_min)
-        assert got.shape == want.shape and np.array_equal(got, want), i
+        got, solves = _fitted_lags(monkeypatch, x, 3, p_max, p_min)
+        assert solves == [(want_p, 1)], (i, k, T, p_max, p_min)
+        assert _close(got, want, 1e-9), i
         lags_seen.add(want_p)
     assert lags_seen == {0, 1, 2, 3, 4}
 
@@ -132,8 +158,8 @@ def test_var_bic_singular_lag_does_not_depend_on_scale(monkeypatch):
         w = np.random.default_rng(seed).standard_normal(150).cumsum()
         for scale in (1e-3, 1.0, 1e3, 1e6):
             x = np.column_stack([w, w]) * scale
-            _, fitted = _fitted_lags(monkeypatch, x, 2, 3, 1)
-            assert fitted == [1], (seed, scale)
+            _, solves = _fitted_lags(monkeypatch, x, 2, 3, 1)
+            assert solves == [(1, 1)], (seed, scale)
 
 
 def test_stack_equals_single_calls(monkeypatch):
@@ -141,13 +167,64 @@ def test_stack_equals_single_calls(monkeypatch):
     for k in (1, 2, 3):
         x = np.stack([_series(rng, kind, 90, k) * scale
                       for kind in range(4) for scale in (1e-6, 1.0, 1e6)])
-        got, fitted = _fitted_lags(monkeypatch, x, 4, 3, 0)
+        got, solves = _fitted_lags(monkeypatch, x, 4, 3, 0)
         assert got.shape == (12, 4, k)
         singles = [_fitted_lags(monkeypatch, s, 4, 3, 0) for s in x]
-        assert fitted == [lag for _, (lag,) in singles]
-        assert len(set(fitted)) > 1
+        lags = [lag for _, ((lag, _),) in singles]
+        # one solve per distinct lag, each holding that lag's systems
+        assert sorted(solves) == sorted((lag, lags.count(lag))
+                                        for lag in set(lags))
+        assert len(solves) > 1
         for b, (path, _) in enumerate(singles):
             assert np.array_equal(got[b], path), (k, b)
+
+
+@pytest.mark.blas_threads
+def test_var_bic_rank_deficient_designs(monkeypatch):
+    # every candidate's residual covariance is singular, so the first lag
+    # wins; a singular pivot of its triangular factor gets coefficient 0,
+    # and the path is lstsq's at that lag.  Without that rule a plain solve
+    # is 1e9 times off on the duplicated columns and raises LinAlgError on
+    # the zero columns
+    walks = [np.random.default_rng(seed).standard_normal(150).cumsum()
+             for seed in range(8)]
+    cases = [np.column_stack([w, w]) * scale for w in walks
+             for scale in (1e-3, 1.0, 1e3, 1e6)]
+    zero_column = np.column_stack([walks[0], np.zeros(150)])
+    cases += [zero_column, np.zeros(150), np.full(150, 3.0)]
+    for p_min in (0, 1):
+        for i, x in enumerate(cases):
+            got, solves = _fitted_lags(monkeypatch, x, 2, 3, p_min)
+            assert solves == [(p_min, 1)], (p_min, i)
+            assert np.isfinite(got).all(), (p_min, i)
+            assert _close(got, ols_path(x, 2, 3, p_min), 1e-12), (p_min, i)
+        assert (var_bic_forecast(zero_column, 2, 3, p_min)[:, 1] == 0).all()
+        assert (var_bic_forecast(np.zeros(150), 2, 3, p_min) == 0).all()
+
+
+def test_var_bic_window_shorter_than_its_smallest_fit():
+    # VAR(2) of three series: 7 coefficients, which 5 rows would interpolate
+    x = np.random.default_rng(29).standard_normal((7, 3))
+    with pytest.raises(DataError, match="window too short"):
+        var_bic_forecast(x, 2, 2, 2)
+    assert np.isfinite(var_bic_forecast(np.vstack([x, x]), 2, 2, 2)).all()
+
+
+@pytest.mark.blas_threads
+def test_var_bic_fits_one_solve_per_lag(monkeypatch):
+    # a stack of ARs whose lags differ: no lstsq call, and one solve per
+    # distinct lag holding all of that lag's systems
+    rng = np.random.default_rng(28)
+    x = np.stack([_series(rng, kind, 120, 1)[:, 0] for kind in range(4)
+                  for _ in range(10)])[:, :, None]
+    got, solves = _fitted_lags(monkeypatch, x, 3, 4, 0)
+    refs = [var_bic_reference(s, 3, 4, 0) for s in x]
+    lags = [lag for lag, _ in refs]
+    assert len(set(lags)) > 2
+    assert sorted(solves) == sorted((lag, lags.count(lag))
+                                    for lag in set(lags))
+    for b, (_, path) in enumerate(refs):
+        assert _close(got[b], path, 1e-9), b
 
 
 def _levels(rng, kind, T, N):
@@ -247,7 +324,8 @@ def test_grouped_ar_lane_equals_single_benchmarks(monkeypatch):
                 v = resid[:, ti]
                 want = ar_benchmark(v, d, 3, h)
                 _, path = var_bic_reference(np.diff(v, n=d), h, 3, 0)
-                assert want == float(invert_differences(v, path, d)[-1])
+                ref = invert_differences(v, path, d)
+                assert abs(want - ref[-1]) <= 1e-9 * np.max(np.abs(ref))
                 a, b = coef[:, ti]
                 assert fc[(ti, h)] == float(a + b * (n + h)) + want
 

@@ -5,6 +5,7 @@ of the error-correction form, computed inline with lstsq.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -852,6 +853,38 @@ class TestJohansenStack:
         assert any(isinstance(f, DataError) and "too short" in str(f)
                    for f in johansen_ml(_ranked_stack(), None, 1))
 
+    def test_window_too_short_for_its_rank(self, monkeypatch):
+        # one length check per lag group: before the solve for an explicit
+        # rank, whose error then precedes the solve's own (the collinear
+        # window 3), and on each IC rank after it; one message either way
+        import hdcoint.vecm as vecm
+        calls, check = [], vecm._check_rank
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(vecm, "_check_rank", counted)
+        zs = _ranked_stack()
+        msg = "window of 11 observations is too short for N=3, p=1, r=3"
+        johansen_ml(zs, 2, 1)
+        assert calls == [(11, 3, 1, 2)]
+        calls.clear()
+        fits = johansen_ml(zs, 3, 1)
+        assert calls == [(11, 3, 1, 3)]
+        for w, fit in enumerate(fits):
+            assert isinstance(fit, DataError), w
+            if w != 5:      # the missing value comes first
+                assert str(fit) == msg, w
+        with pytest.raises(DataError) as info:
+            johansen_ml(zs[3], 3, 1)
+        assert str(info.value) == msg
+        calls.clear()
+        fits = johansen_ml(zs, None, 1)
+        ranks = {f.rank for f in fits if not isinstance(f, Exception)}
+        assert sorted(calls) == [(11, 3, 1, r) for r in sorted(ranks | {3})]
+        assert sum(str(f) == msg for f in fits) >= 2
+
     def test_one_sweep_per_block_and_one_fit_per_rank(self, monkeypatch):
         # the cycles of W windows of one rank make one sweep per block and
         # cycle, not one per window, and johansen_ml one fit pass per
@@ -1134,6 +1167,20 @@ class TestPmlOracle:
         model = pml_vecm(zs, r=2, p=1, lambdas=(0.0, 0.2), max_cycles=2)
         assert model.info["cycles"] == 2
         assert model.info["converged"] is False
+
+    def test_near_singular_residual_covariance_fails_the_window(self):
+        # an exactly collinear window at rank 0 from the ridge start: its
+        # residual covariance (condition number 2.9e16) still inverts, and
+        # without the Ω step's condition bound the objective falls to -1e98
+        # and the forecast rises to 1.7e144 in 30 cycles, with no error
+        zs = _mixed_stack()[1:7]
+        w = (zs / np.nanstd(zs, axis=1, keepdims=True))[2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cap in (8, 30, 60):
+                with pytest.raises(NumericalError,
+                                   match="residual covariance is singular"):
+                    pml_vecm(w, 0, p=1, lambdas=(0.3, 0.0), max_cycles=cap)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "L1 on B with a free A has a scale ridge: A grows and B shrinks "

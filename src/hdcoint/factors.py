@@ -207,8 +207,9 @@ def var_bic_forecast(x, h: int, p_max: int, p_min: int) -> np.ndarray:
     1e-12 I`` is not positive definite.  One QR of the largest design
     [X, y] scores every lag (:func:`nested_residual_factors`), and its R
     fits the chosen one: with c = 1 + kp, beta = R[:c, :c]^-1 R[:c, m:],
-    one solve per distinct lag, where a pivot that :func:`singular_pivots`
-    reads as singular gets coefficient 0.
+    one solve per distinct lag.  A system whose R[:c, :c] has a pivot that
+    :func:`singular_pivots` reads as singular takes the pseudo-inverse
+    there, at ``lstsq``'s cutoff: the minimum-norm least-squares fit.
     """
     v = np.asarray(x, dtype=float)
     z = v if v.ndim == 3 else v.reshape(1, v.shape[0], -1)
@@ -241,11 +242,16 @@ def var_bic_forecast(x, h: int, p_max: int, p_min: int) -> np.ndarray:
     for p, group in key_positions(chosen.tolist()).items():
         c = 1 + k * p
         tri, rhs = R[group, :c, :c], R[group, :c, m:]
-        # a singular pivot's coefficient is 0: a unit row, a zero right-
-        # hand side (a NaN stays NaN); ||X e_j|| = ||R e_j||
-        unit = singular_pivots(tri, np.linalg.norm(tri, axis=1), n)[..., None]
-        beta = np.linalg.solve(np.where(unit, np.eye(c), tri),
-                               np.where(unit, 0.0 * rhs, rhs))
+        # ||X b - y||^2 = ||tri b - rhs||^2 + const, and ||X e_j|| = ||R e_j||:
+        # a design with a singular pivot takes lstsq's minimum-norm fit
+        flat = singular_pivots(tri, np.linalg.norm(tri, axis=1),
+                               n).any(axis=1)
+        beta = np.empty(rhs.shape)
+        if not flat.all():
+            beta[~flat] = np.linalg.solve(tri[~flat], rhs[~flat])
+        if flat.any():
+            beta[flat] = np.linalg.pinv(
+                tri[flat], rcond=max(n, c) * np.finfo(float).eps) @ rhs[flat]
         hist = [z[group, -j, None] for j in range(1, p + 1)]
         for s in range(h):
             row = beta[:, :1] + sum(

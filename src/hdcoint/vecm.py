@@ -1065,7 +1065,9 @@ def _pml_fit(z: np.ndarray, r: int, p: int, lam: Tuple[float, float],
             phi_mat = phi_new
         S = E @ T_(E) / n
         omega_new, _ = per_matrix(np.linalg.inv, S)
-        # the A step's bound on the 1-norm condition number; NaN fails
+        # the A step's threshold, 1e12, on the 1-norm condition number
+        # (the A step's is the 2-norm one), from the inverse already made;
+        # NaN fails
         one = partial(np.linalg.norm, ord=1, axis=(-2, -1))
         for i in np.flatnonzero(~(one(S) * one(omega_new) < 1e12)).tolist():
             errors.setdefault(

@@ -91,23 +91,28 @@ def select_lag_reference(z, p_max, det):
 
 
 def _fitted_lags(monkeypatch, x, h, p_max, p_min):
-    """``var_bic_forecast``'s output and the (lag, systems) of every solve
-    it made, which must be no ``lstsq`` call."""
+    """``var_bic_forecast``'s output and the (``"solve"`` or ``"pinv"``,
+    lag, systems) of every fit it made, none of which may be ``lstsq``."""
     k = 1 if np.ndim(x) == 1 else np.shape(x)[-1]
-    solves, solve = [], np.linalg.solve
+    fits, solve, pinv = [], np.linalg.solve, np.linalg.pinv
 
-    def spy(a, b):
-        solves.append(((a.shape[-1] - 1) // k, len(a)))
+    def solve_spy(a, b):
+        fits.append(("solve", (a.shape[-1] - 1) // k, len(a)))
         return solve(a, b)
+
+    def pinv_spy(a, **kwargs):
+        fits.append(("pinv", (a.shape[-1] - 1) // k, len(a)))
+        return pinv(a, **kwargs)
 
     def refused(*args, **kwargs):
         raise AssertionError("var_bic_forecast called lstsq")
 
     with monkeypatch.context() as m:
-        m.setattr(np.linalg, "solve", spy)
+        m.setattr(np.linalg, "solve", solve_spy)
+        m.setattr(np.linalg, "pinv", pinv_spy)
         m.setattr(np.linalg, "lstsq", refused)
         out = var_bic_forecast(x, h, p_max, p_min)
-    return out, solves
+    return out, fits
 
 
 def _close(got, want, tol) -> bool:
@@ -143,8 +148,8 @@ def test_var_bic_matches_per_lag_search(monkeypatch):
         x = _series(rng, kind, T, k) * 10.0 ** rng.choice([-6, 0, 6])
         x = x[:, 0] if k == 1 and i % 2 else x
         want_p, want = var_bic_reference(x, 3, p_max, p_min)
-        got, solves = _fitted_lags(monkeypatch, x, 3, p_max, p_min)
-        assert solves == [(want_p, 1)], (i, k, T, p_max, p_min)
+        got, fits = _fitted_lags(monkeypatch, x, 3, p_max, p_min)
+        assert fits == [("solve", want_p, 1)], (i, k, T, p_max, p_min)
         assert _close(got, want, 1e-9), i
         lags_seen.add(want_p)
     assert lags_seen == {0, 1, 2, 3, 4}
@@ -158,8 +163,8 @@ def test_var_bic_singular_lag_does_not_depend_on_scale(monkeypatch):
         w = np.random.default_rng(seed).standard_normal(150).cumsum()
         for scale in (1e-3, 1.0, 1e3, 1e6):
             x = np.column_stack([w, w]) * scale
-            _, solves = _fitted_lags(monkeypatch, x, 2, 3, 1)
-            assert solves == [(1, 1)], (seed, scale)
+            _, fits = _fitted_lags(monkeypatch, x, 2, 3, 1)
+            assert fits == [("pinv", 1, 1)], (seed, scale)
 
 
 def test_stack_equals_single_calls(monkeypatch):
@@ -167,14 +172,14 @@ def test_stack_equals_single_calls(monkeypatch):
     for k in (1, 2, 3):
         x = np.stack([_series(rng, kind, 90, k) * scale
                       for kind in range(4) for scale in (1e-6, 1.0, 1e6)])
-        got, solves = _fitted_lags(monkeypatch, x, 4, 3, 0)
+        got, fits = _fitted_lags(monkeypatch, x, 4, 3, 0)
         assert got.shape == (12, 4, k)
         singles = [_fitted_lags(monkeypatch, s, 4, 3, 0) for s in x]
-        lags = [lag for _, ((lag, _),) in singles]
+        lags = [lag for _, ((_, lag, _),) in singles]
         # one solve per distinct lag, each holding that lag's systems
-        assert sorted(solves) == sorted((lag, lags.count(lag))
-                                        for lag in set(lags))
-        assert len(solves) > 1
+        assert sorted(fits) == sorted(("solve", lag, lags.count(lag))
+                                      for lag in set(lags))
+        assert len(fits) > 1
         for b, (path, _) in enumerate(singles):
             assert np.array_equal(got[b], path), (k, b)
 
@@ -182,24 +187,44 @@ def test_stack_equals_single_calls(monkeypatch):
 @pytest.mark.blas_threads
 def test_var_bic_rank_deficient_designs(monkeypatch):
     # every candidate's residual covariance is singular, so the first lag
-    # wins; a singular pivot of its triangular factor gets coefficient 0,
-    # and the path is lstsq's at that lag.  Without that rule a plain solve
-    # is 1e9 times off on the duplicated columns and raises LinAlgError on
-    # the zero columns
+    # wins; from lag 1 on its design has a singular pivot, which the
+    # pseudo-inverse fits, and the path is lstsq's at that lag.  A plain
+    # solve is 1e9 times off on the duplicated columns and raises
+    # LinAlgError on the zero columns; a unit row for the singular pivot
+    # is 1e-3 off where columns to its right follow it ([0, w], [w, w, v])
     walks = [np.random.default_rng(seed).standard_normal(150).cumsum()
              for seed in range(8)]
-    cases = [np.column_stack([w, w]) * scale for w in walks
+    w, v = walks[:2]
+    cases = [np.column_stack([u, u]) * scale for u in walks
              for scale in (1e-3, 1.0, 1e3, 1e6)]
-    zero_column = np.column_stack([walks[0], np.zeros(150)])
-    cases += [zero_column, np.zeros(150), np.full(150, 3.0)]
+    zero_column = np.column_stack([w, np.zeros(150)])
+    cases += [zero_column, np.zeros(150), np.full(150, 3.0),
+              np.column_stack([np.zeros(150), w]),
+              np.column_stack([np.full(150, 2.0), w]),
+              np.column_stack([w, w, v]), np.column_stack([w, v, w])]
     for p_min in (0, 1):
         for i, x in enumerate(cases):
-            got, solves = _fitted_lags(monkeypatch, x, 2, 3, p_min)
-            assert solves == [(p_min, 1)], (p_min, i)
+            got, fits = _fitted_lags(monkeypatch, x, 2, 3, p_min)
+            assert fits == [("pinv" if p_min else "solve", p_min, 1)], i
             assert np.isfinite(got).all(), (p_min, i)
             assert _close(got, ols_path(x, 2, 3, p_min), 1e-12), (p_min, i)
         assert (var_bic_forecast(zero_column, 2, 3, p_min)[:, 1] == 0).all()
         assert (var_bic_forecast(np.zeros(150), 2, 3, p_min) == 0).all()
+
+
+@pytest.mark.blas_threads
+def test_var_bic_lag_group_splits_singular_designs(monkeypatch):
+    # one lag group of well-posed and rank-deficient systems: one solve
+    # and one pseudo-inverse, each system equal to its single call
+    rng = np.random.default_rng(30)
+    w = rng.standard_normal(150).cumsum()
+    good = [_series(rng, 1, 150, 2) for _ in range(3)]
+    bad = [np.column_stack([w, w]), np.column_stack([np.zeros(150), w])]
+    x = np.stack([good[0], bad[0], good[1], bad[1], good[2]])
+    got, fits = _fitted_lags(monkeypatch, x, 3, 1, 1)
+    assert fits == [("solve", 1, 3), ("pinv", 1, 2)]
+    for b, s in enumerate(x):
+        assert np.array_equal(got[b], var_bic_forecast(s, 3, 1, 1)), b
 
 
 def test_var_bic_window_shorter_than_its_smallest_fit():
@@ -217,12 +242,12 @@ def test_var_bic_fits_one_solve_per_lag(monkeypatch):
     rng = np.random.default_rng(28)
     x = np.stack([_series(rng, kind, 120, 1)[:, 0] for kind in range(4)
                   for _ in range(10)])[:, :, None]
-    got, solves = _fitted_lags(monkeypatch, x, 3, 4, 0)
+    got, fits = _fitted_lags(monkeypatch, x, 3, 4, 0)
     refs = [var_bic_reference(s, 3, 4, 0) for s in x]
     lags = [lag for lag, _ in refs]
     assert len(set(lags)) > 2
-    assert sorted(solves) == sorted((lag, lags.count(lag))
-                                    for lag in set(lags))
+    assert sorted(fits) == sorted(("solve", lag, lags.count(lag))
+                                  for lag in set(lags))
     for b, (_, path) in enumerate(refs):
         assert _close(got[b], path, 1e-9), b
 
